@@ -15,7 +15,7 @@ use dta_catalog::Value;
 use dta_optimizer::query::{bind, BoundSelect, BoundStatement, SargOp};
 use dta_physical::{
     Configuration, Index, JoinPair, MaterializedView, PhysicalStructure, QualifiedColumn,
-    RangePartitioning, ViewAggregate,
+    RangePartitioning, StructureHandle, ViewAggregate,
 };
 use dta_server::{Server, TuningTarget};
 use dta_workload::WorkloadItem;
@@ -608,24 +608,23 @@ fn select_item(
         Some(Ok(c)) => c,
         _ => return sel,
     };
-    let eval_fn = |set: &[&PhysicalStructure]| -> Option<f64> {
-        let mut cfg = base.clone();
-        for s in set {
-            cfg.add((*s).clone());
-        }
-        eval.item_cost(i, &cfg).ok()
+    // wrapped once: every evaluation below shares these and the base's
+    // structures instead of copying them
+    let pool: Vec<StructureHandle> = generated.into_iter().map(StructureHandle::new).collect();
+    let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
+        eval.item_cost(i, &base.extended(set.iter().copied())).ok()
     };
     // each item's greedy search runs serially (workers = 1); the
     // session-level fan-out is across the block's items. The budget is
     // charged at block boundaries, so mid-item the only stop is a cancel.
     let stop = || control.is_cancelled();
     let outcome =
-        greedy_mk(&generated, base_cost, options.greedy_m, options.greedy_k, 1, &eval_fn, &stop);
+        greedy_mk(&pool, base_cost, options.greedy_m, options.greedy_k, 1, &eval_fn, &stop);
     sel.evaluations = outcome.evaluations;
     if !outcome.chosen.is_empty() {
         sel.benefit =
             (base_cost - outcome.cost).max(0.0) * item.weight / outcome.chosen.len() as f64;
-        sel.chosen = outcome.chosen;
+        sel.chosen = outcome.chosen.iter().map(|h| h.structure().clone()).collect();
     }
     sel
 }

@@ -26,11 +26,14 @@
 //! each unique (statement, fingerprint) pair costs one miss and one
 //! server call no matter how the scheduler interleaves the lookups.
 //!
-//! Fingerprints are computed without allocating: each relevant structure
-//! is hashed independently and the per-structure hashes are combined
-//! with order-independent arithmetic, so the hot path (a cache hit)
-//! touches no heap. The projected [`Configuration`] is only materialized
-//! on a miss, where the what-if call dwarfs it.
+//! Fingerprints are computed without allocating or hashing: every
+//! structure in a [`Configuration`] carries its content hash and the
+//! integer keys of its tables (see [`StructureHandle`]), each shard the
+//! keys of its statement's tables, and the hashes of the relevant
+//! structures are combined with order-independent arithmetic. The hot
+//! path (a cache hit) therefore touches no heap and no string. The
+//! projected [`Configuration`] is only materialized on a miss, as
+//! pointer copies, where the what-if call dwarfs it.
 //!
 //! Debug builds additionally run the sanitizer-lite checks from
 //! [`crate::invariants`]: every cache hit re-derives a second,
@@ -41,7 +44,7 @@
 
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
-use dta_physical::{Configuration, PhysicalStructure};
+use dta_physical::{table_key, Configuration, StructureHandle};
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
@@ -113,6 +116,29 @@ impl ShardStat {
     }
 }
 
+/// Everything the evaluator keeps for one statement.
+struct Shard {
+    /// [`table_key`]s of the tables the statement references, sorted.
+    tables: Vec<u64>,
+    /// The statement's cache.
+    cache: RwLock<HashMap<u64, CacheEntry>>,
+    /// Fingerprints currently being priced. Concurrent misses on the
+    /// same fingerprint dedup through this set so hit/miss/call tallies
+    /// stay deterministic across worker counts.
+    in_flight: Mutex<HashSet<u64>>,
+    /// Hit/miss/retry/call tallies.
+    stat: ShardStat,
+}
+
+impl Shard {
+    /// Whether a structure can affect the statement's plan: it is
+    /// attached to, or is a view joining, a table the statement
+    /// references. A comparison of integer keys the handle carries.
+    fn sees(&self, h: &StructureHandle) -> bool {
+        h.touches(&self.tables)
+    }
+}
+
 /// Caching cost evaluator over one tuning target and workload.
 ///
 /// `Send + Sync`: share a single instance across every phase of the
@@ -120,16 +146,8 @@ impl ShardStat {
 pub struct CostEvaluator<'a> {
     target: &'a TuningTarget<'a>,
     items: &'a [WorkloadItem],
-    /// Tables each item references: (database, table) pairs.
-    item_tables: Vec<Vec<(String, String)>>,
-    /// One cache shard per statement.
-    shards: Vec<RwLock<HashMap<u64, CacheEntry>>>,
-    /// Fingerprints currently being priced, per shard. Concurrent misses
-    /// on the same fingerprint dedup through this set so hit/miss/call
-    /// tallies stay deterministic across worker counts.
-    in_flight: Vec<Mutex<HashSet<u64>>>,
-    /// Per-shard hit/miss/retry/call tallies (same index as `shards`).
-    shard_stats: Vec<ShardStat>,
+    /// One shard per statement, in workload order.
+    shards: Vec<Shard>,
     /// Deterministic session counters — shared with `SessionControl`
     /// (and any observer) so what-if/retry telemetry has one source of
     /// truth; a standalone evaluator owns a private set.
@@ -159,27 +177,29 @@ impl<'a> CostEvaluator<'a> {
         items: &'a [WorkloadItem],
         counters: Arc<CounterSet>,
     ) -> Self {
-        let item_tables = items
+        let shards = items
             .iter()
             .map(|i| {
-                let mut ts: Vec<(String, String)> = i
+                let mut tables: Vec<u64> = i
                     .statement
                     .referenced_tables()
                     .into_iter()
-                    .map(|t| (i.database.clone(), t.to_string()))
+                    .map(|t| table_key(&i.database, t))
                     .collect();
-                ts.sort();
-                ts.dedup();
-                ts
+                tables.sort_unstable();
+                tables.dedup();
+                Shard {
+                    tables,
+                    cache: RwLock::new(HashMap::new()),
+                    in_flight: Mutex::new(HashSet::new()),
+                    stat: ShardStat::default(),
+                }
             })
             .collect();
         Self {
             target,
             items,
-            item_tables,
-            shards: (0..items.len()).map(|_| RwLock::new(HashMap::new())).collect(),
-            in_flight: (0..items.len()).map(|_| Mutex::new(HashSet::new())).collect(),
-            shard_stats: (0..items.len()).map(|_| ShardStat::default()).collect(),
+            shards,
             counters,
             retry: RetryPolicy::default(),
             fallbacks: RwLock::new(Vec::new()),
@@ -206,7 +226,7 @@ impl<'a> CostEvaluator<'a> {
     /// one-to-one onto workload statements, so entry `i` is statement
     /// `i`'s hit/miss/retry/call tally.
     pub fn cache_stats(&self) -> Vec<ShardSnapshot> {
-        self.shard_stats.iter().map(ShardStat::snapshot).collect()
+        self.shards.iter().map(|s| s.stat.snapshot()).collect()
     }
 
     /// Drop every cached cost (the call counter is kept).
@@ -215,42 +235,30 @@ impl<'a> CostEvaluator<'a> {
     /// after statistics creation, which alters what-if estimates.
     pub fn invalidate(&self) {
         for shard in &self.shards {
-            shard.write().clear();
+            shard.cache.write().clear();
         }
     }
 
-    /// Whether `s` can affect item `i`'s plan.
-    fn is_relevant(&self, i: usize, s: &PhysicalStructure) -> bool {
-        let tables = self.item_tables.get(i).expect("item index is in range for this evaluator");
-        let db = &self.items.get(i).expect("item index is in range for this evaluator").database;
-        match s {
-            PhysicalStructure::Index(ix) => {
-                tables.iter().any(|(d, t)| *d == ix.database && *t == ix.table)
-            }
-            PhysicalStructure::View(v) => {
-                v.database == *db && v.tables.iter().any(|vt| tables.iter().any(|(_, t)| t == vt))
-            }
-            PhysicalStructure::TablePartitioning { database, table, .. } => {
-                tables.iter().any(|(d, t)| d == database && t == table)
-            }
-        }
+    /// Item `i` and its shard.
+    fn slot(&self, i: usize) -> (&'a WorkloadItem, &Shard) {
+        invariants::check_shards(self.shards.len(), self.items.len(), i);
+        (
+            self.items.get(i).expect("item index is in range for this evaluator"),
+            self.shards.get(i).expect("item index is in range for this evaluator"),
+        )
     }
 
-    /// Structures of `config` that can affect item `i`.
-    fn project(&self, i: usize, config: &Configuration) -> Configuration {
-        config.iter().filter(|s| self.is_relevant(i, s)).cloned().collect()
-    }
-
-    /// Order-independent fingerprint of `config` projected onto item `i`,
-    /// computed without allocating.
-    fn fingerprint(&self, i: usize, config: &Configuration) -> u64 {
+    /// Order-independent fingerprint of `config` projected onto `shard`'s
+    /// statement, combined from the content hashes the handles memoize:
+    /// no allocation, no string hashed or compared. The values are what
+    /// hashing each structure afresh would give, so fingerprints in
+    /// checkpoints written by earlier builds still hit.
+    fn fingerprint(shard: &Shard, config: &Configuration) -> u64 {
         let mut sum = 0u64;
         let mut xor = 0u64;
         let mut count = 0u64;
-        for s in config.iter().filter(|s| self.is_relevant(i, s)) {
-            let mut h = DefaultHasher::new();
-            s.hash(&mut h);
-            let v = h.finish();
+        for h in config.handles().iter().filter(|h| shard.sees(h)) {
+            let v = h.content_hash();
             sum = sum.wrapping_add(v);
             xor ^= v;
             count += 1;
@@ -265,17 +273,18 @@ impl<'a> CostEvaluator<'a> {
     /// cache entry and re-derive it on every hit: a primary-key collision
     /// — two projections sharing a [`Self::fingerprint`] — then trips
     /// [`invariants::check_fingerprint`] instead of silently pricing one
-    /// configuration with another's cost.
-    fn verify_fingerprint(&self, i: usize, config: &Configuration) -> u64 {
+    /// configuration with another's cost. It hashes the structures
+    /// themselves, so it checks the memoized hashes as well.
+    fn verify_fingerprint(shard: &Shard, config: &Configuration) -> u64 {
         /// Seed decorrelating this hash from the primary fingerprint's.
         const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut sum = 0u64;
         let mut prod = 1u64;
         let mut count = 0u64;
-        for s in config.iter().filter(|s| self.is_relevant(i, s)) {
+        for s in config.handles().iter().filter(|h| shard.sees(h)) {
             let mut h = DefaultHasher::new();
             SEED.hash(&mut h);
-            s.hash(&mut h);
+            s.structure().hash(&mut h);
             let v = h.finish();
             sum = sum.wrapping_add(v);
             prod = prod.wrapping_mul(v | 1);
@@ -286,6 +295,26 @@ impl<'a> CostEvaluator<'a> {
         h.finish()
     }
 
+    /// Count a cache hit on `entry` and return what the caller asked for.
+    fn record_hit(
+        &self,
+        i: usize,
+        shard: &Shard,
+        entry: &CacheEntry,
+        config: &Configuration,
+        want_structures: bool,
+    ) -> (f64, Vec<String>) {
+        // imported checkpoint entries may carry verify == 0 when the
+        // writing build had invariants compiled out; skip the check
+        if invariants::ENABLED && entry.verify != 0 {
+            invariants::check_fingerprint(entry.verify, Self::verify_fingerprint(shard, config), i);
+        }
+        shard.stat.hits.fetch_add(1, Ordering::SeqCst);
+        self.counters.add(Counter::CacheHits, 1);
+        let used = if want_structures { entry.used_structures.clone() } else { Vec::new() };
+        (entry.cost, used)
+    }
+
     /// Price item `i` under `config`, returning the full cache entry.
     fn item_entry(
         &self,
@@ -293,59 +322,21 @@ impl<'a> CostEvaluator<'a> {
         config: &Configuration,
         want_structures: bool,
     ) -> Result<(f64, Vec<String>), ServerError> {
-        invariants::check_shards(self.shards.len(), self.items.len(), i);
-        let fp = self.fingerprint(i, config);
-        if let Some(e) =
-            self.shards.get(i).expect("item index is in range for this evaluator").read().get(&fp)
-        {
-            // imported checkpoint entries may carry verify == 0 when the
-            // writing build had invariants compiled out; skip the check
-            if invariants::ENABLED && e.verify != 0 {
-                invariants::check_fingerprint(e.verify, self.verify_fingerprint(i, config), i);
-            }
-            self.shard_stats
-                .get(i)
-                .expect("item index is in range for this evaluator")
-                .hits
-                .fetch_add(1, Ordering::SeqCst);
-            self.counters.add(Counter::CacheHits, 1);
-            let used = if want_structures { e.used_structures.clone() } else { Vec::new() };
-            return Ok((e.cost, used));
+        let (item, shard) = self.slot(i);
+        let fp = Self::fingerprint(shard, config);
+        if let Some(e) = shard.cache.read().get(&fp) {
+            return Ok(self.record_hit(i, shard, e, config, want_structures));
         }
         // claim-or-wait: exactly one thread computes each fingerprint.
         // Waiters count a hit once the entry lands, so the hit/miss/call
         // tallies are byte-identical no matter how lookups interleave.
         loop {
             {
-                let mut claims = self
-                    .in_flight
-                    .get(i)
-                    .expect("item index is in range for this evaluator")
-                    .lock();
+                let mut claims = shard.in_flight.lock();
                 // recheck under the claim lock: the computing thread
                 // inserts into the cache before releasing its claim
-                if let Some(e) = self
-                    .shards
-                    .get(i)
-                    .expect("item index is in range for this evaluator")
-                    .read()
-                    .get(&fp)
-                {
-                    if invariants::ENABLED && e.verify != 0 {
-                        invariants::check_fingerprint(
-                            e.verify,
-                            self.verify_fingerprint(i, config),
-                            i,
-                        );
-                    }
-                    self.shard_stats
-                        .get(i)
-                        .expect("item index is in range for this evaluator")
-                        .hits
-                        .fetch_add(1, Ordering::SeqCst);
-                    self.counters.add(Counter::CacheHits, 1);
-                    let used = if want_structures { e.used_structures.clone() } else { Vec::new() };
-                    return Ok((e.cost, used));
+                if let Some(e) = shard.cache.read().get(&fp) {
+                    return Ok(self.record_hit(i, shard, e, config, want_structures));
                 }
                 if claims.insert(fp) {
                     break;
@@ -355,40 +346,29 @@ impl<'a> CostEvaluator<'a> {
             std::thread::yield_now();
         }
         // the claim is released on every exit path below (including `?`)
-        let _claim = ClaimGuard {
-            set: self.in_flight.get(i).expect("item index is in range for this evaluator"),
-            fp,
-        };
-        self.shard_stats
-            .get(i)
-            .expect("item index is in range for this evaluator")
-            .misses
-            .fetch_add(1, Ordering::SeqCst);
+        let _claim = ClaimGuard { set: &shard.in_flight, fp };
+        shard.stat.misses.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheMisses, 1);
+        let verify = if invariants::ENABLED { Self::verify_fingerprint(shard, config) } else { 0 };
         if self.degraded.lock().contains(&i) {
             // a permanent fault already degraded this statement: price
             // every configuration at its constant fallback, no server call
             let cost = self.fallback_cost(i);
-            let verify = if invariants::ENABLED { self.verify_fingerprint(i, config) } else { 0 };
-            self.shards
-                .get(i)
-                .expect("item index is in range for this evaluator")
+            shard
+                .cache
                 .write()
                 .insert(fp, CacheEntry { cost, used_structures: Vec::new(), verify });
             return Ok((cost, Vec::new()));
         }
-        let relevant = self.project(i, config);
-        let item = self.items.get(i).expect("item index is in range for this evaluator");
+        // only a miss materializes the projection, and only as pointer
+        // copies; the what-if call dwarfs it
+        let relevant = config.project(|h| shard.sees(h));
         let mut attempt: u32 = 0;
         let plan = loop {
             // one call per unique miss (plus deterministic retries): the
             // in-flight claim above serialized racing lookups away
             self.counters.add(Counter::WhatIfCalls, 1);
-            self.shard_stats
-                .get(i)
-                .expect("item index is in range for this evaluator")
-                .calls
-                .fetch_add(1, Ordering::SeqCst);
+            shard.stat.calls.fetch_add(1, Ordering::SeqCst);
             match self.target.whatif(&item.database, &item.statement, &relevant) {
                 Ok(plan) => break Some(plan),
                 Err(ServerError::Fault { kind: FaultKind::Transient, .. })
@@ -398,11 +378,7 @@ impl<'a> CostEvaluator<'a> {
                     self.counters.add(Counter::WhatIfRetries, 1);
                     self.counters
                         .add(Counter::RetryBackoffUnits, self.retry.backoff_units(attempt));
-                    self.shard_stats
-                        .get(i)
-                        .expect("item index is in range for this evaluator")
-                        .retries
-                        .fetch_add(1, Ordering::SeqCst);
+                    shard.stat.retries.fetch_add(1, Ordering::SeqCst);
                     attempt += 1;
                 }
                 // permanent fault, or transient retries exhausted: degrade
@@ -422,12 +398,7 @@ impl<'a> CostEvaluator<'a> {
             }
         };
         let used = if want_structures { used_structures.clone() } else { Vec::new() };
-        let verify = if invariants::ENABLED { self.verify_fingerprint(i, config) } else { 0 };
-        self.shards
-            .get(i)
-            .expect("item index is in range for this evaluator")
-            .write()
-            .insert(fp, CacheEntry { cost, used_structures, verify });
+        shard.cache.write().insert(fp, CacheEntry { cost, used_structures, verify });
         Ok((cost, used))
     }
 
@@ -463,7 +434,7 @@ impl<'a> CostEvaluator<'a> {
     pub fn export_cache(&self) -> Vec<CacheExport> {
         let mut out = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.read();
+            let shard = shard.cache.read();
             let mut keys: Vec<u64> = shard.keys().copied().collect();
             keys.sort_unstable();
             for fp in keys {
@@ -488,7 +459,7 @@ impl<'a> CostEvaluator<'a> {
         for e in entries {
             if let Some(shard) = self.shards.get(e.item) {
                 invariants::check_cost(e.cost, "imported cache entry");
-                shard.write().insert(
+                shard.cache.write().insert(
                     e.fingerprint,
                     CacheEntry {
                         cost: e.cost,
@@ -534,9 +505,7 @@ impl<'a> CostEvaluator<'a> {
     pub fn workload_cost(&self, config: &Configuration) -> Result<f64, ServerError> {
         let mut total = 0.0;
         for i in 0..self.items.len() {
-            let next = total
-                + self.items.get(i).expect("item index is in range for this evaluator").weight
-                    * self.item_cost(i, config)?;
+            let next = total + self.slot(i).0.weight * self.item_cost(i, config)?;
             invariants::check_monotonic_sum(total, next, "workload_cost");
             total = next;
         }
@@ -551,9 +520,7 @@ impl<'a> CostEvaluator<'a> {
     ) -> Result<f64, ServerError> {
         let mut total = 0.0;
         for &i in indexes {
-            let next = total
-                + self.items.get(i).expect("item index is in range for this evaluator").weight
-                    * self.item_cost(i, config)?;
+            let next = total + self.slot(i).0.weight * self.item_cost(i, config)?;
             invariants::check_monotonic_sum(total, next, "subset_cost");
             total = next;
         }
@@ -565,7 +532,7 @@ impl<'a> CostEvaluator<'a> {
 mod tests {
     use super::*;
     use dta_catalog::{Column, ColumnType, Database, Table, Value};
-    use dta_physical::Index;
+    use dta_physical::{Index, PhysicalStructure};
     use dta_server::Server;
     use dta_sql::parse_statement;
     use dta_workload::Workload;
@@ -717,6 +684,128 @@ mod tests {
         assert!(after < before);
     }
 
+    /// The parent implementation: decide relevance by comparing names and
+    /// hash every relevant structure afresh. Returns (primary, verify).
+    fn reference_fingerprints(item: &WorkloadItem, config: &Configuration) -> (u64, u64) {
+        const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+        let tables = item.statement.referenced_tables();
+        let relevant = |s: &&PhysicalStructure| match s {
+            PhysicalStructure::Index(ix) => {
+                ix.database == item.database && tables.iter().any(|t| *t == ix.table)
+            }
+            PhysicalStructure::View(v) => {
+                v.database == item.database
+                    && v.tables.iter().any(|vt| tables.iter().any(|t| t == vt))
+            }
+            PhysicalStructure::TablePartitioning { database, table, .. } => {
+                *database == item.database && tables.iter().any(|t| t == table)
+            }
+        };
+        let (mut sum, mut xor, mut count) = (0u64, 0u64, 0u64);
+        let (mut vsum, mut vprod) = (0u64, 1u64);
+        for s in config.iter().filter(relevant) {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            let v = h.finish();
+            sum = sum.wrapping_add(v);
+            xor ^= v;
+            count += 1;
+            let mut h = DefaultHasher::new();
+            SEED.hash(&mut h);
+            s.hash(&mut h);
+            let v = h.finish();
+            vsum = vsum.wrapping_add(v);
+            vprod = vprod.wrapping_mul(v | 1);
+        }
+        let mut primary = DefaultHasher::new();
+        (sum, xor, count).hash(&mut primary);
+        let mut verify = DefaultHasher::new();
+        (count, vprod, vsum).hash(&mut verify);
+        (primary.finish(), verify.finish())
+    }
+
+    /// Structures on the statements' tables, on other tables, and in
+    /// another database that reuses a table name.
+    fn random_configuration(rng: &mut rand::rngs::StdRng) -> Configuration {
+        use rand::Rng;
+        let mut pick = |n: usize| rng.gen_range(0..n);
+        (0..pick(9))
+            .map(|_| {
+                let (db, t) = [("d", "t"), ("d", "u"), ("d", "w"), ("e", "t")][pick(4)];
+                let column = ["a", "b"][pick(2)];
+                match pick(4) {
+                    0 => PhysicalStructure::TablePartitioning {
+                        database: db.into(),
+                        table: t.into(),
+                        scheme: dta_physical::RangePartitioning::new(column, vec![Value::Int(9)]),
+                    },
+                    1 => PhysicalStructure::View(dta_physical::MaterializedView::grouped(
+                        db,
+                        &[t, "w"][..1 + pick(2)],
+                        Vec::new(),
+                        vec![dta_physical::QualifiedColumn::new(t, column)],
+                        vec![dta_physical::ViewAggregate::count_star()],
+                    )),
+                    _ => PhysicalStructure::Index(Index::non_clustered(db, t, &[column], &[])),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoized_fingerprints_equal_hashing_from_scratch() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let eval = CostEvaluator::new(&target, &w.items);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut distinct = std::collections::BTreeSet::new();
+        for _ in 0..2_000 {
+            let config = random_configuration(&mut rng);
+            for (i, item) in w.items.iter().enumerate() {
+                let shard = eval.slot(i).1;
+                let memoized = (
+                    CostEvaluator::fingerprint(shard, &config),
+                    CostEvaluator::verify_fingerprint(shard, &config),
+                );
+                assert_eq!(memoized, reference_fingerprints(item, &config), "item {i}: {config}");
+                distinct.insert(memoized.0);
+            }
+        }
+        assert!(distinct.len() > 100, "the configurations exercise relevance: {}", distinct.len());
+    }
+
+    #[test]
+    fn exported_cache_hits_after_configuration_round_trips() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let mut rng = StdRng::seed_from_u64(13);
+        let configs: Vec<Configuration> = (0..40).map(|_| random_configuration(&mut rng)).collect();
+        let writer = CostEvaluator::new(&target, &w.items);
+        let costs: Vec<f64> =
+            configs.iter().map(|c| writer.workload_cost(c).expect("costing succeeds")).collect();
+        let export = writer.export_cache();
+
+        // a later process: structures re-wrapped, configurations rebuilt
+        // by every route, and nothing is priced twice
+        let reader = CostEvaluator::new(&target, &w.items);
+        reader.import_cache(&export, writer.whatif_calls());
+        for (config, cost) in configs.iter().zip(&costs) {
+            let rebuilt = Configuration::from_structures(config.iter().cloned());
+            let (front, back) = (config.project(|h| reader.slot(0).1.sees(h)), config);
+            for round_trip in [config.clone(), rebuilt, front.union(back), config.project(|_| true)]
+            {
+                let again = reader.workload_cost(&round_trip).expect("costing succeeds");
+                assert_eq!(again.to_bits(), cost.to_bits());
+            }
+        }
+        assert_eq!(reader.whatif_calls(), writer.whatif_calls(), "every lookup hit");
+        assert!(reader.cache_stats().iter().all(|st| st.misses == 0));
+    }
+
     #[test]
     fn fingerprint_is_order_independent() {
         let s = server();
@@ -727,9 +816,13 @@ mod tests {
         let b = PhysicalStructure::Index(Index::non_clustered("d", "t", &["b"], &[]));
         let ab = Configuration::from_structures([a.clone(), b.clone()]);
         let ba = Configuration::from_structures([b.clone(), a.clone()]);
-        assert_eq!(eval.fingerprint(0, &ab), eval.fingerprint(0, &ba));
+        let shard = eval.slot(0).1;
+        assert_eq!(CostEvaluator::fingerprint(shard, &ab), CostEvaluator::fingerprint(shard, &ba));
         let only_a = Configuration::from_structures([a]);
-        assert_ne!(eval.fingerprint(0, &ab), eval.fingerprint(0, &only_a));
+        assert_ne!(
+            CostEvaluator::fingerprint(shard, &ab),
+            CostEvaluator::fingerprint(shard, &only_a)
+        );
     }
 
     #[test]

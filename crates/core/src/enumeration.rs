@@ -16,7 +16,11 @@ use crate::cost::CostEvaluator;
 use crate::greedy::{greedy_mk_observed, GreedySnapshot};
 use crate::obs::{SessionObserver, NOOP};
 use crate::options::{AlignmentMode, TuningOptions};
-use dta_physical::{Configuration, PhysicalStructure, RangePartitioning, SizingInfo};
+use dta_physical::sizing::structure_bytes;
+use dta_physical::{
+    table_key, Configuration, PhysicalStructure, RangePartitioning, SizingInfo, StructureHandle,
+    ValidityError,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,84 +59,204 @@ pub struct EnumerationRun {
     pub interrupted: Option<(StopReason, EnumerationResume)>,
 }
 
-/// Rewrite `config` so every table is aligned: each table's indexes take
-/// on the table's effective partitioning (or lose theirs if the table is
-/// unpartitioned). Returns the number of structures rewritten.
-pub fn align_configuration(config: &Configuration) -> (Configuration, usize) {
+/// What alignment does to each structure of a configuration.
+struct Alignment {
+    /// Per structure, in order, what stands in its place: itself, a
+    /// repartitioned variant, or nothing when it is dropped or has become
+    /// identical to an earlier structure.
+    forms: Vec<Option<StructureHandle>>,
+    /// Heap partitionings introduced for tables that only an index
+    /// partitions, in table order.
+    synthesized: Vec<StructureHandle>,
+    /// Structures rewritten, dropped or introduced.
+    rewritten: usize,
+}
+
+/// Align every table of `config`: each table's indexes take on the
+/// table's effective partitioning (or lose theirs if the table is
+/// unpartitioned). Tables are aligned independently of one another.
+fn align(config: &Configuration) -> Alignment {
     // table → target partitioning. Precedence: a clustered index pins the
     // table's partitioning (even "unpartitioned"); else an explicit heap
     // partitioning; else the first partitioned index's scheme (in which
     // case the heap must be partitioned too).
-    let mut target: BTreeMap<(String, String), Option<RangePartitioning>> = BTreeMap::new();
-    let mut add_heap_partitioning: Vec<(String, String, RangePartitioning)> = Vec::new();
-    let mut tables: Vec<(String, String)> = config
-        .iter()
-        .filter_map(|s| s.table().map(|t| (s.database().to_string(), t.to_string())))
-        .collect();
-    tables.sort();
-    tables.dedup();
+    let mut target: BTreeMap<u64, Option<&RangePartitioning>> = BTreeMap::new();
+    let mut synthesized = Vec::new();
     let mut rewritten = 0usize;
-    for (db, t) in tables {
-        let want = if let Some(ci) = config.clustered_index(&db, &t) {
-            ci.partitioning.clone()
-        } else if let Some(p) = config.table_partitioning(&db, &t) {
-            Some(p.clone())
-        } else if let Some(p) = config.indexes_on(&db, &t).find_map(|ix| ix.partitioning.clone()) {
+    for (db, t) in config.tables() {
+        let want = if let Some(ci) = config.clustered_index(db, t) {
+            ci.partitioning.as_ref()
+        } else if let Some(p) = config.table_partitioning(db, t) {
+            Some(p)
+        } else if let Some(p) = config.indexes_on(db, t).find_map(|ix| ix.partitioning.as_ref()) {
             // the heap itself must adopt this partitioning for the table
             // to count as aligned — a lazily introduced structure
-            add_heap_partitioning.push((db.clone(), t.clone(), p.clone()));
+            synthesized.push(StructureHandle::new(PhysicalStructure::TablePartitioning {
+                database: db.to_string(),
+                table: t.to_string(),
+                scheme: p.clone(),
+            }));
             rewritten += 1;
             Some(p)
         } else {
             None
         };
-        target.insert((db, t), want);
+        target.insert(table_key(db, t), want);
     }
 
+    let mut placed = Configuration::new();
+    let mut forms = Vec::with_capacity(config.len());
+    for h in config.handles() {
+        let want = h.table_key().and_then(|k| target.get(&k).copied().flatten());
+        let form = match h.structure() {
+            PhysicalStructure::Index(ix) if ix.partitioning.as_ref() != want => {
+                rewritten += 1;
+                let mut v = ix.clone();
+                v.partitioning = want.cloned();
+                Some(StructureHandle::new(PhysicalStructure::Index(v)))
+            }
+            // a heap partitioning is meaningless (and misaligned) when a
+            // clustered index pins a different scheme; it is dropped
+            // entirely when the table must be unpartitioned
+            PhysicalStructure::TablePartitioning { database, table, scheme }
+                if want != Some(scheme) =>
+            {
+                rewritten += 1;
+                want.map(|w| {
+                    StructureHandle::new(PhysicalStructure::TablePartitioning {
+                        database: database.clone(),
+                        table: table.clone(),
+                        scheme: w.clone(),
+                    })
+                })
+            }
+            _ => Some(h.clone()),
+        };
+        forms.push(form.filter(|f| placed.add_shared(f.clone())));
+    }
+    Alignment { forms, synthesized, rewritten }
+}
+
+/// Rewrite `config` so every table is aligned: each table's indexes take
+/// on the table's effective partitioning (or lose theirs if the table is
+/// unpartitioned). Returns the number of structures rewritten.
+pub fn align_configuration(config: &Configuration) -> (Configuration, usize) {
+    let aligned = align(config);
     let mut out = Configuration::new();
-    for s in config.iter() {
-        match s {
-            PhysicalStructure::Index(ix) => {
-                let want = target.get(&(ix.database.clone(), ix.table.clone())).cloned().flatten();
-                if ix.partitioning != want {
-                    let mut v = ix.clone();
-                    v.partitioning = want;
-                    rewritten += 1;
-                    out.add(PhysicalStructure::Index(v));
-                } else {
-                    out.add(s.clone());
+    for h in aligned.forms.into_iter().flatten().chain(aligned.synthesized) {
+        out.add_shared(h);
+    }
+    (out, aligned.rewritten)
+}
+
+/// Builds the configurations enumeration prices — `base ∪ set`, aligned
+/// (§4), structurally feasible and within the storage bound — at a cost
+/// that depends on the candidate set, not on how wide the base is.
+///
+/// The invariant that makes this possible: alignment, the one-clustering
+/// / one-heap-partitioning rule and storage are all decided table by
+/// table. So the base is aligned, checked and sized once, here, and an
+/// evaluation redoes that work only for the tables its candidates are
+/// on (plus any table the base itself leaves misaligned or in conflict —
+/// none, for a valid aligned base). The result is what recomputing over
+/// the whole configuration gives, structure for structure: base order,
+/// then set order, then introduced heap partitionings in table order.
+pub struct Assembler<'a> {
+    base: &'a Configuration,
+    alignment: bool,
+    storage_bytes: Option<u64>,
+    sizing: &'a dyn SizingInfo,
+    base_bytes: u64,
+    /// Keys of the base's tables that alignment changes or that break
+    /// the one-clustering / one-heap-partitioning rule as they stand:
+    /// every evaluation rechecks them along with its candidates' tables.
+    unsettled: Vec<u64>,
+}
+
+impl<'a> Assembler<'a> {
+    /// Align, check and size `base` under `options`.
+    pub fn new(
+        base: &'a Configuration,
+        options: &TuningOptions,
+        sizing: &'a dyn SizingInfo,
+    ) -> Self {
+        let alignment = options.alignment.required();
+        let mut unsettled = Vec::new();
+        if alignment {
+            let aligned = align(base);
+            for (h, form) in base.handles().iter().zip(&aligned.forms) {
+                if form.as_ref() != Some(h) {
+                    unsettled.extend(h.table_key());
                 }
             }
-            PhysicalStructure::TablePartitioning { database, table, scheme } => {
-                // a heap partitioning is meaningless (and misaligned) when a
-                // clustered index pins a different scheme
-                let want = target.get(&(database.clone(), table.clone())).cloned().flatten();
-                match want {
-                    Some(w) if w == *scheme => {
-                        out.add(s.clone());
-                    }
-                    _ => {
-                        rewritten += 1;
-                        if let Some(w) = want {
-                            out.add(PhysicalStructure::TablePartitioning {
-                                database: database.clone(),
-                                table: table.clone(),
-                                scheme: w,
-                            });
-                        }
-                        // dropped entirely when the table must be unpartitioned
-                    }
-                }
-            }
-            _ => {
-                out.add(s.clone());
+            unsettled.extend(aligned.synthesized.iter().filter_map(StructureHandle::table_key));
+        }
+        for conflict in base.table_conflicts() {
+            if let ValidityError::MultipleClusterings { database, table }
+            | ValidityError::MultipleTablePartitionings { database, table } = conflict
+            {
+                unsettled.push(table_key(&database, &table));
             }
         }
+        Self {
+            base,
+            alignment,
+            storage_bytes: options.storage_bytes,
+            sizing,
+            base_bytes: base.total_bytes(sizing),
+            unsettled,
+        }
     }
-    for (database, table, scheme) in add_heap_partitioning {
-        out.add(PhysicalStructure::TablePartitioning { database, table, scheme });
+
+    /// The configuration for `base ∪ set` — `None` when it is infeasible
+    /// or over the storage bound — and the number of structures alignment
+    /// rewrote to build it.
+    pub fn assemble(&self, set: &[&StructureHandle]) -> (Option<Configuration>, usize) {
+        let mut cfg = self.base.extended(set.iter().copied());
+        let keys: Vec<u64> = self
+            .unsettled
+            .iter()
+            .copied()
+            .chain(set.iter().filter_map(|h| h.table_key()))
+            .collect();
+        let touched = |h: &StructureHandle| h.table_key().is_some_and(|k| keys.contains(&k));
+        let mut rewritten = 0;
+        if self.alignment {
+            let aligned = align(&cfg.project(touched));
+            rewritten = aligned.rewritten;
+            let mut forms = aligned.forms.into_iter();
+            cfg = cfg.replace_where(touched, |_| forms.next().flatten());
+            for s in aligned.synthesized {
+                cfg.add_shared(s);
+            }
+        }
+        // structural feasibility: at most one clustering/partitioning per
+        // table; cheap local checks (full catalog validation happened on
+        // the user-specified part already)
+        let part = cfg.project(touched);
+        if !part.table_conflicts().is_empty() {
+            return (None, rewritten);
+        }
+        if let Some(bound) = self.storage_bytes {
+            // everything off the touched tables is the base's, except the
+            // set's views, which follow the base's structures
+            let base_part = self.base.project(touched);
+            let new_views: u64 = cfg
+                .handles()
+                .iter()
+                .filter(|h| !touched(h))
+                .skip(self.base.len() - base_part.len())
+                .map(|h| structure_bytes(h.structure(), self.sizing))
+                .sum();
+            let total = self.base_bytes - base_part.total_bytes(self.sizing)
+                + new_views
+                + part.total_bytes(self.sizing);
+            if total.saturating_sub(self.base_bytes) > bound {
+                return (None, rewritten);
+            }
+        }
+        (Some(cfg), rewritten)
     }
-    (out, rewritten)
 }
 
 /// Expand a pool eagerly with every (index × partitioning) variant — the
@@ -220,73 +344,32 @@ pub fn enumerate_observed(
         structures = eager_alignment_expansion(&structures);
     }
 
-    let base_bytes = base.total_bytes(sizing);
+    let pool: Vec<StructureHandle> = structures.into_iter().map(StructureHandle::new).collect();
     let (lazy_seed, snapshot) = match resume {
         Some(r) => (r.lazy_variants, Some(r.snapshot)),
         None => (0, None),
     };
     let lazy_variants = AtomicUsize::new(lazy_seed);
 
-    let assemble = |set: &[&PhysicalStructure]| -> Option<Configuration> {
-        let mut cfg = base.clone();
-        for s in set {
-            cfg.add((*s).clone());
-        }
-        if options.alignment.required() {
-            let (aligned, n) = align_configuration(&cfg);
-            // dta-lint: allow(R6): monotonic telemetry counter; read only
-            // after greedy_mk has joined every worker.
-            lazy_variants.fetch_add(n, Ordering::Relaxed);
-            cfg = aligned;
-        }
-        // structural feasibility: at most one clustering/partitioning per
-        // table; cheap local checks (full catalog validation happened on
-        // the user-specified part already)
-        let mut tables: Vec<(String, String)> = cfg
-            .iter()
-            .filter_map(|s| s.table().map(|t| (s.database().to_string(), t.to_string())))
-            .collect();
-        tables.sort();
-        tables.dedup();
-        for (db, t) in &tables {
-            if cfg
-                .indexes_on(db, t)
-                .filter(|i| i.kind == dta_physical::IndexKind::Clustered)
-                .count()
-                > 1
-            {
-                return None;
-            }
-            let parts = cfg
-                .iter()
-                .filter(|s| {
-                    matches!(s, PhysicalStructure::TablePartitioning { database, table, .. }
-                        if database == db && table == t)
-                })
-                .count();
-            if parts > 1 {
-                return None;
-            }
-        }
-        if let Some(bound) = options.storage_bytes {
-            let added = cfg.total_bytes(sizing).saturating_sub(base_bytes);
-            if added > bound {
-                return None;
-            }
-        }
-        Some(cfg)
+    let assembler = Assembler::new(base, options, sizing);
+    let assemble = |set: &[&StructureHandle]| -> Option<Configuration> {
+        let (cfg, rewritten) = assembler.assemble(set);
+        // dta-lint: allow(R6): monotonic telemetry counter; read only
+        // after greedy_mk has joined every worker.
+        lazy_variants.fetch_add(rewritten, Ordering::Relaxed);
+        cfg
     };
 
     let base_cost = crate::control::isolated(control, || eval.workload_cost(base))
         .and_then(|r| r.ok())
         .unwrap_or(f64::INFINITY);
-    let eval_fn = |set: &[&PhysicalStructure]| -> Option<f64> {
+    let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
         let cfg = assemble(set)?;
         eval.workload_cost(&cfg).ok()
     };
-    let k = structures.len();
+    let k = pool.len();
     let run = greedy_mk_observed(
-        &structures,
+        &pool,
         base_cost,
         options.greedy_m,
         k,
@@ -303,14 +386,14 @@ pub fn enumerate_observed(
     // dta-lint: allow(R6): all workers joined inside the greedy engine;
     // this read races with nothing.
     let lazy_at_cut = lazy_variants.load(Ordering::Relaxed);
-    let final_refs: Vec<&PhysicalStructure> = run.outcome.chosen.iter().collect();
+    let final_refs: Vec<&StructureHandle> = run.outcome.chosen.iter().collect();
     let configuration = assemble(&final_refs).unwrap_or_else(|| base.clone());
     EnumerationRun {
         result: EnumerationResult {
             configuration,
             cost: run.outcome.cost,
             evaluations: run.outcome.evaluations,
-            pool_size: structures.len(),
+            pool_size: pool.len(),
             lazy_variants: lazy_at_cut,
         },
         interrupted: run.interrupted.map(|(reason, snapshot)| {
@@ -396,5 +479,245 @@ mod tests {
         let expanded = eager_alignment_expansion(&pool);
         // original 3 + 2 partitioned index variants
         assert_eq!(expanded.len(), 5);
+    }
+
+    /// The parent implementation of alignment: whole-configuration,
+    /// name-keyed. Kept as the oracle for the differential test below.
+    fn reference_align(config: &Configuration) -> (Configuration, usize) {
+        let mut target: BTreeMap<(String, String), Option<RangePartitioning>> = BTreeMap::new();
+        let mut add_heap_partitioning: Vec<(String, String, RangePartitioning)> = Vec::new();
+        let mut tables: Vec<(String, String)> = config
+            .iter()
+            .filter_map(|s| s.table().map(|t| (s.database().to_string(), t.to_string())))
+            .collect();
+        tables.sort();
+        tables.dedup();
+        let mut rewritten = 0usize;
+        for (db, t) in tables {
+            let want = if let Some(ci) = config.clustered_index(&db, &t) {
+                ci.partitioning.clone()
+            } else if let Some(p) = config.table_partitioning(&db, &t) {
+                Some(p.clone())
+            } else if let Some(p) =
+                config.indexes_on(&db, &t).find_map(|ix| ix.partitioning.clone())
+            {
+                add_heap_partitioning.push((db.clone(), t.clone(), p.clone()));
+                rewritten += 1;
+                Some(p)
+            } else {
+                None
+            };
+            target.insert((db, t), want);
+        }
+
+        let mut out = Configuration::new();
+        for s in config.iter() {
+            match s {
+                PhysicalStructure::Index(ix) => {
+                    let want =
+                        target.get(&(ix.database.clone(), ix.table.clone())).cloned().flatten();
+                    if ix.partitioning != want {
+                        let mut v = ix.clone();
+                        v.partitioning = want;
+                        rewritten += 1;
+                        out.add(PhysicalStructure::Index(v));
+                    } else {
+                        out.add(s.clone());
+                    }
+                }
+                PhysicalStructure::TablePartitioning { database, table, scheme } => {
+                    let want = target.get(&(database.clone(), table.clone())).cloned().flatten();
+                    match want {
+                        Some(w) if w == *scheme => {
+                            out.add(s.clone());
+                        }
+                        _ => {
+                            rewritten += 1;
+                            if let Some(w) = want {
+                                out.add(PhysicalStructure::TablePartitioning {
+                                    database: database.clone(),
+                                    table: table.clone(),
+                                    scheme: w,
+                                });
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    out.add(s.clone());
+                }
+            }
+        }
+        for (database, table, scheme) in add_heap_partitioning {
+            out.add(PhysicalStructure::TablePartitioning { database, table, scheme });
+        }
+        (out, rewritten)
+    }
+
+    /// The parent implementation of `assemble`: copy the base, add the
+    /// set, then align, check and size the whole configuration.
+    fn reference_assemble(
+        base: &Configuration,
+        set: &[&PhysicalStructure],
+        options: &TuningOptions,
+        sizing: &dyn SizingInfo,
+    ) -> (Option<Configuration>, usize) {
+        let base_bytes = base.total_bytes(sizing);
+        let mut rewritten = 0;
+        let mut cfg = base.clone();
+        for s in set {
+            cfg.add((*s).clone());
+        }
+        if options.alignment.required() {
+            let (aligned, n) = reference_align(&cfg);
+            rewritten = n;
+            cfg = aligned;
+        }
+        let mut tables: Vec<(String, String)> = cfg
+            .iter()
+            .filter_map(|s| s.table().map(|t| (s.database().to_string(), t.to_string())))
+            .collect();
+        tables.sort();
+        tables.dedup();
+        for (db, t) in &tables {
+            let clusterings = cfg
+                .iter()
+                .filter(|s| {
+                    matches!(s, PhysicalStructure::Index(i) if i.database == *db
+                        && i.table == *t && i.kind == dta_physical::IndexKind::Clustered)
+                })
+                .count();
+            let parts = cfg
+                .iter()
+                .filter(|s| {
+                    matches!(s, PhysicalStructure::TablePartitioning { database, table, .. }
+                        if database == db && table == t)
+                })
+                .count();
+            if clusterings > 1 || parts > 1 {
+                return (None, rewritten);
+            }
+        }
+        if let Some(bound) = options.storage_bytes {
+            if cfg.total_bytes(sizing).saturating_sub(base_bytes) > bound {
+                return (None, rewritten);
+            }
+        }
+        (Some(cfg), rewritten)
+    }
+
+    /// Sizes that differ by table, column and view, so a wrong storage
+    /// sum shows.
+    struct Sizes;
+
+    impl SizingInfo for Sizes {
+        fn table_rows(&self, database: &str, table: &str) -> u64 {
+            1_000
+                + 37 * (database.len() + 3 * table.len()) as u64
+                + table_key(database, table) % 500
+        }
+        fn column_width(&self, _: &str, _: &str, column: &str) -> u32 {
+            4 + u32::from(column.as_bytes()[0] % 7)
+        }
+        fn view_rows(&self, view: &dta_physical::MaterializedView) -> u64 {
+            50 + 11 * view.tables.len() as u64 + view.group_by.len() as u64
+        }
+    }
+
+    /// A random structure over a handful of tables — the same table name
+    /// in two databases included — so that draws collide: duplicates,
+    /// second clusterings, second heap partitionings, conflicting schemes.
+    fn random_structure(rng: &mut rand::rngs::StdRng) -> PhysicalStructure {
+        use rand::Rng;
+        const TABLES: [(&str, &str); 5] =
+            [("d", "t0"), ("d", "t1"), ("d", "t2"), ("d", "t3"), ("e", "t0")];
+        let mut pick = |n: usize| rng.gen_range(0..n);
+        let (db, t) = TABLES[pick(TABLES.len())];
+        let column = ["a", "b", "x", "y"][pick(4)];
+        let scheme = part(["x", "y"][pick(2)]);
+        match pick(20) {
+            0..=8 => {
+                let mut ix = if pick(3) == 0 {
+                    Index::non_clustered(db, t, &[column, "k"], &["v"])
+                } else {
+                    Index::non_clustered(db, t, &[column], &[])
+                };
+                if pick(3) == 0 {
+                    ix = ix.partitioned(scheme);
+                }
+                PhysicalStructure::Index(ix)
+            }
+            9..=11 => {
+                let ix = Index::clustered(db, t, &[column]);
+                PhysicalStructure::Index(if pick(2) == 0 { ix.partitioned(scheme) } else { ix })
+            }
+            12..=15 => PhysicalStructure::TablePartitioning {
+                database: db.into(),
+                table: t.into(),
+                scheme,
+            },
+            _ => {
+                let joined = [t, "t9"];
+                PhysicalStructure::View(dta_physical::MaterializedView::grouped(
+                    db,
+                    &joined[..1 + pick(2)],
+                    Vec::new(),
+                    vec![dta_physical::QualifiedColumn::new(t, column)],
+                    vec![dta_physical::ViewAggregate::count_star()],
+                ))
+            }
+        }
+    }
+
+    #[test]
+    fn delta_assembly_equals_full_recomputation() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x00a5_5e4b);
+        // outcomes seen, so the test cannot pass by never reaching a branch
+        let (mut feasible, mut infeasible, mut rewrote, mut over_bound, mut unsettled_base) =
+            (0, 0, 0, 0, 0);
+        for round in 0..4_000 {
+            let base: Configuration =
+                (0..rng.gen_range(0..10usize)).map(|_| random_structure(&mut rng)).collect();
+            let mut set: Vec<PhysicalStructure> =
+                (0..rng.gen_range(0..5usize)).map(|_| random_structure(&mut rng)).collect();
+            if let Some(again) = base.iter().next().filter(|_| round % 7 == 0) {
+                set.push(again.clone());
+            }
+            if let Some(again) = set.first().cloned().filter(|_| round % 11 == 0) {
+                set.push(again);
+            }
+            let set_refs: Vec<&PhysicalStructure> = set.iter().collect();
+            let handles: Vec<StructureHandle> =
+                set.iter().cloned().map(StructureHandle::new).collect();
+            let handle_refs: Vec<&StructureHandle> = handles.iter().collect();
+            let storage_bytes = match round % 3 {
+                0 => None,
+                1 => Some(rng.gen_range(0..60_000u64)),
+                _ => Some(u64::MAX),
+            };
+            for alignment in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager] {
+                let options = TuningOptions { alignment, storage_bytes, ..Default::default() };
+                let assembler = Assembler::new(&base, &options, &Sizes);
+                let delta = assembler.assemble(&handle_refs);
+                let full = reference_assemble(&base, &set_refs, &options, &Sizes);
+                assert_eq!(
+                    delta, full,
+                    "round {round}, {alignment:?}, bound {storage_bytes:?}\nbase {base}set {set:?}"
+                );
+                // tally what this case exercised
+                let unbounded = TuningOptions { storage_bytes: None, ..options.clone() };
+                match (&full.0, reference_assemble(&base, &set_refs, &unbounded, &Sizes).0) {
+                    (Some(_), _) => feasible += 1,
+                    (None, Some(_)) => over_bound += 1,
+                    (None, None) => infeasible += 1,
+                }
+                rewrote += usize::from(full.1 > 0);
+                unsettled_base += usize::from(!assembler.unsettled.is_empty());
+            }
+        }
+        for seen in [feasible, infeasible, rewrote, over_bound, unsettled_base] {
+            assert!(seen > 200, "{feasible} {infeasible} {rewrote} {over_bound} {unsettled_base}");
+        }
     }
 }

@@ -437,3 +437,60 @@ fn shared_cache_reduces_whatif_calls() {
         seed_layout_calls
     );
 }
+
+/// A session's cost must not depend on how wide its base configuration
+/// is, only on the structures its statements can see: 500 user-specified
+/// indexes on tables no statement references leave every deterministic
+/// tally — and the recommendation, padding aside — where they were.
+#[test]
+fn padding_the_base_with_irrelevant_indexes_changes_nothing() {
+    use dta_core::{tune_with_observer, Counter, RecordingObserver};
+
+    let padded_server = || {
+        let mut server = make_server();
+        let mut db = Database::new("attic");
+        for i in 0..500 {
+            db.add_table(Table::new(format!("pad{i}"), vec![Column::new("k", ColumnType::Int)]))
+                .unwrap();
+        }
+        server.create_database(db).unwrap();
+        server
+    };
+    let padding: Vec<PhysicalStructure> = (0..500)
+        .map(|i| {
+            PhysicalStructure::Index(Index::non_clustered("attic", &format!("pad{i}"), &["k"], &[]))
+        })
+        .collect();
+    let workload = read_workload();
+    let tune_with = |user_specified: Option<Configuration>| {
+        let server = padded_server();
+        let options = TuningOptions {
+            parallel_workers: 1,
+            storage_bytes: Some(200_000_000),
+            user_specified,
+            ..Default::default()
+        }
+        .with_alignment();
+        let obs = RecordingObserver::new();
+        tune_with_observer(&TuningTarget::Single(&server), &workload, &options, &obs).unwrap()
+    };
+
+    let narrow = tune_with(None);
+    let wide = tune_with(Some(Configuration::from_structures(padding.clone())));
+
+    let unpadded: Configuration =
+        wide.recommendation.iter().filter(|s| !padding.contains(s)).cloned().collect();
+    assert_eq!(wide.recommendation.len(), unpadded.len() + 500, "the padding is kept");
+    assert_eq!(unpadded, narrow.recommendation);
+    assert!(narrow.recommendation.len() > 3, "the session recommends something");
+    assert_eq!(wide.recommended_cost.to_bits(), narrow.recommended_cost.to_bits());
+    assert_eq!(wide.whatif_calls, narrow.whatif_calls);
+    assert_eq!(wide.evaluations, narrow.evaluations);
+    assert_eq!(wide.lazy_variants, narrow.lazy_variants);
+    assert_eq!(wide.tuning_work_units.to_bits(), narrow.tuning_work_units.to_bits());
+    let (wide_obs, narrow_obs) = (wide.observer.unwrap(), narrow.observer.unwrap());
+    for counter in [Counter::CacheHits, Counter::CacheMisses, Counter::WhatIfCalls] {
+        assert_eq!(wide_obs.counter(counter), narrow_obs.counter(counter), "{counter:?}");
+    }
+    assert_eq!(wide_obs.shards, narrow_obs.shards);
+}

@@ -4,6 +4,9 @@ use crate::partitioning::RangePartitioning;
 use crate::sizing::{structure_bytes, SizingInfo};
 use crate::{Index, IndexKind, MaterializedView, PhysicalStructure};
 use dta_catalog::Catalog;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Why a configuration is not valid (§6.2: user-specified configurations
 /// must be *valid*, i.e. realizable in the database).
@@ -49,10 +52,123 @@ impl std::fmt::Display for ValidityError {
     }
 }
 
-/// A physical database design: a set of structures.
+/// Integer key of a `(database, table)` pair. Structures carry the key
+/// of the table they are attached to, so "is this structure on one of
+/// these tables" is an integer comparison. Keys stand in for the names
+/// wherever a configuration is searched by table — the lookups below and
+/// the cost cache's relevance test — so two tables are told apart only
+/// if their 64-bit SipHashes differ: the odds the cost cache already
+/// accepts for its fingerprints.
+pub fn table_key(database: &str, table: &str) -> u64 {
+    content_hash(&(database, table))
+}
+
+fn content_hash(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// The tables a structure can matter to, as [`table_key`]s.
+#[derive(Debug, Clone)]
+enum Scope {
+    /// An index or heap partitioning: its own table.
+    Table(u64),
+    /// A materialized view.
+    View(Arc<ViewKeys>),
+}
+
+#[derive(Debug)]
+struct ViewKeys {
+    /// Hash of the database name.
+    database: u64,
+    /// Every base table the view joins.
+    tables: Vec<u64>,
+}
+
+/// A structure as a [`Configuration`] holds it: shared, with its content
+/// hash and table keys computed once, when it is wrapped. Cloning copies
+/// a pointer; comparing looks at the hashes before the contents.
+#[derive(Debug, Clone)]
+pub struct StructureHandle {
+    structure: Arc<PhysicalStructure>,
+    hash: u64,
+    scope: Scope,
+}
+
+impl StructureHandle {
+    /// Wrap a structure, hashing it.
+    pub fn new(structure: PhysicalStructure) -> Self {
+        let scope = match &structure {
+            PhysicalStructure::Index(i) => Scope::Table(table_key(&i.database, &i.table)),
+            PhysicalStructure::TablePartitioning { database, table, .. } => {
+                Scope::Table(table_key(database, table))
+            }
+            PhysicalStructure::View(v) => Scope::View(Arc::new(ViewKeys {
+                database: content_hash(&v.database),
+                tables: v.tables.iter().map(|t| table_key(&v.database, t)).collect(),
+            })),
+        };
+        Self { hash: content_hash(&structure), structure: Arc::new(structure), scope }
+    }
+
+    /// The structure itself.
+    #[inline]
+    pub fn structure(&self) -> &PhysicalStructure {
+        &self.structure
+    }
+
+    /// `DefaultHasher` hash of the structure's contents. The cost cache
+    /// builds its fingerprints from these values and checkpoints store
+    /// the fingerprints, so how it is computed must not change.
+    #[inline]
+    pub fn content_hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Key of the table an index or heap partitioning is attached to;
+    /// `None` for a view.
+    #[inline]
+    pub fn table_key(&self) -> Option<u64> {
+        match self.scope {
+            Scope::Table(k) => Some(k),
+            Scope::View(_) => None,
+        }
+    }
+
+    /// Whether the structure can affect a statement over `tables`: it is
+    /// attached to one of them or, for a view, joins one of them.
+    #[inline]
+    pub fn touches(&self, tables: &[u64]) -> bool {
+        match &self.scope {
+            Scope::Table(k) => tables.contains(k),
+            Scope::View(v) => v.tables.iter().any(|k| tables.contains(k)),
+        }
+    }
+}
+
+impl From<PhysicalStructure> for StructureHandle {
+    fn from(structure: PhysicalStructure) -> Self {
+        Self::new(structure)
+    }
+}
+
+impl PartialEq for StructureHandle {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.structure, &other.structure) || self.structure == other.structure)
+    }
+}
+
+impl Eq for StructureHandle {}
+
+/// A physical database design: a set of structures, kept in insertion
+/// order. The structures are held as [`StructureHandle`]s, so copying a
+/// configuration, or building one out of another's structures, copies
+/// pointers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Configuration {
-    structures: Vec<PhysicalStructure>,
+    entries: Vec<StructureHandle>,
 }
 
 impl Configuration {
@@ -72,19 +188,25 @@ impl Configuration {
 
     /// Add a structure; returns false if an identical one is present.
     pub fn add(&mut self, s: PhysicalStructure) -> bool {
-        if self.structures.contains(&s) {
+        self.add_shared(StructureHandle::new(s))
+    }
+
+    /// [`Self::add`] for a structure that is already wrapped: nothing is
+    /// hashed or copied.
+    pub fn add_shared(&mut self, h: StructureHandle) -> bool {
+        if self.entries.contains(&h) {
             false
         } else {
-            self.structures.push(s);
+            self.entries.push(h);
             true
         }
     }
 
     /// Remove a structure; returns true if it was present.
     pub fn remove(&mut self, s: &PhysicalStructure) -> bool {
-        match self.structures.iter().position(|x| x == s) {
+        match self.position(s) {
             Some(i) => {
-                self.structures.remove(i);
+                self.entries.remove(i);
                 true
             }
             None => false,
@@ -93,39 +215,96 @@ impl Configuration {
 
     /// Membership test.
     pub fn contains(&self, s: &PhysicalStructure) -> bool {
-        self.structures.contains(s)
+        self.position(s).is_some()
+    }
+
+    fn position(&self, s: &PhysicalStructure) -> Option<usize> {
+        let hash = content_hash(s);
+        self.entries.iter().position(|e| e.hash == hash && *e.structure == *s)
     }
 
     /// Number of structures.
     pub fn len(&self) -> usize {
-        self.structures.len()
+        self.entries.len()
     }
 
     /// True if no structures.
     pub fn is_empty(&self) -> bool {
-        self.structures.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterate the structures.
     pub fn iter(&self) -> impl Iterator<Item = &PhysicalStructure> {
-        self.structures.iter()
+        self.entries.iter().map(StructureHandle::structure)
+    }
+
+    /// The structures as shared handles, in the same order as
+    /// [`Self::iter`].
+    #[inline]
+    pub fn handles(&self) -> &[StructureHandle] {
+        &self.entries
     }
 
     /// Union of two configurations.
     pub fn union(&self, other: &Configuration) -> Configuration {
+        self.extended(&other.entries)
+    }
+
+    /// This configuration's structures, then those of `more` it does not
+    /// hold yet — all as pointer copies.
+    pub fn extended<'a>(
+        &self,
+        more: impl IntoIterator<Item = &'a StructureHandle>,
+    ) -> Configuration {
         let mut c = self.clone();
-        for s in other.iter() {
-            c.add(s.clone());
+        for h in more {
+            c.add_shared(h.clone());
         }
         c
     }
 
+    /// The structures `keep` selects, in order.
+    pub fn project(&self, mut keep: impl FnMut(&StructureHandle) -> bool) -> Configuration {
+        Configuration { entries: self.entries.iter().filter(|h| keep(h)).cloned().collect() }
+    }
+
+    /// A copy in which each structure `touched` selects gives way, in
+    /// place, to what `replace` makes of it (nothing, to drop it). The
+    /// other structures are shared as they are and compared with nothing
+    /// — they were distinct already — so this costs the structures it
+    /// replaces, not the configuration. A replacement identical to one
+    /// already in the copy, or to an untouched structure, is dropped like
+    /// a duplicate [`Self::add`].
+    pub fn replace_where(
+        &self,
+        touched: impl Fn(&StructureHandle) -> bool,
+        mut replace: impl FnMut(&StructureHandle) -> Option<StructureHandle>,
+    ) -> Configuration {
+        let mut entries: Vec<StructureHandle> = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            if !touched(e) {
+                entries.push(e.clone());
+            } else if let Some(new) = replace(e) {
+                let duplicate = entries.contains(&new)
+                    || self.entries.iter().any(|kept| *kept == new && !touched(kept));
+                if !duplicate {
+                    entries.push(new);
+                }
+            }
+        }
+        Configuration { entries }
+    }
+
+    /// The handles attached to a table.
+    fn on_table(&self, database: &str, table: &str) -> impl Iterator<Item = &StructureHandle> {
+        let key = table_key(database, table);
+        self.entries.iter().filter(move |e| matches!(e.scope, Scope::Table(k) if k == key))
+    }
+
     /// All indexes on a table.
     pub fn indexes_on(&self, database: &str, table: &str) -> impl Iterator<Item = &Index> {
-        let database = database.to_string();
-        let table = table.to_string();
-        self.structures.iter().filter_map(move |s| match s {
-            PhysicalStructure::Index(i) if i.database == database && i.table == table => Some(i),
+        self.on_table(database, table).filter_map(|e| match e.structure() {
+            PhysicalStructure::Index(i) => Some(i),
             _ => None,
         })
     }
@@ -137,12 +316,8 @@ impl Configuration {
 
     /// Explicit heap partitioning of a table, if any.
     pub fn table_partitioning(&self, database: &str, table: &str) -> Option<&RangePartitioning> {
-        self.structures.iter().find_map(|s| match s {
-            PhysicalStructure::TablePartitioning { database: d, table: t, scheme }
-                if d == database && t == table =>
-            {
-                Some(scheme)
-            }
+        self.on_table(database, table).find_map(|e| match e.structure() {
+            PhysicalStructure::TablePartitioning { scheme, .. } => Some(scheme),
             _ => None,
         })
     }
@@ -163,9 +338,9 @@ impl Configuration {
 
     /// All materialized views in a database.
     pub fn views(&self, database: &str) -> impl Iterator<Item = &MaterializedView> {
-        let database = database.to_string();
-        self.structures.iter().filter_map(move |s| match s {
-            PhysicalStructure::View(v) if v.database == database => Some(v),
+        let key = content_hash(&database);
+        self.entries.iter().filter_map(move |e| match (&e.scope, e.structure()) {
+            (Scope::View(keys), PhysicalStructure::View(v)) if keys.database == key => Some(v),
             _ => None,
         })
     }
@@ -176,7 +351,7 @@ impl Configuration {
     pub fn validate(&self, catalog: &Catalog) -> Vec<ValidityError> {
         let mut errors = Vec::new();
         let mut seen: Vec<&PhysicalStructure> = Vec::new();
-        for s in &self.structures {
+        for s in self.iter() {
             if seen.contains(&s) {
                 errors.push(ValidityError::Duplicate(s.name()));
             }
@@ -204,7 +379,7 @@ impl Configuration {
             }
         };
 
-        for s in &self.structures {
+        for s in self.iter() {
             match s {
                 PhysicalStructure::Index(ix) => {
                     if !ix.is_well_formed() {
@@ -235,31 +410,40 @@ impl Configuration {
             }
         }
 
-        // one clustering and one heap partitioning per table
-        let mut tables: Vec<(String, String)> = self
-            .structures
-            .iter()
-            .filter_map(|s| s.table().map(|t| (s.database().to_string(), t.to_string())))
-            .collect();
-        tables.sort();
+        errors.extend(self.table_conflicts());
+        errors
+    }
+
+    /// The distinct `(database, table)` pairs structures are attached to,
+    /// in name order.
+    pub fn tables(&self) -> Vec<(&str, &str)> {
+        let mut tables: Vec<(&str, &str)> =
+            self.iter().filter_map(|s| s.table().map(|t| (s.database(), t))).collect();
+        tables.sort_unstable();
         tables.dedup();
-        for (db, t) in tables {
-            if self.indexes_on(&db, &t).filter(|i| i.kind == IndexKind::Clustered).count() > 1 {
+        tables
+    }
+
+    /// The one-clustering / one-heap-partitioning rule: an error for each
+    /// table that breaks it, in table order.
+    pub fn table_conflicts(&self) -> Vec<ValidityError> {
+        let mut errors = Vec::new();
+        for (db, t) in self.tables() {
+            if self.indexes_on(db, t).filter(|i| i.kind == IndexKind::Clustered).count() > 1 {
                 errors.push(ValidityError::MultipleClusterings {
-                    database: db.clone(),
-                    table: t.clone(),
+                    database: db.to_string(),
+                    table: t.to_string(),
                 });
             }
-            let parts = self
-                .structures
-                .iter()
-                .filter(|s| {
-                    matches!(s, PhysicalStructure::TablePartitioning { database, table, .. }
-                        if *database == db && *table == t)
-                })
+            let partitionings = self
+                .on_table(db, t)
+                .filter(|e| matches!(e.structure(), PhysicalStructure::TablePartitioning { .. }))
                 .count();
-            if parts > 1 {
-                errors.push(ValidityError::MultipleTablePartitionings { database: db, table: t });
+            if partitionings > 1 {
+                errors.push(ValidityError::MultipleTablePartitionings {
+                    database: db.to_string(),
+                    table: t.to_string(),
+                });
             }
         }
         errors
@@ -269,23 +453,16 @@ impl Configuration {
     /// the configuration touches, the table and all of its indexes are
     /// partitioned identically (including "all unpartitioned").
     pub fn is_aligned(&self) -> bool {
-        let mut tables: Vec<(String, String)> = self
-            .structures
-            .iter()
-            .filter_map(|s| s.table().map(|t| (s.database().to_string(), t.to_string())))
-            .collect();
-        tables.sort();
-        tables.dedup();
-        for (db, t) in tables {
-            let table_part = self.effective_table_partitioning(&db, &t).cloned();
-            for ix in self.indexes_on(&db, &t) {
-                if ix.partitioning != table_part {
+        for (db, t) in self.tables() {
+            let table_part = self.effective_table_partitioning(db, t);
+            for ix in self.indexes_on(db, t) {
+                if ix.partitioning.as_ref() != table_part {
                     return false;
                 }
             }
             // a heap partitioning must agree with the clustered index too
             if let (Some(hp), Some(ci)) =
-                (self.table_partitioning(&db, &t), self.clustered_index(&db, &t))
+                (self.table_partitioning(db, t), self.clustered_index(db, t))
             {
                 if ci.partitioning.as_ref() != Some(hp) {
                     return false;
@@ -297,19 +474,23 @@ impl Configuration {
 
     /// Total incremental storage in bytes.
     pub fn total_bytes(&self, info: &dyn SizingInfo) -> u64 {
-        self.structures.iter().map(|s| structure_bytes(s, info)).sum()
+        self.iter().map(|s| structure_bytes(s, info)).sum()
     }
 
     /// Structures present in `self` but not in `other`.
     pub fn difference(&self, other: &Configuration) -> Vec<&PhysicalStructure> {
-        self.structures.iter().filter(|s| !other.contains(s)).collect()
+        self.entries
+            .iter()
+            .filter(|e| !other.entries.contains(e))
+            .map(StructureHandle::structure)
+            .collect()
     }
 }
 
 impl std::fmt::Display for Configuration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "Configuration ({} structures):", self.structures.len())?;
-        for s in &self.structures {
+        writeln!(f, "Configuration ({} structures):", self.len())?;
+        for s in self.iter() {
             writeln!(f, "  - {}", s.name())?;
         }
         Ok(())
@@ -471,5 +652,165 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert_eq!(u.difference(&a).len(), 1);
         assert_eq!(a.difference(&u).len(), 0);
+    }
+
+    /// A mixed bag: indexes on two tables of two databases, a heap
+    /// partitioning, and views in both databases.
+    fn assorted() -> Vec<PhysicalStructure> {
+        let view = |db: &str, tables: &[&str]| {
+            PhysicalStructure::View(MaterializedView::grouped(
+                db,
+                tables,
+                Vec::new(),
+                vec![crate::QualifiedColumn::new(tables[0], "a")],
+                vec![crate::ViewAggregate::count_star()],
+            ))
+        };
+        vec![
+            PhysicalStructure::Index(Index::non_clustered("db", "t", &["a"], &[])),
+            view("db", &["t"]),
+            PhysicalStructure::Index(Index::clustered("db", "u", &["a"])),
+            PhysicalStructure::Index(Index::non_clustered("other", "t", &["a"], &[])),
+            PhysicalStructure::TablePartitioning {
+                database: "db".into(),
+                table: "t".into(),
+                scheme: part("x"),
+            },
+            view("other", &["t", "u"]),
+            PhysicalStructure::Index(Index::non_clustered("db", "t", &["b"], &["a"])),
+        ]
+    }
+
+    #[test]
+    fn equality_is_by_value_and_order_whether_or_not_structures_are_shared() {
+        let original = Configuration::from_structures(assorted());
+        // shares every handle with `original`
+        let shared = original.clone();
+        // shares nothing: every structure wrapped afresh
+        let rebuilt = Configuration::from_structures(assorted());
+        assert_eq!(original, shared);
+        assert_eq!(original, rebuilt);
+
+        // nothing is ignored: order and every field count
+        let mut reversed = assorted();
+        reversed.reverse();
+        assert_ne!(original, Configuration::from_structures(reversed));
+        let mut altered = assorted();
+        altered[0] =
+            PhysicalStructure::Index(Index::non_clustered("db", "t", &["a"], &[]).constraint());
+        assert_ne!(original, Configuration::from_structures(altered));
+        let mut shorter = original.clone();
+        assert!(shorter.remove(&assorted()[6]));
+        assert_ne!(original, shorter);
+    }
+
+    #[test]
+    fn add_de_duplicates_by_value_and_remove_keeps_order() {
+        let mut c = Configuration::from_structures(assorted());
+        for s in assorted() {
+            assert!(c.contains(&s));
+            assert!(!c.add(s.clone()), "an equal structure, separately built, is a duplicate");
+            assert!(!c.add_shared(StructureHandle::new(s)));
+        }
+        assert_eq!(c.len(), assorted().len());
+
+        assert!(c.remove(&assorted()[2]));
+        let mut expected = assorted();
+        expected.remove(2);
+        assert_eq!(c.iter().cloned().collect::<Vec<_>>(), expected);
+        assert!(!c.contains(&assorted()[2]));
+    }
+
+    #[test]
+    fn table_lookups_match_a_naive_filter() {
+        let c = Configuration::from_structures(assorted());
+        for (db, t) in [("db", "t"), ("db", "u"), ("other", "t"), ("other", "u"), ("db", "none")] {
+            let naive: Vec<&Index> = c
+                .iter()
+                .filter_map(|s| match s {
+                    PhysicalStructure::Index(i) if i.database == db && i.table == t => Some(i),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(c.indexes_on(db, t).collect::<Vec<_>>(), naive, "{db}.{t}");
+            assert_eq!(
+                c.clustered_index(db, t),
+                naive.iter().copied().find(|i| i.kind == IndexKind::Clustered)
+            );
+            let naive_partitioning = c.iter().find_map(|s| match s {
+                PhysicalStructure::TablePartitioning { database, table, scheme }
+                    if database == db && table == t =>
+                {
+                    Some(scheme)
+                }
+                _ => None,
+            });
+            assert_eq!(c.table_partitioning(db, t), naive_partitioning);
+        }
+        for db in ["db", "other", "none"] {
+            let naive: Vec<&MaterializedView> = c
+                .iter()
+                .filter_map(|s| match s {
+                    PhysicalStructure::View(v) if v.database == db => Some(v),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(c.views(db).collect::<Vec<_>>(), naive, "{db}");
+        }
+        assert_eq!(c.tables(), [("db", "t"), ("db", "u"), ("other", "t")]);
+    }
+
+    #[test]
+    fn every_way_of_building_gives_the_same_configuration() {
+        let built = Configuration::from_structures(assorted());
+        let collected: Configuration = assorted().into_iter().collect();
+        // overlapping operands: union de-duplicates
+        let front = Configuration::from_structures(assorted().into_iter().take(4));
+        let back = Configuration::from_structures(assorted().into_iter().skip(2));
+        assert_eq!(built.len(), assorted().len());
+        assert_eq!(built, collected);
+        assert_eq!(built, front.union(&back));
+
+        // projection and in-place replacement keep order
+        let on_t = table_key("db", "t");
+        let naive: Vec<PhysicalStructure> = assorted()
+            .into_iter()
+            .filter(|s| match s {
+                PhysicalStructure::View(v) => v.database == "db" && v.tables.contains(&"t".into()),
+                s => s.database() == "db" && s.table() == Some("t"),
+            })
+            .collect();
+        let projected = built.project(|h| h.touches(&[on_t]));
+        assert_eq!(projected.iter().cloned().collect::<Vec<_>>(), naive);
+        assert_eq!(built.replace_where(|_| true, |h| Some(h.clone())), built);
+        let without_t = built.replace_where(|h| h.table_key() == Some(on_t), |_| None);
+        assert_eq!(without_t, built.project(|h| h.table_key() != Some(on_t)));
+        assert_eq!(without_t.len(), 4);
+    }
+
+    #[test]
+    fn replacements_are_de_duplicated_against_kept_and_placed_structures() {
+        let c = Configuration::from_structures(assorted());
+        let on_t = table_key("db", "t");
+        let kept = c.handles()[2].clone();
+        // the first structure on db.t turns into one that is kept further
+        // on, the other two into one and the same new index
+        let new = PhysicalStructure::Index(Index::non_clustered("db", "t", &["x"], &[]));
+        let mut turn = 0;
+        let replaced = c.replace_where(
+            |h| h.table_key() == Some(on_t),
+            |_| {
+                turn += 1;
+                Some(if turn == 1 { kept.clone() } else { StructureHandle::new(new.clone()) })
+            },
+        );
+        let expected = [
+            assorted()[1].clone(),
+            assorted()[2].clone(),
+            assorted()[3].clone(),
+            new.clone(),
+            assorted()[5].clone(),
+        ];
+        assert_eq!(replaced.iter().cloned().collect::<Vec<_>>(), expected);
     }
 }

@@ -339,10 +339,8 @@ impl Server {
                 // order-independent combine over the configuration so the
                 // site key is stable however the structures are listed
                 let (mut sum, mut xor) = (0u64, 0u64);
-                for s in config.iter() {
-                    let mut h = DefaultHasher::new();
-                    s.hash(&mut h);
-                    let v = h.finish();
+                for s in config.handles() {
+                    let v = s.content_hash();
                     sum = sum.wrapping_add(v);
                     xor ^= v;
                 }

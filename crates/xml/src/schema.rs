@@ -1154,6 +1154,14 @@ mod tests {
         let xml = configuration_to_xml(&config);
         let back = configuration_from_xml(&xml).unwrap();
         assert_eq!(config, back, "\n{xml}");
+        // read back, every structure is wrapped afresh: it compares equal
+        // to, hashes like and is keyed like the one that was written
+        for (written, read) in config.handles().iter().zip(back.handles()) {
+            assert_eq!(written.content_hash(), read.content_hash());
+            assert_eq!(written.table_key(), read.table_key());
+        }
+        assert_eq!(back.iter().cloned().collect::<Configuration>(), config);
+        assert_eq!(back.union(&config), config);
     }
 
     #[test]
