@@ -44,6 +44,7 @@
 
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
+use dta_optimizer::PreparedStatement;
 use dta_physical::{table_key, Configuration, StructureHandle};
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
@@ -128,6 +129,12 @@ struct Shard {
     in_flight: Mutex<HashSet<u64>>,
     /// Hit/miss/retry/call tallies.
     stat: ShardStat,
+    /// The statement prepared for what-if calls: made on the shard's
+    /// first miss that reaches the server — an evaluator that only ever
+    /// hits, or lives for one supervisor slice, prepares nothing it does
+    /// not price — and re-made when the target's estimate epoch has
+    /// moved past its stamp.
+    prepared: RwLock<Option<Arc<PreparedStatement>>>,
 }
 
 impl Shard {
@@ -193,6 +200,7 @@ impl<'a> CostEvaluator<'a> {
                     cache: RwLock::new(HashMap::new()),
                     in_flight: Mutex::new(HashSet::new()),
                     stat: ShardStat::default(),
+                    prepared: RwLock::new(None),
                 }
             })
             .collect();
@@ -233,6 +241,8 @@ impl<'a> CostEvaluator<'a> {
     ///
     /// Needed when the cost model itself changes mid-session — e.g.
     /// after statistics creation, which alters what-if estimates.
+    /// Preparations need no dropping: each is checked against the
+    /// target's estimate epoch before it prices anything.
     pub fn invalidate(&self) {
         for shard in &self.shards {
             shard.cache.write().clear();
@@ -246,6 +256,17 @@ impl<'a> CostEvaluator<'a> {
             self.items.get(i).expect("item index is in range for this evaluator"),
             self.shards.get(i).expect("item index is in range for this evaluator"),
         )
+    }
+
+    /// `item` prepared against the target's current estimates.
+    fn preparation(&self, item: &WorkloadItem, shard: &Shard) -> Arc<PreparedStatement> {
+        let epoch = self.target.estimate_epoch();
+        if let Some(p) = shard.prepared.read().as_ref().filter(|p| p.epoch() == epoch) {
+            return Arc::clone(p);
+        }
+        let fresh = Arc::new(self.target.prepare(&item.database, &item.statement));
+        *shard.prepared.write() = Some(Arc::clone(&fresh));
+        fresh
     }
 
     /// Order-independent fingerprint of `config` projected onto `shard`'s
@@ -363,13 +384,14 @@ impl<'a> CostEvaluator<'a> {
         // only a miss materializes the projection, and only as pointer
         // copies; the what-if call dwarfs it
         let relevant = config.project(|h| shard.sees(h));
+        let prepared = self.preparation(item, shard);
         let mut attempt: u32 = 0;
         let plan = loop {
             // one call per unique miss (plus deterministic retries): the
             // in-flight claim above serialized racing lookups away
             self.counters.add(Counter::WhatIfCalls, 1);
             shard.stat.calls.fetch_add(1, Ordering::SeqCst);
-            match self.target.whatif(&item.database, &item.statement, &relevant) {
+            match self.target.whatif_prepared(&prepared, &relevant) {
                 Ok(plan) => break Some(plan),
                 Err(ServerError::Fault { kind: FaultKind::Transient, .. })
                     if self.retry.allows_retry(attempt) =>
@@ -836,6 +858,70 @@ mod tests {
         eval.invalidate();
         eval.workload_cost(&Configuration::new()).expect("costing succeeds");
         assert_eq!(eval.whatif_calls(), 4, "cache was dropped, calls re-issued");
+    }
+
+    #[test]
+    fn a_stale_preparation_never_prices_a_call() {
+        use dta_stats::StatKey;
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let eval = CostEvaluator::new(&target, &w.items);
+        let on_a = |included: &[&str]| {
+            Configuration::from_structures([PhysicalStructure::Index(Index::non_clustered(
+                "d",
+                "t",
+                &["a"],
+                included,
+            ))])
+        };
+        // the first miss prepares statement 0 …
+        eval.item_cost(0, &on_a(&[])).expect("costing succeeds");
+        // … a statistic then moves its estimates, and nobody invalidates
+        assert_eq!(s.create_statistics(&[StatKey::new("d", "t", &["a"])]).created, 1);
+        let cfg = on_a(&["b"]);
+        let item = &w.items[0];
+        let got = eval.item_cost(0, &cfg).expect("costing succeeds");
+        let fresh = s.whatif(&item.database, &item.statement, &cfg).expect("binds").cost;
+        assert_eq!(got.to_bits(), fresh.to_bits(), "the miss re-prepared");
+        // a twin server that never got the statistic prices what the stale
+        // preparation would have
+        let stale = server().whatif(&item.database, &item.statement, &cfg).expect("binds").cost;
+        assert_ne!(got.to_bits(), stale.to_bits(), "the statistic moves this estimate");
+        // cached costs are a separate matter: those `invalidate` drops
+        eval.invalidate();
+        let again = eval.item_cost(0, &on_a(&[])).expect("costing succeeds");
+        let fresh = s.whatif(&item.database, &item.statement, &on_a(&[])).expect("binds").cost;
+        assert_eq!(again.to_bits(), fresh.to_bits());
+    }
+
+    #[test]
+    fn preparing_is_not_a_whatif_call() {
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let counters = Arc::new(CounterSet::new());
+        let eval = CostEvaluator::with_counters(&target, &w.items, Arc::clone(&counters));
+        assert!(eval.shards.iter().all(|shard| shard.prepared.read().is_none()), "lazy");
+        for item in &w.items {
+            let prep = target.prepare(&item.database, &item.statement);
+            assert_eq!(prep.epoch(), target.estimate_epoch());
+        }
+        assert_eq!((s.whatif_invocations(), s.overhead_units()), (0, 0.0));
+        assert_eq!(counters.snapshot(), CounterSet::new().snapshot());
+        // a priced miss prepares its own statement only, and counts once
+        let charged = {
+            eval.item_cost(1, &Configuration::new()).expect("costing succeeds");
+            s.overhead_units()
+        };
+        assert!(
+            eval.shards[0].prepared.read().is_none() && eval.shards[1].prepared.read().is_some()
+        );
+        assert_eq!((s.whatif_invocations(), counters.get(Counter::WhatIfCalls)), (1, 1));
+        let twin = server();
+        twin.whatif(&w.items[1].database, &w.items[1].statement, &Configuration::new())
+            .expect("binds");
+        assert_eq!(charged, twin.overhead_units(), "charged as the unprepared call is");
     }
 
     #[test]

@@ -361,6 +361,22 @@ fn transient_faults_converge_to_the_no_fault_recommendation() {
     assert!(faulted.whatif_calls > clean.whatif_calls);
 }
 
+/// Where a statement falls in a what-if fault schedule, by the server's
+/// documented rule: the schedule's seed hashed with the fault domain and
+/// the hash of `(database, statement text)`, mapped to `[0, 1)`. A
+/// statement whose roll is under the permanent rate fails every call.
+fn whatif_fault_roll(seed: u64, item: &WorkloadItem) -> f64 {
+    use std::hash::{Hash, Hasher};
+    fn hash_of(value: impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+    let text = item.statement.to_string();
+    let classify = hash_of((item.database.as_str(), text.as_str()));
+    (hash_of((seed, "whatif", classify)) % 1_000_000) as f64 / 1_000_000.0
+}
+
 #[test]
 fn permanent_faults_degrade_statements_instead_of_aborting() {
     let workload = read_workload();
@@ -379,6 +395,16 @@ fn permanent_faults_degrade_statements_instead_of_aborting() {
         workload.len()
     );
     assert!(result.degraded_statements.len() < workload.len(), "everything degraded");
+    // the fault sites are keyed on the statement text and its hash, which
+    // a prepared statement carries: exactly the statements the schedule
+    // classifies as permanent degrade, whatever prepared them
+    let scheduled: Vec<String> = workload
+        .items
+        .iter()
+        .filter(|i| whatif_fault_roll(3, i) < 0.25)
+        .map(|i| i.statement.to_string())
+        .collect();
+    assert_eq!(result.degraded_statements, scheduled);
     assert_eq!(result.completion, Completion::Complete);
     assert_anytime(&result, &server, "permanent faults");
     // the surviving statements still get tuned
@@ -430,10 +456,22 @@ fn fault_matrix_schedules_all_converge() {
         .map(|s| s.split(',').map(|t| t.trim().parse().expect("rate")).collect())
         .unwrap_or_else(|_| vec![0.3]);
 
+    // (seed, rate) → what-if calls, retries, backoff units of the default
+    // grid's sessions, recorded before what-if calls went through
+    // prepared statements. A transient schedule is keyed on the statement
+    // text, its hash and the configuration priced, so these move if a
+    // preparation faults any call the per-call path did not, or misses one.
+    let recorded = |seed: u64, rate: f64| match (seed, rate) {
+        (1, 0.3) => Some((1234, 399, 518)),
+        (2, 0.3) => Some((1250, 419, 540)),
+        _ => None,
+    };
+
     let workload = read_workload();
     let clean_server = make_server();
     let clean_target = TuningTarget::Single(&clean_server);
     let clean = tune(&clean_target, &workload, &options(1)).unwrap();
+    let clean_report = clean.to_string();
 
     for &seed in &seeds {
         for &rate in &rates {
@@ -457,6 +495,29 @@ fn fault_matrix_schedules_all_converge() {
                 "seed {seed} rate {rate} cost bits diverged"
             );
             assert_eq!(faulted.completion, Completion::Complete, "seed {seed} rate {rate}");
+
+            // the ledger: every attempt arrives at the server, a rejected
+            // one charges nothing, so the meter ends where the clean run's does
+            assert_eq!(server.whatif_invocations(), faulted.whatif_calls as u64);
+            assert_eq!(server.overhead_units(), clean_server.overhead_units());
+            assert_eq!(faulted.tuning_work_units, clean.tuning_work_units);
+            if let Some(ledger) = recorded(seed, rate) {
+                assert_eq!(
+                    (faulted.whatif_calls, faulted.whatif_retries, faulted.retry_backoff_units),
+                    ledger,
+                    "seed {seed} rate {rate}: the schedule fired on different calls"
+                );
+            }
+            // the report: the clean one but for the calls and the retries
+            let calls = |r: &TuningResult| format!("{} what-if calls", r.whatif_calls);
+            let report: String = faulted
+                .to_string()
+                .replace(&calls(&faulted), &calls(&clean))
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("transient faults retried:"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(report, clean_report, "seed {seed} rate {rate}");
         }
     }
 }
@@ -735,6 +796,26 @@ fn chaos_fleet_survives_crash_and_recovers_byte_identically() {
     }
 }
 
+const CHAOS_CRASHED_LEDGER: &str = "\
+fleet: 4 tenants · 0 completed · 3 parked · 0 quarantined · 2 rounds
+budget: 585/447 units consumed
+stopped early: fleet budget exhausted
+  t-alpha      parked           195 units · 1 slices · 0 rescues · parked in merging
+  t-bravo      parked           195 units · 1 slices · 0 rescues · parked in merging
+  t-chaos      queued             0 units · 1 slices · 65 rescues
+  t-delta      parked           195 units · 1 slices · 0 rescues · parked in merging
+";
+
+const CHAOS_RECOVERED_LEDGER: &str = "\
+fleet: 4 tenants · 3 completed · 0 parked · 1 quarantined · 8 rounds
+budget: 784 units consumed (unbounded)
+  t-alpha      completed        199 units · 2 slices · 0 rescues · 38.0% improvement
+  t-bravo      completed        386 units · 4 slices · 0 rescues · 38.0% improvement
+  t-chaos      quarantined        0 units · 3 slices · 195 rescues · session failed: server error: \
+permanent fault: pre-costing what-if panicked past the retry bound
+  t-delta      completed        199 units · 2 slices · 0 rescues · 38.0% improvement
+";
+
 const CHAOS_IDS: [&str; 4] = ["t-alpha", "t-bravo", "t-chaos", "t-delta"];
 const CHAOS_SALTS: [usize; 4] = [0, 1, 2, 3];
 
@@ -819,6 +900,18 @@ fn chaos_cycle(seed: u64) {
     recovered.set_chaos_hook(preempt_bravo);
     let report = recovered.run();
 
+    if seed == 5 {
+        // the default seed's ledgers, as recorded before what-if calls
+        // went through prepared statements: the panicking tenant's fault
+        // sites (statement text, its hash, the configuration) fire on the
+        // same calls, so the same slices, units and rescues are booked on
+        // either side of the crash
+        assert_eq!(crashed.to_string(), CHAOS_CRASHED_LEDGER, "{label}");
+        assert_eq!(report.to_string(), CHAOS_RECOVERED_LEDGER, "{label}");
+        let arrivals: Vec<u64> = servers.iter().map(Server::whatif_invocations).collect();
+        assert_eq!(arrivals, [171, 171, 195, 171], "{label}: what-if calls per server");
+        assert_eq!(servers[2].overhead_units(), 0.0, "{label}: a panicking call charges nothing");
+    }
     assert!(report.stopped.is_none(), "{label}: {:?}", report.stopped);
     assert_eq!(report.completed(), 3, "{label}: {report}");
     assert_eq!(report.quarantined(), 1, "{label}: {report}");

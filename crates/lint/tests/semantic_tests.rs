@@ -60,6 +60,66 @@ fn r11_cross_function_panic_anchored_at_surface() {
     assert!(msg.contains("fixture_r11.rs:13:7"), "source position missing: {msg}");
 }
 
+/// The prepared what-if entry points are `pub` `Server` methods, so
+/// they are R11 surface: a panic in the optimizer's preparing code or in
+/// its planning code is reported at the `Server` method that reaches it.
+#[test]
+fn r11_prepared_whatif_entry_points_are_surface() {
+    let server = "\
+pub struct Server;
+impl Server {
+    pub fn prepare(&self, opt: &WhatIfOptimizer) -> u32 {
+        WhatIfOptimizer::prepare(opt)
+    }
+    pub fn whatif_prepared(&self, prep: u32) -> u32 {
+        optimize_prepared(prep)
+    }
+}
+";
+    let optimizer = "\
+pub struct WhatIfOptimizer;
+impl WhatIfOptimizer {
+    pub fn prepare(&self) -> u32 {
+        let slots: Vec<u32> = Vec::new();
+        slots[0]
+    }
+}
+pub fn optimize_prepared(prep: u32) -> u32 {
+    plan_joins(prep)
+}
+fn plan_joins(prep: u32) -> u32 {
+    let leaves: Vec<u32> = Vec::new();
+    leaves[prep as usize]
+}
+";
+    let sources =
+        [("crates/server/src/server.rs", server), ("crates/optimizer/src/whatif.rs", optimizer)];
+    let result = lint_sources(&sources);
+    let r11: Vec<&Finding> = result.findings.iter().filter(|f| f.rule == "R11").collect();
+    assert_eq!(
+        r11.iter().map(|f| (f.path.as_str(), f.line)).collect::<Vec<_>>(),
+        vec![("crates/server/src/server.rs", 3), ("crates/server/src/server.rs", 6)],
+        "{result:#?}"
+    );
+    assert!(r11[0].message.contains("public surface `prepare`"), "{}", r11[0].message);
+    assert!(r11[1].message.contains("public surface `whatif_prepared`"), "{}", r11[1].message);
+    assert!(r11[1].message.contains("in `plan_joins`"), "{}", r11[1].message);
+
+    // a plain method call `opt.prepare()` from `Server::prepare` resolves,
+    // by name, to `Server::prepare` itself and the optimizer's panic goes
+    // unseen — which is why the real call is path-qualified
+    let by_method = server.replace("WhatIfOptimizer::prepare(opt)", "opt.prepare()");
+    let sources = [
+        ("crates/server/src/server.rs", by_method.as_str()),
+        ("crates/optimizer/src/whatif.rs", optimizer),
+    ];
+    let result = lint_sources(&sources);
+    assert!(
+        !result.findings.iter().any(|f| f.rule == "R11" && f.message.contains("`prepare`")),
+        "{result:#?}"
+    );
+}
+
 #[test]
 fn r11_written_invariant_clears_the_path() {
     // expect() with a real justification is a written invariant, not a

@@ -1,19 +1,19 @@
 //! Single-table access-path selection.
 //!
-//! Produces every access option the configuration makes available for one
-//! table reference — heap scan (with partition elimination), clustered
+//! Costs every access path the configuration makes available for one
+//! table binding — heap scan (with partition elimination), clustered
 //! seek, non-clustered seeks (with or without lookups), covering scans —
-//! each with estimated rows, cost, delivered sort order, and retained
-//! partitioning. The planner picks among them by context.
+//! each with its cost, delivered sort order and retained partitioning.
+//! A path is costed as plain numbers over borrowed structures; only the
+//! path the planner keeps is turned into a [`TableAccess`] node.
 
 use crate::hardware::HardwareParams;
 use crate::plan::{AccessMethod, TableAccess};
-use crate::provider::TableStatsProvider;
+use crate::prepared::PreparedTable;
 use crate::query::{BoundColumn, Sarg, SargOp};
-use crate::selectivity::Estimator;
 use dta_catalog::Value;
 use dta_physical::{Configuration, Index, IndexKind, RangePartitioning};
-use dta_storage::pages_for;
+use std::cmp::Ordering;
 
 /// Pages charged for descending a B-tree to its leaf level.
 pub const SEEK_DESCENT_PAGES: f64 = 2.0;
@@ -21,28 +21,88 @@ pub const SEEK_DESCENT_PAGES: f64 = 2.0;
 /// Work units per CPU row operation (mirrors the storage crate's meter).
 pub const CPU_W: f64 = dta_storage::work::CPU_OP_WEIGHT;
 
-/// Everything the planner carries around while costing one statement.
-pub struct PlanContext<'a> {
-    pub estimator: Estimator<'a>,
+/// What planning one prepared statement under one configuration reads
+/// besides the preparation itself.
+pub(crate) struct PlanContext<'a> {
     pub config: &'a Configuration,
-    pub sizes: &'a dyn TableStatsProvider,
     pub hardware: HardwareParams,
     pub database: &'a str,
+    /// [`dta_physical::database_key`] of `database`.
+    pub database_key: u64,
 }
 
-/// One costed way to read a table.
-#[derive(Debug, Clone)]
-pub struct AccessOption {
-    /// Ready-to-use plan node.
-    pub access: TableAccess,
-    /// Sort order delivered (empty = none).
-    pub order: Vec<BoundColumn>,
-    /// Partitioning the output stream retains, if any.
-    pub partitioned_on: Option<(BoundColumn, RangePartitioning)>,
+/// How a costed path reads its table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AccessPath<'a> {
+    HeapScan,
+    ClusteredSeek { index: &'a Index, seek_len: usize },
+    IndexSeek { index: &'a Index, seek_len: usize, covering: bool },
+    CoveringScan { index: &'a Index },
+}
+
+/// The range partitioning a stream retains, on a column of `binding`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Partitioned<'a> {
+    pub binding: &'a str,
+    pub scheme: &'a RangePartitioning,
+}
+
+impl Partitioned<'_> {
+    /// Whether `column` is the partitioning column.
+    pub(crate) fn is_on(&self, column: &BoundColumn) -> bool {
+        column.binding == self.binding && column.column == self.scheme.column
+    }
+}
+
+/// One costed way to read a table binding. Its output rows are the
+/// binding's [`PreparedTable::out_rows`] whatever the path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AccessChoice<'a> {
+    pub path: AccessPath<'a>,
+    /// Fraction of partitions read (1.0 when none is eliminated).
+    pub partition_fraction: f64,
+    pub cost: f64,
+    /// The index whose key order the output has, if any.
+    pub ordered_by: Option<&'a Index>,
+    /// Partitioning the output retains, if any.
+    pub partitioned_on: Option<&'a RangePartitioning>,
+}
+
+impl AccessChoice<'_> {
+    /// The plan node for this path.
+    pub(crate) fn materialize(&self, ctx: &PlanContext<'_>, t: &PreparedTable) -> TableAccess {
+        TableAccess {
+            database: ctx.database.to_string(),
+            table: t.facts.table.clone(),
+            binding: t.binding.clone(),
+            method: match self.path {
+                AccessPath::HeapScan => AccessMethod::HeapScan,
+                AccessPath::ClusteredSeek { index, seek_len } => {
+                    AccessMethod::ClusteredSeek { index: index.clone(), seek_len }
+                }
+                AccessPath::IndexSeek { index, seek_len, covering } => {
+                    AccessMethod::IndexSeek { index: index.clone(), seek_len, covering }
+                }
+                AccessPath::CoveringScan { index } => {
+                    AccessMethod::CoveringScan { index: index.clone() }
+                }
+            },
+            sargs: t.sargs.clone(),
+            residuals: t.residuals,
+            partition_fraction: self.partition_fraction,
+            est_rows: t.out_rows,
+            est_cost: self.cost,
+        }
+    }
+}
+
+/// The sort order `index`'s keys give rows of `binding`.
+pub(crate) fn key_order(binding: &str, index: &Index) -> Vec<BoundColumn> {
+    index.key_columns.iter().map(|c| BoundColumn::new(binding, c)).collect()
 }
 
 /// Combined `(low, high)` value bounds that sargs impose on `column`.
-pub fn sarg_bounds<'s>(sargs: &[&'s Sarg], column: &str) -> (Option<&'s Value>, Option<&'s Value>) {
+pub fn sarg_bounds<'s>(sargs: &'s [Sarg], column: &str) -> (Option<&'s Value>, Option<&'s Value>) {
     let mut lo: Option<&Value> = None;
     let mut hi: Option<&Value> = None;
     for s in sargs.iter().filter(|s| s.column.column == column) {
@@ -65,7 +125,7 @@ pub fn sarg_bounds<'s>(sargs: &[&'s Sarg], column: &str) -> (Option<&'s Value>, 
 
 /// Partition-elimination fraction a partitioning scheme yields under the
 /// given sargs (1.0 when no sarg restricts the partitioning column).
-pub fn elimination_fraction(scheme: &RangePartitioning, sargs: &[&Sarg]) -> f64 {
+pub fn elimination_fraction(scheme: &RangePartitioning, sargs: &[Sarg]) -> f64 {
     let (lo, hi) = sarg_bounds(sargs, &scheme.column);
     if lo.is_none() && hi.is_none() {
         return 1.0;
@@ -76,14 +136,16 @@ pub fn elimination_fraction(scheme: &RangePartitioning, sargs: &[&Sarg]) -> f64 
 /// The length of the seekable key prefix and its combined selectivity.
 /// Standard B-tree rule: equality predicates extend the prefix; the first
 /// range/IN/prefix predicate is used and then the prefix stops.
-fn seek_prefix(ctx: &PlanContext<'_>, table: &str, index: &Index, sargs: &[&Sarg]) -> (usize, f64) {
+fn seek_prefix(t: &PreparedTable, index: &Index) -> (usize, f64) {
     let mut len = 0usize;
     let mut sel = 1.0;
     for key in &index.key_columns {
-        let Some(s) = sargs.iter().find(|s| s.column.column == *key && s.is_seekable()) else {
+        let Some((s, s_sel)) =
+            t.sargs_with_sel().find(|(s, _)| s.column.column == *key && s.is_seekable())
+        else {
             break;
         };
-        sel *= ctx.estimator.sarg_selectivity(table, s);
+        sel *= s_sel;
         len += 1;
         if !matches!(s.op, SargOp::Eq(_)) {
             break;
@@ -94,136 +156,92 @@ fn seek_prefix(ctx: &PlanContext<'_>, table: &str, index: &Index, sargs: &[&Sarg
 
 /// Selectivity of sargs evaluable at the index leaf (columns present in
 /// the leaf but not part of the seek prefix).
-fn leaf_filter_sel(
-    ctx: &PlanContext<'_>,
-    table: &str,
-    index: &Index,
-    sargs: &[&Sarg],
-    seek_len: usize,
-) -> f64 {
-    let seek_cols: Vec<&String> = index.key_columns.iter().take(seek_len).collect();
+fn leaf_filter_sel(t: &PreparedTable, index: &Index, seek_len: usize) -> f64 {
     let mut sel = 1.0;
-    for s in sargs {
-        if seek_cols.iter().any(|k| **k == s.column.column) {
+    for (s, s_sel) in t.sargs_with_sel() {
+        if index.key_columns.iter().take(seek_len).any(|k| *k == s.column.column) {
             continue;
         }
         if index.leaf_columns().any(|c| *c == s.column.column) {
-            sel *= ctx.estimator.sarg_selectivity(table, s);
+            sel *= s_sel;
         }
     }
     sel
 }
 
-/// Enumerate all access options for one table reference.
-///
-/// `required` is the set of columns the plan must produce for this table
-/// (drives covering checks); `extra_seek_sargs` lets the join planner add
-/// equality sargs on join columns when costing the inner side of an
-/// index nested-loop join.
-pub fn access_options(
-    ctx: &PlanContext<'_>,
-    binding: &str,
-    table: &str,
-    sargs: &[&Sarg],
-    residuals: usize,
-    required: &[String],
-) -> Vec<AccessOption> {
-    let rows = ctx.sizes.rows(ctx.database, table) as f64;
-    let width = ctx.sizes.row_width(ctx.database, table);
-    let heap_pages = pages_for(rows as u64, width) as f64;
-    let out_sel = ctx.estimator.table_selectivity(table, sargs, residuals);
-    let out_rows = (rows * out_sel).max(0.0);
+/// Leaf-row width of a non-clustered index on `t`'s table.
+pub(crate) fn leaf_width(t: &PreparedTable, index: &Index) -> u32 {
+    index.leaf_columns().map(|c| t.facts.column_width(c)).sum::<u32>()
+        + dta_physical::sizing::ROW_LOCATOR_BYTES
+        + dta_physical::sizing::ROW_OVERHEAD_BYTES
+}
 
-    let owned_sargs: Vec<Sarg> = sargs.iter().map(|s| (*s).clone()).collect();
-    let mut options = Vec::new();
-
-    let clustered = ctx.config.clustered_index(ctx.database, table);
-    let table_part = ctx.config.effective_table_partitioning(ctx.database, table);
+/// Cost every access path of one table binding, in a fixed order: the
+/// heap (or clustered) scan, the clustered seek, then each non-clustered
+/// index in configuration order.
+pub(crate) fn for_each_access<'a>(
+    ctx: &PlanContext<'a>,
+    t: &PreparedTable,
+    mut visit: impl FnMut(AccessChoice<'a>),
+) {
+    let rows = t.facts.rows;
+    let heap_pages = t.facts.heap_pages;
+    let clustered = ctx.config.clustered_index_key(t.facts.key);
+    let table_part = ctx.config.effective_table_partitioning_key(t.facts.key);
 
     // --- heap / clustered scan ------------------------------------------
     {
-        let fraction = table_part.map_or(1.0, |p| elimination_fraction(p, sargs));
+        let fraction = table_part.map_or(1.0, |p| elimination_fraction(p, &t.sargs));
         let io = (heap_pages * fraction).max(1.0);
         let cpu = rows * fraction / ctx.hardware.parallel_factor(io);
-        let cost = io + cpu * CPU_W;
-        let order = match (clustered, table_part) {
-            (Some(ci), None) => {
-                ci.key_columns.iter().map(|c| BoundColumn::new(binding, c)).collect()
-            }
-            _ => Vec::new(), // partitioned scans deliver no global order
-        };
-        options.push(AccessOption {
-            access: TableAccess {
-                database: ctx.database.to_string(),
-                table: table.to_string(),
-                binding: binding.to_string(),
-                method: AccessMethod::HeapScan,
-                sargs: owned_sargs.clone(),
-                residuals,
-                partition_fraction: fraction,
-                est_rows: out_rows,
-                est_cost: cost,
-            },
-            order,
-            partitioned_on: table_part.map(|p| (BoundColumn::new(binding, &p.column), p.clone())),
+        visit(AccessChoice {
+            path: AccessPath::HeapScan,
+            partition_fraction: fraction,
+            cost: io + cpu * CPU_W,
+            // partitioned scans deliver no global order
+            ordered_by: if table_part.is_none() { clustered } else { None },
+            partitioned_on: table_part,
         });
     }
 
     // --- clustered index seek -------------------------------------------
     if let Some(ci) = clustered {
-        let (seek_len, seek_sel) = seek_prefix(ctx, table, ci, sargs);
+        let (seek_len, seek_sel) = seek_prefix(t, ci);
         if seek_len > 0 {
             let mut descent = SEEK_DESCENT_PAGES;
             if let Some(p) = &ci.partitioning {
-                let (lo, hi) = sarg_bounds(sargs, &p.column);
+                let (lo, hi) = sarg_bounds(&t.sargs, &p.column);
                 descent *= p.partitions_touched(lo, hi) as f64;
             }
             let io = descent + (heap_pages * seek_sel).max(1.0);
             let scanned = rows * seek_sel;
-            let cost = io + scanned * CPU_W;
-            options.push(AccessOption {
-                access: TableAccess {
-                    database: ctx.database.to_string(),
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    method: AccessMethod::ClusteredSeek { index: ci.clone(), seek_len },
-                    sargs: owned_sargs.clone(),
-                    residuals,
-                    partition_fraction: 1.0,
-                    est_rows: out_rows,
-                    est_cost: cost,
-                },
-                order: if ci.partitioning.is_none() {
-                    ci.key_columns.iter().map(|c| BoundColumn::new(binding, c)).collect()
-                } else {
-                    Vec::new()
-                },
-                partitioned_on: ci
-                    .partitioning
-                    .as_ref()
-                    .map(|p| (BoundColumn::new(binding, &p.column), p.clone())),
+            visit(AccessChoice {
+                path: AccessPath::ClusteredSeek { index: ci, seek_len },
+                partition_fraction: 1.0,
+                cost: io + scanned * CPU_W,
+                ordered_by: if ci.partitioning.is_none() { Some(ci) } else { None },
+                partitioned_on: ci.partitioning.as_ref(),
             });
         }
     }
 
     // --- non-clustered indexes ------------------------------------------
-    for ix in ctx.config.indexes_on(ctx.database, table) {
+    for ix in ctx.config.indexes_on_key(t.facts.key) {
         if ix.kind != IndexKind::NonClustered {
             continue;
         }
-        let leaf_width: u32 =
-            ix.leaf_columns().map(|c| ctx.sizes.column_width(ctx.database, table, c)).sum::<u32>()
-                + dta_physical::sizing::ROW_LOCATOR_BYTES
-                + dta_physical::sizing::ROW_OVERHEAD_BYTES;
-        let leaf_pages = pages_for(rows as u64, leaf_width) as f64;
-        let covering = ix.covers(required);
-        let (seek_len, seek_sel) = seek_prefix(ctx, table, ix, sargs);
+        let covering = ix.covers(&t.required);
+        let (seek_len, seek_sel) = seek_prefix(t, ix);
+        if seek_len == 0 && !covering {
+            continue; // neither seekable nor a narrower scan
+        }
+        let leaf_pages = t.facts.leaf_pages(leaf_width(t, ix));
 
         // partitioned-index descent multiplier and leaf elimination
         let mut descent = SEEK_DESCENT_PAGES;
         let mut leaf_elim = 1.0;
         if let Some(p) = &ix.partitioning {
-            let (lo, hi) = sarg_bounds(sargs, &p.column);
+            let (lo, hi) = sarg_bounds(&t.sargs, &p.column);
             let touched = p.partitions_touched(lo, hi) as f64;
             descent *= touched;
             // leaf elimination only helps when the partitioning column is
@@ -235,247 +253,183 @@ pub fn access_options(
 
         if seek_len > 0 {
             let matched = rows * seek_sel;
-            let after_leaf = matched * leaf_filter_sel(ctx, table, ix, sargs, seek_len);
+            let after_leaf = matched * leaf_filter_sel(t, ix, seek_len);
             let lookup_pages = if covering { 0.0 } else { after_leaf };
             let io = descent + (leaf_pages * seek_sel * leaf_elim).max(1.0) + lookup_pages;
-            let cost = io + matched * CPU_W;
-            options.push(AccessOption {
-                access: TableAccess {
-                    database: ctx.database.to_string(),
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    method: AccessMethod::IndexSeek { index: ix.clone(), seek_len, covering },
-                    sargs: owned_sargs.clone(),
-                    residuals,
-                    partition_fraction: 1.0,
-                    est_rows: out_rows,
-                    est_cost: cost,
-                },
-                order: if ix.partitioning.is_none() && covering {
-                    ix.key_columns.iter().map(|c| BoundColumn::new(binding, c)).collect()
-                } else {
-                    Vec::new()
-                },
-                partitioned_on: ix
-                    .partitioning
-                    .as_ref()
-                    .map(|p| (BoundColumn::new(binding, &p.column), p.clone())),
+            visit(AccessChoice {
+                path: AccessPath::IndexSeek { index: ix, seek_len, covering },
+                partition_fraction: 1.0,
+                cost: io + matched * CPU_W,
+                ordered_by: if ix.partitioning.is_none() && covering { Some(ix) } else { None },
+                partitioned_on: ix.partitioning.as_ref(),
             });
-        } else if covering {
+        } else {
             // covering scan of a narrower structure
             let io = (leaf_pages * leaf_elim).max(1.0);
             let cpu = rows * leaf_elim / ctx.hardware.parallel_factor(io);
-            let cost = io + cpu * CPU_W;
-            options.push(AccessOption {
-                access: TableAccess {
-                    database: ctx.database.to_string(),
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    method: AccessMethod::CoveringScan { index: ix.clone() },
-                    sargs: owned_sargs.clone(),
-                    residuals,
-                    partition_fraction: leaf_elim,
-                    est_rows: out_rows,
-                    est_cost: cost,
-                },
-                order: if ix.partitioning.is_none() {
-                    ix.key_columns.iter().map(|c| BoundColumn::new(binding, c)).collect()
-                } else {
-                    Vec::new()
-                },
-                partitioned_on: ix
-                    .partitioning
-                    .as_ref()
-                    .map(|p| (BoundColumn::new(binding, &p.column), p.clone())),
+            visit(AccessChoice {
+                path: AccessPath::CoveringScan { index: ix },
+                partition_fraction: leaf_elim,
+                cost: io + cpu * CPU_W,
+                ordered_by: if ix.partitioning.is_none() { Some(ix) } else { None },
+                partitioned_on: ix.partitioning.as_ref(),
             });
         }
     }
-
-    options
 }
 
-/// The cheapest option, optionally requiring a sort order prefix.
-pub fn best_option(
-    options: Vec<AccessOption>,
-    order_prefix: Option<&[BoundColumn]>,
-) -> Option<AccessOption> {
-    options
-        .into_iter()
-        .filter(|o| match order_prefix {
-            None => true,
-            Some(prefix) => o.order.get(..prefix.len()).is_some_and(|head| head == prefix),
-        })
-        .min_by(|a, b| a.access.est_cost.total_cmp(&b.access.est_cost))
+/// The cheapest access path of one table binding (the first of equally
+/// cheap ones). The heap scan is always available.
+pub(crate) fn best_access<'a>(ctx: &PlanContext<'a>, t: &PreparedTable) -> AccessChoice<'a> {
+    let mut best: Option<AccessChoice<'a>> = None;
+    for_each_access(ctx, t, |choice| {
+        if best.as_ref().is_none_or(|b| b.cost.total_cmp(&choice.cost) == Ordering::Greater) {
+            best = Some(choice);
+        }
+    });
+    best.expect("the heap scan is always among the access paths")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::testing::prepare;
     use crate::provider::FixedSizes;
+    use dta_catalog::{Catalog, Column, ColumnType, Database, Table};
     use dta_physical::PhysicalStructure;
     use dta_stats::StatisticsManager;
 
-    fn ctx<'a>(
-        stats: &'a StatisticsManager,
-        config: &'a Configuration,
-        sizes: &'a FixedSizes,
-    ) -> PlanContext<'a> {
-        PlanContext {
-            estimator: Estimator::new(stats, "db"),
-            config,
-            sizes,
-            hardware: HardwareParams { cpus: 1, memory_bytes: 256 << 20 },
-            database: "db",
-        }
+    fn catalog() -> Catalog {
+        let mut db = Database::new("db");
+        let cols = ["a", "b", "c", "d", "z"].map(|c| Column::new(c, ColumnType::Int));
+        db.add_table(Table::new("t", cols.to_vec())).unwrap();
+        let mut cat = Catalog::new();
+        cat.add_database(db).unwrap();
+        cat
     }
 
-    fn eq_sarg(col: &str, v: i64) -> Sarg {
-        Sarg { column: BoundColumn::new("t", col), op: SargOp::Eq(Value::Int(v)) }
+    /// Every access path of `sql`'s one table under `config`, with the
+    /// delivered order's length and whether partitioning is retained.
+    fn paths(sql: &str, config: &Configuration, row_width: u32) -> Vec<(TableAccess, usize, bool)> {
+        let (cat, stats) = (catalog(), StatisticsManager::new());
+        let sizes = FixedSizes::default().with_table("db", "t", 1_000_000, row_width);
+        let prep = prepare(&cat, &stats, &sizes, sql);
+        let (ctx, t) = (prep.context(config), &prep.select().tables[0]);
+        let mut out = Vec::new();
+        for_each_access(&ctx, t, |c| {
+            let order = c.ordered_by.map_or(0, |ix| key_order(&t.binding, ix).len());
+            out.push((c.materialize(&ctx, t), order, c.partitioned_on.is_some()));
+        });
+        // the planner's pick is the cheapest of them
+        let best = best_access(&ctx, t).materialize(&ctx, t);
+        assert!(out.iter().all(|(a, _, _)| best.est_cost <= a.est_cost));
+        out
     }
 
-    fn range_sarg(col: &str, lo: i64, hi: i64) -> Sarg {
-        Sarg {
-            column: BoundColumn::new("t", col),
-            op: SargOp::Range {
-                low: Some((Value::Int(lo), true)),
-                high: Some((Value::Int(hi), true)),
-            },
-        }
+    fn cheapest(paths: Vec<(TableAccess, usize, bool)>) -> TableAccess {
+        paths.into_iter().map(|p| p.0).min_by(|a, b| a.est_cost.total_cmp(&b.est_cost)).unwrap()
+    }
+
+    fn nc_index(keys: &[&str], included: &[&str]) -> Configuration {
+        Configuration::from_structures([PhysicalStructure::Index(Index::non_clustered(
+            "db", "t", keys, included,
+        ))])
     }
 
     #[test]
     fn heap_scan_always_available() {
-        let stats = StatisticsManager::new();
-        let config = Configuration::new();
-        let sizes = FixedSizes::default().with_table("db", "t", 100_000, 100);
-        let c = ctx(&stats, &config, &sizes);
-        let opts = access_options(&c, "t", "t", &[], 0, &[]);
+        let opts = paths("SELECT a FROM t", &Configuration::new(), 100);
         assert_eq!(opts.len(), 1);
-        assert!(matches!(opts[0].access.method, AccessMethod::HeapScan));
-        assert!(opts[0].access.est_cost > 1000.0); // ~1221 pages
+        assert!(matches!(opts[0].0.method, AccessMethod::HeapScan));
+        assert!(opts[0].0.est_cost > 10_000.0); // ~12k pages
     }
 
     #[test]
     fn index_seek_beats_scan_for_selective_predicates() {
-        let stats = StatisticsManager::new();
-        let config = Configuration::from_structures([PhysicalStructure::Index(
-            Index::non_clustered("db", "t", &["a"], &[]),
-        )]);
-        let sizes = FixedSizes::default().with_table("db", "t", 1_000_000, 100);
-        let c = ctx(&stats, &config, &sizes);
-        let sarg = eq_sarg("a", 5);
-        let sargs = vec![&sarg];
-        let opts = access_options(&c, "t", "t", &sargs, 0, &["a".to_string()]);
-        let best = best_option(opts, None).unwrap();
-        assert!(matches!(best.access.method, AccessMethod::IndexSeek { covering: true, .. }));
+        let best = cheapest(paths("SELECT a FROM t WHERE a = 5", &nc_index(&["a"], &[]), 100));
+        assert!(matches!(best.method, AccessMethod::IndexSeek { covering: true, .. }));
         // and it is far cheaper than the scan
-        assert!(best.access.est_cost < 10_000.0);
+        assert!(best.est_cost < 10_000.0);
     }
 
     #[test]
     fn non_covering_seek_charges_lookups() {
-        let stats = StatisticsManager::new();
-        let config = Configuration::from_structures([PhysicalStructure::Index(
-            Index::non_clustered("db", "t", &["a"], &[]),
-        )]);
-        let sizes = FixedSizes::default().with_table("db", "t", 1_000_000, 100);
-        let c = ctx(&stats, &config, &sizes);
-        let sarg = eq_sarg("a", 5);
-        let sargs = vec![&sarg];
-        let covering = access_options(&c, "t", "t", &sargs, 0, &["a".to_string()]);
-        let lookups = access_options(&c, "t", "t", &sargs, 0, &["a".to_string(), "b".to_string()]);
-        let seek_cov = covering
-            .iter()
-            .find(|o| matches!(o.access.method, AccessMethod::IndexSeek { .. }))
-            .unwrap();
-        let seek_lku = lookups
-            .iter()
-            .find(|o| matches!(o.access.method, AccessMethod::IndexSeek { .. }))
-            .unwrap();
-        assert!(seek_lku.access.est_cost > seek_cov.access.est_cost);
+        let config = nc_index(&["a"], &[]);
+        let seek_cost = |sql: &str| {
+            paths(sql, &config, 100)
+                .into_iter()
+                .find(|o| matches!(o.0.method, AccessMethod::IndexSeek { .. }))
+                .unwrap()
+                .0
+                .est_cost
+        };
+        assert!(
+            seek_cost("SELECT a, b FROM t WHERE a = 5") > seek_cost("SELECT a FROM t WHERE a = 5")
+        );
     }
 
     #[test]
     fn partition_elimination_reduces_scan_cost() {
-        let stats = StatisticsManager::new();
         let scheme = RangePartitioning::new("d", (1..10).map(|i| Value::Int(i * 100)).collect());
         let config = Configuration::from_structures([PhysicalStructure::TablePartitioning {
             database: "db".into(),
             table: "t".into(),
             scheme,
         }]);
-        let sizes = FixedSizes::default().with_table("db", "t", 1_000_000, 100);
-        let c = ctx(&stats, &config, &sizes);
-
-        let unfiltered = access_options(&c, "t", "t", &[], 0, &[]);
-        let full_cost = unfiltered[0].access.est_cost;
-
-        let sarg = range_sarg("d", 150, 250);
-        let sargs = vec![&sarg];
-        let filtered = access_options(&c, "t", "t", &sargs, 0, &[]);
-        let elim_cost = filtered[0].access.est_cost;
+        let full_cost = paths("SELECT a FROM t", &config, 100)[0].0.est_cost;
+        let filtered = paths("SELECT a FROM t WHERE d BETWEEN 150 AND 250", &config, 100);
+        let elim_cost = filtered[0].0.est_cost;
         assert!(elim_cost < full_cost * 0.35, "elim={elim_cost} full={full_cost}");
-        assert!(filtered[0].access.partition_fraction <= 0.25);
-        assert!(filtered[0].partitioned_on.is_some());
+        assert!(filtered[0].0.partition_fraction <= 0.25);
+        assert!(filtered[0].2, "the scan retains the table's partitioning");
     }
 
     #[test]
     fn covering_scan_cheaper_than_heap_for_narrow_set() {
-        let stats = StatisticsManager::new();
-        let config = Configuration::from_structures([PhysicalStructure::Index(
-            Index::non_clustered("db", "t", &["a"], &["b"]),
-        )]);
         // wide rows: 400 bytes; index leaf is ~33 bytes
-        let sizes = FixedSizes::default().with_table("db", "t", 1_000_000, 400);
-        let c = ctx(&stats, &config, &sizes);
-        let opts = access_options(&c, "t", "t", &[], 0, &["a".to_string(), "b".to_string()]);
-        let best = best_option(opts, None).unwrap();
-        assert!(matches!(best.access.method, AccessMethod::CoveringScan { .. }));
+        let best = cheapest(paths("SELECT a, b FROM t", &nc_index(&["a"], &["b"]), 400));
+        assert!(matches!(best.method, AccessMethod::CoveringScan { .. }));
     }
 
     #[test]
     fn clustered_seek_available_and_ordered() {
-        let stats = StatisticsManager::new();
         let config = Configuration::from_structures([PhysicalStructure::Index(Index::clustered(
             "db",
             "t",
             &["a", "b"],
         ))]);
-        let sizes = FixedSizes::default().with_table("db", "t", 1_000_000, 100);
-        let c = ctx(&stats, &config, &sizes);
-        let sarg = eq_sarg("a", 5);
-        let sargs = vec![&sarg];
-        let opts = access_options(&c, "t", "t", &sargs, 0, &["a".into(), "b".into(), "z".into()]);
-        let seek = opts
-            .iter()
-            .find(|o| matches!(o.access.method, AccessMethod::ClusteredSeek { .. }))
-            .unwrap();
-        assert_eq!(seek.order.len(), 2);
-        // order-constrained choice works
-        let need = [BoundColumn::new("t", "a")];
-        let ordered = best_option(opts, Some(&need)).unwrap();
-        assert!(!ordered.order.is_empty());
+        let opts = paths("SELECT a, b, z FROM t WHERE a = 5", &config, 100);
+        let seek =
+            opts.iter().find(|o| matches!(o.0.method, AccessMethod::ClusteredSeek { .. })).unwrap();
+        assert_eq!(seek.1, 2, "rows come in (a, b) order");
     }
 
     #[test]
     fn seek_prefix_stops_at_range() {
-        let stats = StatisticsManager::new();
-        let config = Configuration::new();
+        let (cat, stats) = (catalog(), StatisticsManager::new());
         let sizes = FixedSizes::default().with_table("db", "t", 1000, 100);
-        let c = ctx(&stats, &config, &sizes);
+        let prep = prepare(
+            &cat,
+            &stats,
+            &sizes,
+            "SELECT a FROM t WHERE a = 1 AND b BETWEEN 0 AND 5 AND c = 2",
+        );
         let ix = Index::non_clustered("db", "t", &["a", "b", "c"], &[]);
-        let s1 = eq_sarg("a", 1);
-        let s2 = range_sarg("b", 0, 5);
-        let s3 = eq_sarg("c", 2);
-        let (len, _) = seek_prefix(&c, "t", &ix, &[&s1, &s2, &s3]);
+        let (len, _) = seek_prefix(&prep.select().tables[0], &ix);
         assert_eq!(len, 2, "range on b terminates the prefix; c not seekable");
     }
 
     #[test]
     fn sarg_bounds_intersect() {
-        let s1 = range_sarg("d", 0, 100);
-        let s2 = range_sarg("d", 50, 200);
-        let (lo, hi) = sarg_bounds(&[&s1, &s2], "d");
+        let range = |lo: i64, hi: i64| Sarg {
+            column: BoundColumn::new("t", "d"),
+            op: SargOp::Range {
+                low: Some((Value::Int(lo), true)),
+                high: Some((Value::Int(hi), true)),
+            },
+        };
+        let sargs = [range(0, 100), range(50, 200)];
+        let (lo, hi) = sarg_bounds(&sargs, "d");
         assert_eq!(lo, Some(&Value::Int(50)));
         assert_eq!(hi, Some(&Value::Int(100)));
     }

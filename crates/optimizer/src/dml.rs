@@ -5,9 +5,10 @@
 //! has a maintenance price, which is what makes DTA correctly recommend
 //! *nothing* for the update-dominated CUST3 workload (§7.1).
 
-use crate::access::{access_options, best_option, PlanContext, CPU_W};
+use crate::access::{best_access, PlanContext, CPU_W};
 use crate::plan::PlanNode;
-use crate::query::{BoundDml, SingleTableFilter};
+use crate::prepared::{PreparedDml, PreparedTable};
+use crate::query::BoundDml;
 use dta_physical::IndexKind;
 
 /// Page writes charged per modified row per affected index.
@@ -19,13 +20,14 @@ pub const INDEX_MAINT_PAGES: f64 = 1.5;
 pub const VIEW_MAINT_PAGES_PER_TABLE: f64 = 2.0;
 
 /// Plan (and cost) a DML statement under a configuration.
-pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
-    match dml {
+pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
+    let key = d.target.facts.key;
+    match &d.dml {
         BoundDml::Insert { database, table, rows } => {
             let rows_f = *rows as f64;
             let mut cost = 1.0 + rows_f * CPU_W;
             let mut maintained = Vec::new();
-            for ix in ctx.config.indexes_on(database, table) {
+            for ix in ctx.config.indexes_on_key(key) {
                 let per_row = match ix.kind {
                     IndexKind::Clustered => 1.0,
                     IndexKind::NonClustered => INDEX_MAINT_PAGES,
@@ -33,7 +35,7 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                 cost += rows_f * per_row;
                 maintained.push(ix.name());
             }
-            for v in ctx.config.views(database) {
+            for v in ctx.config.views_in(ctx.database_key) {
                 if v.tables.iter().any(|t| t == table) {
                     cost += rows_f * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
                     maintained.push(v.name());
@@ -47,11 +49,11 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                 est_cost: cost,
             }
         }
-        BoundDml::Update { database, table, set_columns, filter } => {
-            let (access, affected) = locate(ctx, database, table, filter, set_columns);
+        BoundDml::Update { table, set_columns, .. } => {
+            let (access, affected) = locate(ctx, &d.target);
             let mut cost = access.est_cost() + affected * 1.0; // base row writes
             let mut maintained = Vec::new();
-            for ix in ctx.config.indexes_on(database, table) {
+            for ix in ctx.config.indexes_on_key(key) {
                 let touches = ix.leaf_columns().any(|c| set_columns.iter().any(|sc| sc == c))
                     || ix.partitioning.as_ref().is_some_and(|p| set_columns.contains(&p.column));
                 if touches {
@@ -59,7 +61,7 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                     maintained.push(ix.name());
                 }
             }
-            for v in ctx.config.views(database) {
+            for v in ctx.config.views_in(ctx.database_key) {
                 let touches = v.tables.iter().any(|t| t == table)
                     && view_references_columns(v, table, set_columns);
                 if touches {
@@ -75,17 +77,17 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                 est_cost: cost,
             }
         }
-        BoundDml::Delete { database, table, filter } => {
-            let (access, affected) = locate(ctx, database, table, filter, &[]);
+        BoundDml::Delete { table, .. } => {
+            let (access, affected) = locate(ctx, &d.target);
             let mut cost = access.est_cost() + affected * 1.0;
             let mut maintained = Vec::new();
-            for ix in ctx.config.indexes_on(database, table) {
+            for ix in ctx.config.indexes_on_key(key) {
                 if ix.kind == IndexKind::NonClustered {
                     cost += affected * INDEX_MAINT_PAGES;
                     maintained.push(ix.name());
                 }
             }
-            for v in ctx.config.views(database) {
+            for v in ctx.config.views_in(ctx.database_key) {
                 if v.tables.iter().any(|t| t == table) {
                     cost += affected * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
                     maintained.push(v.name());
@@ -116,38 +118,20 @@ fn view_references_columns(
         || v.join_pairs.iter().any(|j| hit(&j.left) || hit(&j.right))
 }
 
-/// Best access path to locate the affected rows.
-fn locate(
-    ctx: &PlanContext<'_>,
-    database: &str,
-    table: &str,
-    filter: &SingleTableFilter,
-    set_columns: &[String],
-) -> (PlanNode, f64) {
-    debug_assert_eq!(database, ctx.database);
-    let sargs: Vec<&crate::query::Sarg> = filter.sargs.iter().collect();
-    let mut required: Vec<String> = filter.referenced.iter().cloned().collect();
-    for c in set_columns {
-        if !required.contains(c) {
-            required.push(c.clone());
-        }
-    }
-    let opts = access_options(ctx, table, table, &sargs, filter.residuals, &required);
-    let best = best_option(opts, None).expect("heap scan always available");
-    let rows = best.access.est_rows;
-    (PlanNode::Access(best.access), rows)
+/// Best access path to locate the affected rows, and how many there are.
+fn locate(ctx: &PlanContext<'_>, target: &PreparedTable) -> (PlanNode, f64) {
+    let access = best_access(ctx, target).materialize(ctx, target);
+    let rows = access.est_rows;
+    (PlanNode::Access(access), rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hardware::HardwareParams;
+    use crate::prepared::testing::prepare;
     use crate::provider::FixedSizes;
-    use crate::query::{bind, BoundStatement};
-    use crate::selectivity::Estimator;
     use dta_catalog::{Catalog, Column, ColumnType, Database, Table};
     use dta_physical::{Configuration, Index, PhysicalStructure};
-    use dta_sql::parse_statement;
     use dta_stats::StatisticsManager;
 
     fn catalog() -> Catalog {
@@ -166,24 +150,19 @@ mod tests {
         cat
     }
 
-    fn dml(cat: &Catalog, sql: &str) -> BoundDml {
-        match bind(cat, "db", &parse_statement(sql).unwrap()).unwrap() {
-            BoundStatement::Dml(d) => d,
-            other => panic!("{other:?}"),
-        }
+    fn plan(
+        cat: &Catalog,
+        stats: &StatisticsManager,
+        sql: &str,
+        config: &Configuration,
+    ) -> PlanNode {
+        let sizes = FixedSizes::default().with_table("db", "t", 100_000, 16);
+        let prep = prepare(cat, stats, &sizes, sql);
+        plan_dml(&prep.context(config), prep.dml())
     }
 
     fn cost_under(cat: &Catalog, sql: &str, config: &Configuration) -> f64 {
-        let stats = StatisticsManager::new();
-        let sizes = FixedSizes::default().with_table("db", "t", 100_000, 16);
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config,
-            sizes: &sizes,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        plan_dml(&ctx, &dml(cat, sql)).est_cost()
+        plan(cat, &StatisticsManager::new(), sql, config).est_cost()
     }
 
     #[test]
@@ -233,16 +212,8 @@ mod tests {
             row_count: 100_000,
             sample_rows: 1000,
         });
-        let sizes = FixedSizes::default().with_table("db", "t", 100_000, 16);
         let run = |config: &Configuration| {
-            let ctx = PlanContext {
-                estimator: Estimator::new(&stats, "db"),
-                config,
-                sizes: &sizes,
-                hardware: HardwareParams::default(),
-                database: "db",
-            };
-            plan_dml(&ctx, &dml(&cat, "UPDATE t SET a = 1 WHERE k = 5")).est_cost()
+            plan(&cat, &stats, "UPDATE t SET a = 1 WHERE k = 5", config).est_cost()
         };
         let cfg = Configuration::from_structures([PhysicalStructure::Index(Index::non_clustered(
             "db",
@@ -274,22 +245,13 @@ mod tests {
     #[test]
     fn maintenance_lists_populated() {
         let cat = catalog();
-        let stats = StatisticsManager::new();
-        let sizes = FixedSizes::default().with_table("db", "t", 100_000, 16);
         let cfg = Configuration::from_structures([PhysicalStructure::Index(Index::non_clustered(
             "db",
             "t",
             &["a"],
             &[],
         ))]);
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config: &cfg,
-            sizes: &sizes,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        match plan_dml(&ctx, &dml(&cat, "INSERT INTO t VALUES (1,2,3)")) {
+        match plan(&cat, &StatisticsManager::new(), "INSERT INTO t VALUES (1,2,3)", &cfg) {
             PlanNode::Insert { maintained, .. } => assert_eq!(maintained.len(), 1),
             other => panic!("{other:?}"),
         }

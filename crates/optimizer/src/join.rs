@@ -1,121 +1,117 @@
 //! Greedy join ordering with hash and index-nested-loop joins.
+//!
+//! Each step costs every remaining table as a hash-join and as an
+//! index-nested-loop candidate in plain numbers — rows, cost, width, and
+//! references to what gives the stream its order and partitioning — and
+//! builds plan nodes only for the candidate it keeps, moving the tree
+//! built so far into the new join instead of copying it per candidate.
 
-use crate::access::{access_options, best_option, PlanContext, CPU_W, SEEK_DESCENT_PAGES};
+use crate::access::{
+    best_access, key_order, leaf_width, AccessChoice, Partitioned, PlanContext, CPU_W,
+    SEEK_DESCENT_PAGES,
+};
+use crate::hardware::HardwareParams;
 use crate::plan::{AccessMethod, PlanNode, TableAccess};
-use crate::query::{BoundColumn, BoundSelect, JoinPred};
-use crate::selectivity::RESIDUAL_SEL;
-use dta_physical::{IndexKind, RangePartitioning};
-use dta_storage::{pages_for, PAGE_SIZE};
-use std::collections::BTreeSet;
+use crate::prepared::{PreparedSelect, PreparedTable};
+use crate::query::{BoundColumn, JoinPred};
+use dta_physical::{Index, IndexKind};
+use dta_storage::PAGE_SIZE;
 
-/// An in-progress join tree.
-pub struct JoinState {
+/// The numbers join costing needs about a (partial) join result.
+#[derive(Debug, Clone, Copy)]
+struct Stream<'a> {
+    rows: f64,
+    /// Cumulative cost of the subtree.
+    cost: f64,
+    /// Estimated row width in bytes.
+    width: f64,
+    /// The binding and index whose key order the rows have, if any.
+    ordered_by: Option<(&'a str, &'a Index)>,
+    /// Partitioning the stream retains.
+    partitioned_on: Option<Partitioned<'a>>,
+}
+
+/// One index an index-nested-loop join could probe a table through,
+/// costed per probe. Nothing here depends on the outer side.
+#[derive(Debug, Clone, Copy)]
+struct InlProbe<'a> {
+    index: &'a Index,
+    /// Leading key column: a join column of the table.
+    first_key: &'a str,
+    covering: bool,
+    cost_per_probe: f64,
+    rows_per_probe: f64,
+}
+
+/// A table not joined yet.
+struct Leaf<'a> {
+    table: &'a PreparedTable,
+    /// Slot of the first table with this binding name: what join
+    /// predicates on the name resolve to.
+    slot: usize,
+    /// Its cheapest access path, and the stream that path yields.
+    access: AccessChoice<'a>,
+    stream: Stream<'a>,
+    /// Filled the first time the table is costed as an inner side.
+    probes: Option<Vec<InlProbe<'a>>>,
+}
+
+/// How the winning candidate of a step joins.
+#[derive(Clone, Copy)]
+enum JoinKind<'a> {
+    Hash { partition_wise: bool },
+    IndexNL(InlProbe<'a>),
+}
+
+/// The planned join of all tables of a statement.
+pub(crate) struct JoinResult<'a> {
     pub node: PlanNode,
-    pub bindings: BTreeSet<String>,
-    /// Sort order the stream currently has.
+    /// Sort order the stream has.
     pub order: Vec<BoundColumn>,
     /// Partitioning the stream retains.
-    pub partitioned_on: Option<(BoundColumn, RangePartitioning)>,
+    pub partitioned_on: Option<Partitioned<'a>>,
     /// Estimated row width of the stream in bytes.
     pub width: f64,
-}
-
-impl JoinState {
-    fn rows(&self) -> f64 {
-        self.node.est_rows()
-    }
-
-    fn cost(&self) -> f64 {
-        self.node.est_cost()
-    }
-}
-
-fn leaf_state(ctx: &PlanContext<'_>, bound: &BoundSelect, binding: &str) -> JoinState {
-    let table = bound.table_of(binding).expect("bound binding");
-    let sargs = bound.sargs_for(binding);
-    let residuals = bound.residuals.get(binding).copied().unwrap_or(0);
-    let required = bound.referenced_for(binding);
-    let opts = access_options(ctx, binding, table, &sargs, residuals, &required);
-    let best = best_option(opts, None).expect("heap scan always available");
-    let width: f64 = required
-        .iter()
-        .map(|c| ctx.sizes.column_width(ctx.database, table, c) as f64)
-        .sum::<f64>()
-        .max(8.0);
-    JoinState {
-        node: PlanNode::Access(best.access),
-        bindings: BTreeSet::from([binding.to_string()]),
-        order: best.order,
-        partitioned_on: best.partitioned_on,
-        width,
-    }
-}
-
-/// Join predicates connecting the current set to `binding`.
-fn connecting<'p>(
-    preds: &'p [JoinPred],
-    set: &BTreeSet<String>,
-    binding: &str,
-) -> Vec<&'p JoinPred> {
-    preds
-        .iter()
-        .filter(|p| {
-            (set.contains(&p.left.binding) && p.right.binding == binding)
-                || (set.contains(&p.right.binding) && p.left.binding == binding)
-        })
-        .collect()
-}
-
-/// Combined selectivity of a set of join predicates.
-fn join_sel(ctx: &PlanContext<'_>, bound: &BoundSelect, preds: &[&JoinPred]) -> f64 {
-    let mut sel = 1.0;
-    for p in preds {
-        let lt = bound.table_of(&p.left.binding).expect("join predicates reference bound tables");
-        let rt = bound.table_of(&p.right.binding).expect("join predicates reference bound tables");
-        let lr = ctx.sizes.rows(ctx.database, lt) as f64;
-        let rr = ctx.sizes.rows(ctx.database, rt) as f64;
-        sel *= ctx.estimator.join_selectivity(lt, &p.left.column, lr, rt, &p.right.column, rr);
-    }
-    sel
 }
 
 /// Hash-join cost of combining `a` (as one side) and `b`, picking the
 /// smaller side as build. Returns `(incremental_cost, partition_wise)`.
 fn hash_join_cost(
-    ctx: &PlanContext<'_>,
-    a: &JoinState,
-    b: &JoinState,
+    hardware: HardwareParams,
+    a: &Stream<'_>,
+    b: &Stream<'_>,
     preds: &[&JoinPred],
     out_rows: f64,
 ) -> (f64, bool) {
-    let (build, probe) = if a.rows() <= b.rows() { (a, b) } else { (b, a) };
-    let build_bytes = build.rows() * build.width;
-    let probe_bytes = probe.rows() * probe.width;
+    let (build, probe) = if a.rows <= b.rows { (a, b) } else { (b, a) };
+    let build_bytes = build.rows * build.width;
+    let probe_bytes = probe.rows * probe.width;
 
     // co-partitioned inputs on the join keys let each partition's hash
     // table fit in a fraction of the memory
     let partition_wise = match (&a.partitioned_on, &b.partitioned_on) {
-        (Some((ca, pa)), Some((cb, pb))) => {
-            pa.boundaries == pb.boundaries
-                && preds
-                    .iter()
-                    .any(|p| (p.left == *ca && p.right == *cb) || (p.left == *cb && p.right == *ca))
+        (Some(pa), Some(pb)) => {
+            pa.scheme.boundaries == pb.scheme.boundaries
+                && preds.iter().any(|p| {
+                    (pa.is_on(&p.left) && pb.is_on(&p.right))
+                        || (pb.is_on(&p.left) && pa.is_on(&p.right))
+                })
         }
         _ => false,
     };
-    let mem = ctx.hardware.memory_bytes as f64
+    let mem = hardware.memory_bytes as f64
         * if partition_wise {
             match &a.partitioned_on {
-                Some((_, p)) => p.partition_count() as f64,
+                Some(p) => p.scheme.partition_count() as f64,
                 None => 1.0,
             }
         } else {
             1.0
         };
 
-    let mut cpu = 2.0 * build.rows() + probe.rows() + out_rows;
+    let mut cpu = 2.0 * build.rows + probe.rows + out_rows;
     let total_pages = (build_bytes + probe_bytes) / PAGE_SIZE as f64;
-    cpu /= ctx.hardware.parallel_factor(total_pages);
+    cpu /= hardware.parallel_factor(total_pages);
     let mut io = 0.0;
     if build_bytes > mem {
         // grace hash join: write and re-read both inputs
@@ -124,167 +120,242 @@ fn hash_join_cost(
     (io + cpu * CPU_W, partition_wise)
 }
 
-/// Index-nested-loop cost: probe `inner` once per outer row via an index
-/// whose leading key is the join column. Returns the inner access spec
-/// and the incremental cost, if any suitable index exists.
-fn inl_join(
-    ctx: &PlanContext<'_>,
-    bound: &BoundSelect,
-    outer: &JoinState,
-    inner_binding: &str,
-    preds: &[&JoinPred],
-) -> Option<(TableAccess, f64)> {
-    let inner_table = bound.table_of(inner_binding)?;
-    let inner_rows = ctx.sizes.rows(ctx.database, inner_table) as f64;
-    let required = bound.referenced_for(inner_binding);
-    let inner_sargs = bound.sargs_for(inner_binding);
-    let inner_residuals = bound.residuals.get(inner_binding).copied().unwrap_or(0);
-    let local_sel = ctx.estimator.table_selectivity(inner_table, &inner_sargs, inner_residuals);
-
-    // join columns on the inner side
-    let join_cols: Vec<&str> =
-        preds.iter().filter_map(|p| p.side_for(inner_binding).map(|c| c.column.as_str())).collect();
-
-    let mut best: Option<(TableAccess, f64)> = None;
-    for ix in ctx.config.indexes_on(ctx.database, inner_table) {
+/// Every index whose leading key is a join column of `t`, costed as the
+/// inner side of an index-nested-loop join, in configuration order.
+fn inl_probes<'a>(ctx: &PlanContext<'a>, t: &'a PreparedTable) -> Vec<InlProbe<'a>> {
+    let inner_rows = t.facts.rows;
+    let mut probes = Vec::new();
+    for ix in ctx.config.indexes_on_key(t.facts.key) {
         let Some(first_key) = ix.key_columns.first() else { continue };
-        if !join_cols.contains(&first_key.as_str()) {
+        let Some((_, distinct)) = t.join_distinct.iter().find(|(c, _)| c == first_key) else {
+            continue;
+        };
+        let covering = ix.kind == IndexKind::Clustered || ix.covers(&t.required);
+        let matched_per_probe = (inner_rows / distinct).max(0.0);
+        let leaf_pages = t.facts.leaf_pages(if ix.kind == IndexKind::Clustered {
+            t.facts.row_width
+        } else {
+            leaf_width(t, ix)
+        });
+        let leaf_per_probe = (leaf_pages / distinct).min(matched_per_probe).max(0.06);
+        let lookups = if covering { 0.0 } else { matched_per_probe * t.out_sel };
+        probes.push(InlProbe {
+            index: ix,
+            first_key,
+            covering,
+            cost_per_probe: SEEK_DESCENT_PAGES * 0.5 // upper levels cache well under repeated probes
+                + leaf_per_probe
+                + lookups
+                + matched_per_probe * CPU_W,
+            rows_per_probe: matched_per_probe * t.out_sel,
+        });
+    }
+    probes
+}
+
+impl InlProbe<'_> {
+    /// The inner access node of the join.
+    fn materialize(&self, ctx: &PlanContext<'_>, t: &PreparedTable) -> TableAccess {
+        TableAccess {
+            database: ctx.database.to_string(),
+            table: t.facts.table.clone(),
+            binding: t.binding.clone(),
+            method: if self.index.kind == IndexKind::Clustered {
+                AccessMethod::ClusteredSeek { index: self.index.clone(), seek_len: 1 }
+            } else {
+                AccessMethod::IndexSeek {
+                    index: self.index.clone(),
+                    seek_len: 1,
+                    covering: self.covering,
+                }
+            },
+            sargs: t.sargs.clone(),
+            residuals: t.residuals,
+            partition_fraction: 1.0,
+            est_rows: self.rows_per_probe,
+            est_cost: self.cost_per_probe,
+        }
+    }
+}
+
+/// Index-nested-loop cost: probe `inner` once per outer row via an index
+/// whose leading key is a join column of `preds`. Returns the cheapest
+/// probe (the first of equally cheap ones) and the cost of all probes.
+fn inl_join<'a>(
+    outer_rows: f64,
+    inner: &str,
+    probes: &[InlProbe<'a>],
+    preds: &[&JoinPred],
+) -> Option<(InlProbe<'a>, f64)> {
+    let mut best: Option<(InlProbe<'a>, f64)> = None;
+    for probe in probes {
+        let on_join_column =
+            preds.iter().filter_map(|p| p.side_for(inner)).any(|c| c.column == probe.first_key);
+        if !on_join_column {
             continue;
         }
-        let covering = ix.kind == IndexKind::Clustered || ix.covers(&required);
-        let distinct = ctx.estimator.distinct_count(inner_table, first_key, inner_rows.max(1.0));
-        let matched_per_probe = (inner_rows / distinct).max(0.0);
-        let leaf_width: u32 = if ix.kind == IndexKind::Clustered {
-            ctx.sizes.row_width(ctx.database, inner_table)
-        } else {
-            ix.leaf_columns()
-                .map(|c| ctx.sizes.column_width(ctx.database, inner_table, c))
-                .sum::<u32>()
-                + dta_physical::sizing::ROW_LOCATOR_BYTES
-                + dta_physical::sizing::ROW_OVERHEAD_BYTES
-        };
-        let leaf_pages = pages_for(inner_rows as u64, leaf_width) as f64;
-        let leaf_per_probe = (leaf_pages / distinct).min(matched_per_probe).max(0.06);
-        let lookups = if covering { 0.0 } else { matched_per_probe * local_sel };
-        let per_probe = SEEK_DESCENT_PAGES * 0.5 // upper levels cache well under repeated probes
-            + leaf_per_probe
-            + lookups
-            + matched_per_probe * CPU_W;
-        let out_per_probe = matched_per_probe * local_sel;
-        let cost_per_probe = per_probe;
-        let access = TableAccess {
-            database: ctx.database.to_string(),
-            table: inner_table.to_string(),
-            binding: inner_binding.to_string(),
-            method: if ix.kind == IndexKind::Clustered {
-                AccessMethod::ClusteredSeek { index: ix.clone(), seek_len: 1 }
-            } else {
-                AccessMethod::IndexSeek { index: ix.clone(), seek_len: 1, covering }
-            },
-            sargs: inner_sargs.iter().map(|s| (*s).clone()).collect(),
-            residuals: inner_residuals,
-            partition_fraction: 1.0,
-            est_rows: out_per_probe,
-            est_cost: cost_per_probe,
-        };
-        let total = outer.rows() * cost_per_probe;
+        let total = outer_rows * probe.cost_per_probe;
         if best.as_ref().is_none_or(|(_, c)| total < *c) {
-            best = Some((access, total));
+            best = Some((*probe, total));
         }
     }
     best
 }
 
-/// Plan the join of all tables in `bound`, returning the resulting state.
-pub fn plan_joins(ctx: &PlanContext<'_>, bound: &BoundSelect) -> JoinState {
-    let mut leaves: Vec<JoinState> =
-        bound.tables.iter().map(|t| leaf_state(ctx, bound, &t.binding)).collect();
+/// Plan the join of all tables of `q`.
+pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> JoinResult<'a> {
+    let mut leaves: Vec<Leaf<'a>> = q
+        .tables
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let access = best_access(ctx, t);
+            Leaf {
+                table: t,
+                slot: q.tables.iter().position(|first| first.binding == t.binding).unwrap_or(i),
+                access,
+                stream: Stream {
+                    rows: t.out_rows,
+                    cost: access.cost,
+                    width: t.required_width,
+                    ordered_by: access.ordered_by.map(|ix| (t.binding.as_str(), ix)),
+                    partitioned_on: access
+                        .partitioned_on
+                        .map(|scheme| Partitioned { binding: &t.binding, scheme }),
+                },
+                probes: None,
+            }
+        })
+        .collect();
 
     // start from the smallest estimated leaf
     let start = leaves
         .iter()
         .enumerate()
-        .min_by(|(_, a), (_, b)| a.rows().total_cmp(&b.rows()))
+        .min_by(|(_, a), (_, b)| a.stream.rows.total_cmp(&b.stream.rows))
         .map(|(i, _)| i)
         .expect("at least one table");
-    let mut cur = leaves.swap_remove(start);
+    let first = leaves.swap_remove(start);
+    let mut cur = first.stream;
+    let mut node = PlanNode::Access(first.access.materialize(ctx, first.table));
+    // by slot: whether a table of that binding name is in the tree
+    let mut joined = vec![false; q.tables.len()];
+    mark_joined(&mut joined, first.slot);
 
+    // join predicates connecting the joined set to the candidate at hand,
+    // and those of the best candidate so far
+    let mut preds: Vec<&JoinPred> = Vec::new();
+    let mut best_preds: Vec<&JoinPred> = Vec::new();
     while !leaves.is_empty() {
         // candidates connected by a join predicate, or everything if none
-        let mut best: Option<(usize, f64, JoinState)> = None;
-        for (i, cand) in leaves.iter().enumerate() {
-            let binding = cand.bindings.iter().next().expect("leaf has one binding").clone();
-            let preds = connecting(&bound.joins, &cur.bindings, &binding);
-            let sel = if preds.is_empty() { 1.0 } else { join_sel(ctx, bound, &preds) };
-            let out_rows = (cur.rows() * cand.rows() * sel).max(0.0);
+        let mut best: Option<(usize, f64, f64, JoinKind<'a>)> = None;
+        for (i, cand) in leaves.iter_mut().enumerate() {
+            let is_joined = |slot: usize| joined.get(slot).copied().unwrap_or(false);
+            preds.clear();
+            let mut sel = 1.0;
+            for (p, pj) in q.bound.joins.iter().zip(&q.joins) {
+                if (is_joined(pj.left) && pj.right == cand.slot)
+                    || (is_joined(pj.right) && pj.left == cand.slot)
+                {
+                    preds.push(p);
+                    sel *= pj.sel;
+                }
+            }
+            let out_rows = (cur.rows * cand.stream.rows * sel).max(0.0);
 
             // hash join option
-            let (hj_incr, partition_wise) = hash_join_cost(ctx, &cur, cand, &preds, out_rows);
-            let hj_total = cur.cost()
-                + cand.cost()
+            let (hj_incr, partition_wise) =
+                hash_join_cost(ctx.hardware, &cur, &cand.stream, &preds, out_rows);
+            let hj_total = cur.cost
+                + cand.stream.cost
                 + hj_incr
                 + if preds.is_empty() {
                     // discourage cross joins strongly
-                    cur.rows() * cand.rows() * CPU_W * 10.0
+                    cur.rows * cand.stream.rows * CPU_W * 10.0
                 } else {
                     0.0
                 };
             let mut choice_cost = hj_total;
-            let mut choice = JoinState {
-                node: PlanNode::HashJoin {
-                    left: Box::new(cur.node.clone()),
-                    right: Box::new(cand.node.clone()),
-                    pairs: preds.iter().map(|p| (*p).clone()).collect(),
-                    partition_wise,
-                    est_rows: out_rows,
-                    est_cost: hj_total,
-                },
-                bindings: cur.bindings.union(&cand.bindings).cloned().collect(),
-                order: Vec::new(), // hash join destroys order
-                partitioned_on: if partition_wise { cur.partitioned_on.clone() } else { None },
-                width: cur.width + cand.width,
-            };
+            let mut choice = JoinKind::Hash { partition_wise };
 
             // index-nested-loop option (candidate as inner)
             if !preds.is_empty() {
-                if let Some((inner_access, probe_cost)) =
-                    inl_join(ctx, bound, &cur, &binding, &preds)
+                let table = cand.table;
+                let probes = cand.probes.get_or_insert_with(|| inl_probes(ctx, table));
+                if let Some((probe, probe_cost)) =
+                    inl_join(cur.rows, &table.binding, probes, &preds)
                 {
-                    let inl_total = cur.cost() + probe_cost + out_rows * CPU_W;
+                    let inl_total = cur.cost + probe_cost + out_rows * CPU_W;
                     if inl_total < choice_cost {
                         choice_cost = inl_total;
-                        choice = JoinState {
-                            node: PlanNode::IndexNLJoin {
-                                outer: Box::new(cur.node.clone()),
-                                inner: inner_access,
-                                pairs: preds.iter().map(|p| (*p).clone()).collect(),
-                                est_rows: out_rows,
-                                est_cost: inl_total,
-                            },
-                            bindings: cur.bindings.union(&cand.bindings).cloned().collect(),
-                            order: cur.order.clone(), // outer order preserved
-                            partitioned_on: None,
-                            width: cur.width + cand.width,
-                        };
+                        choice = JoinKind::IndexNL(probe);
                     }
                 }
             }
 
-            if best.as_ref().is_none_or(|(_, c, _)| choice_cost < *c) {
-                best = Some((i, choice_cost, choice));
+            if best.as_ref().is_none_or(|(_, c, _, _)| choice_cost < *c) {
+                best = Some((i, choice_cost, out_rows, choice));
+                std::mem::swap(&mut preds, &mut best_preds);
             }
         }
-        let (idx, _, state) = best.expect("non-empty leaves");
-        leaves.swap_remove(idx);
-        cur = state;
+        let (idx, est_cost, est_rows, kind) = best.expect("non-empty leaves");
+        let leaf = leaves.swap_remove(idx);
+        let pairs: Vec<JoinPred> = best_preds.iter().map(|p| (*p).clone()).collect();
+        let width = cur.width + leaf.stream.width;
+        match kind {
+            JoinKind::Hash { partition_wise } => {
+                node = PlanNode::HashJoin {
+                    left: Box::new(node),
+                    right: Box::new(PlanNode::Access(leaf.access.materialize(ctx, leaf.table))),
+                    pairs,
+                    partition_wise,
+                    est_rows,
+                    est_cost,
+                };
+                cur = Stream {
+                    rows: est_rows,
+                    cost: est_cost,
+                    width,
+                    ordered_by: None, // hash join destroys order
+                    partitioned_on: if partition_wise { cur.partitioned_on } else { None },
+                };
+            }
+            JoinKind::IndexNL(probe) => {
+                node = PlanNode::IndexNLJoin {
+                    outer: Box::new(node),
+                    inner: probe.materialize(ctx, leaf.table),
+                    pairs,
+                    est_rows,
+                    est_cost,
+                };
+                cur = Stream {
+                    rows: est_rows,
+                    cost: est_cost,
+                    width,
+                    ordered_by: cur.ordered_by, // outer order preserved
+                    partitioned_on: None,
+                };
+            }
+        }
+        mark_joined(&mut joined, leaf.slot);
     }
 
     // cross-table residuals reduce output cardinality
-    if bound.cross_residuals > 0 {
-        let factor = RESIDUAL_SEL.powi(bound.cross_residuals as i32);
-        scale_rows(&mut cur.node, factor);
+    if q.bound.cross_residuals > 0 {
+        scale_rows(&mut node, q.cross_residual_factor);
     }
-    cur
+    JoinResult {
+        node,
+        order: cur.ordered_by.map(|(binding, ix)| key_order(binding, ix)).unwrap_or_default(),
+        partitioned_on: cur.partitioned_on,
+        width: cur.width,
+    }
+}
+
+fn mark_joined(joined: &mut [bool], slot: usize) {
+    if let Some(j) = joined.get_mut(slot) {
+        *j = true;
+    }
 }
 
 fn scale_rows(node: &mut PlanNode, factor: f64) {
@@ -306,13 +377,10 @@ fn scale_rows(node: &mut PlanNode, factor: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hardware::HardwareParams;
+    use crate::prepared::testing::prepare;
     use crate::provider::FixedSizes;
-    use crate::query::{bind, BoundStatement};
-    use crate::selectivity::Estimator;
     use dta_catalog::{Catalog, Column, ColumnType, Database, Table};
-    use dta_physical::{Configuration, Index, PhysicalStructure};
-    use dta_sql::parse_statement;
+    use dta_physical::{Configuration, PhysicalStructure};
     use dta_stats::StatisticsManager;
 
     fn catalog() -> Catalog {
@@ -347,44 +415,39 @@ mod tests {
         cat
     }
 
-    fn sizes() -> FixedSizes {
-        FixedSizes::default()
+    /// The join tree of `sql` under `config`.
+    fn joined(sql: &str, config: &Configuration) -> PlanNode {
+        let (cat, stats) = (catalog(), StatisticsManager::new());
+        let sizes = FixedSizes::default()
             .with_table("db", "orders", 150_000, 24)
             .with_table("db", "lineitem", 600_000, 16)
-            .with_table("db", "customer", 15_000, 33)
+            .with_table("db", "customer", 15_000, 33);
+        let prep = prepare(&cat, &stats, &sizes, sql);
+        plan_joins(&prep.context(config), prep.select()).node
     }
 
-    fn bound(cat: &Catalog, sql: &str) -> BoundSelect {
-        match bind(cat, "db", &parse_statement(sql).unwrap()).unwrap() {
-            BoundStatement::Select(s) => s,
-            other => panic!("{other:?}"),
+    fn accesses(node: &PlanNode) -> usize {
+        match node {
+            PlanNode::Access(_) => 1,
+            PlanNode::HashJoin { left, right, .. } => accesses(left) + accesses(right),
+            PlanNode::IndexNLJoin { outer, .. } => accesses(outer) + 1,
+            other => panic!("not a join tree: {other}"),
         }
     }
 
     #[test]
     fn two_table_hash_join() {
-        let cat = catalog();
-        let stats = StatisticsManager::new();
-        let config = Configuration::new();
-        let sz = sizes();
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config: &config,
-            sizes: &sz,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        let b = bound(&cat, "SELECT o_date FROM orders, lineitem WHERE o_orderkey = l_orderkey");
-        let state = plan_joins(&ctx, &b);
-        assert_eq!(state.bindings.len(), 2);
-        assert!(matches!(state.node, PlanNode::HashJoin { .. }));
-        assert!(state.node.est_cost() > 0.0);
+        let node = joined(
+            "SELECT o_date FROM orders, lineitem WHERE o_orderkey = l_orderkey",
+            &Configuration::new(),
+        );
+        assert_eq!(accesses(&node), 2);
+        assert!(matches!(node, PlanNode::HashJoin { .. }));
+        assert!(node.est_cost() > 0.0);
     }
 
     #[test]
     fn index_enables_nested_loop() {
-        let cat = catalog();
-        let stats = StatisticsManager::new();
         // selective predicate on customer + index on orders join column
         let config = Configuration::from_structures([
             PhysicalStructure::Index(Index::non_clustered("db", "customer", &["c_name"], &[])),
@@ -395,64 +458,27 @@ mod tests {
                 &["o_date"],
             )),
         ]);
-        let sz = sizes();
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config: &config,
-            sizes: &sz,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        let b = bound(
-            &cat,
+        let node = joined(
             "SELECT o_date FROM customer, orders WHERE c_custkey = o_custkey AND c_name = 'Customer#1'",
+            &config,
         );
-        let state = plan_joins(&ctx, &b);
-        assert!(
-            matches!(state.node, PlanNode::IndexNLJoin { .. }),
-            "expected INL, got:\n{}",
-            state.node
-        );
+        assert!(matches!(node, PlanNode::IndexNLJoin { .. }), "expected INL, got:\n{node}");
     }
 
     #[test]
     fn three_table_join_covers_all_bindings() {
-        let cat = catalog();
-        let stats = StatisticsManager::new();
-        let config = Configuration::new();
-        let sz = sizes();
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config: &config,
-            sizes: &sz,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        let b = bound(
-            &cat,
+        let node = joined(
             "SELECT c_name FROM customer, orders, lineitem WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey",
+            &Configuration::new(),
         );
-        let state = plan_joins(&ctx, &b);
-        assert_eq!(state.bindings.len(), 3);
+        assert_eq!(accesses(&node), 3);
     }
 
     #[test]
     fn cross_join_fallback() {
-        let cat = catalog();
-        let stats = StatisticsManager::new();
-        let config = Configuration::new();
-        let sz = sizes();
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config: &config,
-            sizes: &sz,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        let b = bound(&cat, "SELECT c_name FROM customer, lineitem");
-        let state = plan_joins(&ctx, &b);
-        assert_eq!(state.bindings.len(), 2);
+        let node = joined("SELECT c_name FROM customer, lineitem", &Configuration::new());
+        assert_eq!(accesses(&node), 2);
         // the cross join is very expensive
-        assert!(state.node.est_cost() > 1000.0);
+        assert!(node.est_cost() > 1000.0);
     }
 }

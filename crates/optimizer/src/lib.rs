@@ -21,6 +21,8 @@
 //! * [`views`] — materialized-view matching;
 //! * [`dml`] — update/insert/delete costing including index and view
 //!   maintenance;
+//! * [`prepared`] — a statement bound and estimated once, for any number
+//!   of configurations ([`PreparedStatement`]);
 //! * [`whatif`] — the [`WhatIfOptimizer`] facade: `optimize(query,
 //!   configuration)` returns a [`plan::Plan`] whose estimated cost is in
 //!   the same work units the execution engine meters, and whose
@@ -32,6 +34,7 @@ pub mod dml;
 pub mod hardware;
 pub mod join;
 pub mod plan;
+pub mod prepared;
 pub mod provider;
 pub mod query;
 pub mod selectivity;
@@ -40,6 +43,7 @@ pub mod whatif;
 
 pub use hardware::HardwareParams;
 pub use plan::{Plan, PlanNode};
+pub use prepared::PreparedStatement;
 pub use provider::TableStatsProvider;
 pub use query::{BindError, BoundSelect, Sarg, SargOp};
-pub use whatif::WhatIfOptimizer;
+pub use whatif::{optimize_prepared, WhatIfOptimizer};

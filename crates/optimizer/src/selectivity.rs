@@ -1,6 +1,6 @@
 //! Cardinality estimation from statistics.
 
-use crate::query::{BoundColumn, Sarg, SargOp};
+use crate::query::{Sarg, SargOp};
 use dta_catalog::Value;
 use dta_stats::histogram::fallback;
 use dta_stats::StatisticsManager;
@@ -11,8 +11,11 @@ pub const RESIDUAL_SEL: f64 = 0.33;
 /// Floor applied to every estimate so costs stay well-behaved.
 pub const MIN_SEL: f64 = 1e-7;
 
-/// Estimator over a statistics manager. `binding → table` resolution is
-/// the caller's job; all methods take catalog table names.
+/// Predicate-selectivity estimator over a statistics manager, used when
+/// a statement is prepared (distinct counts and join selectivities are
+/// estimated there, over the facts gathered per table).
+/// `binding → table` resolution is the caller's job; all methods take
+/// catalog table names.
 pub struct Estimator<'a> {
     pub stats: &'a StatisticsManager,
     pub database: &'a str,
@@ -60,78 +63,7 @@ impl<'a> Estimator<'a> {
     }
 
     fn eq_from_density(&self, table: &str, col: &str) -> Option<f64> {
-        self.stats
-            .scaled_distinct(self.database, table, &[col.to_string()])
-            .map(|d| 1.0 / d.max(1.0))
-    }
-
-    /// Combined selectivity of several sargs plus residual conjuncts on
-    /// one table (independence assumption).
-    pub fn table_selectivity(&self, table: &str, sargs: &[&Sarg], residuals: usize) -> f64 {
-        let mut sel = 1.0;
-        for s in sargs {
-            sel *= self.sarg_selectivity(table, s);
-        }
-        sel *= RESIDUAL_SEL.powi(residuals as i32);
-        sel.clamp(MIN_SEL, 1.0)
-    }
-
-    /// Estimated distinct count of one column, given the table's row
-    /// count as a cap.
-    pub fn distinct_count(&self, table: &str, column: &str, table_rows: f64) -> f64 {
-        if let Some(d) = self.stats.scaled_distinct(self.database, table, &[column.to_string()]) {
-            return d.clamp(1.0, table_rows.max(1.0));
-        }
-        if let Some(h) = self.stats.histogram(self.database, table, column) {
-            if !h.is_empty() {
-                return h.distinct_count().clamp(1.0, table_rows.max(1.0));
-            }
-        }
-        // textbook default: 10% of rows are distinct
-        (table_rows * 0.1).max(1.0)
-    }
-
-    /// Join selectivity of `lt.lc = rt.rc`: `1 / max(d_l, d_r)`.
-    pub fn join_selectivity(
-        &self,
-        left_table: &str,
-        left_col: &str,
-        left_rows: f64,
-        right_table: &str,
-        right_col: &str,
-        right_rows: f64,
-    ) -> f64 {
-        let dl = self.distinct_count(left_table, left_col, left_rows);
-        let dr = self.distinct_count(right_table, right_col, right_rows);
-        (1.0 / dl.max(dr)).clamp(MIN_SEL, 1.0)
-    }
-
-    /// Estimated number of groups for a GROUP BY over `columns`
-    /// (`(table, column)` pairs), given the input cardinality.
-    ///
-    /// Uses a multi-column density when one statistic covers the whole
-    /// set on a single table, otherwise the product of per-column
-    /// distincts, always capped by the input cardinality.
-    pub fn group_count(&self, columns: &[(String, BoundColumn)], input_rows: f64) -> f64 {
-        if columns.is_empty() {
-            return 1.0;
-        }
-        // single-table group set: try exact density
-        let Some((first_table, _)) = columns.first() else { return 1.0 };
-        if columns.iter().all(|(t, _)| t == first_table) {
-            let cols: Vec<String> = columns.iter().map(|(_, c)| c.column.clone()).collect();
-            if let Some(d) = self.stats.scaled_distinct(self.database, first_table, &cols) {
-                return d.clamp(1.0, input_rows.max(1.0));
-            }
-        }
-        let mut groups = 1.0;
-        for (t, c) in columns {
-            groups *= self.distinct_count(t, &c.column, input_rows);
-            if groups > input_rows {
-                break;
-            }
-        }
-        groups.clamp(1.0, input_rows.max(1.0))
+        self.stats.scaled_distinct(self.database, table, &[col]).map(|d| 1.0 / d.max(1.0))
     }
 }
 
@@ -176,7 +108,7 @@ mod tests {
     }
 
     fn sarg(col: &str, op: SargOp) -> Sarg {
-        Sarg { column: BoundColumn::new("t", col), op }
+        Sarg { column: crate::query::BoundColumn::new("t", col), op }
     }
 
     #[test]
@@ -222,53 +154,6 @@ mod tests {
             &sarg("g", SargOp::In(vec![Value::Int(1), Value::Int(2), Value::Int(3)])),
         );
         assert!((three - 3.0 * one).abs() < 0.02, "one={one} three={three}");
-    }
-
-    #[test]
-    fn combined_with_residuals() {
-        let m = stats();
-        let e = Estimator::new(&m, "db");
-        let s1 = sarg("g", SargOp::Eq(Value::Int(3)));
-        let sel = e.table_selectivity("t", &[&s1], 1);
-        assert!((sel - 0.1 * RESIDUAL_SEL).abs() < 0.02);
-    }
-
-    #[test]
-    fn distinct_counts() {
-        let m = stats();
-        let e = Estimator::new(&m, "db");
-        assert!((e.distinct_count("t", "g", 1000.0) - 10.0).abs() < 1e-6);
-        assert!((e.distinct_count("t", "a", 1000.0) - 1000.0).abs() < 1e-6);
-        // unknown column: 10% default
-        assert!((e.distinct_count("t", "zzz", 1000.0) - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn join_selectivity_uses_max_distinct() {
-        let m = stats();
-        let e = Estimator::new(&m, "db");
-        let s = e.join_selectivity("t", "a", 1000.0, "t", "g", 1000.0);
-        assert!((s - 0.001).abs() < 1e-6);
-    }
-
-    #[test]
-    fn group_counts() {
-        let m = stats();
-        let e = Estimator::new(&m, "db");
-        let g = e.group_count(&[("t".to_string(), BoundColumn::new("t", "g"))], 1000.0);
-        assert!((g - 10.0).abs() < 1e-6);
-        // multi-column with exact density for (g, a)
-        let g2 = e.group_count(
-            &[
-                ("t".to_string(), BoundColumn::new("t", "g")),
-                ("t".to_string(), BoundColumn::new("t", "a")),
-            ],
-            1000.0,
-        );
-        assert!((g2 - 1000.0).abs() < 1e-6);
-        // capped by input rows
-        let g3 = e.group_count(&[("t".to_string(), BoundColumn::new("t", "a"))], 50.0);
-        assert!(g3 <= 50.0);
     }
 
     #[test]

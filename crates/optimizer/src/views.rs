@@ -7,62 +7,27 @@
 //! group-by plus all filter columns, and the query's aggregates to be
 //! derivable from the view's (directly, or by re-aggregation for
 //! SUM/COUNT/MIN/MAX when the view groups more finely).
+//!
+//! The query's side of the match — its join graph, its table-qualified
+//! columns, the cardinality of its join — is a [`ViewMatch`] prepared
+//! once; only what a particular view adds is worked out per call.
 
 use crate::access::{elimination_fraction, PlanContext, CPU_W};
 use crate::plan::PlanNode;
-use crate::query::{BoundColumn, BoundSelect, Sarg};
-use dta_physical::{JoinPair, MaterializedView, QualifiedColumn};
+use crate::prepared::{view_row_width, view_rows, PreparedSelect};
+use dta_physical::{MaterializedView, QualifiedColumn};
 use dta_sql::AggFunc;
 use dta_storage::pages_for;
-use std::collections::BTreeMap;
 
 /// A usable view rewrite.
-pub struct ViewPlan {
+pub(crate) struct ViewPlan {
     /// The `ViewScan` node (cost/cardinality filled in).
     pub scan: PlanNode,
     /// Whether the view already answers the query's grouping exactly
     /// (no re-aggregation needed). Meaningless for non-aggregate queries.
     pub answers_grouping: bool,
-}
-
-/// Estimated row count of a materialized view (group count for grouped
-/// views, join cardinality otherwise).
-pub fn estimate_view_rows(ctx: &PlanContext<'_>, view: &MaterializedView) -> f64 {
-    // join cardinality of the view's FROM
-    let mut rows = 1.0;
-    for t in &view.tables {
-        rows *= (ctx.sizes.rows(ctx.database, t) as f64).max(1.0);
-    }
-    for jp in &view.join_pairs {
-        let lr = ctx.sizes.rows(ctx.database, &jp.left.table) as f64;
-        let rr = ctx.sizes.rows(ctx.database, &jp.right.table) as f64;
-        rows *= ctx.estimator.join_selectivity(
-            &jp.left.table,
-            &jp.left.column,
-            lr,
-            &jp.right.table,
-            &jp.right.column,
-            rr,
-        );
-    }
-    if !view.is_grouped() {
-        return rows.max(1.0);
-    }
-    let cols: Vec<(String, BoundColumn)> = view
-        .group_by
-        .iter()
-        .map(|qc| (qc.table.clone(), BoundColumn::new(&qc.table, &qc.column)))
-        .collect();
-    ctx.estimator.group_count(&cols, rows).max(1.0)
-}
-
-/// Materialized width in bytes of one view row.
-pub fn view_row_width(ctx: &PlanContext<'_>, view: &MaterializedView) -> u32 {
-    let produced = if view.is_grouped() { &view.group_by } else { &view.projected };
-    let mut w: u32 =
-        produced.iter().map(|c| ctx.sizes.column_width(ctx.database, &c.table, &c.column)).sum();
-    w += 8 * view.aggregates.len() as u32;
-    w + dta_physical::sizing::ROW_OVERHEAD_BYTES
+    /// Materialized width in bytes of one view row.
+    pub width: u32,
 }
 
 /// Can `agg` be answered from the view's aggregate list, possibly with
@@ -98,117 +63,58 @@ fn aggregate_available(
 
 /// Try to match every view in the configuration against the query;
 /// returns all usable rewrites.
-pub fn view_plans(ctx: &PlanContext<'_>, bound: &BoundSelect) -> Vec<ViewPlan> {
-    // self-joins make binding→table translation ambiguous; skip
-    let mut table_to_binding: BTreeMap<&str, &str> = BTreeMap::new();
-    for t in &bound.tables {
-        if table_to_binding.insert(t.table.as_str(), t.binding.as_str()).is_some() {
-            return Vec::new();
-        }
-    }
-    let to_table = |bc: &BoundColumn| -> Option<QualifiedColumn> {
-        bound.table_of(&bc.binding).map(|t| QualifiedColumn::new(t, &bc.column))
-    };
-
-    // the query's join pairs in table-qualified normalized form
-    let mut q_pairs: Vec<JoinPair> = Vec::new();
-    for jp in &bound.joins {
-        let (Some(l), Some(r)) = (to_table(&jp.left), to_table(&jp.right)) else {
-            return Vec::new();
-        };
-        q_pairs.push(JoinPair::new(l, r));
-    }
-    q_pairs.sort();
-    q_pairs.dedup();
-
-    let mut q_tables: Vec<&str> = bound.tables.iter().map(|t| t.table.as_str()).collect();
-    q_tables.sort_unstable();
+pub(crate) fn view_plans(ctx: &PlanContext<'_>, q: &PreparedSelect) -> Vec<ViewPlan> {
+    let Some(m) = &q.views else { return Vec::new() };
+    let bound = &q.bound;
 
     let mut out = Vec::new();
-    'views: for view in ctx.config.views(ctx.database) {
+    'views: for view in ctx.config.views_in(ctx.database_key) {
         // --- full-match join graph ------------------------------------
-        let v_tables: Vec<&str> = view.tables.iter().map(String::as_str).collect();
-        if v_tables != q_tables {
+        if view.tables != m.tables || view.join_pairs != m.pairs {
             continue;
         }
-        if view.join_pairs != q_pairs {
-            continue;
-        }
-        // residual predicates cannot be evaluated against a view that may
-        // not produce their columns; be conservative
-        if bound.cross_residuals > 0 || !bound.residuals.is_empty() {
-            continue;
-        }
-
-        let q_groups: Vec<QualifiedColumn> =
-            match bound.group_by.iter().map(to_table).collect::<Option<Vec<_>>>() {
-                Some(g) => g,
-                None => continue,
-            };
 
         let produced: &[QualifiedColumn] =
             if view.is_grouped() { &view.group_by } else { &view.projected };
         let produces = |qc: &QualifiedColumn| produced.iter().any(|p| p == qc);
 
         // every sarg column must be produced by the view
-        let mut view_sargs: Vec<Sarg> = Vec::new();
-        for s in &bound.sargs {
-            let Some(qc) = to_table(&s.column) else { continue 'views };
-            if !produces(&qc) {
-                continue 'views;
-            }
-            view_sargs.push(s.clone());
+        if !m.sarg_columns.iter().all(produces) {
+            continue;
         }
 
-        let (answers_grouping, est_rows);
-        let v_rows = estimate_view_rows(ctx, view);
-        if view.is_grouped() {
+        let answers_grouping = if view.is_grouped() {
             if !bound.is_aggregate() {
                 continue; // a grouped view cannot recover raw rows
             }
             // view group-by must subsume the query's group-by
-            if !q_groups.iter().all(|g| view.group_by.contains(g)) {
+            if !m.groups.iter().all(|g| view.group_by.contains(g)) {
                 continue;
             }
-            let exact = q_groups.len() == view.group_by.len();
+            let exact = m.groups.len() == view.group_by.len();
             // aggregates must be derivable (by canonical argument text)
-            for a in &bound.aggregates {
-                let arg = match &a.arg_expr {
-                    Some(e) => match crate::query::canonical_agg_arg(bound, e) {
-                        Some((text, _)) => Some(text),
-                        None => continue 'views,
-                    },
-                    None => None,
-                };
-                if !aggregate_available(view, a.func, &arg, !exact, a.distinct) {
+            let Some(args) = &m.aggregate_args else { continue };
+            for (a, arg) in bound.aggregates.iter().zip(args) {
+                if !aggregate_available(view, a.func, arg, !exact, a.distinct) {
                     continue 'views;
                 }
             }
-            answers_grouping = exact;
-            let sel = sarg_selectivity_on_view(ctx, view, &view_sargs);
-            est_rows = (v_rows * sel).max(0.0);
+            exact
         } else {
             // ungrouped view: must produce every referenced column
-            for (binding, cols) in &bound.referenced {
-                let Some(table) = bound.table_of(binding) else { continue 'views };
-                for c in cols {
-                    if !produces(&QualifiedColumn::new(table, c)) {
-                        continue 'views;
-                    }
-                }
+            if !m.referenced.iter().all(produces) {
+                continue;
             }
-            answers_grouping = false;
-            let sel = sarg_selectivity_on_view(ctx, view, &view_sargs);
-            est_rows = (v_rows * sel).max(0.0);
-        }
+            false
+        };
+        let v_rows = view_rows(view, m.join_rows, |t| q.facts_of(t));
+        let est_rows = (v_rows * m.sarg_sel).max(0.0);
 
         // scan cost over the materialized view
-        let width = view_row_width(ctx, view);
+        let width = view_row_width(view, |t| q.facts_of(t));
         let pages = pages_for(v_rows.max(1.0) as u64, width) as f64;
-        let elim = view.partitioning.as_ref().map_or(1.0, |p| {
-            let refs: Vec<&Sarg> = view_sargs.iter().collect();
-            elimination_fraction(p, &refs)
-        });
+        let elim =
+            view.partitioning.as_ref().map_or(1.0, |p| elimination_fraction(p, &bound.sargs));
         let io = (pages * elim).max(1.0);
         let cpu = v_rows * elim / ctx.hardware.parallel_factor(io);
         let cost = io + cpu * CPU_W;
@@ -217,50 +123,26 @@ pub fn view_plans(ctx: &PlanContext<'_>, bound: &BoundSelect) -> Vec<ViewPlan> {
             scan: PlanNode::ViewScan {
                 view: view.clone(),
                 replaced: bound.tables.iter().map(|t| t.binding.clone()).collect(),
-                sargs: view_sargs,
+                sargs: bound.sargs.clone(),
                 answers_grouping,
                 est_rows,
                 est_cost: cost,
             },
             answers_grouping,
+            width,
         });
     }
     out
 }
 
-/// Selectivity of sargs evaluated against view output. Histograms are on
-/// base-table columns, which is exactly what the view's group-by columns
-/// carry (modulo group skew — acceptable for costing).
-fn sarg_selectivity_on_view(
-    ctx: &PlanContext<'_>,
-    _view: &MaterializedView,
-    sargs: &[Sarg],
-) -> f64 {
-    let mut sel = 1.0;
-    for s in sargs {
-        // the sarg's binding maps to a base table in the same database
-        sel *= ctx.estimator.sarg_selectivity(&table_of_sarg(s), s);
-    }
-    sel
-}
-
-fn table_of_sarg(s: &Sarg) -> String {
-    // by construction view sargs keep their original binding == table
-    // when bindings are unaliased; for aliased bindings histogram lookup
-    // simply misses and falls back, which is acceptable
-    s.column.binding.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hardware::HardwareParams;
+    use crate::prepared::testing::prepare;
     use crate::provider::FixedSizes;
-    use crate::query::{bind, BoundStatement};
-    use crate::selectivity::Estimator;
+    use crate::WhatIfOptimizer;
     use dta_catalog::{Catalog, Column, ColumnType, Database, Table};
-    use dta_physical::{Configuration, PhysicalStructure, ViewAggregate};
-    use dta_sql::parse_statement;
+    use dta_physical::{Configuration, JoinPair, PhysicalStructure, ViewAggregate};
     use dta_stats::StatisticsManager;
 
     fn catalog() -> Catalog {
@@ -302,29 +184,15 @@ mod tests {
         )
     }
 
-    fn setup(cat: &Catalog, sql: &str, config: &Configuration) -> (BoundSelect, FixedSizes) {
-        let b = match bind(cat, "db", &parse_statement(sql).unwrap()).unwrap() {
-            BoundStatement::Select(s) => s,
-            other => panic!("{other:?}"),
-        };
-        let _ = config;
-        let sizes = FixedSizes::default()
+    fn sizes() -> FixedSizes {
+        FixedSizes::default()
             .with_table("db", "orders", 150_000, 16)
-            .with_table("db", "lineitem", 600_000, 16);
-        (b, sizes)
+            .with_table("db", "lineitem", 600_000, 16)
     }
 
     fn plans(cat: &Catalog, sql: &str, config: &Configuration) -> usize {
-        let (b, sizes) = setup(cat, sql, config);
-        let stats = StatisticsManager::new();
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config,
-            sizes: &sizes,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        view_plans(&ctx, &b).len()
+        let prep = prepare(cat, &StatisticsManager::new(), &sizes(), sql);
+        view_plans(&prep.context(config), prep.select()).len()
     }
 
     #[test]
@@ -407,22 +275,20 @@ mod tests {
 
     #[test]
     fn view_row_estimates() {
-        let cat = catalog();
-        let config = Configuration::new();
-        let (_b, sizes) = setup(&cat, "SELECT o_date FROM orders", &config);
-        let stats = StatisticsManager::new();
-        let ctx = PlanContext {
-            estimator: Estimator::new(&stats, "db"),
-            config: &config,
-            sizes: &sizes,
-            hardware: HardwareParams::default(),
-            database: "db",
-        };
-        let rows = estimate_view_rows(&ctx, &the_view());
+        let (cat, stats, sizes) = (catalog(), StatisticsManager::new(), sizes());
+        let opt = WhatIfOptimizer::new(&cat, &stats, &sizes, Default::default());
+        let rows = opt.view_rows(&the_view());
         // grouped by o_date: bounded by the join cardinality, far less
         // than the cross product
-        assert!(rows >= 1.0);
-        assert!(rows < 600_000.0 * 150_000.0);
-        assert!(view_row_width(&ctx, &the_view()) > 8);
+        assert!(rows >= 1);
+        assert!(rows < 600_000 * 150_000);
+        let prep = opt.prepare(
+            "db",
+            &dta_sql::parse_statement(
+                "SELECT o_date FROM lineitem, orders WHERE l_orderkey = o_orderkey",
+            )
+            .unwrap(),
+        );
+        assert!(view_row_width(&the_view(), |t| prep.select().facts_of(t)) > 8);
     }
 }

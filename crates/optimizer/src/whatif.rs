@@ -5,18 +5,24 @@
 //! needs to exist physically. This is the interface DTA calls for every
 //! (query, configuration) evaluation, and the hardware parameters are
 //! explicit so a test server can impersonate a production server (§5.3).
+//!
+//! Optimizing is *prepare, then plan*: [`WhatIfOptimizer::prepare`] binds
+//! the statement and resolves every estimate no configuration can change
+//! (see [`crate::prepared`]); [`optimize_prepared`] plans a preparation
+//! under one configuration. A caller pricing one statement under many
+//! configurations prepares once; `optimize` does both for a single call.
 
-use crate::access::{PlanContext, CPU_W};
+use crate::access::{Partitioned, PlanContext, CPU_W};
 use crate::dml::plan_dml;
 use crate::hardware::HardwareParams;
 use crate::join::plan_joins;
 use crate::plan::{Plan, PlanNode};
+use crate::prepared::{standalone_view_rows, Prepared, PreparedSelect, PreparedStatement, Sources};
 use crate::provider::TableStatsProvider;
-use crate::query::{bind, BindError, BoundColumn, BoundSelect, BoundStatement};
-use crate::selectivity::Estimator;
-use crate::views::{estimate_view_rows, view_plans, view_row_width};
+use crate::query::{BindError, BoundColumn, BoundSelect};
+use crate::views::view_plans;
 use dta_catalog::Catalog;
-use dta_physical::{Configuration, MaterializedView, RangePartitioning};
+use dta_physical::{Configuration, MaterializedView};
 use dta_sql::Statement;
 use dta_stats::StatisticsManager;
 use dta_storage::PAGE_SIZE;
@@ -40,6 +46,17 @@ impl<'a> WhatIfOptimizer<'a> {
         Self { catalog, stats, sizes, hardware }
     }
 
+    fn sources<'s>(&'s self, database: &'s str) -> Sources<'s> {
+        Sources { catalog: self.catalog, stats: self.stats, sizes: self.sizes, database }
+    }
+
+    /// Bind a statement and estimate everything about it that depends on
+    /// this optimizer's catalog, statistics, sizes and hardware only. The
+    /// result stays valid until one of those changes.
+    pub fn prepare(&self, database: &str, stmt: &Statement) -> PreparedStatement {
+        PreparedStatement::new(&self.sources(database), self.hardware, stmt)
+    }
+
     /// Optimize a statement under a hypothetical configuration.
     pub fn optimize(
         &self,
@@ -47,34 +64,28 @@ impl<'a> WhatIfOptimizer<'a> {
         stmt: &Statement,
         config: &Configuration,
     ) -> Result<Plan, BindError> {
-        let bound = bind(self.catalog, database, stmt)?;
-        let ctx = PlanContext {
-            estimator: Estimator::new(self.stats, database),
-            config,
-            sizes: self.sizes,
-            hardware: self.hardware,
-            database,
-        };
-        let root = match &bound {
-            BoundStatement::Select(b) => plan_select(&ctx, b),
-            BoundStatement::Dml(d) => plan_dml(&ctx, d),
-        };
-        Ok(Plan::new(root))
+        optimize_prepared(&self.prepare(database, stmt), config)
     }
 
     /// Estimated logical row count of a materialized view (used for
     /// storage sizing of hypothetical views).
     pub fn view_rows(&self, view: &MaterializedView) -> u64 {
-        let config = Configuration::new();
-        let ctx = PlanContext {
-            estimator: Estimator::new(self.stats, &view.database),
-            config: &config,
-            sizes: self.sizes,
-            hardware: self.hardware,
-            database: &view.database,
-        };
-        estimate_view_rows(&ctx, view) as u64
+        standalone_view_rows(&self.sources(&view.database), view) as u64
     }
+}
+
+/// Plan a prepared statement under a hypothetical configuration: the
+/// estimated best plan as if the configuration were materialized.
+pub fn optimize_prepared(
+    prep: &PreparedStatement,
+    config: &Configuration,
+) -> Result<Plan, BindError> {
+    let ctx = prep.context(config);
+    let root = match prep.body()? {
+        Prepared::Select(q) => plan_select(&ctx, q),
+        Prepared::Dml(d) => plan_dml(&ctx, d),
+    };
+    Ok(Plan::new(root))
 }
 
 /// Does `order` (a delivered sort order) cover `set` as a leading prefix
@@ -91,34 +102,20 @@ fn order_satisfies(order: &[BoundColumn], wanted: &[(BoundColumn, bool)]) -> boo
 }
 
 /// Plan a SELECT end to end, considering base plans and view rewrites.
-pub fn plan_select(ctx: &PlanContext<'_>, bound: &BoundSelect) -> PlanNode {
+fn plan_select(ctx: &PlanContext<'_>, q: &PreparedSelect) -> PlanNode {
+    let bound = &q.bound;
     // base plan: join tree over base tables
-    let state = plan_joins(ctx, bound);
-    let base = finish_select(
-        ctx,
-        bound,
-        state.node,
-        &state.order,
-        state.partitioned_on.as_ref(),
-        state.width,
-    );
+    let state = plan_joins(ctx, q);
+    let base = finish_select(ctx, q, state.node, state.order, state.partitioned_on, state.width);
 
     let mut best = base;
-    for vp in view_plans(ctx, bound) {
-        let width = match &vp.scan {
-            PlanNode::ViewScan { view, .. } => view_row_width(ctx, view) as f64,
-            _ => 64.0,
-        };
+    for vp in view_plans(ctx, q) {
+        let width = vp.width as f64;
         let candidate = if bound.is_aggregate() && !vp.answers_grouping {
             // re-aggregate over the finer-grained view
             let scan_rows = vp.scan.est_rows();
             let scan_cost = vp.scan.est_cost();
-            let cols: Vec<(String, BoundColumn)> = bound
-                .group_by
-                .iter()
-                .filter_map(|g| bound.table_of(&g.binding).map(|t| (t.to_string(), g.clone())))
-                .collect();
-            let groups = ctx.estimator.group_count(&cols, scan_rows);
+            let groups = q.groups.count(scan_rows);
             let agg = PlanNode::HashAggregate {
                 input: Box::new(vp.scan),
                 group_by: bound.group_by.clone(),
@@ -131,7 +128,7 @@ pub fn plan_select(ctx: &PlanContext<'_>, bound: &BoundSelect) -> PlanNode {
             finish_order_top(ctx, bound, vp.scan, &[], width)
         } else {
             // ungrouped join view feeding a possibly-distinct/sorted query
-            finish_select(ctx, bound, vp.scan, &[], None, width)
+            finish_select(ctx, q, vp.scan, Vec::new(), None, width)
         };
         if candidate.est_cost() < best.est_cost() {
             best = candidate;
@@ -143,14 +140,15 @@ pub fn plan_select(ctx: &PlanContext<'_>, bound: &BoundSelect) -> PlanNode {
 /// Add grouping, distinct, order and top over a join result.
 fn finish_select(
     ctx: &PlanContext<'_>,
-    bound: &BoundSelect,
+    q: &PreparedSelect,
     node: PlanNode,
-    order: &[BoundColumn],
-    partitioned_on: Option<&(BoundColumn, RangePartitioning)>,
+    order: Vec<BoundColumn>,
+    partitioned_on: Option<Partitioned<'_>>,
     width: f64,
 ) -> PlanNode {
+    let bound = &q.bound;
     let mut node = node;
-    let mut order: Vec<BoundColumn> = order.to_vec();
+    let mut order = order;
     let mut width = width;
 
     if bound.is_aggregate() {
@@ -167,12 +165,7 @@ fn finish_select(
             order = Vec::new();
             width = 8.0 * (bound.aggregates.len().max(1)) as f64;
         } else {
-            let cols: Vec<(String, BoundColumn)> = bound
-                .group_by
-                .iter()
-                .filter_map(|g| bound.table_of(&g.binding).map(|t| (t.to_string(), g.clone())))
-                .collect();
-            let groups = ctx.estimator.group_count(&cols, input_rows);
+            let groups = q.groups.count(input_rows);
             let out_width =
                 bound.group_by.len() as f64 * 8.0 + bound.aggregates.len() as f64 * 8.0 + 9.0;
             let stream_ok = order_covers_set(&order, &bound.group_by);
@@ -188,9 +181,9 @@ fn finish_select(
                 // hash aggregation, with partition-wise memory relief when
                 // the input is partitioned on one of the grouping columns
                 let mut mem = ctx.hardware.memory_bytes as f64;
-                if let Some((pc, scheme)) = partitioned_on {
-                    if bound.group_by.contains(pc) {
-                        mem *= scheme.partition_count() as f64;
+                if let Some(p) = partitioned_on {
+                    if bound.group_by.iter().any(|g| p.is_on(g)) {
+                        mem *= p.scheme.partition_count() as f64;
                     }
                 }
                 let bytes = groups * out_width;
@@ -264,7 +257,9 @@ mod tests {
     use super::*;
     use crate::provider::FixedSizes;
     use dta_catalog::{Column, ColumnType, Database, Table, Value};
-    use dta_physical::{Index, PhysicalStructure, QualifiedColumn, ViewAggregate};
+    use dta_physical::{
+        Index, PhysicalStructure, QualifiedColumn, RangePartitioning, ViewAggregate,
+    };
     use dta_sql::parse_statement;
     use dta_stats::histogram::Histogram;
     use dta_stats::{StatKey, Statistic};

@@ -1,0 +1,408 @@
+//! `optimize_prepared` against the planner it replaced.
+//!
+//! [`oracle`] is the per-call planner as it stood: it binds on every
+//! call, looks every estimate up by name and builds a node per join
+//! candidate. Over every statement of the tpch / psoft / synt1 / cust1
+//! seed workloads (plus aliased, self-joined and twice-listed tables),
+//! under seeded random configurations — indexes, clusterings,
+//! partitionings, matching and non-matching views — before and after
+//! statistics are created, a preparation must plan to the same cost bit
+//! for bit, the same plan and the same used structures.
+
+mod oracle;
+
+use dta_catalog::{Table, Value};
+use dta_optimizer::query::{bind, canonical_agg_arg, BoundDml, BoundSelect, BoundStatement};
+use dta_optimizer::{optimize_prepared, HardwareParams, WhatIfOptimizer};
+use dta_physical::{
+    Configuration, Index, JoinPair, MaterializedView, PhysicalStructure, QualifiedColumn,
+    RangePartitioning, ViewAggregate,
+};
+use dta_server::Server;
+use dta_sql::{parse_statement, Statement};
+use dta_stats::{StatKey, StatisticsManager};
+use dta_workload::cust::{self, CustId};
+use dta_workload::tpch::{self, TpchScale};
+use dta_workload::{psoft, synt1, WorkloadItem};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Configurations priced per statement, per statistics state.
+const CONFIGS: usize = 6;
+/// Statements taken from the larger workloads.
+const MAX_STATEMENTS: usize = 60;
+
+struct Case {
+    name: &'static str,
+    server: Server,
+    items: Vec<WorkloadItem>,
+}
+
+/// Aliases, self-joins (by alias and by listing a table twice), a cross
+/// join, cross-table residuals: binder shapes the seed workloads are
+/// thin on, over the TPC-H schema.
+const TPCH_EXTRAS: &[&str] = &[
+    "SELECT n1.n_name, n2.n_name FROM nation AS n1, nation AS n2 \
+     WHERE n1.n_regionkey = n2.n_regionkey AND n1.n_name = 'FRANCE'",
+    "SELECT l.l_orderkey, SUM(l.l_extendedprice) FROM lineitem AS l, orders AS o \
+     WHERE l.l_orderkey = o.o_orderkey AND o.o_orderdate < '1995-03-15' GROUP BY l.l_orderkey",
+    "SELECT nation.n_name FROM nation, nation WHERE nation.n_regionkey = 1",
+    "SELECT c_name FROM customer, region WHERE r_name = 'ASIA'",
+    "SELECT s.s_name FROM supplier AS s, nation AS n, supplier AS s2 \
+     WHERE s.s_nationkey = n.n_nationkey AND s2.s_nationkey = n.n_nationkey \
+     AND s.s_acctbal > s2.s_acctbal",
+    "SELECT o_orderpriority, COUNT(*) FROM orders AS o WHERE o.o_totalprice > 1000 \
+     GROUP BY o_orderpriority ORDER BY o_orderpriority",
+    "SELECT TOP 5 p_brand FROM part AS p JOIN partsupp ON p.p_partkey = ps_partkey \
+     WHERE ps_supplycost + 1 > p.p_retailprice ORDER BY p_brand",
+];
+
+fn cases() -> Vec<Case> {
+    let first = |items: &[WorkloadItem]| items.iter().take(MAX_STATEMENTS).cloned().collect();
+    let mut tpch_items = tpch::workload().items;
+    for sql in TPCH_EXTRAS {
+        let stmt = parse_statement(sql).expect("handwritten SQL parses");
+        tpch_items.push(WorkloadItem::new(tpch::DB, stmt));
+    }
+    let psoft = psoft::build(0.05, 5);
+    let synt1 = synt1::build(0.01, 5);
+    let cust1 = cust::build(CustId::Cust1, 0.02, 5);
+    vec![
+        Case {
+            name: "tpch",
+            server: tpch::build_server(TpchScale::new(0.002, 1.0), 5),
+            items: tpch_items,
+        },
+        Case { name: "psoft", items: first(&psoft.workload.items), server: psoft.server },
+        Case { name: "synt1", items: first(&synt1.workload.items), server: synt1.server },
+        Case { name: "cust1", items: first(&cust1.workload.items), server: cust1.server },
+    ]
+}
+
+/// A copy of the server's statistics, so the optimizers read them
+/// without holding the server's lock.
+fn statistics(server: &Server) -> StatisticsManager {
+    let mut stats = StatisticsManager::new();
+    for db in server.catalog().databases() {
+        stats.import(server.export_statistics(&db.name));
+    }
+    stats
+}
+
+fn pick<'x, T>(rng: &mut StdRng, from: &'x [T]) -> &'x T {
+    &from[rng.gen_range(0..from.len())]
+}
+
+/// A few partition boundaries drawn from the column's stored values.
+fn partitioning(
+    rng: &mut StdRng,
+    server: &Server,
+    db: &str,
+    table: &str,
+    col: &str,
+) -> RangePartitioning {
+    let values: Vec<Value> = server
+        .store()
+        .table(db, table)
+        .and_then(|d| d.column_by_name(col))
+        .filter(|v| !v.is_empty())
+        .map(|v| (0..rng.gen_range(1..5)).map(|_| pick(rng, v).clone()).collect())
+        .unwrap_or_else(|| vec![Value::Int(10), Value::Int(1000)]);
+    RangePartitioning::new(col, values)
+}
+
+/// What a statement reads, for aiming structures at it.
+struct Shape {
+    /// `(table, columns the statement references on it)`.
+    tables: Vec<(String, Vec<String>)>,
+    select: Option<BoundSelect>,
+}
+
+fn shape(server: &Server, db: &str, stmt: &Statement) -> Shape {
+    match bind(server.catalog(), db, stmt) {
+        Ok(BoundStatement::Select(s)) => Shape {
+            tables: s
+                .tables
+                .iter()
+                .map(|t| (t.table.clone(), s.referenced_for(&t.binding)))
+                .collect(),
+            select: Some(s),
+        },
+        Ok(BoundStatement::Dml(d)) => {
+            let (table, cols) = match d {
+                BoundDml::Insert { table, .. } => (table, Vec::new()),
+                BoundDml::Update { table, set_columns, filter, .. } => {
+                    (table, filter.referenced.into_iter().chain(set_columns).collect())
+                }
+                BoundDml::Delete { table, filter, .. } => {
+                    (table, filter.referenced.into_iter().collect())
+                }
+            };
+            Shape { tables: vec![(table, cols)], select: None }
+        }
+        Err(_) => Shape { tables: Vec::new(), select: None },
+    }
+}
+
+/// One to three columns of `table`, leaning towards the ones the
+/// statement reads (so that seeks, covering and index joins happen).
+fn some_columns(rng: &mut StdRng, table: &Table, read: &[String], max: usize) -> Vec<String> {
+    let mut cols: Vec<String> = Vec::new();
+    for _ in 0..rng.gen_range(1..max + 1) {
+        let c = if !read.is_empty() && rng.gen_bool(0.7) {
+            pick(rng, read).clone()
+        } else {
+            pick(rng, &table.columns).name.clone()
+        };
+        if !cols.contains(&c) {
+            cols.push(c);
+        }
+    }
+    cols
+}
+
+/// Views over the statement's own join graph: grouped ones that answer
+/// its grouping exactly or more finely, and a join view of what it reads.
+fn matching_views(
+    rng: &mut StdRng,
+    server: &Server,
+    db: &str,
+    s: &BoundSelect,
+    out: &mut Vec<PhysicalStructure>,
+) {
+    let qualify =
+        |binding: &str, column: &str| s.table_of(binding).map(|t| QualifiedColumn::new(t, column));
+    let tables: Vec<&str> = s.tables.iter().map(|t| t.table.as_str()).collect();
+    let pairs: Vec<JoinPair> = s
+        .joins
+        .iter()
+        .filter_map(|j| {
+            Some(JoinPair::new(
+                qualify(&j.left.binding, &j.left.column)?,
+                qualify(&j.right.binding, &j.right.column)?,
+            ))
+        })
+        .collect();
+    let filtered: Vec<QualifiedColumn> =
+        s.sargs.iter().filter_map(|g| qualify(&g.column.binding, &g.column.column)).collect();
+    if s.is_aggregate() && rng.gen_bool(0.7) {
+        let mut group_by: Vec<QualifiedColumn> =
+            s.group_by.iter().filter_map(|g| qualify(&g.binding, &g.column)).collect();
+        if rng.gen_bool(0.8) {
+            group_by.extend(filtered.iter().cloned());
+        }
+        let mut aggregates = vec![ViewAggregate::count_star()];
+        for a in &s.aggregates {
+            if let Some((text, cols)) = a.arg_expr.as_ref().and_then(|e| canonical_agg_arg(s, e)) {
+                let cols = cols.iter().filter_map(|c| qualify(&c.binding, &c.column)).collect();
+                aggregates.push(ViewAggregate::expr(a.func, text, cols));
+            }
+        }
+        let mut view = MaterializedView::grouped(db, &tables, pairs.clone(), group_by, aggregates);
+        if !view.group_by.is_empty() && rng.gen_bool(0.3) {
+            let on = pick(rng, &view.group_by).clone();
+            view = view.partitioned(partitioning(rng, server, db, &on.table, &on.column));
+        }
+        out.push(PhysicalStructure::View(view));
+    }
+    if rng.gen_bool(0.4) {
+        let projected = s
+            .referenced
+            .iter()
+            .flat_map(|(b, cols)| cols.iter().filter_map(|c| qualify(b, c)))
+            .collect();
+        out.push(PhysicalStructure::View(MaterializedView::join_view(
+            db, &tables, pairs, projected,
+        )));
+    }
+}
+
+fn random_configuration(
+    rng: &mut StdRng,
+    server: &Server,
+    db: &str,
+    shape: &Shape,
+) -> Configuration {
+    let mut structures: Vec<PhysicalStructure> = Vec::new();
+    let Some(database) = server.catalog().database(db) else { return Configuration::new() };
+    for (name, read) in &shape.tables {
+        let Some(table) = database.table(name) else { continue };
+        if rng.gen_bool(0.35) {
+            let keys = some_columns(rng, table, read, 2);
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let mut ix = Index::clustered(db, name, &keys);
+            if rng.gen_bool(0.3) {
+                let on = pick(rng, &table.columns).name.clone();
+                ix = ix.partitioned(partitioning(rng, server, db, name, &on));
+            }
+            structures.push(PhysicalStructure::Index(ix));
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let keys = some_columns(rng, table, read, 3);
+            let included: Vec<String> = some_columns(rng, table, read, 3)
+                .into_iter()
+                .filter(|c| rng.gen_bool(0.6) && !keys.contains(c))
+                .collect();
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let included: Vec<&str> = included.iter().map(String::as_str).collect();
+            let mut ix = Index::non_clustered(db, name, &keys, &included);
+            if rng.gen_bool(0.25) {
+                let on = some_columns(rng, table, read, 1).remove(0);
+                ix = ix.partitioned(partitioning(rng, server, db, name, &on));
+            }
+            structures.push(PhysicalStructure::Index(ix));
+        }
+        if rng.gen_bool(0.25) {
+            let on = some_columns(rng, table, read, 1).remove(0);
+            structures.push(PhysicalStructure::TablePartitioning {
+                database: db.to_string(),
+                table: name.clone(),
+                scheme: partitioning(rng, server, db, name, &on),
+            });
+        }
+    }
+    if let Some(s) = &shape.select {
+        matching_views(rng, server, db, s, &mut structures);
+    }
+    // and something on a table the statement does not read
+    if let Some(other) = database.tables().nth(rng.gen_range(0..database.table_count())) {
+        let key = pick(rng, &other.columns).name.clone();
+        structures.push(PhysicalStructure::Index(Index::non_clustered(
+            db,
+            &other.name,
+            &[&key],
+            &[],
+        )));
+    }
+    Configuration::from_structures(structures)
+}
+
+/// Single- and multi-column statistics on what the statements read.
+fn statistics_to_create(rng: &mut StdRng, shapes: &[(String, Shape)]) -> Vec<StatKey> {
+    let mut keys: Vec<StatKey> = Vec::new();
+    for (db, shape) in shapes {
+        for (table, read) in &shape.tables {
+            for c in read {
+                if rng.gen_bool(0.6) {
+                    keys.push(StatKey::new(db, table, &[c]));
+                }
+            }
+            if read.len() > 1 && rng.gen_bool(0.5) {
+                let (a, b) = (pick(rng, read), pick(rng, read));
+                if a != b {
+                    keys.push(StatKey::new(db, table, &[a, b]));
+                }
+            }
+        }
+        if let Some(s) = &shape.select {
+            // what a group-count estimate looks for
+            let table_of_all = s.group_by.first().and_then(|g| s.table_of(&g.binding));
+            if let Some(t) = table_of_all.filter(|_| rng.gen_bool(0.5)) {
+                let cols: Vec<&str> = s
+                    .group_by
+                    .iter()
+                    .filter(|g| s.table_of(&g.binding) == Some(t))
+                    .map(|g| g.column.as_str())
+                    .collect();
+                keys.push(StatKey::new(db, t, &cols));
+            }
+        }
+    }
+    keys.sort();
+    keys.dedup();
+    keys
+}
+
+/// Price every item under fresh random configurations with both
+/// planners; returns how many plans used a view, an index join, an index.
+fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [usize; 3] {
+    let stats = statistics(&case.server);
+    let hardware = HardwareParams { cpus: 4, memory_bytes: 8 << 20 };
+    let catalog = case.server.catalog();
+    let prepared = WhatIfOptimizer::new(catalog, &stats, &case.server, hardware);
+    let per_call = oracle::PerCallOptimizer::new(catalog, &stats, &case.server, hardware);
+    let mut seen = [0usize; 3];
+    for (item, (db, shape)) in case.items.iter().zip(shapes) {
+        let prep = prepared.prepare(db, &item.statement);
+        for c in 0..CONFIGS {
+            let config = match c {
+                0 => case.server.raw_configuration(),
+                _ => random_configuration(rng, &case.server, db, shape),
+            };
+            let expect = per_call.optimize(db, &item.statement, &config);
+            let got = optimize_prepared(&prep, &config);
+            let context = format!("{}: `{}` under {config}", case.name, item.statement);
+            match (expect, got) {
+                (Ok(expect), Ok(got)) => {
+                    assert_eq!(got.cost.to_bits(), expect.cost.to_bits(), "cost of {context}");
+                    assert_eq!(got.est_rows.to_bits(), expect.est_rows.to_bits(), "{context}");
+                    assert_eq!(got.to_string(), expect.to_string(), "plan of {context}");
+                    assert_eq!(got.used_structures(), expect.used_structures(), "{context}");
+                    assert_eq!(got, expect, "plan tree of {context}");
+                    // and the one-call entry point is the same planner
+                    let one_call = prepared.optimize(db, &item.statement, &config);
+                    assert_eq!(one_call.as_ref(), Ok(&got), "{context}");
+                    let text = got.to_string();
+                    seen[0] += usize::from(text.contains("ViewScan"));
+                    seen[1] += usize::from(text.contains("IndexNLJoin"));
+                    seen[2] += usize::from(text.contains("Seek") || text.contains("CoveringScan"));
+                }
+                (Err(expect), Err(got)) => assert_eq!(got, expect, "{context}"),
+                (expect, got) => panic!("{context}: {expect:?} vs {got:?}"),
+            }
+        }
+    }
+    seen
+}
+
+#[test]
+fn prepared_plans_equal_per_call_plans() {
+    let mut rng = StdRng::seed_from_u64(0xD7A);
+    for case in cases() {
+        let shapes: Vec<(String, Shape)> = case
+            .items
+            .iter()
+            .map(|i| (i.database.clone(), shape(&case.server, &i.database, &i.statement)))
+            .collect();
+        let before = compare_all(&case, &shapes, &mut rng);
+        let created = case.server.create_statistics(&statistics_to_create(&mut rng, &shapes));
+        assert!(created.created > 0, "{}: statistics were created", case.name);
+        let after = compare_all(&case, &shapes, &mut rng);
+        let [views, index_joins, indexes] = [0, 1, 2].map(|k| before[k] + after[k]);
+        // the configurations reach the planner's branches
+        assert!(indexes > 20, "{}: {indexes} plans used an index", case.name);
+        if case.name == "tpch" {
+            assert!(views > 10 && index_joins > 10, "tpch: {views} views, {index_joins} INL");
+        }
+    }
+}
+
+#[test]
+fn sizing_estimates_equal_per_call_estimates() {
+    let mut rng = StdRng::seed_from_u64(0x51E);
+    let case = cases().swap_remove(0);
+    let shapes: Vec<(String, Shape)> = case
+        .items
+        .iter()
+        .map(|i| (i.database.clone(), shape(&case.server, &i.database, &i.statement)))
+        .collect();
+    case.server.create_statistics(&statistics_to_create(&mut rng, &shapes));
+    let stats = statistics(&case.server);
+    let hardware = HardwareParams::default();
+    let catalog = case.server.catalog();
+    let prepared = WhatIfOptimizer::new(catalog, &stats, &case.server, hardware);
+    let per_call = oracle::PerCallOptimizer::new(catalog, &stats, &case.server, hardware);
+    let mut views = Vec::new();
+    for (db, shape) in &shapes {
+        if let Some(s) = &shape.select {
+            for _ in 0..4 {
+                matching_views(&mut rng, &case.server, db, s, &mut views);
+            }
+        }
+    }
+    assert!(views.len() > 40);
+    for v in &views {
+        let PhysicalStructure::View(v) = v else { continue };
+        assert_eq!(prepared.view_rows(v), per_call.view_rows(v), "rows of {}", v.name());
+    }
+}

@@ -63,6 +63,12 @@ pub fn table_key(database: &str, table: &str) -> u64 {
     content_hash(&(database, table))
 }
 
+/// Integer key of a database name: what [`Configuration::views_in`]
+/// selects a database's views by.
+pub fn database_key(database: &str) -> u64 {
+    content_hash(&database)
+}
+
 fn content_hash(value: &impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     value.hash(&mut h);
@@ -105,7 +111,7 @@ impl StructureHandle {
                 Scope::Table(table_key(database, table))
             }
             PhysicalStructure::View(v) => Scope::View(Arc::new(ViewKeys {
-                database: content_hash(&v.database),
+                database: database_key(&v.database),
                 tables: v.tables.iter().map(|t| table_key(&v.database, t)).collect(),
             })),
         };
@@ -295,15 +301,20 @@ impl Configuration {
         Configuration { entries }
     }
 
-    /// The handles attached to a table.
-    fn on_table(&self, database: &str, table: &str) -> impl Iterator<Item = &StructureHandle> {
-        let key = table_key(database, table);
+    /// The handles attached to the table with this [`table_key`].
+    fn on_table(&self, key: u64) -> impl Iterator<Item = &StructureHandle> {
         self.entries.iter().filter(move |e| matches!(e.scope, Scope::Table(k) if k == key))
     }
 
     /// All indexes on a table.
     pub fn indexes_on(&self, database: &str, table: &str) -> impl Iterator<Item = &Index> {
-        self.on_table(database, table).filter_map(|e| match e.structure() {
+        self.indexes_on_key(table_key(database, table))
+    }
+
+    /// [`Self::indexes_on`] for a caller that holds the table's
+    /// [`table_key`]: no name is hashed.
+    pub fn indexes_on_key(&self, key: u64) -> impl Iterator<Item = &Index> {
+        self.on_table(key).filter_map(|e| match e.structure() {
             PhysicalStructure::Index(i) => Some(i),
             _ => None,
         })
@@ -311,12 +322,21 @@ impl Configuration {
 
     /// The clustered index on a table, if any.
     pub fn clustered_index(&self, database: &str, table: &str) -> Option<&Index> {
-        self.indexes_on(database, table).find(|i| i.kind == IndexKind::Clustered)
+        self.clustered_index_key(table_key(database, table))
+    }
+
+    /// [`Self::clustered_index`] by [`table_key`].
+    pub fn clustered_index_key(&self, key: u64) -> Option<&Index> {
+        self.indexes_on_key(key).find(|i| i.kind == IndexKind::Clustered)
     }
 
     /// Explicit heap partitioning of a table, if any.
     pub fn table_partitioning(&self, database: &str, table: &str) -> Option<&RangePartitioning> {
-        self.on_table(database, table).find_map(|e| match e.structure() {
+        self.table_partitioning_key(table_key(database, table))
+    }
+
+    fn table_partitioning_key(&self, key: u64) -> Option<&RangePartitioning> {
+        self.on_table(key).find_map(|e| match e.structure() {
             PhysicalStructure::TablePartitioning { scheme, .. } => Some(scheme),
             _ => None,
         })
@@ -330,17 +350,28 @@ impl Configuration {
         database: &str,
         table: &str,
     ) -> Option<&RangePartitioning> {
-        if let Some(ci) = self.clustered_index(database, table) {
-            return ci.partitioning.as_ref();
+        self.effective_table_partitioning_key(table_key(database, table))
+    }
+
+    /// [`Self::effective_table_partitioning`] by [`table_key`].
+    pub fn effective_table_partitioning_key(&self, key: u64) -> Option<&RangePartitioning> {
+        match self.clustered_index_key(key) {
+            Some(ci) => ci.partitioning.as_ref(),
+            None => self.table_partitioning_key(key),
         }
-        self.table_partitioning(database, table)
     }
 
     /// All materialized views in a database.
     pub fn views(&self, database: &str) -> impl Iterator<Item = &MaterializedView> {
-        let key = content_hash(&database);
+        self.views_in(database_key(database))
+    }
+
+    /// [`Self::views`] by [`database_key`].
+    pub fn views_in(&self, database_key: u64) -> impl Iterator<Item = &MaterializedView> {
         self.entries.iter().filter_map(move |e| match (&e.scope, e.structure()) {
-            (Scope::View(keys), PhysicalStructure::View(v)) if keys.database == key => Some(v),
+            (Scope::View(keys), PhysicalStructure::View(v)) if keys.database == database_key => {
+                Some(v)
+            }
             _ => None,
         })
     }
@@ -436,7 +467,7 @@ impl Configuration {
                 });
             }
             let partitionings = self
-                .on_table(db, t)
+                .on_table(table_key(db, t))
                 .filter(|e| matches!(e.structure(), PhysicalStructure::TablePartitioning { .. }))
                 .count();
             if partitionings > 1 {

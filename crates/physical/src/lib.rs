@@ -20,7 +20,7 @@ pub mod partitioning;
 pub mod sizing;
 pub mod view;
 
-pub use config::{table_key, Configuration, StructureHandle, ValidityError};
+pub use config::{database_key, table_key, Configuration, StructureHandle, ValidityError};
 pub use index::{Index, IndexKind};
 pub use partitioning::RangePartitioning;
 pub use sizing::SizingInfo;

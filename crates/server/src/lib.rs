@@ -58,6 +58,10 @@ pub enum ServerError {
         /// What failed, for reports.
         what: String,
     },
+    /// A [`dta_optimizer::PreparedStatement`] was presented to a server
+    /// whose estimate epoch has moved since it was prepared (see
+    /// [`Server::estimate_epoch`]): prepare again.
+    StalePreparation,
 }
 
 impl std::fmt::Display for ServerError {
@@ -67,6 +71,9 @@ impl std::fmt::Display for ServerError {
             ServerError::Bind(e) => write!(f, "bind: {e}"),
             ServerError::Exec(e) => write!(f, "exec: {e}"),
             ServerError::Fault { kind, what } => write!(f, "{kind} fault: {what}"),
+            ServerError::StalePreparation => {
+                write!(f, "statement was prepared in an earlier estimate epoch")
+            }
         }
     }
 }

@@ -4,7 +4,9 @@ use crate::{FaultKind, ServerError};
 use dta_catalog::script::MetadataScript;
 use dta_catalog::{Catalog, Database};
 use dta_engine::{Engine, QueryResult};
-use dta_optimizer::{HardwareParams, Plan, TableStatsProvider, WhatIfOptimizer};
+use dta_optimizer::{
+    optimize_prepared, HardwareParams, Plan, PreparedStatement, TableStatsProvider, WhatIfOptimizer,
+};
 use dta_physical::{Configuration, Index, MaterializedView, PhysicalStructure, SizingInfo};
 use dta_sql::Statement;
 use dta_stats::{
@@ -115,6 +117,9 @@ pub struct Server {
     hardware: RwLock<HardwareParams>,
     work: WorkCounter,
     whatif_invocations: AtomicU64,
+    /// Bumped by everything that can change an optimizer estimate (see
+    /// [`Server::estimate_epoch`]).
+    estimate_epoch: AtomicU64,
     rng: Mutex<StdRng>,
     fault: Mutex<Option<FaultState>>,
 }
@@ -131,6 +136,7 @@ impl Server {
             hardware: RwLock::new(HardwareParams::production_default()),
             work: WorkCounter::default(),
             whatif_invocations: AtomicU64::new(0),
+            estimate_epoch: AtomicU64::new(0),
             rng: Mutex::new(StdRng::seed_from_u64(0x5EED)),
             fault: Mutex::new(None),
         }
@@ -138,7 +144,7 @@ impl Server {
 
     /// Builder-style hardware override.
     pub fn with_hardware(self, hw: HardwareParams) -> Self {
-        *self.hardware.write() = hw;
+        self.simulate_hardware(hw);
         self
     }
 
@@ -212,6 +218,7 @@ impl Server {
             self.store.create_table(&db.name, t);
         }
         self.catalog.add_database(db)?;
+        self.bump_estimate_epoch();
         Ok(())
     }
 
@@ -227,6 +234,8 @@ impl Server {
 
     /// Mutable table data (bulk loading).
     pub fn table_data_mut(&mut self, database: &str, table: &str) -> Option<&mut TableData> {
+        // the caller may load rows, which changes table sizes
+        self.bump_estimate_epoch();
         self.store.table_mut(database, table)
     }
 
@@ -277,6 +286,7 @@ impl Server {
     /// the production server's CPUs and memory (§5.3).
     pub fn simulate_hardware(&self, hw: HardwareParams) {
         *self.hardware.write() = hw;
+        self.bump_estimate_epoch();
     }
 
     // ---- configuration -----------------------------------------------------
@@ -311,15 +321,80 @@ impl Server {
 
     // ---- what-if interface ---------------------------------------------
 
+    /// The server's estimate epoch: a counter that moves whenever
+    /// something an optimizer estimate depends on does — a statistic is
+    /// created or imported, the simulated hardware changes, a database
+    /// is created or table data handed out for loading. A
+    /// [`PreparedStatement`] is stamped with the epoch it was prepared
+    /// in and is good for exactly that epoch.
+    pub fn estimate_epoch(&self) -> u64 {
+        self.estimate_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Writers bump *after* changing what estimates read, preparing
+    /// reads the epoch *before* it reads any of it: a preparation can
+    /// carry an older stamp than its contents (and be re-made once more
+    /// than needed) but never a newer one.
+    fn bump_estimate_epoch(&self) {
+        self.estimate_epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Table sizes resolved through a statistics guard the caller holds.
+    fn sizes<'a>(&'a self, stats: &'a StatisticsManager) -> ServerSizes<'a> {
+        ServerSizes { catalog: &self.catalog, store: &self.store, stats }
+    }
+
+    /// Run `f` over a what-if optimizer on this server's state, under one
+    /// statistics read guard (table sizes resolve through it too).
+    fn with_optimizer<R>(&self, f: impl FnOnce(&WhatIfOptimizer<'_>) -> R) -> R {
+        let hardware = self.hardware();
+        let stats = self.stats.read();
+        let sizes = self.sizes(&stats);
+        f(&WhatIfOptimizer::new(&self.catalog, &stats, &sizes, hardware))
+    }
+
+    /// Bind `stmt` and resolve every estimate about it that does not
+    /// depend on a configuration (see [`PreparedStatement`]), stamped
+    /// with the current [`Self::estimate_epoch`]. Preparing is not a
+    /// what-if call: it charges no work and counts nothing.
+    pub fn prepare(&self, database: &str, stmt: &Statement) -> PreparedStatement {
+        let epoch = self.estimate_epoch();
+        // path-qualified so dta-lint's name-based call graph (R11) follows
+        // the call into the optimizer instead of back to this method
+        self.with_optimizer(|opt| WhatIfOptimizer::prepare(opt, database, stmt)).stamped(epoch)
+    }
+
     /// A what-if optimizer call: the estimated best plan for `stmt` as if
     /// `config` were materialized. Charges optimization work to the
-    /// overhead meter.
+    /// overhead meter. One call prepares and prices; to price a
+    /// statement under many configurations, [`Self::prepare`] it once
+    /// and call [`Self::whatif_prepared`].
     pub fn whatif(
         &self,
         database: &str,
         stmt: &Statement,
         config: &Configuration,
     ) -> Result<Plan, ServerError> {
+        self.price(&self.prepare(database, stmt), config)
+    }
+
+    /// [`Self::whatif`] for a statement prepared on this server. A
+    /// preparation from another estimate epoch is refused
+    /// ([`ServerError::StalePreparation`]) before the call is counted:
+    /// prepare again and retry.
+    pub fn whatif_prepared(
+        &self,
+        prep: &PreparedStatement,
+        config: &Configuration,
+    ) -> Result<Plan, ServerError> {
+        if prep.epoch() != self.estimate_epoch() {
+            return Err(ServerError::StalePreparation);
+        }
+        self.price(prep, config)
+    }
+
+    /// Count, fault, charge and plan one what-if call.
+    fn price(&self, prep: &PreparedStatement, config: &Configuration) -> Result<Plan, ServerError> {
         // server-side invocation tally: every arrival counts, including
         // attempts an injected fault rejects before any work is charged
         // (the client-side what-if counter only sees cache misses)
@@ -329,12 +404,7 @@ impl Server {
         // retry absorbs leaves the overhead meter exactly where a
         // no-fault run would
         if let Some(policy) = self.fault_policy() {
-            let stmt_text = stmt.to_string();
-            let classify = {
-                let mut h = DefaultHasher::new();
-                (database, stmt_text.as_str()).hash(&mut h);
-                h.finish()
-            };
+            let (database, stmt_text, classify) = (prep.database(), prep.text(), prep.classify());
             let site = {
                 // order-independent combine over the configuration so the
                 // site key is stable however the structures are listed
@@ -393,18 +463,14 @@ impl Server {
                 }
             }
         }
-        let tables = stmt.referenced_tables().len() as f64;
+        let tables = prep.table_refs() as f64;
         self.charge_units(WHATIF_BASE_UNITS + WHATIF_PER_TABLE_UNITS * tables * tables);
-        let stats = self.stats.read();
-        let opt = WhatIfOptimizer::new(&self.catalog, &stats, self, self.hardware());
-        Ok(opt.optimize(database, stmt, config)?)
+        Ok(optimize_prepared(prep, config)?)
     }
 
     /// Estimated row count of a hypothetical materialized view.
     pub fn view_rows_estimate(&self, view: &MaterializedView) -> u64 {
-        let stats = self.stats.read();
-        let opt = WhatIfOptimizer::new(&self.catalog, &stats, self, self.hardware());
-        opt.view_rows(view)
+        self.with_optimizer(|opt| opt.view_rows(view))
     }
 
     // ---- statistics -----------------------------------------------------
@@ -431,6 +497,7 @@ impl Server {
         let mut rng = self.rng.lock();
         let stat = build_statistic(key, data, DEFAULT_SAMPLE_FRACTION, &mut *rng, &self.work);
         self.stats.write().add(stat);
+        self.bump_estimate_epoch();
         true
     }
 
@@ -515,6 +582,7 @@ impl Server {
     /// Import previously exported statistics (test-server side of §5.3).
     pub fn import_statistics(&self, stats: Vec<Statistic>) {
         self.stats.write().import(stats);
+        self.bump_estimate_epoch();
     }
 
     // ---- metadata scripting ------------------------------------------------
@@ -542,11 +610,7 @@ impl Server {
     /// actual work to the overhead meter. SELECT only.
     pub fn execute(&self, database: &str, stmt: &Statement) -> Result<QueryResult, ServerError> {
         let deployed = self.deployed();
-        let plan = {
-            let stats = self.stats.read();
-            let opt = WhatIfOptimizer::new(&self.catalog, &stats, self, self.hardware());
-            opt.optimize(database, stmt, &deployed)?
-        };
+        let plan = self.with_optimizer(|opt| opt.optimize(database, stmt, &deployed))?;
         let engine = Engine::new(&self.catalog, &self.store, self.hardware());
         let result = engine.execute_select(database, stmt, &plan)?;
         self.work.read_pages(result.work.io_pages as u64);
@@ -562,13 +626,36 @@ impl Server {
         stmt: &Statement,
     ) -> Result<f64, ServerError> {
         let deployed = self.deployed();
-        let stats = self.stats.read();
-        let opt = WhatIfOptimizer::new(&self.catalog, &stats, self, self.hardware());
-        Ok(opt.optimize(database, stmt, &deployed)?.cost)
+        Ok(self.with_optimizer(|opt| opt.optimize(database, stmt, &deployed))?.cost)
     }
 }
 
-impl TableStatsProvider for Server {
+/// Row width of a catalog table (64 if unknown).
+fn row_width(catalog: &Catalog, database: &str, table: &str) -> u32 {
+    catalog.database(database).and_then(|d| d.table(table)).map_or(64, |t| t.row_width())
+}
+
+/// Width of a catalog column (8 if unknown).
+fn column_width(catalog: &Catalog, database: &str, table: &str, column: &str) -> u32 {
+    catalog
+        .database(database)
+        .and_then(|d| d.table(table))
+        .and_then(|t| t.column(column))
+        .map_or(8, |c| c.ty.width())
+}
+
+/// Table sizes over borrowed server state: what [`Server`]'s own
+/// optimizer calls hand the optimizer, so that row counts resolve
+/// through the statistics guard the call already holds instead of taking
+/// the lock a second time (a recursive read deadlocks once a writer
+/// queues between the two).
+struct ServerSizes<'a> {
+    catalog: &'a Catalog,
+    store: &'a Store,
+    stats: &'a StatisticsManager,
+}
+
+impl TableStatsProvider for ServerSizes<'_> {
     fn rows(&self, database: &str, table: &str) -> u64 {
         // data if we have it; otherwise imported statistics, then scripted
         // metadata row counts (metadata-only test servers, §5.3)
@@ -577,29 +664,34 @@ impl TableStatsProvider for Server {
                 return d.logical_rows();
             }
         }
-        if let Some(n) =
-            self.stats.read().for_table(database, table).iter().map(|s| s.row_count).max()
-        {
+        if let Some(n) = self.stats.for_table(database, table).iter().map(|s| s.row_count).max() {
             return n;
         }
         self.catalog.database(database).and_then(|d| d.table(table)).map_or(0, |t| t.rows)
     }
 
     fn row_width(&self, database: &str, table: &str) -> u32 {
-        self.catalog
-            .database(database)
-            .and_then(|d| d.table(table))
-            .map(|t| t.row_width())
-            .unwrap_or(64)
+        row_width(self.catalog, database, table)
     }
 
     fn column_width(&self, database: &str, table: &str, column: &str) -> u32 {
-        self.catalog
-            .database(database)
-            .and_then(|d| d.table(table))
-            .and_then(|t| t.column(column))
-            .map(|c| c.ty.width())
-            .unwrap_or(8)
+        column_width(self.catalog, database, table, column)
+    }
+}
+
+/// For callers outside the server, which hold no statistics guard:
+/// `rows` takes the statistics read lock itself.
+impl TableStatsProvider for Server {
+    fn rows(&self, database: &str, table: &str) -> u64 {
+        self.sizes(&self.stats.read()).rows(database, table)
+    }
+
+    fn row_width(&self, database: &str, table: &str) -> u32 {
+        row_width(&self.catalog, database, table)
+    }
+
+    fn column_width(&self, database: &str, table: &str, column: &str) -> u32 {
+        column_width(&self.catalog, database, table, column)
     }
 }
 
@@ -742,5 +834,132 @@ mod tests {
         assert!(server.overhead_units() > 0.0);
         server.reset_overhead();
         assert_eq!(server.overhead_units(), 0.0);
+    }
+
+    #[test]
+    fn prepare_charges_and_counts_nothing() {
+        let server = make_server();
+        let stmt = parse_statement("SELECT price FROM item WHERE cat = 3").unwrap();
+        let prep = server.prepare("shop", &stmt);
+        assert_eq!((server.whatif_invocations(), server.overhead_units()), (0, 0.0));
+        assert_eq!(prep.epoch(), server.estimate_epoch());
+        // pricing the preparation is the what-if call: same plan, same
+        // charge, one invocation each
+        let cfg = server.raw_configuration();
+        let prepared = server.whatif_prepared(&prep, &cfg).unwrap();
+        let charged = server.overhead_units();
+        assert_eq!(server.whatif_invocations(), 1);
+        assert_eq!(server.whatif("shop", &stmt, &cfg).unwrap(), prepared);
+        assert_eq!(server.whatif_invocations(), 2);
+        assert_eq!(server.overhead_units(), 2.0 * charged);
+    }
+
+    #[test]
+    fn a_stale_preparation_is_refused_before_it_is_counted() {
+        let server = make_server();
+        let stmt = parse_statement("SELECT price FROM item WHERE cat = 3").unwrap();
+        let cfg = Configuration::new();
+        type Change<'c> = (&'c str, &'c dyn Fn(&Server));
+        let changes: [Change<'_>; 3] = [
+            ("create_statistic", &|s| {
+                assert!(s.create_statistic(StatKey::new("shop", "item", &["cat"])));
+            }),
+            ("import_statistics", &|s| s.import_statistics(s.export_statistics("shop"))),
+            ("simulate_hardware", &|s| s.simulate_hardware(HardwareParams::test_default())),
+        ];
+        for (what, change) in changes {
+            let prep = server.prepare("shop", &stmt);
+            let before = server.whatif_prepared(&prep, &cfg).unwrap();
+            let (invocations, units) = (server.whatif_invocations(), server.overhead_units());
+            change(&server);
+            assert_ne!(prep.epoch(), server.estimate_epoch(), "{what} moves the epoch");
+            assert!(
+                matches!(server.whatif_prepared(&prep, &cfg), Err(ServerError::StalePreparation)),
+                "{what}"
+            );
+            // refused: not counted, not charged (statistics creation
+            // charges its own sampling, so compare after the change)
+            assert_eq!(server.whatif_invocations(), invocations, "{what}");
+            if what != "create_statistic" {
+                assert_eq!(server.overhead_units(), units, "{what}");
+            }
+            // preparing again prices against the new state
+            let again = server.whatif_prepared(&server.prepare("shop", &stmt), &cfg).unwrap();
+            assert_eq!(again, server.whatif("shop", &stmt, &cfg).unwrap(), "{what}");
+            if what == "create_statistic" {
+                assert_ne!(again.est_rows, before.est_rows, "the statistic moved the estimate");
+            }
+        }
+        // an unbindable statement prepares; the call fails as it always did
+        let bad = parse_statement("SELECT nope FROM item").unwrap();
+        let prep = server.prepare("shop", &bad);
+        let invocations = server.whatif_invocations();
+        assert!(matches!(server.whatif_prepared(&prep, &cfg), Err(ServerError::Bind(_))));
+        assert_eq!(server.whatif_invocations(), invocations + 1, "counted before it fails");
+    }
+
+    /// `whatif` used to hold the statistics read guard and take it again
+    /// for the size of every table without stored rows (their row counts
+    /// come from statistics); with a writer queued between the two reads,
+    /// neither side can proceed. A watchdog bounds the test: the workers
+    /// report over a channel and are joined only once both have.
+    #[test]
+    fn whatif_and_statistics_creation_do_not_deadlock() {
+        use std::sync::{mpsc, Arc, Barrier};
+        use std::time::Duration;
+
+        let mut server = Server::new("test");
+        let mut db = Database::new("shop");
+        for name in ["item", "archive"] {
+            db.add_table(Table::new(
+                name,
+                vec![Column::new("id", ColumnType::BigInt), Column::new("cat", ColumnType::Int)],
+            ))
+            .unwrap();
+        }
+        server.create_database(db).unwrap();
+        // `item` has rows to sample statistics from; `archive` has none
+        let data = server.table_data_mut("shop", "item").unwrap();
+        for i in 0..2000i64 {
+            data.push_row(vec![Value::Int(i), Value::Int(i % 50)]);
+        }
+
+        let server = Arc::new(server);
+        let start = Arc::new(Barrier::new(2));
+        let (done, finished) = mpsc::channel();
+        let reader = {
+            let (server, start, done) = (Arc::clone(&server), Arc::clone(&start), done.clone());
+            std::thread::spawn(move || {
+                let stmt = parse_statement(
+                    "SELECT a.cat FROM archive AS a, archive AS b, item WHERE a.id = b.cat \
+                     AND b.id = item.id AND item.cat = 3",
+                )
+                .unwrap();
+                let cfg = server.raw_configuration();
+                start.wait();
+                for _ in 0..2000 {
+                    server.whatif("shop", &stmt, &cfg).unwrap();
+                }
+                done.send("what-if calls").unwrap();
+            })
+        };
+        let writer = {
+            let (server, start) = (Arc::clone(&server), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..200 {
+                    let column = ["id", "cat"][i % 2];
+                    assert!(server.create_statistic(StatKey::new("shop", "item", &[column])));
+                }
+                done.send("statistics creation").unwrap();
+            })
+        };
+        for _ in 0..2 {
+            finished
+                .recv_timeout(Duration::from_secs(120))
+                .expect("what-if calls and statistics creation deadlocked");
+        }
+        reader.join().unwrap();
+        writer.join().unwrap();
     }
 }

@@ -9,7 +9,7 @@
 use crate::server::{Server, StatsCreationReport};
 use crate::ServerError;
 use dta_catalog::Catalog;
-use dta_optimizer::Plan;
+use dta_optimizer::{Plan, PreparedStatement};
 use dta_physical::{Configuration, MaterializedView};
 use dta_sql::Statement;
 use dta_stats::{reduce_statistics, StatKey};
@@ -52,6 +52,27 @@ impl<'a> TuningTarget<'a> {
         config: &Configuration,
     ) -> Result<Plan, ServerError> {
         self.whatif_server().whatif(database, stmt, config)
+    }
+
+    /// Prepare a statement on the what-if server (see
+    /// [`Server::prepare`]).
+    pub fn prepare(&self, database: &str, stmt: &Statement) -> PreparedStatement {
+        self.whatif_server().prepare(database, stmt)
+    }
+
+    /// A what-if optimizer call for a prepared statement.
+    pub fn whatif_prepared(
+        &self,
+        prep: &PreparedStatement,
+        config: &Configuration,
+    ) -> Result<Plan, ServerError> {
+        self.whatif_server().whatif_prepared(prep, config)
+    }
+
+    /// Estimate epoch of the what-if server: preparations made in
+    /// another epoch are stale.
+    pub fn estimate_epoch(&self) -> u64 {
+        self.whatif_server().estimate_epoch()
     }
 
     /// Estimated row count of a hypothetical view.

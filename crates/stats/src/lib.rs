@@ -25,7 +25,7 @@ pub mod retry;
 pub mod statistic;
 
 pub use histogram::Histogram;
-pub use manager::StatisticsManager;
+pub use manager::{StatisticsManager, TableDistincts};
 pub use reduction::{reduce_statistics, ReductionOutcome};
 pub use retry::RetryPolicy;
 pub use statistic::{build_statistic, StatKey, Statistic, DEFAULT_SAMPLE_FRACTION};
