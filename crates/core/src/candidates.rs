@@ -416,16 +416,6 @@ pub struct ItemSelection {
     pub benefit: f64,
 }
 
-/// Outcome of a budget-aware candidate-selection run: per-item results
-/// in workload order, cut short when the budget ran out.
-#[derive(Debug, Clone)]
-pub struct SelectionRun {
-    /// Completed per-item selections (a workload prefix when interrupted).
-    pub selections: Vec<ItemSelection>,
-    /// `Some` when the budget or a cancellation cut the stage short.
-    pub interrupted: Option<StopReason>,
-}
-
 /// Items per budget block: the budget is charged (and checked) serially
 /// at block boundaries, so a given budget cuts selection at the same
 /// item at any worker count.
@@ -448,25 +438,28 @@ pub const SELECTION_BLOCK: usize = 8;
 /// continues. Serial and parallel runs treat a panicking item
 /// identically, so recommendations stay byte-identical.
 ///
-/// `done` carries a resumed session's completed prefix (empty for a
-/// fresh run); per-item outcomes are collected and assembled in workload
-/// order afterwards, so per-structure benefits accumulate in exactly the
-/// serial order — floating-point sums (and hence everything downstream
-/// that sorts on them) are bit-identical at any worker count.
+/// `done` is the completed prefix — empty for a fresh run, a resumed
+/// session's otherwise — and is extended in place, a block at a time, so
+/// that a caller can take back a failed run's items by truncating it.
+/// Returns `Some` when the budget or a cancellation cut the stage short.
+/// Per-item outcomes are collected and assembled in workload order
+/// afterwards, so per-structure benefits accumulate in exactly the serial
+/// order — floating-point sums (and hence everything downstream that
+/// sorts on them) are bit-identical at any worker count.
 pub fn select_candidates_resumable(
     eval: &CostEvaluator<'_>,
     base: &Configuration,
     groups: &ColumnGroups,
     options: &TuningOptions,
     control: &SessionControl,
-    mut done: Vec<ItemSelection>,
-) -> SelectionRun {
+    done: &mut Vec<ItemSelection>,
+) -> Option<StopReason> {
     let items = eval.items();
     done.truncate(items.len());
     let workers = options.parallel_workers.max(1);
     while done.len() < items.len() {
         if let Some(reason) = control.stop() {
-            return SelectionRun { selections: done, interrupted: Some(reason) };
+            return Some(reason);
         }
         let start = done.len();
         let end = (start + SELECTION_BLOCK).min(items.len());
@@ -530,7 +523,7 @@ pub fn select_candidates_resumable(
         control.charge(units);
         done.extend(block);
     }
-    SelectionRun { selections: done, interrupted: None }
+    None
 }
 
 /// Assemble per-item selections into a [`CandidatePool`], in workload
@@ -557,8 +550,9 @@ pub fn select_candidates(
     control: &SessionControl,
 ) -> CandidatePool {
     let whatif_before = eval.whatif_calls();
-    let run = select_candidates_resumable(eval, base, groups, options, control, Vec::new());
-    let mut pool = assemble_pool(&run.selections);
+    let mut selections = Vec::new();
+    select_candidates_resumable(eval, base, groups, options, control, &mut selections);
+    let mut pool = assemble_pool(&selections);
     pool.whatif_calls = eval.whatif_calls() - whatif_before;
     pool
 }
@@ -820,9 +814,10 @@ mod tests {
         let eval = CostEvaluator::new(&target, &its);
         let unlimited = SessionControl::unlimited();
         let opts1 = TuningOptions { parallel_workers: 1, ..Default::default() };
-        let full =
-            select_candidates_resumable(&eval, &base, &groups, &opts1, &unlimited, Vec::new());
-        assert!(full.interrupted.is_none());
+        let mut full = Vec::new();
+        let interrupted =
+            select_candidates_resumable(&eval, &base, &groups, &opts1, &unlimited, &mut full);
+        assert!(interrupted.is_none());
         let total = unlimited.consumed();
         assert!(total > 0);
 
@@ -832,38 +827,34 @@ mod tests {
             let eval = CostEvaluator::new(&target, &its);
             let control = SessionControl::with_budget(total / 2);
             let opts = TuningOptions { parallel_workers: workers, ..Default::default() };
-            let run =
-                select_candidates_resumable(&eval, &base, &groups, &opts, &control, Vec::new());
-            (run, control.consumed())
+            let mut done = Vec::new();
+            let interrupted =
+                select_candidates_resumable(&eval, &base, &groups, &opts, &control, &mut done);
+            assert_eq!(interrupted, Some(StopReason::BudgetExhausted));
+            (done, control.consumed())
         };
         let (serial, consumed_serial) = cut_at(1);
         let (parallel, consumed_parallel) = cut_at(4);
-        assert_eq!(serial.interrupted, Some(StopReason::BudgetExhausted));
-        assert_eq!(serial.selections, parallel.selections);
+        assert_eq!(serial, parallel);
         assert_eq!(consumed_serial, consumed_parallel);
-        assert!(serial.selections.len() < its.len(), "the cut is mid-stage");
-        assert_eq!(serial.selections.len() % SELECTION_BLOCK, 0, "cuts on block boundaries");
+        assert!(serial.len() < its.len(), "the cut is mid-stage");
+        assert_eq!(serial.len() % SELECTION_BLOCK, 0, "cuts on block boundaries");
 
         // resuming the prefix with fresh budget reproduces the full run
         let eval = CostEvaluator::new(&target, &its);
         let control =
             SessionControl::resumed(consumed_serial, None).expect("unbudgeted resume is valid");
         let opts4 = TuningOptions { parallel_workers: 4, ..Default::default() };
-        let resumed = select_candidates_resumable(
-            &eval,
-            &base,
-            &groups,
-            &opts4,
-            &control,
-            serial.selections.clone(),
-        );
-        assert!(resumed.interrupted.is_none());
-        assert_eq!(resumed.selections, full.selections);
+        let mut resumed = serial.clone();
+        let interrupted =
+            select_candidates_resumable(&eval, &base, &groups, &opts4, &control, &mut resumed);
+        assert!(interrupted.is_none());
+        assert_eq!(resumed, full);
         assert_eq!(control.consumed(), total, "the resumed ledger lands on the same total");
 
         // assembly is a pure fold: identical pools either way
-        let a = assemble_pool(&full.selections);
-        let b = assemble_pool(&resumed.selections);
+        let a = assemble_pool(&full);
+        let b = assemble_pool(&resumed);
         assert_eq!(a.candidates.len(), b.candidates.len());
         for (x, y) in a.candidates.iter().zip(&b.candidates) {
             assert_eq!(x.structure, y.structure);
@@ -879,16 +870,17 @@ mod tests {
         let groups = groups_for(&s, &its);
         let eval = CostEvaluator::new(&target, &its);
         let control = SessionControl::with_budget(0);
-        let run = select_candidates_resumable(
+        let mut done = Vec::new();
+        let interrupted = select_candidates_resumable(
             &eval,
             &Configuration::new(),
             &groups,
             &TuningOptions::default(),
             &control,
-            Vec::new(),
+            &mut done,
         );
-        assert_eq!(run.interrupted, Some(StopReason::BudgetExhausted));
-        assert!(run.selections.is_empty());
+        assert_eq!(interrupted, Some(StopReason::BudgetExhausted));
+        assert!(done.is_empty());
         assert_eq!(eval.whatif_calls(), 0, "no budget, no server work");
     }
 

@@ -1,22 +1,25 @@
-//! Session checkpoints: everything an interrupted run must persist so
-//! that [`crate::tune_resume`] can continue it to the byte-identical
-//! answer an uninterrupted run would have produced (DESIGN.md §9).
+//! Session checkpoints: the serialized form of a parked
+//! `Session` — everything an interrupted run must
+//! persist so that [`crate::tune_resume`], or a recovered supervisor, can
+//! continue it to the byte-identical answer an uninterrupted run would
+//! have produced (DESIGN.md §9).
 //!
-//! A checkpoint is emitted whenever a session is cut short — the work
-//! budget ran out ([`crate::Completion::BudgetExhausted`]) or the
-//! session was cancelled ([`crate::Completion::Cancelled`], e.g. a
-//! tenant preempted by the session supervisor) — and is captured
-//! *before* the epilogue prices the best-so-far report, so the warmed
-//! cache it carries holds exactly the entries the search had produced
-//! at the cut — no report-only pricing leaks into the resumed session's
-//! tallies.
+//! A session that is cut short — the work budget ran out
+//! ([`crate::Completion::BudgetExhausted`]) or it was cancelled
+//! ([`crate::Completion::Cancelled`], e.g. a tenant preempted by the
+//! session supervisor) — parks where it is, live. A checkpoint is
+//! written from it only when somebody asks: an interrupted `tune*` result
+//! carries one, and a fleet manifest carries one per parked tenant. The
+//! warmed cache in it holds exactly the entries the search had produced
+//! at the cut: a session prices nothing for a report that it keeps.
 //!
-//! Derived state is deliberately *not* stored: column groups, the merged
-//! pool ordering, and Phase-2 greedy `remaining` lists are all recomputed
-//! deterministically from what is stored (pre-costs, per-item selections,
-//! the greedy cursor). The serialized form lives in `dta-xml`
-//! (`checkpoint_to_xml` / `checkpoint_from_xml`), which round-trips
-//! floats bit-exactly via their IEEE-754 bit patterns.
+//! Derived state is deliberately *not* stored: the base configuration,
+//! column groups, the merged pool and its ordering, and Phase-2 greedy
+//! `remaining` lists are all recomputed deterministically from what is
+//! stored (pre-costs, per-item selections, the greedy cursor). The
+//! serialized form lives in `dta-xml` (`checkpoint_to_xml` /
+//! `checkpoint_from_xml`), which round-trips floats bit-exactly via
+//! their IEEE-754 bit patterns.
 
 use crate::candidates::ItemSelection;
 use crate::control::Stage;
@@ -44,7 +47,7 @@ pub struct StatsProgress {
     pub backoff_units: u64,
 }
 
-/// A budget-exhausted tuning session, frozen at its cut point.
+/// An interrupted tuning session, by value, as of its cut point.
 #[derive(Debug, Clone)]
 pub struct SessionCheckpoint {
     /// The interrupted session's options.

@@ -223,6 +223,18 @@ impl SessionControl {
         })
     }
 
+    /// Replace the budget of a live ledger, keeping what it has consumed,
+    /// its cancel flag and its counters. Rejects a budget below the units
+    /// already consumed, as [`SessionControl::restored`] does.
+    pub fn set_budget(&mut self, budget: Option<u64>) -> Result<(), ControlError> {
+        let consumed = self.consumed();
+        if let Some(b) = budget.filter(|&b| b < consumed) {
+            return Err(ControlError::BudgetBelowConsumed { consumed, budget: b });
+        }
+        self.budget = budget;
+        Ok(())
+    }
+
     /// The session's shared counter set — the single source of truth
     /// for deterministic telemetry ([`crate::obs::Counter`]).
     pub fn counters(&self) -> &Arc<CounterSet> {
@@ -439,6 +451,25 @@ mod tests {
         let msg =
             SessionControl::restored(10, Some(7)).err().map(|e| e.to_string()).unwrap_or_default();
         assert!(msg.contains("below"), "{msg}");
+    }
+
+    #[test]
+    fn a_live_budget_can_be_replaced_but_not_set_below_consumption() {
+        let mut c = SessionControl::with_budget(10);
+        assert_eq!(c.grant(10), 10);
+        assert_eq!(c.stop(), Some(StopReason::BudgetExhausted));
+        let cancel = c.cancel_handle();
+        c.set_budget(Some(15)).expect("15 covers the 10 consumed");
+        assert_eq!((c.consumed(), c.remaining(), c.stop()), (10, Some(5), None));
+        assert_eq!(
+            c.set_budget(Some(9)).err(),
+            Some(ControlError::BudgetBelowConsumed { consumed: 10, budget: 9 })
+        );
+        assert_eq!(c.budget(), Some(15), "a rejected budget changes nothing");
+        c.set_budget(None).expect("unbounded is always valid");
+        assert_eq!(c.grant(100), 100);
+        cancel.cancel();
+        assert!(c.is_cancelled(), "the handles handed out before still reach it");
     }
 
     #[test]

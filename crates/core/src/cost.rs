@@ -35,6 +35,18 @@
 //! projected [`Configuration`] is only materialized on a miss, as
 //! pointer copies, where the what-if call dwarfs it.
 //!
+//! What the evaluator *learns* — the shards with their caches, table keys
+//! and prepared statements, the fallback costs, the degraded set — is a
+//! `CacheState` with no lifetime in it; the [`CostEvaluator`] is the
+//! borrowed façade over `(target, items, counters)` that prices through
+//! one. A standalone evaluator owns a fresh state. A tuning session
+//! (`crate::session::Session`) owns one for as long as it lives and
+//! lends it to the evaluator of each `run`, so a session parked between
+//! two supervisor slices keeps its cache where it is. The state is also
+//! where a slice becomes a transaction: `CacheState::begin` opens one,
+//! and `CacheState::rollback` takes back every entry, degraded mark and
+//! fallback it wrote (DESIGN.md §9).
+//!
 //! Debug builds additionally run the sanitizer-lite checks from
 //! [`crate::invariants`]: every cache hit re-derives a second,
 //! independent fingerprint to detect primary-key collisions, every
@@ -53,7 +65,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A memoized what-if result for one (statement, projected config) pair.
@@ -63,8 +75,14 @@ struct CacheEntry {
     /// Names of the structures the plan uses (for §6.3 reports).
     used_structures: Vec<String>,
     /// Secondary fingerprint for debug-build collision detection
-    /// ([`invariants::check_fingerprint`]); 0 in release builds.
-    verify: u64,
+    /// ([`invariants::check_fingerprint`]); 0 in release builds. Its low
+    /// half: 32 independent bits catch a collision as surely as 64 for
+    /// every purpose a debug build has, and the other four bytes are
+    /// `slice` — the entry is no larger for carrying a stamp.
+    verify: u32,
+    /// The slice that priced the entry ([`CacheState::begin`]): what a
+    /// rollback of that slice drops.
+    slice: u32,
 }
 
 /// One exported cache entry, for checkpointing a session's warmed cache
@@ -146,21 +164,31 @@ impl Shard {
     }
 }
 
-/// Caching cost evaluator over one tuning target and workload.
-///
-/// `Send + Sync`: share a single instance across every phase of the
-/// session and across worker threads.
-pub struct CostEvaluator<'a> {
-    target: &'a TuningTarget<'a>,
-    items: &'a [WorkloadItem],
+/// What [`CacheState::rollback`] puts back. The two sets are small and
+/// copied when the slice begins; the caches are not — entries carry the
+/// stamp of the slice that priced them, and an invalidation hands over
+/// the maps it empties.
+struct Undo {
+    degraded: BTreeSet<usize>,
+    fallbacks: Vec<f64>,
+    /// Misses tallied when the slice began: one that has tallied no more
+    /// cached nothing, and its rollback — the one after every report of
+    /// a complete session — has no entries to look for.
+    misses: u64,
+    /// Per shard, the cache [`CacheState::invalidate`] emptied during the
+    /// slice: what earlier slices priced, and what this one had so far.
+    invalidated: Option<Vec<HashMap<u64, CacheEntry>>>,
+}
+
+/// Everything pricing a workload accumulates, and nothing borrowed: one
+/// shard per statement (cache, table keys, preparation, tallies), the
+/// fallback costs and the degraded set. Every field is behind a lock or
+/// an atomic, so whoever owns the state — a standalone
+/// [`CostEvaluator`], or a [`crate::session::Session`] across all its
+/// runs — shares it with the evaluator at work by `Arc`.
+pub(crate) struct CacheState {
     /// One shard per statement, in workload order.
     shards: Vec<Shard>,
-    /// Deterministic session counters — shared with `SessionControl`
-    /// (and any observer) so what-if/retry telemetry has one source of
-    /// truth; a standalone evaluator owns a private set.
-    counters: Arc<CounterSet>,
-    /// Bounded-retry policy for transient what-if faults.
-    retry: RetryPolicy,
     /// Per-item fallback costs used when a statement degrades (its
     /// pre-statistics base cost; 0.0 until the session sets them, and
     /// 0.0 for an item whose pre-costing itself failed — constant per
@@ -168,22 +196,16 @@ pub struct CostEvaluator<'a> {
     fallbacks: RwLock<Vec<f64>>,
     /// Items degraded to their fallback cost by permanent faults.
     degraded: Mutex<BTreeSet<usize>>,
+    /// Stamp of the slice in progress; 0 until the first `begin`.
+    slice: AtomicU32,
+    /// `Some` between `begin` and the `commit` or `rollback` that ends
+    /// the slice.
+    undo: Mutex<Option<Undo>>,
 }
 
-impl<'a> CostEvaluator<'a> {
-    /// Build an evaluator for `items` against `target` with a private
-    /// counter set.
-    pub fn new(target: &'a TuningTarget<'a>, items: &'a [WorkloadItem]) -> Self {
-        Self::with_counters(target, items, Arc::new(CounterSet::new()))
-    }
-
-    /// Build an evaluator that tallies into a shared [`CounterSet`]
-    /// (the session's — see [`crate::SessionControl::counters`]).
-    pub fn with_counters(
-        target: &'a TuningTarget<'a>,
-        items: &'a [WorkloadItem],
-        counters: Arc<CounterSet>,
-    ) -> Self {
+impl CacheState {
+    /// Cold state for `items`: empty caches, nothing prepared.
+    pub(crate) fn new(items: &[WorkloadItem]) -> Self {
         let shards = items
             .iter()
             .map(|i| {
@@ -205,14 +227,191 @@ impl<'a> CostEvaluator<'a> {
             })
             .collect();
         Self {
-            target,
-            items,
             shards,
-            counters,
-            retry: RetryPolicy::default(),
             fallbacks: RwLock::new(Vec::new()),
             degraded: Mutex::new(BTreeSet::new()),
+            slice: AtomicU32::new(0),
+            undo: Mutex::new(None),
         }
+    }
+
+    /// Open a slice: what is cached, degraded or installed as a fallback
+    /// from here on is the slice's, until `commit` keeps it or `rollback`
+    /// takes it back. Serial coordination points only — no evaluator is
+    /// pricing while a slice begins or ends.
+    pub(crate) fn begin(&self) {
+        self.slice.fetch_add(1, Ordering::SeqCst);
+        *self.undo.lock() = Some(Undo {
+            degraded: self.degraded.lock().clone(),
+            fallbacks: self.fallbacks.read().clone(),
+            misses: self.misses(),
+            invalidated: None,
+        });
+    }
+
+    /// Keep what the slice wrote.
+    pub(crate) fn commit(&self) {
+        *self.undo.lock() = None;
+    }
+
+    /// Take back what the slice wrote: the state prices, degrades and
+    /// exports exactly as it did when the slice began. (The per-shard
+    /// tallies and the preparations stay: the first describe this
+    /// process, the second are checked against the target on every use.)
+    pub(crate) fn rollback(&self) {
+        let Some(undo) = self.undo.lock().take() else { return };
+        if let Some(caches) = undo.invalidated {
+            for (shard, cache) in self.shards.iter().zip(caches) {
+                *shard.cache.write() = cache;
+            }
+        }
+        if self.misses() != undo.misses {
+            let slice = self.slice.load(Ordering::SeqCst);
+            for shard in &self.shards {
+                shard.cache.write().retain(|_, e| e.slice != slice);
+            }
+        }
+        *self.degraded.lock() = undo.degraded;
+        *self.fallbacks.write() = undo.fallbacks;
+    }
+
+    /// Cache misses so far, over all shards: every entry a slice caches
+    /// is tallied as one before it is inserted.
+    fn misses(&self) -> u64 {
+        self.shards.iter().map(|s| s.stat.misses.load(Ordering::SeqCst)).sum()
+    }
+
+    /// Per-shard cache statistics, in statement order.
+    pub(crate) fn stats(&self) -> Vec<ShardSnapshot> {
+        self.shards.iter().map(|s| s.stat.snapshot()).collect()
+    }
+
+    /// Drop every cached cost.
+    ///
+    /// Needed when the cost model itself changes mid-session — e.g.
+    /// after statistics creation, which alters what-if estimates.
+    /// Preparations need no dropping: each is checked against the
+    /// target's estimate epoch before it prices anything.
+    pub(crate) fn invalidate(&self) {
+        let dropped: Vec<_> =
+            self.shards.iter().map(|s| std::mem::take(&mut *s.cache.write())).collect();
+        if let Some(undo) = self.undo.lock().as_mut() {
+            // a second invalidation in one slice drops only what the
+            // slice itself priced since the first
+            undo.invalidated.get_or_insert(dropped);
+        }
+    }
+
+    /// A cache entry stamped with the slice in progress.
+    fn entry(&self, cost: f64, used_structures: Vec<String>, verify: u64) -> CacheEntry {
+        CacheEntry {
+            cost,
+            used_structures,
+            verify: verify as u32,
+            slice: self.slice.load(Ordering::SeqCst),
+        }
+    }
+
+    /// The constant fallback cost a degraded item is priced at.
+    fn fallback_cost(&self, i: usize) -> f64 {
+        self.fallbacks.read().get(i).copied().unwrap_or(0.0)
+    }
+
+    /// Install per-item fallback costs (the pre-statistics base costs)
+    /// used when a permanent fault degrades a statement.
+    pub(crate) fn set_fallbacks(&self, costs: Vec<f64>) {
+        *self.fallbacks.write() = costs;
+    }
+
+    /// Item indexes degraded to their fallback cost by permanent faults,
+    /// in deterministic ascending order.
+    pub(crate) fn degraded_items(&self) -> Vec<usize> {
+        self.degraded.lock().iter().copied().collect()
+    }
+
+    /// The warmed cache in checkpoint form, in deterministic
+    /// `(item, fingerprint)` order.
+    pub(crate) fn export(&self) -> Vec<CacheExport> {
+        let mut out = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let shard = shard.cache.read();
+            let mut keys: Vec<u64> = shard.keys().copied().collect();
+            keys.sort_unstable();
+            for fp in keys {
+                if let Some(e) = shard.get(&fp) {
+                    out.push(CacheExport {
+                        item: i,
+                        fingerprint: fp,
+                        cost: e.cost,
+                        used_structures: e.used_structures.clone(),
+                        verify: u64::from(e.verify),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Re-warm from a checkpoint: its cache entries and degraded set. The
+    /// per-shard tallies start fresh — they describe this process's cache
+    /// behaviour, not the session ledger.
+    pub(crate) fn import(&self, entries: &[CacheExport], degraded: &[usize]) {
+        for e in entries {
+            if let Some(shard) = self.shards.get(e.item) {
+                invariants::check_cost(e.cost, "imported cache entry");
+                shard
+                    .cache
+                    .write()
+                    .insert(e.fingerprint, self.entry(e.cost, e.used_structures.clone(), e.verify));
+            }
+        }
+        self.degraded.lock().extend(degraded);
+    }
+}
+
+/// Caching cost evaluator over one tuning target and workload.
+///
+/// `Send + Sync`: share a single instance across every phase of the
+/// session and across worker threads.
+pub struct CostEvaluator<'a> {
+    target: &'a TuningTarget<'a>,
+    items: &'a [WorkloadItem],
+    /// What the evaluator has learned — its own, or the session's.
+    state: Arc<CacheState>,
+    /// Deterministic session counters — shared with `SessionControl`
+    /// (and any observer) so what-if/retry telemetry has one source of
+    /// truth; a standalone evaluator owns a private set.
+    counters: Arc<CounterSet>,
+    /// Bounded-retry policy for transient what-if faults.
+    retry: RetryPolicy,
+}
+
+impl<'a> CostEvaluator<'a> {
+    /// Build an evaluator for `items` against `target` with a private
+    /// counter set.
+    pub fn new(target: &'a TuningTarget<'a>, items: &'a [WorkloadItem]) -> Self {
+        Self::with_counters(target, items, Arc::new(CounterSet::new()))
+    }
+
+    /// Build an evaluator that tallies into a shared [`CounterSet`]
+    /// (the session's — see [`crate::SessionControl::counters`]).
+    pub fn with_counters(
+        target: &'a TuningTarget<'a>,
+        items: &'a [WorkloadItem],
+        counters: Arc<CounterSet>,
+    ) -> Self {
+        Self::over(target, items, Arc::new(CacheState::new(items)), counters)
+    }
+
+    /// An evaluator pricing through `state`, which must have been built
+    /// for these `items`.
+    pub(crate) fn over(
+        target: &'a TuningTarget<'a>,
+        items: &'a [WorkloadItem],
+        state: Arc<CacheState>,
+        counters: Arc<CounterSet>,
+    ) -> Self {
+        Self { target, items, state, counters, retry: RetryPolicy::default() }
     }
 
     /// The workload items being priced.
@@ -234,27 +433,22 @@ impl<'a> CostEvaluator<'a> {
     /// one-to-one onto workload statements, so entry `i` is statement
     /// `i`'s hit/miss/retry/call tally.
     pub fn cache_stats(&self) -> Vec<ShardSnapshot> {
-        self.shards.iter().map(|s| s.stat.snapshot()).collect()
+        self.state.stats()
     }
 
-    /// Drop every cached cost (the call counter is kept).
-    ///
-    /// Needed when the cost model itself changes mid-session — e.g.
-    /// after statistics creation, which alters what-if estimates.
-    /// Preparations need no dropping: each is checked against the
-    /// target's estimate epoch before it prices anything.
-    pub fn invalidate(&self) {
-        for shard in &self.shards {
-            shard.cache.write().clear();
-        }
+    /// Item indexes degraded to their fallback cost by permanent faults,
+    /// in deterministic ascending order.
+    pub fn degraded_items(&self) -> Vec<usize> {
+        self.state.degraded_items()
     }
 
     /// Item `i` and its shard.
     fn slot(&self, i: usize) -> (&'a WorkloadItem, &Shard) {
-        invariants::check_shards(self.shards.len(), self.items.len(), i);
+        let shards = &self.state.shards;
+        invariants::check_shards(shards.len(), self.items.len(), i);
         (
             self.items.get(i).expect("item index is in range for this evaluator"),
-            self.shards.get(i).expect("item index is in range for this evaluator"),
+            shards.get(i).expect("item index is in range for this evaluator"),
         )
     }
 
@@ -328,7 +522,8 @@ impl<'a> CostEvaluator<'a> {
         // imported checkpoint entries may carry verify == 0 when the
         // writing build had invariants compiled out; skip the check
         if invariants::ENABLED && entry.verify != 0 {
-            invariants::check_fingerprint(entry.verify, Self::verify_fingerprint(shard, config), i);
+            let recomputed = Self::verify_fingerprint(shard, config) as u32;
+            invariants::check_fingerprint(entry.verify.into(), recomputed.into(), i);
         }
         shard.stat.hits.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheHits, 1);
@@ -371,14 +566,11 @@ impl<'a> CostEvaluator<'a> {
         shard.stat.misses.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheMisses, 1);
         let verify = if invariants::ENABLED { Self::verify_fingerprint(shard, config) } else { 0 };
-        if self.degraded.lock().contains(&i) {
+        if self.state.degraded.lock().contains(&i) {
             // a permanent fault already degraded this statement: price
             // every configuration at its constant fallback, no server call
-            let cost = self.fallback_cost(i);
-            shard
-                .cache
-                .write()
-                .insert(fp, CacheEntry { cost, used_structures: Vec::new(), verify });
+            let cost = self.state.fallback_cost(i);
+            shard.cache.write().insert(fp, self.state.entry(cost, Vec::new(), verify));
             return Ok((cost, Vec::new()));
         }
         // only a miss materializes the projection, and only as pointer
@@ -415,95 +607,13 @@ impl<'a> CostEvaluator<'a> {
                 (plan.cost, plan.used_structures())
             }
             None => {
-                self.degraded.lock().insert(i);
-                (self.fallback_cost(i), Vec::new())
+                self.state.degraded.lock().insert(i);
+                (self.state.fallback_cost(i), Vec::new())
             }
         };
         let used = if want_structures { used_structures.clone() } else { Vec::new() };
-        shard.cache.write().insert(fp, CacheEntry { cost, used_structures, verify });
+        shard.cache.write().insert(fp, self.state.entry(cost, used_structures, verify));
         Ok((cost, used))
-    }
-
-    /// The constant fallback cost a degraded item is priced at.
-    fn fallback_cost(&self, i: usize) -> f64 {
-        self.fallbacks.read().get(i).copied().unwrap_or(0.0)
-    }
-
-    /// Install per-item fallback costs (the pre-statistics base costs)
-    /// used when a permanent fault degrades a statement.
-    pub fn set_fallbacks(&self, costs: Vec<f64>) {
-        *self.fallbacks.write() = costs;
-    }
-
-    /// Transient what-if faults absorbed by retry.
-    pub fn retries(&self) -> usize {
-        self.counters.get(Counter::WhatIfRetries) as usize
-    }
-
-    /// Deterministic backoff units accounted across all retries.
-    pub fn backoff_units(&self) -> u64 {
-        self.counters.get(Counter::RetryBackoffUnits)
-    }
-
-    /// Item indexes degraded to their fallback cost by permanent faults,
-    /// in deterministic ascending order.
-    pub fn degraded_items(&self) -> Vec<usize> {
-        self.degraded.lock().iter().copied().collect()
-    }
-
-    /// Export the warmed cache for checkpointing, in deterministic
-    /// `(item, fingerprint)` order.
-    pub fn export_cache(&self) -> Vec<CacheExport> {
-        let mut out = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.cache.read();
-            let mut keys: Vec<u64> = shard.keys().copied().collect();
-            keys.sort_unstable();
-            for fp in keys {
-                if let Some(e) = shard.get(&fp) {
-                    out.push(CacheExport {
-                        item: i,
-                        fingerprint: fp,
-                        cost: e.cost,
-                        used_structures: e.used_structures.clone(),
-                        verify: e.verify,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Re-warm the cache from a checkpoint and restore the session's
-    /// what-if telemetry so a resumed run's tallies continue where the
-    /// interrupted run left off.
-    pub fn import_cache(&self, entries: &[CacheExport], whatif_calls: usize) {
-        for e in entries {
-            if let Some(shard) = self.shards.get(e.item) {
-                invariants::check_cost(e.cost, "imported cache entry");
-                shard.cache.write().insert(
-                    e.fingerprint,
-                    CacheEntry {
-                        cost: e.cost,
-                        used_structures: e.used_structures.clone(),
-                        verify: e.verify,
-                    },
-                );
-            }
-        }
-        self.counters.set(Counter::WhatIfCalls, whatif_calls as u64);
-    }
-
-    /// Restore fault telemetry (retry tallies and the degraded set) from
-    /// a checkpoint. Per-shard hit/miss statistics start fresh — they
-    /// describe this process's cache behaviour, not the session ledger.
-    pub fn restore_fault_state(&self, retries: usize, backoff_units: u64, degraded: &[usize]) {
-        self.counters.set(Counter::WhatIfRetries, retries as u64);
-        self.counters.set(Counter::RetryBackoffUnits, backoff_units);
-        let mut set = self.degraded.lock();
-        for &i in degraded {
-            set.insert(i);
-        }
     }
 
     /// Estimated cost of one item under `config`.
@@ -809,12 +919,12 @@ mod tests {
         let writer = CostEvaluator::new(&target, &w.items);
         let costs: Vec<f64> =
             configs.iter().map(|c| writer.workload_cost(c).expect("costing succeeds")).collect();
-        let export = writer.export_cache();
+        let export = writer.state.export();
 
         // a later process: structures re-wrapped, configurations rebuilt
         // by every route, and nothing is priced twice
         let reader = CostEvaluator::new(&target, &w.items);
-        reader.import_cache(&export, writer.whatif_calls());
+        reader.state.import(&export, &[]);
         for (config, cost) in configs.iter().zip(&costs) {
             let rebuilt = Configuration::from_structures(config.iter().cloned());
             let (front, back) = (config.project(|h| reader.slot(0).1.sees(h)), config);
@@ -824,7 +934,7 @@ mod tests {
                 assert_eq!(again.to_bits(), cost.to_bits());
             }
         }
-        assert_eq!(reader.whatif_calls(), writer.whatif_calls(), "every lookup hit");
+        assert_eq!(reader.whatif_calls(), 0, "every lookup hit");
         assert!(reader.cache_stats().iter().all(|st| st.misses == 0));
     }
 
@@ -855,9 +965,90 @@ mod tests {
         let eval = CostEvaluator::new(&target, &w.items);
         eval.workload_cost(&Configuration::new()).expect("costing succeeds");
         assert_eq!(eval.whatif_calls(), 2);
-        eval.invalidate();
+        eval.state.invalidate();
         eval.workload_cost(&Configuration::new()).expect("costing succeeds");
         assert_eq!(eval.whatif_calls(), 4, "cache was dropped, calls re-issued");
+    }
+
+    fn on_t(column: &str) -> Configuration {
+        Configuration::from_structures([PhysicalStructure::Index(Index::non_clustered(
+            "d",
+            "t",
+            &[column],
+            &[],
+        ))])
+    }
+
+    #[test]
+    fn a_rolled_back_slice_misses_again_and_committed_slices_still_hit() {
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let eval = CostEvaluator::new(&target, &w.items);
+        let state = &eval.state;
+        // priced outside any slice, then in a slice that commits
+        let raw = eval.workload_cost(&Configuration::new()).expect("costing succeeds");
+        state.begin();
+        let kept = eval.workload_cost(&on_t("a")).expect("costing succeeds");
+        state.commit();
+        let before = state.export();
+        assert_eq!((eval.whatif_calls(), before.len()), (3, 3));
+
+        state.begin();
+        eval.workload_cost(&on_t("b")).expect("costing succeeds");
+        assert_eq!((eval.whatif_calls(), state.export().len()), (4, 4));
+        state.rollback();
+        assert_eq!(state.export(), before, "the export is what it was when the slice began");
+
+        // what earlier slices priced still hits, bit for bit …
+        for (config, cost) in [(Configuration::new(), raw), (on_t("a"), kept)] {
+            let again = eval.workload_cost(&config).expect("costing succeeds");
+            assert_eq!(again.to_bits(), cost.to_bits());
+        }
+        assert_eq!(eval.whatif_calls(), 4);
+        // … and what the failed slice priced is a miss, and a call, again
+        eval.workload_cost(&on_t("b")).expect("costing succeeds");
+        assert_eq!(eval.whatif_calls(), 5);
+        // a rollback with no slice open takes nothing back
+        state.rollback();
+        assert_eq!(state.export().len(), 4);
+    }
+
+    #[test]
+    fn a_rollback_restores_what_the_slice_invalidated_degraded_and_fell_back_to() {
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let eval = CostEvaluator::new(&target, &w.items);
+        let state = &eval.state;
+        eval.workload_cost(&Configuration::new()).expect("costing succeeds");
+        state.set_fallbacks(vec![7.0, 8.0]);
+        let before = state.export();
+
+        state.begin();
+        eval.item_cost(0, &on_t("a")).expect("costing succeeds");
+        state.invalidate();
+        eval.item_cost(1, &on_t("b")).expect("costing succeeds");
+        state.invalidate();
+        state.set_fallbacks(vec![1.0, 2.0]);
+        // a permanently faulted statement degrades inside the slice
+        s.set_fault_policy(Some(dta_server::FaultPolicy {
+            whatif_permanent_rate: 1.0,
+            ..Default::default()
+        }));
+        assert_eq!(eval.item_cost(1, &on_t("a")).expect("degrades"), 2.0);
+        s.set_fault_policy(None);
+        assert_eq!(state.degraded_items(), [1]);
+        state.rollback();
+
+        assert_eq!(state.export(), before, "both invalidations are undone");
+        assert!(state.degraded_items().is_empty());
+        assert_eq!(state.fallback_cost(0), 7.0);
+        let calls = eval.whatif_calls();
+        eval.workload_cost(&Configuration::new()).expect("costing succeeds");
+        assert_eq!(eval.whatif_calls(), calls, "the pre-slice cache is back and hits");
+        // statement 1 answers from that cache, not from a fallback
+        assert_ne!(eval.item_cost(1, &on_t("a")).expect("costing succeeds"), 2.0);
     }
 
     #[test]
@@ -889,7 +1080,7 @@ mod tests {
         let stale = server().whatif(&item.database, &item.statement, &cfg).expect("binds").cost;
         assert_ne!(got.to_bits(), stale.to_bits(), "the statistic moves this estimate");
         // cached costs are a separate matter: those `invalidate` drops
-        eval.invalidate();
+        eval.state.invalidate();
         let again = eval.item_cost(0, &on_a(&[])).expect("costing succeeds");
         let fresh = s.whatif(&item.database, &item.statement, &on_a(&[])).expect("binds").cost;
         assert_eq!(again.to_bits(), fresh.to_bits());
@@ -902,7 +1093,7 @@ mod tests {
         let w = wl();
         let counters = Arc::new(CounterSet::new());
         let eval = CostEvaluator::with_counters(&target, &w.items, Arc::clone(&counters));
-        assert!(eval.shards.iter().all(|shard| shard.prepared.read().is_none()), "lazy");
+        assert!(eval.state.shards.iter().all(|shard| shard.prepared.read().is_none()), "lazy");
         for item in &w.items {
             let prep = target.prepare(&item.database, &item.statement);
             assert_eq!(prep.epoch(), target.estimate_epoch());
@@ -915,7 +1106,8 @@ mod tests {
             s.overhead_units()
         };
         assert!(
-            eval.shards[0].prepared.read().is_none() && eval.shards[1].prepared.read().is_some()
+            eval.state.shards[0].prepared.read().is_none()
+                && eval.state.shards[1].prepared.read().is_some()
         );
         assert_eq!((s.whatif_invocations(), counters.get(Counter::WhatIfCalls)), (1, 1));
         let twin = server();

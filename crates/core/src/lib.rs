@@ -42,8 +42,8 @@ pub use obs::{
 pub use options::{AlignmentMode, FeatureSet, TuningOptions};
 pub use report::{EvaluationReport, StatementReport, TuningResult};
 pub use session::{
-    evaluate_configuration, tune, tune_resume, tune_resume_with_control, tune_with_control,
-    tune_with_observer, workload_cost, TuneError,
+    evaluate_configuration, tune, tune_resume, tune_with_control, tune_with_observer,
+    workload_cost, TuneError,
 };
 pub use supervisor::{
     ChaosHook, FinishedSession, FleetManifest, FleetReport, SessionSupervisor, SliceContext,

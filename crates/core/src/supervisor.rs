@@ -23,14 +23,18 @@
 //!   never notice.
 //! * **Preemption** — a running slice is cancelled through its
 //!   [`CancelHandle`] (manual, via [`SupervisorHandle::preempt`], or
-//!   automatic via the per-tenant unit cap). The session parks as a
-//!   [`SessionCheckpoint`] and re-enters the run queue; resume is
-//!   byte-identical, so preemption never costs correctness.
+//!   automatic via the per-tenant unit cap). The session parks where it
+//!   is — live, in its tenant's slot — and re-enters the run queue; its
+//!   next slice is a `Session::run` on the same object, so a slice
+//!   costs the work it does and preemption never costs correctness.
 //! * **Crash recovery** — [`SessionSupervisor::manifest`] snapshots the
-//!   whole fleet (per-tenant checkpoints, queue order, the fleet
-//!   ledger) into a [`FleetManifest`]; `dta-xml` persists it, and
-//!   [`SessionSupervisor::recover`] rebuilds the supervisor after a
-//!   simulated node restart. Tuning targets are external database
+//!   whole fleet (each parked session serialized to a
+//!   [`SessionCheckpoint`], queue order, the fleet ledger) into a
+//!   [`FleetManifest`]; `dta-xml` persists it, and
+//!   [`SessionSupervisor::recover`] rebuilds the supervisor — and every
+//!   parked session from its checkpoint — after a simulated node
+//!   restart. A rebuilt session continues byte-identically to the live
+//!   one it was written from. Tuning targets are external database
 //!   servers that survive an advisor restart (created statistics
 //!   included), so recovery re-attaches to the same [`Server`]s and
 //!   replays to byte-identical final recommendations.
@@ -45,10 +49,10 @@ use parking_lot::Mutex;
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::control::{CancelHandle, Completion, ControlError, SessionControl, StopReason};
-use crate::obs::{Counter, CounterTotals};
+use crate::obs::{Counter, CounterTotals, NOOP};
 use crate::options::TuningOptions;
 use crate::report::TuningResult;
-use crate::session::{tune_resume_with_control, tune_with_control, TuneError};
+use crate::session::{Session, TuneError};
 
 /// Scheduling and containment knobs for a [`SessionSupervisor`].
 #[derive(Debug, Clone)]
@@ -235,7 +239,10 @@ pub struct FinishedSession {
 struct Tenant<'srv> {
     spec: TenantSpec<'srv>,
     status: TenantStatus,
-    checkpoint: Option<Box<SessionCheckpoint>>,
+    /// The tenant's session, from its first park until it completes:
+    /// taken out at the serial plan point, run on a worker, put back at
+    /// the serial apply point.
+    session: Option<Session>,
     finished: Option<FinishedSession>,
     quarantine_reason: Option<String>,
     consumed: u64,
@@ -251,7 +258,7 @@ impl<'srv> Tenant<'srv> {
         Tenant {
             spec,
             status: TenantStatus::Queued,
-            checkpoint: None,
+            session: None,
             finished: None,
             quarantine_reason: None,
             consumed: 0,
@@ -324,15 +331,24 @@ impl SupervisorHandle {
     }
 }
 
+/// One planned slice: the tenant, its grant, and its session — `None`
+/// until the tenant has parked once — out of the tenant's slot for as
+/// long as the slice is in flight.
+struct Planned {
+    idx: usize,
+    grant: u64,
+    session: Option<Session>,
+}
+
 /// Outcome of one executed slice, produced on a worker thread and
 /// applied at the serial scheduling point.
 enum SliceOutcome {
-    /// The session ran to convergence.
+    /// The session ran to convergence; this is its report.
     Finished(Box<TuningResult>),
-    /// The session was interrupted (budget or cancel) and parked.
-    Parked(Box<SessionCheckpoint>),
-    /// The session failed (server error, escaped panic, or an
-    /// interrupted run that produced no checkpoint).
+    /// The session was interrupted (budget or cancel) and is parked, live.
+    Parked,
+    /// The slice failed (server error or escaped panic) and its session
+    /// is what it was before the slice.
     Failed(String),
 }
 
@@ -341,9 +357,20 @@ struct SliceReport {
     outcome: SliceOutcome,
     /// Work units actually consumed by the slice.
     used: u64,
-    /// The slice control's counter snapshot (absorbed into the
-    /// tenant's totals at the apply point).
+    /// What the slice's own counter set tallied: the slice's work and
+    /// nothing carried over, so the tenant's totals are the plain sum.
     counters: [u64; Counter::COUNT],
+}
+
+impl SliceReport {
+    /// A slice that failed before it could run anything.
+    fn failed(reason: String) -> Self {
+        SliceReport {
+            outcome: SliceOutcome::Failed(reason),
+            used: 0,
+            counters: [0; Counter::COUNT],
+        }
+    }
 }
 
 /// One tenant's row in a [`FleetManifest`].
@@ -600,11 +627,23 @@ impl<'srv> SessionSupervisor<'srv> {
         &self.policy
     }
 
+    /// Replace the fleet-wide work budget (`None` = unbounded) of a live
+    /// supervisor: what an operator does to a fleet that
+    /// [`run`](Self::run) left parked on an exhausted budget, without a
+    /// [`manifest`](Self::manifest)/[`recover`](Self::recover) cycle that
+    /// would rebuild every parked session from its serialized form. The
+    /// ledger keeps what it has consumed; a budget below that is refused.
+    pub fn set_fleet_budget(&mut self, budget: Option<u64>) -> Result<(), SupervisorError> {
+        self.fleet.set_budget(budget)?;
+        self.policy.fleet_budget = budget;
+        Ok(())
+    }
+
     /// Run the fleet until every tenant reaches a terminal state or the
     /// fleet ledger stops granting (budget exhausted / cancelled).
-    /// Parked tenants stay parked in the latter case; call
-    /// [`manifest`](Self::manifest) to persist them, or `run` again
-    /// after raising the budget via a recover cycle.
+    /// Parked tenants stay parked in the latter case, live: raise the
+    /// budget ([`set_fleet_budget`](Self::set_fleet_budget)) and `run`
+    /// again, or call [`manifest`](Self::manifest) to persist them.
     pub fn run(&mut self) -> FleetReport {
         if !self.started {
             self.started = true;
@@ -614,7 +653,7 @@ impl<'srv> SessionSupervisor<'srv> {
         }
         self.stopped = None;
         loop {
-            let (batch, stalled) = self.plan_turn();
+            let (mut batch, stalled) = self.plan_turn();
             if batch.is_empty() {
                 if stalled {
                     self.stopped = self.fleet.stop();
@@ -629,9 +668,9 @@ impl<'srv> SessionSupervisor<'srv> {
                 self.rounds += 1;
                 continue;
             }
-            let reports = self.run_turn(&batch);
-            for (&(idx, grant), report) in batch.iter().zip(reports) {
-                self.apply(idx, grant, report);
+            let reports = self.run_turn(&mut batch);
+            for (planned, report) in batch.into_iter().zip(reports) {
+                self.apply(planned, report);
             }
             self.rounds += 1;
         }
@@ -651,11 +690,12 @@ impl<'srv> SessionSupervisor<'srv> {
         self.queue = order.into_iter().map(|(_, i)| i).collect();
     }
 
-    /// Serial scheduling point: pop up to `workers` runnable tenants
-    /// and plan their grants. Returns the batch and whether the fleet
-    /// ledger refused a grant (budget exhausted or cancelled).
-    fn plan_turn(&mut self) -> (Vec<(usize, u64)>, bool) {
-        let mut batch: Vec<(usize, u64)> = Vec::new();
+    /// Serial scheduling point: pop up to `workers` runnable tenants,
+    /// plan their grants and take their sessions out for the slice.
+    /// Returns the batch and whether the fleet ledger refused a grant
+    /// (budget exhausted or cancelled).
+    fn plan_turn(&mut self) -> (Vec<Planned>, bool) {
+        let mut batch: Vec<Planned> = Vec::new();
         let mut deferred: Vec<usize> = Vec::new();
         let mut stalled = false;
         // bound the scan to one pass over the queue as it stood at turn
@@ -695,7 +735,7 @@ impl<'srv> SessionSupervisor<'srv> {
                 stalled = true;
                 break;
             }
-            batch.push((idx, grant));
+            batch.push(Planned { idx, grant, session: tenant.session.take() });
         }
         for idx in deferred {
             self.queue.push_back(idx);
@@ -706,25 +746,25 @@ impl<'srv> SessionSupervisor<'srv> {
     /// Execute one turn's slices, one scoped worker thread per slice.
     /// Slices touch disjoint tenants, so parallel execution cannot
     /// reorder anything observable; outcomes are applied in plan order.
-    fn run_turn(&self, batch: &[(usize, u64)]) -> Vec<SliceReport> {
-        if batch.len() == 1 {
+    /// The sessions stay in `batch`, on this thread's stack: a worker
+    /// borrows its own, so not even a dying worker thread can lose one.
+    fn run_turn(&self, batch: &mut [Planned]) -> Vec<SliceReport> {
+        if let [only] = batch {
             // fast path: no thread spawn for a single slice
-            return batch.iter().map(|&(idx, grant)| self.run_slice(idx, grant)).collect();
+            return vec![self.run_slice(only)];
         }
         std::thread::scope(|scope| {
             let handles: Vec<_> = batch
-                .iter()
-                .map(|&(idx, grant)| scope.spawn(move || self.run_slice(idx, grant)))
+                .iter_mut()
+                .map(|planned| scope.spawn(move || self.run_slice(planned)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| {
-                    h.join().unwrap_or_else(|_| SliceReport {
-                        // run_slice catches panics itself; a panicking
-                        // worker thread is still contained here
-                        outcome: SliceOutcome::Failed("slice worker thread panicked".into()),
-                        used: 0,
-                        counters: [0; Counter::COUNT],
+                    // run_slice catches panics itself; a panicking
+                    // worker thread is still contained here
+                    h.join().unwrap_or_else(|_| {
+                        SliceReport::failed("slice worker thread panicked".into())
                     })
                 })
                 .collect()
@@ -733,30 +773,23 @@ impl<'srv> SessionSupervisor<'srv> {
 
     /// Run one tenant slice under containment. Worker-thread context:
     /// must not touch supervisor state other than the registry.
-    fn run_slice(&self, idx: usize, grant: u64) -> SliceReport {
+    fn run_slice(&self, planned: &mut Planned) -> SliceReport {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let Some(tenant) = self.tenants.get(idx) else {
-            return SliceReport {
-                outcome: SliceOutcome::Failed("tenant index out of range".into()),
-                used: 0,
-                counters: [0; Counter::COUNT],
-            };
+        let Some(tenant) = self.tenants.get(planned.idx) else {
+            return SliceReport::failed("tenant index out of range".into());
         };
-        let before = tenant.checkpoint.as_ref().map_or(0, |c| c.consumed_units);
-        let control = match SessionControl::resumed(before, Some(grant)) {
+        let before = planned.session.as_ref().map_or(0, Session::consumed_units);
+        let control = match SessionControl::resumed(before, Some(planned.grant)) {
             Ok(c) => c,
-            Err(e) => {
-                return SliceReport {
-                    outcome: SliceOutcome::Failed(e.to_string()),
-                    used: 0,
-                    counters: [0; Counter::COUNT],
-                }
-            }
+            Err(e) => return SliceReport::failed(e.to_string()),
         };
         self.registry.running.lock().insert(tenant.spec.id.clone(), control.cancel_handle());
         if self.fleet.is_cancelled() {
             control.cancel_handle().cancel();
         }
+        // a tenant that has never parked starts (and, should the slice
+        // fail, starts again) from its spec
+        let parked = planned.session.is_some();
         let run = catch_unwind(AssertUnwindSafe(|| {
             if let Some(hook) = &self.chaos {
                 hook(&SliceContext {
@@ -766,45 +799,39 @@ impl<'srv> SessionSupervisor<'srv> {
                 });
             }
             let target = TuningTarget::Single(tenant.spec.server);
-            match &tenant.checkpoint {
-                // dta-lint: allow(R12): the checkpoint's taint grounds in
-                // enumeration's post-join counter read (R6-justified there);
-                // all workers are joined before it, so checkpoint contents
-                // are byte-deterministic — the resume tests prove it.
-                Some(cp) => tune_resume_with_control(&target, cp, &control),
-                None => tune_with_control(
-                    &target,
-                    &tenant.spec.workload,
-                    &tenant.spec.options,
-                    &control,
-                ),
-            }
+            let session = planned
+                .session
+                .get_or_insert_with(|| Session::new(&tenant.spec.workload, &tenant.spec.options));
+            // a slice that parks prices no report and builds no result;
+            // the one that completes the session reports it, once
+            Ok(match session.run(&target, &control, &NOOP)? {
+                Completion::Complete => Some(session.finish(&target, &control, &NOOP)?),
+                Completion::BudgetExhausted { .. } | Completion::Cancelled { .. } => None,
+            })
         }));
         self.registry.running.lock().remove(&tenant.spec.id);
-        let used = control.consumed().saturating_sub(before);
-        let counters = control.counters().snapshot();
         let outcome = match run {
-            Err(payload) => SliceOutcome::Failed(panic_message(&payload)),
+            Ok(Ok(Some(result))) => SliceOutcome::Finished(Box::new(result)),
+            Ok(Ok(None)) => SliceOutcome::Parked,
             Ok(Err(e)) => SliceOutcome::Failed(session_error_message(&e)),
-            Ok(Ok(result)) => match result.completion {
-                Completion::Complete => SliceOutcome::Finished(Box::new(result)),
-                Completion::BudgetExhausted { .. } | Completion::Cancelled { .. } => {
-                    match result.checkpoint {
-                        Some(cp) => SliceOutcome::Parked(cp),
-                        None => SliceOutcome::Failed(
-                            "interrupted session returned no checkpoint".into(),
-                        ),
-                    }
-                }
-            },
+            Err(payload) => SliceOutcome::Failed(panic_message(&payload)),
         };
-        SliceReport { outcome, used, counters }
+        if !parked && matches!(outcome, SliceOutcome::Failed(_)) {
+            planned.session = None;
+        }
+        SliceReport {
+            outcome,
+            used: control.consumed().saturating_sub(before),
+            counters: control.counters().snapshot(),
+        }
     }
 
-    /// Serial apply point: settle the ledger, absorb telemetry, and
-    /// route the tenant to its next state. Applied in plan order, so
-    /// the fleet ledger trajectory is identical at any worker count.
-    fn apply(&mut self, idx: usize, grant: u64, report: SliceReport) {
+    /// Serial apply point: settle the ledger, absorb telemetry, put the
+    /// session back and route the tenant to its next state. Applied in
+    /// plan order, so the fleet ledger trajectory is identical at any
+    /// worker count.
+    fn apply(&mut self, planned: Planned, report: SliceReport) {
+        let Planned { idx, grant, session } = planned;
         // settle the fleet ledger first: refund unused grant, charge
         // truthful overshoot
         if report.used < grant {
@@ -818,11 +845,12 @@ impl<'srv> SessionSupervisor<'srv> {
         tenant.slices += 1;
         tenant.consumed = tenant.consumed.saturating_add(report.used);
         tenant.counters.absorb(&report.counters);
+        tenant.session = session;
         match report.outcome {
             SliceOutcome::Finished(result) => {
                 tenant.status = TenantStatus::Completed;
                 tenant.retries = 0;
-                tenant.checkpoint = None;
+                tenant.session = None;
                 tenant.finished = Some(FinishedSession {
                     recommendation: result.recommendation.clone(),
                     base_cost: result.base_cost,
@@ -830,10 +858,9 @@ impl<'srv> SessionSupervisor<'srv> {
                     result: Some(result),
                 });
             }
-            SliceOutcome::Parked(cp) => {
+            SliceOutcome::Parked => {
                 tenant.status = TenantStatus::Parked;
                 tenant.retries = 0;
-                tenant.checkpoint = Some(cp);
                 self.queue.push_back(idx);
             }
             SliceOutcome::Failed(reason) => {
@@ -854,7 +881,9 @@ impl<'srv> SessionSupervisor<'srv> {
     }
 
     /// Snapshot the fleet for persistence (`dta-xml`'s
-    /// `manifest_to_xml`) and later [`recover`](Self::recover).
+    /// `manifest_to_xml`) and later [`recover`](Self::recover). This is
+    /// where parked sessions are serialized — each to a checkpoint, by
+    /// value, here and not per slice.
     pub fn manifest(&self) -> FleetManifest {
         let mut rows: Vec<TenantManifest> = self
             .tenants
@@ -868,7 +897,7 @@ impl<'srv> SessionSupervisor<'srv> {
                 backoff_owed: t.backoff_owed,
                 capped: t.capped,
                 quarantine_reason: t.quarantine_reason.clone(),
-                checkpoint: t.checkpoint.clone(),
+                checkpoint: t.session.as_ref().map(|s| Box::new(s.checkpoint())),
                 finished: t.finished.as_ref().map(|f| FinishedSession {
                     recommendation: f.recommendation.clone(),
                     base_cost: f.base_cost,
@@ -936,10 +965,14 @@ impl<'srv> SessionSupervisor<'srv> {
                     row.id
                 )));
             }
+            let session =
+                row.checkpoint.as_deref().map(Session::from_checkpoint).transpose().map_err(
+                    |e| SupervisorError::ManifestMismatch(format!("tenant {:?}: {e}", row.id)),
+                )?;
             tenants.push(Tenant {
                 spec,
                 status: row.status,
-                checkpoint: row.checkpoint.clone(),
+                session,
                 finished: row.finished.clone(),
                 quarantine_reason: row.quarantine_reason.clone(),
                 consumed: row.consumed,
@@ -1010,7 +1043,7 @@ impl<'srv> SessionSupervisor<'srv> {
                 slices: t.slices,
                 retries: t.retries,
                 quarantine_reason: t.quarantine_reason.clone(),
-                parked_stage: t.checkpoint.as_ref().map(|c| c.stage),
+                parked_stage: t.session.as_ref().and_then(Session::parked_stage),
                 finished: t.finished.clone(),
                 counters: t.counters,
             })

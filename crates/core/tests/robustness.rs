@@ -20,14 +20,14 @@ use std::sync::Arc;
 
 use dta_catalog::{Column, ColumnType, Database, Table, Value};
 use dta_core::{
-    tune, tune_resume, tune_with_control, Completion, SessionControl, SessionSupervisor,
-    SliceContext, Stage, StopReason, SupervisorPolicy, TenantSpec, TenantStatus, TuningOptions,
-    TuningResult,
+    tune, tune_resume, tune_with_control, Completion, Counter, SessionCheckpoint, SessionControl,
+    SessionSupervisor, SliceContext, Stage, StopReason, SupervisorPolicy, TenantSpec, TenantStatus,
+    TuningOptions, TuningResult,
 };
 use dta_server::{FaultPolicy, Server, TuningTarget};
 use dta_sql::parse_statement;
 use dta_workload::{Workload, WorkloadItem};
-use dta_xml::{manifest_from_xml, manifest_to_xml};
+use dta_xml::{manifest_from_xml, manifest_to_xml, result_to_xml};
 
 /// A compact server: big enough that tuning finds real winners, small
 /// enough that a sweep of full sessions stays fast.
@@ -362,10 +362,11 @@ fn transient_faults_converge_to_the_no_fault_recommendation() {
 }
 
 /// Where a statement falls in a what-if fault schedule, by the server's
-/// documented rule: the schedule's seed hashed with the fault domain and
-/// the hash of `(database, statement text)`, mapped to `[0, 1)`. A
-/// statement whose roll is under the permanent rate fails every call.
-fn whatif_fault_roll(seed: u64, item: &WorkloadItem) -> f64 {
+/// documented rule: the schedule's seed hashed with the fault domain
+/// (`"whatif"` for transient and permanent faults, `"whatif-panic"` for
+/// panics) and the hash of `(database, statement text)`, mapped to
+/// `[0, 1)`. A statement whose roll is under the domain's rate faults.
+fn whatif_fault_roll(seed: u64, domain: &str, item: &WorkloadItem) -> f64 {
     use std::hash::{Hash, Hasher};
     fn hash_of(value: impl Hash) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -374,7 +375,7 @@ fn whatif_fault_roll(seed: u64, item: &WorkloadItem) -> f64 {
     }
     let text = item.statement.to_string();
     let classify = hash_of((item.database.as_str(), text.as_str()));
-    (hash_of((seed, "whatif", classify)) % 1_000_000) as f64 / 1_000_000.0
+    (hash_of((seed, domain, classify)) % 1_000_000) as f64 / 1_000_000.0
 }
 
 #[test]
@@ -401,7 +402,7 @@ fn permanent_faults_degrade_statements_instead_of_aborting() {
     let scheduled: Vec<String> = workload
         .items
         .iter()
-        .filter(|i| whatif_fault_roll(3, i) < 0.25)
+        .filter(|i| whatif_fault_roll(3, "whatif", i) < 0.25)
         .map(|i| i.statement.to_string())
         .collect();
     assert_eq!(result.degraded_statements, scheduled);
@@ -545,44 +546,75 @@ fn tenant_workload(salt: usize) -> Workload {
 
 /// The yardstick every supervised tenant is judged against: a solo,
 /// unlimited-budget, undisturbed session on a fresh copy of the same
-/// server. Returns the reference result and its total work units.
-fn solo_reference(salt: usize) -> (TuningResult, u64) {
+/// server.
+struct Solo {
+    result: TuningResult,
+    /// Work units the session consumed.
+    units: u64,
+    /// Its cache misses: the configurations it had to price.
+    cache_misses: u64,
+}
+
+fn solo_reference(salt: usize) -> Solo {
     let server = make_server();
     let target = TuningTarget::Single(&server);
     let control = SessionControl::unlimited();
     let result = tune_with_control(&target, &tenant_workload(salt), &options(1), &control).unwrap();
     assert_eq!(result.completion, Completion::Complete);
-    (result, control.consumed())
+    Solo {
+        result,
+        units: control.consumed(),
+        cache_misses: control.counters().get(Counter::CacheMisses),
+    }
 }
 
-/// Assert a supervised tenant finished byte-identical to its solo run.
-fn assert_matches_solo(
-    report: &dta_core::FleetReport,
-    tenant: &str,
-    solo: &TuningResult,
-    label: &str,
-) {
+/// Assert a supervised tenant — none of whose slices failed — finished
+/// byte-identical to its solo run, and that its counter totals are what
+/// the session did: however it was sliced, preempted or recovered, it
+/// priced what the solo session priced, once, and its totals add up to
+/// its own report.
+fn assert_matches_solo(report: &dta_core::FleetReport, tenant: &str, solo: &Solo, label: &str) {
     let row = report.tenant(tenant).unwrap_or_else(|| panic!("{label}: {tenant} not in report"));
     assert_eq!(row.status, TenantStatus::Completed, "{label}: {tenant} did not complete");
     let fin = row.finished.as_ref().expect("completed tenant carries a recommendation");
     assert_eq!(
         fin.recommendation.to_string(),
-        solo.recommendation.to_string(),
+        solo.result.recommendation.to_string(),
         "{label}: {tenant} recommendation diverged from the solo run"
     );
     assert_eq!(
         fin.recommended_cost.to_bits(),
-        solo.recommended_cost.to_bits(),
+        solo.result.recommended_cost.to_bits(),
         "{label}: {tenant} cost bits diverged"
     );
-    assert_eq!(fin.base_cost.to_bits(), solo.base_cost.to_bits(), "{label}: {tenant}");
+    assert_eq!(fin.base_cost.to_bits(), solo.result.base_cost.to_bits(), "{label}: {tenant}");
+    assert_eq!(
+        row.counters.get(Counter::CacheMisses),
+        solo.cache_misses,
+        "{label}: {tenant} cache misses"
+    );
+    // the full result is there when the session finished in this process
+    if let Some(result) = fin.result.as_deref() {
+        assert_eq!(
+            row.counters.get(Counter::WhatIfCalls),
+            result.whatif_calls as u64,
+            "{label}: {tenant} what-if calls"
+        );
+        assert_eq!(
+            row.counters.get(Counter::CandidatesGenerated),
+            result.candidates_generated as u64,
+            "{label}: {tenant} candidates generated"
+        );
+        assert_eq!(result.whatif_calls, solo.result.whatif_calls, "{label}: {tenant}");
+        assert_eq!(result.to_string(), solo.result.to_string(), "{label}: {tenant} report");
+    }
 }
 
 #[test]
 fn supervised_fleet_matches_solo_runs_and_is_deterministic_across_workers() {
     let ids = ["t-alpha", "t-bravo", "t-charlie", "t-delta"];
-    let solo: Vec<(TuningResult, u64)> = (0..ids.len()).map(solo_reference).collect();
-    let min_total = solo.iter().map(|(_, u)| *u).min().unwrap();
+    let solo: Vec<Solo> = (0..ids.len()).map(solo_reference).collect();
+    let min_total = solo.iter().map(|s| s.units).min().unwrap();
     // a quantum well under the smallest session forces every tenant to
     // park at least once — real time-sliced interleaving
     let quantum = (min_total / 4).max(1);
@@ -610,16 +642,16 @@ fn supervised_fleet_matches_solo_runs_and_is_deterministic_across_workers() {
         assert!(t.slices >= 2, "{}: quantum {quantum} never preempted it", t.id);
     }
     for (i, id) in ids.iter().enumerate() {
-        assert_matches_solo(&first, id, &solo[i].0, "workers=1");
+        assert_matches_solo(&first, id, &solo[i], "workers=1");
     }
     // fair share: no tenant consumed wildly more than its solo total
     for (i, id) in ids.iter().enumerate() {
         let row = first.tenant(id).unwrap();
         assert!(
-            row.consumed <= solo[i].1 + quantum,
+            row.consumed <= solo[i].units + quantum,
             "{id}: supervised run consumed {} vs {} solo",
             row.consumed,
-            solo[i].1
+            solo[i].units
         );
     }
 
@@ -636,6 +668,7 @@ fn supervised_fleet_matches_solo_runs_and_is_deterministic_across_workers() {
         assert_eq!(a.status, b.status, "{}", a.id);
         assert_eq!(a.consumed, b.consumed, "{}: workers=3 consumption diverged", a.id);
         assert_eq!(a.slices, b.slices, "{}: workers=3 slice count diverged", a.id);
+        assert_eq!(a.counters, b.counters, "{}: workers=3 counter totals diverged", a.id);
         let (fa, fb) = (a.finished.as_ref().unwrap(), b.finished.as_ref().unwrap());
         assert_eq!(fa.recommendation.to_string(), fb.recommendation.to_string(), "{}", a.id);
         assert_eq!(fa.recommended_cost.to_bits(), fb.recommended_cost.to_bits(), "{}", a.id);
@@ -644,8 +677,8 @@ fn supervised_fleet_matches_solo_runs_and_is_deterministic_across_workers() {
 
 #[test]
 fn preempted_tenant_parks_and_resumes_byte_identically() {
-    let (solo_calm, _) = solo_reference(0);
-    let (solo_preempt, _) = solo_reference(1);
+    let solo_calm = solo_reference(0);
+    let solo_preempt = solo_reference(1);
 
     let calm_server = make_server();
     let busy_server = make_server();
@@ -675,7 +708,7 @@ fn preempted_tenant_parks_and_resumes_byte_identically() {
 
 #[test]
 fn faulty_tenant_is_quarantined_without_disturbing_siblings() {
-    let (solo_healthy, _) = solo_reference(0);
+    let solo_healthy = solo_reference(0);
 
     let run_fleet = || {
         let healthy = make_server();
@@ -714,8 +747,8 @@ fn faulty_tenant_is_quarantined_without_disturbing_siblings() {
 
 #[test]
 fn unit_capped_tenant_parks_until_the_cap_is_lifted_by_recovery() {
-    let (solo_a, total_a) = solo_reference(0);
-    let (solo_b, _) = solo_reference(1);
+    let solo_a = solo_reference(0);
+    let solo_b = solo_reference(1);
 
     fn specs<'a>(sa: &'a Server, sb: &'a Server) -> Vec<TenantSpec<'a>> {
         vec![
@@ -727,7 +760,7 @@ fn unit_capped_tenant_parks_until_the_cap_is_lifted_by_recovery() {
     let server_b = make_server();
     // a cap far under either session total: both tenants park as noisy
     // neighbors after a couple of slices
-    let cap = (total_a / 4).max(1);
+    let cap = (solo_a.units / 4).max(1);
     let mut sup = SessionSupervisor::new(SupervisorPolicy {
         quantum: (cap / 2).max(1),
         tenant_unit_cap: Some(cap),
@@ -835,12 +868,12 @@ fn chaos_cycle(seed: u64) {
     let ids = CHAOS_IDS;
     let salts = CHAOS_SALTS;
     // solo references for the healthy tenants (t-chaos never finishes)
-    let solo: Vec<Option<(TuningResult, u64)>> = ids
+    let solo: Vec<Option<Solo>> = ids
         .iter()
         .zip(salts)
         .map(|(&id, salt)| if id == "t-chaos" { None } else { Some(solo_reference(salt)) })
         .collect();
-    let healthy_total: u64 = solo.iter().flatten().map(|(_, u)| *u).sum();
+    let healthy_total: u64 = solo.iter().flatten().map(|s| s.units).sum();
 
     let servers: Vec<Server> = ids.iter().map(|_| make_server()).collect();
     servers[2].set_fault_policy(Some(FaultPolicy {
@@ -917,7 +950,7 @@ fn chaos_cycle(seed: u64) {
     assert_eq!(report.quarantined(), 1, "{label}: {report}");
     for ((&id, _), reference) in ids.iter().zip(salts).zip(&solo) {
         match reference {
-            Some((solo_result, _)) => assert_matches_solo(&report, id, solo_result, &label),
+            Some(solo) => assert_matches_solo(&report, id, solo, &label),
             None => {
                 let row = report.tenant(id).unwrap();
                 assert_eq!(row.status, TenantStatus::Quarantined, "{label}");
@@ -935,4 +968,208 @@ fn chaos_cycle(seed: u64) {
     // total work is conserved across the crash: the recovered ledger
     // carries phase 1's consumption forward
     assert!(report.fleet_consumed > crashed.fleet_consumed, "{label}");
+}
+
+/// A failed slice is a transaction: what it priced, degraded and
+/// progressed is discarded, and the retry starts from the tenant's last
+/// good state. One statement's what-if call panics once more than the
+/// isolation layer absorbs, *after* earlier statements of the same slice
+/// were priced; the tenant must end exactly where the same schedule ends
+/// when the slices are run by hand, each a budgeted session of its own
+/// chained through checkpoints, and the failed one is thrown away whole.
+/// Twice: the tenant's first slice fails (its last good state is
+/// nothing), and a later one does (its last good state is a parked
+/// session that the failed slice had already added to).
+#[test]
+fn supervised_failed_slice_leaves_no_trace() {
+    // eight statements on `fact` and, in the middle, one on `dim` alone —
+    // the only one the schedule below makes panic. Nothing else reads
+    // `dim`, so once its pre-costing call comes back the victim disturbs
+    // its own candidate selection and nothing more.
+    const VICTIM: usize = 4;
+    let mut items = tenant_workload(0).items;
+    items.insert(VICTIM, sel("SELECT dname FROM dim WHERE dk = 7"));
+    let workload = Workload::from_items(items);
+    let rate = 0.1;
+    let seed = (0u64..10_000)
+        .find(|&seed| {
+            workload.items.iter().enumerate().all(|(i, item)| {
+                (whatif_fault_roll(seed, "whatif-panic", item) < rate) == (i == VICTIM)
+            })
+        })
+        .expect("some seed singles out the victim");
+    // the isolation layer tries a call 65 times; a site that panics 66
+    // times fails the slice that first meets it and costs the next one a
+    // single rescue
+    let policy = FaultPolicy {
+        seed,
+        whatif_panic_rate: rate,
+        whatif_panic_repeats: 66,
+        ..FaultPolicy::default()
+    };
+
+    // (quantum, the slice the schedule starts with): at 40 units the
+    // first slice reaches the victim; at 3 it prices three statements and
+    // parks, and the second one prices a fourth before it meets it
+    for (quantum, faulty_slice) in [(40, 0), (3, 1)] {
+        let label = format!("quantum {quantum}");
+
+        // by hand: the failed slice dropped, the rest chained
+        let server = make_server();
+        let target = TuningTarget::Single(&server);
+        let mut parked: Option<Box<SessionCheckpoint>> = None;
+        let (mut slices, mut failures) = (0u64, 0);
+        let chained = loop {
+            if slices == faulty_slice {
+                server.set_fault_policy(Some(policy));
+            }
+            let arrivals = server.whatif_invocations();
+            let slice = match &parked {
+                None => {
+                    let control = SessionControl::with_budget(quantum);
+                    tune_with_control(&target, &workload, &options(1), &control)
+                }
+                Some(cp) => tune_resume(&target, cp, Some(quantum)),
+            };
+            slices += 1;
+            match slice {
+                Ok(mut result) => match result.checkpoint.take() {
+                    Some(cp) => parked = Some(cp),
+                    None => break result,
+                },
+                Err(e) => {
+                    failures += 1;
+                    assert_eq!(slices - 1, faulty_slice, "{label}: {e}");
+                    assert!(
+                        e.to_string().contains("panicked past the retry bound"),
+                        "{label}: {e}"
+                    );
+                    assert!(
+                        server.whatif_invocations() - arrivals > 65,
+                        "{label}: statements before the victim were priced in the failed slice"
+                    );
+                }
+            }
+        };
+        assert_eq!(failures, 1, "{label}");
+        assert_eq!(chained.completion, Completion::Complete, "{label}");
+        assert_eq!(chained.worker_restarts, 1, "{label}: the retry rescued one panic");
+        assert!(chained.expected_improvement() > 0.1, "{label}");
+
+        // supervised: the same schedule, the same slices
+        let server = Arc::new(make_server());
+        let mut sup =
+            SessionSupervisor::new(SupervisorPolicy { quantum, ..SupervisorPolicy::default() })
+                .unwrap();
+        sup.admit(TenantSpec::new("t-flaky", &server, workload.clone(), options(1))).unwrap();
+        let hooked = Arc::clone(&server);
+        sup.set_chaos_hook(Arc::new(move |ctx: &SliceContext<'_>| {
+            if ctx.slice == faulty_slice {
+                hooked.set_fault_policy(Some(policy));
+            }
+        }));
+        let report = sup.run();
+        let row = report.tenant("t-flaky").unwrap();
+        assert_eq!(row.status, TenantStatus::Completed, "{label}: {report}");
+        assert_eq!((row.slices, row.retries), (slices, 0), "{label}: {report}");
+        assert_eq!(row.panic_rescues(), 66, "{label}: the failed slice stays in the audit trail");
+        let result = row.finished.as_ref().and_then(|f| f.result.as_deref()).expect("full result");
+        assert_eq!(result.recommendation.to_string(), chained.recommendation.to_string());
+        assert_eq!(result.whatif_calls, chained.whatif_calls, "{label}");
+        assert_eq!(result.evaluations, chained.evaluations, "{label}");
+        assert_eq!(result.to_string(), chained.to_string(), "{label}");
+    }
+}
+
+/// What a fleet's tenants reported when they finished, by tenant id. A
+/// full result lives only in the process its session completed in, so it
+/// is collected after every run.
+type Finished = std::collections::BTreeMap<String, (String, usize, usize, u64)>;
+
+fn collect_finished(report: &dta_core::FleetReport, into: &mut Finished) {
+    for row in &report.tenants {
+        if let Some(result) = row.finished.as_ref().and_then(|f| f.result.as_deref()) {
+            let facts = (
+                result_to_xml(result),
+                result.whatif_calls,
+                result.evaluations,
+                result.tuning_work_units.to_bits(),
+            );
+            into.insert(row.id.clone(), facts);
+        }
+    }
+}
+
+/// Live ≡ cold, at every cut. A parked session stays where it is between
+/// slices, and between runs of its supervisor; a checkpoint is only its
+/// serialized form. So a fleet whose sessions were never serialized and
+/// a fleet that was killed at every stop — every session in it rebuilt
+/// from XML, every time — must be indistinguishable: the same manifest,
+/// byte for byte, at every stop, and the same end.
+#[test]
+fn supervised_live_sessions_equal_sessions_rebuilt_from_xml_at_every_stop() {
+    const IDS: [&str; 3] = ["t-ash", "t-birch", "t-cedar"];
+    fn specs(servers: &[Server]) -> Vec<TenantSpec<'_>> {
+        IDS.iter()
+            .zip(servers)
+            .enumerate()
+            .map(|(salt, (&id, server))| {
+                TenantSpec::new(id, server, tenant_workload(salt), options(1))
+            })
+            .collect()
+    }
+    for quantum in [1, 7, 64, u64::MAX] {
+        // the fleet budget stops both fleets at every multiple of the
+        // quantum the ledger crosses (an unbounded quantum: at none)
+        let first_stop = (quantum != u64::MAX).then_some(quantum);
+        let policy =
+            SupervisorPolicy { quantum, fleet_budget: first_stop, ..SupervisorPolicy::default() };
+        let live_servers: Vec<Server> = IDS.iter().map(|_| make_server()).collect();
+        let cold_servers: Vec<Server> = IDS.iter().map(|_| make_server()).collect();
+        let mut live = SessionSupervisor::new(policy.clone()).unwrap();
+        let mut cold = SessionSupervisor::new(policy).unwrap();
+        for (l, c) in specs(&live_servers).into_iter().zip(specs(&cold_servers)) {
+            live.admit(l).unwrap();
+            cold.admit(c).unwrap();
+        }
+        let (mut live_finished, mut cold_finished) = (Finished::new(), Finished::new());
+        let mut stops = 0;
+        loop {
+            let label = format!("quantum {quantum}, stop {stops}");
+            let live_report = live.run();
+            let cold_report = cold.run();
+            collect_finished(&live_report, &mut live_finished);
+            collect_finished(&cold_report, &mut cold_finished);
+            let xml = manifest_to_xml(&cold.manifest());
+            assert_eq!(manifest_to_xml(&live.manifest()), xml, "{label}");
+            assert_eq!(live_report.to_string(), cold_report.to_string(), "{label}");
+            if live_report.stopped.is_none() {
+                assert_eq!(live_report.completed(), IDS.len(), "{label}: {live_report}");
+                break;
+            }
+            assert_eq!(live_report.stopped, Some(StopReason::BudgetExhausted), "{label}");
+            stops += 1;
+            let budget = (live_report.fleet_consumed / quantum + 1) * quantum;
+            // the live fleet has its budget raised where it stands …
+            live.set_fleet_budget(Some(budget)).unwrap();
+            // … the cold one dies, and only its XML goes on
+            let mut manifest = manifest_from_xml(&xml).unwrap_or_else(|e| panic!("{label}: {e}"));
+            manifest.fleet_budget = Some(budget);
+            cold = SessionSupervisor::recover(
+                SupervisorPolicy::default(),
+                &manifest,
+                specs(&cold_servers),
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+        if quantum != u64::MAX {
+            assert!(stops >= 3, "quantum {quantum}: only {stops} stops");
+        }
+        assert_eq!(live_finished.len(), IDS.len(), "quantum {quantum}");
+        assert_eq!(live_finished, cold_finished, "quantum {quantum}");
+        let arrivals = |servers: &[Server]| -> Vec<u64> {
+            servers.iter().map(Server::whatif_invocations).collect()
+        };
+        assert_eq!(arrivals(&live_servers), arrivals(&cold_servers), "quantum {quantum}");
+    }
 }

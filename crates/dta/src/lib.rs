@@ -78,12 +78,11 @@ pub use dta_xml as xml;
 pub mod prelude {
     pub use dta_catalog::{Catalog, Column, ColumnType, Database, Table, Value};
     pub use dta_core::{
-        evaluate_configuration, tune, tune_resume, tune_resume_with_control, tune_with_control,
-        tune_with_observer, workload_cost, AlignmentMode, CancelHandle, Completion, ControlError,
-        Counter, CounterSet, CounterTotals, FeatureSet, FleetManifest, FleetReport, NoopObserver,
-        ObserverSummary, RecordingObserver, SessionCheckpoint, SessionControl, SessionObserver,
-        SessionSupervisor, Stage, SupervisorPolicy, TenantSpec, TenantStatus, TuningOptions,
-        TuningResult,
+        evaluate_configuration, tune, tune_resume, tune_with_control, tune_with_observer,
+        workload_cost, AlignmentMode, CancelHandle, Completion, ControlError, Counter, CounterSet,
+        CounterTotals, FeatureSet, FleetManifest, FleetReport, NoopObserver, ObserverSummary,
+        RecordingObserver, SessionCheckpoint, SessionControl, SessionObserver, SessionSupervisor,
+        Stage, SupervisorPolicy, TenantSpec, TenantStatus, TuningOptions, TuningResult,
     };
     pub use dta_engine::{Engine, QueryResult};
     pub use dta_optimizer::{HardwareParams, WhatIfOptimizer};

@@ -161,7 +161,7 @@ const NO_RESOLVE_METHODS: &[&str] = &[
 /// Public entry points R11 guards: no unjustified panic may be
 /// reachable from these.
 const CORE_SURFACE_FNS: &[&str] =
-    &["tune", "tune_resume", "tune_resume_with_control", "tune_with_observer", "tune_with_control"];
+    &["tune", "tune_resume", "tune_with_observer", "tune_with_control"];
 
 /// One function's index plus the workspace name index.
 struct Graph<'a> {
