@@ -9,7 +9,7 @@
 //! the worker counts tie (thread overhead aside).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dta::advisor::candidates::select_candidates;
+use dta::advisor::candidates::{assemble_pool, select_candidates};
 use dta::advisor::colgroups::interesting_column_groups;
 use dta::advisor::cost::CostEvaluator;
 use dta::advisor::enumeration::enumerate;
@@ -161,8 +161,10 @@ fn bench(c: &mut Criterion) {
     }
     target.ensure_statistics(&required, options.reduce_statistics);
     let sel_eval = CostEvaluator::new(&target, items);
-    let mut pool =
-        select_candidates(&sel_eval, &base, &groups, &options, &SessionControl::unlimited());
+    let mut selections = Vec::new();
+    let unlimited = SessionControl::unlimited();
+    select_candidates(&sel_eval, &base, &groups, &options, &unlimited, &mut selections);
+    let mut pool = assemble_pool(&selections);
     merge_candidates(&mut pool);
     assert!(
         pool.candidates.len() >= 20,
@@ -183,6 +185,7 @@ fn bench(c: &mut Criterion) {
             &opts,
             &SessionControl::unlimited(),
             None,
+            &NoopObserver,
         )
         .result;
         println!(
@@ -215,6 +218,7 @@ fn bench(c: &mut Criterion) {
                     &opts,
                     &SessionControl::unlimited(),
                     None,
+                    &NoopObserver,
                 ))
             })
         });

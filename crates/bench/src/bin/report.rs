@@ -3,18 +3,45 @@
 //! Usage:
 //!   report [--quick] [all|table1|table2|tpch|figure3|table3|stats|itw|staged|alignment]
 //!
+//! An argument that is neither exits 2 with the usage line.
+//!
 //! Prints each experiment with the paper's published numbers alongside
 //! the reproduction's measurements (simulated work units; shapes are the
 //! comparison, per DESIGN.md).
 
 use dta_bench::*;
 
-fn main() {
+const EXPERIMENTS: [&str; 10] =
+    ["all", "table1", "table2", "tpch", "figure3", "table3", "stats", "itw", "staged", "alignment"];
+
+/// Whether `--quick` was given, and the experiments named (none means
+/// all). `Err` carries the first argument that is neither.
+fn parse_args(args: &[String]) -> Result<(bool, Vec<&str>), &str> {
+    let mut quick = false;
+    let mut which = Vec::new();
+    for arg in args.iter().map(String::as_str) {
+        match arg {
+            "--quick" => quick = true,
+            name if EXPERIMENTS.contains(&name) => which.push(name),
+            unknown => return Err(unknown),
+        }
+    }
+    Ok((quick, which))
+}
+
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let (quick, which) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(unknown) => {
+            eprintln!(
+                "report: unknown argument {unknown:?}\nusage: report [--quick] [{}]",
+                EXPERIMENTS.join("|")
+            );
+            return std::process::ExitCode::from(2);
+        }
+    };
     let scale = if quick { RunScale::quick() } else { RunScale::standard() };
-    let which: Vec<&str> =
-        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     let all = which.is_empty() || which.contains(&"all");
     let want = |name: &str| all || which.contains(&name);
 
@@ -189,4 +216,23 @@ fn main() {
     }
 
     println!("\ndone.");
+    std::process::ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_experiment_names_are_rejected() {
+        assert_eq!(parse_args(&args("")), Ok((false, vec![])));
+        assert_eq!(parse_args(&args("--quick tpch stats")), Ok((true, vec!["tpch", "stats"])));
+        assert_eq!(parse_args(&args("all")), Ok((false, vec!["all"])));
+        assert_eq!(parse_args(&args("--quick tpcc")), Err("tpcc"));
+        assert_eq!(parse_args(&args("table1 --fast")), Err("--fast"));
+    }
 }

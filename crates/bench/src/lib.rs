@@ -2,8 +2,7 @@
 //!
 //! Each function regenerates one experiment and returns structured rows;
 //! the `report` binary pretty-prints them next to the paper's published
-//! numbers, and the Criterion benches in `benches/` time the interesting
-//! code paths. Absolute values live in simulated work units — the
+//! numbers. Absolute values live in simulated work units — the
 //! comparison with the paper is about *shape* (who wins, by what rough
 //! factor), per DESIGN.md.
 

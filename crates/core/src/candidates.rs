@@ -10,6 +10,7 @@ use crate::colgroups::ColumnGroups;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::CostEvaluator;
 use crate::greedy::greedy_mk;
+use crate::obs::NOOP;
 use crate::options::TuningOptions;
 use dta_catalog::Value;
 use dta_optimizer::query::{bind, BoundSelect, BoundStatement, SargOp};
@@ -42,8 +43,6 @@ pub struct CandidatePool {
     pub generated: usize,
     /// Greedy evaluations performed.
     pub evaluations: usize,
-    /// What-if calls issued (cache misses) during selection.
-    pub whatif_calls: usize,
 }
 
 impl CandidatePool {
@@ -60,21 +59,6 @@ impl CandidatePool {
     /// Just the structures.
     pub fn structures(&self) -> Vec<PhysicalStructure> {
         self.candidates.iter().map(|c| c.structure.clone()).collect()
-    }
-
-    /// Merge another pool into this one.
-    pub fn merge(&mut self, other: CandidatePool) {
-        self.generated += other.generated;
-        self.evaluations += other.evaluations;
-        self.whatif_calls += other.whatif_calls;
-        for c in other.candidates {
-            if let Some(mine) = self.candidates.iter_mut().find(|m| m.structure == c.structure) {
-                mine.benefit += c.benefit;
-                mine.selected_by += c.selected_by;
-            } else {
-                self.candidates.push(c);
-            }
-        }
     }
 }
 
@@ -446,7 +430,7 @@ pub const SELECTION_BLOCK: usize = 8;
 /// afterwards, so per-structure benefits accumulate in exactly the serial
 /// order — floating-point sums (and hence everything downstream that
 /// sorts on them) are bit-identical at any worker count.
-pub fn select_candidates_resumable(
+pub fn select_candidates(
     eval: &CostEvaluator<'_>,
     base: &Configuration,
     groups: &ColumnGroups,
@@ -511,7 +495,7 @@ pub fn select_candidates_resumable(
                 .enumerate()
                 .map(|(j, slot)| {
                     slot.unwrap_or_else(|| {
-                        control.note_worker_restart();
+                        control.note_worker_restarts(1);
                         select_item_guarded(eval, start + j, base, groups, options, control)
                     })
                 })
@@ -540,23 +524,6 @@ pub fn assemble_pool(selections: &[ItemSelection]) -> CandidatePool {
     pool
 }
 
-/// Convenience wrapper: run selection to completion (or `control`'s
-/// cut) and assemble the pool, tallying this stage's cache misses.
-pub fn select_candidates(
-    eval: &CostEvaluator<'_>,
-    base: &Configuration,
-    groups: &ColumnGroups,
-    options: &TuningOptions,
-    control: &SessionControl,
-) -> CandidatePool {
-    let whatif_before = eval.whatif_calls();
-    let mut selections = Vec::new();
-    select_candidates_resumable(eval, base, groups, options, control, &mut selections);
-    let mut pool = assemble_pool(&selections);
-    pool.whatif_calls = eval.whatif_calls() - whatif_before;
-    pool
-}
-
 /// One item's selection with panic isolation. The evaluations inside
 /// [`select_item`] are already individually guarded (base cost here,
 /// greedy evaluations in `par_min`), so this outer net only catches
@@ -577,7 +544,7 @@ fn select_item_guarded(
     match attempt() {
         Ok(sel) => sel,
         Err(_) => {
-            control.note_worker_restart();
+            control.note_worker_restarts(1);
             attempt().unwrap_or_default()
         }
     }
@@ -610,10 +577,22 @@ fn select_item(
     };
     // each item's greedy search runs serially (workers = 1); the
     // session-level fan-out is across the block's items. The budget is
-    // charged at block boundaries, so mid-item the only stop is a cancel.
-    let stop = || control.is_cancelled();
-    let outcome =
-        greedy_mk(&pool, base_cost, options.greedy_m, options.greedy_k, 1, &eval_fn, &stop);
+    // charged at block boundaries, so the search runs under a detached
+    // control: mid-item the only stop is a cancel, and an item cut short
+    // by one keeps its best-so-far selection.
+    let outcome = greedy_mk(
+        &pool,
+        base_cost,
+        options.greedy_m,
+        options.greedy_k,
+        1,
+        &eval_fn,
+        &control.detached(),
+        None,
+        &NOOP,
+    )
+    .outcome;
+    control.note_worker_restarts(outcome.worker_restarts);
     sel.evaluations = outcome.evaluations;
     if !outcome.chosen.is_empty() {
         sel.benefit =
@@ -682,6 +661,25 @@ mod tests {
         interesting_column_groups(server.catalog(), items, &costs, 0.01)
     }
 
+    /// Selection run to completion from an empty configuration, assembled.
+    fn select_all(
+        eval: &CostEvaluator<'_>,
+        groups: &ColumnGroups,
+        options: &TuningOptions,
+    ) -> CandidatePool {
+        let mut done = Vec::new();
+        let cut = select_candidates(
+            eval,
+            &Configuration::new(),
+            groups,
+            options,
+            &SessionControl::unlimited(),
+            &mut done,
+        );
+        assert_eq!(cut, None);
+        assemble_pool(&done)
+    }
+
     #[test]
     fn generation_produces_relevant_structures() {
         let s = server();
@@ -740,13 +738,7 @@ mod tests {
         let groups = groups_for(&s, &its);
         let opts = TuningOptions { parallel_workers: 1, ..Default::default() };
         let eval = CostEvaluator::new(&target, &its);
-        let pool = select_candidates(
-            &eval,
-            &Configuration::new(),
-            &groups,
-            &opts,
-            &SessionControl::unlimited(),
-        );
+        let pool = select_all(&eval, &groups, &opts);
         assert!(!pool.candidates.is_empty());
         assert!(pool.evaluations > 0);
         for c in &pool.candidates {
@@ -770,20 +762,16 @@ mod tests {
         }
         let groups = groups_for(&s, &its);
         let eval_serial = CostEvaluator::new(&target, &its);
-        let serial = select_candidates(
+        let serial = select_all(
             &eval_serial,
-            &Configuration::new(),
             &groups,
             &TuningOptions { parallel_workers: 1, ..Default::default() },
-            &SessionControl::unlimited(),
         );
         let eval_parallel = CostEvaluator::new(&target, &its);
-        let parallel = select_candidates(
+        let parallel = select_all(
             &eval_parallel,
-            &Configuration::new(),
             &groups,
             &TuningOptions { parallel_workers: 4, ..Default::default() },
-            &SessionControl::unlimited(),
         );
         // not just the same structures: the same order, benefits (to the
         // bit), selection counts, and cache-miss counts
@@ -795,7 +783,7 @@ mod tests {
         }
         assert_eq!(serial.generated, parallel.generated);
         assert_eq!(serial.evaluations, parallel.evaluations);
-        assert_eq!(serial.whatif_calls, parallel.whatif_calls);
+        assert_eq!(eval_serial.whatif_calls(), eval_parallel.whatif_calls());
     }
 
     #[test]
@@ -815,8 +803,7 @@ mod tests {
         let unlimited = SessionControl::unlimited();
         let opts1 = TuningOptions { parallel_workers: 1, ..Default::default() };
         let mut full = Vec::new();
-        let interrupted =
-            select_candidates_resumable(&eval, &base, &groups, &opts1, &unlimited, &mut full);
+        let interrupted = select_candidates(&eval, &base, &groups, &opts1, &unlimited, &mut full);
         assert!(interrupted.is_none());
         let total = unlimited.consumed();
         assert!(total > 0);
@@ -828,8 +815,7 @@ mod tests {
             let control = SessionControl::with_budget(total / 2);
             let opts = TuningOptions { parallel_workers: workers, ..Default::default() };
             let mut done = Vec::new();
-            let interrupted =
-                select_candidates_resumable(&eval, &base, &groups, &opts, &control, &mut done);
+            let interrupted = select_candidates(&eval, &base, &groups, &opts, &control, &mut done);
             assert_eq!(interrupted, Some(StopReason::BudgetExhausted));
             (done, control.consumed())
         };
@@ -846,8 +832,7 @@ mod tests {
             SessionControl::resumed(consumed_serial, None).expect("unbudgeted resume is valid");
         let opts4 = TuningOptions { parallel_workers: 4, ..Default::default() };
         let mut resumed = serial.clone();
-        let interrupted =
-            select_candidates_resumable(&eval, &base, &groups, &opts4, &control, &mut resumed);
+        let interrupted = select_candidates(&eval, &base, &groups, &opts4, &control, &mut resumed);
         assert!(interrupted.is_none());
         assert_eq!(resumed, full);
         assert_eq!(control.consumed(), total, "the resumed ledger lands on the same total");
@@ -871,7 +856,7 @@ mod tests {
         let eval = CostEvaluator::new(&target, &its);
         let control = SessionControl::with_budget(0);
         let mut done = Vec::new();
-        let interrupted = select_candidates_resumable(
+        let interrupted = select_candidates(
             &eval,
             &Configuration::new(),
             &groups,

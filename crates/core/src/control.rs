@@ -223,6 +223,14 @@ impl SessionControl {
         })
     }
 
+    /// A control for a search nested inside this session whose work the
+    /// caller charges itself: no budget, this session's cancel flag, and
+    /// private counters, so nothing the nested search grants shows up in
+    /// the session's ledger or tallies.
+    pub(crate) fn detached(&self) -> Self {
+        SessionControl { cancel: Arc::clone(&self.cancel), ..SessionControl::unlimited() }
+    }
+
     /// Replace the budget of a live ledger, keeping what it has consumed,
     /// its cancel flag and its counters. Rejects a budget below the units
     /// already consumed, as [`SessionControl::restored`] does.
@@ -332,15 +340,10 @@ impl SessionControl {
         }
     }
 
-    /// Record that a parallel worker panicked and its slice was re-run
-    /// serially (panic-isolation telemetry, the `PanicRescues` counter).
-    pub fn note_worker_restart(&self) {
-        self.counters.add(Counter::PanicRescues, 1);
-    }
-
-    /// Number of worker restarts recorded so far.
-    pub fn worker_restarts(&self) -> usize {
-        self.counters.get(Counter::PanicRescues) as usize
+    /// Record `n` panics that were caught and rescued by re-running the
+    /// work (panic-isolation telemetry, the `PanicRescues` counter).
+    pub fn note_worker_restarts(&self, n: usize) {
+        self.counters.add(Counter::PanicRescues, n as u64);
     }
 }
 
@@ -378,7 +381,7 @@ pub(crate) fn isolated_with<R>(note_restart: &dyn Fn(), f: impl Fn() -> R) -> Op
 /// [`isolated_with`] reporting restarts straight into the session's
 /// panic-isolation telemetry.
 pub(crate) fn isolated<R>(control: &SessionControl, f: impl Fn() -> R) -> Option<R> {
-    isolated_with(&|| control.note_worker_restart(), f)
+    isolated_with(&|| control.note_worker_restarts(1), f)
 }
 
 #[cfg(test)]
@@ -490,10 +493,9 @@ mod tests {
     #[test]
     fn worker_restart_telemetry() {
         let c = SessionControl::unlimited();
-        c.note_worker_restart();
-        c.note_worker_restart();
-        assert_eq!(c.worker_restarts(), 2);
-        assert_eq!(c.counters().get(Counter::PanicRescues), 2);
+        c.note_worker_restarts(1);
+        c.note_worker_restarts(2);
+        assert_eq!(c.counters().get(Counter::PanicRescues), 3);
     }
 
     #[test]

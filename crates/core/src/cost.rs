@@ -390,21 +390,12 @@ impl<'a> CostEvaluator<'a> {
     /// Build an evaluator for `items` against `target` with a private
     /// counter set.
     pub fn new(target: &'a TuningTarget<'a>, items: &'a [WorkloadItem]) -> Self {
-        Self::with_counters(target, items, Arc::new(CounterSet::new()))
-    }
-
-    /// Build an evaluator that tallies into a shared [`CounterSet`]
-    /// (the session's — see [`crate::SessionControl::counters`]).
-    pub fn with_counters(
-        target: &'a TuningTarget<'a>,
-        items: &'a [WorkloadItem],
-        counters: Arc<CounterSet>,
-    ) -> Self {
-        Self::over(target, items, Arc::new(CacheState::new(items)), counters)
+        Self::over(target, items, Arc::new(CacheState::new(items)), Arc::new(CounterSet::new()))
     }
 
     /// An evaluator pricing through `state`, which must have been built
-    /// for these `items`.
+    /// for these `items`, and tallying into `counters` (the session's —
+    /// see [`crate::SessionControl::counters`]).
     pub(crate) fn over(
         target: &'a TuningTarget<'a>,
         items: &'a [WorkloadItem],
@@ -643,21 +634,6 @@ impl<'a> CostEvaluator<'a> {
         }
         Ok(total)
     }
-
-    /// Weighted cost of a subset of items (per-query candidate selection).
-    pub fn subset_cost(
-        &self,
-        indexes: &[usize],
-        config: &Configuration,
-    ) -> Result<f64, ServerError> {
-        let mut total = 0.0;
-        for &i in indexes {
-            let next = total + self.slot(i).0.weight * self.item_cost(i, config)?;
-            invariants::check_monotonic_sum(total, next, "subset_cost");
-            total = next;
-        }
-        Ok(total)
-    }
 }
 
 #[cfg(test)]
@@ -785,18 +761,6 @@ mod tests {
         let c0 = eval.item_cost(0, &Configuration::new()).expect("costing succeeds");
         let c1 = eval.item_cost(1, &Configuration::new()).expect("costing succeeds");
         assert!((total - (10.0 * c0 + c1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn subset_cost_sums_selected() {
-        let s = server();
-        let target = TuningTarget::Single(&s);
-        let w = wl();
-        let eval = CostEvaluator::new(&target, &w.items);
-        let empty = Configuration::new();
-        let only_first = eval.subset_cost(&[0], &empty).expect("costing succeeds");
-        let c0 = eval.item_cost(0, &empty).expect("costing succeeds");
-        assert!((only_first - 10.0 * c0).abs() < 1e-9);
     }
 
     #[test]
@@ -1092,7 +1056,8 @@ mod tests {
         let target = TuningTarget::Single(&s);
         let w = wl();
         let counters = Arc::new(CounterSet::new());
-        let eval = CostEvaluator::with_counters(&target, &w.items, Arc::clone(&counters));
+        let state = Arc::new(CacheState::new(&w.items));
+        let eval = CostEvaluator::over(&target, &w.items, state, Arc::clone(&counters));
         assert!(eval.state.shards.iter().all(|shard| shard.prepared.read().is_none()), "lazy");
         for item in &w.items {
             let prep = target.prepare(&item.database, &item.statement);

@@ -13,8 +13,8 @@
 use crate::candidates::Candidate;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::CostEvaluator;
-use crate::greedy::{greedy_mk_observed, GreedySnapshot};
-use crate::obs::{SessionObserver, NOOP};
+use crate::greedy::{greedy_mk, GreedySnapshot};
+use crate::obs::SessionObserver;
 use crate::options::{AlignmentMode, TuningOptions};
 use dta_physical::sizing::structure_bytes;
 use dta_physical::{
@@ -140,7 +140,8 @@ fn align(config: &Configuration) -> Alignment {
 /// Rewrite `config` so every table is aligned: each table's indexes take
 /// on the table's effective partitioning (or lose theirs if the table is
 /// unpartitioned). Returns the number of structures rewritten.
-pub fn align_configuration(config: &Configuration) -> (Configuration, usize) {
+#[cfg(test)]
+fn align_configuration(config: &Configuration) -> (Configuration, usize) {
     let aligned = align(config);
     let mut out = Configuration::new();
     for h in aligned.forms.into_iter().flatten().chain(aligned.synthesized) {
@@ -305,25 +306,10 @@ pub fn eager_alignment_expansion(pool: &[PhysicalStructure]) -> Vec<PhysicalStru
 /// `control`'s budget; on exhaustion the run returns best-so-far plus an
 /// [`EnumerationResume`] cursor, and a later call passing that cursor
 /// (with the same pool and a warmed cache) continues to the
-/// byte-identical uninterrupted answer.
+/// byte-identical uninterrupted answer. The inner Greedy(m, k) run
+/// reports its two phases to `obs` as spans — instrumentation only.
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate(
-    eval: &CostEvaluator<'_>,
-    base: &Configuration,
-    pool: &[Candidate],
-    sizing: &dyn SizingInfo,
-    options: &TuningOptions,
-    control: &SessionControl,
-    resume: Option<EnumerationResume>,
-) -> EnumerationRun {
-    enumerate_observed(eval, base, pool, sizing, options, control, resume, &NOOP)
-}
-
-/// [`enumerate`] with an attached [`SessionObserver`]: the inner
-/// Greedy(m, k) run reports its two phases as spans. Instrumentation
-/// only — the search and its outcome are byte-identical to [`enumerate`].
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_observed(
     eval: &CostEvaluator<'_>,
     base: &Configuration,
     pool: &[Candidate],
@@ -368,7 +354,7 @@ pub fn enumerate_observed(
         eval.workload_cost(&cfg).ok()
     };
     let k = pool.len();
-    let run = greedy_mk_observed(
+    let run = greedy_mk(
         &pool,
         base_cost,
         options.greedy_m,

@@ -28,16 +28,23 @@
 //!   byte-identical with and without the mid-run rescue. A permanently
 //!   poisonous evaluation exhausts the bound and is skipped as
 //!   infeasible instead of killing the session.
-//! * **Deterministic budgets** — [`greedy_mk_resumable`] charges the
-//!   session's [`SessionControl`] one unit per evaluation, granted in
+//! * **Deterministic budgets** — [`greedy_mk`] charges its
+//!   [`SessionControl`] one unit per evaluation, granted in
 //!   canonical-prefix batches at serial coordination points. Exhaustion
 //!   returns the best-so-far outcome plus a [`GreedySnapshot`] cursor
 //!   from which a later call continues to the byte-identical final
 //!   answer.
+//!
+//! There is one body, [`greedy_mk`], and two callers. Enumeration runs it
+//! under the session's control, so every evaluation is a budget unit and
+//! the run is resumable. Candidate Selection runs it once per statement
+//! under a control *detached* from the session's (no budget, the
+//! session's cancel flag), because that stage charges its budget at
+//! block boundaries, not per evaluation.
 
 use crate::control::{SessionControl, StopReason};
 use crate::det;
-use crate::obs::{SessionObserver, Span, SpanName, NOOP};
+use crate::obs::{SessionObserver, Span, SpanName};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -47,9 +54,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `Sync` because evaluations fan out across worker threads.
 pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
 
-/// Polled between evaluations for cancellation.
-pub type StopFn<'e> = dyn Fn() -> bool + Sync + 'e;
-
 /// Result of a Greedy(m, k) run.
 #[derive(Debug, Clone)]
 pub struct GreedyOutcome<S> {
@@ -57,21 +61,21 @@ pub struct GreedyOutcome<S> {
     pub chosen: Vec<S>,
     /// Cost of the chosen set (the empty set's cost if nothing helps).
     pub cost: f64,
-    /// Number of evaluations performed.
+    /// Evaluations granted (see [`greedy_mk`] for the counting rule).
     pub evaluations: usize,
-    /// Parallel workers that panicked and had their slice re-run
-    /// serially (0 in a healthy run).
+    /// Panics caught and rescued by re-running the evaluation (0 in a
+    /// healthy run).
     pub worker_restarts: usize,
 }
 
-/// Find the minimum of `f` over `0..n` by `(cost, position)`; returns the
-/// winner plus the number of evaluations performed.
+/// Find the minimum of `f` over `0..n` by `(cost, position)`.
 ///
-/// Positions where `f` returns `None` (infeasible) are skipped. `stop`
-/// is polled before each evaluation; on a stop, remaining positions are
-/// abandoned (each worker stops where it is). Position tie-breaking makes
-/// the reduction independent of thread count and interleaving: the result
-/// for a completed run is identical for any `workers`.
+/// Positions where `f` returns `None` (infeasible) are skipped. The
+/// cancel flag is polled before each evaluation; once it is up, remaining
+/// positions are abandoned (each worker stops where it is). Position
+/// tie-breaking makes the reduction independent of thread count and
+/// interleaving: the result for a completed run is identical for any
+/// `workers`.
 ///
 /// Every evaluation is individually isolated: each panic at a position
 /// is noted in `restarts` and the position retried, up to
@@ -85,18 +89,16 @@ pub struct GreedyOutcome<S> {
 fn par_min(
     n: usize,
     workers: usize,
-    stop: &StopFn<'_>,
+    control: &SessionControl,
     restarts: &AtomicUsize,
     f: &(dyn Fn(usize) -> Option<f64> + Sync),
-) -> (Option<(usize, f64)>, usize) {
-    let scan = |positions: &mut dyn Iterator<Item = usize>| -> (Option<(usize, f64)>, usize) {
+) -> Option<(usize, f64)> {
+    let scan = |positions: &mut dyn Iterator<Item = usize>| -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
-        let mut count = 0usize;
         for pos in positions {
-            if stop() {
+            if control.is_cancelled() {
                 break;
             }
-            count += 1;
             let outcome = crate::control::isolated_with(
                 &|| {
                     restarts.fetch_add(1, Ordering::SeqCst);
@@ -107,7 +109,7 @@ fn par_min(
                 best = det::min_by_cost_position((pos, cost), best);
             }
         }
-        (best, count)
+        best
     };
     let workers = workers.max(1).min(n);
     if workers <= 1 {
@@ -122,9 +124,8 @@ fn par_min(
             })
             .collect();
         let mut best: Option<(usize, f64)> = None;
-        let mut count = 0usize;
         for (w, h) in handles.into_iter().enumerate() {
-            let (local, local_count) = match h.join() {
+            let local = match h.join() {
                 Ok(Ok(result)) => result,
                 // out-of-band: per-position guards make a worker-level
                 // panic (iterator machinery, thread spawn) vanishingly
@@ -134,12 +135,11 @@ fn par_min(
                     scan(&mut ((w..n).step_by(workers)))
                 }
             };
-            count += local_count;
             if let Some(local) = local {
                 best = det::min_by_cost_position(local, best);
             }
         }
-        (best, count)
+        best
     })
 }
 
@@ -163,74 +163,6 @@ fn subsets_up_to(n: usize, m: usize) -> Vec<Vec<usize>> {
         extend(n, size, &mut Vec::new(), &mut out);
     }
     out
-}
-
-/// Run Greedy(m, k) over `candidates`, fanning evaluations out over
-/// `workers` threads (1 = fully serial, same result either way).
-///
-/// `base_cost` is the cost of the empty selection; a subset is only ever
-/// adopted if it strictly improves on the incumbent. `stop` is polled
-/// between evaluations for cancellation.
-pub fn greedy_mk<S: Clone + Sync>(
-    candidates: &[S],
-    base_cost: f64,
-    m: usize,
-    k: usize,
-    workers: usize,
-    eval: &EvalFn<'_, S>,
-    stop: &StopFn<'_>,
-) -> GreedyOutcome<S> {
-    let restarts = AtomicUsize::new(0);
-    let mut evaluations = 0usize;
-    let mut best_set: Vec<usize> = Vec::new();
-    let mut best_cost = base_cost;
-
-    // Phase 1: exhaustive over subsets of size 1..=m.
-    let subsets = subsets_up_to(candidates.len(), m);
-    let eval_subset = |pos: usize| -> Option<f64> {
-        let refs: Vec<&S> = subsets[pos].iter().map(|&i| &candidates[i]).collect();
-        eval(&refs)
-    };
-    let (winner, count) = par_min(subsets.len(), workers, stop, &restarts, &eval_subset);
-    evaluations += count;
-    if let Some((pos, cost)) = winner {
-        if det::improves(cost, best_cost) {
-            best_cost = cost;
-            best_set = subsets[pos].clone();
-        }
-    }
-
-    // Phase 2: greedy extension up to k, one winner per round.
-    while !stop() && best_set.len() < k.max(m) {
-        let remaining: Vec<usize> =
-            (0..candidates.len()).filter(|i| !best_set.contains(i)).collect();
-        if remaining.is_empty() {
-            break;
-        }
-        let incumbent = &best_set;
-        let eval_extension = |pos: usize| -> Option<f64> {
-            let mut set = incumbent.clone();
-            set.push(remaining[pos]);
-            let refs: Vec<&S> = set.iter().map(|&j| &candidates[j]).collect();
-            eval(&refs)
-        };
-        let (winner, count) = par_min(remaining.len(), workers, stop, &restarts, &eval_extension);
-        evaluations += count;
-        match winner {
-            Some((pos, cost)) if det::improves(cost, best_cost) => {
-                best_set.push(remaining[pos]);
-                best_cost = cost;
-            }
-            _ => break, // no further improvement
-        }
-    }
-
-    GreedyOutcome {
-        chosen: best_set.iter().map(|&i| candidates[i].clone()).collect(),
-        cost: best_cost,
-        evaluations,
-        worker_restarts: restarts.load(Ordering::SeqCst),
-    }
 }
 
 /// Where an interrupted Greedy(m, k) run stopped, in canonical-order
@@ -295,7 +227,11 @@ pub struct GreedyRun<S> {
     pub interrupted: Option<(StopReason, GreedySnapshot)>,
 }
 
-/// Budget-aware, resumable Greedy(m, k).
+/// Run Greedy(m, k) over `candidates`, fanning evaluations out over
+/// `workers` threads (1 = fully serial, same result either way).
+///
+/// `base_cost` is the cost of the empty selection; a subset is only ever
+/// adopted if it strictly improves on the incumbent.
 ///
 /// Each evaluation costs one unit of `control`'s budget. Units are
 /// granted in canonical-prefix batches from this (serial) coordination
@@ -306,27 +242,18 @@ pub struct GreedyRun<S> {
 /// selection — plus a [`GreedySnapshot`]; passing that snapshot back as
 /// `resume` (with more budget) continues the scan exactly where it
 /// stopped and yields the byte-identical uninterrupted answer.
-#[allow(clippy::too_many_arguments)] // the session's full budget context
-pub fn greedy_mk_resumable<S: Clone + Sync>(
-    candidates: &[S],
-    base_cost: f64,
-    m: usize,
-    k: usize,
-    workers: usize,
-    eval: &EvalFn<'_, S>,
-    control: &SessionControl,
-    resume: Option<GreedySnapshot>,
-) -> GreedyRun<S> {
-    greedy_mk_observed(candidates, base_cost, m, k, workers, eval, control, resume, &NOOP)
-}
-
-/// [`greedy_mk_resumable`] with an attached [`SessionObserver`]: the two
-/// phases are wrapped in `greedyPhase1` / `greedyPhase2` spans so a
-/// recording observer can attribute wall time and evaluation deltas to
+///
+/// **Counting rule:** `evaluations` is the sum of the batches granted,
+/// not of the positions the workers got to. The two differ only when a
+/// cancellation lands mid-batch, where the granted figure is the one
+/// that does not depend on thread interleaving.
+///
+/// The two phases are wrapped in `greedyPhase1` / `greedyPhase2` spans so
+/// a recording observer can attribute wall time and evaluation deltas to
 /// each. The spans are pure instrumentation — the search, budget ledger,
-/// and returned outcome are byte-identical to the unobserved call.
+/// and returned outcome are byte-identical under any observer.
 #[allow(clippy::too_many_arguments)] // the session's full budget context
-pub fn greedy_mk_observed<S: Clone + Sync>(
+pub fn greedy_mk<S: Clone + Sync>(
     candidates: &[S],
     base_cost: f64,
     m: usize,
@@ -338,7 +265,6 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
     obs: &dyn SessionObserver,
 ) -> GreedyRun<S> {
     let restarts = AtomicUsize::new(0);
-    let cancel_stop = || control.is_cancelled();
     let mut snap = resume.unwrap_or_else(|| GreedySnapshot::fresh(base_cost));
 
     // Scan positions `next..n` of the current round in granted batches.
@@ -358,10 +284,7 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
             }
             let offset = *next;
             let shifted = |p: usize| f(offset + p);
-            let (batch_best, _) = par_min(granted, workers, &cancel_stop, &restarts, &shifted);
-            // evaluations are accounted as the granted batch size — the
-            // deterministic figure — rather than the raced per-thread
-            // tally (they only differ under cancellation)
+            let batch_best = par_min(granted, workers, control, &restarts, &shifted);
             *evaluations += granted;
             if let Some((pos, cost)) = batch_best {
                 *round_best = det::min_by_cost_position((pos + offset, cost), *round_best);
@@ -491,9 +414,8 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
         }
     }
 
-    for _ in 0..restarts.load(Ordering::SeqCst) {
-        control.note_worker_restart();
-    }
+    let worker_restarts = restarts.load(Ordering::SeqCst);
+    control.note_worker_restarts(worker_restarts);
     GreedyRun {
         outcome: GreedyOutcome {
             chosen: out_set
@@ -504,7 +426,7 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
                 .collect(),
             cost: out_cost,
             evaluations: snap.evaluations,
-            worker_restarts: restarts.load(Ordering::SeqCst),
+            worker_restarts,
         },
         interrupted: interrupted.map(|reason| (reason, snap)),
     }
@@ -513,9 +435,22 @@ pub fn greedy_mk_observed<S: Clone + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NOOP;
 
-    fn no_stop() -> impl Fn() -> bool + Sync {
-        || false
+    /// An unbudgeted, uncancelled run: it must complete.
+    fn run<S: Clone + Sync>(
+        candidates: &[S],
+        base_cost: f64,
+        m: usize,
+        k: usize,
+        workers: usize,
+        eval: &EvalFn<'_, S>,
+    ) -> GreedyOutcome<S> {
+        let control = SessionControl::unlimited();
+        let finished = greedy_mk(candidates, base_cost, m, k, workers, eval, &control, None, &NOOP);
+        assert!(finished.interrupted.is_none());
+        assert_eq!(control.consumed() as usize, finished.outcome.evaluations);
+        finished.outcome
     }
 
     #[test]
@@ -547,8 +482,8 @@ mod tests {
             })
         };
 
-        let g1 = greedy_mk(&candidates, 100.0, 1, 3, 1, &cost, &no_stop());
-        let g2 = greedy_mk(&candidates, 100.0, 2, 3, 1, &cost, &no_stop());
+        let g1 = run(&candidates, 100.0, 1, 3, 1, &cost);
+        let g2 = run(&candidates, 100.0, 2, 3, 1, &cost);
         assert!(g1.cost > g2.cost, "g1={} g2={}", g1.cost, g2.cost);
         assert_eq!(g2.cost, 10.0);
         let mut chosen = g2.chosen.clone();
@@ -561,7 +496,7 @@ mod tests {
         // additive benefits: every item shaves 10 off
         let candidates: Vec<usize> = (0..6).collect();
         let eval = |set: &[&usize]| Some(100.0 - 10.0 * set.len() as f64);
-        let g = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &no_stop());
+        let g = run(&candidates, 100.0, 2, 4, 1, &eval);
         assert_eq!(g.chosen.len(), 4);
         assert_eq!(g.cost, 60.0);
     }
@@ -576,7 +511,7 @@ mod tests {
                 Some(95.0)
             }
         };
-        let g = greedy_mk(&candidates, 100.0, 1, 5, 1, &eval, &no_stop());
+        let g = run(&candidates, 100.0, 1, 5, 1, &eval);
         assert_eq!(g.chosen, vec!["x"]);
         assert_eq!(g.cost, 90.0);
     }
@@ -592,7 +527,7 @@ mod tests {
                 Some(50.0)
             }
         };
-        let g = greedy_mk(&candidates, 100.0, 2, 2, 1, &eval, &no_stop());
+        let g = run(&candidates, 100.0, 2, 2, 1, &eval);
         assert_eq!(g.chosen, vec!["x"]);
     }
 
@@ -600,7 +535,7 @@ mod tests {
     fn empty_candidates() {
         let candidates: Vec<&str> = vec![];
         let eval = |_: &[&&str]| Some(1.0);
-        let g = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &no_stop());
+        let g = run(&candidates, 100.0, 2, 4, 1, &eval);
         assert!(g.chosen.is_empty());
         assert_eq!(g.cost, 100.0);
         assert_eq!(g.evaluations, 0);
@@ -608,19 +543,33 @@ mod tests {
 
     #[test]
     fn stop_cuts_search_short() {
+        // a cancel raised on the session's control mid-search reaches a
+        // search running under a control detached from it, and nothing
+        // that search is granted lands in the session's ledger
         let candidates: Vec<usize> = (0..100).collect();
-        let eval = |_: &[&usize]| Some(100.0);
-        let n = AtomicUsize::new(0);
-        let stop = || n.fetch_add(1, Ordering::Relaxed) + 1 > 5;
-        let g = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &stop);
-        assert!(g.evaluations <= 6, "evaluations={}", g.evaluations);
+        let session = SessionControl::unlimited();
+        let cancel = session.cancel_handle();
+        let calls = AtomicUsize::new(0);
+        let eval = |_: &[&usize]| {
+            if calls.fetch_add(1, Ordering::SeqCst) + 1 == 5 {
+                cancel.cancel();
+            }
+            Some(100.0)
+        };
+        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &session.detached(), None, &NOOP);
+        assert!(matches!(run.interrupted, Some((StopReason::Cancelled, _))));
+        assert_eq!(calls.load(Ordering::SeqCst), 5, "no evaluation starts after the cancel");
+        // the counting rule: the whole granted batch, not the five scanned
+        assert_eq!(run.outcome.evaluations, subsets_up_to(100, 2).len());
+        assert_eq!(session.consumed(), 0);
+        assert_eq!(session.counters().snapshot(), crate::obs::CounterSet::new().snapshot());
     }
 
     #[test]
     fn never_adopts_non_improving_set() {
         let candidates = ["a"];
         let eval = |_: &[&&str]| Some(100.0); // equal, not better
-        let g = greedy_mk(&candidates, 100.0, 1, 1, 1, &eval, &no_stop());
+        let g = run(&candidates, 100.0, 1, 1, 1, &eval);
         assert!(g.chosen.is_empty());
     }
 
@@ -635,9 +584,9 @@ mod tests {
             let n = set.len();
             Some(1000.0 - (17 * s % 101) as f64 - 31.0 * n as f64)
         };
-        let serial = greedy_mk(&candidates, 1000.0, 2, 6, 1, &eval, &no_stop());
+        let serial = run(&candidates, 1000.0, 2, 6, 1, &eval);
         for workers in [2, 4, 7] {
-            let parallel = greedy_mk(&candidates, 1000.0, 2, 6, workers, &eval, &no_stop());
+            let parallel = run(&candidates, 1000.0, 2, 6, workers, &eval);
             assert_eq!(serial.chosen, parallel.chosen, "workers={workers}");
             assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits(), "workers={workers}");
             assert_eq!(serial.evaluations, parallel.evaluations, "workers={workers}");
@@ -664,34 +613,17 @@ mod tests {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(1000.0 - (13 * s % 97) as f64 - 20.0 * set.len() as f64)
         };
-        let clean = greedy_mk(&candidates, 1000.0, 2, 5, 1, &infeasible, &no_stop());
+        let clean = run(&candidates, 1000.0, 2, 5, 1, &infeasible);
         for workers in [2, 4] {
             // silence the default panic hook for the deliberate panics
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
-            let g = greedy_mk(&candidates, 1000.0, 2, 5, workers, &poisoned, &no_stop());
+            let g = run(&candidates, 1000.0, 2, 5, workers, &poisoned);
             std::panic::set_hook(prev);
             assert!(g.worker_restarts > 0, "workers={workers}: no restart recorded");
             assert_eq!(clean.chosen, g.chosen, "workers={workers}");
             assert_eq!(clean.cost.to_bits(), g.cost.to_bits(), "workers={workers}");
         }
-    }
-
-    #[test]
-    fn resumable_matches_plain_greedy_when_unbudgeted() {
-        let candidates: Vec<usize> = (0..10).collect();
-        let eval = |set: &[&usize]| {
-            let s: usize = set.iter().map(|&&i| i).sum();
-            Some(500.0 - (11 * s % 53) as f64 - 9.0 * set.len() as f64)
-        };
-        let plain = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &no_stop());
-        let control = SessionControl::unlimited();
-        let run = greedy_mk_resumable(&candidates, 500.0, 2, 5, 1, &eval, &control, None);
-        assert!(run.interrupted.is_none());
-        assert_eq!(plain.chosen, run.outcome.chosen);
-        assert_eq!(plain.cost.to_bits(), run.outcome.cost.to_bits());
-        assert_eq!(plain.evaluations, run.outcome.evaluations);
-        assert_eq!(control.consumed() as usize, run.outcome.evaluations);
     }
 
     #[test]
@@ -703,7 +635,7 @@ mod tests {
         };
         let full = {
             let control = SessionControl::unlimited();
-            greedy_mk_resumable(&candidates, 500.0, 2, 5, 3, &eval, &control, None)
+            greedy_mk(&candidates, 500.0, 2, 5, 3, &eval, &control, None, &NOOP)
         };
         assert!(full.interrupted.is_none());
         let total = full.outcome.evaluations as u64;
@@ -713,7 +645,7 @@ mod tests {
         // count than the uninterrupted run
         for cut in 0..total {
             let c1 = SessionControl::with_budget(cut);
-            let first = greedy_mk_resumable(&candidates, 500.0, 2, 5, 1, &eval, &c1, None);
+            let first = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &c1, None, &NOOP);
             let (reason, snap) = match first.interrupted {
                 Some(pair) => pair,
                 None => panic!("budget {cut} of {total} should interrupt"),
@@ -722,7 +654,7 @@ mod tests {
             assert_eq!(snap.evaluations as u64, cut, "exactly the budget is spent");
             let c2 =
                 SessionControl::resumed(c1.consumed(), None).expect("unbudgeted resume is valid");
-            let second = greedy_mk_resumable(&candidates, 500.0, 2, 5, 4, &eval, &c2, Some(snap));
+            let second = greedy_mk(&candidates, 500.0, 2, 5, 4, &eval, &c2, Some(snap), &NOOP);
             assert!(second.interrupted.is_none(), "cut={cut}");
             assert_eq!(full.outcome.chosen, second.outcome.chosen, "cut={cut}");
             assert_eq!(full.outcome.cost.to_bits(), second.outcome.cost.to_bits(), "cut={cut}");
@@ -739,17 +671,17 @@ mod tests {
         };
         let full = {
             let control = SessionControl::unlimited();
-            greedy_mk_resumable(&candidates, 300.0, 2, 4, 1, &eval, &control, None)
+            greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &control, None, &NOOP)
         };
         let total = full.outcome.evaluations as u64;
         let mut last_cost = f64::INFINITY;
         for cut in 0..=total {
             let control = SessionControl::with_budget(cut);
-            let run = greedy_mk_resumable(&candidates, 300.0, 2, 4, 1, &eval, &control, None);
+            let run = greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &control, None, &NOOP);
             assert!(run.outcome.cost <= 300.0, "cut={cut}: anytime outcome worse than base");
             // same budget twice ⇒ byte-identical
             let control2 = SessionControl::with_budget(cut);
-            let rerun = greedy_mk_resumable(&candidates, 300.0, 2, 4, 2, &eval, &control2, None);
+            let rerun = greedy_mk(&candidates, 300.0, 2, 4, 2, &eval, &control2, None, &NOOP);
             assert_eq!(run.outcome.chosen, rerun.outcome.chosen, "cut={cut}");
             assert_eq!(run.outcome.cost.to_bits(), rerun.outcome.cost.to_bits(), "cut={cut}");
             last_cost = last_cost.min(run.outcome.cost);
@@ -763,7 +695,7 @@ mod tests {
         let eval = |set: &[&usize]| Some(100.0 - set.len() as f64);
         let control = SessionControl::unlimited();
         control.cancel_handle().cancel();
-        let run = greedy_mk_resumable(&candidates, 100.0, 2, 4, 1, &eval, &control, None);
+        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &control, None, &NOOP);
         match run.interrupted {
             Some((StopReason::Cancelled, _)) => {}
             other => panic!("expected cancellation, got {other:?}"),

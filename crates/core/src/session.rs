@@ -13,12 +13,12 @@
 //! wants it (an interrupted `tune*` result, a fleet manifest), and
 //! `Session::from_checkpoint` is the way back.
 
-use crate::candidates::{assemble_pool, select_candidates_resumable, CandidatePool, ItemSelection};
+use crate::candidates::{assemble_pool, select_candidates, CandidatePool, ItemSelection};
 use crate::checkpoint::{SessionCheckpoint, StatsProgress};
 use crate::colgroups::{interesting_column_groups, ColumnGroups};
 use crate::control::{Completion, ControlError, SessionControl, Stage, StopReason};
 use crate::cost::{CacheState, CostEvaluator};
-use crate::enumeration::{enumerate_observed, EnumerationResult, EnumerationResume};
+use crate::enumeration::{enumerate, EnumerationResult, EnumerationResume};
 use crate::merging::merge_candidates;
 use crate::obs::{Counter, CounterSet, SessionObserver, Span, SpanName, NOOP};
 use crate::options::TuningOptions;
@@ -550,9 +550,7 @@ impl Session {
             // parallel within each block)
             let sel_span = Span::enter(obs, SpanName::CandidateSelection);
             let done = selections.get_or_insert_with(Vec::new);
-            if let Some(reason) =
-                select_candidates_resumable(&eval, base, groups, options, control, done)
-            {
+            if let Some(reason) = select_candidates(&eval, base, groups, options, control, done) {
                 break 'pipeline Some((reason, Stage::CandidateSelection));
             }
             drop(sel_span);
@@ -581,7 +579,7 @@ impl Session {
             // §2.2/§4 enumeration — shares the selection phase's cache and
             // charges one budget unit per configuration evaluation
             let enum_span = Span::enter(obs, SpanName::Enumeration);
-            let erun = enumerate_observed(
+            let erun = enumerate(
                 &eval,
                 base,
                 pool,

@@ -418,31 +418,40 @@ fn permanent_faults_degrade_statements_instead_of_aborting() {
 #[test]
 fn injected_worker_panics_are_isolated_and_do_not_change_the_answer() {
     let workload = read_workload();
-    let clean_server = make_server();
-    let clean_target = TuningTarget::Single(&clean_server);
-    let clean = tune(&clean_target, &workload, &options(4)).unwrap();
-    assert_eq!(clean.worker_restarts, 0);
+    for workers in [1, 4] {
+        let clean_server = make_server();
+        let clean_target = TuningTarget::Single(&clean_server);
+        let clean = tune(&clean_target, &workload, &options(workers)).unwrap();
+        assert_eq!(clean.worker_restarts, 0);
 
-    let server = make_server();
-    server.set_fault_policy(Some(FaultPolicy {
-        seed: 11,
-        whatif_panic_rate: 0.3,
-        ..FaultPolicy::default()
-    }));
-    let target = TuningTarget::Single(&server);
-    let result = tune(&target, &workload, &options(4)).unwrap();
+        let server = make_server();
+        server.set_fault_policy(Some(FaultPolicy {
+            seed: 11,
+            whatif_panic_rate: 0.3,
+            ..FaultPolicy::default()
+        }));
+        let target = TuningTarget::Single(&server);
+        let result = tune(&target, &workload, &options(workers)).unwrap();
 
-    assert!(result.worker_restarts > 0, "schedule injected no panics");
-    assert_eq!(result.completion, Completion::Complete);
-    // what-if call counts differ (the panicked calls are re-issued), but
-    // the recommendation and its cost are byte-identical
-    assert_eq!(
-        result.recommendation.to_string(),
-        clean.recommendation.to_string(),
-        "worker restarts changed the recommendation"
-    );
-    assert_eq!(result.recommended_cost.to_bits(), clean.recommended_cost.to_bits());
-    assert_eq!(result.base_cost.to_bits(), clean.base_cost.to_bits());
+        assert!(result.worker_restarts > 0, "schedule injected no panics");
+        assert_eq!(result.completion, Completion::Complete);
+        // what-if call counts differ (the panicked calls are re-issued), but
+        // the recommendation and its cost are byte-identical
+        assert_eq!(
+            result.recommendation.to_string(),
+            clean.recommendation.to_string(),
+            "worker restarts changed the recommendation"
+        );
+        assert_eq!(result.recommended_cost.to_bits(), clean.recommended_cost.to_bits());
+        assert_eq!(result.base_cost.to_bits(), clean.base_cost.to_bits());
+        // every injected panic is one extra call, and every one is reported
+        // — candidate selection's as well as enumeration's
+        assert_eq!(
+            result.worker_restarts,
+            result.whatif_calls - clean.whatif_calls,
+            "workers={workers}"
+        );
+    }
 }
 
 /// CI's `fault-matrix` job sweeps this test over a grid of seeds and

@@ -353,7 +353,7 @@ fn parallel_enumeration_matches_serial() {
 
 #[test]
 fn shared_cache_reduces_whatif_calls() {
-    use dta_core::candidates::select_candidates;
+    use dta_core::candidates::{assemble_pool, select_candidates};
     use dta_core::colgroups::interesting_column_groups;
     use dta_core::cost::CostEvaluator;
     use dta_core::enumeration::enumerate;
@@ -407,8 +407,10 @@ fn shared_cache_reduces_whatif_calls() {
     target.ensure_statistics(&required, options.reduce_statistics);
 
     let sel_eval = CostEvaluator::new(&target, items);
-    let mut pool =
-        select_candidates(&sel_eval, &base, &groups, &options, &SessionControl::unlimited());
+    let mut selections = Vec::new();
+    let unlimited = SessionControl::unlimited();
+    select_candidates(&sel_eval, &base, &groups, &options, &unlimited, &mut selections);
+    let mut pool = assemble_pool(&selections);
     merge_candidates(&mut pool);
 
     let enum_eval = CostEvaluator::new(&target, items);
@@ -421,6 +423,7 @@ fn shared_cache_reduces_whatif_calls() {
         &options,
         &SessionControl::unlimited(),
         None,
+        &dta_core::NoopObserver,
     )
     .result;
 

@@ -5,9 +5,8 @@
 //! [`FnSummary`] per non-test function. A summary is *self-contained
 //! algebra* — every cross-function fact is symbolic (a [`Reason::Call`]
 //! index, an unresolved callee name) so the workspace fixpoints in
-//! [`crate::semantic`] can run over cached summaries without re-reading
-//! or re-parsing any file. That property is what makes the incremental
-//! cache sound: a file's summary depends only on the file's own bytes.
+//! [`crate::semantic`] run over summaries alone: a file's summary
+//! depends only on the file's own bytes.
 //!
 //! What one summary records:
 //!

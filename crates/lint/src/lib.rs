@@ -17,14 +17,12 @@
 //!   reachability from the public tuning surface, and determinism
 //!   taint flowing into `det::` cost comparisons.
 //!
-//! Per-file analysis is cached by content hash ([`cache`]); findings
-//! can be ratcheted against a committed [`baseline`]. Everything is
-//! dependency-free, offline, and fast enough to gate CI.
+//! Findings can be ratcheted against a committed [`baseline`].
+//! Everything is dependency-free, offline, and fast enough to gate CI.
 //!
 //! ```text
 //! cargo run -p dta-lint -- crates/ --deny-warnings   # gate
 //! cargo run -p dta-lint -- crates/ --json            # machine report
-//! cargo run -p dta-lint -- crates/ --cache target/lint-cache.txt
 //! ```
 //!
 //! Escape hatch: `// dta-lint: allow(<rule>): <justification>` on (or
@@ -33,7 +31,6 @@
 
 pub mod ast;
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
@@ -58,10 +55,6 @@ pub struct LintResult {
     pub suppressed: usize,
     /// Files inspected.
     pub files: usize,
-    /// Files analyzed from source this run.
-    pub analyzed: usize,
-    /// Files served from the incremental cache.
-    pub cached: usize,
     /// Findings filtered out by the baseline.
     pub baselined: usize,
 }
@@ -81,9 +74,6 @@ impl LintResult {
 /// Knobs for [`lint_paths_with`].
 #[derive(Debug, Default)]
 pub struct LintOptions {
-    /// Incremental cache file: loaded before the run (stale entries
-    /// ignored by content hash), rewritten after.
-    pub cache_path: Option<PathBuf>,
     /// Baseline file of accepted `rule|path|line` keys; matching
     /// findings are filtered out (counted in `baselined`).
     pub baseline_path: Option<PathBuf>,
@@ -106,7 +96,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
 /// set of in-memory sources forming one synthetic workspace. Paths
 /// drive rule scoping exactly as on disk.
 pub fn lint_sources(files: &[(&str, &str)]) -> LintResult {
-    let records: Vec<(String, cache::FileRecord)> = files
+    let records: Vec<(String, FileRecord)> = files
         .iter()
         .map(|(rel, src)| {
             let rel = rel.replace('\\', "/");
@@ -122,7 +112,7 @@ pub fn lint_paths(paths: &[PathBuf]) -> io::Result<LintResult> {
     lint_paths_with(paths, &LintOptions::default())
 }
 
-/// [`lint_paths`] with cache and baseline support.
+/// [`lint_paths`] with baseline support.
 pub fn lint_paths_with(paths: &[PathBuf], opts: &LintOptions) -> io::Result<LintResult> {
     let mut files = Vec::new();
     for p in paths {
@@ -131,37 +121,17 @@ pub fn lint_paths_with(paths: &[PathBuf], opts: &LintOptions) -> io::Result<Lint
     files.sort();
     files.dedup();
 
-    let old_cache = opts.cache_path.as_deref().map(cache::Cache::load);
-    let mut analyzed = 0usize;
-    let mut cached = 0usize;
-    let mut records: Vec<(String, cache::FileRecord)> = Vec::new();
+    let mut records: Vec<(String, FileRecord)> = Vec::new();
     for f in &files {
         let rel = workspace_rel(&f.to_string_lossy().replace('\\', "/"));
         if !rules::in_scope(&rel) {
             continue;
         }
-        let src = fs::read_to_string(f)?;
-        let hash = cache::fnv64(src.as_bytes());
-        if let Some(rec) = old_cache.as_ref().and_then(|c| c.lookup(&rel, hash)) {
-            records.push((rel, rec.clone()));
-            cached += 1;
-        } else {
-            records.push((rel.clone(), analyze_file(&rel, &src)));
-            analyzed += 1;
-        }
+        let record = analyze_file(&rel, &fs::read_to_string(f)?);
+        records.push((rel, record));
     }
 
     let mut result = assemble(&records);
-    result.analyzed = analyzed;
-    result.cached = cached;
-
-    if let Some(path) = &opts.cache_path {
-        let mut new_cache = cache::Cache::default();
-        for (rel, rec) in records {
-            new_cache.entries.insert(rel, rec);
-        }
-        new_cache.save(path)?;
-    }
 
     if let Some(path) = &opts.baseline_path {
         if opts.write_baseline {
@@ -182,7 +152,7 @@ pub fn lint_paths_with(paths: &[PathBuf], opts: &LintOptions) -> io::Result<Lint
 }
 
 /// Normalize an absolute path to its workspace-relative form so that
-/// path-scoped rules, pragma sanctions, cache keys, and baseline keys
+/// path-scoped rules, pragma sanctions, and baseline keys
 /// are stable regardless of where the linter was invoked from.
 fn workspace_rel(path: &str) -> String {
     match path.find("/crates/") {
@@ -191,25 +161,27 @@ fn workspace_rel(path: &str) -> String {
     }
 }
 
+/// Everything the workspace pass needs from one file.
+struct FileRecord {
+    analysis: rules::TokenAnalysis,
+    parse_errors: Vec<ast::ParseError>,
+    facts: callgraph::FileFacts,
+}
+
 /// Analyze one file from source: token rules, parse, function
-/// summaries. Pure in `src` — this is the unit the cache stores.
-pub fn analyze_file(rel: &str, src: &str) -> cache::FileRecord {
+/// summaries. Pure in `src`.
+fn analyze_file(rel: &str, src: &str) -> FileRecord {
     let analysis = rules::analyze_tokens(rel, src);
     let parsed = parser::parse_source(src);
     let facts = callgraph::summarize_file(rel, &parsed, &analysis.pragmas, &analysis.test_ranges);
-    cache::FileRecord {
-        hash: cache::fnv64(src.as_bytes()),
-        analysis,
-        parse_errors: parsed.errors,
-        facts,
-    }
+    FileRecord { analysis, parse_errors: parsed.errors, facts }
 }
 
 /// The workspace pass: apply pragmas to token findings, surface parse
 /// errors (P2), run the semantic rules over the merged call graph
 /// (R10–R12, suppressible by the same pragmas), then flag pragmas that
 /// earned their keep nowhere (P1).
-fn assemble(records: &[(String, cache::FileRecord)]) -> LintResult {
+fn assemble(records: &[(String, FileRecord)]) -> LintResult {
     let mut result = LintResult { files: records.len(), ..LintResult::default() };
     // pragma usage, per file then per pragma index
     let mut used: Vec<Vec<bool>> =

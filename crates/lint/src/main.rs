@@ -1,8 +1,8 @@
 //! CLI for `dta-lint`.
 //!
 //! ```text
-//! dta-lint [PATHS…] [--json] [--deny-warnings] [--cache FILE]
-//!          [--baseline FILE] [--write-baseline]
+//! dta-lint [PATHS…] [--json] [--deny-warnings] [--baseline FILE]
+//!          [--write-baseline]
 //! ```
 //!
 //! Exit codes: 0 clean (warnings allowed unless `--deny-warnings`),
@@ -22,8 +22,8 @@ const USAGE: &str = "\
 dta-lint — determinism & concurrency invariant checker for the DTA workspace
 
 USAGE:
-    dta-lint [PATHS…] [--json] [--deny-warnings] [--cache FILE]
-             [--baseline FILE] [--write-baseline]
+    dta-lint [PATHS…] [--json] [--deny-warnings] [--baseline FILE]
+             [--write-baseline]
 
 ARGS:
     PATHS…            files or directories to lint (default: crates/)
@@ -31,8 +31,6 @@ ARGS:
 OPTIONS:
     --json            machine-readable report on stdout
     --deny-warnings   non-zero exit on warnings, not just errors
-    --cache FILE      incremental cache: skip re-analysis of files whose
-                      content hash is unchanged; rewritten after the run
     --baseline FILE   drop findings recorded in FILE (rule|path|line keys);
                       anything not in the baseline still fails the run
     --write-baseline  regenerate the --baseline file from this run's
@@ -52,13 +50,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--cache" => match args.next() {
-                Some(p) => opts.cache_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--cache requires a file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--baseline" => match args.next() {
                 Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
                 None => {

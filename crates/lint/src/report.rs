@@ -23,13 +23,6 @@ pub fn text(result: &LintResult) -> String {
         plural(warnings),
         result.suppressed,
     );
-    if result.cached > 0 {
-        let _ = writeln!(
-            out,
-            "dta-lint: incremental — {} analyzed, {} from cache",
-            result.analyzed, result.cached
-        );
-    }
     if result.baselined > 0 {
         let _ = writeln!(out, "dta-lint: {} finding(s) accepted by baseline", result.baselined);
     }

@@ -259,9 +259,8 @@ pub fn in_scope(rel_path: &str) -> bool {
 }
 
 /// The pre-suppression output of the token-rule pass over one file:
-/// everything the workspace pipeline (and the incremental cache) needs
-/// to later apply pragmas, detect stale ones, and feed the semantic
-/// rules.
+/// everything the workspace pipeline needs to later apply pragmas,
+/// detect stale ones, and feed the semantic rules.
 #[derive(Debug, Default, Clone)]
 pub struct TokenAnalysis {
     /// Token-rule findings (R1–R9 plus P0), **before** pragma

@@ -15,8 +15,7 @@
 //!   flow into `det::` cost comparisons, in any number of hops.
 //!
 //! All three run as monotone fixpoints over [`FnSummary`] records only
-//! — no AST, no source text — which is what lets the incremental cache
-//! feed them from unchanged files for free.
+//! — no AST, no source text.
 //!
 //! Call resolution is conservative-by-name: same impl and file beat
 //! same crate beat the rest of the workspace; method names that

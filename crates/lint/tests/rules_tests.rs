@@ -248,20 +248,13 @@ fn any_seeded_violation_fails_the_gate() {
             findings.iter().any(|f| &f.rule == rule),
             "fixture for {rule} produced {findings:#?}"
         );
-        let result =
-            LintResult { findings, suppressed: 0, files: 1, analyzed: 1, cached: 0, baselined: 0 };
+        let result = LintResult { findings, suppressed: 0, files: 1, baselined: 0 };
         assert!(result.fails(true), "{rule} violation must fail --deny-warnings");
     }
     // the hard-error rules fail even without --deny-warnings
     for (rule, path, src) in &seeded[..7] {
-        let result = LintResult {
-            findings: lint_source(path, src),
-            suppressed: 0,
-            files: 1,
-            analyzed: 1,
-            cached: 0,
-            baselined: 0,
-        };
+        let result =
+            LintResult { findings: lint_source(path, src), suppressed: 0, files: 1, baselined: 0 };
         assert!(result.fails(false), "{rule} violation must fail unconditionally");
     }
 }
@@ -285,8 +278,7 @@ fn workspace_tree_is_clean_under_deny_warnings() {
 #[test]
 fn json_report_includes_findings_and_rules() {
     let findings = lint_source("crates/core/src/fixture_r5.rs", R5);
-    let result =
-        LintResult { findings, suppressed: 0, files: 1, analyzed: 1, cached: 0, baselined: 0 };
+    let result = LintResult { findings, suppressed: 0, files: 1, baselined: 0 };
     let json = dta_lint::report::json(&result);
     assert!(json.contains("\"findings\""), "{json}");
     assert!(json.contains("\"R5\""), "{json}");
