@@ -5,12 +5,30 @@
 //! optimizer-estimated statement costs (§2.2). Two optimizations keep
 //! the what-if call count manageable without changing any result:
 //!
-//! 1. **Relevance filtering** — a statement's plan can only be affected
-//!    by structures on the tables it references, so the configuration is
-//!    projected onto those tables before the what-if call;
+//! 1. **Relevance filtering** — the configuration is projected onto the
+//!    structures that can affect the statement's plan before the what-if
+//!    call. Views, clustered indexes and heap partitionings on (or, for a
+//!    view, joining) a table the statement references are kept, whatever
+//!    columns they hold: a clustered index replaces the heap and a
+//!    partitioning changes every scan, and views are matched on their
+//!    whole join graph. A non-clustered index on such a table `T` is
+//!    dropped when all four of these hold: (a) no seekable sarg column
+//!    and no join column of any binding of `T` leads its key, so it is
+//!    never sought nor probed; (b) it lacks a column that every binding
+//!    of `T` requires, so it covers none — with a binding that requires
+//!    nothing (`SELECT COUNT(*) FROM T`) every index covers and none is
+//!    dropped; (c) the statement does not insert into or delete from `T`,
+//!    which maintains every index, and it updates no column the index
+//!    holds, partitioning column included; (d) the statement binds. The
+//!    planner then never reads the index, so the projection prices bit
+//!    for bit like the whole configuration: same cost, rows, plan and
+//!    used structures ([`PreparedStatement::column_use`] states the rule;
+//!    the `prepared_equivalence` test holds the planner to it). The
+//!    common case is an index sharing no column with what the statement
+//!    names on `T`, which meets (a) to (c) at once;
 //! 2. **Memoization** — the projected configuration is fingerprinted and
 //!    the (statement, fingerprint) → cost mapping cached, so greedy steps
-//!    that do not touch a statement's tables are free.
+//!    that add nothing a statement can see are free.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -27,15 +45,18 @@
 //! server call no matter how the scheduler interleaves the lookups.
 //!
 //! Fingerprints are computed without allocating or hashing: every
-//! structure in a [`Configuration`] carries its content hash and the
-//! integer keys of its tables (see [`StructureHandle`]), each shard the
-//! keys of its statement's tables, and the hashes of the relevant
-//! structures are combined with order-independent arithmetic. The hot
+//! structure in a [`Configuration`] carries its content hash, the
+//! integer keys of its tables and fixed-size masks of its columns (see
+//! [`dta_physical::StructureHandle`]), each shard — from its first lookup
+//! on — the keys of its statement's tables with a [`ColumnUse`] of each,
+//! and the hashes of the relevant structures are combined with
+//! order-independent arithmetic. Two column names sharing a mask bit can
+//! only keep an index relevant, so the masks cost no exactness. The hot
 //! path (a cache hit) therefore touches no heap and no string. The
 //! projected [`Configuration`] is only materialized on a miss, as
 //! pointer copies, where the what-if call dwarfs it.
 //!
-//! What the evaluator *learns* — the shards with their caches, table keys
+//! What the evaluator *learns* — the shards with their caches, relevance
 //! and prepared statements, the fallback costs, the degraded set — is a
 //! `CacheState` with no lifetime in it; the [`CostEvaluator`] is the
 //! borrowed façade over `(target, items, counters)` that prices through
@@ -57,7 +78,7 @@
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
 use dta_optimizer::PreparedStatement;
-use dta_physical::{table_key, Configuration, StructureHandle};
+use dta_physical::{table_key, ColumnUse, Configuration};
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
@@ -66,7 +87,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A memoized what-if result for one (statement, projected config) pair.
 #[derive(Debug, Clone)]
@@ -135,10 +156,15 @@ impl ShardStat {
     }
 }
 
+/// Which structures a statement can see: per table it references, sorted
+/// by [`table_key`], how it uses the table's columns
+/// ([`PreparedStatement::column_use`]).
+type Relevance = [(u64, ColumnUse)];
+
 /// Everything the evaluator keeps for one statement.
 struct Shard {
-    /// [`table_key`]s of the tables the statement references, sorted.
-    tables: Vec<u64>,
+    /// The statement's [`Relevance`], fixed on the shard's first lookup.
+    relevance: OnceLock<Box<Relevance>>,
     /// The statement's cache.
     cache: RwLock<HashMap<u64, CacheEntry>>,
     /// Fingerprints currently being priced. Concurrent misses on the
@@ -153,15 +179,6 @@ struct Shard {
     /// not price — and re-made when the target's estimate epoch has
     /// moved past its stamp.
     prepared: RwLock<Option<Arc<PreparedStatement>>>,
-}
-
-impl Shard {
-    /// Whether a structure can affect the statement's plan: it is
-    /// attached to, or is a view joining, a table the statement
-    /// references. A comparison of integer keys the handle carries.
-    fn sees(&self, h: &StructureHandle) -> bool {
-        h.touches(&self.tables)
-    }
 }
 
 /// What [`CacheState::rollback`] puts back. The two sets are small and
@@ -181,7 +198,7 @@ struct Undo {
 }
 
 /// Everything pricing a workload accumulates, and nothing borrowed: one
-/// shard per statement (cache, table keys, preparation, tallies), the
+/// shard per statement (cache, relevance, preparation, tallies), the
 /// fallback costs and the degraded set. Every field is behind a lock or
 /// an atomic, so whoever owns the state — a standalone
 /// [`CostEvaluator`], or a [`crate::session::Session`] across all its
@@ -208,22 +225,12 @@ impl CacheState {
     pub(crate) fn new(items: &[WorkloadItem]) -> Self {
         let shards = items
             .iter()
-            .map(|i| {
-                let mut tables: Vec<u64> = i
-                    .statement
-                    .referenced_tables()
-                    .into_iter()
-                    .map(|t| table_key(&i.database, t))
-                    .collect();
-                tables.sort_unstable();
-                tables.dedup();
-                Shard {
-                    tables,
-                    cache: RwLock::new(HashMap::new()),
-                    in_flight: Mutex::new(HashSet::new()),
-                    stat: ShardStat::default(),
-                    prepared: RwLock::new(None),
-                }
+            .map(|_| Shard {
+                relevance: OnceLock::new(),
+                cache: RwLock::new(HashMap::new()),
+                in_flight: Mutex::new(HashSet::new()),
+                stat: ShardStat::default(),
+                prepared: RwLock::new(None),
             })
             .collect();
         Self {
@@ -454,16 +461,36 @@ impl<'a> CostEvaluator<'a> {
         fresh
     }
 
-    /// Order-independent fingerprint of `config` projected onto `shard`'s
-    /// statement, combined from the content hashes the handles memoize:
-    /// no allocation, no string hashed or compared. The values are what
-    /// hashing each structure afresh would give, so fingerprints in
-    /// checkpoints written by earlier builds still hit.
-    fn fingerprint(shard: &Shard, config: &Configuration) -> u64 {
+    /// `item`'s [`Relevance`]: made from its preparation on the shard's
+    /// first lookup and kept — it depends on the binding only, which no
+    /// statistic and no estimate epoch moves.
+    fn relevance<'s>(&self, item: &WorkloadItem, shard: &'s Shard) -> &'s Relevance {
+        shard.relevance.get_or_init(|| {
+            let prepared = self.preparation(item, shard);
+            let mut tables: Vec<u64> = item
+                .statement
+                .referenced_tables()
+                .into_iter()
+                .map(|t| table_key(&item.database, t))
+                .collect();
+            tables.sort_unstable();
+            tables.dedup();
+            tables.into_iter().map(|k| (k, prepared.column_use(k))).collect()
+        })
+    }
+
+    /// Order-independent fingerprint of `config` projected onto what a
+    /// statement sees (`relevant`), combined from the content hashes the
+    /// handles memoize: no allocation, no string hashed or compared. The
+    /// value depends on the projected structures alone — it is what
+    /// hashing each of them afresh would give — so a checkpoint's entry,
+    /// keyed on the projection it priced, hits whenever a later build
+    /// projects onto the same structures.
+    fn fingerprint(relevant: &Relevance, config: &Configuration) -> u64 {
         let mut sum = 0u64;
         let mut xor = 0u64;
         let mut count = 0u64;
-        for h in config.handles().iter().filter(|h| shard.sees(h)) {
+        for h in config.handles().iter().filter(|h| h.relevant_to(relevant)) {
             let v = h.content_hash();
             sum = sum.wrapping_add(v);
             xor ^= v;
@@ -481,13 +508,13 @@ impl<'a> CostEvaluator<'a> {
     /// [`invariants::check_fingerprint`] instead of silently pricing one
     /// configuration with another's cost. It hashes the structures
     /// themselves, so it checks the memoized hashes as well.
-    fn verify_fingerprint(shard: &Shard, config: &Configuration) -> u64 {
+    fn verify_fingerprint(relevant: &Relevance, config: &Configuration) -> u64 {
         /// Seed decorrelating this hash from the primary fingerprint's.
         const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut sum = 0u64;
         let mut prod = 1u64;
         let mut count = 0u64;
-        for s in config.handles().iter().filter(|h| shard.sees(h)) {
+        for s in config.handles().iter().filter(|h| h.relevant_to(relevant)) {
             let mut h = DefaultHasher::new();
             SEED.hash(&mut h);
             s.structure().hash(&mut h);
@@ -506,6 +533,7 @@ impl<'a> CostEvaluator<'a> {
         &self,
         i: usize,
         shard: &Shard,
+        relevant: &Relevance,
         entry: &CacheEntry,
         config: &Configuration,
         want_structures: bool,
@@ -513,7 +541,7 @@ impl<'a> CostEvaluator<'a> {
         // imported checkpoint entries may carry verify == 0 when the
         // writing build had invariants compiled out; skip the check
         if invariants::ENABLED && entry.verify != 0 {
-            let recomputed = Self::verify_fingerprint(shard, config) as u32;
+            let recomputed = Self::verify_fingerprint(relevant, config) as u32;
             invariants::check_fingerprint(entry.verify.into(), recomputed.into(), i);
         }
         shard.stat.hits.fetch_add(1, Ordering::SeqCst);
@@ -530,9 +558,10 @@ impl<'a> CostEvaluator<'a> {
         want_structures: bool,
     ) -> Result<(f64, Vec<String>), ServerError> {
         let (item, shard) = self.slot(i);
-        let fp = Self::fingerprint(shard, config);
+        let relevant = self.relevance(item, shard);
+        let fp = Self::fingerprint(relevant, config);
         if let Some(e) = shard.cache.read().get(&fp) {
-            return Ok(self.record_hit(i, shard, e, config, want_structures));
+            return Ok(self.record_hit(i, shard, relevant, e, config, want_structures));
         }
         // claim-or-wait: exactly one thread computes each fingerprint.
         // Waiters count a hit once the entry lands, so the hit/miss/call
@@ -543,7 +572,7 @@ impl<'a> CostEvaluator<'a> {
                 // recheck under the claim lock: the computing thread
                 // inserts into the cache before releasing its claim
                 if let Some(e) = shard.cache.read().get(&fp) {
-                    return Ok(self.record_hit(i, shard, e, config, want_structures));
+                    return Ok(self.record_hit(i, shard, relevant, e, config, want_structures));
                 }
                 if claims.insert(fp) {
                     break;
@@ -556,7 +585,8 @@ impl<'a> CostEvaluator<'a> {
         let _claim = ClaimGuard { set: &shard.in_flight, fp };
         shard.stat.misses.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheMisses, 1);
-        let verify = if invariants::ENABLED { Self::verify_fingerprint(shard, config) } else { 0 };
+        let verify =
+            if invariants::ENABLED { Self::verify_fingerprint(relevant, config) } else { 0 };
         if self.state.degraded.lock().contains(&i) {
             // a permanent fault already degraded this statement: price
             // every configuration at its constant fallback, no server call
@@ -566,7 +596,7 @@ impl<'a> CostEvaluator<'a> {
         }
         // only a miss materializes the projection, and only as pointer
         // copies; the what-if call dwarfs it
-        let relevant = config.project(|h| shard.sees(h));
+        let projected = config.project(|h| h.relevant_to(relevant));
         let prepared = self.preparation(item, shard);
         let mut attempt: u32 = 0;
         let plan = loop {
@@ -574,7 +604,7 @@ impl<'a> CostEvaluator<'a> {
             // in-flight claim above serialized racing lookups away
             self.counters.add(Counter::WhatIfCalls, 1);
             shard.stat.calls.fetch_add(1, Ordering::SeqCst);
-            match self.target.whatif_prepared(&prepared, &relevant) {
+            match self.target.whatif_prepared(&prepared, &projected) {
                 Ok(plan) => break Some(plan),
                 Err(ServerError::Fault { kind: FaultKind::Transient, .. })
                     if self.retry.allows_retry(attempt) =>
@@ -649,17 +679,15 @@ mod tests {
         let mut s = Server::new("s");
         let mut db = Database::new("d");
         for name in ["t", "u"] {
-            db.add_table(Table::new(
-                name,
-                vec![Column::new("a", ColumnType::Int), Column::new("b", ColumnType::Int)],
-            ))
-            .expect("fresh table");
+            // no statement names `c`
+            let columns = ["a", "b", "c"].map(|c| Column::new(c, ColumnType::Int));
+            db.add_table(Table::new(name, columns.to_vec())).expect("fresh table");
         }
         s.create_database(db).expect("fresh database");
         for name in ["t", "u"] {
             let d = s.table_data_mut("d", name).expect("table exists");
             for i in 0..5000i64 {
-                d.push_row(vec![Value::Int(i % 100), Value::Int(i)]);
+                d.push_row(vec![Value::Int(i % 100), Value::Int(i), Value::Int(i % 7)]);
             }
         }
         s
@@ -749,6 +777,15 @@ mod tests {
         assert_eq!(eval.whatif_calls(), calls, "projection made it a cache hit");
         eval.item_cost(1, &cfg).expect("costing succeeds");
         assert_eq!(eval.whatif_calls(), calls + 1);
+        // nor can a non-clustered index on `t` over a column it never names
+        let on_c = |table| PhysicalStructure::Index(Index::non_clustered("d", table, &["c"], &[]));
+        eval.workload_cost(&Configuration::from_structures([on_c("t"), on_c("u")]))
+            .expect("costing succeeds");
+        assert_eq!(eval.whatif_calls(), calls + 1, "both statements hit");
+        // a clustered index on `c` can: it replaces the heap
+        let clustered = PhysicalStructure::Index(Index::clustered("d", "t", &["c"]));
+        eval.item_cost(0, &Configuration::from_structures([clustered])).expect("costing succeeds");
+        assert_eq!(eval.whatif_calls(), calls + 2);
     }
 
     #[test]
@@ -780,14 +817,23 @@ mod tests {
         assert!(after < before);
     }
 
-    /// The parent implementation: decide relevance by comparing names and
-    /// hash every relevant structure afresh. Returns (primary, verify).
+    /// Relevance decided by comparing names — a statement of [`wl`] seeks
+    /// on `a` and requires `a` and `b` — and every relevant structure
+    /// hashed afresh. Returns (primary, verify).
     fn reference_fingerprints(item: &WorkloadItem, config: &Configuration) -> (u64, u64) {
         const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
         let tables = item.statement.referenced_tables();
         let relevant = |s: &&PhysicalStructure| match s {
             PhysicalStructure::Index(ix) => {
-                ix.database == item.database && tables.iter().any(|t| *t == ix.table)
+                let holds = |c: &str| {
+                    ix.leaf_columns().any(|l| l == c)
+                        || ix.partitioning.as_ref().is_some_and(|p| p.column == c)
+                };
+                ix.database == item.database
+                    && tables.iter().any(|t| *t == ix.table)
+                    && (ix.kind == dta_physical::IndexKind::Clustered
+                        || ix.key_columns.first().is_some_and(|k| k == "a")
+                        || (holds("a") && holds("b")))
             }
             PhysicalStructure::View(v) => {
                 v.database == item.database
@@ -825,15 +871,16 @@ mod tests {
     fn random_configuration(rng: &mut rand::rngs::StdRng) -> Configuration {
         use rand::Rng;
         let mut pick = |n: usize| rng.gen_range(0..n);
+        let scheme = |column| dta_physical::RangePartitioning::new(column, vec![Value::Int(9)]);
         (0..pick(9))
             .map(|_| {
                 let (db, t) = [("d", "t"), ("d", "u"), ("d", "w"), ("e", "t")][pick(4)];
-                let column = ["a", "b"][pick(2)];
-                match pick(4) {
+                let column = ["a", "b", "c"][pick(3)];
+                match pick(7) {
                     0 => PhysicalStructure::TablePartitioning {
                         database: db.into(),
                         table: t.into(),
-                        scheme: dta_physical::RangePartitioning::new(column, vec![Value::Int(9)]),
+                        scheme: scheme(column),
                     },
                     1 => PhysicalStructure::View(dta_physical::MaterializedView::grouped(
                         db,
@@ -842,6 +889,14 @@ mod tests {
                         vec![dta_physical::QualifiedColumn::new(t, column)],
                         vec![dta_physical::ViewAggregate::count_star()],
                     )),
+                    2 => PhysicalStructure::Index(Index::clustered(db, t, &[column])),
+                    3 => PhysicalStructure::Index(
+                        Index::non_clustered(db, t, &["c"], &[]).partitioned(scheme(column)),
+                    ),
+                    4 => {
+                        let included = [&["a"][..], &["b"], &["a", "b"]][pick(3)];
+                        PhysicalStructure::Index(Index::non_clustered(db, t, &["c"], included))
+                    }
                     _ => PhysicalStructure::Index(Index::non_clustered(db, t, &[column], &[])),
                 }
             })
@@ -860,10 +915,10 @@ mod tests {
         for _ in 0..2_000 {
             let config = random_configuration(&mut rng);
             for (i, item) in w.items.iter().enumerate() {
-                let shard = eval.slot(i).1;
+                let relevant = eval.relevance(item, eval.slot(i).1);
                 let memoized = (
-                    CostEvaluator::fingerprint(shard, &config),
-                    CostEvaluator::verify_fingerprint(shard, &config),
+                    CostEvaluator::fingerprint(relevant, &config),
+                    CostEvaluator::verify_fingerprint(relevant, &config),
                 );
                 assert_eq!(memoized, reference_fingerprints(item, &config), "item {i}: {config}");
                 distinct.insert(memoized.0);
@@ -889,9 +944,10 @@ mod tests {
         // by every route, and nothing is priced twice
         let reader = CostEvaluator::new(&target, &w.items);
         reader.state.import(&export, &[]);
+        let relevant = reader.relevance(&w.items[0], reader.slot(0).1);
         for (config, cost) in configs.iter().zip(&costs) {
             let rebuilt = Configuration::from_structures(config.iter().cloned());
-            let (front, back) = (config.project(|h| reader.slot(0).1.sees(h)), config);
+            let (front, back) = (config.project(|h| h.relevant_to(relevant)), config);
             for round_trip in [config.clone(), rebuilt, front.union(back), config.project(|_| true)]
             {
                 let again = reader.workload_cost(&round_trip).expect("costing succeeds");
@@ -909,16 +965,14 @@ mod tests {
         let w = wl();
         let eval = CostEvaluator::new(&target, &w.items);
         let a = PhysicalStructure::Index(Index::non_clustered("d", "t", &["a"], &[]));
-        let b = PhysicalStructure::Index(Index::non_clustered("d", "t", &["b"], &[]));
+        let b = PhysicalStructure::Index(Index::non_clustered("d", "t", &["b"], &["a"]));
         let ab = Configuration::from_structures([a.clone(), b.clone()]);
         let ba = Configuration::from_structures([b.clone(), a.clone()]);
-        let shard = eval.slot(0).1;
-        assert_eq!(CostEvaluator::fingerprint(shard, &ab), CostEvaluator::fingerprint(shard, &ba));
+        let relevant = eval.relevance(&w.items[0], eval.slot(0).1);
+        let fingerprint = |config| CostEvaluator::fingerprint(relevant, config);
+        assert_eq!(fingerprint(&ab), fingerprint(&ba));
         let only_a = Configuration::from_structures([a]);
-        assert_ne!(
-            CostEvaluator::fingerprint(shard, &ab),
-            CostEvaluator::fingerprint(shard, &only_a)
-        );
+        assert_ne!(fingerprint(&ab), fingerprint(&only_a));
     }
 
     #[test]
@@ -934,12 +988,14 @@ mod tests {
         assert_eq!(eval.whatif_calls(), 4, "cache was dropped, calls re-issued");
     }
 
+    /// An index on `t` keyed on `column` that covers statement 0.
     fn on_t(column: &str) -> Configuration {
+        let other = if column == "a" { "b" } else { "a" };
         Configuration::from_structures([PhysicalStructure::Index(Index::non_clustered(
             "d",
             "t",
             &[column],
-            &[],
+            &[other],
         ))])
     }
 

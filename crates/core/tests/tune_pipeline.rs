@@ -9,23 +9,23 @@ use dta_workload::{Workload, WorkloadItem};
 
 /// A medium table with selective columns and a wide pad.
 fn make_server() -> Server {
+    server_with_fact_extras(&[])
+}
+
+/// [`make_server`] with more integer columns on `fact`, named `extras`.
+fn server_with_fact_extras(extras: &[&str]) -> Server {
     let mut server = Server::new("prod");
     let mut db = Database::new("d");
-    db.add_table(
-        Table::new(
-            "fact",
-            vec![
-                Column::new("k", ColumnType::BigInt),
-                Column::new("a", ColumnType::Int),
-                Column::new("g", ColumnType::Int),
-                Column::new("m", ColumnType::Int),
-                Column::new("val", ColumnType::Float),
-                Column::new("pad", ColumnType::Str(80)),
-            ],
-        )
-        .with_primary_key(&["k"]),
-    )
-    .unwrap();
+    let mut fact_columns = vec![
+        Column::new("k", ColumnType::BigInt),
+        Column::new("a", ColumnType::Int),
+        Column::new("g", ColumnType::Int),
+        Column::new("m", ColumnType::Int),
+        Column::new("val", ColumnType::Float),
+        Column::new("pad", ColumnType::Str(80)),
+    ];
+    fact_columns.extend(extras.iter().map(|&c| Column::new(c, ColumnType::Int)));
+    db.add_table(Table::new("fact", fact_columns).with_primary_key(&["k"])).unwrap();
     db.add_table(
         Table::new(
             "dim",
@@ -38,14 +38,16 @@ fn make_server() -> Server {
     {
         let t = server.table_data_mut("d", "fact").unwrap();
         for i in 0..60_000i64 {
-            t.push_row(vec![
+            let mut row = vec![
                 Value::Int(i),
                 Value::Int(i % 2000),
                 Value::Int(i % 25),
                 Value::Int(i % 12),
                 Value::Float((i % 997) as f64),
                 Value::Str(format!("{:=<80}", i)),
-            ]);
+            ];
+            row.extend((0..extras.len() as i64).map(|x| Value::Int(i % (31 + x))));
+            t.push_row(row);
         }
         t.set_scale(50.0);
     }
@@ -496,4 +498,74 @@ fn padding_the_base_with_irrelevant_indexes_changes_nothing() {
         assert_eq!(wide_obs.counter(counter), narrow_obs.counter(counter), "{counter:?}");
     }
     assert_eq!(wide_obs.shards, narrow_obs.shards);
+}
+
+/// The column-level twin: hundreds of user-specified non-clustered
+/// indexes on `fact` itself — a table every statement reads — over
+/// columns no statement names. None can lead a seek or probe, cover a
+/// binding or need maintaining, so none is in any statement's projection:
+/// the session makes the same calls, hits and misses as without them, and
+/// pricing a configuration with them added is a cache hit throughout.
+#[test]
+fn padding_read_tables_with_indexes_on_unnamed_columns_changes_nothing() {
+    use dta_core::cost::CostEvaluator;
+    use dta_core::{tune_with_observer, Counter, RecordingObserver};
+
+    // no name here shares a `ColumnMask` bit with a column a statement
+    // names on `fact` (`x7` would, with `m`): a shared bit keeps an index
+    // relevant, which costs calls but never a different answer
+    let extras = ["x0", "x1", "x2", "x3", "x4", "x5", "x6", "x9"];
+    let on_fact = |keys: &[&str], included: &[&str]| {
+        PhysicalStructure::Index(Index::non_clustered("d", "fact", keys, included))
+    };
+    let mut padding: Vec<PhysicalStructure> = Vec::new();
+    for (i, first) in extras.iter().enumerate() {
+        for (j, second) in extras.iter().enumerate().filter(|(j, _)| *j != i) {
+            padding.push(on_fact(&[first, second], &[]));
+            for (_, third) in extras.iter().enumerate().filter(|(k, _)| *k != i && *k != j) {
+                padding.push(on_fact(&[first, second], &[third]));
+            }
+        }
+    }
+    assert_eq!(padding.len(), 8 * 7 * 7);
+    let workload = read_workload();
+    let tune_with = |user_specified: Option<Configuration>| {
+        let server = server_with_fact_extras(&extras);
+        let options = TuningOptions {
+            parallel_workers: 1,
+            storage_bytes: Some(200_000_000),
+            user_specified,
+            ..Default::default()
+        };
+        let obs = RecordingObserver::new();
+        tune_with_observer(&TuningTarget::Single(&server), &workload, &options, &obs).unwrap()
+    };
+
+    let narrow = tune_with(None);
+    let wide = tune_with(Some(Configuration::from_structures(padding.clone())));
+
+    let unpadded: Configuration =
+        wide.recommendation.iter().filter(|s| !padding.contains(s)).cloned().collect();
+    assert_eq!(wide.recommendation.len(), unpadded.len() + padding.len(), "the padding is kept");
+    assert_eq!(unpadded, narrow.recommendation);
+    assert!(narrow.recommendation.len() > 3, "the session recommends something");
+    assert_eq!(wide.recommended_cost.to_bits(), narrow.recommended_cost.to_bits());
+    assert_eq!(wide.whatif_calls, narrow.whatif_calls);
+    assert_eq!(wide.evaluations, narrow.evaluations);
+    assert_eq!(wide.tuning_work_units.to_bits(), narrow.tuning_work_units.to_bits());
+    let (wide_obs, narrow_obs) = (wide.observer.unwrap(), narrow.observer.unwrap());
+    for counter in [Counter::CacheHits, Counter::CacheMisses, Counter::WhatIfCalls] {
+        assert_eq!(wide_obs.counter(counter), narrow_obs.counter(counter), "{counter:?}");
+    }
+    assert_eq!(wide_obs.shards, narrow_obs.shards);
+
+    // the padding is in no fingerprint: adding it to what was priced hits
+    let server = server_with_fact_extras(&extras);
+    let target = TuningTarget::Single(&server);
+    let eval = CostEvaluator::new(&target, &workload.items);
+    let cost = eval.workload_cost(&narrow.recommendation).unwrap();
+    let calls = eval.whatif_calls();
+    let padded = narrow.recommendation.union(&Configuration::from_structures(padding));
+    assert_eq!(eval.workload_cost(&padded).unwrap().to_bits(), cost.to_bits());
+    assert_eq!(eval.whatif_calls(), calls, "every statement hit");
 }

@@ -233,7 +233,9 @@ pub(crate) fn for_each_access<'a>(
         let covering = ix.covers(&t.required);
         let (seek_len, seek_sel) = seek_prefix(t, ix);
         if seek_len == 0 && !covering {
-            continue; // neither seekable nor a narrower scan
+            // neither seekable nor a narrower scan (what
+            // `PreparedStatement::column_use` states for the cost cache)
+            continue;
         }
         let leaf_pages = t.facts.leaf_pages(leaf_width(t, ix));
 

@@ -19,7 +19,10 @@ pub const INDEX_MAINT_PAGES: f64 = 1.5;
 /// requires looking up the other side(s)).
 pub const VIEW_MAINT_PAGES_PER_TABLE: f64 = 2.0;
 
-/// Plan (and cost) a DML statement under a configuration.
+/// Plan (and cost) a DML statement under a configuration. An INSERT or
+/// DELETE maintains every non-clustered index on its table, an UPDATE
+/// only those holding a SET column (what
+/// `PreparedStatement::column_use` states).
 pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
     let key = d.target.facts.key;
     match &d.dml {

@@ -121,7 +121,8 @@ fn hash_join_cost(
 }
 
 /// Every index whose leading key is a join column of `t`, costed as the
-/// inner side of an index-nested-loop join, in configuration order.
+/// inner side of an index-nested-loop join, in configuration order (what
+/// `PreparedStatement::column_use` states as `leading`).
 fn inl_probes<'a>(ctx: &PlanContext<'a>, t: &'a PreparedTable) -> Vec<InlProbe<'a>> {
     let inner_rows = t.facts.rows;
     let mut probes = Vec::new();

@@ -24,7 +24,8 @@ use crate::query::{
 use crate::selectivity::{Estimator, MIN_SEL, RESIDUAL_SEL};
 use dta_catalog::Catalog;
 use dta_physical::{
-    database_key, table_key, Configuration, JoinPair, MaterializedView, QualifiedColumn,
+    database_key, table_key, ColumnMask, ColumnUse, Configuration, JoinPair, MaterializedView,
+    QualifiedColumn,
 };
 use dta_sql::Statement;
 use dta_stats::{StatisticsManager, TableDistincts};
@@ -245,6 +246,21 @@ impl PreparedTable {
     /// The binding's sargs with their selectivities.
     pub(crate) fn sargs_with_sel(&self) -> impl Iterator<Item = (&Sarg, f64)> {
         self.sargs.iter().zip(self.sarg_sel.iter().copied())
+    }
+
+    /// How the binding uses its table: `access::for_each_access` seeks a
+    /// non-clustered index only when a seekable sarg column leads it and
+    /// scans it only when it covers `required` (every index does, when
+    /// `required` is empty); `join::inl_probes` probes it only when a join
+    /// column leads it.
+    fn column_use(&self) -> ColumnUse {
+        let seekable = self.sargs.iter().filter(|s| s.is_seekable()).map(|s| &s.column.column);
+        let joined = self.join_distinct.iter().map(|(c, _)| c);
+        ColumnUse {
+            leading: ColumnMask::of(seekable.chain(joined)),
+            covering: ColumnMask::of(&self.required),
+            maintained: ColumnMask::NONE,
+        }
     }
 }
 
@@ -605,6 +621,37 @@ impl PreparedStatement {
     /// The binding failure every planning call will return, if any.
     pub fn bind_error(&self) -> Option<&BindError> {
         self.body.as_ref().err()
+    }
+
+    /// How this statement uses the table with [`table_key`] `key`: the
+    /// only ways a non-clustered index on it can change the plan. One
+    /// that [`ColumnUse`] says can serve none of them is skipped by every
+    /// planning loop, so planning without it gives the same cost, rows,
+    /// plan and used structures. Over every binding of the table: the
+    /// seekable sarg and join columns that may lead a seek or probe, the
+    /// columns an index must hold to cover a binding, and an UPDATE's SET
+    /// columns (it maintains each index holding one). [`ColumnUse::ALL`]
+    /// — every index on the table matters — when the statement does not
+    /// bind, inserts into or deletes from the table (which maintains
+    /// every index) or does not read it. Derived from the binding alone:
+    /// no statistic moves it.
+    pub fn column_use(&self, key: u64) -> ColumnUse {
+        match &self.body {
+            Ok(Prepared::Select(q)) => q
+                .tables
+                .iter()
+                .filter(|t| t.facts.key == key)
+                .map(PreparedTable::column_use)
+                .reduce(ColumnUse::and)
+                .unwrap_or(ColumnUse::ALL),
+            Ok(Prepared::Dml(d)) if d.target.facts.key == key => match &d.dml {
+                BoundDml::Update { set_columns, .. } => {
+                    ColumnUse { maintained: ColumnMask::of(set_columns), ..d.target.column_use() }
+                }
+                BoundDml::Insert { .. } | BoundDml::Delete { .. } => ColumnUse::ALL,
+            },
+            Ok(Prepared::Dml(_)) | Err(_) => ColumnUse::ALL,
+        }
     }
 
     /// What planning this statement under `config` reads besides the

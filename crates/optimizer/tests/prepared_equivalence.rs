@@ -8,15 +8,21 @@
 //! partitionings, matching and non-matching views — before and after
 //! statistics are created, a preparation must plan to the same cost bit
 //! for bit, the same plan and the same used structures.
+//!
+//! The same sweep holds the cost cache's relevance rule to the planner:
+//! the configuration projected by [`PreparedStatement::column_use`] must
+//! plan exactly as the configuration projected onto the statement's
+//! tables, and named cases pin the shapes where an index sharing no
+//! column with a binding still matters.
 
 mod oracle;
 
-use dta_catalog::{Table, Value};
+use dta_catalog::{Column, ColumnType, Database, Table, Value};
 use dta_optimizer::query::{bind, canonical_agg_arg, BoundDml, BoundSelect, BoundStatement};
-use dta_optimizer::{optimize_prepared, HardwareParams, WhatIfOptimizer};
+use dta_optimizer::{optimize_prepared, HardwareParams, PreparedStatement, WhatIfOptimizer};
 use dta_physical::{
-    Configuration, Index, JoinPair, MaterializedView, PhysicalStructure, QualifiedColumn,
-    RangePartitioning, ViewAggregate,
+    table_key, ColumnUse, Configuration, Index, JoinPair, MaterializedView, PhysicalStructure,
+    QualifiedColumn, RangePartitioning, ViewAggregate,
 };
 use dta_server::Server;
 use dta_sql::{parse_statement, Statement};
@@ -55,6 +61,13 @@ const TPCH_EXTRAS: &[&str] = &[
      GROUP BY o_orderpriority ORDER BY o_orderpriority",
     "SELECT TOP 5 p_brand FROM part AS p JOIN partsupp ON p.p_partkey = ps_partkey \
      WHERE ps_supplycost + 1 > p.p_retailprice ORDER BY p_brand",
+    // bindings that name no column, and DML: where an index sharing no
+    // column with the statement still changes its plan
+    "SELECT COUNT(*) FROM supplier",
+    "SELECT COUNT(*) FROM nation AS n1, nation AS n2 WHERE n1.n_regionkey = 2",
+    "INSERT INTO nation VALUES (99, 'ATLANTIS', 1)",
+    "DELETE FROM supplier WHERE s_acctbal < 0",
+    "UPDATE supplier SET s_nationkey = 3 WHERE s_suppkey = 7",
 ];
 
 fn cases() -> Vec<Case> {
@@ -252,6 +265,26 @@ fn random_configuration(
             }
             structures.push(PhysicalStructure::Index(ix));
         }
+        // an index leaning to columns the statement does not read,
+        // perhaps partitioned on one it does: what the cost cache's
+        // relevance rule is there to project away
+        let unread: Vec<String> =
+            table.columns.iter().map(|c| c.name.clone()).filter(|c| !read.contains(c)).collect();
+        if !unread.is_empty() && rng.gen_bool(0.6) {
+            let keys = some_columns(rng, table, &unread, 2);
+            let included: Vec<String> = some_columns(rng, table, &unread, 2)
+                .into_iter()
+                .filter(|c| unread.contains(c) && !keys.contains(c))
+                .collect();
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let included: Vec<&str> = included.iter().map(String::as_str).collect();
+            let mut ix = Index::non_clustered(db, name, &keys, &included);
+            if rng.gen_bool(0.25) {
+                let on = pick(rng, &table.columns).name.clone();
+                ix = ix.partitioned(partitioning(rng, server, db, name, &on));
+            }
+            structures.push(PhysicalStructure::Index(ix));
+        }
         if rng.gen_bool(0.25) {
             let on = some_columns(rng, table, read, 1).remove(0);
             structures.push(PhysicalStructure::TablePartitioning {
@@ -313,15 +346,49 @@ fn statistics_to_create(rng: &mut StdRng, shapes: &[(String, Shape)]) -> Vec<Sta
     keys
 }
 
+/// Plan `prep` under `config` projected onto its tables
+/// ([`ColumnUse::ALL`] each, the cost cache's table-level rule) and
+/// projected by [`PreparedStatement::column_use`] (its column-level
+/// rule): the two must plan alike, to the bit. Returns both projections,
+/// table-level first.
+fn column_projection_plans_alike(
+    prep: &PreparedStatement,
+    stmt: &Statement,
+    config: &Configuration,
+    context: &str,
+) -> [Configuration; 2] {
+    let mut keys: Vec<u64> =
+        stmt.referenced_tables().into_iter().map(|t| table_key(prep.database(), t)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let by_table: Vec<(u64, ColumnUse)> = keys.iter().map(|&k| (k, ColumnUse::ALL)).collect();
+    let by_column: Vec<(u64, ColumnUse)> = keys.iter().map(|&k| (k, prep.column_use(k))).collect();
+    let wide = config.project(|h| h.relevant_to(&by_table));
+    let narrow = config.project(|h| h.relevant_to(&by_column));
+    match (optimize_prepared(prep, &wide), optimize_prepared(prep, &narrow)) {
+        (Ok(w), Ok(n)) => {
+            assert_eq!(n.cost.to_bits(), w.cost.to_bits(), "projected cost of {context}");
+            assert_eq!(n.est_rows.to_bits(), w.est_rows.to_bits(), "rows of {context}");
+            assert_eq!(n.to_string(), w.to_string(), "projected plan of {context}");
+            assert_eq!(n.used_structures(), w.used_structures(), "{context}");
+        }
+        (Err(w), Err(n)) => assert_eq!(n, w, "{context}"),
+        (w, n) => panic!("{context}: {w:?} vs {n:?}"),
+    }
+    [wide, narrow]
+}
+
 /// Price every item under fresh random configurations with both
-/// planners; returns how many plans used a view, an index join, an index.
-fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [usize; 3] {
+/// planners, and with the column-relevant projection against the
+/// table-relevant one; returns how many plans used a view, an index join,
+/// an index, and how many structures the column rule dropped.
+fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [usize; 4] {
     let stats = statistics(&case.server);
     let hardware = HardwareParams { cpus: 4, memory_bytes: 8 << 20 };
     let catalog = case.server.catalog();
     let prepared = WhatIfOptimizer::new(catalog, &stats, &case.server, hardware);
     let per_call = oracle::PerCallOptimizer::new(catalog, &stats, &case.server, hardware);
-    let mut seen = [0usize; 3];
+    let mut seen = [0usize; 4];
     for (item, (db, shape)) in case.items.iter().zip(shapes) {
         let prep = prepared.prepare(db, &item.statement);
         for c in 0..CONFIGS {
@@ -332,6 +399,9 @@ fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [us
             let expect = per_call.optimize(db, &item.statement, &config);
             let got = optimize_prepared(&prep, &config);
             let context = format!("{}: `{}` under {config}", case.name, item.statement);
+            let [wide, narrow] =
+                column_projection_plans_alike(&prep, &item.statement, &config, &context);
+            seen[3] += wide.len() - narrow.len();
             match (expect, got) {
                 (Ok(expect), Ok(got)) => {
                     assert_eq!(got.cost.to_bits(), expect.cost.to_bits(), "cost of {context}");
@@ -368,9 +438,10 @@ fn prepared_plans_equal_per_call_plans() {
         let created = case.server.create_statistics(&statistics_to_create(&mut rng, &shapes));
         assert!(created.created > 0, "{}: statistics were created", case.name);
         let after = compare_all(&case, &shapes, &mut rng);
-        let [views, index_joins, indexes] = [0, 1, 2].map(|k| before[k] + after[k]);
-        // the configurations reach the planner's branches
+        let [views, index_joins, indexes, dropped] = [0, 1, 2, 3].map(|k| before[k] + after[k]);
+        // the configurations reach the planner's branches and the rule
         assert!(indexes > 20, "{}: {indexes} plans used an index", case.name);
+        assert!(dropped > 100, "{}: the column rule dropped {dropped} structures", case.name);
         if case.name == "tpch" {
             assert!(views > 10 && index_joins > 10, "tpch: {views} views, {index_joins} INL");
         }
@@ -404,5 +475,74 @@ fn sizing_estimates_equal_per_call_estimates() {
     for v in &views {
         let PhysicalStructure::View(v) = v else { continue };
         assert_eq!(prepared.view_rows(v), per_call.view_rows(v), "rows of {}", v.name());
+    }
+}
+
+/// `t(a, b, c, z, pad)` — rows wide enough that a narrow index covering
+/// them is worth scanning — and `u(k, v)`, filled, in database `db`.
+fn small_server() -> Server {
+    let mut server = Server::new("small");
+    let mut db = Database::new("db");
+    let columns = |names: &[&str]| names.iter().map(|&c| Column::new(c, ColumnType::Int)).collect();
+    let mut t_columns: Vec<Column> = columns(&["a", "b", "c", "z"]);
+    t_columns.push(Column::new("pad", ColumnType::Str(200)));
+    db.add_table(Table::new("t", t_columns)).unwrap();
+    db.add_table(Table::new("u", columns(&["k", "v"]))).unwrap();
+    server.create_database(db).unwrap();
+    let t = server.table_data_mut("db", "t").unwrap();
+    for i in 0..4000i64 {
+        let mut row = [i % 50, i, i % 7, i % 13].map(Value::Int).to_vec();
+        row.push(Value::Str(format!("{i:-<200}")));
+        t.push_row(row);
+    }
+    let u = server.table_data_mut("db", "u").unwrap();
+    for i in 0..200i64 {
+        u.push_row([i, i % 9].map(Value::Int).to_vec());
+    }
+    server
+}
+
+/// The shapes the column rule must get right, each with the indexes it
+/// must keep and those it may drop: a dropped index the planner would
+/// have read fails the plan comparison, a kept one is checked by name.
+#[test]
+fn column_relevance_keeps_every_index_the_planner_reads() {
+    let nc = |keys: &[&str], included: &[&str]| Index::non_clustered("db", "t", keys, included);
+    let split_on = |column: &str| RangePartitioning::new(column, vec![Value::Int(3)]);
+    let cases: &[(&str, &str, Vec<Index>, &[usize])] = &[
+        // nothing required: every index covers
+        ("count(*)", "SELECT COUNT(*) FROM t", vec![nc(&["z"], &[])], &[0]),
+        (
+            "self-join, one binding naming no column",
+            "SELECT p.a FROM t AS p, t AS q WHERE p.b = 3",
+            vec![nc(&["z"], &[]), nc(&["b"], &["a"])],
+            &[0, 1],
+        ),
+        ("INSERT target", "INSERT INTO t VALUES (1, 2, 3, 4)", vec![nc(&["z"], &[])], &[0]),
+        ("DELETE target", "DELETE FROM t WHERE a = 3", vec![nc(&["z"], &[])], &[0]),
+        (
+            "UPDATE of an index's partitioning column",
+            "UPDATE t SET c = 1 WHERE a = 3",
+            vec![nc(&["z"], &[]).partitioned(split_on("c")), nc(&["z"], &[])],
+            &[0],
+        ),
+        (
+            "INL inner index led by the join column",
+            "SELECT t.b FROM u, t WHERE t.z = u.k AND u.v = 1",
+            vec![nc(&["z"], &[]), nc(&["c", "z"], &[]), nc(&["a"], &["b", "z"])],
+            &[0, 2],
+        ),
+        ("unbindable", "SELECT zzz FROM t", vec![nc(&["z"], &[])], &[0]),
+    ];
+    let server = small_server();
+    for (name, sql, indexes, kept) in cases {
+        let stmt = parse_statement(sql).expect("handwritten SQL parses");
+        let prep = server.prepare("db", &stmt);
+        let config =
+            Configuration::from_structures(indexes.iter().cloned().map(PhysicalStructure::Index));
+        let [_, narrow] = column_projection_plans_alike(&prep, &stmt, &config, name);
+        let kept: Vec<&Index> = kept.iter().map(|&i| &indexes[i]).collect();
+        let narrow: Vec<&Index> = narrow.indexes_on("db", "t").collect();
+        assert_eq!(narrow, kept, "{name}: what the column rule keeps");
     }
 }

@@ -75,6 +75,100 @@ fn content_hash(value: &impl Hash) -> u64 {
     h.finish()
 }
 
+/// A set of column names in 64 bits: each name sets one bit, picked by
+/// a hash of its bytes. Masks of two sets that share a name intersect;
+/// masks of two disjoint sets may intersect too, when two names pick the
+/// same bit. So "the masks are disjoint" proves "no column in common",
+/// and a test built on it can only err towards "may have one".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnMask(u64);
+
+impl ColumnMask {
+    /// No column.
+    pub const NONE: Self = Self(0);
+    /// Every column: intersects every mask but [`Self::NONE`].
+    pub const ALL: Self = Self(u64::MAX);
+
+    /// The mask of `columns`.
+    pub fn of<S: AsRef<str>>(columns: impl IntoIterator<Item = S>) -> Self {
+        columns.into_iter().fold(Self::NONE, |mask, c| mask.union(Self::bit(c.as_ref())))
+    }
+
+    /// The one bit `column` sets: FNV-1a over its bytes, then a
+    /// multiply-xorshift so that the top six bits pick it.
+    fn bit(column: &str) -> Self {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in column.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        Self(1 << (h >> 58))
+    }
+
+    /// Both sets' columns.
+    pub fn union(self, other: Self) -> Self {
+        Self(self.0 | other.0)
+    }
+
+    /// A mask of the columns in both sets, and perhaps of a few more.
+    pub fn intersection(self, other: Self) -> Self {
+        Self(self.0 & other.0)
+    }
+
+    /// Whether the sets may share a column (certainly do not, if false).
+    #[inline]
+    pub fn intersects(self, other: Self) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// Whether this set may hold every column of `other` (certainly
+    /// does not, if false).
+    #[inline]
+    pub fn contains(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+/// How a statement uses one table, as far as it decides whether a
+/// non-clustered index there can change the statement's plan. The
+/// planner reads such an index in three ways only: it seeks or probes it
+/// when the index leads with a seekable sarg column or a join column, it
+/// scans it when the index covers a binding, and it maintains it when
+/// the statement modifies a column the index holds. An index that may do
+/// none of these is never read, so every mask errs towards "may".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnUse {
+    /// Columns a seek or an index-nested-loop probe can lead with: the
+    /// seekable sarg and join columns of every binding of the table.
+    pub leading: ColumnMask,
+    /// Columns an index must hold to cover any binding of the table: the
+    /// columns every binding requires. [`ColumnMask::NONE`] when some
+    /// binding requires none — then every index covers it.
+    pub covering: ColumnMask,
+    /// Columns whose indexes the statement maintains: an UPDATE's SET
+    /// columns.
+    pub maintained: ColumnMask,
+}
+
+impl ColumnUse {
+    /// Every non-clustered index on the table can matter: an index that
+    /// must hold no column to cover holds it.
+    pub const ALL: Self = Self {
+        leading: ColumnMask::NONE,
+        covering: ColumnMask::NONE,
+        maintained: ColumnMask::NONE,
+    };
+
+    /// The use of a table by both this and `other`'s bindings.
+    pub fn and(self, other: Self) -> Self {
+        Self {
+            leading: self.leading.union(other.leading),
+            covering: self.covering.intersection(other.covering),
+            maintained: self.maintained.union(other.maintained),
+        }
+    }
+}
+
 /// The tables a structure can matter to, as [`table_key`]s.
 #[derive(Debug, Clone)]
 enum Scope {
@@ -93,20 +187,48 @@ struct ViewKeys {
 }
 
 /// A structure as a [`Configuration`] holds it: shared, with its content
-/// hash and table keys computed once, when it is wrapped. Cloning copies
-/// a pointer; comparing looks at the hashes before the contents.
+/// hash, table keys and column masks computed once, when it is wrapped.
+/// Cloning copies a pointer; comparing looks at the hashes before the
+/// contents.
 #[derive(Debug, Clone)]
 pub struct StructureHandle {
-    structure: Arc<PhysicalStructure>,
+    shared: Arc<Shared>,
     hash: u64,
     scope: Scope,
+}
+
+/// What every copy of a handle points to. The column masks live here,
+/// not in the handle: a relevance test reads them only for a structure
+/// on one of the statement's tables, while every lookup walks every
+/// handle of the configuration, which a smaller handle keeps cheap.
+#[derive(Debug)]
+struct Shared {
+    structure: PhysicalStructure,
+    /// A non-clustered index's leading key column; [`ColumnMask::NONE`]
+    /// for any other structure.
+    lead: ColumnMask,
+    /// A non-clustered index's key, included and partitioning columns;
+    /// [`ColumnMask::ALL`] for any other structure, which therefore
+    /// "covers" every use of its table and is relevant to it. (The
+    /// planner never counts a partitioning column towards a cover; doing
+    /// so here can only keep an index relevant.)
+    columns: ColumnMask,
 }
 
 impl StructureHandle {
     /// Wrap a structure, hashing it.
     pub fn new(structure: PhysicalStructure) -> Self {
+        let (mut lead, mut columns) = (ColumnMask::NONE, ColumnMask::ALL);
         let scope = match &structure {
-            PhysicalStructure::Index(i) => Scope::Table(table_key(&i.database, &i.table)),
+            PhysicalStructure::Index(i) => {
+                if i.kind == IndexKind::NonClustered {
+                    lead = ColumnMask::of(i.key_columns.first());
+                    columns = ColumnMask::of(
+                        i.leaf_columns().chain(i.partitioning.as_ref().map(|p| &p.column)),
+                    );
+                }
+                Scope::Table(table_key(&i.database, &i.table))
+            }
             PhysicalStructure::TablePartitioning { database, table, .. } => {
                 Scope::Table(table_key(database, table))
             }
@@ -115,18 +237,24 @@ impl StructureHandle {
                 tables: v.tables.iter().map(|t| table_key(&v.database, t)).collect(),
             })),
         };
-        Self { hash: content_hash(&structure), structure: Arc::new(structure), scope }
+        Self {
+            hash: content_hash(&structure),
+            shared: Arc::new(Shared { structure, lead, columns }),
+            scope,
+        }
     }
 
     /// The structure itself.
     #[inline]
     pub fn structure(&self) -> &PhysicalStructure {
-        &self.structure
+        &self.shared.structure
     }
 
     /// `DefaultHasher` hash of the structure's contents. The cost cache
     /// builds its fingerprints from these values and checkpoints store
-    /// the fingerprints, so how it is computed must not change.
+    /// the fingerprints, so how it is computed must not change: a
+    /// fingerprint of a given set of structures keeps its value whatever
+    /// rule decides which structures a statement's set holds.
     #[inline]
     pub fn content_hash(&self) -> u64 {
         self.hash
@@ -142,13 +270,23 @@ impl StructureHandle {
         }
     }
 
-    /// Whether the structure can affect a statement over `tables`: it is
-    /// attached to one of them or, for a view, joins one of them.
+    /// Whether the structure can affect a statement that uses its tables
+    /// as the `(`[`table_key`]`, use)` pairs of `tables` say: it is a view
+    /// joining one of them, or attached to one of them and — if it is a
+    /// non-clustered index — may lead a seek or probe, cover a binding
+    /// or need maintaining there. [`ColumnUse::ALL`] makes every
+    /// structure on its table relevant.
     #[inline]
-    pub fn touches(&self, tables: &[u64]) -> bool {
+    pub fn relevant_to(&self, tables: &[(u64, ColumnUse)]) -> bool {
         match &self.scope {
-            Scope::Table(k) => tables.contains(k),
-            Scope::View(v) => v.tables.iter().any(|k| tables.contains(k)),
+            // a table has one entry: stop at it, relevant or not
+            Scope::Table(k) => tables.iter().find(|(t, _)| t == k).is_some_and(|(_, used)| {
+                let Shared { lead, columns, .. } = &*self.shared;
+                used.leading.intersects(*lead)
+                    || columns.contains(used.covering)
+                    || used.maintained.intersects(*columns)
+            }),
+            Scope::View(v) => v.tables.iter().any(|k| tables.iter().any(|(t, _)| t == k)),
         }
     }
 }
@@ -162,7 +300,8 @@ impl From<PhysicalStructure> for StructureHandle {
 impl PartialEq for StructureHandle {
     fn eq(&self, other: &Self) -> bool {
         self.hash == other.hash
-            && (Arc::ptr_eq(&self.structure, &other.structure) || self.structure == other.structure)
+            && (Arc::ptr_eq(&self.shared, &other.shared)
+                || self.shared.structure == other.shared.structure)
     }
 }
 
@@ -226,7 +365,7 @@ impl Configuration {
 
     fn position(&self, s: &PhysicalStructure) -> Option<usize> {
         let hash = content_hash(s);
-        self.entries.iter().position(|e| e.hash == hash && *e.structure == *s)
+        self.entries.iter().position(|e| e.hash == hash && e.structure() == s)
     }
 
     /// Number of structures.
@@ -811,12 +950,67 @@ mod tests {
                 s => s.database() == "db" && s.table() == Some("t"),
             })
             .collect();
-        let projected = built.project(|h| h.touches(&[on_t]));
+        let projected = built.project(|h| h.relevant_to(&[(on_t, ColumnUse::ALL)]));
         assert_eq!(projected.iter().cloned().collect::<Vec<_>>(), naive);
         assert_eq!(built.replace_where(|_| true, |h| Some(h.clone())), built);
         let without_t = built.replace_where(|h| h.table_key() == Some(on_t), |_| None);
         assert_eq!(without_t, built.project(|h| h.table_key() != Some(on_t)));
         assert_eq!(without_t.len(), 4);
+    }
+
+    #[test]
+    fn a_non_clustered_index_is_relevant_to_the_uses_it_may_serve() {
+        let use_of = |leading: &[&str], covering: &[&str], maintained: &[&str]| ColumnUse {
+            leading: ColumnMask::of(leading),
+            covering: ColumnMask::of(covering),
+            maintained: ColumnMask::of(maintained),
+        };
+        let relevant = |s: &PhysicalStructure, used: ColumnUse| {
+            StructureHandle::new(s.clone()).relevant_to(&[(table_key("db", "t"), used)])
+        };
+        let nc = PhysicalStructure::Index(
+            Index::non_clustered("db", "t", &["a", "b"], &["c"]).partitioned(part("x")),
+        );
+        // sought or probed on its leading key only
+        assert!(relevant(&nc, use_of(&["a"], &["q"], &[])));
+        assert!(!relevant(&nc, use_of(&["b", "c", "x"], &["q"], &[])));
+        // covering what a binding requires, whatever the order
+        assert!(relevant(&nc, use_of(&[], &["c", "b"], &[])));
+        assert!(!relevant(&nc, use_of(&[], &["c", "q"], &[])));
+        // maintained for any column it holds, the partitioning one too
+        for set in ["a", "c", "x"] {
+            assert!(relevant(&nc, use_of(&[], &["q"], &[set])), "SET {set}");
+        }
+        assert!(!relevant(&nc, use_of(&["q"], &["q"], &["q"])), "q shares no bit with a, b, c, x");
+        assert!(relevant(&nc, ColumnUse::ALL));
+        // every other structure on the table serves every use
+        let unusable = use_of(&["q"], &["q"], &[]);
+        let others = assorted().into_iter().filter(|s| match s {
+            PhysicalStructure::Index(i) => i.kind == IndexKind::Clustered,
+            _ => true,
+        });
+        for s in others.filter(|s| s.table().is_none_or(|t| t == "t") && s.database() == "db") {
+            assert!(relevant(&s, unusable), "{s}");
+        }
+        // and nothing off the statement's tables is relevant
+        let elsewhere = PhysicalStructure::Index(Index::non_clustered("db", "u", &["q"], &[]));
+        assert!(!relevant(&elsewhere, ColumnUse::ALL));
+    }
+
+    #[test]
+    fn column_masks_are_sets() {
+        let (a, b) = (ColumnMask::of(["a"]), ColumnMask::of(["b"]));
+        assert_eq!(ColumnMask::of(["a", "b", "a"]), a.union(b));
+        assert_eq!(ColumnMask::of(Vec::<String>::new()), ColumnMask::NONE);
+        assert!(a.intersects(a.union(b)) && ColumnMask::ALL.intersects(b));
+        assert!(!ColumnMask::NONE.intersects(ColumnMask::ALL));
+        assert!(a.union(b).contains(b) && a.contains(ColumnMask::NONE));
+        assert_eq!(a.union(b).intersection(a), a);
+        // the use of two bindings: either may lead, both must be covered
+        let one = ColumnUse { leading: a, covering: a.union(b), maintained: ColumnMask::NONE };
+        let two = ColumnUse { leading: b, covering: b, maintained: a };
+        assert_eq!(one.and(two), ColumnUse { leading: a.union(b), covering: b, maintained: a });
+        assert_eq!(one.and(ColumnUse::ALL).covering, ColumnMask::NONE);
     }
 
     #[test]

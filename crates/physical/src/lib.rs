@@ -12,7 +12,10 @@
 //! * [`Configuration`] — a set of structures, with validity checking
 //!   (§6.2: a *valid* user-specified configuration), the **alignment**
 //!   predicate (§4: a table and all of its indexes partitioned
-//!   identically), and storage estimation against a [`SizingInfo`].
+//!   identically), and storage estimation against a [`SizingInfo`];
+//! * [`ColumnMask`] and [`ColumnUse`] — fixed-size sets of column names
+//!   and how a statement uses a table's columns: what the cost cache
+//!   decides by whether a non-clustered index can matter to a statement.
 
 pub mod config;
 pub mod index;
@@ -20,7 +23,9 @@ pub mod partitioning;
 pub mod sizing;
 pub mod view;
 
-pub use config::{database_key, table_key, Configuration, StructureHandle, ValidityError};
+pub use config::{
+    database_key, table_key, ColumnMask, ColumnUse, Configuration, StructureHandle, ValidityError,
+};
 pub use index::{Index, IndexKind};
 pub use partitioning::RangePartitioning;
 pub use sizing::SizingInfo;

@@ -146,8 +146,9 @@ fn itw_vs_dta_shapes(
 }
 
 #[test]
-#[ignore = "full 640-statement pool runs ~40 min in debug (see the PR 4 entry in \
-            CHANGES.md); itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
+#[ignore = "full 640-statement pool: 249 s in release on 2 cores, 5.2 GB peak RSS, and it \
+            fails the Figure 4 work shape (DTA 3.19e8 units, 24.2M what-if calls vs ITW \
+            1.90e8, 14.6M); itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
 fn itw_vs_dta_shapes_hold() {
     itw_vs_dta_shapes(0.08, usize::MAX, 0.08, true); // 640 statements
 }

@@ -114,6 +114,62 @@ fn checkpoint_xml_roundtrip_resumes_byte_identically() {
     assert_eq!(resumed.base_cost.to_bits(), uninterrupted.base_cost.to_bits());
 }
 
+/// The workload of `fixtures/table_level_checkpoint.xml`: [`setup`]'s
+/// statements and one that reads `t` through other columns.
+const COMPAT_SQL: &str = "SELECT pad FROM t WHERE a = 17;
+     SELECT pad FROM t WHERE a = 100;
+     SELECT g, COUNT(*) FROM t WHERE a BETWEEN 10 AND 60 GROUP BY g;
+     SELECT k FROM t WHERE g = 3;";
+
+/// `fixtures/table_level_checkpoint.xml` is [`COMPAT_SQL`] tuned on
+/// [`setup`]'s server under an 80-unit budget, cut in enumeration, by a
+/// build whose cost cache projected a statement onto every structure on
+/// its tables. A cache entry is keyed on the fingerprint of the
+/// projection it priced, and a fingerprint depends on the projected
+/// structures alone, so under column-level relevance every entry still
+/// prices exactly what it priced then: one whose projection is no longer
+/// formed is never looked up, the others still hit. Resumed, the
+/// checkpoint must reach that build's answer, bit for bit.
+#[test]
+fn a_checkpoint_priced_at_table_level_resumes_to_the_same_answer() {
+    const RECOMMENDATION: &str = "Configuration (5 structures):
+  - idx_t_k
+  - idx_t_g_incl_k
+  - idx_t_a_g_incl_pad_k
+  - mv_t_by_a_g_agg1
+  - idx_t_a_incl_pad
+";
+    const RECOMMENDED_COST_BITS: u64 = 0x4077_73aa_d655_21a4;
+    const BASE_COST_BITS: u64 = 0x40d1_7e8b_ccf0_b5cc;
+    let fixture = include_str!("fixtures/table_level_checkpoint.xml");
+    let checkpoint = xml::checkpoint_from_xml(fixture).expect("the fixture parses");
+    let workload = Workload::from_sql_file("d", COMPAT_SQL).unwrap();
+    assert_eq!(checkpoint.workload, workload);
+    assert!(!checkpoint.cache.is_empty());
+
+    let resume = |checkpoint: &SessionCheckpoint| {
+        // the server as the interrupted session left it: its statistics
+        let (server, _) = setup();
+        let target = TuningTarget::Single(&server);
+        let options = TuningOptions { work_budget_units: Some(80), ..checkpoint.options.clone() };
+        tune(&target, &workload, &options).expect("budgeted run succeeds");
+        tune_resume(&target, checkpoint, None).expect("resumed run succeeds")
+    };
+    let resumed = resume(&checkpoint);
+    assert_eq!(resumed.completion, Completion::Complete);
+    assert_eq!(resumed.recommendation.to_string(), RECOMMENDATION);
+    assert_eq!(resumed.recommended_cost.to_bits(), RECOMMENDED_COST_BITS);
+    assert_eq!(resumed.base_cost.to_bits(), BASE_COST_BITS);
+
+    // here no entry is in reach — every table-level projection holds the
+    // primary-key index on `k`, which no statement seeks, covers with or
+    // maintains — so the resume prices what a cold cache would
+    let cold = resume(&SessionCheckpoint { cache: Vec::new(), ..checkpoint.clone() });
+    assert_eq!(cold.recommendation.to_string(), RECOMMENDATION);
+    assert_eq!(cold.recommended_cost.to_bits(), RECOMMENDED_COST_BITS);
+    assert_eq!(resumed.whatif_calls, cold.whatif_calls);
+}
+
 /// A corrupted checkpoint yields a typed schema error — never a panic,
 /// never a half-resumed session.
 #[test]
