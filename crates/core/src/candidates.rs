@@ -587,6 +587,7 @@ fn select_item(
         options.greedy_k,
         1,
         &eval_fn,
+        &|_| {},
         &control.detached(),
         None,
         &NOOP,

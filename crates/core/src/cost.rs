@@ -2,8 +2,9 @@
 //! cache.
 //!
 //! Every configuration DTA explores is priced as the weighted sum of
-//! optimizer-estimated statement costs (§2.2). Two optimizations keep
-//! the what-if call count manageable without changing any result:
+//! optimizer-estimated statement costs (§2.2). Three optimizations keep
+//! the what-if calls and the lookups manageable without changing any
+//! result:
 //!
 //! 1. **Relevance filtering** — the configuration is projected onto the
 //!    structures that can affect the statement's plan before the what-if
@@ -28,7 +29,16 @@
 //!    names on `T`, which meets (a) to (c) at once;
 //! 2. **Memoization** — the projected configuration is fingerprinted and
 //!    the (statement, fingerprint) → cost mapping cached, so greedy steps
-//!    that add nothing a statement can see are free.
+//!    that add nothing a statement can see are free;
+//! 3. **Delta pricing** — a greedy evaluation prices `base ∪ S` against a
+//!    reference configuration whose per-statement costs were read from
+//!    the cache at a serial point (the base in Phase 1, the incumbent in
+//!    Phase 2), given the structures by which the two differ. A statement
+//!    none of those structures is relevant to projects both alike, so
+//!    its lookup would hit the entry its reference cost came from: it
+//!    takes that cost and is not looked up at all
+//!    ([`CostEvaluator::delta_cost`]). The sum is the same bits, and only
+//!    cache hits go uncounted.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -72,13 +82,15 @@
 //! [`crate::invariants`]: every cache hit re-derives a second,
 //! independent fingerprint to detect primary-key collisions, every
 //! cached cost must be finite and non-negative, weighted sums must
-//! accumulate monotonically, and the shard table must stay one-to-one
-//! with the workload. All of it compiles away under `--release`.
+//! accumulate monotonically, the shard table must stay one-to-one with
+//! the workload, and a statement priced at its reference cost must find
+//! that very cost cached for the evaluated configuration. All of it
+//! compiles away under `--release`.
 
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
 use dta_optimizer::PreparedStatement;
-use dta_physical::{table_key, ColumnUse, Configuration};
+use dta_physical::{table_key, ColumnUse, Configuration, StructureHandle};
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
@@ -637,6 +649,20 @@ impl<'a> CostEvaluator<'a> {
         Ok((cost, used))
     }
 
+    /// Each statement's cost under `config` as the cache holds it now,
+    /// read without a lookup: no counter moves and no call is made. `None`
+    /// for a statement with no entry for `config`'s projection, or with no
+    /// [`Relevance`] yet (it has never been looked up).
+    pub(crate) fn cached_costs(&self, config: &Configuration) -> Vec<Option<f64>> {
+        let shards = &self.state.shards;
+        shards.iter().map(|shard| Self::cached(shard, shard.relevance.get()?, config)).collect()
+    }
+
+    /// The cost `shard`'s cache holds for `config`'s projection, if any.
+    fn cached(shard: &Shard, relevant: &Relevance, config: &Configuration) -> Option<f64> {
+        shard.cache.read().get(&Self::fingerprint(relevant, config)).map(|e| e.cost)
+    }
+
     /// Estimated cost of one item under `config`.
     pub fn item_cost(&self, i: usize, config: &Configuration) -> Result<f64, ServerError> {
         self.item_entry(i, config, false).map(|(c, _)| c)
@@ -656,9 +682,48 @@ impl<'a> CostEvaluator<'a> {
     /// Items are summed in workload order, so the result is bitwise
     /// identical no matter which thread asks.
     pub fn workload_cost(&self, config: &Configuration) -> Result<f64, ServerError> {
+        self.delta_cost(config, &[], &[])
+    }
+
+    /// Weighted workload cost under `config`, which differs from a
+    /// reference configuration by the structures in `delta` — those the
+    /// one holds and the other does not. `reference[i]` is statement `i`'s
+    /// cost under the reference, as [`Self::cached_costs`] read it.
+    ///
+    /// A statement no `delta` structure is relevant to projects `config`
+    /// onto what it projected the reference onto, so its lookup would hit
+    /// the entry its reference cost was read from: it takes that cost and
+    /// is not looked up. Every other statement — and one without a
+    /// reference cost — is looked up. The sum is taken in workload order
+    /// with [`Self::workload_cost`]'s operations (with no reference, this
+    /// *is* `workload_cost`), so it is bit-equal to pricing `config` whole,
+    /// and only the hits skipped go uncounted.
+    pub(crate) fn delta_cost(
+        &self,
+        config: &Configuration,
+        delta: &[StructureHandle],
+        reference: &[Option<f64>],
+    ) -> Result<f64, ServerError> {
         let mut total = 0.0;
         for i in 0..self.items.len() {
-            let next = total + self.slot(i).0.weight * self.item_cost(i, config)?;
+            let (item, shard) = self.slot(i);
+            let kept = reference.get(i).copied().flatten().filter(|&cost| {
+                let relevant = self.relevance(item, shard);
+                let unseen = !delta.iter().any(|h| h.relevant_to(relevant));
+                if invariants::ENABLED && unseen {
+                    invariants::check_reference_cost(
+                        cost,
+                        Self::cached(shard, relevant, config),
+                        i,
+                    );
+                }
+                unseen
+            });
+            let cost = match kept {
+                Some(cost) => cost,
+                None => self.item_cost(i, config)?,
+            };
+            let next = total + item.weight * cost;
             invariants::check_monotonic_sum(total, next, "workload_cost");
             total = next;
         }
@@ -1135,6 +1200,125 @@ mod tests {
         twin.whatif(&w.items[1].database, &w.items[1].statement, &Configuration::new())
             .expect("binds");
         assert_eq!(charged, twin.overhead_units(), "charged as the unprepared call is");
+    }
+
+    /// Statements on `t` of every kind, and a SELECT on `u`.
+    fn mixed() -> Workload {
+        let item = |sql: &str| {
+            dta_workload::WorkloadItem::new("d", parse_statement(sql).expect("valid SQL"))
+        };
+        Workload::from_items(vec![
+            item("INSERT INTO t VALUES (1, 2, 3)"),
+            item("DELETE FROM t WHERE a = 4"),
+            item("UPDATE t SET c = 1 WHERE a = 5"),
+            item("SELECT b FROM u WHERE a = 7"),
+            item("SELECT b FROM t WHERE a = 5"),
+        ])
+    }
+
+    fn index(table: &str, keys: &[&str], included: &[&str]) -> PhysicalStructure {
+        PhysicalStructure::Index(Index::non_clustered("d", table, keys, included))
+    }
+
+    /// Price `reference ∪ {added}` against `reference`, on `eval` by its
+    /// delta and on `twin` whole: the two must agree bit for bit and in
+    /// every miss and call. Returns which statements `eval` looked up.
+    fn delta_lookups(
+        eval: &CostEvaluator<'_>,
+        twin: &CostEvaluator<'_>,
+        reference: &Configuration,
+        added: PhysicalStructure,
+    ) -> Vec<bool> {
+        let costs = eval.cached_costs(reference);
+        let mut config = reference.clone();
+        config.add(added.clone());
+        let lookups = |e: &CostEvaluator<'_>| -> Vec<u64> {
+            e.cache_stats().iter().map(|st| st.hits + st.misses).collect()
+        };
+        let before = lookups(eval);
+        let delta = [StructureHandle::new(added)];
+        let got = eval.delta_cost(&config, &delta, &costs).expect("costing succeeds");
+        let want = twin.workload_cost(&config).expect("costing succeeds");
+        assert_eq!(got.to_bits(), want.to_bits());
+        assert_eq!(eval.whatif_calls(), twin.whatif_calls());
+        let misses = |e: &CostEvaluator<'_>| -> Vec<u64> {
+            e.cache_stats().iter().map(|st| st.misses).collect()
+        };
+        assert_eq!(misses(eval), misses(twin));
+        lookups(eval).iter().zip(before).map(|(after, before)| *after > before).collect()
+    }
+
+    #[test]
+    fn a_statement_is_looked_up_exactly_when_the_delta_can_change_its_plan() {
+        let (s, w) = (server(), mixed());
+        let target = TuningTarget::Single(&s);
+        let (eval, twin) =
+            (CostEvaluator::new(&target, &w.items), CostEvaluator::new(&target, &w.items));
+        let reference = Configuration::from_structures([index("t", &["a"], &["b"])]);
+        for e in [&eval, &twin] {
+            e.workload_cost(&reference).expect("costing succeeds");
+        }
+        let [insert, delete, update, on_u, on_t] = [0, 1, 2, 3, 4];
+        let looked_up = |added| delta_lookups(&eval, &twin, &reference, added);
+
+        // INSERT and DELETE maintain every index on `t`, whatever it holds
+        let seen = looked_up(index("t", &["c"], &[]));
+        assert!(seen[insert] && seen[delete], "{seen:?}");
+        // an UPDATE maintains an index holding its SET column …
+        assert!(looked_up(index("t", &["b"], &["c"]))[update]);
+        // … and none that holds neither it nor what the UPDATE seeks on
+        assert!(!looked_up(index("t", &["b"], &[]))[update]);
+        // a SELECT on `u` sees nothing on `t`; the SELECT on `t` sees a seek
+        let seen = looked_up(index("t", &["a"], &["c"]));
+        assert!(!seen[on_u] && seen[on_t], "{seen:?}");
+        // a view joining `t` and `u` is seen from either table
+        let joined = dta_physical::MaterializedView::grouped(
+            "d",
+            &["t", "u"],
+            vec![dta_physical::JoinPair::new(
+                dta_physical::QualifiedColumn::new("t", "a"),
+                dta_physical::QualifiedColumn::new("u", "a"),
+            )],
+            vec![dta_physical::QualifiedColumn::new("t", "b")],
+            vec![dta_physical::ViewAggregate::count_star()],
+        );
+        assert_eq!(looked_up(PhysicalStructure::View(joined)), [true; 5]);
+        // the lookups skipped are hits the twin counted, and only those
+        let hits = |e: &CostEvaluator<'_>| e.counters.get(Counter::CacheHits);
+        assert!(hits(&eval) < hits(&twin), "{} !< {}", hits(&eval), hits(&twin));
+    }
+
+    #[test]
+    fn a_statement_degraded_mid_search_still_prices_bit_equal() {
+        let (w, permanent) =
+            (mixed(), dta_server::FaultPolicy { whatif_permanent_rate: 1.0, ..Default::default() });
+        // one server each, so that each sees the same fault schedule
+        let (s, twin_s) = (server(), server());
+        let (target, twin_target) = (TuningTarget::Single(&s), TuningTarget::Single(&twin_s));
+        let (eval, twin) =
+            (CostEvaluator::new(&target, &w.items), CostEvaluator::new(&twin_target, &w.items));
+        let reference = Configuration::from_structures([index("t", &["a"], &["b"])]);
+        for e in [&eval, &twin] {
+            e.state.set_fallbacks(vec![7.0; 5]);
+            e.workload_cost(&reference).expect("costing succeeds");
+        }
+        // the SELECT on `t` then faults for good on a configuration it sees
+        for (server, e) in [(&s, &eval), (&twin_s, &twin)] {
+            server.set_fault_policy(Some(permanent));
+            e.item_cost(4, &Configuration::from_structures([index("t", &["a"], &[])]))
+                .expect("degrades");
+            server.set_fault_policy(None);
+            assert_eq!(e.degraded_items(), [4]);
+        }
+        // priced at its reference cost — the real one, as the hit it skips
+        // would have returned — where the delta cannot reach it …
+        assert!(!delta_lookups(&eval, &twin, &reference, index("u", &["a"], &[]))[4]);
+        // … and at its fallback, through a lookup, where it can
+        assert!(delta_lookups(&eval, &twin, &reference, index("t", &["a"], &["c"]))[4]);
+        assert_eq!(eval.item_cost(4, &reference).expect("cached").to_bits(), {
+            twin.item_cost(4, &reference).expect("cached").to_bits()
+        });
+        assert_ne!(eval.item_cost(4, &reference).expect("cached"), 7.0, "priced before the fault");
     }
 
     #[test]

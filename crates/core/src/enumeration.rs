@@ -21,6 +21,7 @@ use dta_physical::{
     table_key, Configuration, PhysicalStructure, RangePartitioning, SizingInfo, StructureHandle,
     ValidityError,
 };
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -159,9 +160,10 @@ fn align_configuration(config: &Configuration) -> (Configuration, usize) {
 /// table. So the base is aligned, checked and sized once, here, and an
 /// evaluation redoes that work only for the tables its candidates are
 /// on (plus any table the base itself leaves misaligned or in conflict —
-/// none, for a valid aligned base). The result is what recomputing over
-/// the whole configuration gives, structure for structure: base order,
-/// then set order, then introduced heap partitionings in table order.
+/// none, for a valid aligned base — and any its [`Reference`] changed).
+/// The result is what recomputing over the whole configuration gives,
+/// structure for structure: base order, then set order, then introduced
+/// heap partitionings in table order.
 pub struct Assembler<'a> {
     base: &'a Configuration,
     alignment: bool,
@@ -172,6 +174,64 @@ pub struct Assembler<'a> {
     /// the one-clustering / one-heap-partitioning rule as they stand:
     /// every evaluation rechecks them along with its candidates' tables.
     unsettled: Vec<u64>,
+    /// The base's views.
+    base_views: Vec<StructureHandle>,
+    /// The base, indexed as a [`Reference`].
+    base_reference: Reference,
+}
+
+/// A configuration that evaluations are priced against, indexed once so
+/// that [`Assembler::assemble`] reads each evaluation's delta off the
+/// evaluation's own tables. Its per-statement costs are the caller's.
+#[derive(Debug, Clone)]
+pub struct Reference {
+    /// Tables on which it may differ from the base: every evaluation
+    /// re-assembles them, so that its delta covers them.
+    keys: Vec<u64>,
+    /// Its structures on tables, by table key, each table's in
+    /// configuration order.
+    tables: Vec<(u64, StructureHandle)>,
+    /// Its views that are not the base's.
+    views: Vec<StructureHandle>,
+}
+
+impl Reference {
+    /// `configuration`, which may differ from the base on the tables `keys`
+    /// names only, and whose views beyond `base_views` are its own.
+    fn of(configuration: &Configuration, keys: Vec<u64>, base_views: &[StructureHandle]) -> Self {
+        let mut tables = Vec::new();
+        let mut views = Vec::new();
+        for h in configuration.handles() {
+            match h.table_key() {
+                Some(k) => tables.push((k, h.clone())),
+                None if !base_views.contains(h) => views.push(h.clone()),
+                None => {}
+            }
+        }
+        // stable: each table's structures stay in configuration order
+        tables.sort_by_key(|(k, _)| *k);
+        Self { keys, tables, views }
+    }
+
+    /// Its structures on the table with this key.
+    fn on(&self, key: u64) -> impl Iterator<Item = &StructureHandle> {
+        let from = self.tables.partition_point(|(k, _)| *k < key);
+        let tail = self.tables.get(from..).unwrap_or_default();
+        tail.iter().take_while(move |(k, _)| *k == key).map(|(_, h)| h)
+    }
+}
+
+/// A feasible configuration [`Assembler::assemble`] built, and how it
+/// differs from the [`Reference`] it was built against.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assembled {
+    /// `base ∪ set`, aligned, feasible and within the storage bound.
+    pub configuration: Configuration,
+    /// The structures one of `configuration` and the reference holds and
+    /// the other does not: added, re-partitioned (both forms) or dropped
+    /// on the tables the evaluation touched, and views added or dropped.
+    /// A statement none of them is relevant to projects both alike.
+    pub delta: Vec<StructureHandle>,
 }
 
 impl<'a> Assembler<'a> {
@@ -199,6 +259,8 @@ impl<'a> Assembler<'a> {
                 unsettled.push(table_key(&database, &table));
             }
         }
+        let base_views: Vec<StructureHandle> =
+            base.handles().iter().filter(|h| h.table_key().is_none()).cloned().collect();
         Self {
             base,
             alignment,
@@ -206,20 +268,43 @@ impl<'a> Assembler<'a> {
             sizing,
             base_bytes: base.total_bytes(sizing),
             unsettled,
+            base_reference: Reference::of(base, Vec::new(), &base_views),
+            base_views,
         }
     }
 
-    /// The configuration for `base ∪ set` — `None` when it is infeasible
-    /// or over the storage bound — and the number of structures alignment
-    /// rewrote to build it.
-    pub fn assemble(&self, set: &[&StructureHandle]) -> (Option<Configuration>, usize) {
+    /// The base itself — as given, not as assembled — as a [`Reference`].
+    pub fn base_reference(&self) -> &Reference {
+        &self.base_reference
+    }
+
+    /// The configuration for `base ∪ set` and that configuration as a
+    /// [`Reference`]; `None` when it is infeasible or over the bound.
+    pub fn reference(&self, set: &[&StructureHandle]) -> Option<(Configuration, Reference)> {
+        let configuration = self.assemble(set, &self.base_reference).0?.configuration;
+        let keys = self.unsettled.iter().copied().chain(set.iter().filter_map(|h| h.table_key()));
+        let reference = Reference::of(&configuration, keys.collect(), &self.base_views);
+        Some((configuration, reference))
+    }
+
+    /// The configuration for `base ∪ set` with its delta from `reference`
+    /// — `None` when it is infeasible or over the storage bound — and the
+    /// number of structures alignment rewrote to build it.
+    pub fn assemble(
+        &self,
+        set: &[&StructureHandle],
+        reference: &Reference,
+    ) -> (Option<Assembled>, usize) {
         let mut cfg = self.base.extended(set.iter().copied());
-        let keys: Vec<u64> = self
+        let mut keys: Vec<u64> = self
             .unsettled
             .iter()
+            .chain(&reference.keys)
             .copied()
             .chain(set.iter().filter_map(|h| h.table_key()))
             .collect();
+        keys.sort_unstable();
+        keys.dedup();
         let touched = |h: &StructureHandle| h.table_key().is_some_and(|k| keys.contains(&k));
         let mut rewritten = 0;
         if self.alignment {
@@ -256,7 +341,26 @@ impl<'a> Assembler<'a> {
                 return (None, rewritten);
             }
         }
-        (Some(cfg), rewritten)
+        // off the touched tables both hold the base's structures; compare
+        // the rest: the touched tables', and the views beyond the base's
+        let before: Vec<&StructureHandle> = keys.iter().flat_map(|&k| reference.on(k)).collect();
+        let after: Vec<&StructureHandle> = part.handles().iter().collect();
+        let views: Vec<&StructureHandle> = set
+            .iter()
+            .copied()
+            .filter(|h| h.table_key().is_none() && !self.base_views.contains(h))
+            .collect();
+        let reference_views: Vec<&StructureHandle> = reference.views.iter().collect();
+        let mut delta = Vec::new();
+        for (one, other) in [
+            (&after, &before),
+            (&before, &after),
+            (&views, &reference_views),
+            (&reference_views, &views),
+        ] {
+            delta.extend(one.iter().filter(|h| !other.contains(h)).map(|h| (*h).clone()));
+        }
+        (Some(Assembled { configuration: cfg, delta }), rewritten)
     }
 }
 
@@ -338,20 +442,36 @@ pub fn enumerate(
     let lazy_variants = AtomicUsize::new(lazy_seed);
 
     let assembler = Assembler::new(base, options, sizing);
-    let assemble = |set: &[&StructureHandle]| -> Option<Configuration> {
-        let (cfg, rewritten) = assembler.assemble(set);
+    let assemble = |set: &[&StructureHandle], reference: &Reference| -> Option<Assembled> {
+        let (assembled, rewritten) = assembler.assemble(set, reference);
         // dta-lint: allow(R6): monotonic telemetry counter; read only
         // after greedy_mk has joined every worker.
         lazy_variants.fetch_add(rewritten, Ordering::Relaxed);
-        cfg
+        assembled
     };
 
     let base_cost = crate::control::isolated(control, || eval.workload_cost(base))
         .and_then(|r| r.ok())
         .unwrap_or(f64::INFINITY);
+    // What an evaluation is priced against, with each statement's cost
+    // under it: fixed at serial points only — the base as just priced for
+    // Phase 1, each incumbent for Phase 2 — so which lookups are skipped
+    // depends on nothing a worker does.
+    let against = RwLock::new((assembler.base_reference().clone(), eval.cached_costs(base)));
     let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
-        let cfg = assemble(set)?;
-        eval.workload_cost(&cfg).ok()
+        let guard = against.read();
+        let (reference, costs) = &*guard;
+        let Assembled { configuration, delta } = assemble(set, reference)?;
+        eval.delta_cost(&configuration, &delta, costs).ok()
+    };
+    // The incumbent was assembled when it was evaluated: this assembly
+    // re-derives it and is not tallied again. An incumbent that cannot be
+    // assembled (an empty one over a conflicting base) leaves the last
+    // reference in place, which prices any set exactly, if less cheaply.
+    let incumbent_changed = |set: &[&StructureHandle]| {
+        if let Some((configuration, reference)) = assembler.reference(set) {
+            *against.write() = (reference, eval.cached_costs(&configuration));
+        }
     };
     let k = pool.len();
     let run = greedy_mk(
@@ -361,6 +481,7 @@ pub fn enumerate(
         k,
         options.parallel_workers,
         &eval_fn,
+        &incumbent_changed,
         control,
         snapshot,
         obs,
@@ -373,7 +494,8 @@ pub fn enumerate(
     // this read races with nothing.
     let lazy_at_cut = lazy_variants.load(Ordering::Relaxed);
     let final_refs: Vec<&StructureHandle> = run.outcome.chosen.iter().collect();
-    let configuration = assemble(&final_refs).unwrap_or_else(|| base.clone());
+    let configuration = assemble(&final_refs, assembler.base_reference())
+        .map_or_else(|| base.clone(), |a| a.configuration);
     EnumerationRun {
         result: EnumerationResult {
             configuration,
@@ -655,6 +777,156 @@ mod tests {
         }
     }
 
+    /// The structures one of `a` and `b` holds and the other does not.
+    fn symmetric_difference(a: &Configuration, b: &Configuration) -> Vec<StructureHandle> {
+        let only = |x: &Configuration, y: &Configuration| {
+            x.handles().iter().filter(|h| !y.handles().contains(h)).cloned().collect::<Vec<_>>()
+        };
+        [only(a, b), only(b, a)].concat()
+    }
+
+    /// Whether `a` and `b` hold the same structures, repeats aside.
+    fn same_set(a: &[StructureHandle], b: &[StructureHandle]) -> bool {
+        a.iter().all(|h| b.contains(h)) && b.iter().all(|h| a.contains(h))
+    }
+
+    /// A server holding every table [`random_structure`] draws from, with
+    /// rows that spread over its partition boundaries.
+    fn differential_server() -> dta_server::Server {
+        use dta_catalog::{Column, ColumnType, Database, Table};
+        let mut server = dta_server::Server::new("s");
+        for (db, tables) in [("d", &["t0", "t1", "t2", "t3", "t9"][..]), ("e", &["t0", "t9"])] {
+            let mut database = Database::new(db);
+            for t in tables {
+                let columns =
+                    ["a", "b", "x", "y", "k", "v"].map(|c| Column::new(c, ColumnType::Int));
+                database.add_table(Table::new(*t, columns.to_vec())).expect("fresh table");
+            }
+            server.create_database(database).expect("fresh database");
+            for t in tables {
+                let data = server.table_data_mut(db, t).expect("table exists");
+                for i in 0..300i64 {
+                    let row = [i % 40, i % 13, i, (7 * i) % 300, i % 60, i];
+                    data.push_row(row.map(Value::Int).to_vec());
+                }
+            }
+        }
+        server
+    }
+
+    /// Reads, joins and every kind of write over those tables: INSERT and
+    /// DELETE maintain every index on their target, an UPDATE those that
+    /// hold its SET column — partitioning columns included.
+    fn differential_workload() -> Vec<dta_workload::WorkloadItem> {
+        [
+            ("d", "SELECT b FROM t0 WHERE a = 5"),
+            ("d", "SELECT x, y FROM t1 WHERE b < 4"),
+            ("d", "SELECT COUNT(*) FROM t2"),
+            ("d", "SELECT t0.v FROM t0, t1 WHERE t0.k = t1.k AND t1.a = 3"),
+            ("d", "SELECT a, COUNT(*) FROM t3 GROUP BY a"),
+            ("d", "SELECT t9.b FROM t2, t9 WHERE t2.k = t9.k AND t2.x < 120"),
+            ("d", "INSERT INTO t3 VALUES (1, 2, 3, 4, 5, 6)"),
+            ("d", "DELETE FROM t1 WHERE y = 7"),
+            ("d", "UPDATE t0 SET x = 1 WHERE a = 3"),
+            ("d", "UPDATE t2 SET y = 2 WHERE k = 4"),
+            ("e", "SELECT b FROM t0 WHERE x = 150"),
+            ("e", "UPDATE t0 SET y = 5 WHERE b = 2"),
+        ]
+        .map(|(db, sql)| {
+            let statement = dta_sql::parse_statement(sql).expect("valid SQL");
+            dta_workload::WorkloadItem::new(db, statement)
+        })
+        .to_vec()
+    }
+
+    #[test]
+    fn delta_pricing_equals_pricing_the_assembled_configuration() {
+        use crate::cost::CostEvaluator;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let server = differential_server();
+        let target = dta_server::TuningTarget::Single(&server);
+        let items = differential_workload();
+        // `eval` prices by delta; `twin` prices every configuration whole
+        let (eval, twin) =
+            (CostEvaluator::new(&target, &items), CostEvaluator::new(&target, &items));
+        let tally = |e: &CostEvaluator<'_>| {
+            let stats = e.cache_stats();
+            (e.whatif_calls(), stats.iter().map(|st| st.misses).collect::<Vec<_>>())
+        };
+        let hits = |e: &CostEvaluator<'_>| e.cache_stats().iter().map(|st| st.hits).sum::<u64>();
+        let mut rng = StdRng::seed_from_u64(0x0de1_7a00);
+        let draw = |rng: &mut StdRng, n: usize| -> Vec<StructureHandle> {
+            (0..rng.gen_range(0..n + 1))
+                .map(|_| StructureHandle::new(random_structure(rng)))
+                .collect()
+        };
+        // outcomes seen, so the test cannot pass by never reaching a branch
+        let (mut priced, mut incumbents, mut unsettled_base, mut absent) = (0, 0, 0, 0);
+        for round in 0..150 {
+            let base: Configuration =
+                (0..rng.gen_range(0..8usize)).map(|_| random_structure(&mut rng)).collect();
+            let incumbent = draw(&mut rng, 3);
+            // extensions of the incumbent, as Phase 2 prices, and sets that
+            // drop some of it
+            let sets: Vec<Vec<StructureHandle>> = (0..4)
+                .map(|i| {
+                    let extra = draw(&mut rng, 2);
+                    let kept = if i % 2 == 0 {
+                        incumbent.len()
+                    } else {
+                        rng.gen_range(0..incumbent.len() + 1)
+                    };
+                    incumbent.iter().take(kept).cloned().chain(extra).collect()
+                })
+                .collect();
+            for alignment in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager] {
+                let options =
+                    TuningOptions { alignment, storage_bytes: None, ..Default::default() };
+                let assembler = Assembler::new(&base, &options, &Sizes);
+                unsettled_base += usize::from(!assembler.unsettled.is_empty());
+                // the base as given, or the incumbent as assembled; now and
+                // then with its costs never priced, so some are absent
+                let incumbent_refs: Vec<&StructureHandle> = incumbent.iter().collect();
+                let (config, reference) = match round % 3 {
+                    0 => (base.clone(), assembler.base_reference().clone()),
+                    _ => match assembler.reference(&incumbent_refs) {
+                        Some(pair) => pair,
+                        None => continue,
+                    },
+                };
+                incumbents += usize::from(round % 3 != 0);
+                if round % 5 != 4 {
+                    for e in [&eval, &twin] {
+                        e.workload_cost(&config).expect("costing succeeds");
+                    }
+                }
+                let costs = eval.cached_costs(&config);
+                absent += costs.iter().filter(|c| c.is_none()).count();
+                for set in &sets {
+                    let set_refs: Vec<&StructureHandle> = set.iter().collect();
+                    let Some(assembled) = assembler.assemble(&set_refs, &reference).0 else {
+                        continue;
+                    };
+                    let got = eval.delta_cost(&assembled.configuration, &assembled.delta, &costs);
+                    let want = twin.workload_cost(&assembled.configuration);
+                    let context = format!(
+                        "round {round}, {alignment:?}\nbase {base}reference {config}priced {}delta {:?}",
+                        assembled.configuration, assembled.delta
+                    );
+                    let bits =
+                        |r: Result<f64, _>| r.map(f64::to_bits).map_err(|e| format!("{e:?}"));
+                    assert_eq!(bits(got), bits(want), "{context}");
+                    assert_eq!(tally(&eval), tally(&twin), "{context}");
+                    priced += 1;
+                }
+            }
+        }
+        let skipped = hits(&twin) - hits(&eval);
+        for seen in [priced, incumbents, unsettled_base, absent, skipped as usize] {
+            assert!(seen > 100, "{priced} {incumbents} {unsettled_base} {absent} {skipped}");
+        }
+    }
+
     #[test]
     fn delta_assembly_equals_full_recomputation() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -685,12 +957,21 @@ mod tests {
             for alignment in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager] {
                 let options = TuningOptions { alignment, storage_bytes, ..Default::default() };
                 let assembler = Assembler::new(&base, &options, &Sizes);
-                let delta = assembler.assemble(&handle_refs);
+                let (assembled, rewritten) =
+                    assembler.assemble(&handle_refs, assembler.base_reference());
                 let full = reference_assemble(&base, &set_refs, &options, &Sizes);
-                assert_eq!(
-                    delta, full,
+                let context = format!(
                     "round {round}, {alignment:?}, bound {storage_bytes:?}\nbase {base}set {set:?}"
                 );
+                let configuration = assembled.as_ref().map(|a| a.configuration.clone());
+                assert_eq!((configuration, rewritten), full, "{context}");
+                // against the base, the delta is what one holds and the other not
+                if let Some(Assembled { configuration, delta }) = &assembled {
+                    assert!(
+                        same_set(delta, &symmetric_difference(configuration, &base)),
+                        "{context}"
+                    );
+                }
                 // tally what this case exercised
                 let unbounded = TuningOptions { storage_bytes: None, ..options.clone() };
                 match (&full.0, reference_assemble(&base, &set_refs, &unbounded, &Sizes).0) {

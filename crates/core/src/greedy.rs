@@ -54,6 +54,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `Sync` because evaluations fan out across worker threads.
 pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
 
+/// Told the incumbent at a serial point, each time it changes and before
+/// Phase 2 evaluates any extension of it: an evaluator may fix what it
+/// prices extensions against there (enumeration's reference
+/// configuration). It runs while no evaluation does.
+pub type IncumbentFn<'e, S> = dyn Fn(&[&S]) + 'e;
+
 /// Result of a Greedy(m, k) run.
 #[derive(Debug, Clone)]
 pub struct GreedyOutcome<S> {
@@ -248,6 +254,12 @@ pub struct GreedyRun<S> {
 /// cancellation lands mid-batch, where the granted figure is the one
 /// that does not depend on thread interleaving.
 ///
+/// `incumbent_changed` is called before every Phase-2 round with the
+/// incumbent the round extends: at Phase 2's start — after Phase 1, or on
+/// resuming a snapshot taken in Phase 2 — and after each adoption. That
+/// is every point at which the incumbent changes, and no evaluation is
+/// in flight at any of them.
+///
 /// The two phases are wrapped in `greedyPhase1` / `greedyPhase2` spans so
 /// a recording observer can attribute wall time and evaluation deltas to
 /// each. The spans are pure instrumentation — the search, budget ledger,
@@ -260,6 +272,7 @@ pub fn greedy_mk<S: Clone + Sync>(
     k: usize,
     workers: usize,
     eval: &EvalFn<'_, S>,
+    incumbent_changed: &IncumbentFn<'_, S>,
     control: &SessionControl,
     resume: Option<GreedySnapshot>,
     obs: &dyn SessionObserver,
@@ -297,18 +310,17 @@ pub fn greedy_mk<S: Clone + Sync>(
         Ok(())
     };
 
+    let members = |set: &[usize]| -> Vec<&S> {
+        set.iter().map(|&i| candidates.get(i).expect("sets index the candidate list")).collect()
+    };
+
     let interrupted = 'search: {
         // Phase 1: exhaustive over subsets of size 1..=m.
         if let GreedyCursor::Phase1 { mut next, mut round_best } = snap.cursor.clone() {
             let _p1_span = Span::enter(obs, SpanName::GreedyPhase1);
             let subsets = subsets_up_to(candidates.len(), m);
             let eval_subset = |pos: usize| -> Option<f64> {
-                let subset = subsets.get(pos).expect("run_round positions index the subset list");
-                let refs: Vec<&S> = subset
-                    .iter()
-                    .map(|&i| candidates.get(i).expect("subsets index the candidate list"))
-                    .collect();
-                eval(&refs)
+                eval(&members(subsets.get(pos).expect("run_round positions index the subset list")))
             };
             let round = run_round(
                 &mut next,
@@ -349,17 +361,15 @@ pub fn greedy_mk<S: Clone + Sync>(
                 // unreachable by construction; treat as a fresh round
                 GreedyCursor::Phase1 { .. } => (0, None),
             };
-            let incumbent = snap.best_set.clone();
+            let incumbent = members(&snap.best_set);
+            incumbent_changed(&incumbent);
+            let extensions = members(&remaining);
             let eval_extension = |pos: usize| -> Option<f64> {
                 let mut set = incumbent.clone();
                 set.push(
-                    *remaining.get(pos).expect("run_round positions index the remaining list"),
+                    extensions.get(pos).expect("run_round positions index the remaining list"),
                 );
-                let refs: Vec<&S> = set
-                    .iter()
-                    .map(|&j| candidates.get(j).expect("chosen positions index the candidate list"))
-                    .collect();
-                eval(&refs)
+                eval(&set)
             };
             let round = run_round(
                 &mut next,
@@ -447,7 +457,8 @@ mod tests {
         eval: &EvalFn<'_, S>,
     ) -> GreedyOutcome<S> {
         let control = SessionControl::unlimited();
-        let finished = greedy_mk(candidates, base_cost, m, k, workers, eval, &control, None, &NOOP);
+        let finished =
+            greedy_mk(candidates, base_cost, m, k, workers, eval, &|_| {}, &control, None, &NOOP);
         assert!(finished.interrupted.is_none());
         assert_eq!(control.consumed() as usize, finished.outcome.evaluations);
         finished.outcome
@@ -499,6 +510,59 @@ mod tests {
         let g = run(&candidates, 100.0, 2, 4, 1, &eval);
         assert_eq!(g.chosen.len(), 4);
         assert_eq!(g.cost, 60.0);
+    }
+
+    #[test]
+    fn the_incumbent_hook_hears_every_incumbent_phase_two_extends() {
+        let candidates: Vec<usize> = (0..7).collect();
+        let eval = |set: &[&usize]| {
+            let s: usize = set.iter().map(|&&i| i).sum();
+            Some(500.0 - (11 * s % 53) as f64 - 60.0 * set.len() as f64)
+        };
+        let heard = std::sync::Mutex::new(Vec::new());
+        let hook = |set: &[&usize]| {
+            heard.lock().expect("no hook panics").push(set.iter().map(|&&i| i).collect::<Vec<_>>())
+        };
+        let take = || std::mem::take(&mut *heard.lock().expect("no hook panics"));
+        let full = greedy_mk(
+            &candidates,
+            500.0,
+            2,
+            5,
+            3,
+            &eval,
+            &hook,
+            &SessionControl::unlimited(),
+            None,
+            &NOOP,
+        );
+        // the Phase-1 seed, then the incumbent after each adoption that
+        // leaves room for another round
+        let chosen = full.outcome.chosen;
+        assert_eq!(chosen.len(), 5);
+        assert_eq!(take(), (2..5).map(|n| chosen[..n].to_vec()).collect::<Vec<_>>());
+
+        // a run resumed in Phase 2 hears its incumbent before evaluating
+        let total = full.outcome.evaluations as u64;
+        for cut in 0..total {
+            let c1 = SessionControl::with_budget(cut);
+            let first = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &hook, &c1, None, &NOOP);
+            let (_, snap) = first.interrupted.expect("the budget interrupts");
+            let before = take();
+            let c2 =
+                SessionControl::resumed(c1.consumed(), None).expect("unbudgeted resume is valid");
+            let phase2 = matches!(snap.cursor, GreedyCursor::Phase2 { .. });
+            let incumbent = snap.best_set.clone();
+            greedy_mk(&candidates, 500.0, 2, 5, 2, &eval, &hook, &c2, Some(snap), &NOOP);
+            let after = take();
+            if phase2 {
+                assert_eq!(after.first(), Some(&incumbent), "cut={cut}");
+                assert_eq!(before.last(), Some(&incumbent), "cut={cut}");
+            } else {
+                assert!(before.is_empty(), "cut={cut}: still in Phase 1");
+            }
+            assert_eq!(after.last(), Some(&chosen[..4].to_vec()), "cut={cut}");
+        }
     }
 
     #[test]
@@ -556,7 +620,18 @@ mod tests {
             }
             Some(100.0)
         };
-        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &session.detached(), None, &NOOP);
+        let run = greedy_mk(
+            &candidates,
+            100.0,
+            2,
+            4,
+            1,
+            &eval,
+            &|_| {},
+            &session.detached(),
+            None,
+            &NOOP,
+        );
         assert!(matches!(run.interrupted, Some((StopReason::Cancelled, _))));
         assert_eq!(calls.load(Ordering::SeqCst), 5, "no evaluation starts after the cancel");
         // the counting rule: the whole granted batch, not the five scanned
@@ -635,7 +710,7 @@ mod tests {
         };
         let full = {
             let control = SessionControl::unlimited();
-            greedy_mk(&candidates, 500.0, 2, 5, 3, &eval, &control, None, &NOOP)
+            greedy_mk(&candidates, 500.0, 2, 5, 3, &eval, &|_| {}, &control, None, &NOOP)
         };
         assert!(full.interrupted.is_none());
         let total = full.outcome.evaluations as u64;
@@ -645,7 +720,7 @@ mod tests {
         // count than the uninterrupted run
         for cut in 0..total {
             let c1 = SessionControl::with_budget(cut);
-            let first = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &c1, None, &NOOP);
+            let first = greedy_mk(&candidates, 500.0, 2, 5, 1, &eval, &|_| {}, &c1, None, &NOOP);
             let (reason, snap) = match first.interrupted {
                 Some(pair) => pair,
                 None => panic!("budget {cut} of {total} should interrupt"),
@@ -654,7 +729,8 @@ mod tests {
             assert_eq!(snap.evaluations as u64, cut, "exactly the budget is spent");
             let c2 =
                 SessionControl::resumed(c1.consumed(), None).expect("unbudgeted resume is valid");
-            let second = greedy_mk(&candidates, 500.0, 2, 5, 4, &eval, &c2, Some(snap), &NOOP);
+            let second =
+                greedy_mk(&candidates, 500.0, 2, 5, 4, &eval, &|_| {}, &c2, Some(snap), &NOOP);
             assert!(second.interrupted.is_none(), "cut={cut}");
             assert_eq!(full.outcome.chosen, second.outcome.chosen, "cut={cut}");
             assert_eq!(full.outcome.cost.to_bits(), second.outcome.cost.to_bits(), "cut={cut}");
@@ -671,17 +747,18 @@ mod tests {
         };
         let full = {
             let control = SessionControl::unlimited();
-            greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &control, None, &NOOP)
+            greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &|_| {}, &control, None, &NOOP)
         };
         let total = full.outcome.evaluations as u64;
         let mut last_cost = f64::INFINITY;
         for cut in 0..=total {
             let control = SessionControl::with_budget(cut);
-            let run = greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &control, None, &NOOP);
+            let run = greedy_mk(&candidates, 300.0, 2, 4, 1, &eval, &|_| {}, &control, None, &NOOP);
             assert!(run.outcome.cost <= 300.0, "cut={cut}: anytime outcome worse than base");
             // same budget twice ⇒ byte-identical
             let control2 = SessionControl::with_budget(cut);
-            let rerun = greedy_mk(&candidates, 300.0, 2, 4, 2, &eval, &control2, None, &NOOP);
+            let rerun =
+                greedy_mk(&candidates, 300.0, 2, 4, 2, &eval, &|_| {}, &control2, None, &NOOP);
             assert_eq!(run.outcome.chosen, rerun.outcome.chosen, "cut={cut}");
             assert_eq!(run.outcome.cost.to_bits(), rerun.outcome.cost.to_bits(), "cut={cut}");
             last_cost = last_cost.min(run.outcome.cost);
@@ -695,7 +772,7 @@ mod tests {
         let eval = |set: &[&usize]| Some(100.0 - set.len() as f64);
         let control = SessionControl::unlimited();
         control.cancel_handle().cancel();
-        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &control, None, &NOOP);
+        let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &|_| {}, &control, None, &NOOP);
         match run.interrupted {
             Some((StopReason::Cancelled, _)) => {}
             other => panic!("expected cancellation, got {other:?}"),

@@ -23,7 +23,11 @@
 //!   non-negative weights, so every partial sum is ≥ its predecessor;
 //! * **shard-count consistency** — the cache has exactly one shard per
 //!   workload statement; an index permutation would cross-pollute
-//!   per-statement caches.
+//!   per-statement caches;
+//! * **reference costs** — a statement a greedy evaluation does not look
+//!   up, because no structure of its delta is relevant to it, takes its
+//!   reference cost; the cache must hold that very cost for the
+//!   evaluated configuration.
 
 /// `true` in debug builds, `false` in `--release`.
 ///
@@ -78,6 +82,23 @@ pub fn check_fingerprint(stored: u64, recomputed: u64, statement: usize) {
     }
 }
 
+/// A statement priced at its reference cost — the delta could not change
+/// its projection — must have a cache entry for the evaluated
+/// configuration's projection holding exactly that cost: the entry its
+/// skipped lookup would have hit.
+#[inline(always)]
+pub fn check_reference_cost(reference: f64, cached: Option<f64>, statement: usize) {
+    if ENABLED && cached.map(f64::to_bits) != Some(reference.to_bits()) {
+        violation(
+            "reference-cost",
+            &format!(
+                "statement {statement}: priced at its reference cost {reference}, \
+                 but the cache holds {cached:?} for the configuration"
+            ),
+        );
+    }
+}
+
 /// The cache must hold exactly one shard per workload statement, and
 /// every lookup must stay in range.
 #[inline(always)]
@@ -110,6 +131,7 @@ mod tests {
         check_monotonic_sum(1.0, 1.0, "flat");
         check_monotonic_sum(1.0, 2.0, "rising");
         check_fingerprint(42, 42, 0);
+        check_reference_cost(1.5, Some(1.5), 0);
         check_shards(3, 3, 2);
     }
 
@@ -139,6 +161,12 @@ mod tests {
         #[should_panic(expected = "fingerprint-collision")]
         fn collision_trips() {
             check_fingerprint(1, 2, 7);
+        }
+
+        #[test]
+        #[should_panic(expected = "reference-cost")]
+        fn a_reference_cost_the_cache_lacks_trips() {
+            check_reference_cost(1.5, None, 4);
         }
 
         #[test]
