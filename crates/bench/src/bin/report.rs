@@ -131,7 +131,7 @@ fn main() -> std::process::ExitCode {
             "{:<7} {:>12} {:>12} | {:>10} {:>10} | {:>9} {:>9}",
             "name", "stmts full", "compressed", "qual loss", "paper", "speedup", "paper"
         );
-        for r in table3(scale) {
+        table3(scale, |r| {
             println!(
                 "{:<7} {:>12} {:>12} | {:>9.1}% {:>9.1}% | {:>8.1}x {:>8.1}x",
                 r.name,
@@ -142,7 +142,7 @@ fn main() -> std::process::ExitCode {
                 r.speedup,
                 r.paper_speedup
             );
-        }
+        });
     }
 
     if want("stats") {
@@ -172,7 +172,7 @@ fn main() -> std::process::ExitCode {
             "{:<7} {:>10} {:>10} | {:>12} {:>12} {:>14}",
             "name", "DTA qual", "ITW qual", "DTA units", "ITW units", "DTA time frac"
         );
-        for r in dta_vs_itw(scale) {
+        dta_vs_itw(scale, |r| {
             println!(
                 "{:<7} {:>9.1}% {:>9.1}% | {:>12.0} {:>12.0} {:>13.0}%",
                 r.name,
@@ -182,7 +182,7 @@ fn main() -> std::process::ExitCode {
                 r.itw_work_units,
                 pct(r.dta_time_fraction())
             );
-        }
+        });
         println!(
             "(paper: quality comparable with DTA slightly better; DTA far faster on PSOFT/SYNT1)"
         );

@@ -273,19 +273,25 @@ fn compression_case(
 }
 
 /// Regenerate Table 3: workload compression on TPCH22, PSOFT, SYNT1.
-pub fn table3(scale: RunScale) -> Vec<Table3Row> {
+/// `each` sees every row as soon as it is measured, so a run cut short
+/// keeps the rows before the cut.
+pub fn table3(scale: RunScale, mut each: impl FnMut(&Table3Row)) -> Vec<Table3Row> {
     let mut rows = Vec::new();
+    let mut done = |row: Table3Row| {
+        each(&row);
+        rows.push(row);
+    };
     {
         let server = tpch::build_server(tpch::TpchScale::new(scale.tpch_sf, 1.0), 42);
-        rows.push(compression_case("TPCH22", &server, &tpch::workload(), 0.01, 1.0));
+        done(compression_case("TPCH22", &server, &tpch::workload(), 0.01, 1.0));
     }
     {
         let b = psoft::build(scale.events_fraction * 10.0, 42);
-        rows.push(compression_case("PSOFT", &b.server, &b.workload, 0.005, 5.8));
+        done(compression_case("PSOFT", &b.server, &b.workload, 0.005, 5.8));
     }
     {
         let b = synt1::build(scale.events_fraction * 10.0, 42);
-        rows.push(compression_case("SYNT1", &b.server, &b.workload, 0.01, 43.0));
+        done(compression_case("SYNT1", &b.server, &b.workload, 0.01, 43.0));
     }
     rows
 }
@@ -395,8 +401,13 @@ impl ItwComparisonRow {
 }
 
 /// Regenerate Figures 4 and 5: DTA vs ITW on TPCH22, PSOFT, SYNT1
-/// (indexes + views only, for fairness — ITW cannot partition).
-pub fn dta_vs_itw(scale: RunScale) -> Vec<ItwComparisonRow> {
+/// (indexes + views only, for fairness — ITW cannot partition). `each`
+/// sees every row as soon as it is measured, so a run cut short keeps the
+/// rows before the cut.
+pub fn dta_vs_itw(
+    scale: RunScale,
+    mut each: impl FnMut(&ItwComparisonRow),
+) -> Vec<ItwComparisonRow> {
     let mut rows = Vec::new();
     let mut run = |name: &'static str, server: &Server, workload: &Workload| {
         let target = TuningTarget::Single(server);
@@ -409,13 +420,15 @@ pub fn dta_vs_itw(scale: RunScale) -> Vec<ItwComparisonRow> {
         )
         .expect("DTA tunes");
         let itw_result = tune_itw(&target, workload, None).expect("ITW tunes");
-        rows.push(ItwComparisonRow {
+        let row = ItwComparisonRow {
             name,
             dta_quality: quality(&target, workload, &raw, &dta_result.recommendation),
             itw_quality: quality(&target, workload, &raw, &itw_result.recommendation),
             dta_work_units: dta_result.tuning_work_units,
             itw_work_units: itw_result.tuning_work_units,
-        });
+        };
+        each(&row);
+        rows.push(row);
     };
     {
         let server = tpch::build_server(tpch::TpchScale::new(scale.tpch_sf, 1.0), 42);

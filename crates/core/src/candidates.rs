@@ -12,6 +12,7 @@ use crate::cost::CostEvaluator;
 use crate::greedy::greedy_mk;
 use crate::obs::NOOP;
 use crate::options::TuningOptions;
+use crate::overlay::{Indexed, Overlay};
 use dta_catalog::Value;
 use dta_optimizer::query::{bind, BoundSelect, BoundStatement, SargOp};
 use dta_physical::{
@@ -441,6 +442,7 @@ pub fn select_candidates(
     let items = eval.items();
     done.truncate(items.len());
     let workers = options.parallel_workers.max(1);
+    let base = &Indexed::new(base, None);
     while done.len() < items.len() {
         if let Some(reason) = control.stop() {
             return Some(reason);
@@ -533,7 +535,7 @@ pub fn assemble_pool(selections: &[ItemSelection]) -> CandidatePool {
 fn select_item_guarded(
     eval: &CostEvaluator<'_>,
     i: usize,
-    base: &Configuration,
+    base: &Indexed,
     groups: &ColumnGroups,
     options: &TuningOptions,
     control: &SessionControl,
@@ -553,7 +555,7 @@ fn select_item_guarded(
 fn select_item(
     eval: &CostEvaluator<'_>,
     i: usize,
-    base: &Configuration,
+    base: &Indexed,
     groups: &ColumnGroups,
     options: &TuningOptions,
     control: &SessionControl,
@@ -565,15 +567,15 @@ fn select_item(
     if generated.is_empty() {
         return sel;
     }
-    let base_cost = match crate::control::isolated(control, || eval.item_cost(i, base)) {
+    let base_cost = match crate::control::isolated(control, || eval.price(i, &Overlay::of(base))) {
         Some(Ok(c)) => c,
         _ => return sel,
     };
-    // wrapped once: every evaluation below shares these and the base's
-    // structures instead of copying them
+    // wrapped once: every evaluation below shares these, and overlays the
+    // indexed base instead of copying it
     let pool: Vec<StructureHandle> = generated.into_iter().map(StructureHandle::new).collect();
     let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
-        eval.item_cost(i, &base.extended(set.iter().copied())).ok()
+        eval.price(i, &Overlay::union(base, set)).ok()
     };
     // each item's greedy search runs serially (workers = 1); the
     // session-level fan-out is across the block's items. The budget is

@@ -54,17 +54,25 @@
 //! each unique (statement, fingerprint) pair costs one miss and one
 //! server call no matter how the scheduler interleaves the lookups.
 //!
-//! Fingerprints are computed without allocating or hashing: every
-//! structure in a [`Configuration`] carries its content hash, the
-//! integer keys of its tables and fixed-size masks of its columns (see
-//! [`dta_physical::StructureHandle`]), each shard — from its first lookup
-//! on — the keys of its statement's tables with a [`ColumnUse`] of each,
-//! and the hashes of the relevant structures are combined with
-//! order-independent arithmetic. Two column names sharing a mask bit can
-//! only keep an index relevant, so the masks cost no exactness. The hot
-//! path (a cache hit) therefore touches no heap and no string. The
-//! projected [`Configuration`] is only materialized on a miss, as
-//! pointer copies, where the what-if call dwarfs it.
+//! Fingerprints are computed without allocating or hashing, and without
+//! reading a structure off the statement's tables: every structure in a
+//! [`Configuration`] carries its content hash, the integer keys of its
+//! tables and fixed-size masks of its columns (see
+//! [`dta_physical::StructureHandle`]), and each shard — from its first
+//! lookup on — the keys of its statement's tables with a [`ColumnUse`] of
+//! each. A lookup prices through an [`Overlay`], a configuration indexed
+//! by table ([`crate::overlay`]). It walks only those tables' structures,
+//! testing each against that table's use ([`StructureHandle::serves`]),
+//! then the views, and combines the hashes of the relevant structures
+//! with order-independent arithmetic. Two column names sharing a mask bit
+//! can only keep an index relevant, so the masks cost no exactness. The
+//! hot path (a cache hit) therefore touches no heap and no string, and
+//! costs the statement's tables, not the configuration. The projected
+//! [`Configuration`] is only materialized on a miss, as pointer copies,
+//! where the what-if call dwarfs it. A [`Configuration`] handed to a
+//! public entry point is indexed once per call: on every table for
+//! [`CostEvaluator::workload_cost`], on the statement's tables only for
+//! [`CostEvaluator::item_cost`].
 //!
 //! What the evaluator *learns* — the shards with their caches, relevance
 //! and prepared statements, the fallback costs, the degraded set — is a
@@ -89,6 +97,7 @@
 
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
+use crate::overlay::{Indexed, Overlay};
 use dta_optimizer::PreparedStatement;
 use dta_physical::{table_key, ColumnUse, Configuration, StructureHandle};
 use dta_server::{FaultKind, ServerError, TuningTarget};
@@ -171,7 +180,7 @@ impl ShardStat {
 /// Which structures a statement can see: per table it references, sorted
 /// by [`table_key`], how it uses the table's columns
 /// ([`PreparedStatement::column_use`]).
-type Relevance = [(u64, ColumnUse)];
+pub(crate) type Relevance = [(u64, ColumnUse)];
 
 /// Everything the evaluator keeps for one statement.
 struct Shard {
@@ -491,6 +500,13 @@ impl<'a> CostEvaluator<'a> {
         })
     }
 
+    /// Statement `i`'s [`Relevance`], as its lookups use it.
+    #[cfg(test)]
+    pub(crate) fn relevance_of(&self, i: usize) -> &Relevance {
+        let (item, shard) = self.slot(i);
+        self.relevance(item, shard)
+    }
+
     /// Order-independent fingerprint of `config` projected onto what a
     /// statement sees (`relevant`), combined from the content hashes the
     /// handles memoize: no allocation, no string hashed or compared. The
@@ -498,16 +514,16 @@ impl<'a> CostEvaluator<'a> {
     /// hashing each of them afresh would give — so a checkpoint's entry,
     /// keyed on the projection it priced, hits whenever a later build
     /// projects onto the same structures.
-    fn fingerprint(relevant: &Relevance, config: &Configuration) -> u64 {
+    pub(crate) fn fingerprint(relevant: &Relevance, config: &Overlay<'_>) -> u64 {
         let mut sum = 0u64;
         let mut xor = 0u64;
         let mut count = 0u64;
-        for h in config.handles().iter().filter(|h| h.relevant_to(relevant)) {
+        config.for_each_relevant(relevant, |h| {
             let v = h.content_hash();
             sum = sum.wrapping_add(v);
             xor ^= v;
             count += 1;
-        }
+        });
         let mut h = DefaultHasher::new();
         (sum, xor, count).hash(&mut h);
         h.finish()
@@ -520,13 +536,13 @@ impl<'a> CostEvaluator<'a> {
     /// [`invariants::check_fingerprint`] instead of silently pricing one
     /// configuration with another's cost. It hashes the structures
     /// themselves, so it checks the memoized hashes as well.
-    fn verify_fingerprint(relevant: &Relevance, config: &Configuration) -> u64 {
+    pub(crate) fn verify_fingerprint(relevant: &Relevance, config: &Overlay<'_>) -> u64 {
         /// Seed decorrelating this hash from the primary fingerprint's.
         const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut sum = 0u64;
         let mut prod = 1u64;
         let mut count = 0u64;
-        for s in config.handles().iter().filter(|h| h.relevant_to(relevant)) {
+        config.for_each_relevant(relevant, |s| {
             let mut h = DefaultHasher::new();
             SEED.hash(&mut h);
             s.structure().hash(&mut h);
@@ -534,7 +550,7 @@ impl<'a> CostEvaluator<'a> {
             sum = sum.wrapping_add(v);
             prod = prod.wrapping_mul(v | 1);
             count += 1;
-        }
+        });
         let mut h = DefaultHasher::new();
         (count, prod, sum).hash(&mut h);
         h.finish()
@@ -547,7 +563,7 @@ impl<'a> CostEvaluator<'a> {
         shard: &Shard,
         relevant: &Relevance,
         entry: &CacheEntry,
-        config: &Configuration,
+        config: &Overlay<'_>,
         want_structures: bool,
     ) -> (f64, Vec<String>) {
         // imported checkpoint entries may carry verify == 0 when the
@@ -566,7 +582,7 @@ impl<'a> CostEvaluator<'a> {
     fn item_entry(
         &self,
         i: usize,
-        config: &Configuration,
+        config: &Overlay<'_>,
         want_structures: bool,
     ) -> Result<(f64, Vec<String>), ServerError> {
         let (item, shard) = self.slot(i);
@@ -608,7 +624,7 @@ impl<'a> CostEvaluator<'a> {
         }
         // only a miss materializes the projection, and only as pointer
         // copies; the what-if call dwarfs it
-        let projected = config.project(|h| h.relevant_to(relevant));
+        let projected = config.projection(relevant);
         let prepared = self.preparation(item, shard);
         let mut attempt: u32 = 0;
         let plan = loop {
@@ -653,18 +669,29 @@ impl<'a> CostEvaluator<'a> {
     /// read without a lookup: no counter moves and no call is made. `None`
     /// for a statement with no entry for `config`'s projection, or with no
     /// [`Relevance`] yet (it has never been looked up).
-    pub(crate) fn cached_costs(&self, config: &Configuration) -> Vec<Option<f64>> {
+    pub(crate) fn cached_costs(&self, config: &Overlay<'_>) -> Vec<Option<f64>> {
         let shards = &self.state.shards;
         shards.iter().map(|shard| Self::cached(shard, shard.relevance.get()?, config)).collect()
     }
 
     /// The cost `shard`'s cache holds for `config`'s projection, if any.
-    fn cached(shard: &Shard, relevant: &Relevance, config: &Configuration) -> Option<f64> {
+    fn cached(shard: &Shard, relevant: &Relevance, config: &Overlay<'_>) -> Option<f64> {
         shard.cache.read().get(&Self::fingerprint(relevant, config)).map(|e| e.cost)
     }
 
     /// Estimated cost of one item under `config`.
     pub fn item_cost(&self, i: usize, config: &Configuration) -> Result<f64, ServerError> {
+        self.price(i, &Overlay::of(&self.index_for(i, config)))
+    }
+
+    /// `config` indexed for item `i`'s lookup: on its tables only.
+    fn index_for<'c>(&self, i: usize, config: &'c Configuration) -> Indexed<'c> {
+        let (item, shard) = self.slot(i);
+        Indexed::for_lookup(config, self.relevance(item, shard))
+    }
+
+    /// [`Self::item_cost`] under a configuration indexed already.
+    pub(crate) fn price(&self, i: usize, config: &Overlay<'_>) -> Result<f64, ServerError> {
         self.item_entry(i, config, false).map(|(c, _)| c)
     }
 
@@ -674,7 +701,7 @@ impl<'a> CostEvaluator<'a> {
         i: usize,
         config: &Configuration,
     ) -> Result<(f64, Vec<String>), ServerError> {
-        self.item_entry(i, config, true)
+        self.item_entry(i, &Overlay::of(&self.index_for(i, config)), true)
     }
 
     /// Weighted workload cost under `config`.
@@ -682,7 +709,7 @@ impl<'a> CostEvaluator<'a> {
     /// Items are summed in workload order, so the result is bitwise
     /// identical no matter which thread asks.
     pub fn workload_cost(&self, config: &Configuration) -> Result<f64, ServerError> {
-        self.delta_cost(config, &[], &[])
+        self.delta_cost(&Overlay::of(&Indexed::new(config, None)), &[], &[])
     }
 
     /// Weighted workload cost under `config`, which differs from a
@@ -700,7 +727,7 @@ impl<'a> CostEvaluator<'a> {
     /// and only the hits skipped go uncounted.
     pub(crate) fn delta_cost(
         &self,
-        config: &Configuration,
+        config: &Overlay<'_>,
         delta: &[StructureHandle],
         reference: &[Option<f64>],
     ) -> Result<f64, ServerError> {
@@ -721,7 +748,7 @@ impl<'a> CostEvaluator<'a> {
             });
             let cost = match kept {
                 Some(cost) => cost,
-                None => self.item_cost(i, config)?,
+                None => self.price(i, config)?,
             };
             let next = total + item.weight * cost;
             invariants::check_monotonic_sum(total, next, "workload_cost");
@@ -968,6 +995,17 @@ mod tests {
             .collect()
     }
 
+    /// The primary and verify fingerprints of `config` projected onto
+    /// what `relevant` sees, as the lookups compute them.
+    fn fingerprints(relevant: &Relevance, config: &Configuration) -> (u64, u64) {
+        let indexed = Indexed::new(config, None);
+        let overlay = Overlay::of(&indexed);
+        (
+            CostEvaluator::fingerprint(relevant, &overlay),
+            CostEvaluator::verify_fingerprint(relevant, &overlay),
+        )
+    }
+
     #[test]
     fn memoized_fingerprints_equal_hashing_from_scratch() {
         use rand::{rngs::StdRng, SeedableRng};
@@ -980,11 +1018,7 @@ mod tests {
         for _ in 0..2_000 {
             let config = random_configuration(&mut rng);
             for (i, item) in w.items.iter().enumerate() {
-                let relevant = eval.relevance(item, eval.slot(i).1);
-                let memoized = (
-                    CostEvaluator::fingerprint(relevant, &config),
-                    CostEvaluator::verify_fingerprint(relevant, &config),
-                );
+                let memoized = fingerprints(eval.relevance_of(i), &config);
                 assert_eq!(memoized, reference_fingerprints(item, &config), "item {i}: {config}");
                 distinct.insert(memoized.0);
             }
@@ -1033,8 +1067,7 @@ mod tests {
         let b = PhysicalStructure::Index(Index::non_clustered("d", "t", &["b"], &["a"]));
         let ab = Configuration::from_structures([a.clone(), b.clone()]);
         let ba = Configuration::from_structures([b.clone(), a.clone()]);
-        let relevant = eval.relevance(&w.items[0], eval.slot(0).1);
-        let fingerprint = |config| CostEvaluator::fingerprint(relevant, config);
+        let fingerprint = |config| fingerprints(eval.relevance_of(0), config).0;
         assert_eq!(fingerprint(&ab), fingerprint(&ba));
         let only_a = Configuration::from_structures([a]);
         assert_ne!(fingerprint(&ab), fingerprint(&only_a));
@@ -1229,15 +1262,17 @@ mod tests {
         reference: &Configuration,
         added: PhysicalStructure,
     ) -> Vec<bool> {
-        let costs = eval.cached_costs(reference);
+        let costs = eval.cached_costs(&Overlay::of(&Indexed::new(reference, None)));
         let mut config = reference.clone();
         config.add(added.clone());
+        let indexed = Indexed::new(&config, None);
         let lookups = |e: &CostEvaluator<'_>| -> Vec<u64> {
             e.cache_stats().iter().map(|st| st.hits + st.misses).collect()
         };
         let before = lookups(eval);
         let delta = [StructureHandle::new(added)];
-        let got = eval.delta_cost(&config, &delta, &costs).expect("costing succeeds");
+        let got =
+            eval.delta_cost(&Overlay::of(&indexed), &delta, &costs).expect("costing succeeds");
         let want = twin.workload_cost(&config).expect("costing succeeds");
         assert_eq!(got.to_bits(), want.to_bits());
         assert_eq!(eval.whatif_calls(), twin.whatif_calls());

@@ -16,12 +16,13 @@ use crate::cost::CostEvaluator;
 use crate::greedy::{greedy_mk, GreedySnapshot};
 use crate::obs::SessionObserver;
 use crate::options::{AlignmentMode, TuningOptions};
+use crate::overlay::{Indexed, Overlay, Placed, Slot};
 use dta_physical::sizing::structure_bytes;
 use dta_physical::{
-    table_key, Configuration, PhysicalStructure, RangePartitioning, SizingInfo, StructureHandle,
-    ValidityError,
+    Configuration, IndexKind, PhysicalStructure, RangePartitioning, SizingInfo, StructureHandle,
 };
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -60,61 +61,52 @@ pub struct EnumerationRun {
     pub interrupted: Option<(StopReason, EnumerationResume)>,
 }
 
-/// What alignment does to each structure of a configuration.
-struct Alignment {
-    /// Per structure, in order, what stands in its place: itself, a
-    /// repartitioned variant, or nothing when it is dropped or has become
-    /// identical to an earlier structure.
-    forms: Vec<Option<StructureHandle>>,
-    /// Heap partitionings introduced for tables that only an index
-    /// partitions, in table order.
-    synthesized: Vec<StructureHandle>,
-    /// Structures rewritten, dropped or introduced.
-    rewritten: usize,
-}
-
-/// Align every table of `config`: each table's indexes take on the
-/// table's effective partitioning (or lose theirs if the table is
-/// unpartitioned). Tables are aligned independently of one another.
-fn align(config: &Configuration) -> Alignment {
-    // table → target partitioning. Precedence: a clustered index pins the
-    // table's partitioning (even "unpartitioned"); else an explicit heap
-    // partitioning; else the first partitioned index's scheme (in which
-    // case the heap must be partitioned too).
-    let mut target: BTreeMap<u64, Option<&RangePartitioning>> = BTreeMap::new();
-    let mut synthesized = Vec::new();
-    let mut rewritten = 0usize;
-    for (db, t) in config.tables() {
-        let want = if let Some(ci) = config.clustered_index(db, t) {
-            ci.partitioning.as_ref()
-        } else if let Some(p) = config.table_partitioning(db, t) {
-            Some(p)
-        } else if let Some(p) = config.indexes_on(db, t).find_map(|ix| ix.partitioning.as_ref()) {
+/// Align one table's structures, listed as the whole configuration holds
+/// them: each index takes on the table's effective partitioning (or loses
+/// its own if the table is unpartitioned) in its slot, and a structure
+/// that becomes identical to an earlier one is dropped. Tables are aligned
+/// independently of one another. Returns the number of structures
+/// rewritten, dropped or introduced.
+fn align(table: &mut Vec<Placed<'_>>) -> usize {
+    // Precedence: a clustered index pins the table's partitioning (even
+    // "unpartitioned"); else an explicit heap partitioning; else the first
+    // partitioned index's scheme (in which case the heap must be
+    // partitioned too).
+    let indexes = || {
+        table.iter().filter_map(|(_, h)| match h.structure() {
+            PhysicalStructure::Index(ix) => Some(ix),
+            _ => None,
+        })
+    };
+    let heap = table.iter().find_map(|(_, h)| match h.structure() {
+        PhysicalStructure::TablePartitioning { scheme, .. } => Some(scheme),
+        _ => None,
+    });
+    let mut synthesized = None;
+    let want = match (indexes().find(|ix| ix.kind == IndexKind::Clustered), heap) {
+        (Some(ci), _) => ci.partitioning.as_ref(),
+        (None, Some(p)) => Some(p),
+        (None, None) => indexes().find_map(|ix| {
+            let p = ix.partitioning.as_ref()?;
             // the heap itself must adopt this partitioning for the table
             // to count as aligned — a lazily introduced structure
-            synthesized.push(StructureHandle::new(PhysicalStructure::TablePartitioning {
-                database: db.to_string(),
-                table: t.to_string(),
+            synthesized = Some(StructureHandle::new(PhysicalStructure::TablePartitioning {
+                database: ix.database.clone(),
+                table: ix.table.clone(),
                 scheme: p.clone(),
             }));
-            rewritten += 1;
             Some(p)
-        } else {
-            None
-        };
-        target.insert(table_key(db, t), want);
-    }
-
-    let mut placed = Configuration::new();
-    let mut forms = Vec::with_capacity(config.len());
-    for h in config.handles() {
-        let want = h.table_key().and_then(|k| target.get(&k).copied().flatten());
+        }),
+    };
+    let mut rewritten = usize::from(synthesized.is_some());
+    let mut aligned: Vec<Placed<'_>> = Vec::with_capacity(table.len() + 1);
+    for (slot, h) in table.iter() {
         let form = match h.structure() {
             PhysicalStructure::Index(ix) if ix.partitioning.as_ref() != want => {
                 rewritten += 1;
                 let mut v = ix.clone();
                 v.partitioning = want.cloned();
-                Some(StructureHandle::new(PhysicalStructure::Index(v)))
+                Some(Cow::Owned(StructureHandle::new(PhysicalStructure::Index(v))))
             }
             // a heap partitioning is meaningless (and misaligned) when a
             // clustered index pins a different scheme; it is dropped
@@ -124,18 +116,32 @@ fn align(config: &Configuration) -> Alignment {
             {
                 rewritten += 1;
                 want.map(|w| {
-                    StructureHandle::new(PhysicalStructure::TablePartitioning {
+                    Cow::Owned(StructureHandle::new(PhysicalStructure::TablePartitioning {
                         database: database.clone(),
                         table: table.clone(),
                         scheme: w.clone(),
-                    })
+                    }))
                 })
             }
             _ => Some(h.clone()),
         };
-        forms.push(form.filter(|f| placed.add_shared(f.clone())));
+        if let Some(form) = form.filter(|f| !aligned.iter().any(|(_, o)| o == f)) {
+            aligned.push((*slot, form));
+        }
     }
-    Alignment { forms, synthesized, rewritten }
+    aligned.extend(synthesized.map(|s| (Slot::Synthesized, Cow::Owned(s))));
+    *table = aligned;
+    rewritten
+}
+
+/// Whether a table's structures break the one-clustering /
+/// one-heap-partitioning rule.
+fn conflicted(table: &[Placed<'_>]) -> bool {
+    let count = |is: fn(&PhysicalStructure) -> bool| {
+        table.iter().filter(|(_, h)| is(h.structure())).count()
+    };
+    count(|s| matches!(s, PhysicalStructure::Index(ix) if ix.kind == IndexKind::Clustered)) > 1
+        || count(|s| matches!(s, PhysicalStructure::TablePartitioning { .. })) > 1
 }
 
 /// Rewrite `config` so every table is aligned: each table's indexes take
@@ -143,148 +149,79 @@ fn align(config: &Configuration) -> Alignment {
 /// unpartitioned). Returns the number of structures rewritten.
 #[cfg(test)]
 fn align_configuration(config: &Configuration) -> (Configuration, usize) {
-    let aligned = align(config);
-    let mut out = Configuration::new();
-    for h in aligned.forms.into_iter().flatten().chain(aligned.synthesized) {
-        out.add_shared(h);
-    }
-    (out, aligned.rewritten)
+    let base = Indexed::new(config, None);
+    let keys: Vec<u64> = base.keys().collect();
+    let mut rewritten = 0;
+    let aligned = Overlay::build(&base, &[], &keys, |table| rewritten += align(table));
+    (aligned.materialize(), rewritten)
 }
 
 /// Builds the configurations enumeration prices — `base ∪ set`, aligned
-/// (§4), structurally feasible and within the storage bound — at a cost
-/// that depends on the candidate set, not on how wide the base is.
+/// (§4), structurally feasible and within the storage bound — as
+/// [`Overlay`]s of the base, at a cost that depends on the candidate set,
+/// not on how wide the base is.
 ///
 /// The invariant that makes this possible: alignment, the one-clustering
 /// / one-heap-partitioning rule and storage are all decided table by
-/// table. So the base is aligned, checked and sized once, here, and an
-/// evaluation redoes that work only for the tables its candidates are
-/// on (plus any table the base itself leaves misaligned or in conflict —
-/// none, for a valid aligned base — and any its [`Reference`] changed).
-/// The result is what recomputing over the whole configuration gives,
-/// structure for structure: base order, then set order, then introduced
-/// heap partitionings in table order.
+/// table. So the base is indexed, aligned, checked and sized once, here,
+/// and an evaluation re-lists, re-aligns, re-checks and re-sizes only the
+/// tables its candidates are on (plus any table the base itself leaves
+/// misaligned or in conflict — none, for a valid aligned base — and any
+/// its reference re-lists). [`Overlay::materialize`] gives what
+/// recomputing over the whole configuration gives, structure for
+/// structure.
 pub struct Assembler<'a> {
-    base: &'a Configuration,
+    base: Indexed<'a>,
     alignment: bool,
     storage_bytes: Option<u64>,
     sizing: &'a dyn SizingInfo,
-    base_bytes: u64,
     /// Keys of the base's tables that alignment changes or that break
     /// the one-clustering / one-heap-partitioning rule as they stand:
     /// every evaluation rechecks them along with its candidates' tables.
     unsettled: Vec<u64>,
-    /// The base's views.
-    base_views: Vec<StructureHandle>,
-    /// The base, indexed as a [`Reference`].
-    base_reference: Reference,
-}
-
-/// A configuration that evaluations are priced against, indexed once so
-/// that [`Assembler::assemble`] reads each evaluation's delta off the
-/// evaluation's own tables. Its per-statement costs are the caller's.
-#[derive(Debug, Clone)]
-pub struct Reference {
-    /// Tables on which it may differ from the base: every evaluation
-    /// re-assembles them, so that its delta covers them.
-    keys: Vec<u64>,
-    /// Its structures on tables, by table key, each table's in
-    /// configuration order.
-    tables: Vec<(u64, StructureHandle)>,
-    /// Its views that are not the base's.
-    views: Vec<StructureHandle>,
-}
-
-impl Reference {
-    /// `configuration`, which may differ from the base on the tables `keys`
-    /// names only, and whose views beyond `base_views` are its own.
-    fn of(configuration: &Configuration, keys: Vec<u64>, base_views: &[StructureHandle]) -> Self {
-        let mut tables = Vec::new();
-        let mut views = Vec::new();
-        for h in configuration.handles() {
-            match h.table_key() {
-                Some(k) => tables.push((k, h.clone())),
-                None if !base_views.contains(h) => views.push(h.clone()),
-                None => {}
-            }
-        }
-        // stable: each table's structures stay in configuration order
-        tables.sort_by_key(|(k, _)| *k);
-        Self { keys, tables, views }
-    }
-
-    /// Its structures on the table with this key.
-    fn on(&self, key: u64) -> impl Iterator<Item = &StructureHandle> {
-        let from = self.tables.partition_point(|(k, _)| *k < key);
-        let tail = self.tables.get(from..).unwrap_or_default();
-        tail.iter().take_while(move |(k, _)| *k == key).map(|(_, h)| h)
-    }
 }
 
 /// A feasible configuration [`Assembler::assemble`] built, and how it
-/// differs from the [`Reference`] it was built against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Assembled {
+/// differs from the configuration it was built against.
+#[derive(Debug, Clone)]
+pub struct Assembled<'b> {
     /// `base ∪ set`, aligned, feasible and within the storage bound.
-    pub configuration: Configuration,
-    /// The structures one of `configuration` and the reference holds and
-    /// the other does not: added, re-partitioned (both forms) or dropped
-    /// on the tables the evaluation touched, and views added or dropped.
+    pub overlay: Overlay<'b>,
+    /// The structures one of `overlay` and the reference holds and the
+    /// other does not: added, re-partitioned (both forms) or dropped on
+    /// the tables the evaluation re-listed, and views added or dropped.
     /// A statement none of them is relevant to projects both alike.
     pub delta: Vec<StructureHandle>,
 }
 
 impl<'a> Assembler<'a> {
-    /// Align, check and size `base` under `options`.
+    /// Index, align, check and size `base` under `options`.
     pub fn new(
         base: &'a Configuration,
         options: &TuningOptions,
         sizing: &'a dyn SizingInfo,
     ) -> Self {
         let alignment = options.alignment.required();
-        let mut unsettled = Vec::new();
-        if alignment {
-            let aligned = align(base);
-            for (h, form) in base.handles().iter().zip(&aligned.forms) {
-                if form.as_ref() != Some(h) {
-                    unsettled.extend(h.table_key());
-                }
-            }
-            unsettled.extend(aligned.synthesized.iter().filter_map(StructureHandle::table_key));
-        }
-        for conflict in base.table_conflicts() {
-            if let ValidityError::MultipleClusterings { database, table }
-            | ValidityError::MultipleTablePartitionings { database, table } = conflict
-            {
-                unsettled.push(table_key(&database, &table));
-            }
-        }
-        let base_views: Vec<StructureHandle> =
-            base.handles().iter().filter(|h| h.table_key().is_none()).cloned().collect();
-        Self {
-            base,
-            alignment,
-            storage_bytes: options.storage_bytes,
-            sizing,
-            base_bytes: base.total_bytes(sizing),
-            unsettled,
-            base_reference: Reference::of(base, Vec::new(), &base_views),
-            base_views,
-        }
+        let base = Indexed::new(base, options.storage_bytes.map(|_| sizing));
+        let unsettled = base
+            .keys()
+            .filter(|&key| {
+                let table = base.on(key);
+                conflicted(table) || (alignment && align(&mut table.to_vec()) > 0)
+            })
+            .collect();
+        Self { base, alignment, storage_bytes: options.storage_bytes, sizing, unsettled }
     }
 
-    /// The base itself — as given, not as assembled — as a [`Reference`].
-    pub fn base_reference(&self) -> &Reference {
-        &self.base_reference
+    /// The base itself — as given, not as assembled.
+    pub fn base(&self) -> Overlay<'_> {
+        Overlay::of(&self.base)
     }
 
-    /// The configuration for `base ∪ set` and that configuration as a
-    /// [`Reference`]; `None` when it is infeasible or over the bound.
-    pub fn reference(&self, set: &[&StructureHandle]) -> Option<(Configuration, Reference)> {
-        let configuration = self.assemble(set, &self.base_reference).0?.configuration;
-        let keys = self.unsettled.iter().copied().chain(set.iter().filter_map(|h| h.table_key()));
-        let reference = Reference::of(&configuration, keys.collect(), &self.base_views);
-        Some((configuration, reference))
+    /// The configuration for `base ∪ set`; `None` when it is infeasible
+    /// or over the bound.
+    pub fn reference(&self, set: &[&StructureHandle]) -> Option<Overlay<'_>> {
+        Some(self.assemble(set, &self.base()).0?.overlay)
     }
 
     /// The configuration for `base ∪ set` with its delta from `reference`
@@ -293,74 +230,57 @@ impl<'a> Assembler<'a> {
     pub fn assemble(
         &self,
         set: &[&StructureHandle],
-        reference: &Reference,
-    ) -> (Option<Assembled>, usize) {
-        let mut cfg = self.base.extended(set.iter().copied());
+        reference: &Overlay<'_>,
+    ) -> (Option<Assembled<'_>>, usize) {
         let mut keys: Vec<u64> = self
             .unsettled
             .iter()
-            .chain(&reference.keys)
             .copied()
+            .chain(reference.keys())
             .chain(set.iter().filter_map(|h| h.table_key()))
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        let touched = |h: &StructureHandle| h.table_key().is_some_and(|k| keys.contains(&k));
-        let mut rewritten = 0;
-        if self.alignment {
-            let aligned = align(&cfg.project(touched));
-            rewritten = aligned.rewritten;
-            let mut forms = aligned.forms.into_iter();
-            cfg = cfg.replace_where(touched, |_| forms.next().flatten());
-            for s in aligned.synthesized {
-                cfg.add_shared(s);
+        let bytes = |table: &[Placed<'_>]| -> u64 {
+            table.iter().map(|(_, h)| structure_bytes(h.structure(), self.sizing)).sum()
+        };
+        let (mut rewritten, mut conflicting, mut listed_bytes) = (0, false, 0);
+        let overlay = Overlay::build(&self.base, set, &keys, |table| {
+            if self.alignment {
+                rewritten += align(table);
             }
-        }
-        // structural feasibility: at most one clustering/partitioning per
-        // table; cheap local checks (full catalog validation happened on
-        // the user-specified part already)
-        let part = cfg.project(touched);
-        if !part.table_conflicts().is_empty() {
+            // structural feasibility: at most one clustering/partitioning
+            // per table; cheap local checks (full catalog validation
+            // happened on the user-specified part already)
+            conflicting |= conflicted(table);
+            if self.storage_bytes.is_some() {
+                listed_bytes += bytes(table);
+            }
+        });
+        if conflicting {
             return (None, rewritten);
         }
         if let Some(bound) = self.storage_bytes {
-            // everything off the touched tables is the base's, except the
-            // set's views, which follow the base's structures
-            let base_part = self.base.project(touched);
-            let new_views: u64 = cfg
-                .handles()
-                .iter()
-                .filter(|h| !touched(h))
-                .skip(self.base.len() - base_part.len())
-                .map(|h| structure_bytes(h.structure(), self.sizing))
-                .sum();
-            let total = self.base_bytes - base_part.total_bytes(self.sizing)
-                + new_views
-                + part.total_bytes(self.sizing);
-            if total.saturating_sub(self.base_bytes) > bound {
+            // off the re-listed tables everything is the base's, but for
+            // the views the set adds: the growth over the base is what
+            // they and the re-listed tables hold beyond the base's there
+            let replaced: u64 = keys.iter().map(|&key| self.base.bytes(key)).sum();
+            let grown = listed_bytes + bytes(overlay.added_views());
+            if grown.saturating_sub(replaced) > bound {
                 return (None, rewritten);
             }
         }
-        // off the touched tables both hold the base's structures; compare
-        // the rest: the touched tables', and the views beyond the base's
-        let before: Vec<&StructureHandle> = keys.iter().flat_map(|&k| reference.on(k)).collect();
-        let after: Vec<&StructureHandle> = part.handles().iter().collect();
-        let views: Vec<&StructureHandle> = set
-            .iter()
-            .copied()
-            .filter(|h| h.table_key().is_none() && !self.base_views.contains(h))
-            .collect();
-        let reference_views: Vec<&StructureHandle> = reference.views.iter().collect();
+        // off the re-listed tables both hold the base's structures; compare
+        // the rest: the re-listed tables', and the views beyond the base's
         let mut delta = Vec::new();
-        for (one, other) in [
-            (&after, &before),
-            (&before, &after),
-            (&views, &reference_views),
-            (&reference_views, &views),
-        ] {
-            delta.extend(one.iter().filter(|h| !other.contains(h)).map(|h| (*h).clone()));
+        let pairs = keys.iter().map(|&key| (overlay.on(key), reference.on(key)));
+        for (after, before) in pairs.chain([(overlay.added_views(), reference.added_views())]) {
+            for (one, other) in [(after, before), (before, after)] {
+                let only = one.iter().filter(|(_, h)| !other.iter().any(|(_, o)| o == h));
+                delta.extend(only.map(|(_, h)| StructureHandle::clone(h)));
+            }
         }
-        (Some(Assembled { configuration: cfg, delta }), rewritten)
+        (Some(Assembled { overlay, delta }), rewritten)
     }
 }
 
@@ -442,7 +362,7 @@ pub fn enumerate(
     let lazy_variants = AtomicUsize::new(lazy_seed);
 
     let assembler = Assembler::new(base, options, sizing);
-    let assemble = |set: &[&StructureHandle], reference: &Reference| -> Option<Assembled> {
+    let assemble = |set: &[&StructureHandle], reference: &Overlay<'_>| {
         let (assembled, rewritten) = assembler.assemble(set, reference);
         // dta-lint: allow(R6): monotonic telemetry counter; read only
         // after greedy_mk has joined every worker.
@@ -450,27 +370,29 @@ pub fn enumerate(
         assembled
     };
 
-    let base_cost = crate::control::isolated(control, || eval.workload_cost(base))
-        .and_then(|r| r.ok())
-        .unwrap_or(f64::INFINITY);
+    let base_cost =
+        crate::control::isolated(control, || eval.delta_cost(&assembler.base(), &[], &[]))
+            .and_then(|r| r.ok())
+            .unwrap_or(f64::INFINITY);
     // What an evaluation is priced against, with each statement's cost
     // under it: fixed at serial points only — the base as just priced for
     // Phase 1, each incumbent for Phase 2 — so which lookups are skipped
     // depends on nothing a worker does.
-    let against = RwLock::new((assembler.base_reference().clone(), eval.cached_costs(base)));
+    let against = RwLock::new((assembler.base(), eval.cached_costs(&assembler.base())));
     let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
         let guard = against.read();
         let (reference, costs) = &*guard;
-        let Assembled { configuration, delta } = assemble(set, reference)?;
-        eval.delta_cost(&configuration, &delta, costs).ok()
+        let Assembled { overlay, delta } = assemble(set, reference)?;
+        eval.delta_cost(&overlay, &delta, costs).ok()
     };
     // The incumbent was assembled when it was evaluated: this assembly
     // re-derives it and is not tallied again. An incumbent that cannot be
     // assembled (an empty one over a conflicting base) leaves the last
     // reference in place, which prices any set exactly, if less cheaply.
     let incumbent_changed = |set: &[&StructureHandle]| {
-        if let Some((configuration, reference)) = assembler.reference(set) {
-            *against.write() = (reference, eval.cached_costs(&configuration));
+        if let Some(reference) = assembler.reference(set) {
+            let costs = eval.cached_costs(&reference);
+            *against.write() = (reference, costs);
         }
     };
     let k = pool.len();
@@ -494,8 +416,8 @@ pub fn enumerate(
     // this read races with nothing.
     let lazy_at_cut = lazy_variants.load(Ordering::Relaxed);
     let final_refs: Vec<&StructureHandle> = run.outcome.chosen.iter().collect();
-    let configuration = assemble(&final_refs, assembler.base_reference())
-        .map_or_else(|| base.clone(), |a| a.configuration);
+    let configuration = assemble(&final_refs, &assembler.base())
+        .map_or_else(|| base.clone(), |a| a.overlay.materialize());
     EnumerationRun {
         result: EnumerationResult {
             configuration,
@@ -514,7 +436,7 @@ pub fn enumerate(
 mod tests {
     use super::*;
     use dta_catalog::Value;
-    use dta_physical::Index;
+    use dta_physical::{table_key, ColumnUse, Index};
 
     fn part(col: &str) -> RangePartitioning {
         RangePartitioning::new(col, vec![Value::Int(100), Value::Int(200)])
@@ -739,8 +661,14 @@ mod tests {
         use rand::Rng;
         const TABLES: [(&str, &str); 5] =
             [("d", "t0"), ("d", "t1"), ("d", "t2"), ("d", "t3"), ("e", "t0")];
+        let (db, t) = TABLES[rng.gen_range(0..TABLES.len())];
+        structure_on(rng, db, t)
+    }
+
+    /// A random index, clustering, heap partitioning or view on `db.t`.
+    fn structure_on(rng: &mut rand::rngs::StdRng, db: &str, t: &str) -> PhysicalStructure {
+        use rand::Rng;
         let mut pick = |n: usize| rng.gen_range(0..n);
-        let (db, t) = TABLES[pick(TABLES.len())];
         let column = ["a", "b", "x", "y"][pick(4)];
         let scheme = part(["x", "y"][pick(2)]);
         match pick(20) {
@@ -765,7 +693,7 @@ mod tests {
                 scheme,
             },
             _ => {
-                let joined = [t, "t9"];
+                let joined = [t, if t == "t9" { "t8" } else { "t9" }];
                 PhysicalStructure::View(dta_physical::MaterializedView::grouped(
                     db,
                     &joined[..1 + pick(2)],
@@ -887,31 +815,33 @@ mod tests {
                 // the base as given, or the incumbent as assembled; now and
                 // then with its costs never priced, so some are absent
                 let incumbent_refs: Vec<&StructureHandle> = incumbent.iter().collect();
-                let (config, reference) = match round % 3 {
-                    0 => (base.clone(), assembler.base_reference().clone()),
+                let reference = match round % 3 {
+                    0 => assembler.base(),
                     _ => match assembler.reference(&incumbent_refs) {
-                        Some(pair) => pair,
+                        Some(reference) => reference,
                         None => continue,
                     },
                 };
+                let config = reference.materialize();
                 incumbents += usize::from(round % 3 != 0);
                 if round % 5 != 4 {
                     for e in [&eval, &twin] {
                         e.workload_cost(&config).expect("costing succeeds");
                     }
                 }
-                let costs = eval.cached_costs(&config);
+                let costs = eval.cached_costs(&reference);
                 absent += costs.iter().filter(|c| c.is_none()).count();
                 for set in &sets {
                     let set_refs: Vec<&StructureHandle> = set.iter().collect();
                     let Some(assembled) = assembler.assemble(&set_refs, &reference).0 else {
                         continue;
                     };
-                    let got = eval.delta_cost(&assembled.configuration, &assembled.delta, &costs);
-                    let want = twin.workload_cost(&assembled.configuration);
+                    let got = eval.delta_cost(&assembled.overlay, &assembled.delta, &costs);
+                    let whole = assembled.overlay.materialize();
+                    let want = twin.workload_cost(&whole);
                     let context = format!(
-                        "round {round}, {alignment:?}\nbase {base}reference {config}priced {}delta {:?}",
-                        assembled.configuration, assembled.delta
+                        "round {round}, {alignment:?}\nbase {base}reference {config}priced {whole}delta {:?}",
+                        assembled.delta
                     );
                     let bits =
                         |r: Result<f64, _>| r.map(f64::to_bits).map_err(|e| format!("{e:?}"));
@@ -957,16 +887,17 @@ mod tests {
             for alignment in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager] {
                 let options = TuningOptions { alignment, storage_bytes, ..Default::default() };
                 let assembler = Assembler::new(&base, &options, &Sizes);
-                let (assembled, rewritten) =
-                    assembler.assemble(&handle_refs, assembler.base_reference());
+                let (assembled, rewritten) = assembler.assemble(&handle_refs, &assembler.base());
                 let full = reference_assemble(&base, &set_refs, &options, &Sizes);
                 let context = format!(
                     "round {round}, {alignment:?}, bound {storage_bytes:?}\nbase {base}set {set:?}"
                 );
-                let configuration = assembled.as_ref().map(|a| a.configuration.clone());
-                assert_eq!((configuration, rewritten), full, "{context}");
+                let configuration = assembled.as_ref().map(|a| a.overlay.materialize());
+                assert_eq!((configuration.clone(), rewritten), full, "{context}");
                 // against the base, the delta is what one holds and the other not
-                if let Some(Assembled { configuration, delta }) = &assembled {
+                if let (Some(Assembled { delta, .. }), Some(configuration)) =
+                    (&assembled, &configuration)
+                {
                     assert!(
                         same_set(delta, &symmetric_difference(configuration, &base)),
                         "{context}"
@@ -985,6 +916,177 @@ mod tests {
         }
         for seen in [feasible, infeasible, rewrote, over_bound, unsettled_base] {
             assert!(seen > 200, "{feasible} {infeasible} {rewrote} {over_bound} {unsettled_base}");
+        }
+    }
+
+    /// Tables `d.t0` … `d.t119`, and `e.t0` and `e.t9`, with no rows: the
+    /// catalog a wide base lives in.
+    fn wide_server() -> dta_server::Server {
+        use dta_catalog::{Column, ColumnType, Database, Table};
+        let mut server = dta_server::Server::new("s");
+        let tables = |names: Vec<String>, db: &str| {
+            let mut database = Database::new(db);
+            for t in names {
+                let columns =
+                    ["a", "b", "x", "y", "k", "v"].map(|c| Column::new(c, ColumnType::Int));
+                database.add_table(Table::new(t, columns.to_vec())).expect("fresh table");
+            }
+            database
+        };
+        let wide = (0..WIDE_TABLES).map(|n| format!("t{n}")).collect();
+        server.create_database(tables(wide, "d")).expect("fresh database");
+        server
+            .create_database(tables(vec!["t0".into(), "t9".into()], "e"))
+            .expect("fresh database");
+        server
+    }
+
+    /// Tables of the wide base.
+    const WIDE_TABLES: usize = 120;
+
+    /// Reads, joins and writes over the first sixteen wide tables.
+    fn wide_workload() -> Vec<dta_workload::WorkloadItem> {
+        [
+            ("d", "SELECT b FROM t0 WHERE a = 5"),
+            ("d", "SELECT x, y FROM t1 WHERE b < 4"),
+            ("d", "SELECT COUNT(*) FROM t2"),
+            ("d", "SELECT t3.v FROM t3, t4 WHERE t3.k = t4.k AND t4.a = 3"),
+            ("d", "SELECT a, COUNT(*) FROM t5 GROUP BY a"),
+            ("d", "SELECT t9.b FROM t6, t9 WHERE t6.k = t9.k AND t6.x < 120"),
+            ("d", "SELECT t7.a FROM t7, t8, t10 WHERE t7.k = t8.k AND t8.v = t10.v"),
+            ("d", "INSERT INTO t11 VALUES (1, 2, 3, 4, 5, 6)"),
+            ("d", "DELETE FROM t12 WHERE y = 7"),
+            ("d", "UPDATE t13 SET x = 1 WHERE a = 3"),
+            ("d", "UPDATE t14 SET y = 2 WHERE k = 4"),
+            ("d", "SELECT k FROM t15 WHERE y = 9"),
+            ("e", "SELECT b FROM t0 WHERE x = 150"),
+            ("e", "UPDATE t9 SET y = 5 WHERE b = 2"),
+        ]
+        .map(|(db, sql)| {
+            let statement = dta_sql::parse_statement(sql).expect("valid SQL");
+            dta_workload::WorkloadItem::new(db, statement)
+        })
+        .to_vec()
+    }
+
+    /// What a lookup of a statement reads: the primary and verify
+    /// fingerprints, and the projection a miss prices, by table (each in
+    /// its order) and its views (in theirs).
+    type Lookup = (u64, u64, BTreeMap<u64, Vec<StructureHandle>>, Vec<StructureHandle>);
+
+    fn lookup<'h>(
+        (primary, verify): (u64, u64),
+        projection: impl Iterator<Item = &'h StructureHandle>,
+    ) -> Lookup {
+        let mut tables: BTreeMap<u64, Vec<StructureHandle>> = BTreeMap::new();
+        let mut views = Vec::new();
+        for h in projection {
+            match h.table_key() {
+                Some(key) => tables.entry(key).or_default().push(h.clone()),
+                None => views.push(h.clone()),
+            }
+        }
+        (primary, verify, tables, views)
+    }
+
+    /// The fingerprints a lookup of the statement `relevance` describes
+    /// computes under `config`.
+    fn fingerprints(relevance: &[(u64, ColumnUse)], config: &Overlay<'_>) -> (u64, u64) {
+        (
+            CostEvaluator::fingerprint(relevance, config),
+            CostEvaluator::verify_fingerprint(relevance, config),
+        )
+    }
+
+    #[test]
+    fn overlay_lookups_equal_materialized_lookups() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let server = wide_server();
+        let target = dta_server::TuningTarget::Single(&server);
+        let items = wide_workload();
+        let eval = CostEvaluator::new(&target, &items);
+        let mut rng = StdRng::seed_from_u64(0x0be7_1a75);
+        // a structure on one of the statements' tables `focus` times in
+        // ten, else on any wide table
+        let draw = |rng: &mut StdRng, focus: usize| {
+            let (db, n) = match rng.gen_range(0..10) {
+                0 => ("e", [0, 9][rng.gen_range(0..2)]),
+                f if f <= focus => ("d", rng.gen_range(0..16)),
+                _ => ("d", rng.gen_range(0..WIDE_TABLES)),
+            };
+            StructureHandle::new(structure_on(rng, db, &format!("t{n}")))
+        };
+        // outcomes seen, so the test cannot pass by never reaching a branch
+        let (mut compared, mut unsettled, mut shared, mut ordered, mut with_views) =
+            (0, 0, 0, 0, 0);
+        for round in 0..150 {
+            // one structure on every wide table, then more anywhere
+            let every: Vec<PhysicalStructure> =
+                (0..WIDE_TABLES).map(|n| structure_on(&mut rng, "d", &format!("t{n}"))).collect();
+            let more: Vec<StructureHandle> =
+                (0..rng.gen_range(240..300)).map(|_| draw(&mut rng, 2)).collect();
+            let base: Configuration =
+                every.into_iter().map(StructureHandle::new).chain(more).collect();
+            let tables: std::collections::BTreeSet<_> =
+                base.handles().iter().filter_map(StructureHandle::table_key).collect();
+            assert!(base.len() >= 300 && tables.len() >= 100, "round {round}: {}", tables.len());
+            // sets: fresh structures and repeats of the base's
+            let mut set = || -> Vec<StructureHandle> {
+                (0..rng.gen_range(1..7))
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => base.handles()[rng.gen_range(0..base.len())].clone(),
+                        _ => draw(&mut rng, 7),
+                    })
+                    .collect()
+            };
+            let (incumbent, sets) = (set(), [set(), set(), set()]);
+            for alignment in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager] {
+                let options =
+                    TuningOptions { alignment, storage_bytes: None, ..Default::default() };
+                let assembler = Assembler::new(&base, &options, &Sizes);
+                unsettled += assembler.unsettled.len();
+                let incumbent_refs: Vec<&StructureHandle> = incumbent.iter().collect();
+                let reference = match round % 2 {
+                    0 => assembler.base(),
+                    _ => assembler.reference(&incumbent_refs).unwrap_or_else(|| assembler.base()),
+                };
+                let indexed = Indexed::new(&base, None);
+                let mut overlays = vec![reference.clone()];
+                for set in &sets {
+                    let set_refs: Vec<&StructureHandle> = set.iter().collect();
+                    shared += set.iter().filter(|h| base.handles().contains(h)).count();
+                    overlays.extend(assembler.assemble(&set_refs, &reference).0.map(|a| a.overlay));
+                    // candidate selection's `base ∪ set`
+                    let union = Overlay::union(&indexed, &set_refs);
+                    let whole = base.union(&set.iter().cloned().collect());
+                    assert_eq!(union.materialize(), whole, "round {round}");
+                    overlays.push(union);
+                }
+                for overlay in &overlays {
+                    // the materialized configuration, looked up as a plain
+                    // one is: indexed whole, its projection the filter the
+                    // lookups used before overlays
+                    let whole = overlay.materialize();
+                    let whole_indexed = Indexed::new(&whole, None);
+                    for i in 0..items.len() {
+                        let relevance = eval.relevance_of(i);
+                        let projection = overlay.projection(relevance);
+                        let got =
+                            lookup(fingerprints(relevance, overlay), projection.handles().iter());
+                        let want = lookup(
+                            fingerprints(relevance, &Overlay::of(&whole_indexed)),
+                            whole.handles().iter().filter(|h| h.relevant_to(relevance)),
+                        );
+                        assert_eq!(got, want, "round {round}, {alignment:?}, statement {i}");
+                        compared += 1;
+                        ordered += usize::from(got.2.values().any(|on| on.len() > 1));
+                        with_views += usize::from(!got.3.is_empty());
+                    }
+                }
+            }
+        }
+        for seen in [unsettled, shared, ordered, with_views] {
+            assert!(seen > 200, "{compared} {unsettled} {shared} {ordered} {with_views}");
         }
     }
 }

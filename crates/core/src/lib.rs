@@ -29,6 +29,7 @@ pub mod invariants;
 pub mod merging;
 pub mod obs;
 pub mod options;
+pub mod overlay;
 pub mod report;
 pub mod session;
 pub mod supervisor;

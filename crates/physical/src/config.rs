@@ -199,8 +199,8 @@ pub struct StructureHandle {
 
 /// What every copy of a handle points to. The column masks live here,
 /// not in the handle: a relevance test reads them only for a structure
-/// on one of the statement's tables, while every lookup walks every
-/// handle of the configuration, which a smaller handle keeps cheap.
+/// on one of the statement's tables, while configurations copy and
+/// index handles, which a smaller handle keeps cheap.
 #[derive(Debug)]
 struct Shared {
     structure: PhysicalStructure,
@@ -272,22 +272,30 @@ impl StructureHandle {
 
     /// Whether the structure can affect a statement that uses its tables
     /// as the `(`[`table_key`]`, use)` pairs of `tables` say: it is a view
-    /// joining one of them, or attached to one of them and — if it is a
-    /// non-clustered index — may lead a seek or probe, cover a binding
-    /// or need maintaining there. [`ColumnUse::ALL`] makes every
+    /// joining one of them, or attached to one of them and [`Self::serves`]
+    /// the statement's use of it. [`ColumnUse::ALL`] makes every
     /// structure on its table relevant.
     #[inline]
     pub fn relevant_to(&self, tables: &[(u64, ColumnUse)]) -> bool {
         match &self.scope {
             // a table has one entry: stop at it, relevant or not
-            Scope::Table(k) => tables.iter().find(|(t, _)| t == k).is_some_and(|(_, used)| {
-                let Shared { lead, columns, .. } = &*self.shared;
-                used.leading.intersects(*lead)
-                    || columns.contains(used.covering)
-                    || used.maintained.intersects(*columns)
-            }),
+            Scope::Table(k) => {
+                tables.iter().find(|(t, _)| t == k).is_some_and(|(_, used)| self.serves(*used))
+            }
             Scope::View(v) => v.tables.iter().any(|k| tables.iter().any(|(t, _)| t == k)),
         }
+    }
+
+    /// Whether the structure, attached to a table a statement uses as
+    /// `used` says, can affect the statement: anything but a
+    /// non-clustered index always can, and a non-clustered index when it
+    /// may lead a seek or probe, cover a binding or need maintaining.
+    #[inline]
+    pub fn serves(&self, used: ColumnUse) -> bool {
+        let Shared { lead, columns, .. } = &*self.shared;
+        used.leading.intersects(*lead)
+            || columns.contains(used.covering)
+            || used.maintained.intersects(*columns)
     }
 }
 
@@ -338,7 +346,7 @@ impl Configuration {
 
     /// [`Self::add`] for a structure that is already wrapped: nothing is
     /// hashed or copied.
-    pub fn add_shared(&mut self, h: StructureHandle) -> bool {
+    fn add_shared(&mut self, h: StructureHandle) -> bool {
         if self.entries.contains(&h) {
             false
         } else {
@@ -392,52 +400,14 @@ impl Configuration {
 
     /// Union of two configurations.
     pub fn union(&self, other: &Configuration) -> Configuration {
-        self.extended(&other.entries)
-    }
-
-    /// This configuration's structures, then those of `more` it does not
-    /// hold yet — all as pointer copies.
-    pub fn extended<'a>(
-        &self,
-        more: impl IntoIterator<Item = &'a StructureHandle>,
-    ) -> Configuration {
         let mut c = self.clone();
-        for h in more {
-            c.add_shared(h.clone());
-        }
+        c.extend(other.handles().iter().cloned());
         c
     }
 
     /// The structures `keep` selects, in order.
     pub fn project(&self, mut keep: impl FnMut(&StructureHandle) -> bool) -> Configuration {
         Configuration { entries: self.entries.iter().filter(|h| keep(h)).cloned().collect() }
-    }
-
-    /// A copy in which each structure `touched` selects gives way, in
-    /// place, to what `replace` makes of it (nothing, to drop it). The
-    /// other structures are shared as they are and compared with nothing
-    /// — they were distinct already — so this costs the structures it
-    /// replaces, not the configuration. A replacement identical to one
-    /// already in the copy, or to an untouched structure, is dropped like
-    /// a duplicate [`Self::add`].
-    pub fn replace_where(
-        &self,
-        touched: impl Fn(&StructureHandle) -> bool,
-        mut replace: impl FnMut(&StructureHandle) -> Option<StructureHandle>,
-    ) -> Configuration {
-        let mut entries: Vec<StructureHandle> = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            if !touched(e) {
-                entries.push(e.clone());
-            } else if let Some(new) = replace(e) {
-                let duplicate = entries.contains(&new)
-                    || self.entries.iter().any(|kept| *kept == new && !touched(kept));
-                if !duplicate {
-                    entries.push(new);
-                }
-            }
-        }
-        Configuration { entries }
     }
 
     /// The handles attached to the table with this [`table_key`].
@@ -670,6 +640,26 @@ impl std::fmt::Display for Configuration {
 impl FromIterator<PhysicalStructure> for Configuration {
     fn from_iter<T: IntoIterator<Item = PhysicalStructure>>(iter: T) -> Self {
         Self::from_structures(iter)
+    }
+}
+
+/// Built from shared structures, de-duplicating: nothing is hashed or
+/// copied.
+impl FromIterator<StructureHandle> for Configuration {
+    fn from_iter<T: IntoIterator<Item = StructureHandle>>(iter: T) -> Self {
+        let mut c = Self::new();
+        c.extend(iter);
+        c
+    }
+}
+
+/// Shared structures added as [`Configuration::add`] adds: a repeat is
+/// dropped, and nothing is hashed or copied.
+impl Extend<StructureHandle> for Configuration {
+    fn extend<T: IntoIterator<Item = StructureHandle>>(&mut self, iter: T) {
+        for h in iter {
+            self.add_shared(h);
+        }
     }
 }
 
@@ -941,7 +931,7 @@ mod tests {
         assert_eq!(built, collected);
         assert_eq!(built, front.union(&back));
 
-        // projection and in-place replacement keep order
+        // projection keeps order
         let on_t = table_key("db", "t");
         let naive: Vec<PhysicalStructure> = assorted()
             .into_iter()
@@ -952,10 +942,9 @@ mod tests {
             .collect();
         let projected = built.project(|h| h.relevant_to(&[(on_t, ColumnUse::ALL)]));
         assert_eq!(projected.iter().cloned().collect::<Vec<_>>(), naive);
-        assert_eq!(built.replace_where(|_| true, |h| Some(h.clone())), built);
-        let without_t = built.replace_where(|h| h.table_key() == Some(on_t), |_| None);
-        assert_eq!(without_t, built.project(|h| h.table_key() != Some(on_t)));
-        assert_eq!(without_t.len(), 4);
+        let shared: Configuration =
+            built.handles().iter().chain(front.handles()).cloned().collect();
+        assert_eq!(shared, built);
     }
 
     #[test]
@@ -1011,31 +1000,5 @@ mod tests {
         let two = ColumnUse { leading: b, covering: b, maintained: a };
         assert_eq!(one.and(two), ColumnUse { leading: a.union(b), covering: b, maintained: a });
         assert_eq!(one.and(ColumnUse::ALL).covering, ColumnMask::NONE);
-    }
-
-    #[test]
-    fn replacements_are_de_duplicated_against_kept_and_placed_structures() {
-        let c = Configuration::from_structures(assorted());
-        let on_t = table_key("db", "t");
-        let kept = c.handles()[2].clone();
-        // the first structure on db.t turns into one that is kept further
-        // on, the other two into one and the same new index
-        let new = PhysicalStructure::Index(Index::non_clustered("db", "t", &["x"], &[]));
-        let mut turn = 0;
-        let replaced = c.replace_where(
-            |h| h.table_key() == Some(on_t),
-            |_| {
-                turn += 1;
-                Some(if turn == 1 { kept.clone() } else { StructureHandle::new(new.clone()) })
-            },
-        );
-        let expected = [
-            assorted()[1].clone(),
-            assorted()[2].clone(),
-            assorted()[3].clone(),
-            new.clone(),
-            assorted()[5].clone(),
-        ];
-        assert_eq!(replaced.iter().cloned().collect::<Vec<_>>(), expected);
     }
 }
