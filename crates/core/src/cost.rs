@@ -8,25 +8,29 @@
 //!
 //! 1. **Relevance filtering** — the configuration is projected onto the
 //!    structures that can affect the statement's plan before the what-if
-//!    call. Views, clustered indexes and heap partitionings on (or, for a
-//!    view, joining) a table the statement references are kept, whatever
-//!    columns they hold: a clustered index replaces the heap and a
-//!    partitioning changes every scan, and views are matched on their
-//!    whole join graph. A non-clustered index on such a table `T` is
-//!    dropped when all four of these hold: (a) no seekable sarg column
-//!    and no join column of any binding of `T` leads its key, so it is
-//!    never sought nor probed; (b) it lacks a column that every binding
-//!    of `T` requires, so it covers none — with a binding that requires
-//!    nothing (`SELECT COUNT(*) FROM T`) every index covers and none is
-//!    dropped; (c) the statement does not insert into or delete from `T`,
-//!    which maintains every index, and it updates no column the index
-//!    holds, partitioning column included; (d) the statement binds. The
-//!    planner then never reads the index, so the projection prices bit
-//!    for bit like the whole configuration: same cost, rows, plan and
-//!    used structures ([`PreparedStatement::column_use`] states the rule;
-//!    the `prepared_equivalence` test holds the planner to it). The
-//!    common case is an index sharing no column with what the statement
-//!    names on `T`, which meets (a) to (c) at once;
+//!    call. Clustered indexes and heap partitionings on a table the
+//!    statement references are kept, whatever columns they hold: a
+//!    clustered index replaces the heap and a partitioning changes every
+//!    scan. A non-clustered index on such a table `T` is dropped when all
+//!    four of these hold: (a) no seekable sarg column and no join column
+//!    of any binding of `T` leads its key, so it is never sought nor
+//!    probed; (b) it lacks a column that every binding of `T` requires,
+//!    so it covers none — with a binding that requires nothing
+//!    (`SELECT COUNT(*) FROM T`) every index covers and none is dropped;
+//!    (c) the statement does not insert into or delete from `T`, which
+//!    maintains every index, and it updates no column the index holds,
+//!    partitioning column included; (d) the statement binds. A view
+//!    joining such a table is kept by DML, which maintains it, and by a
+//!    statement that does not bind; a SELECT keeps it only if the view
+//!    can answer it — the full-match test the planner runs before it
+//!    costs a view ([`PreparedStatement::view_use`]). The planner
+//!    never reads what is dropped, so the projection prices bit for bit
+//!    like the whole configuration: same cost, rows, plan and used
+//!    structures ([`PreparedStatement::column_use`] states the index
+//!    rule; the `prepared_equivalence` test holds the planner to both).
+//!    The common cases are an index sharing no column with what the
+//!    statement names on `T`, which meets (a) to (c) at once, and a view
+//!    grouped or filtered on columns other than the statement's;
 //! 2. **Memoization** — the projected configuration is fingerprinted and
 //!    the (statement, fingerprint) → cost mapping cached, so greedy steps
 //!    that add nothing a statement can see are free;
@@ -60,16 +64,18 @@
 //! tables and fixed-size masks of its columns (see
 //! [`dta_physical::StructureHandle`]), and each shard — from its first
 //! lookup on — the keys of its statement's tables with a [`ColumnUse`] of
-//! each. A lookup prices through an [`Overlay`], a configuration indexed
-//! by table ([`crate::overlay`]). It walks only those tables' structures,
-//! testing each against that table's use ([`StructureHandle::serves`]),
-//! then the views, and combines the hashes of the relevant structures
-//! with order-independent arithmetic. Two column names sharing a mask bit
-//! can only keep an index relevant, so the masks cost no exactness. The
-//! hot path (a cache hit) therefore touches no heap and no string, and
-//! costs the statement's tables, not the configuration. The projected
-//! [`Configuration`] is only materialized on a miss, as pointer copies,
-//! where the what-if call dwarfs it. A [`Configuration`] handed to a
+//! each, and the statement's side of view matching (`Relevance`). A
+//! lookup prices through an [`Overlay`], a configuration indexed by table
+//! ([`crate::overlay`]). It walks only those tables' structures, testing
+//! each against that table's use ([`StructureHandle::serves`]), then the
+//! views joining them, testing each with the planner's full-match rule,
+//! and combines the hashes of the relevant structures with
+//! order-independent arithmetic. Two column names sharing a mask bit can
+//! only keep an index relevant, so the masks cost no exactness. The hot
+//! path (a cache hit) therefore allocates nothing, reads a string only to
+//! match such a view, and costs the statement's tables, not the
+//! configuration. The projected [`Configuration`] is only materialized
+//! on a miss, as pointer copies, where the what-if call dwarfs it. A [`Configuration`] handed to a
 //! public entry point is indexed once per call: on every table for
 //! [`CostEvaluator::workload_cost`], on the statement's tables only for
 //! [`CostEvaluator::item_cost`].
@@ -98,8 +104,8 @@
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
 use crate::overlay::{Indexed, Overlay};
-use dta_optimizer::PreparedStatement;
-use dta_physical::{table_key, ColumnUse, Configuration, StructureHandle};
+use dta_optimizer::{PreparedStatement, ViewUse};
+use dta_physical::{table_key, ColumnUse, Configuration, PhysicalStructure, StructureHandle};
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
@@ -179,13 +185,41 @@ impl ShardStat {
 
 /// Which structures a statement can see: per table it references, sorted
 /// by [`table_key`], how it uses the table's columns
-/// ([`PreparedStatement::column_use`]).
-pub(crate) type Relevance = [(u64, ColumnUse)];
+/// ([`PreparedStatement::column_use`]), and which views joining those
+/// tables it can use ([`PreparedStatement::view_use`]).
+pub(crate) struct Relevance {
+    tables: Box<[(u64, ColumnUse)]>,
+    /// The views' side, from the statement's latest preparation: it
+    /// depends on the binding alone, so any preparation gives the same
+    /// verdicts, and holding the latest keeps no earlier one's view
+    /// matching alive beside it.
+    views: RwLock<ViewUse>,
+}
+
+impl Relevance {
+    /// The statement's tables and their use, sorted by key.
+    #[inline]
+    pub(crate) fn tables(&self) -> &[(u64, ColumnUse)] {
+        &self.tables
+    }
+
+    /// Whether `h` can affect the statement: a structure on one of its
+    /// tables that [`StructureHandle::serves`] its use of it, or a view
+    /// joining one of them that [`ViewUse::admits`].
+    #[inline]
+    pub(crate) fn admits(&self, h: &StructureHandle) -> bool {
+        h.relevant_to(&self.tables)
+            && match h.structure() {
+                PhysicalStructure::View(v) => self.views.read().admits(v),
+                _ => true,
+            }
+    }
+}
 
 /// Everything the evaluator keeps for one statement.
 struct Shard {
     /// The statement's [`Relevance`], fixed on the shard's first lookup.
-    relevance: OnceLock<Box<Relevance>>,
+    relevance: OnceLock<Relevance>,
     /// The statement's cache.
     cache: RwLock<HashMap<u64, CacheEntry>>,
     /// Fingerprints currently being priced. Concurrent misses on the
@@ -478,6 +512,9 @@ impl<'a> CostEvaluator<'a> {
             return Arc::clone(p);
         }
         let fresh = Arc::new(self.target.prepare(&item.database, &item.statement));
+        if let Some(relevance) = shard.relevance.get() {
+            *relevance.views.write() = fresh.view_use();
+        }
         *shard.prepared.write() = Some(Arc::clone(&fresh));
         fresh
     }
@@ -496,7 +533,10 @@ impl<'a> CostEvaluator<'a> {
                 .collect();
             tables.sort_unstable();
             tables.dedup();
-            tables.into_iter().map(|k| (k, prepared.column_use(k))).collect()
+            Relevance {
+                tables: tables.into_iter().map(|k| (k, prepared.column_use(k))).collect(),
+                views: RwLock::new(prepared.view_use()),
+            }
         })
     }
 
@@ -509,7 +549,7 @@ impl<'a> CostEvaluator<'a> {
 
     /// Order-independent fingerprint of `config` projected onto what a
     /// statement sees (`relevant`), combined from the content hashes the
-    /// handles memoize: no allocation, no string hashed or compared. The
+    /// handles memoize: no allocation, and no string hashed. The
     /// value depends on the projected structures alone — it is what
     /// hashing each of them afresh would give — so a checkpoint's entry,
     /// keyed on the projection it priced, hits whenever a later build
@@ -687,7 +727,7 @@ impl<'a> CostEvaluator<'a> {
     /// `config` indexed for item `i`'s lookup: on its tables only.
     fn index_for<'c>(&self, i: usize, config: &'c Configuration) -> Indexed<'c> {
         let (item, shard) = self.slot(i);
-        Indexed::for_lookup(config, self.relevance(item, shard))
+        Indexed::for_lookup(config, self.relevance(item, shard).tables())
     }
 
     /// [`Self::item_cost`] under a configuration indexed already.
@@ -736,7 +776,7 @@ impl<'a> CostEvaluator<'a> {
             let (item, shard) = self.slot(i);
             let kept = reference.get(i).copied().flatten().filter(|&cost| {
                 let relevant = self.relevance(item, shard);
-                let unseen = !delta.iter().any(|h| h.relevant_to(relevant));
+                let unseen = !delta.iter().any(|h| relevant.admits(h));
                 if invariants::ENABLED && unseen {
                     invariants::check_reference_cost(
                         cost,
@@ -909,8 +949,8 @@ mod tests {
         assert!(after < before);
     }
 
-    /// Relevance decided by comparing names — a statement of [`wl`] seeks
-    /// on `a` and requires `a` and `b` — and every relevant structure
+    /// Relevance decided by comparing names — a statement of [`wl`] reads
+    /// one table, seeks on `a` and requires `a` and `b` — and every relevant structure
     /// hashed afresh. Returns (primary, verify).
     fn reference_fingerprints(item: &WorkloadItem, config: &Configuration) -> (u64, u64) {
         const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -927,9 +967,15 @@ mod tests {
                         || ix.key_columns.first().is_some_and(|k| k == "a")
                         || (holds("a") && holds("b")))
             }
+            // only an ungrouped view of exactly its table that projects
+            // `a` and `b` answers the statement
             PhysicalStructure::View(v) => {
                 v.database == item.database
-                    && v.tables.iter().any(|vt| tables.iter().any(|t| t == vt))
+                    && v.tables.iter().eq(tables.iter())
+                    && !v.is_grouped()
+                    && ["a", "b"]
+                        .iter()
+                        .all(|c| v.projected.iter().any(|p| p.table == tables[0] && p.column == *c))
             }
             PhysicalStructure::TablePartitioning { database, table, .. } => {
                 *database == item.database && tables.iter().any(|t| t == table)
@@ -968,7 +1014,7 @@ mod tests {
             .map(|_| {
                 let (db, t) = [("d", "t"), ("d", "u"), ("d", "w"), ("e", "t")][pick(4)];
                 let column = ["a", "b", "c"][pick(3)];
-                match pick(7) {
+                match pick(8) {
                     0 => PhysicalStructure::TablePartitioning {
                         database: db.into(),
                         table: t.into(),
@@ -980,6 +1026,15 @@ mod tests {
                         Vec::new(),
                         vec![dta_physical::QualifiedColumn::new(t, column)],
                         vec![dta_physical::ViewAggregate::count_star()],
+                    )),
+                    7 => PhysicalStructure::View(dta_physical::MaterializedView::join_view(
+                        db,
+                        &[t, "w"][..1 + pick(2)],
+                        Vec::new(),
+                        [(t, "a"), (t, column)][..1 + pick(2)]
+                            .iter()
+                            .map(|(t, c)| dta_physical::QualifiedColumn::new(t, c))
+                            .collect(),
                     )),
                     2 => PhysicalStructure::Index(Index::clustered(db, t, &[column])),
                     3 => PhysicalStructure::Index(
@@ -1046,7 +1101,7 @@ mod tests {
         let relevant = reader.relevance(&w.items[0], reader.slot(0).1);
         for (config, cost) in configs.iter().zip(&costs) {
             let rebuilt = Configuration::from_structures(config.iter().cloned());
-            let (front, back) = (config.project(|h| h.relevant_to(relevant)), config);
+            let (front, back) = (config.project(|h| relevant.admits(h)), config);
             for round_trip in [config.clone(), rebuilt, front.union(back), config.project(|_| true)]
             {
                 let again = reader.workload_cost(&round_trip).expect("costing succeeds");
@@ -1317,7 +1372,22 @@ mod tests {
             vec![dta_physical::QualifiedColumn::new("t", "b")],
             vec![dta_physical::ViewAggregate::count_star()],
         );
-        assert_eq!(looked_up(PhysicalStructure::View(joined)), [true; 5]);
+        // a view joining `t` and `u` is maintained by the DML on `t` but
+        // answers neither single-table SELECT
+        assert_eq!(looked_up(PhysicalStructure::View(joined)), [true, true, true, false, false]);
+        // a view of `t` answers the SELECT on `t` when it produces what that
+        // reads, and only then
+        let of_t = |columns: &[&str]| {
+            let projected = columns.iter().map(|c| dta_physical::QualifiedColumn::new("t", c));
+            PhysicalStructure::View(dta_physical::MaterializedView::join_view(
+                "d",
+                &["t"],
+                Vec::new(),
+                projected.collect(),
+            ))
+        };
+        assert_eq!(looked_up(of_t(&["a", "b"])), [true, true, true, false, true]);
+        assert_eq!(looked_up(of_t(&["b", "c"])), [true, true, true, false, false]);
         // the lookups skipped are hits the twin counted, and only those
         let hits = |e: &CostEvaluator<'_>| e.counters.get(Counter::CacheHits);
         assert!(hits(&eval) < hits(&twin), "{} !< {}", hits(&eval), hits(&twin));

@@ -435,8 +435,9 @@ pub fn enumerate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::Relevance;
     use dta_catalog::Value;
-    use dta_physical::{table_key, ColumnUse, Index};
+    use dta_physical::{table_key, Index};
 
     fn part(col: &str) -> RangePartitioning {
         RangePartitioning::new(col, vec![Value::Int(100), Value::Int(200)])
@@ -991,7 +992,7 @@ mod tests {
 
     /// The fingerprints a lookup of the statement `relevance` describes
     /// computes under `config`.
-    fn fingerprints(relevance: &[(u64, ColumnUse)], config: &Overlay<'_>) -> (u64, u64) {
+    fn fingerprints(relevance: &Relevance, config: &Overlay<'_>) -> (u64, u64) {
         (
             CostEvaluator::fingerprint(relevance, config),
             CostEvaluator::verify_fingerprint(relevance, config),
@@ -1075,7 +1076,7 @@ mod tests {
                             lookup(fingerprints(relevance, overlay), projection.handles().iter());
                         let want = lookup(
                             fingerprints(relevance, &Overlay::of(&whole_indexed)),
-                            whole.handles().iter().filter(|h| h.relevant_to(relevance)),
+                            whole.handles().iter().filter(|h| relevance.admits(h)),
                         );
                         assert_eq!(got, want, "round {round}, {alignment:?}, statement {i}");
                         compared += 1;

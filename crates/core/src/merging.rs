@@ -89,41 +89,38 @@ pub fn merge_views(a: &MaterializedView, b: &MaterializedView) -> Option<Materia
 pub fn merge_candidates(pool: &mut CandidatePool) -> usize {
     let structures = pool.structures();
     let mut added = 0;
+    // add `s` unless the pool, as it grows, holds it already
+    let mut add_new = |pool: &mut CandidatePool, s: PhysicalStructure| {
+        if !pool.candidates.iter().any(|c| c.structure == s) {
+            pool.add(s, 0.0);
+            added += 1;
+            true
+        } else {
+            false
+        }
+    };
 
     // indexes grouped by (db, table)
     for (i, sa) in structures.iter().enumerate() {
         for sb in structures.iter().skip(i + 1) {
             match (sa, sb) {
                 (PhysicalStructure::Index(a), PhysicalStructure::Index(b)) => {
-                    if let Some(m) = merge_indexes(a, b) {
-                        let s = PhysicalStructure::Index(m);
-                        if !pool.structures().contains(&s) {
-                            pool.add(s.clone(), 0.0);
-                            added += 1;
-                            // partitioned variants from either parent
-                            for parent in [a, b] {
-                                if let Some(p) = &parent.partitioning {
-                                    if let PhysicalStructure::Index(m) = &s {
-                                        let v = PhysicalStructure::Index(
-                                            m.clone().partitioned(p.clone()),
-                                        );
-                                        if !pool.structures().contains(&v) {
-                                            pool.add(v, 0.0);
-                                            added += 1;
-                                        }
-                                    }
-                                }
-                            }
+                    let Some(m) = merge_indexes(a, b) else { continue };
+                    if add_new(pool, PhysicalStructure::Index(m.clone())) {
+                        // partitioned variants from either parent
+                        for p in
+                            [a, b].into_iter().filter_map(|parent| parent.partitioning.as_ref())
+                        {
+                            add_new(
+                                pool,
+                                PhysicalStructure::Index(m.clone().partitioned(p.clone())),
+                            );
                         }
                     }
                 }
                 (PhysicalStructure::View(a), PhysicalStructure::View(b)) => {
                     if let Some(m) = merge_views(a, b) {
-                        let s = PhysicalStructure::View(m);
-                        if !pool.structures().contains(&s) {
-                            pool.add(s, 0.0);
-                            added += 1;
-                        }
+                        add_new(pool, PhysicalStructure::View(m));
                     }
                 }
                 _ => {}
@@ -201,6 +198,65 @@ mod tests {
         let mut b = view(&[("o", "status")], &[AggFunc::Sum]);
         b.join_pairs.clear();
         assert!(merge_views(&a, &b).is_none());
+    }
+
+    /// A pool whose merges collide — with a candidate already there, with
+    /// an earlier pair's merge, and with a parent — merges to exactly
+    /// this pool, in this order.
+    #[test]
+    fn colliding_merges_give_a_pinned_pool() {
+        let p = RangePartitioning::new("a", vec![dta_catalog::Value::Int(10)]);
+        let ix = |keys: &[&str], incl: &[&str]| Index::non_clustered("db", "t", keys, incl);
+        let mut pool = CandidatePool::default();
+        for (s, benefit) in [
+            (PhysicalStructure::Index(ix(&["a"], &[]).partitioned(p)), 5.0),
+            (PhysicalStructure::Index(ix(&["b"], &[])), 3.0),
+            (PhysicalStructure::Index(ix(&["a"], &["c"])), 2.0),
+            (PhysicalStructure::Index(ix(&["b"], &["c"])), 1.0),
+            (PhysicalStructure::View(view(&[("o", "date")], &[AggFunc::Sum])), 4.0),
+            (PhysicalStructure::View(view(&[("o", "status")], &[AggFunc::Min])), 2.5),
+            (
+                PhysicalStructure::View(view(
+                    &[("o", "date"), ("o", "status")],
+                    &[AggFunc::Min, AggFunc::Sum],
+                )),
+                1.5,
+            ),
+        ] {
+            pool.add(s, benefit);
+        }
+        assert_eq!(merge_candidates(&mut pool), 5);
+        let got: Vec<String> = pool
+            .candidates
+            .iter()
+            .map(|c| {
+                let name = match &c.structure {
+                    PhysicalStructure::View(v) => v.definition_sql(),
+                    s => s.name(),
+                };
+                format!("{name} {} {}", c.benefit, c.selected_by)
+            })
+            .collect();
+        let sql = "FROM l, o WHERE l.lk = o.ok GROUP BY";
+        assert_eq!(
+            got,
+            [
+                "idx_t_a_pa 5 1".to_string(),
+                "idx_t_b 3 1".into(),
+                "idx_t_a_incl_c 2 1".into(),
+                "idx_t_b_incl_c 1 1".into(),
+                format!("SELECT o.date, SUM(l.price) {sql} o.date 4 1"),
+                format!("SELECT o.status, MIN(l.price) {sql} o.status 2.5 1"),
+                format!(
+                    "SELECT o.date, o.status, SUM(l.price), MIN(l.price) {sql} o.date, o.status 1.5 1"
+                ),
+                "idx_t_a_b 0 1".into(),
+                "idx_t_a_b_pa 0 1".into(),
+                "idx_t_a_b_incl_c 0 1".into(),
+                "idx_t_a_b_incl_c_pa 0 1".into(),
+                "idx_t_b_a_incl_c 0 1".into(),
+            ]
+        );
     }
 
     #[test]

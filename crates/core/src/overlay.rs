@@ -18,6 +18,7 @@
 //! structures up by table key. [`Overlay::materialize`] rebuilds the whole
 //! configuration, in its order, where one is returned or stored.
 
+use crate::cost::Relevance;
 use dta_physical::sizing::structure_bytes;
 use dta_physical::{ColumnUse, Configuration, SizingInfo, StructureHandle};
 use std::borrow::Cow;
@@ -233,20 +234,19 @@ impl<'b> Overlay<'b> {
         &self.own.views
     }
 
-    /// Call `f` on each structure that can affect a statement using its
-    /// tables as `relevance` says — one entry per table, as
-    /// [`StructureHandle::relevant_to`] takes them: on each of those
-    /// tables, those that serve the statement's use of it, in
-    /// configuration order; then the views joining one of them, the
-    /// base's before those added. A plain loop: a lookup walks this once
-    /// or twice, and on small tables iterator adaptors cost more than the
+    /// Call `f` on each structure that can affect the statement
+    /// `relevance` describes ([`Relevance::admits`]): on each of its
+    /// tables, those that serve its use of it, in configuration order;
+    /// then the views joining one of them that it can use, the base's
+    /// before those added. A plain loop: a lookup walks this once or
+    /// twice, and on small tables iterator adaptors cost more than the
     /// walk.
     pub(crate) fn for_each_relevant<'s>(
         &'s self,
-        relevance: &[(u64, ColumnUse)],
+        relevance: &Relevance,
         mut f: impl FnMut(&'s StructureHandle),
     ) {
-        for &(key, used) in relevance {
+        for &(key, used) in relevance.tables() {
             for (_, h) in self.on(key) {
                 if h.serves(used) {
                     f(h);
@@ -254,7 +254,7 @@ impl<'b> Overlay<'b> {
             }
         }
         for (_, v) in self.base.views.iter().chain(&self.own.views) {
-            if v.relevant_to(relevance) {
+            if relevance.admits(v) {
                 f(v);
             }
         }
@@ -262,7 +262,7 @@ impl<'b> Overlay<'b> {
 
     /// What [`Self::for_each_relevant`] walks, as the configuration a
     /// what-if call prices.
-    pub(crate) fn projection(&self, relevance: &[(u64, ColumnUse)]) -> Configuration {
+    pub(crate) fn projection(&self, relevance: &Relevance) -> Configuration {
         let mut projected = Configuration::new();
         self.for_each_relevant(relevance, |h| projected.extend([h.clone()]));
         projected

@@ -43,7 +43,7 @@ pub mod whatif;
 
 pub use hardware::HardwareParams;
 pub use plan::{Plan, PlanNode};
-pub use prepared::PreparedStatement;
+pub use prepared::{PreparedStatement, ViewUse};
 pub use provider::TableStatsProvider;
 pub use query::{BindError, BoundSelect, Sarg, SargOp};
 pub use whatif::{optimize_prepared, WhatIfOptimizer};

@@ -22,12 +22,13 @@ use crate::query::{
     bind, canonical_agg_arg, BindError, BoundDml, BoundSelect, BoundStatement, Sarg,
 };
 use crate::selectivity::{Estimator, MIN_SEL, RESIDUAL_SEL};
+use crate::views::full_match;
 use dta_catalog::Catalog;
 use dta_physical::{
     database_key, table_key, ColumnMask, ColumnUse, Configuration, JoinPair, MaterializedView,
     QualifiedColumn,
 };
-use dta_sql::Statement;
+use dta_sql::{AggFunc, Statement};
 use dta_stats::{StatisticsManager, TableDistincts};
 use dta_storage::pages_for;
 use std::collections::hash_map::DefaultHasher;
@@ -290,10 +291,13 @@ pub(crate) struct ViewMatch {
     pub sarg_columns: Vec<QualifiedColumn>,
     /// Combined selectivity of the sargs evaluated against view output.
     pub sarg_sel: f64,
-    /// Canonical argument text per aggregate (`None` = `COUNT(*)`), or
-    /// `None` when some argument cannot be canonicalized: no grouped view
-    /// can then answer the statement.
-    pub aggregate_args: Option<Vec<Option<String>>>,
+    /// Whether the statement groups or aggregates.
+    pub aggregate: bool,
+    /// Per aggregate: its function, canonical argument text (`None` =
+    /// `COUNT(*)`) and whether it is DISTINCT. `None` when some argument
+    /// cannot be canonicalized: no grouped view can then answer the
+    /// statement.
+    pub aggregates: Option<Vec<(AggFunc, Option<String>, bool)>>,
     /// Every referenced column, table-qualified.
     pub referenced: Vec<QualifiedColumn>,
 }
@@ -311,7 +315,7 @@ pub(crate) struct PreparedSelect {
     /// Row factor of the cross-table residual conjuncts.
     pub cross_residual_factor: f64,
     /// `None` when no view can match (self-join, residual predicates).
-    pub views: Option<ViewMatch>,
+    pub views: Option<Arc<ViewMatch>>,
 }
 
 impl PreparedSelect {
@@ -356,7 +360,7 @@ impl PreparedSelect {
         let group_columns: Vec<(Option<&TableFacts>, &str)> =
             bound.group_by.iter().map(|g| (facts(&g.binding), g.column.as_str())).collect();
         let groups = GroupEstimate::new(&group_columns);
-        let views = ViewMatch::new(src, &bound, &tables);
+        let views = ViewMatch::new(src, &bound, &tables).map(Arc::new);
         let cross_residual_factor = RESIDUAL_SEL.powi(bound.cross_residuals as i32);
         Self { bound, tables, joins, groups, cross_residual_factor, views }
     }
@@ -421,12 +425,15 @@ impl ViewMatch {
                 None => est.sarg_selectivity(&s.column.binding, s),
             };
         }
-        let aggregate_args = bound
+        let aggregates = bound
             .aggregates
             .iter()
-            .map(|a| match &a.arg_expr {
-                Some(e) => canonical_agg_arg(bound, e).map(|(text, _)| Some(text)),
-                None => Some(None),
+            .map(|a| {
+                let arg = match &a.arg_expr {
+                    Some(e) => Some(canonical_agg_arg(bound, e)?.0),
+                    None => None,
+                };
+                Some((a.func, arg, a.distinct))
             })
             .collect();
         let referenced = bound
@@ -447,7 +454,8 @@ impl ViewMatch {
             groups: bound.group_by.iter().map(to_table).collect::<Option<_>>()?,
             sarg_columns: bound.sargs.iter().map(|s| to_table(&s.column)).collect::<Option<_>>()?,
             sarg_sel,
-            aggregate_args,
+            aggregate: bound.is_aggregate(),
+            aggregates,
             referenced,
         })
     }
@@ -529,6 +537,33 @@ impl PreparedDml {
             &[],
         );
         Self { dml, target }
+    }
+}
+
+/// Which materialized views a statement can use
+/// ([`PreparedStatement::view_use`]). It holds the statement's side of
+/// view matching and nothing else of the preparation, so keeping it
+/// keeps no estimate alive.
+#[derive(Debug, Clone)]
+pub struct ViewUse(Readable);
+
+#[derive(Debug, Clone)]
+enum Readable {
+    /// Every view joining the statement's tables.
+    Every,
+    /// The views that answer the statement; none when it has no
+    /// [`ViewMatch`].
+    Answering(Option<Arc<ViewMatch>>),
+}
+
+impl ViewUse {
+    /// Whether the statement can use `view`, a view of its database
+    /// joining one of its tables.
+    pub fn admits(&self, view: &MaterializedView) -> bool {
+        match &self.0 {
+            Readable::Every => true,
+            Readable::Answering(m) => m.as_deref().is_some_and(|m| full_match(m, view).is_some()),
+        }
     }
 }
 
@@ -651,6 +686,23 @@ impl PreparedStatement {
                 BoundDml::Insert { .. } | BoundDml::Delete { .. } => ColumnUse::ALL,
             },
             Ok(Prepared::Dml(_)) | Err(_) => ColumnUse::ALL,
+        }
+    }
+
+    /// Which materialized views can change the statement's plan, of those
+    /// of its database joining a table it references. A SELECT reads a
+    /// view only through a rewrite, and only a view that answers it (the
+    /// full-match test the planner runs before costing a view: its join
+    /// graph, every sarg column produced, a group-by subsuming the
+    /// query's with derivable aggregates, or every referenced column of
+    /// an ungrouped view). DML maintains every view joining its table, and
+    /// a statement that does not bind keeps every view. Planning without
+    /// a view this rejects gives the same cost, rows, plan and used
+    /// structures. Derived from the binding alone: no statistic moves it.
+    pub fn view_use(&self) -> ViewUse {
+        match &self.body {
+            Ok(Prepared::Select(q)) => ViewUse(Readable::Answering(q.views.clone())),
+            Ok(Prepared::Dml(_)) | Err(_) => ViewUse(Readable::Every),
         }
     }
 

@@ -10,11 +10,15 @@
 //!
 //! The query's side of the match — its join graph, its table-qualified
 //! columns, the cardinality of its join — is a [`ViewMatch`] prepared
-//! once; only what a particular view adds is worked out per call.
+//! once; only what a particular view adds is worked out per call. The
+//! test itself is one predicate, [`full_match`]: the planner runs it
+//! before costing a view, and the cost cache runs it (through
+//! [`crate::ViewUse`]) to leave out of a
+//! statement's projection every view that cannot answer it.
 
 use crate::access::{elimination_fraction, PlanContext, CPU_W};
 use crate::plan::PlanNode;
-use crate::prepared::{view_row_width, view_rows, PreparedSelect};
+use crate::prepared::{view_row_width, view_rows, PreparedSelect, ViewMatch};
 use dta_physical::{MaterializedView, QualifiedColumn};
 use dta_sql::AggFunc;
 use dta_storage::pages_for;
@@ -61,6 +65,48 @@ fn aggregate_available(
     }
 }
 
+/// Whether `view` can answer the query `m` describes — the full-match
+/// test every use of a view goes through: the planner's ([`view_plans`])
+/// and, by way of [`crate::ViewUse::admits`], the cost cache's relevance
+/// rule. `Some(answers_grouping)` when it can: whether the view already
+/// answers the query's grouping exactly (no re-aggregation needed;
+/// meaningless for non-aggregate queries).
+pub(crate) fn full_match(m: &ViewMatch, view: &MaterializedView) -> Option<bool> {
+    // --- full-match join graph ------------------------------------
+    if view.tables != m.tables || view.join_pairs != m.pairs {
+        return None;
+    }
+
+    let produced: &[QualifiedColumn] =
+        if view.is_grouped() { &view.group_by } else { &view.projected };
+    let produces = |qc: &QualifiedColumn| produced.iter().any(|p| p == qc);
+
+    // every sarg column must be produced by the view
+    if !m.sarg_columns.iter().all(produces) {
+        return None;
+    }
+
+    if view.is_grouped() {
+        if !m.aggregate {
+            return None; // a grouped view cannot recover raw rows
+        }
+        // view group-by must subsume the query's group-by
+        if !m.groups.iter().all(|g| view.group_by.contains(g)) {
+            return None;
+        }
+        let exact = m.groups.len() == view.group_by.len();
+        // aggregates must be derivable (by canonical argument text)
+        let derivable =
+            m.aggregates.as_ref()?.iter().all(|(func, arg, distinct)| {
+                aggregate_available(view, *func, arg, !exact, *distinct)
+            });
+        derivable.then_some(exact)
+    } else {
+        // ungrouped view: must produce every referenced column
+        m.referenced.iter().all(produces).then_some(false)
+    }
+}
+
 /// Try to match every view in the configuration against the query;
 /// returns all usable rewrites.
 pub(crate) fn view_plans(ctx: &PlanContext<'_>, q: &PreparedSelect) -> Vec<ViewPlan> {
@@ -68,45 +114,8 @@ pub(crate) fn view_plans(ctx: &PlanContext<'_>, q: &PreparedSelect) -> Vec<ViewP
     let bound = &q.bound;
 
     let mut out = Vec::new();
-    'views: for view in ctx.config.views_in(ctx.database_key) {
-        // --- full-match join graph ------------------------------------
-        if view.tables != m.tables || view.join_pairs != m.pairs {
-            continue;
-        }
-
-        let produced: &[QualifiedColumn] =
-            if view.is_grouped() { &view.group_by } else { &view.projected };
-        let produces = |qc: &QualifiedColumn| produced.iter().any(|p| p == qc);
-
-        // every sarg column must be produced by the view
-        if !m.sarg_columns.iter().all(produces) {
-            continue;
-        }
-
-        let answers_grouping = if view.is_grouped() {
-            if !bound.is_aggregate() {
-                continue; // a grouped view cannot recover raw rows
-            }
-            // view group-by must subsume the query's group-by
-            if !m.groups.iter().all(|g| view.group_by.contains(g)) {
-                continue;
-            }
-            let exact = m.groups.len() == view.group_by.len();
-            // aggregates must be derivable (by canonical argument text)
-            let Some(args) = &m.aggregate_args else { continue };
-            for (a, arg) in bound.aggregates.iter().zip(args) {
-                if !aggregate_available(view, a.func, arg, !exact, a.distinct) {
-                    continue 'views;
-                }
-            }
-            exact
-        } else {
-            // ungrouped view: must produce every referenced column
-            if !m.referenced.iter().all(produces) {
-                continue;
-            }
-            false
-        };
+    for view in ctx.config.views_in(ctx.database_key) {
+        let Some(answers_grouping) = full_match(m, view) else { continue };
         let v_rows = view_rows(view, m.join_rows, |t| q.facts_of(t));
         let est_rows = (v_rows * m.sarg_sel).max(0.0);
 

@@ -10,10 +10,12 @@
 //! for bit, the same plan and the same used structures.
 //!
 //! The same sweep holds the cost cache's relevance rule to the planner:
-//! the configuration projected by [`PreparedStatement::column_use`] must
-//! plan exactly as the configuration projected onto the statement's
-//! tables, and named cases pin the shapes where an index sharing no
-//! column with a binding still matters.
+//! the configuration projected by [`PreparedStatement::column_use`] and
+//! [`PreparedStatement::view_use`] must plan exactly as the whole
+//! configuration. The views are aimed at each statement and most are off
+//! by one thing the match rule tests, so the rule is held to both of its
+//! sides. Named cases pin the shapes where an index sharing no column
+//! with a binding, or a view the statement cannot read, still matters.
 
 mod oracle;
 
@@ -22,10 +24,10 @@ use dta_optimizer::query::{bind, canonical_agg_arg, BoundDml, BoundSelect, Bound
 use dta_optimizer::{optimize_prepared, HardwareParams, PreparedStatement, WhatIfOptimizer};
 use dta_physical::{
     table_key, ColumnUse, Configuration, Index, JoinPair, MaterializedView, PhysicalStructure,
-    QualifiedColumn, RangePartitioning, ViewAggregate,
+    QualifiedColumn, RangePartitioning, StructureHandle, ViewAggregate,
 };
 use dta_server::Server;
-use dta_sql::{parse_statement, Statement};
+use dta_sql::{parse_statement, AggFunc, Statement};
 use dta_stats::{StatKey, StatisticsManager};
 use dta_workload::cust::{self, CustId};
 use dta_workload::tpch::{self, TpchScale};
@@ -230,6 +232,130 @@ fn matching_views(
     }
 }
 
+/// A view aimed at the statement and, most of the time, off by one thing
+/// the full-match rule tests. For a SELECT: its join graph less a pair or
+/// a table, or plus a pair; a group-by finer than its grouping (which
+/// needs re-aggregation) or missing a grouping or sarg column; aggregates
+/// left out or stored under another function; an ungrouped view missing a
+/// referenced column. For DML: a view of its table, perhaps joined to
+/// another, which it maintains whatever the view holds.
+fn near_view(
+    rng: &mut StdRng,
+    database: &Database,
+    shape: &Shape,
+    out: &mut Vec<PhysicalStructure>,
+) {
+    let db = database.name.as_str();
+    let Some((first, _)) = shape.tables.first() else { return };
+    let column_of = |rng: &mut StdRng, table: &str| {
+        let name = database.table(table).map(|t| pick(rng, &t.columns).name.clone());
+        QualifiedColumn::new(table, &name.unwrap_or_else(|| "missing".into()))
+    };
+    let Some(s) = &shape.select else {
+        let joined = column_of(rng, first);
+        let view = match rng.gen_range(0..3) {
+            0 => MaterializedView::join_view(db, &[first], Vec::new(), vec![joined]),
+            1 => MaterializedView::grouped(
+                db,
+                &[first],
+                Vec::new(),
+                vec![joined],
+                vec![ViewAggregate::count_star()],
+            ),
+            _ => {
+                let other = database.tables().nth(rng.gen_range(0..database.table_count()));
+                let Some(other) = other.map(|t| t.name.as_str()) else { return };
+                let pair = JoinPair::new(joined.clone(), column_of(rng, other));
+                let sum = ViewAggregate::column(AggFunc::Sum, column_of(rng, first));
+                MaterializedView::grouped(db, &[first, other], vec![pair], vec![joined], vec![sum])
+            }
+        };
+        out.push(PhysicalStructure::View(view));
+        return;
+    };
+    let qualify =
+        |binding: &str, column: &str| s.table_of(binding).map(|t| QualifiedColumn::new(t, column));
+    let mut tables: Vec<&str> = s.tables.iter().map(|t| t.table.as_str()).collect();
+    let mut pairs: Vec<JoinPair> = s
+        .joins
+        .iter()
+        .filter_map(|j| {
+            Some(JoinPair::new(
+                qualify(&j.left.binding, &j.left.column)?,
+                qualify(&j.right.binding, &j.right.column)?,
+            ))
+        })
+        .collect();
+    match rng.gen_range(0..6) {
+        0 if !pairs.is_empty() => {
+            pairs.remove(rng.gen_range(0..pairs.len()));
+        }
+        1 if tables.len() > 1 => {
+            tables.truncate(1);
+            pairs.retain(|p| p.left.table == tables[0] && p.right.table == tables[0]);
+        }
+        2 => {
+            let (l, r) = (*pick(rng, &tables), *pick(rng, &tables));
+            pairs.push(JoinPair::new(column_of(rng, l), column_of(rng, r)));
+        }
+        _ => {}
+    }
+    let qualified = |columns: &mut dyn Iterator<Item = (&str, &str)>| -> Vec<QualifiedColumn> {
+        columns.filter_map(|(b, c)| qualify(b, c)).collect()
+    };
+    let view = if s.is_aggregate() && rng.gen_bool(0.7) {
+        let mut group_by =
+            qualified(&mut s.group_by.iter().map(|g| (g.binding.as_str(), g.column.as_str())));
+        if rng.gen_bool(0.7) {
+            group_by.extend(qualified(
+                &mut s.sargs.iter().map(|g| (g.column.binding.as_str(), g.column.column.as_str())),
+            ));
+        }
+        if rng.gen_bool(0.4) {
+            let finer = *pick(rng, &tables);
+            let finer = column_of(rng, finer);
+            group_by.push(finer);
+        }
+        if !group_by.is_empty() && rng.gen_bool(0.25) {
+            group_by.remove(rng.gen_range(0..group_by.len()));
+        }
+        let mut aggregates = Vec::new();
+        if rng.gen_bool(0.7) {
+            aggregates.push(ViewAggregate::count_star());
+        }
+        for a in &s.aggregates {
+            let Some((text, cols)) = a.arg_expr.as_ref().and_then(|e| canonical_agg_arg(s, e))
+            else {
+                continue;
+            };
+            let funcs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Count, AggFunc::Avg];
+            let func = if rng.gen_bool(0.2) { *pick(rng, &funcs) } else { a.func };
+            if rng.gen_bool(0.85) {
+                let cols = cols.iter().filter_map(|c| qualify(&c.binding, &c.column)).collect();
+                aggregates.push(ViewAggregate::expr(func, text, cols));
+            }
+        }
+        MaterializedView::grouped(db, &tables, pairs, group_by, aggregates)
+    } else {
+        let mut projected = qualified(
+            &mut s
+                .referenced
+                .iter()
+                .flat_map(|(b, cols)| cols.iter().map(|c| (b.as_str(), c.as_str()))),
+        );
+        if !projected.is_empty() && rng.gen_bool(0.3) {
+            projected.remove(rng.gen_range(0..projected.len()));
+        }
+        if rng.gen_bool(0.3) {
+            let extra = *pick(rng, &tables);
+            let extra = column_of(rng, extra);
+            projected.push(extra);
+        }
+        MaterializedView::join_view(db, &tables, pairs, projected)
+    };
+    out.push(PhysicalStructure::View(view));
+}
+
 fn random_configuration(
     rng: &mut StdRng,
     server: &Server,
@@ -297,6 +423,9 @@ fn random_configuration(
     if let Some(s) = &shape.select {
         matching_views(rng, server, db, s, &mut structures);
     }
+    for _ in 0..rng.gen_range(0..4) {
+        near_view(rng, database, shape, &mut structures);
+    }
     // and something on a table the statement does not read
     if let Some(other) = database.tables().nth(rng.gen_range(0..database.table_count())) {
         let key = pick(rng, &other.columns).name.clone();
@@ -346,26 +475,41 @@ fn statistics_to_create(rng: &mut StdRng, shapes: &[(String, Shape)]) -> Vec<Sta
     keys
 }
 
-/// Plan `prep` under `config` projected onto its tables
-/// ([`ColumnUse::ALL`] each, the cost cache's table-level rule) and
-/// projected by [`PreparedStatement::column_use`] (its column-level
-/// rule): the two must plan alike, to the bit. Returns both projections,
-/// table-level first.
-fn column_projection_plans_alike(
+/// Plan `prep` under `config` projected as the cost cache projects it —
+/// on the statement's tables, what [`PreparedStatement::column_use`]
+/// says may serve it; of the views joining them, those
+/// [`PreparedStatement::view_use`] accepts — and under the whole
+/// configuration: the two must plan alike, to the bit. Returns how many
+/// structures the column rule dropped (of those on the statement's
+/// tables, [`ColumnUse::ALL`] each) and the projection.
+fn projection_plans_alike(
     prep: &PreparedStatement,
     stmt: &Statement,
     config: &Configuration,
     context: &str,
-) -> [Configuration; 2] {
+) -> (usize, Configuration) {
     let mut keys: Vec<u64> =
         stmt.referenced_tables().into_iter().map(|t| table_key(prep.database(), t)).collect();
     keys.sort_unstable();
     keys.dedup();
+    let uses: Vec<(u64, ColumnUse)> = keys.iter().map(|&k| (k, prep.column_use(k))).collect();
     let by_table: Vec<(u64, ColumnUse)> = keys.iter().map(|&k| (k, ColumnUse::ALL)).collect();
-    let by_column: Vec<(u64, ColumnUse)> = keys.iter().map(|&k| (k, prep.column_use(k))).collect();
-    let wide = config.project(|h| h.relevant_to(&by_table));
-    let narrow = config.project(|h| h.relevant_to(&by_column));
-    match (optimize_prepared(prep, &wide), optimize_prepared(prep, &narrow)) {
+    let on_tables = |uses: &[(u64, ColumnUse)]| {
+        let kept = |h: &&StructureHandle| {
+            !matches!(h.structure(), PhysicalStructure::View(_)) && h.relevant_to(uses)
+        };
+        config.handles().iter().filter(kept).count()
+    };
+    let column_dropped = on_tables(&by_table) - on_tables(&uses);
+    let views = prep.view_use();
+    let narrow = config.project(|h| {
+        h.relevant_to(&uses)
+            && match h.structure() {
+                PhysicalStructure::View(v) => views.admits(v),
+                _ => true,
+            }
+    });
+    match (optimize_prepared(prep, config), optimize_prepared(prep, &narrow)) {
         (Ok(w), Ok(n)) => {
             assert_eq!(n.cost.to_bits(), w.cost.to_bits(), "projected cost of {context}");
             assert_eq!(n.est_rows.to_bits(), w.est_rows.to_bits(), "rows of {context}");
@@ -375,20 +519,36 @@ fn column_projection_plans_alike(
         (Err(w), Err(n)) => assert_eq!(n, w, "{context}"),
         (w, n) => panic!("{context}: {w:?} vs {n:?}"),
     }
-    [wide, narrow]
+    (column_dropped, narrow)
+}
+
+/// What [`compare_all`] saw the planners and the relevance rule do.
+#[derive(Default, Clone, Copy)]
+struct Seen {
+    /// Plans that scan a view, re-aggregate one, join by index nested
+    /// loops, or read a non-clustered index.
+    views: usize,
+    reaggregated: usize,
+    index_joins: usize,
+    indexes: usize,
+    /// Structures on the statement's tables the column rule dropped,
+    /// views the view rule dropped; views it kept for a SELECT and for
+    /// DML.
+    dropped_indexes: usize,
+    dropped_views: usize,
+    kept_views: usize,
+    maintained_views: usize,
 }
 
 /// Price every item under fresh random configurations with both
-/// planners, and with the column-relevant projection against the
-/// table-relevant one; returns how many plans used a view, an index join,
-/// an index, and how many structures the column rule dropped.
-fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [usize; 4] {
+/// planners, and with the relevant projection against the whole
+/// configuration.
+fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng, seen: &mut Seen) {
     let stats = statistics(&case.server);
     let hardware = HardwareParams { cpus: 4, memory_bytes: 8 << 20 };
     let catalog = case.server.catalog();
     let prepared = WhatIfOptimizer::new(catalog, &stats, &case.server, hardware);
     let per_call = oracle::PerCallOptimizer::new(catalog, &stats, &case.server, hardware);
-    let mut seen = [0usize; 4];
     for (item, (db, shape)) in case.items.iter().zip(shapes) {
         let prep = prepared.prepare(db, &item.statement);
         for c in 0..CONFIGS {
@@ -399,9 +559,18 @@ fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [us
             let expect = per_call.optimize(db, &item.statement, &config);
             let got = optimize_prepared(&prep, &config);
             let context = format!("{}: `{}` under {config}", case.name, item.statement);
-            let [wide, narrow] =
-                column_projection_plans_alike(&prep, &item.statement, &config, &context);
-            seen[3] += wide.len() - narrow.len();
+            let (column_dropped, narrow) =
+                projection_plans_alike(&prep, &item.statement, &config, &context);
+            let views = |c: &Configuration| {
+                c.iter().filter(|s| matches!(s, PhysicalStructure::View(_))).count()
+            };
+            let (all_views, kept_views) = (views(&config), views(&narrow));
+            seen.dropped_views += all_views - kept_views;
+            seen.dropped_indexes += column_dropped;
+            match shape.select {
+                Some(_) => seen.kept_views += kept_views,
+                None => seen.maintained_views += kept_views,
+            }
             match (expect, got) {
                 (Ok(expect), Ok(got)) => {
                     assert_eq!(got.cost.to_bits(), expect.cost.to_bits(), "cost of {context}");
@@ -413,16 +582,18 @@ fn compare_all(case: &Case, shapes: &[(String, Shape)], rng: &mut StdRng) -> [us
                     let one_call = prepared.optimize(db, &item.statement, &config);
                     assert_eq!(one_call.as_ref(), Ok(&got), "{context}");
                     let text = got.to_string();
-                    seen[0] += usize::from(text.contains("ViewScan"));
-                    seen[1] += usize::from(text.contains("IndexNLJoin"));
-                    seen[2] += usize::from(text.contains("Seek") || text.contains("CoveringScan"));
+                    seen.views += usize::from(text.contains("ViewScan"));
+                    seen.reaggregated +=
+                        usize::from(text.contains("ViewScan") && text.contains("HashAggregate"));
+                    seen.index_joins += usize::from(text.contains("IndexNLJoin"));
+                    seen.indexes +=
+                        usize::from(text.contains("Seek") || text.contains("CoveringScan"));
                 }
                 (Err(expect), Err(got)) => assert_eq!(got, expect, "{context}"),
                 (expect, got) => panic!("{context}: {expect:?} vs {got:?}"),
             }
         }
     }
-    seen
 }
 
 #[test]
@@ -434,16 +605,28 @@ fn prepared_plans_equal_per_call_plans() {
             .iter()
             .map(|i| (i.database.clone(), shape(&case.server, &i.database, &i.statement)))
             .collect();
-        let before = compare_all(&case, &shapes, &mut rng);
+        let mut seen = Seen::default();
+        compare_all(&case, &shapes, &mut rng, &mut seen);
         let created = case.server.create_statistics(&statistics_to_create(&mut rng, &shapes));
         assert!(created.created > 0, "{}: statistics were created", case.name);
-        let after = compare_all(&case, &shapes, &mut rng);
-        let [views, index_joins, indexes, dropped] = [0, 1, 2, 3].map(|k| before[k] + after[k]);
-        // the configurations reach the planner's branches and the rule
-        assert!(indexes > 20, "{}: {indexes} plans used an index", case.name);
-        assert!(dropped > 100, "{}: the column rule dropped {dropped} structures", case.name);
-        if case.name == "tpch" {
-            assert!(views > 10 && index_joins > 10, "tpch: {views} views, {index_joins} INL");
+        compare_all(&case, &shapes, &mut rng, &mut seen);
+        // the configurations reach the planner's branches and both sides
+        // of the rule
+        let Seen { views, reaggregated, index_joins, indexes, .. } = seen;
+        let Seen { dropped_indexes, dropped_views, kept_views, maintained_views, .. } = seen;
+        let name = case.name;
+        assert!(indexes > 20, "{name}: {indexes} plans used an index");
+        assert!(
+            views > 10 && reaggregated > 5,
+            "{name}: {views} views, {reaggregated} re-aggregated"
+        );
+        assert!(dropped_indexes > 100, "{name}: {dropped_indexes} indexes dropped");
+        assert!(dropped_views > 100 && kept_views > 20, "{name}: {dropped_views} views dropped");
+        if name == "tpch" || name == "psoft" {
+            assert!(maintained_views > 10, "{name}: DML kept {maintained_views} views");
+        }
+        if name == "tpch" {
+            assert!(index_joins > 10, "tpch: {index_joins} INL");
         }
     }
 }
@@ -540,9 +723,64 @@ fn column_relevance_keeps_every_index_the_planner_reads() {
         let prep = server.prepare("db", &stmt);
         let config =
             Configuration::from_structures(indexes.iter().cloned().map(PhysicalStructure::Index));
-        let [_, narrow] = column_projection_plans_alike(&prep, &stmt, &config, name);
+        let (_, narrow) = projection_plans_alike(&prep, &stmt, &config, name);
         let kept: Vec<&Index> = kept.iter().map(|&i| &indexes[i]).collect();
         let narrow: Vec<&Index> = narrow.indexes_on("db", "t").collect();
         assert_eq!(narrow, kept, "{name}: what the column rule keeps");
+    }
+}
+
+/// The shapes the view rule must get right, each with the views it must
+/// keep: a SELECT keeps exactly the views that answer it, DML and an
+/// unbindable statement keep every view joining their table.
+#[test]
+fn view_relevance_keeps_every_view_the_planner_reads() {
+    let qc = |c: &str| QualifiedColumn::new("t", c);
+    let grouped = |by: &[&str], aggregates: Vec<ViewAggregate>| {
+        MaterializedView::grouped(
+            "db",
+            &["t"],
+            Vec::new(),
+            by.iter().map(|c| qc(c)).collect(),
+            aggregates,
+        )
+    };
+    let count = ViewAggregate::count_star;
+    let views = [
+        // 0: groups more finely than `GROUP BY a` and produces `b`
+        grouped(&["a", "b"], vec![count()]),
+        // 1: lacks the sarg column `b`
+        grouped(&["a"], vec![count()]),
+        // 2: no COUNT(*) to re-aggregate
+        grouped(&["a", "b"], vec![ViewAggregate::column(AggFunc::Sum, qc("c"))]),
+        // 3: the raw rows of what the statements read
+        MaterializedView::join_view("db", &["t"], Vec::new(), vec![qc("a"), qc("b")]),
+        // 4: another join graph
+        MaterializedView::grouped(
+            "db",
+            &["t", "u"],
+            vec![JoinPair::new(qc("a"), QualifiedColumn::new("u", "k"))],
+            vec![qc("a"), qc("b")],
+            vec![count()],
+        ),
+    ];
+    let cases: &[(&str, &str, &[usize])] = &[
+        ("grouped", "SELECT a, COUNT(*) FROM t WHERE b = 3 GROUP BY a", &[0, 3]),
+        ("ungrouped", "SELECT a FROM t WHERE b = 3", &[3]),
+        ("self-join", "SELECT p.a FROM t AS p, t AS q WHERE p.b = 3", &[]),
+        ("INSERT target", "INSERT INTO t VALUES (1, 2, 3, 4)", &[0, 1, 2, 3, 4]),
+        ("DELETE target", "DELETE FROM t WHERE a = 3", &[0, 1, 2, 3, 4]),
+        ("UPDATE of no view's column", "UPDATE t SET z = 1 WHERE a = 3", &[0, 1, 2, 3, 4]),
+        ("unbindable", "SELECT zzz FROM t", &[0, 1, 2, 3, 4]),
+    ];
+    let server = small_server();
+    let config = Configuration::from_structures(views.iter().cloned().map(PhysicalStructure::View));
+    for (name, sql, kept) in cases {
+        let stmt = parse_statement(sql).expect("handwritten SQL parses");
+        let prep = server.prepare("db", &stmt);
+        let (_, narrow) = projection_plans_alike(&prep, &stmt, &config, name);
+        let kept: Vec<&MaterializedView> = kept.iter().map(|&i| &views[i]).collect();
+        let narrow: Vec<&MaterializedView> = narrow.views("db").collect();
+        assert_eq!(narrow, kept, "{name}: what the view rule keeps");
     }
 }

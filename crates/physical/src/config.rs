@@ -270,11 +270,13 @@ impl StructureHandle {
         }
     }
 
-    /// Whether the structure can affect a statement that uses its tables
+    /// Whether the structure may affect a statement that uses its tables
     /// as the `(`[`table_key`]`, use)` pairs of `tables` say: it is a view
     /// joining one of them, or attached to one of them and [`Self::serves`]
     /// the statement's use of it. [`ColumnUse::ALL`] makes every
-    /// structure on its table relevant.
+    /// structure on its table relevant. Whether the statement can use a
+    /// view that passes is not decided here: that takes the statement's
+    /// binding (`dta_optimizer::PreparedStatement::view_use`).
     #[inline]
     pub fn relevant_to(&self, tables: &[(u64, ColumnUse)]) -> bool {
         match &self.scope {

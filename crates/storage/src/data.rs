@@ -44,6 +44,13 @@ impl TableData {
         self.scale
     }
 
+    /// Make room for `rows` more rows in every column.
+    pub fn reserve(&mut self, rows: usize) {
+        for col in &mut self.columns {
+            col.reserve_exact(rows);
+        }
+    }
+
     /// Append one row. Panics if the arity does not match.
     pub fn push_row(&mut self, row: Vec<Value>) {
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
