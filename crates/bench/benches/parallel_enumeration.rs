@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dta::advisor::candidates::{assemble_pool, select_candidates};
 use dta::advisor::colgroups::interesting_column_groups;
 use dta::advisor::cost::CostEvaluator;
-use dta::advisor::enumeration::enumerate;
+use dta::advisor::enumeration::{enumerate, enumeration_pool};
 use dta::advisor::merging::merge_candidates;
 use dta::advisor::{SessionControl, TuningOptions};
 use dta::prelude::*;
@@ -180,7 +180,7 @@ fn bench(c: &mut Criterion) {
         let r = enumerate(
             &eval,
             &base,
-            &pool.candidates,
+            &enumeration_pool(&pool.candidates, &opts),
             &server,
             &opts,
             &SessionControl::unlimited(),
@@ -206,6 +206,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for workers in [1usize, 2, 4] {
         let opts = TuningOptions { parallel_workers: workers, ..options.clone() };
+        let ordered = enumeration_pool(&pool.candidates, &opts);
         g.bench_function(&format!("workers={workers}"), |bench| {
             bench.iter(|| {
                 // cold cache each sample so every run does the same work
@@ -213,7 +214,7 @@ fn bench(c: &mut Criterion) {
                 black_box(enumerate(
                     &eval,
                     &base,
-                    &pool.candidates,
+                    &ordered,
                     &server,
                     &opts,
                     &SessionControl::unlimited(),

@@ -327,7 +327,7 @@ fn view_candidate(sel: &BoundSelect) -> Option<MaterializedView> {
     };
     let tables: Vec<&str> = sel.tables.iter().map(|t| t.table.as_str()).collect();
     let mut join_pairs = Vec::new();
-    for j in &sel.joins {
+    for j in sel.joins.iter() {
         join_pairs.push(JoinPair::new(
             qc(&j.left.binding, &j.left.column)?,
             qc(&j.right.binding, &j.right.column)?,
@@ -338,10 +338,10 @@ fn view_candidate(sel: &BoundSelect) -> Option<MaterializedView> {
         // group by the query's grouping plus every filtered column, so the
         // view can be filtered at query time
         let mut group_by: Vec<QualifiedColumn> = Vec::new();
-        for g in &sel.group_by {
+        for g in sel.group_by.iter() {
             group_by.push(qc(&g.binding, &g.column)?);
         }
-        for s in &sel.sargs {
+        for s in sel.sargs.iter() {
             group_by.push(qc(&s.column.binding, &s.column.column)?);
         }
         group_by.sort();

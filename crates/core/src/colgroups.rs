@@ -78,17 +78,17 @@ fn relevant_columns(
                         .insert(column.to_string());
                 }
             };
-            for sarg in &s.sargs {
+            for sarg in s.sargs.iter() {
                 note(&sarg.column.binding, &sarg.column.column, &mut out);
             }
-            for j in &s.joins {
+            for j in s.joins.iter() {
                 note(&j.left.binding, &j.left.column, &mut out);
                 note(&j.right.binding, &j.right.column, &mut out);
             }
-            for g in &s.group_by {
+            for g in s.group_by.iter() {
                 note(&g.binding, &g.column, &mut out);
             }
-            for (o, _) in &s.order_by {
+            for (o, _) in s.order_by.iter() {
                 note(&o.binding, &o.column, &mut out);
             }
         }

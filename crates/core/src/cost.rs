@@ -120,8 +120,11 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 struct CacheEntry {
     cost: f64,
-    /// Names of the structures the plan uses (for §6.3 reports).
-    used_structures: Vec<String>,
+    /// Names of the structures the plan uses (for §6.3 reports): the
+    /// handles' shared names, not the handles, so an entry keeps no
+    /// structure alive — a lazily synthesized variant is dropped with
+    /// the evaluation that made it.
+    used_structures: Box<[Arc<str>]>,
     /// Secondary fingerprint for debug-build collision detection
     /// ([`invariants::check_fingerprint`]); 0 in release builds. Its low
     /// half: 32 independent bits catch a collision as surely as 64 for
@@ -147,6 +150,11 @@ pub struct CacheExport {
     pub used_structures: Vec<String>,
     /// Secondary fingerprint (0 when the writer had invariants off).
     pub verify: u64,
+}
+
+/// Cached names as a report and a checkpoint list them.
+fn names(used: &[Arc<str>]) -> Vec<String> {
+    used.iter().map(|n| n.to_string()).collect()
 }
 
 /// Releases an in-flight fingerprint claim on drop, so an early `?`
@@ -365,7 +373,7 @@ impl CacheState {
     }
 
     /// A cache entry stamped with the slice in progress.
-    fn entry(&self, cost: f64, used_structures: Vec<String>, verify: u64) -> CacheEntry {
+    fn entry(&self, cost: f64, used_structures: Box<[Arc<str>]>, verify: u64) -> CacheEntry {
         CacheEntry {
             cost,
             used_structures,
@@ -405,7 +413,7 @@ impl CacheState {
                         item: i,
                         fingerprint: fp,
                         cost: e.cost,
-                        used_structures: e.used_structures.clone(),
+                        used_structures: names(&e.used_structures),
                         verify: u64::from(e.verify),
                     });
                 }
@@ -421,10 +429,8 @@ impl CacheState {
         for e in entries {
             if let Some(shard) = self.shards.get(e.item) {
                 invariants::check_cost(e.cost, "imported cache entry");
-                shard
-                    .cache
-                    .write()
-                    .insert(e.fingerprint, self.entry(e.cost, e.used_structures.clone(), e.verify));
+                let used = e.used_structures.iter().map(|n| Arc::from(n.as_str())).collect();
+                shard.cache.write().insert(e.fingerprint, self.entry(e.cost, used, e.verify));
             }
         }
         self.degraded.lock().extend(degraded);
@@ -614,7 +620,7 @@ impl<'a> CostEvaluator<'a> {
         }
         shard.stat.hits.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheHits, 1);
-        let used = if want_structures { entry.used_structures.clone() } else { Vec::new() };
+        let used = if want_structures { names(&entry.used_structures) } else { Vec::new() };
         (entry.cost, used)
     }
 
@@ -659,7 +665,7 @@ impl<'a> CostEvaluator<'a> {
             // a permanent fault already degraded this statement: price
             // every configuration at its constant fallback, no server call
             let cost = self.state.fallback_cost(i);
-            shard.cache.write().insert(fp, self.state.entry(cost, Vec::new(), verify));
+            shard.cache.write().insert(fp, self.state.entry(cost, Box::default(), verify));
             return Ok((cost, Vec::new()));
         }
         // only a miss materializes the projection, and only as pointer
@@ -693,14 +699,14 @@ impl<'a> CostEvaluator<'a> {
         let (cost, used_structures) = match plan {
             Some(plan) => {
                 invariants::check_cost(plan.cost, "what-if estimate");
-                (plan.cost, plan.used_structures())
+                (plan.cost, plan.used_names())
             }
             None => {
                 self.state.degraded.lock().insert(i);
-                (self.state.fallback_cost(i), Vec::new())
+                (self.state.fallback_cost(i), Box::default())
             }
         };
-        let used = if want_structures { used_structures.clone() } else { Vec::new() };
+        let used = if want_structures { names(&used_structures) } else { Vec::new() };
         shard.cache.write().insert(fp, self.state.entry(cost, used_structures, verify));
         Ok((cost, used))
     }

@@ -322,7 +322,25 @@ pub fn eager_alignment_expansion(pool: &[PhysicalStructure]) -> Vec<PhysicalStru
     out
 }
 
-/// Run enumeration.
+/// The pool enumeration walks: the candidates ordered by observed
+/// benefit (which helps greedy find good seeds early when the budget cuts
+/// the search short), expanded eagerly when `options` say so, each
+/// wrapped once. A session builds it when it merges its pool and hands
+/// it to every [`enumerate`] run, so a run parked and resumed by a
+/// supervisor re-sorts and re-wraps nothing. It is a function of the
+/// candidates and options alone: a resumed session derives it again.
+pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<StructureHandle> {
+    let mut ordered: Vec<&Candidate> = pool.iter().collect();
+    ordered.sort_by(|a, b| b.benefit.total_cmp(&a.benefit));
+    let mut structures: Vec<PhysicalStructure> =
+        ordered.iter().map(|c| c.structure.clone()).collect();
+    if options.alignment == AlignmentMode::Eager {
+        structures = eager_alignment_expansion(&structures);
+    }
+    structures.into_iter().map(StructureHandle::new).collect()
+}
+
+/// Run enumeration over `pool`, as [`enumeration_pool`] builds it.
 ///
 /// Greedy evaluations fan out over `options.parallel_workers` threads
 /// through the shared evaluator; results are identical at any worker
@@ -336,25 +354,13 @@ pub fn eager_alignment_expansion(pool: &[PhysicalStructure]) -> Vec<PhysicalStru
 pub fn enumerate(
     eval: &CostEvaluator<'_>,
     base: &Configuration,
-    pool: &[Candidate],
+    pool: &[StructureHandle],
     sizing: &dyn SizingInfo,
     options: &TuningOptions,
     control: &SessionControl,
     resume: Option<EnumerationResume>,
     obs: &dyn SessionObserver,
 ) -> EnumerationRun {
-    // order candidates by observed benefit (helps greedy find good seeds
-    // early when the time budget cuts the search short)
-    let mut ordered: Vec<&Candidate> = pool.iter().collect();
-    ordered.sort_by(|a, b| b.benefit.total_cmp(&a.benefit));
-    let mut structures: Vec<PhysicalStructure> =
-        ordered.iter().map(|c| c.structure.clone()).collect();
-
-    if options.alignment == AlignmentMode::Eager {
-        structures = eager_alignment_expansion(&structures);
-    }
-
-    let pool: Vec<StructureHandle> = structures.into_iter().map(StructureHandle::new).collect();
     let (lazy_seed, snapshot) = match resume {
         Some(r) => (r.lazy_variants, Some(r.snapshot)),
         None => (0, None),
@@ -397,7 +403,7 @@ pub fn enumerate(
     };
     let k = pool.len();
     let run = greedy_mk(
-        &pool,
+        pool,
         base_cost,
         options.greedy_m,
         k,

@@ -149,33 +149,59 @@ fn par_min(
     })
 }
 
-/// All index subsets of `0..n` with size 1..=m, size-ascending and
-/// lexicographic within each size — the canonical evaluation order.
-fn subsets_up_to(n: usize, m: usize) -> Vec<Vec<usize>> {
-    fn extend(n: usize, size: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == size {
-            out.push(cur.clone());
-            return;
-        }
-        let start = cur.last().map_or(0, |&l| l + 1);
-        for i in start..n {
-            cur.push(i);
-            extend(n, size, cur, out);
-            cur.pop();
-        }
+/// `n` choose `k`, saturating at `usize::MAX`.
+fn binomial(n: usize, k: usize) -> usize {
+    if k > n {
+        return 0;
     }
-    let mut out = Vec::new();
+    // each partial product is itself a binomial, so every division is exact
+    let mut c: u128 = 1;
+    for i in 0..k.min(n - k) {
+        c = c.saturating_mul((n - i) as u128) / (i as u128 + 1);
+    }
+    usize::try_from(c).unwrap_or(usize::MAX)
+}
+
+/// How many index subsets of `0..n` have size 1..=m: the length of the
+/// canonical evaluation order [`subset_at`] walks.
+fn subset_count(n: usize, m: usize) -> usize {
+    (1..=m.min(n)).fold(0usize, |total, size| total.saturating_add(binomial(n, size)))
+}
+
+/// The subset at `pos` in the canonical evaluation order — index subsets
+/// of `0..n` with size 1..=m, size-ascending and lexicographic within
+/// each size — worked out from `pos` alone, so no run lists the order.
+/// `None` past its end.
+fn subset_at(n: usize, m: usize, mut pos: usize) -> Option<Vec<usize>> {
     for size in 1..=m.min(n) {
-        extend(n, size, &mut Vec::new(), &mut out);
+        let count = binomial(n, size);
+        if pos >= count {
+            pos -= count;
+            continue;
+        }
+        // the `pos`-th `size`-subset: at each slot, skip every smallest
+        // element whose subsets all come before `pos`
+        let mut subset = Vec::with_capacity(size);
+        let mut next = 0;
+        for slot in 0..size {
+            let after = size - slot - 1;
+            while pos >= binomial(n - next - 1, after) {
+                pos -= binomial(n - next - 1, after);
+                next += 1;
+            }
+            subset.push(next);
+            next += 1;
+        }
+        return Some(subset);
     }
-    out
+    None
 }
 
 /// Where an interrupted Greedy(m, k) run stopped, in canonical-order
 /// coordinates that a resumed run can re-derive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GreedyCursor {
-    /// Mid Phase 1: `next` indexes the canonical subset list;
+    /// Mid Phase 1: `next` is a position in the canonical subset order;
     /// `round_best` is the `(position, cost)` front over subsets
     /// `0..next` (not yet adopted — adoption happens when the phase
     /// completes).
@@ -318,14 +344,14 @@ pub fn greedy_mk<S: Clone + Sync>(
         // Phase 1: exhaustive over subsets of size 1..=m.
         if let GreedyCursor::Phase1 { mut next, mut round_best } = snap.cursor.clone() {
             let _p1_span = Span::enter(obs, SpanName::GreedyPhase1);
-            let subsets = subsets_up_to(candidates.len(), m);
-            let eval_subset = |pos: usize| -> Option<f64> {
-                eval(&members(subsets.get(pos).expect("run_round positions index the subset list")))
+            let subset = |pos| {
+                subset_at(candidates.len(), m, pos).expect("positions lie in the subset order")
             };
+            let eval_subset = |pos: usize| -> Option<f64> { eval(&members(&subset(pos))) };
             let round = run_round(
                 &mut next,
                 &mut round_best,
-                subsets.len(),
+                subset_count(candidates.len(), m),
                 &mut snap.evaluations,
                 &eval_subset,
             );
@@ -336,10 +362,7 @@ pub fn greedy_mk<S: Clone + Sync>(
             if let Some((pos, cost)) = round_best {
                 if det::improves(cost, snap.best_cost) {
                     snap.best_cost = cost;
-                    snap.best_set = subsets
-                        .get(pos)
-                        .expect("round_best positions index the subset list")
-                        .clone();
+                    snap.best_set = subset(pos);
                 }
             }
             snap.cursor = GreedyCursor::Phase2 { next: 0, round_best: None };
@@ -405,9 +428,8 @@ pub fn greedy_mk<S: Clone + Sync>(
             GreedyCursor::Phase1 { round_best: Some((pos, cost)), .. }
                 if det::improves(cost, out_cost) =>
             {
-                let subsets = subsets_up_to(candidates.len(), m);
-                out_set =
-                    subsets.get(pos).expect("round_best positions index the subset list").clone();
+                out_set = subset_at(candidates.len(), m, pos)
+                    .expect("round_best positions lie in the subset order");
                 out_cost = cost;
             }
             GreedyCursor::Phase2 { round_best: Some((pos, cost)), .. }
@@ -464,14 +486,58 @@ mod tests {
         finished.outcome
     }
 
+    /// The canonical order listed outright: every index subset of `0..n`
+    /// with size 1..=m, size-ascending and lexicographic within each size.
+    fn subsets_up_to(n: usize, m: usize) -> Vec<Vec<usize>> {
+        fn extend(n: usize, size: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if cur.len() == size {
+                out.push(cur.clone());
+                return;
+            }
+            let start = cur.last().map_or(0, |&l| l + 1);
+            for i in start..n {
+                cur.push(i);
+                extend(n, size, cur, out);
+                cur.pop();
+            }
+        }
+        let mut out = Vec::new();
+        for size in 1..=m.min(n) {
+            extend(n, size, &mut Vec::new(), &mut out);
+        }
+        out
+    }
+
+    /// The order `subset_at` walks, as far as it goes.
+    fn unranked(n: usize, m: usize) -> Vec<Vec<usize>> {
+        (0..).map_while(|pos| subset_at(n, m, pos)).collect()
+    }
+
     #[test]
     fn canonical_subset_order() {
         assert_eq!(
-            subsets_up_to(3, 2),
+            unranked(3, 2),
             vec![vec![0], vec![1], vec![2], vec![0, 1], vec![0, 2], vec![1, 2],]
         );
-        assert!(subsets_up_to(0, 2).is_empty());
-        assert_eq!(subsets_up_to(2, 5).len(), 3, "m is clamped to n");
+        assert!(unranked(0, 2).is_empty());
+        assert_eq!(subset_count(0, 2), 0);
+        assert_eq!(unranked(2, 5).len(), 3, "m is clamped to n");
+        assert_eq!(subset_count(2, 5), 3);
+    }
+
+    #[test]
+    fn unranking_lists_every_subset_in_canonical_order() {
+        for n in 0..=12 {
+            for m in 0..=3 {
+                let listed = subsets_up_to(n, m);
+                assert_eq!(unranked(n, m), listed, "n={n} m={m}");
+                assert_eq!(subset_count(n, m), listed.len(), "n={n} m={m}");
+            }
+        }
+        assert_eq!(subset_count(86, 2), 3741);
+        assert_eq!(subset_at(86, 2, 3740), Some(vec![84, 85]));
+        assert_eq!(subset_at(86, 2, 3741), None);
+        assert_eq!(binomial(200, 3), 1_313_400);
     }
 
     #[test]
@@ -635,7 +701,7 @@ mod tests {
         assert!(matches!(run.interrupted, Some((StopReason::Cancelled, _))));
         assert_eq!(calls.load(Ordering::SeqCst), 5, "no evaluation starts after the cancel");
         // the counting rule: the whole granted batch, not the five scanned
-        assert_eq!(run.outcome.evaluations, subsets_up_to(100, 2).len());
+        assert_eq!(run.outcome.evaluations, subset_count(100, 2));
         assert_eq!(session.consumed(), 0);
         assert_eq!(session.counters().snapshot(), crate::obs::CounterSet::new().snapshot());
     }

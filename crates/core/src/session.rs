@@ -18,12 +18,12 @@ use crate::checkpoint::{SessionCheckpoint, StatsProgress};
 use crate::colgroups::{interesting_column_groups, ColumnGroups};
 use crate::control::{Completion, ControlError, SessionControl, Stage, StopReason};
 use crate::cost::{CacheState, CostEvaluator};
-use crate::enumeration::{enumerate, EnumerationResult, EnumerationResume};
+use crate::enumeration::{enumerate, enumeration_pool, EnumerationResult, EnumerationResume};
 use crate::merging::merge_candidates;
 use crate::obs::{Counter, CounterSet, SessionObserver, Span, SpanName, NOOP};
 use crate::options::TuningOptions;
 use crate::report::{EvaluationReport, StatementReport, TuningResult};
-use dta_physical::Configuration;
+use dta_physical::{Configuration, StructureHandle};
 use dta_server::{ServerError, TuningTarget};
 use dta_stats::StatKey;
 use dta_workload::{compress, Workload};
@@ -274,7 +274,14 @@ pub(crate) struct Session {
     base: Option<Configuration>,
     groups: Option<ColumnGroups>,
     /// The merged candidate pool.
-    pool: Option<CandidatePool>,
+    pool: Option<MergedPool>,
+}
+
+/// A merged candidate pool, and its candidates as enumeration walks them
+/// ([`enumeration_pool`]): built together, dropped together.
+struct MergedPool {
+    merged: CandidatePool,
+    ordered: Vec<StructureHandle>,
 }
 
 impl Session {
@@ -570,11 +577,12 @@ impl Session {
                     "pool",
                     &format!("generated={} merged={}", pool.generated, pool.candidates.len()),
                 );
-                self.pool = Some(pool);
+                let ordered = enumeration_pool(&pool.candidates, options);
+                self.pool = Some(MergedPool { merged: pool, ordered });
             } else if let Some(reason) = control.stop() {
                 break 'pipeline Some((reason, Stage::Merging));
             }
-            let pool = self.pool.as_ref().map_or(&[][..], |p| &p.candidates);
+            let pool = self.pool.as_ref().map_or(&[][..], |p| &p.ordered);
 
             // §2.2/§4 enumeration — shares the selection phase's cache and
             // charges one budget unit per configuration evaluation
@@ -693,7 +701,7 @@ impl Session {
         // if merging never ran (the cut hit at or before it), report the
         // unmerged tally of the partial pool
         let candidates_selected = match &self.pool {
-            Some(merged) => merged.candidates.len(),
+            Some(pool) => pool.merged.candidates.len(),
             None => assemble_pool(selections).candidates.len(),
         };
         let stats = self.stats.unwrap_or_default();

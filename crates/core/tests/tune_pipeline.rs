@@ -358,7 +358,7 @@ fn shared_cache_reduces_whatif_calls() {
     use dta_core::candidates::{assemble_pool, select_candidates};
     use dta_core::colgroups::interesting_column_groups;
     use dta_core::cost::CostEvaluator;
-    use dta_core::enumeration::enumerate;
+    use dta_core::enumeration::{enumerate, enumeration_pool};
     use dta_core::merging::merge_candidates;
     use dta_core::SessionControl;
     use dta_stats::StatKey;
@@ -420,7 +420,7 @@ fn shared_cache_reduces_whatif_calls() {
     let enumeration = enumerate(
         &enum_eval,
         &base,
-        &pool.candidates,
+        &enumeration_pool(&pool.candidates, &options),
         &server,
         &options,
         &SessionControl::unlimited(),

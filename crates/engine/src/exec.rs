@@ -5,9 +5,9 @@ use crate::relation::{ColId, Relation};
 use crate::ExecError;
 use dta_catalog::{Catalog, Value};
 use dta_optimizer::hardware::HardwareParams;
-use dta_optimizer::plan::{AccessMethod, Plan, PlanNode, TableAccess};
+use dta_optimizer::plan::{AccessMethod, JoinPairs, Plan, PlanNode, TableAccess};
 use dta_optimizer::query::{bind, BoundSelect, BoundStatement, JoinPred, Sarg, SargOp};
-use dta_physical::{Index, MaterializedView};
+use dta_physical::{Index, MaterializedView, StructureHandle};
 use dta_sql::{Expr, SelectStatement, Statement};
 use dta_storage::{pages_for, Store, TableData};
 use std::collections::HashMap;
@@ -117,6 +117,11 @@ pub fn sarg_matches(op: &SargOp, v: &Value) -> bool {
     }
 }
 
+/// The index a plan's access method reads, through its handle.
+fn index_of(handle: &StructureHandle) -> Result<&Index, ExecError> {
+    handle.as_index().ok_or_else(|| ExecError::BadPlan("index access to a non-index".into()))
+}
+
 impl<'a> Exec<'a> {
     fn table_data(&self, table: &str) -> Result<&'a TableData, ExecError> {
         self.engine
@@ -128,7 +133,12 @@ impl<'a> Exec<'a> {
     fn run(&mut self, node: &PlanNode) -> Result<Relation, ExecError> {
         match node {
             PlanNode::Access(a) => self.run_access(a),
-            PlanNode::ViewScan { view, sargs, .. } => self.run_view_scan(view, sargs),
+            PlanNode::ViewScan { view, sargs, .. } => {
+                let view = view
+                    .as_view()
+                    .ok_or_else(|| ExecError::BadPlan("view scan of a non-view".into()))?;
+                self.run_view_scan(view, sargs)
+            }
             PlanNode::HashJoin { left, right, pairs, .. } => {
                 let l = self.run(left)?;
                 let r = self.run(right)?;
@@ -201,6 +211,7 @@ impl<'a> Exec<'a> {
                 (0..total_rows).collect()
             }
             AccessMethod::ClusteredSeek { index, seek_len } => {
+                let index = index_of(index)?;
                 let matched = self.seek_rows(data, index, *seek_len, &a.sargs);
                 let sel = matched.len() as f64 / total_rows.max(1) as f64;
                 self.work.io_pages += 2.0 + (mat_pages * sel).max(1.0);
@@ -208,6 +219,7 @@ impl<'a> Exec<'a> {
                 matched
             }
             AccessMethod::IndexSeek { index, seek_len, covering } => {
+                let index = index_of(index)?;
                 let matched = self.seek_rows(data, index, *seek_len, &a.sargs);
                 let sel = matched.len() as f64 / total_rows.max(1) as f64;
                 let leaf_pages = self.index_leaf_pages(data, index);
@@ -224,6 +236,7 @@ impl<'a> Exec<'a> {
                 matched
             }
             AccessMethod::CoveringScan { index } => {
+                let index = index_of(index)?;
                 let leaf_pages = self.index_leaf_pages(data, index);
                 self.work.io_pages += (leaf_pages * a.partition_fraction).max(1.0);
                 self.work.cpu_ops += total_rows as f64 * a.partition_fraction;
@@ -246,7 +259,7 @@ impl<'a> Exec<'a> {
             .bound
             .residual_exprs
             .iter()
-            .filter(|(b, _)| b.as_deref() == Some(a.binding.as_str()))
+            .filter(|(b, _)| b.as_deref() == Some(&*a.binding))
             .map(|(_, e)| e)
             .collect();
 
@@ -319,12 +332,12 @@ impl<'a> Exec<'a> {
     fn join_positions(
         &self,
         rel: &Relation,
-        pairs: &[JoinPred],
+        pairs: &JoinPairs,
         other: &Relation,
     ) -> Result<(Vec<usize>, Vec<usize>), ExecError> {
         let mut mine = Vec::new();
         let mut theirs = Vec::new();
-        for p in pairs {
+        for p in pairs.iter() {
             let (a, b) = (&p.left, &p.right);
             let (me, them) =
                 if rel.position(Some(&a.binding), &a.column).is_some() { (a, b) } else { (b, a) };
@@ -344,7 +357,7 @@ impl<'a> Exec<'a> {
         &mut self,
         left: Relation,
         right: Relation,
-        pairs: &[JoinPred],
+        pairs: &JoinPairs,
     ) -> Result<Relation, ExecError> {
         let schema = Relation::concat_schema(&left, &right);
         let mut out = Relation::new(schema);
@@ -412,7 +425,7 @@ impl<'a> Exec<'a> {
         &mut self,
         outer: Relation,
         inner: &TableAccess,
-        pairs: &[JoinPred],
+        pairs: &JoinPairs,
     ) -> Result<Relation, ExecError> {
         let data = self.table_data(&inner.table)?;
         let index = inner
@@ -466,7 +479,7 @@ impl<'a> Exec<'a> {
             .bound
             .residual_exprs
             .iter()
-            .filter(|(b, _)| b.as_deref() == Some(inner.binding.as_str()))
+            .filter(|(b, _)| b.as_deref() == Some(&*inner.binding))
             .map(|(_, e)| e)
             .collect();
 
@@ -631,7 +644,7 @@ impl<'a> Exec<'a> {
                 None => rel,
                 Some(acc) => {
                     // find join pairs connecting acc tables to t
-                    let pairs: Vec<JoinPred> = view
+                    let pairs: JoinPairs = view
                         .join_pairs
                         .iter()
                         .filter_map(|jp| {

@@ -5,15 +5,18 @@
 //! seek, non-clustered seeks (with or without lookups), covering scans —
 //! each with its cost, delivered sort order and retained partitioning.
 //! A path is costed as plain numbers over borrowed structures; only the
-//! path the planner keeps is turned into a [`TableAccess`] node.
+//! path the planner keeps is turned into a [`TableAccess`] node, which
+//! shares the configuration's index handle and the preparation's names
+//! and sargs.
 
 use crate::hardware::HardwareParams;
 use crate::plan::{AccessMethod, TableAccess};
 use crate::prepared::PreparedTable;
 use crate::query::{BoundColumn, Sarg, SargOp};
 use dta_catalog::Value;
-use dta_physical::{Configuration, Index, IndexKind, RangePartitioning};
+use dta_physical::{Configuration, Index, IndexKind, RangePartitioning, StructureHandle};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Pages charged for descending a B-tree to its leaf level.
 pub const SEEK_DESCENT_PAGES: f64 = 2.0;
@@ -26,18 +29,19 @@ pub const CPU_W: f64 = dta_storage::work::CPU_OP_WEIGHT;
 pub(crate) struct PlanContext<'a> {
     pub config: &'a Configuration,
     pub hardware: HardwareParams,
-    pub database: &'a str,
+    pub database: &'a Arc<str>,
     /// [`dta_physical::database_key`] of `database`.
     pub database_key: u64,
 }
 
-/// How a costed path reads its table.
+/// How a costed path reads its table: the index by the handle the
+/// configuration holds it in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum AccessPath<'a> {
     HeapScan,
-    ClusteredSeek { index: &'a Index, seek_len: usize },
-    IndexSeek { index: &'a Index, seek_len: usize, covering: bool },
-    CoveringScan { index: &'a Index },
+    ClusteredSeek { index: &'a StructureHandle, seek_len: usize },
+    IndexSeek { index: &'a StructureHandle, seek_len: usize, covering: bool },
+    CoveringScan { index: &'a StructureHandle },
 }
 
 /// The range partitioning a stream retains, on a column of `binding`.
@@ -51,6 +55,57 @@ impl Partitioned<'_> {
     /// Whether `column` is the partitioning column.
     pub(crate) fn is_on(&self, column: &BoundColumn) -> bool {
         column.binding == self.binding && column.column == self.scheme.column
+    }
+}
+
+/// The sort order a stream has: a binding's rows in the order of a
+/// leading part of an index's key. Borrowed from the configuration, so
+/// following an order through a plan copies no column.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyOrder<'a> {
+    binding: &'a str,
+    keys: &'a [String],
+}
+
+impl<'a> KeyOrder<'a> {
+    /// The order `index`'s keys give rows of `binding`.
+    pub(crate) fn of(binding: &'a str, index: &'a Index) -> Self {
+        Self { binding, keys: &index.key_columns }
+    }
+
+    /// Number of columns the order sorts on.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Column `i` of the order, if it has one.
+    fn column(&self, i: usize) -> Option<(&'a str, &'a str)> {
+        self.keys.get(i).map(|k| (self.binding, k.as_str()))
+    }
+
+    /// The order's first `n` columns.
+    pub(crate) fn truncated(self, n: usize) -> Self {
+        Self { keys: self.keys.get(..n).unwrap_or(self.keys), ..self }
+    }
+
+    /// Whether the order covers `set` as a leading prefix in any
+    /// permutation: what stream aggregation needs.
+    pub(crate) fn covers_set(&self, set: &[BoundColumn]) -> bool {
+        !set.is_empty()
+            && set.len() <= self.len()
+            && (0..set.len()).all(|i| {
+                self.column(i)
+                    .is_some_and(|(b, c)| set.iter().any(|s| s.binding == b && s.column == c))
+            })
+    }
+
+    /// Whether the order satisfies an ORDER BY list exactly (directions
+    /// ignored: reverse scans are free).
+    pub(crate) fn satisfies(&self, wanted: &[(BoundColumn, bool)]) -> bool {
+        wanted.len() <= self.len()
+            && wanted.iter().enumerate().all(|(i, (c, _))| {
+                self.column(i).is_some_and(|(b, k)| c.binding == b && c.column == k)
+            })
     }
 }
 
@@ -72,9 +127,9 @@ impl AccessChoice<'_> {
     /// The plan node for this path.
     pub(crate) fn materialize(&self, ctx: &PlanContext<'_>, t: &PreparedTable) -> TableAccess {
         TableAccess {
-            database: ctx.database.to_string(),
-            table: t.facts.table.clone(),
-            binding: t.binding.clone(),
+            database: Arc::clone(ctx.database),
+            table: Arc::clone(&t.facts.table),
+            binding: Arc::clone(&t.binding),
             method: match self.path {
                 AccessPath::HeapScan => AccessMethod::HeapScan,
                 AccessPath::ClusteredSeek { index, seek_len } => {
@@ -87,18 +142,13 @@ impl AccessChoice<'_> {
                     AccessMethod::CoveringScan { index: index.clone() }
                 }
             },
-            sargs: t.sargs.clone(),
+            sargs: Arc::clone(&t.sargs),
             residuals: t.residuals,
             partition_fraction: self.partition_fraction,
             est_rows: t.out_rows,
             est_cost: self.cost,
         }
     }
-}
-
-/// The sort order `index`'s keys give rows of `binding`.
-pub(crate) fn key_order(binding: &str, index: &Index) -> Vec<BoundColumn> {
-    index.key_columns.iter().map(|c| BoundColumn::new(binding, c)).collect()
 }
 
 /// Combined `(low, high)` value bounds that sargs impose on `column`.
@@ -186,7 +236,8 @@ pub(crate) fn for_each_access<'a>(
 ) {
     let rows = t.facts.rows;
     let heap_pages = t.facts.heap_pages;
-    let clustered = ctx.config.clustered_index_key(t.facts.key);
+    let clustered =
+        ctx.config.index_handles_on_key(t.facts.key).find(|(_, i)| i.kind == IndexKind::Clustered);
     let table_part = ctx.config.effective_table_partitioning_key(t.facts.key);
 
     // --- heap / clustered scan ------------------------------------------
@@ -199,13 +250,13 @@ pub(crate) fn for_each_access<'a>(
             partition_fraction: fraction,
             cost: io + cpu * CPU_W,
             // partitioned scans deliver no global order
-            ordered_by: if table_part.is_none() { clustered } else { None },
+            ordered_by: if table_part.is_none() { clustered.map(|(_, ci)| ci) } else { None },
             partitioned_on: table_part,
         });
     }
 
     // --- clustered index seek -------------------------------------------
-    if let Some(ci) = clustered {
+    if let Some((handle, ci)) = clustered {
         let (seek_len, seek_sel) = seek_prefix(t, ci);
         if seek_len > 0 {
             let mut descent = SEEK_DESCENT_PAGES;
@@ -216,7 +267,7 @@ pub(crate) fn for_each_access<'a>(
             let io = descent + (heap_pages * seek_sel).max(1.0);
             let scanned = rows * seek_sel;
             visit(AccessChoice {
-                path: AccessPath::ClusteredSeek { index: ci, seek_len },
+                path: AccessPath::ClusteredSeek { index: handle, seek_len },
                 partition_fraction: 1.0,
                 cost: io + scanned * CPU_W,
                 ordered_by: if ci.partitioning.is_none() { Some(ci) } else { None },
@@ -226,7 +277,7 @@ pub(crate) fn for_each_access<'a>(
     }
 
     // --- non-clustered indexes ------------------------------------------
-    for ix in ctx.config.indexes_on_key(t.facts.key) {
+    for (handle, ix) in ctx.config.index_handles_on_key(t.facts.key) {
         if ix.kind != IndexKind::NonClustered {
             continue;
         }
@@ -259,7 +310,7 @@ pub(crate) fn for_each_access<'a>(
             let lookup_pages = if covering { 0.0 } else { after_leaf };
             let io = descent + (leaf_pages * seek_sel * leaf_elim).max(1.0) + lookup_pages;
             visit(AccessChoice {
-                path: AccessPath::IndexSeek { index: ix, seek_len, covering },
+                path: AccessPath::IndexSeek { index: handle, seek_len, covering },
                 partition_fraction: 1.0,
                 cost: io + matched * CPU_W,
                 ordered_by: if ix.partitioning.is_none() && covering { Some(ix) } else { None },
@@ -270,7 +321,7 @@ pub(crate) fn for_each_access<'a>(
             let io = (leaf_pages * leaf_elim).max(1.0);
             let cpu = rows * leaf_elim / ctx.hardware.parallel_factor(io);
             visit(AccessChoice {
-                path: AccessPath::CoveringScan { index: ix },
+                path: AccessPath::CoveringScan { index: handle },
                 partition_fraction: leaf_elim,
                 cost: io + cpu * CPU_W,
                 ordered_by: if ix.partitioning.is_none() { Some(ix) } else { None },
@@ -319,7 +370,7 @@ mod tests {
         let (ctx, t) = (prep.context(config), &prep.select().tables[0]);
         let mut out = Vec::new();
         for_each_access(&ctx, t, |c| {
-            let order = c.ordered_by.map_or(0, |ix| key_order(&t.binding, ix).len());
+            let order = c.ordered_by.map_or(0, |ix| KeyOrder::of(&t.binding, ix).len());
             out.push((c.materialize(&ctx, t), order, c.partitioned_on.is_some()));
         });
         // the planner's pick is the cheapest of them

@@ -10,6 +10,7 @@ use crate::plan::PlanNode;
 use crate::prepared::{PreparedDml, PreparedTable};
 use crate::query::BoundDml;
 use dta_physical::IndexKind;
+use std::sync::Arc;
 
 /// Page writes charged per modified row per affected index.
 pub const INDEX_MAINT_PAGES: f64 = 1.5;
@@ -22,31 +23,32 @@ pub const VIEW_MAINT_PAGES_PER_TABLE: f64 = 2.0;
 /// Plan (and cost) a DML statement under a configuration. An INSERT or
 /// DELETE maintains every non-clustered index on its table, an UPDATE
 /// only those holding a SET column (what
-/// `PreparedStatement::column_use` states).
+/// `PreparedStatement::column_use` states). The plan lists the handles
+/// of what it maintains.
 pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
     let key = d.target.facts.key;
     match &d.dml {
-        BoundDml::Insert { database, table, rows } => {
+        BoundDml::Insert { table, rows, .. } => {
             let rows_f = *rows as f64;
             let mut cost = 1.0 + rows_f * CPU_W;
             let mut maintained = Vec::new();
-            for ix in ctx.config.indexes_on_key(key) {
+            for (h, ix) in ctx.config.index_handles_on_key(key) {
                 let per_row = match ix.kind {
                     IndexKind::Clustered => 1.0,
                     IndexKind::NonClustered => INDEX_MAINT_PAGES,
                 };
                 cost += rows_f * per_row;
-                maintained.push(ix.name());
+                maintained.push(h.clone());
             }
-            for v in ctx.config.views_in(ctx.database_key) {
+            for (h, v) in ctx.config.view_handles_in(ctx.database_key) {
                 if v.tables.iter().any(|t| t == table) {
                     cost += rows_f * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
-                    maintained.push(v.name());
+                    maintained.push(h.clone());
                 }
             }
             PlanNode::Insert {
-                database: database.clone(),
-                table: table.clone(),
+                database: Arc::clone(ctx.database),
+                table: Arc::clone(&d.target.facts.table),
                 rows: *rows,
                 maintained,
                 est_cost: cost,
@@ -56,25 +58,25 @@ pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
             let (access, affected) = locate(ctx, &d.target);
             let mut cost = access.est_cost() + affected * 1.0; // base row writes
             let mut maintained = Vec::new();
-            for ix in ctx.config.indexes_on_key(key) {
+            for (h, ix) in ctx.config.index_handles_on_key(key) {
                 let touches = ix.leaf_columns().any(|c| set_columns.iter().any(|sc| sc == c))
                     || ix.partitioning.as_ref().is_some_and(|p| set_columns.contains(&p.column));
                 if touches {
                     cost += affected * 2.0 * INDEX_MAINT_PAGES; // delete + insert entry
-                    maintained.push(ix.name());
+                    maintained.push(h.clone());
                 }
             }
-            for v in ctx.config.views_in(ctx.database_key) {
+            for (h, v) in ctx.config.view_handles_in(ctx.database_key) {
                 let touches = v.tables.iter().any(|t| t == table)
                     && view_references_columns(v, table, set_columns);
                 if touches {
                     cost += affected * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
-                    maintained.push(v.name());
+                    maintained.push(h.clone());
                 }
             }
             PlanNode::Update {
                 access: Box::new(access),
-                set_columns: set_columns.clone(),
+                set_columns: Arc::clone(set_columns),
                 maintained,
                 est_rows: affected,
                 est_cost: cost,
@@ -84,16 +86,16 @@ pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
             let (access, affected) = locate(ctx, &d.target);
             let mut cost = access.est_cost() + affected * 1.0;
             let mut maintained = Vec::new();
-            for ix in ctx.config.indexes_on_key(key) {
+            for (h, ix) in ctx.config.index_handles_on_key(key) {
                 if ix.kind == IndexKind::NonClustered {
                     cost += affected * INDEX_MAINT_PAGES;
-                    maintained.push(ix.name());
+                    maintained.push(h.clone());
                 }
             }
-            for v in ctx.config.views_in(ctx.database_key) {
+            for (h, v) in ctx.config.view_handles_in(ctx.database_key) {
                 if v.tables.iter().any(|t| t == table) {
                     cost += affected * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
-                    maintained.push(v.name());
+                    maintained.push(h.clone());
                 }
             }
             PlanNode::Delete {

@@ -5,17 +5,20 @@
 //! references to what gives the stream its order and partitioning — and
 //! builds plan nodes only for the candidate it keeps, moving the tree
 //! built so far into the new join instead of copying it per candidate.
+//! The predicates connecting a candidate are a set of positions in the
+//! statement's predicate list, which the kept join then shares.
 
 use crate::access::{
-    best_access, key_order, leaf_width, AccessChoice, Partitioned, PlanContext, CPU_W,
+    best_access, leaf_width, AccessChoice, KeyOrder, Partitioned, PlanContext, CPU_W,
     SEEK_DESCENT_PAGES,
 };
 use crate::hardware::HardwareParams;
-use crate::plan::{AccessMethod, PlanNode, TableAccess};
+use crate::plan::{AccessMethod, JoinPairs, PlanNode, PredSet, TableAccess};
 use crate::prepared::{PreparedSelect, PreparedTable};
-use crate::query::{BoundColumn, JoinPred};
-use dta_physical::{Index, IndexKind};
+use crate::query::JoinPred;
+use dta_physical::{Index, IndexKind, StructureHandle};
 use dta_storage::PAGE_SIZE;
+use std::sync::Arc;
 
 /// The numbers join costing needs about a (partial) join result.
 #[derive(Debug, Clone, Copy)]
@@ -35,6 +38,7 @@ struct Stream<'a> {
 /// costed per probe. Nothing here depends on the outer side.
 #[derive(Debug, Clone, Copy)]
 struct InlProbe<'a> {
+    handle: &'a StructureHandle,
     index: &'a Index,
     /// Leading key column: a join column of the table.
     first_key: &'a str,
@@ -67,7 +71,7 @@ enum JoinKind<'a> {
 pub(crate) struct JoinResult<'a> {
     pub node: PlanNode,
     /// Sort order the stream has.
-    pub order: Vec<BoundColumn>,
+    pub order: KeyOrder<'a>,
     /// Partitioning the stream retains.
     pub partitioned_on: Option<Partitioned<'a>>,
     /// Estimated row width of the stream in bytes.
@@ -76,11 +80,11 @@ pub(crate) struct JoinResult<'a> {
 
 /// Hash-join cost of combining `a` (as one side) and `b`, picking the
 /// smaller side as build. Returns `(incremental_cost, partition_wise)`.
-fn hash_join_cost(
+fn hash_join_cost<'p>(
     hardware: HardwareParams,
     a: &Stream<'_>,
     b: &Stream<'_>,
-    preds: &[&JoinPred],
+    mut preds: impl Iterator<Item = &'p JoinPred>,
     out_rows: f64,
 ) -> (f64, bool) {
     let (build, probe) = if a.rows <= b.rows { (a, b) } else { (b, a) };
@@ -92,7 +96,7 @@ fn hash_join_cost(
     let partition_wise = match (&a.partitioned_on, &b.partitioned_on) {
         (Some(pa), Some(pb)) => {
             pa.scheme.boundaries == pb.scheme.boundaries
-                && preds.iter().any(|p| {
+                && preds.any(|p| {
                     (pa.is_on(&p.left) && pb.is_on(&p.right))
                         || (pb.is_on(&p.left) && pa.is_on(&p.right))
                 })
@@ -126,7 +130,7 @@ fn hash_join_cost(
 fn inl_probes<'a>(ctx: &PlanContext<'a>, t: &'a PreparedTable) -> Vec<InlProbe<'a>> {
     let inner_rows = t.facts.rows;
     let mut probes = Vec::new();
-    for ix in ctx.config.indexes_on_key(t.facts.key) {
+    for (handle, ix) in ctx.config.index_handles_on_key(t.facts.key) {
         let Some(first_key) = ix.key_columns.first() else { continue };
         let Some((_, distinct)) = t.join_distinct.iter().find(|(c, _)| c == first_key) else {
             continue;
@@ -141,6 +145,7 @@ fn inl_probes<'a>(ctx: &PlanContext<'a>, t: &'a PreparedTable) -> Vec<InlProbe<'
         let leaf_per_probe = (leaf_pages / distinct).min(matched_per_probe).max(0.06);
         let lookups = if covering { 0.0 } else { matched_per_probe * t.out_sel };
         probes.push(InlProbe {
+            handle,
             index: ix,
             first_key,
             covering,
@@ -158,19 +163,19 @@ impl InlProbe<'_> {
     /// The inner access node of the join.
     fn materialize(&self, ctx: &PlanContext<'_>, t: &PreparedTable) -> TableAccess {
         TableAccess {
-            database: ctx.database.to_string(),
-            table: t.facts.table.clone(),
-            binding: t.binding.clone(),
+            database: Arc::clone(ctx.database),
+            table: Arc::clone(&t.facts.table),
+            binding: Arc::clone(&t.binding),
             method: if self.index.kind == IndexKind::Clustered {
-                AccessMethod::ClusteredSeek { index: self.index.clone(), seek_len: 1 }
+                AccessMethod::ClusteredSeek { index: self.handle.clone(), seek_len: 1 }
             } else {
                 AccessMethod::IndexSeek {
-                    index: self.index.clone(),
+                    index: self.handle.clone(),
                     seek_len: 1,
                     covering: self.covering,
                 }
             },
-            sargs: t.sargs.clone(),
+            sargs: Arc::clone(&t.sargs),
             residuals: t.residuals,
             partition_fraction: 1.0,
             est_rows: self.rows_per_probe,
@@ -182,16 +187,16 @@ impl InlProbe<'_> {
 /// Index-nested-loop cost: probe `inner` once per outer row via an index
 /// whose leading key is a join column of `preds`. Returns the cheapest
 /// probe (the first of equally cheap ones) and the cost of all probes.
-fn inl_join<'a>(
+fn inl_join<'a, 'p>(
     outer_rows: f64,
     inner: &str,
     probes: &[InlProbe<'a>],
-    preds: &[&JoinPred],
+    preds: impl Iterator<Item = &'p JoinPred> + Clone,
 ) -> Option<(InlProbe<'a>, f64)> {
     let mut best: Option<(InlProbe<'a>, f64)> = None;
     for probe in probes {
         let on_join_column =
-            preds.iter().filter_map(|p| p.side_for(inner)).any(|c| c.column == probe.first_key);
+            preds.clone().filter_map(|p| p.side_for(inner)).any(|c| c.column == probe.first_key);
         if !on_join_column {
             continue;
         }
@@ -201,6 +206,14 @@ fn inl_join<'a>(
         }
     }
     best
+}
+
+/// The predicates of `joins` at the positions in `set`.
+fn picked<'j>(
+    joins: &'j [JoinPred],
+    set: &'j PredSet,
+) -> impl Iterator<Item = &'j JoinPred> + Clone + 'j {
+    set.iter().filter_map(|i| joins.get(i))
 }
 
 /// Plan the join of all tables of `q`.
@@ -219,7 +232,7 @@ pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> Jo
                     rows: t.out_rows,
                     cost: access.cost,
                     width: t.required_width,
-                    ordered_by: access.ordered_by.map(|ix| (t.binding.as_str(), ix)),
+                    ordered_by: access.ordered_by.map(|ix| (&*t.binding, ix)),
                     partitioned_on: access
                         .partitioned_on
                         .map(|scheme| Partitioned { binding: &t.binding, scheme }),
@@ -243,22 +256,22 @@ pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> Jo
     let mut joined = vec![false; q.tables.len()];
     mark_joined(&mut joined, first.slot);
 
-    // join predicates connecting the joined set to the candidate at hand,
-    // and those of the best candidate so far
-    let mut preds: Vec<&JoinPred> = Vec::new();
-    let mut best_preds: Vec<&JoinPred> = Vec::new();
+    // the statement's join predicates, and the positions among them of
+    // those connecting the joined set to the best candidate so far
+    let joins: &[JoinPred] = &q.bound.joins;
+    let mut best_preds = PredSet::default();
     while !leaves.is_empty() {
         // candidates connected by a join predicate, or everything if none
         let mut best: Option<(usize, f64, f64, JoinKind<'a>)> = None;
         for (i, cand) in leaves.iter_mut().enumerate() {
             let is_joined = |slot: usize| joined.get(slot).copied().unwrap_or(false);
-            preds.clear();
+            let mut preds = PredSet::default();
             let mut sel = 1.0;
-            for (p, pj) in q.bound.joins.iter().zip(&q.joins) {
+            for (p, pj) in q.joins.iter().enumerate() {
                 if (is_joined(pj.left) && pj.right == cand.slot)
                     || (is_joined(pj.right) && pj.left == cand.slot)
                 {
-                    preds.push(p);
+                    preds.insert(p);
                     sel *= pj.sel;
                 }
             }
@@ -266,7 +279,7 @@ pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> Jo
 
             // hash join option
             let (hj_incr, partition_wise) =
-                hash_join_cost(ctx.hardware, &cur, &cand.stream, &preds, out_rows);
+                hash_join_cost(ctx.hardware, &cur, &cand.stream, picked(joins, &preds), out_rows);
             let hj_total = cur.cost
                 + cand.stream.cost
                 + hj_incr
@@ -284,7 +297,7 @@ pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> Jo
                 let table = cand.table;
                 let probes = cand.probes.get_or_insert_with(|| inl_probes(ctx, table));
                 if let Some((probe, probe_cost)) =
-                    inl_join(cur.rows, &table.binding, probes, &preds)
+                    inl_join(cur.rows, &table.binding, probes, picked(joins, &preds))
                 {
                     let inl_total = cur.cost + probe_cost + out_rows * CPU_W;
                     if inl_total < choice_cost {
@@ -296,12 +309,12 @@ pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> Jo
 
             if best.as_ref().is_none_or(|(_, c, _, _)| choice_cost < *c) {
                 best = Some((i, choice_cost, out_rows, choice));
-                std::mem::swap(&mut preds, &mut best_preds);
+                best_preds = preds;
             }
         }
         let (idx, est_cost, est_rows, kind) = best.expect("non-empty leaves");
         let leaf = leaves.swap_remove(idx);
-        let pairs: Vec<JoinPred> = best_preds.iter().map(|p| (*p).clone()).collect();
+        let pairs = JoinPairs::new(Arc::clone(&q.bound.joins), std::mem::take(&mut best_preds));
         let width = cur.width + leaf.stream.width;
         match kind {
             JoinKind::Hash { partition_wise } => {
@@ -347,7 +360,7 @@ pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> Jo
     }
     JoinResult {
         node,
-        order: cur.ordered_by.map(|(binding, ix)| key_order(binding, ix)).unwrap_or_default(),
+        order: cur.ordered_by.map(|(binding, ix)| KeyOrder::of(binding, ix)).unwrap_or_default(),
         partitioned_on: cur.partitioned_on,
         width: cur.width,
     }

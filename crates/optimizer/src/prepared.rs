@@ -50,7 +50,8 @@ pub(crate) struct Sources<'a> {
 /// What catalog, statistics and sizes say about one base table.
 #[derive(Debug, Clone)]
 pub(crate) struct TableFacts {
-    pub table: String,
+    /// The table's name, shared with the plans that access it.
+    pub table: Arc<str>,
     /// [`table_key`] of the table, for configuration lookups.
     pub key: u64,
     pub rows: f64,
@@ -80,7 +81,7 @@ impl TableFacts {
             })
             .unwrap_or_default();
         Self {
-            table: table.to_string(),
+            table: Arc::from(table),
             key: table_key(src.database, table),
             rows,
             row_width,
@@ -181,11 +182,11 @@ impl GroupEstimate {
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedTable {
     /// The name the table goes by in the statement.
-    pub binding: String,
+    pub binding: Arc<str>,
     pub facts: TableFacts,
     /// The binding's sargable predicates and, in step, their
-    /// selectivities.
-    pub sargs: Vec<Sarg>,
+    /// selectivities. Every plan node accessing the binding shares them.
+    pub sargs: Arc<[Sarg]>,
     pub sarg_sel: Vec<f64>,
     /// Residual (non-sargable) conjuncts on the binding.
     pub residuals: usize,
@@ -206,7 +207,7 @@ impl PreparedTable {
         src: &Sources<'_>,
         binding: &str,
         table: &str,
-        sargs: Vec<Sarg>,
+        sargs: Arc<[Sarg]>,
         residuals: usize,
         required: Vec<String>,
         join_columns: &[&str],
@@ -231,7 +232,7 @@ impl PreparedTable {
             }
         }
         Self {
-            binding: binding.to_string(),
+            binding: Arc::from(binding),
             out_rows: (facts.rows * out_sel).max(0.0),
             facts,
             sargs,
@@ -283,6 +284,8 @@ pub(crate) struct ViewMatch {
     /// The statement's tables, sorted, and its join pairs in
     /// table-qualified normalized form.
     pub tables: Vec<String>,
+    /// The statement's bindings: what a view scan answering it replaces.
+    pub bindings: Arc<[String]>,
     pub pairs: Vec<JoinPair>,
     /// Cardinality of that join — the rows of an ungrouped view over it.
     pub join_rows: f64,
@@ -344,7 +347,7 @@ impl PreparedSelect {
             tables
                 .iter()
                 .enumerate()
-                .find(|(_, t)| t.binding == binding)
+                .find(|(_, t)| *t.binding == *binding)
                 .expect("the binder resolves every predicate column to a bound table")
         };
         let joins = bound
@@ -367,14 +370,14 @@ impl PreparedSelect {
 
     /// Facts of a base table the statement reads, by table name.
     pub(crate) fn facts_of(&self, table: &str) -> Option<&TableFacts> {
-        self.tables.iter().map(|t| &t.facts).find(|f| f.table == table)
+        self.tables.iter().map(|t| &t.facts).find(|f| *f.table == *table)
     }
 }
 
 /// Cardinality of the join of `tables` on `pairs`: the cross product of
 /// the row counts times every pair's selectivity.
 fn join_rows(tables: &[&TableFacts], pairs: &[JoinPair]) -> f64 {
-    let facts = |name: &str| tables.iter().find(|f| f.table == name);
+    let facts = |name: &str| tables.iter().find(|f| *f.table == *name);
     let mut rows = 1.0;
     for t in tables {
         rows *= t.rows.max(1.0);
@@ -415,10 +418,10 @@ impl ViewMatch {
         // the binding is unaliased; an aliased one falls back to defaults
         let est = Estimator::new(src.stats, src.database);
         let mut sarg_sel = 1.0;
-        for s in &bound.sargs {
+        for s in bound.sargs.iter() {
             let unaliased = prepared
                 .iter()
-                .find(|t| t.binding == s.column.binding && t.facts.table == t.binding)
+                .find(|t| *t.binding == *s.column.binding && t.facts.table == t.binding)
                 .and_then(|t| t.sargs_with_sel().find(|(own, _)| *own == s));
             sarg_sel *= match unaliased {
                 Some((_, sel)) => sel,
@@ -449,7 +452,8 @@ impl ViewMatch {
             .collect();
         Some(Self {
             join_rows: join_rows(&tables, &pairs),
-            tables: tables.iter().map(|f| f.table.clone()).collect(),
+            tables: tables.iter().map(|f| f.table.to_string()).collect(),
+            bindings: bound.tables.iter().map(|t| t.binding.clone()).collect(),
             pairs,
             groups: bound.group_by.iter().map(to_table).collect::<Option<_>>()?,
             sarg_columns: bound.sargs.iter().map(|s| to_table(&s.column)).collect::<Option<_>>()?,
@@ -497,7 +501,7 @@ pub(crate) fn standalone_view_rows(src: &Sources<'_>, view: &MaterializedView) -
     let tables: Vec<TableFacts> = view.tables.iter().map(|t| TableFacts::gather(src, t)).collect();
     let refs: Vec<&TableFacts> = tables.iter().collect();
     view_rows(view, join_rows(&refs, &view.join_pairs), |name| {
-        tables.iter().find(|f| f.table == name)
+        tables.iter().find(|f| *f.table == *name)
     })
 }
 
@@ -514,7 +518,7 @@ impl PreparedDml {
         let (table, filter, set_columns): (&str, _, &[String]) = match &dml {
             BoundDml::Insert { table, .. } => (table.as_str(), None, &[]),
             BoundDml::Update { table, filter, set_columns, .. } => {
-                (table.as_str(), Some(filter), set_columns.as_slice())
+                (table.as_str(), Some(filter), &**set_columns)
             }
             BoundDml::Delete { table, filter, .. } => (table.as_str(), Some(filter), &[]),
         };
@@ -531,7 +535,7 @@ impl PreparedDml {
             src,
             table,
             table,
-            filter.map(|f| f.sargs.clone()).unwrap_or_default(),
+            filter.map(|f| f.sargs.as_slice().into()).unwrap_or_default(),
             filter.map_or(0, |f| f.residuals),
             required,
             &[],
@@ -581,7 +585,8 @@ pub(crate) enum Prepared {
 /// its [`BindError`], which every planning call then returns — after the
 /// hosting server has counted and charged the call as it always did.
 pub struct PreparedStatement {
-    database: String,
+    /// Shared with the plans' table accesses.
+    database: Arc<str>,
     database_key: u64,
     text: String,
     classify: u64,
@@ -608,7 +613,7 @@ impl PreparedStatement {
             BoundStatement::Dml(d) => Prepared::Dml(PreparedDml::new(src, d)),
         });
         PreparedStatement {
-            database: src.database.to_string(),
+            database: Arc::from(src.database),
             database_key: database_key(src.database),
             text,
             classify,
@@ -680,9 +685,10 @@ impl PreparedStatement {
                 .reduce(ColumnUse::and)
                 .unwrap_or(ColumnUse::ALL),
             Ok(Prepared::Dml(d)) if d.target.facts.key == key => match &d.dml {
-                BoundDml::Update { set_columns, .. } => {
-                    ColumnUse { maintained: ColumnMask::of(set_columns), ..d.target.column_use() }
-                }
+                BoundDml::Update { set_columns, .. } => ColumnUse {
+                    maintained: ColumnMask::of(set_columns.iter()),
+                    ..d.target.column_use()
+                },
                 BoundDml::Insert { .. } | BoundDml::Delete { .. } => ColumnUse::ALL,
             },
             Ok(Prepared::Dml(_)) | Err(_) => ColumnUse::ALL,
@@ -872,7 +878,7 @@ mod tests {
         let q = prep.select();
         assert_eq!(q.tables.len(), 2);
         let (p, r) = (&q.tables[0], &q.tables[1]);
-        assert_eq!((p.binding.as_str(), p.facts.table.as_str()), ("p", "t"));
+        assert_eq!((&*p.binding, &*p.facts.table), ("p", "t"));
         assert_eq!(p.sargs.len(), 1);
         assert!((p.out_sel - 0.1).abs() < 0.03, "{}", p.out_sel);
         assert!((r.out_rows - 100.0).abs() < 30.0, "{}", r.out_rows);

@@ -4,6 +4,7 @@
 use dta_catalog::{Catalog, Value};
 use dta_sql::{AggFunc, BinaryOp, ColumnRef, Expr, Literal, SelectStatement, Statement};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Binding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,9 +207,9 @@ pub struct BoundSelect {
     pub database: String,
     pub tables: Vec<BoundTable>,
     /// Sargable single-table predicates.
-    pub sargs: Vec<Sarg>,
+    pub sargs: Arc<[Sarg]>,
     /// Equi-join predicates.
-    pub joins: Vec<JoinPred>,
+    pub joins: Arc<[JoinPred]>,
     /// Residual (non-sargable) conjunct count per binding.
     pub residuals: BTreeMap<String, usize>,
     /// Residual conjuncts spanning multiple tables.
@@ -217,11 +218,11 @@ pub struct BoundSelect {
     /// to, or `None` for cross-table), kept for the execution engine.
     pub residual_exprs: Vec<(Option<String>, Expr)>,
     /// Group-by columns.
-    pub group_by: Vec<BoundColumn>,
+    pub group_by: Arc<[BoundColumn]>,
     /// Aggregates in the select list.
     pub aggregates: Vec<BoundAggregate>,
     /// Order-by columns with descending flags.
-    pub order_by: Vec<(BoundColumn, bool)>,
+    pub order_by: Arc<[(BoundColumn, bool)]>,
     /// Columns referenced anywhere, per binding — what an index must
     /// carry to be covering.
     pub referenced: BTreeMap<String, BTreeSet<String>>,
@@ -254,9 +255,22 @@ impl BoundSelect {
 /// A bound DML statement (single-table by construction of the dialect).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundDml {
-    Insert { database: String, table: String, rows: u64 },
-    Update { database: String, table: String, set_columns: Vec<String>, filter: SingleTableFilter },
-    Delete { database: String, table: String, filter: SingleTableFilter },
+    Insert {
+        database: String,
+        table: String,
+        rows: u64,
+    },
+    Update {
+        database: String,
+        table: String,
+        set_columns: Arc<[String]>,
+        filter: SingleTableFilter,
+    },
+    Delete {
+        database: String,
+        table: String,
+        filter: SingleTableFilter,
+    },
 }
 
 /// Predicate information for locating affected rows of a DML statement.
@@ -528,14 +542,14 @@ fn bind_select(
     let mut bound = BoundSelect {
         database: database.to_string(),
         tables: tables.clone(),
-        sargs: Vec::new(),
-        joins: Vec::new(),
+        sargs: Arc::default(),
+        joins: Arc::default(),
         residuals: BTreeMap::new(),
         cross_residuals: 0,
         residual_exprs: Vec::new(),
-        group_by: Vec::new(),
+        group_by: Arc::default(),
         aggregates: Vec::new(),
-        order_by: Vec::new(),
+        order_by: Arc::default(),
         referenced: BTreeMap::new(),
         distinct: s.distinct,
         top: s.top,
@@ -544,6 +558,10 @@ fn bind_select(
     let note_ref = |bc: &BoundColumn, bound: &mut BoundSelect| {
         bound.referenced.entry(bc.binding.clone()).or_default().insert(bc.column.clone());
     };
+
+    // what becomes the shared slices of `bound`
+    let (mut sargs, mut joins, mut group_by, mut order_by) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
 
     // conjuncts from WHERE and JOIN ... ON, treated uniformly
     let mut conjuncts: Vec<Expr> = Vec::new();
@@ -559,7 +577,7 @@ fn bind_select(
             Classified::Sarg { column, op } => {
                 let bc = resolve(&column)?;
                 note_ref(&bc, &mut bound);
-                bound.sargs.push(Sarg { column: bc, op });
+                sargs.push(Sarg { column: bc, op });
             }
             Classified::Join { left, right } => {
                 let l = resolve(&left)?;
@@ -571,7 +589,7 @@ fn bind_select(
                     *bound.residuals.entry(l.binding.clone()).or_default() += 1;
                     bound.residual_exprs.push((Some(l.binding.clone()), conjunct.clone()));
                 } else {
-                    bound.joins.push(JoinPred::new(l, r));
+                    joins.push(JoinPred::new(l, r));
                 }
             }
             Classified::Residual => {
@@ -621,7 +639,7 @@ fn bind_select(
             Expr::Column(c) => {
                 let bc = resolve(c)?;
                 note_ref(&bc, &mut bound);
-                bound.group_by.push(bc);
+                group_by.push(bc);
             }
             _ => return Err(BindError::Unsupported("non-column GROUP BY expression".into())),
         }
@@ -632,7 +650,7 @@ fn bind_select(
         if let Expr::Column(c) = &o.expr {
             let bc = resolve(c)?;
             note_ref(&bc, &mut bound);
-            bound.order_by.push((bc, o.desc));
+            order_by.push((bc, o.desc));
         } else {
             bind_expr_refs(&o.expr, &resolve, &mut bound)?;
         }
@@ -649,6 +667,10 @@ fn bind_select(
         }
     }
 
+    bound.sargs = sargs.into();
+    bound.joins = joins.into();
+    bound.group_by = group_by.into();
+    bound.order_by = order_by.into();
     Ok(bound)
 }
 
@@ -762,7 +784,7 @@ mod tests {
         assert_eq!(b.tables.len(), 1);
         assert_eq!(b.sargs.len(), 1);
         assert!(matches!(b.sargs[0].op, SargOp::Range { .. }));
-        assert_eq!(b.group_by, vec![BoundColumn::new("t", "a")]);
+        assert_eq!(*b.group_by, [BoundColumn::new("t", "a")]);
         assert_eq!(b.aggregates.len(), 1);
         assert!(b.is_aggregate());
         let refs = b.referenced_for("t");
@@ -847,7 +869,7 @@ mod tests {
             .unwrap();
         match upd {
             BoundStatement::Dml(BoundDml::Update { set_columns, filter, .. }) => {
-                assert_eq!(set_columns, vec!["a"]);
+                assert_eq!(set_columns.to_vec(), vec!["a"]);
                 assert_eq!(filter.sargs.len(), 1);
                 assert!(filter.referenced.contains("x"));
             }

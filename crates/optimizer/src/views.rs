@@ -22,6 +22,7 @@ use crate::prepared::{view_row_width, view_rows, PreparedSelect, ViewMatch};
 use dta_physical::{MaterializedView, QualifiedColumn};
 use dta_sql::AggFunc;
 use dta_storage::pages_for;
+use std::sync::Arc;
 
 /// A usable view rewrite.
 pub(crate) struct ViewPlan {
@@ -114,7 +115,7 @@ pub(crate) fn view_plans(ctx: &PlanContext<'_>, q: &PreparedSelect) -> Vec<ViewP
     let bound = &q.bound;
 
     let mut out = Vec::new();
-    for view in ctx.config.views_in(ctx.database_key) {
+    for (handle, view) in ctx.config.view_handles_in(ctx.database_key) {
         let Some(answers_grouping) = full_match(m, view) else { continue };
         let v_rows = view_rows(view, m.join_rows, |t| q.facts_of(t));
         let est_rows = (v_rows * m.sarg_sel).max(0.0);
@@ -130,9 +131,9 @@ pub(crate) fn view_plans(ctx: &PlanContext<'_>, q: &PreparedSelect) -> Vec<ViewP
 
         out.push(ViewPlan {
             scan: PlanNode::ViewScan {
-                view: view.clone(),
-                replaced: bound.tables.iter().map(|t| t.binding.clone()).collect(),
-                sargs: bound.sargs.clone(),
+                view: handle.clone(),
+                replaced: Arc::clone(&m.bindings),
+                sargs: Arc::clone(&bound.sargs),
                 answers_grouping,
                 est_rows,
                 est_cost: cost,

@@ -12,20 +12,21 @@
 //! under one configuration. A caller pricing one statement under many
 //! configurations prepares once; `optimize` does both for a single call.
 
-use crate::access::{Partitioned, PlanContext, CPU_W};
+use crate::access::{KeyOrder, Partitioned, PlanContext, CPU_W};
 use crate::dml::plan_dml;
 use crate::hardware::HardwareParams;
 use crate::join::plan_joins;
 use crate::plan::{Plan, PlanNode};
 use crate::prepared::{standalone_view_rows, Prepared, PreparedSelect, PreparedStatement, Sources};
 use crate::provider::TableStatsProvider;
-use crate::query::{BindError, BoundColumn, BoundSelect};
+use crate::query::{BindError, BoundSelect};
 use crate::views::view_plans;
 use dta_catalog::Catalog;
 use dta_physical::{Configuration, MaterializedView};
 use dta_sql::Statement;
 use dta_stats::StatisticsManager;
 use dta_storage::PAGE_SIZE;
+use std::sync::Arc;
 
 /// The what-if optimizer: stateless over borrowed server state.
 pub struct WhatIfOptimizer<'a> {
@@ -88,19 +89,6 @@ pub fn optimize_prepared(
     Ok(Plan::new(root))
 }
 
-/// Does `order` (a delivered sort order) cover `set` as a leading prefix
-/// in any permutation? That is what stream aggregation needs.
-fn order_covers_set(order: &[BoundColumn], set: &[BoundColumn]) -> bool {
-    !set.is_empty()
-        && order.get(..set.len()).is_some_and(|head| head.iter().all(|c| set.contains(c)))
-}
-
-/// Does `order` satisfy an ORDER BY list exactly (directions ignored —
-/// reverse scans are free)?
-fn order_satisfies(order: &[BoundColumn], wanted: &[(BoundColumn, bool)]) -> bool {
-    wanted.len() <= order.len() && wanted.iter().zip(order.iter()).all(|((c, _), o)| c == o)
-}
-
 /// Plan a SELECT end to end, considering base plans and view rewrites.
 fn plan_select(ctx: &PlanContext<'_>, q: &PreparedSelect) -> PlanNode {
     let bound = &q.bound;
@@ -118,17 +106,17 @@ fn plan_select(ctx: &PlanContext<'_>, q: &PreparedSelect) -> PlanNode {
             let groups = q.groups.count(scan_rows);
             let agg = PlanNode::HashAggregate {
                 input: Box::new(vp.scan),
-                group_by: bound.group_by.clone(),
+                group_by: Arc::clone(&bound.group_by),
                 est_rows: groups,
                 est_cost: scan_cost + (scan_rows * 1.5 + groups) * CPU_W,
             };
-            finish_order_top(ctx, bound, agg, &[], groups * 24.0)
+            finish_order_top(ctx, bound, agg, KeyOrder::default(), groups * 24.0)
         } else if bound.is_aggregate() {
             // the view already answers the grouping
-            finish_order_top(ctx, bound, vp.scan, &[], width)
+            finish_order_top(ctx, bound, vp.scan, KeyOrder::default(), width)
         } else {
             // ungrouped join view feeding a possibly-distinct/sorted query
-            finish_select(ctx, q, vp.scan, Vec::new(), None, width)
+            finish_select(ctx, q, vp.scan, KeyOrder::default(), None, width)
         };
         if candidate.est_cost() < best.est_cost() {
             best = candidate;
@@ -142,7 +130,7 @@ fn finish_select(
     ctx: &PlanContext<'_>,
     q: &PreparedSelect,
     node: PlanNode,
-    order: Vec<BoundColumn>,
+    order: KeyOrder<'_>,
     partitioned_on: Option<Partitioned<'_>>,
     width: f64,
 ) -> PlanNode {
@@ -155,28 +143,28 @@ fn finish_select(
         let input_rows = node.est_rows();
         let input_cost = node.est_cost();
         if bound.group_by.is_empty() {
-            // scalar aggregate
+            // scalar aggregate (the group-by list is empty)
             node = PlanNode::StreamAggregate {
                 input: Box::new(node),
-                group_by: Vec::new(),
+                group_by: Arc::clone(&bound.group_by),
                 est_rows: 1.0,
                 est_cost: input_cost + input_rows * CPU_W,
             };
-            order = Vec::new();
+            order = KeyOrder::default();
             width = 8.0 * (bound.aggregates.len().max(1)) as f64;
         } else {
             let groups = q.groups.count(input_rows);
             let out_width =
                 bound.group_by.len() as f64 * 8.0 + bound.aggregates.len() as f64 * 8.0 + 9.0;
-            let stream_ok = order_covers_set(&order, &bound.group_by);
+            let stream_ok = order.covers_set(&bound.group_by);
             if stream_ok {
                 node = PlanNode::StreamAggregate {
                     input: Box::new(node),
-                    group_by: bound.group_by.clone(),
+                    group_by: Arc::clone(&bound.group_by),
                     est_rows: groups,
                     est_cost: input_cost + input_rows * CPU_W,
                 };
-                order.truncate(bound.group_by.len());
+                order = order.truncated(bound.group_by.len());
             } else {
                 // hash aggregation, with partition-wise memory relief when
                 // the input is partitioned on one of the grouping columns
@@ -193,11 +181,11 @@ fn finish_select(
                 }
                 node = PlanNode::HashAggregate {
                     input: Box::new(node),
-                    group_by: bound.group_by.clone(),
+                    group_by: Arc::clone(&bound.group_by),
                     est_rows: groups,
                     est_cost: cost,
                 };
-                order = Vec::new();
+                order = KeyOrder::default();
             }
             width = out_width;
         }
@@ -205,16 +193,17 @@ fn finish_select(
         let input_rows = node.est_rows();
         let input_cost = node.est_cost();
         let groups = (input_rows * 0.5).max(1.0);
+        // (a DISTINCT query that does not aggregate groups by nothing)
         node = PlanNode::HashAggregate {
             input: Box::new(node),
-            group_by: Vec::new(),
+            group_by: Arc::clone(&bound.group_by),
             est_rows: groups,
             est_cost: input_cost + (input_rows * 1.5 + groups) * CPU_W,
         };
-        order = Vec::new();
+        order = KeyOrder::default();
     }
 
-    finish_order_top(ctx, bound, node, &order, width)
+    finish_order_top(ctx, bound, node, order, width)
 }
 
 /// Add ORDER BY / TOP handling over a (possibly aggregated) stream.
@@ -222,11 +211,11 @@ fn finish_order_top(
     ctx: &PlanContext<'_>,
     bound: &BoundSelect,
     node: PlanNode,
-    order: &[BoundColumn],
+    order: KeyOrder<'_>,
     width: f64,
 ) -> PlanNode {
     let mut node = node;
-    if !bound.order_by.is_empty() && !order_satisfies(order, &bound.order_by) {
+    if !bound.order_by.is_empty() && !order.satisfies(&bound.order_by) {
         let n = node.est_rows();
         let input_cost = node.est_cost();
         let limit = bound.top.map(|t| t as f64).unwrap_or(n);
@@ -239,7 +228,7 @@ fn finish_order_top(
         }
         node = PlanNode::Sort {
             input: Box::new(node),
-            keys: bound.order_by.clone(),
+            keys: Arc::clone(&bound.order_by),
             est_rows: n,
             est_cost: cost,
         };

@@ -16,13 +16,27 @@ use dta_optimizer::query::{
 use dta_optimizer::selectivity::{prefix_range, MIN_SEL, RESIDUAL_SEL};
 use dta_optimizer::{HardwareParams, TableStatsProvider};
 use dta_physical::{
-    Configuration, Index, IndexKind, JoinPair, MaterializedView, QualifiedColumn, RangePartitioning,
+    Configuration, Index, IndexKind, JoinPair, MaterializedView, QualifiedColumn,
+    RangePartitioning, StructureHandle,
 };
 use dta_sql::{AggFunc, Statement};
 use dta_stats::histogram::fallback;
 use dta_stats::StatisticsManager;
 use dta_storage::{pages_for, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// The handle `config` holds `index` in: what a plan names it by.
+fn index_handle(config: &Configuration, index: &Index) -> StructureHandle {
+    let held = config.handles().iter().find(|h| h.as_index() == Some(index));
+    held.expect("the planner reads only indexes of the configuration").clone()
+}
+
+/// The handle `config` holds `view` in.
+fn view_handle(config: &Configuration, view: &MaterializedView) -> StructureHandle {
+    let held = config.handles().iter().find(|h| h.as_view() == Some(view));
+    held.expect("the planner reads only views of the configuration").clone()
+}
 
 // ---- selectivity ----------------------------------------------------------
 
@@ -271,7 +285,7 @@ pub fn access_options(
     let out_sel = ctx.estimator.table_selectivity(table, sargs, residuals);
     let out_rows = (rows * out_sel).max(0.0);
 
-    let owned_sargs: Vec<Sarg> = sargs.iter().map(|s| (*s).clone()).collect();
+    let owned_sargs: Arc<[Sarg]> = sargs.iter().map(|s| (*s).clone()).collect();
     let mut options = Vec::new();
 
     let clustered = ctx.config.clustered_index(ctx.database, table);
@@ -291,9 +305,9 @@ pub fn access_options(
         };
         options.push(AccessOption {
             access: TableAccess {
-                database: ctx.database.to_string(),
-                table: table.to_string(),
-                binding: binding.to_string(),
+                database: ctx.database.into(),
+                table: table.into(),
+                binding: binding.into(),
                 method: AccessMethod::HeapScan,
                 sargs: owned_sargs.clone(),
                 residuals,
@@ -320,10 +334,13 @@ pub fn access_options(
             let cost = io + scanned * CPU_W;
             options.push(AccessOption {
                 access: TableAccess {
-                    database: ctx.database.to_string(),
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    method: AccessMethod::ClusteredSeek { index: ci.clone(), seek_len },
+                    database: ctx.database.into(),
+                    table: table.into(),
+                    binding: binding.into(),
+                    method: AccessMethod::ClusteredSeek {
+                        index: index_handle(ctx.config, ci),
+                        seek_len,
+                    },
                     sargs: owned_sargs.clone(),
                     residuals,
                     partition_fraction: 1.0,
@@ -378,10 +395,14 @@ pub fn access_options(
             let cost = io + matched * CPU_W;
             options.push(AccessOption {
                 access: TableAccess {
-                    database: ctx.database.to_string(),
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    method: AccessMethod::IndexSeek { index: ix.clone(), seek_len, covering },
+                    database: ctx.database.into(),
+                    table: table.into(),
+                    binding: binding.into(),
+                    method: AccessMethod::IndexSeek {
+                        index: index_handle(ctx.config, ix),
+                        seek_len,
+                        covering,
+                    },
                     sargs: owned_sargs.clone(),
                     residuals,
                     partition_fraction: 1.0,
@@ -405,10 +426,10 @@ pub fn access_options(
             let cost = io + cpu * CPU_W;
             options.push(AccessOption {
                 access: TableAccess {
-                    database: ctx.database.to_string(),
-                    table: table.to_string(),
-                    binding: binding.to_string(),
-                    method: AccessMethod::CoveringScan { index: ix.clone() },
+                    database: ctx.database.into(),
+                    table: table.into(),
+                    binding: binding.into(),
+                    method: AccessMethod::CoveringScan { index: index_handle(ctx.config, ix) },
                     sargs: owned_sargs.clone(),
                     residuals,
                     partition_fraction: leaf_elim,
@@ -612,13 +633,17 @@ fn inl_join(
         let out_per_probe = matched_per_probe * local_sel;
         let cost_per_probe = per_probe;
         let access = TableAccess {
-            database: ctx.database.to_string(),
-            table: inner_table.to_string(),
-            binding: inner_binding.to_string(),
+            database: ctx.database.into(),
+            table: inner_table.into(),
+            binding: inner_binding.into(),
             method: if ix.kind == IndexKind::Clustered {
-                AccessMethod::ClusteredSeek { index: ix.clone(), seek_len: 1 }
+                AccessMethod::ClusteredSeek { index: index_handle(ctx.config, ix), seek_len: 1 }
             } else {
-                AccessMethod::IndexSeek { index: ix.clone(), seek_len: 1, covering }
+                AccessMethod::IndexSeek {
+                    index: index_handle(ctx.config, ix),
+                    seek_len: 1,
+                    covering,
+                }
             },
             sargs: inner_sargs.iter().map(|s| (*s).clone()).collect(),
             residuals: inner_residuals,
@@ -840,7 +865,7 @@ pub fn view_plans(ctx: &PlanContext<'_>, bound: &BoundSelect) -> Vec<ViewPlan> {
 
     // the query's join pairs in table-qualified normalized form
     let mut q_pairs: Vec<JoinPair> = Vec::new();
-    for jp in &bound.joins {
+    for jp in bound.joins.iter() {
         let (Some(l), Some(r)) = (to_table(&jp.left), to_table(&jp.right)) else {
             return Vec::new();
         };
@@ -880,7 +905,7 @@ pub fn view_plans(ctx: &PlanContext<'_>, bound: &BoundSelect) -> Vec<ViewPlan> {
 
         // every sarg column must be produced by the view
         let mut view_sargs: Vec<Sarg> = Vec::new();
-        for s in &bound.sargs {
+        for s in bound.sargs.iter() {
             let Some(qc) = to_table(&s.column) else { continue 'views };
             if !produces(&qc) {
                 continue 'views;
@@ -943,9 +968,9 @@ pub fn view_plans(ctx: &PlanContext<'_>, bound: &BoundSelect) -> Vec<ViewPlan> {
 
         out.push(ViewPlan {
             scan: PlanNode::ViewScan {
-                view: view.clone(),
+                view: view_handle(ctx.config, view),
                 replaced: bound.tables.iter().map(|t| t.binding.clone()).collect(),
-                sargs: view_sargs,
+                sargs: view_sargs.into(),
                 answers_grouping,
                 est_rows,
                 est_cost: cost,
@@ -1002,17 +1027,17 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                     IndexKind::NonClustered => INDEX_MAINT_PAGES,
                 };
                 cost += rows_f * per_row;
-                maintained.push(ix.name());
+                maintained.push(index_handle(ctx.config, ix));
             }
             for v in ctx.config.views(database) {
                 if v.tables.iter().any(|t| t == table) {
                     cost += rows_f * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
-                    maintained.push(v.name());
+                    maintained.push(view_handle(ctx.config, v));
                 }
             }
             PlanNode::Insert {
-                database: database.clone(),
-                table: table.clone(),
+                database: database.as_str().into(),
+                table: table.as_str().into(),
                 rows: *rows,
                 maintained,
                 est_cost: cost,
@@ -1027,7 +1052,7 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                     || ix.partitioning.as_ref().is_some_and(|p| set_columns.contains(&p.column));
                 if touches {
                     cost += affected * 2.0 * INDEX_MAINT_PAGES; // delete + insert entry
-                    maintained.push(ix.name());
+                    maintained.push(index_handle(ctx.config, ix));
                 }
             }
             for v in ctx.config.views(database) {
@@ -1035,7 +1060,7 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
                     && view_references_columns(v, table, set_columns);
                 if touches {
                     cost += affected * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
-                    maintained.push(v.name());
+                    maintained.push(view_handle(ctx.config, v));
                 }
             }
             PlanNode::Update {
@@ -1053,13 +1078,13 @@ pub fn plan_dml(ctx: &PlanContext<'_>, dml: &BoundDml) -> PlanNode {
             for ix in ctx.config.indexes_on(database, table) {
                 if ix.kind == IndexKind::NonClustered {
                     cost += affected * INDEX_MAINT_PAGES;
-                    maintained.push(ix.name());
+                    maintained.push(index_handle(ctx.config, ix));
                 }
             }
             for v in ctx.config.views(database) {
                 if v.tables.iter().any(|t| t == table) {
                     cost += affected * VIEW_MAINT_PAGES_PER_TABLE * v.tables.len() as f64;
-                    maintained.push(v.name());
+                    maintained.push(view_handle(ctx.config, v));
                 }
             }
             PlanNode::Delete {
@@ -1196,7 +1221,9 @@ pub fn plan_select(ctx: &PlanContext<'_>, bound: &BoundSelect) -> PlanNode {
     let mut best = base;
     for vp in view_plans(ctx, bound) {
         let width = match &vp.scan {
-            PlanNode::ViewScan { view, .. } => view_row_width(ctx, view) as f64,
+            PlanNode::ViewScan { view, .. } => {
+                view_row_width(ctx, view.as_view().expect("a view scan reads a view")) as f64
+            }
             _ => 64.0,
         };
         let candidate = if bound.is_aggregate() && !vp.answers_grouping {
@@ -1250,7 +1277,7 @@ fn finish_select(
             // scalar aggregate
             node = PlanNode::StreamAggregate {
                 input: Box::new(node),
-                group_by: Vec::new(),
+                group_by: Arc::default(),
                 est_rows: 1.0,
                 est_cost: input_cost + input_rows * CPU_W,
             };
@@ -1304,7 +1331,7 @@ fn finish_select(
         let groups = (input_rows * 0.5).max(1.0);
         node = PlanNode::HashAggregate {
             input: Box::new(node),
-            group_by: Vec::new(),
+            group_by: Arc::default(),
             est_rows: groups,
             est_cost: input_cost + (input_rows * 1.5 + groups) * CPU_W,
         };

@@ -146,9 +146,10 @@ fn shape(server: &Server, db: &str, stmt: &Statement) -> Shape {
         Ok(BoundStatement::Dml(d)) => {
             let (table, cols) = match d {
                 BoundDml::Insert { table, .. } => (table, Vec::new()),
-                BoundDml::Update { table, set_columns, filter, .. } => {
-                    (table, filter.referenced.into_iter().chain(set_columns).collect())
-                }
+                BoundDml::Update { table, set_columns, filter, .. } => (
+                    table,
+                    filter.referenced.into_iter().chain(set_columns.iter().cloned()).collect(),
+                ),
                 BoundDml::Delete { table, filter, .. } => {
                     (table, filter.referenced.into_iter().collect())
                 }

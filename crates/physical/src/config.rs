@@ -6,7 +6,7 @@ use crate::{Index, IndexKind, MaterializedView, PhysicalStructure};
 use dta_catalog::Catalog;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why a configuration is not valid (§6.2: user-specified configurations
 /// must be *valid*, i.e. realizable in the database).
@@ -187,10 +187,12 @@ struct ViewKeys {
 }
 
 /// A structure as a [`Configuration`] holds it: shared, with its content
-/// hash, table keys and column masks computed once, when it is wrapped.
-/// Cloning copies a pointer; comparing looks at the hashes before the
-/// contents.
-#[derive(Debug, Clone)]
+/// hash, table keys and column masks computed once, when it is wrapped,
+/// and its name the first time it is asked for. Cloning copies a
+/// pointer; comparing looks at the hashes before the contents. A what-if
+/// plan holds the handles of the structures it reads and maintains, so
+/// planning copies no structure and names none.
+#[derive(Clone)]
 pub struct StructureHandle {
     shared: Arc<Shared>,
     hash: u64,
@@ -213,6 +215,8 @@ struct Shared {
     /// planner never counts a partitioning column towards a cover; doing
     /// so here can only keep an index relevant.)
     columns: ColumnMask,
+    /// [`PhysicalStructure::name`], made on first use.
+    name: OnceLock<Arc<str>>,
 }
 
 impl StructureHandle {
@@ -239,7 +243,7 @@ impl StructureHandle {
         };
         Self {
             hash: content_hash(&structure),
-            shared: Arc::new(Shared { structure, lead, columns }),
+            shared: Arc::new(Shared { structure, lead, columns, name: OnceLock::new() }),
             scope,
         }
     }
@@ -248,6 +252,37 @@ impl StructureHandle {
     #[inline]
     pub fn structure(&self) -> &PhysicalStructure {
         &self.shared.structure
+    }
+
+    /// Whether the two are copies of one handle (not merely equal).
+    #[inline]
+    pub fn ptr_eq(this: &Self, other: &Self) -> bool {
+        Arc::ptr_eq(&this.shared, &other.shared)
+    }
+
+    /// The structure if it is an index.
+    #[inline]
+    pub fn as_index(&self) -> Option<&Index> {
+        match self.structure() {
+            PhysicalStructure::Index(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The structure if it is a materialized view.
+    #[inline]
+    pub fn as_view(&self) -> Option<&MaterializedView> {
+        match self.structure() {
+            PhysicalStructure::View(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// [`PhysicalStructure::name`], formatted on the first call and
+    /// shared by every copy of the handle from then on: a clone of the
+    /// result copies a pointer.
+    pub fn name(&self) -> &Arc<str> {
+        self.shared.name.get_or_init(|| Arc::from(self.structure().name()))
     }
 
     /// `DefaultHasher` hash of the structure's contents. The cost cache
@@ -298,6 +333,13 @@ impl StructureHandle {
         used.leading.intersects(*lead)
             || columns.contains(used.covering)
             || used.maintained.intersects(*columns)
+    }
+}
+
+/// The structure alone: what the handle memoizes is derived from it.
+impl std::fmt::Debug for StructureHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("StructureHandle").field(self.structure()).finish()
     }
 }
 
@@ -425,10 +467,15 @@ impl Configuration {
     /// [`Self::indexes_on`] for a caller that holds the table's
     /// [`table_key`]: no name is hashed.
     pub fn indexes_on_key(&self, key: u64) -> impl Iterator<Item = &Index> {
-        self.on_table(key).filter_map(|e| match e.structure() {
-            PhysicalStructure::Index(i) => Some(i),
-            _ => None,
-        })
+        self.index_handles_on_key(key).map(|(_, i)| i)
+    }
+
+    /// [`Self::indexes_on_key`], each index with the handle that holds it.
+    pub fn index_handles_on_key(
+        &self,
+        key: u64,
+    ) -> impl Iterator<Item = (&StructureHandle, &Index)> {
+        self.on_table(key).filter_map(|e| e.as_index().map(|i| (e, i)))
     }
 
     /// The clustered index on a table, if any.
@@ -479,9 +526,17 @@ impl Configuration {
 
     /// [`Self::views`] by [`database_key`].
     pub fn views_in(&self, database_key: u64) -> impl Iterator<Item = &MaterializedView> {
+        self.view_handles_in(database_key).map(|(_, v)| v)
+    }
+
+    /// [`Self::views_in`], each view with the handle that holds it.
+    pub fn view_handles_in(
+        &self,
+        database_key: u64,
+    ) -> impl Iterator<Item = (&StructureHandle, &MaterializedView)> {
         self.entries.iter().filter_map(move |e| match (&e.scope, e.structure()) {
             (Scope::View(keys), PhysicalStructure::View(v)) if keys.database == database_key => {
-                Some(v)
+                Some((e, v))
             }
             _ => None,
         })
