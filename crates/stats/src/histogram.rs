@@ -36,13 +36,21 @@ impl Histogram {
     /// need not be sorted. NULLs are counted into `null_fraction` and
     /// excluded from the buckets.
     pub fn build(mut values: Vec<Value>) -> Self {
-        let total = values.len();
+        values.sort_unstable();
+        let sorted: Vec<&Value> = values.iter().collect();
+        Self::from_sorted(&sorted)
+    }
+
+    /// Build an equi-depth histogram from a sample sorted ascending
+    /// (NULLs first, as `Value`'s order puts them). Only the bucket
+    /// bounds and the minimum are cloned.
+    pub(crate) fn from_sorted(sorted: &[&Value]) -> Self {
+        let total = sorted.len();
         if total == 0 {
             return Self::default();
         }
-        values.sort_unstable();
-        let nulls = values.iter().take_while(|v| v.is_null()).count();
-        let non_null = values.get(nulls..).unwrap_or(&[]);
+        let nulls = sorted.iter().take_while(|v| v.is_null()).count();
+        let non_null = sorted.get(nulls..).unwrap_or(&[]);
         let null_fraction = nulls as f64 / total as f64;
         if non_null.is_empty() {
             return Self { min: None, buckets: Vec::new(), null_fraction };
@@ -69,10 +77,10 @@ impl Histogram {
                     distinct += 1;
                 }
             }
-            let upper = slice.last().expect("bucket slices are non-empty by clamp").clone();
+            let upper: &Value = slice.last().expect("bucket slices are non-empty by clamp");
             let upper_count = slice.iter().rev().take_while(|v| **v == upper).count();
             buckets.push(Bucket {
-                upper,
+                upper: upper.clone(),
                 fraction: slice.len() as f64 / n as f64,
                 distinct: distinct as f64,
                 upper_fraction: upper_count as f64 / n as f64,
@@ -82,12 +90,18 @@ impl Histogram {
                 break;
             }
         }
-        Self { min: non_null.first().cloned(), buckets, null_fraction }
+        Self { min: non_null.first().map(|&v| v.clone()), buckets, null_fraction }
     }
 
     /// True if the histogram carries no value information.
     pub fn is_empty(&self) -> bool {
         self.buckets.is_empty()
+    }
+
+    /// The buckets, in ascending order of their upper bounds.
+    #[cfg(test)]
+    pub(crate) fn buckets(&self) -> &[Bucket] {
+        &self.buckets
     }
 
     /// Number of buckets.
@@ -155,18 +169,18 @@ impl Histogram {
             return 0.0;
         }
         let mut acc = 0.0;
-        let mut lower = min.clone();
+        let mut lower = min;
         for (i, b) in self.buckets.iter().enumerate() {
             if *v > b.upper {
                 acc += b.fraction;
-                lower = b.upper.clone();
+                lower = &b.upper;
                 continue;
             }
             // v falls inside this bucket: interpolate over the interior
             if *v == b.upper {
                 acc += b.fraction - b.upper_fraction;
             } else {
-                let within = interpolate(&lower, &b.upper, v);
+                let within = interpolate(lower, &b.upper, v);
                 acc += (b.fraction - b.upper_fraction).max(0.0) * within;
             }
             if inclusive {
@@ -223,13 +237,16 @@ impl Histogram {
         self.max_value()
     }
 
-    /// Index of the bucket containing `v`, if any.
+    /// Index of the bucket containing `v`, if any: the first whose upper
+    /// bound is at least `v`. Upper bounds strictly increase (equal values
+    /// never straddle a boundary), so a binary search finds it.
     fn bucket_of(&self, v: &Value) -> Option<usize> {
         let min = self.min.as_ref()?;
         if v < min {
             return None;
         }
-        self.buckets.iter().position(|b| v <= &b.upper)
+        let i = self.buckets.partition_point(|b| b.upper < *v);
+        (i < self.buckets.len()).then_some(i)
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::manager::StatisticsManager;
 use crate::statistic::StatKey;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Result of a reduction pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,27 +42,46 @@ impl ReductionOutcome {
     }
 }
 
-/// Histogram requirement: (db, table, leading column).
-type HEntry = (String, String, String);
-/// Density requirement: (db, table, column set).
-type DEntry = (String, String, BTreeSet<String>);
+/// One H-List or D-List requirement, borrowed from the requests.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Entry<'a> {
+    /// A histogram on (db, table, leading column).
+    Histogram(&'a str, &'a str, &'a str),
+    /// Density on (db, table, column set), the set sorted and deduplicated.
+    Density(&'a str, &'a str, Vec<&'a str>),
+}
 
-fn h_entries(key: &StatKey) -> Vec<HEntry> {
-    match key.columns.first() {
-        Some(c) => vec![(key.database.clone(), key.table.clone(), c.clone())],
-        None => vec![],
+impl Entry<'_> {
+    fn held_by(&self, existing: &StatisticsManager) -> bool {
+        match self {
+            Entry::Histogram(db, table, column) => existing.has_histogram(db, table, column),
+            Entry::Density(db, table, columns) => existing.has_density(db, table, columns),
+        }
     }
 }
 
-fn d_entries(key: &StatKey) -> Vec<DEntry> {
-    let mut prefix: BTreeSet<String> = BTreeSet::new();
-    key.columns
-        .iter()
-        .map(|c| {
-            prefix.insert(c.clone());
-            (key.database.clone(), key.table.clone(), prefix.clone())
-        })
-        .collect()
+/// The requirements `key` provides: the histogram on its leading column,
+/// then the density of each leading prefix (a repeated column gives the
+/// same density entry twice).
+fn entries(key: &StatKey) -> Vec<Entry<'_>> {
+    let (db, table) = (key.database.as_str(), key.table.as_str());
+    let mut out: Vec<Entry> =
+        key.columns.first().map(|c| Entry::Histogram(db, table, c)).into_iter().collect();
+    let mut prefix: Vec<&str> = Vec::with_capacity(key.columns.len());
+    for c in &key.columns {
+        if let Err(at) = prefix.binary_search(&c.as_str()) {
+            prefix.insert(at, c);
+        }
+        out.push(Entry::Density(db, table, prefix.clone()));
+    }
+    out
+}
+
+/// A request still in the running, with the ids of the requirements it
+/// provides.
+struct Candidate<'a> {
+    key: &'a StatKey,
+    entries: Vec<usize>,
 }
 
 /// Run the §5.2 greedy reduction over `required`, consulting `existing`
@@ -70,63 +89,66 @@ fn d_entries(key: &StatKey) -> Vec<DEntry> {
 /// re-created at all.
 pub fn reduce_statistics(required: &[StatKey], existing: &StatisticsManager) -> ReductionOutcome {
     // de-duplicate requests while preserving order
-    let mut requested: Vec<StatKey> = Vec::new();
-    for k in required {
-        if !requested.contains(k) {
-            requested.push(k.clone());
-        }
-    }
+    let mut seen: BTreeSet<&StatKey> = BTreeSet::new();
+    let requested: Vec<&StatKey> = required.iter().filter(|k| seen.insert(k)).collect();
 
-    // Step 1: H-List and D-List of *uncovered* requirements.
-    let mut h_list: BTreeSet<HEntry> = BTreeSet::new();
-    let mut d_list: BTreeSet<DEntry> = BTreeSet::new();
-    for key in &requested {
-        for h in h_entries(key) {
-            if !existing.has_histogram(&h.0, &h.1, &h.2) {
-                h_list.insert(h);
-            }
-        }
-        for d in d_entries(key) {
-            let cols: Vec<String> = d.2.iter().cloned().collect();
-            if !existing.has_density(&d.0, &d.1, &cols) {
-                d_list.insert(d);
-            }
-        }
-    }
+    // Step 1: intern every H-List and D-List entry once; `open[id]` holds
+    // while the entry is uncovered (neither held already nor picked).
+    let mut ids: BTreeMap<Entry, usize> = BTreeMap::new();
+    let mut open: Vec<bool> = Vec::new();
+    let mut remaining: Vec<Candidate> = requested
+        .iter()
+        .map(|&key| {
+            let entries = entries(key)
+                .into_iter()
+                .map(|entry| {
+                    let next = ids.len();
+                    *ids.entry(entry).or_insert_with_key(|entry| {
+                        open.push(!entry.held_by(existing));
+                        next
+                    })
+                })
+                .collect();
+            Candidate { key, entries }
+        })
+        .collect();
+    let mut uncovered = open.iter().filter(|&&o| o).count();
 
     // Steps 2–4: greedy covering.
-    let mut remaining: Vec<StatKey> = requested.clone();
     let mut chosen = Vec::new();
-    while !(h_list.is_empty() && d_list.is_empty()) {
+    while uncovered > 0 {
         let (best_idx, best_cover) = remaining
             .iter()
             .enumerate()
-            .map(|(i, key)| {
-                let hc = h_entries(key).iter().filter(|h| h_list.contains(*h)).count();
-                let dc = d_entries(key).iter().filter(|d| d_list.contains(*d)).count();
-                (i, hc + dc, key.columns.len())
+            .map(|(i, c)| {
+                let cover = c.entries.iter().filter(|&&id| open.get(id) == Some(&true)).count();
+                (i, cover, c.key.columns.len())
             })
             .max_by_key(|&(i, cover, width)| {
                 // break ties toward *narrower* statistics (equal information
                 // for less creation work — matches the paper's Example 3
-                // choosing (B) over (B,A)), then earlier request order
+                // choosing (B) over (B,A)), then toward the lowest position
+                // in `remaining` — which `swap_remove` reorders after every
+                // pick, so for requests [a], [b], [c], [d] the order is
+                // a, d, c, b. Creation order decides which sampling draws
+                // each statistic gets, so this order is kept as it is.
                 (cover, std::cmp::Reverse(width), std::cmp::Reverse(i))
             })
             .map(|(i, cover, _)| (i, cover))
-            .expect("non-empty requirement lists imply a remaining candidate");
+            .expect("uncovered entries imply a remaining candidate");
         if best_cover == 0 {
-            // cannot happen if lists were built from `remaining`, but keep
+            // cannot happen if entries were built from `remaining`, but keep
             // the loop total in the face of future changes
             break;
         }
-        let key = remaining.swap_remove(best_idx);
-        for h in h_entries(&key) {
-            h_list.remove(&h);
+        let picked = remaining.swap_remove(best_idx);
+        for &id in &picked.entries {
+            if let Some(o) = open.get_mut(id).filter(|o| **o) {
+                *o = false;
+                uncovered -= 1;
+            }
         }
-        for d in d_entries(&key) {
-            d_list.remove(&d);
-        }
-        chosen.push(key);
+        chosen.push(picked.key.clone());
     }
 
     ReductionOutcome { chosen, requested: requested.len() }
@@ -135,9 +157,139 @@ pub fn reduce_statistics(required: &[StatKey], existing: &StatisticsManager) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::Histogram;
+    use crate::statistic::Statistic;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn key(cols: &[&str]) -> StatKey {
         StatKey::new("db", "t", cols)
+    }
+
+    /// Histogram requirement: (db, table, leading column).
+    type HEntry = (String, String, String);
+    /// Density requirement: (db, table, column set).
+    type DEntry = (String, String, BTreeSet<String>);
+
+    fn h_entries(key: &StatKey) -> Vec<HEntry> {
+        match key.columns.first() {
+            Some(c) => vec![(key.database.clone(), key.table.clone(), c.clone())],
+            None => vec![],
+        }
+    }
+
+    fn d_entries(key: &StatKey) -> Vec<DEntry> {
+        let mut prefix: BTreeSet<String> = BTreeSet::new();
+        key.columns
+            .iter()
+            .map(|c| {
+                prefix.insert(c.clone());
+                (key.database.clone(), key.table.clone(), prefix.clone())
+            })
+            .collect()
+    }
+
+    /// The reduction as first written: every round rebuilds every
+    /// candidate's entries and looks them up in the H-List and D-List.
+    /// `reduce_statistics` must pick exactly as it does.
+    fn reduce_statistics_reference(
+        required: &[StatKey],
+        existing: &StatisticsManager,
+    ) -> ReductionOutcome {
+        let mut requested: Vec<StatKey> = Vec::new();
+        for k in required {
+            if !requested.contains(k) {
+                requested.push(k.clone());
+            }
+        }
+        let mut h_list: BTreeSet<HEntry> = BTreeSet::new();
+        let mut d_list: BTreeSet<DEntry> = BTreeSet::new();
+        for key in &requested {
+            for h in h_entries(key) {
+                if !existing.has_histogram(&h.0, &h.1, &h.2) {
+                    h_list.insert(h);
+                }
+            }
+            for d in d_entries(key) {
+                let cols: Vec<String> = d.2.iter().cloned().collect();
+                if !existing.has_density(&d.0, &d.1, &cols) {
+                    d_list.insert(d);
+                }
+            }
+        }
+        let mut remaining: Vec<StatKey> = requested.clone();
+        let mut chosen = Vec::new();
+        while !(h_list.is_empty() && d_list.is_empty()) {
+            let (best_idx, best_cover) = remaining
+                .iter()
+                .enumerate()
+                .map(|(i, key)| {
+                    let hc = h_entries(key).iter().filter(|h| h_list.contains(*h)).count();
+                    let dc = d_entries(key).iter().filter(|d| d_list.contains(*d)).count();
+                    (i, hc + dc, key.columns.len())
+                })
+                .max_by_key(|&(i, cover, width)| {
+                    (cover, std::cmp::Reverse(width), std::cmp::Reverse(i))
+                })
+                .map(|(i, cover, _)| (i, cover))
+                .expect("non-empty requirement lists imply a remaining candidate");
+            if best_cover == 0 {
+                break;
+            }
+            let key = remaining.swap_remove(best_idx);
+            for h in h_entries(&key) {
+                h_list.remove(&h);
+            }
+            for d in d_entries(&key) {
+                d_list.remove(&d);
+            }
+            chosen.push(key);
+        }
+        ReductionOutcome { chosen, requested: requested.len() }
+    }
+
+    /// A random key on one of two tables over columns a–d (repeats and
+    /// the empty key included).
+    fn random_key(rng: &mut StdRng) -> StatKey {
+        const COLUMNS: [&str; 4] = ["a", "b", "c", "d"];
+        let table = if rng.gen_bool(0.7) { "t1" } else { "t2" };
+        let width = rng.gen_range(0..5usize);
+        let cols: Vec<&str> = (0..width)
+            .filter_map(|_| COLUMNS.get(rng.gen_range(0..COLUMNS.len())).copied())
+            .collect();
+        StatKey::new("db", table, &cols)
+    }
+
+    #[test]
+    fn interned_reduction_picks_as_the_reference_does() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for _ in 0..500 {
+            let mut existing = StatisticsManager::new();
+            for _ in 0..rng.gen_range(0..3) {
+                let key = random_key(&mut rng);
+                let densities = vec![0.5; key.columns.len()];
+                existing.add(Statistic {
+                    key,
+                    histogram: Histogram::build((0..5).map(dta_catalog::Value::Int).collect()),
+                    densities,
+                    row_count: 5,
+                    sample_rows: 5,
+                });
+            }
+            let required: Vec<StatKey> =
+                (0..rng.gen_range(0..14)).map(|_| random_key(&mut rng)).collect();
+            let reference = reduce_statistics_reference(&required, &existing);
+            assert_eq!(reduce_statistics(&required, &existing), reference, "{required:?}");
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_lowest_current_position() {
+        // every request covers as much as the others: the first pick is
+        // the first request, then `swap_remove` moves the last into its place
+        let required = vec![key(&["a"]), key(&["b"]), key(&["c"]), key(&["d"])];
+        let out = reduce_statistics(&required, &StatisticsManager::new());
+        assert_eq!(out.chosen, vec![key(&["a"]), key(&["d"]), key(&["c"]), key(&["b"])]);
     }
 
     #[test]
@@ -168,8 +320,6 @@ mod tests {
 
     #[test]
     fn existing_stats_suppress_creation() {
-        use crate::histogram::Histogram;
-        use crate::statistic::Statistic;
         let mut mgr = StatisticsManager::new();
         mgr.add(Statistic {
             key: key(&["a", "b", "c"]),
