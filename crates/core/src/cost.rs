@@ -2,7 +2,7 @@
 //! cache.
 //!
 //! Every configuration DTA explores is priced as the weighted sum of
-//! optimizer-estimated statement costs (§2.2). Three optimizations keep
+//! optimizer-estimated statement costs (§2.2). Four optimizations keep
 //! the what-if calls and the lookups manageable without changing any
 //! result:
 //!
@@ -42,7 +42,17 @@
 //!    its lookup would hit the entry its reference cost came from: it
 //!    takes that cost and is not looked up at all
 //!    ([`CostEvaluator::delta_cost`]). The sum is the same bits, and only
-//!    cache hits go uncounted.
+//!    cache hits go uncounted;
+//! 4. **Atomic costs** — once Phase 1 has priced every singleton, each
+//!    candidate's [`Atom`] holds its delta from the base and the cost of
+//!    each statement that delta reaches, read at a serial point. A
+//!    Phase-1 set whose delta is the disjoint union of its members' is
+//!    priced from them with no relevance scan: a statement one atom
+//!    reaches takes that atom's cost, one none reaches its base cost, and
+//!    only one that two atoms reach is looked up
+//!    ([`CostEvaluator::atomic_cost`]). Every skipped lookup would have
+//!    hit the singleton's entry, so again only hits go uncounted. Every
+//!    path sums in one workload-order loop.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -97,8 +107,9 @@
 //! independent fingerprint to detect primary-key collisions, every
 //! cached cost must be finite and non-negative, weighted sums must
 //! accumulate monotonically, the shard table must stay one-to-one with
-//! the workload, and a statement priced at its reference cost must find
-//! that very cost cached for the evaluated configuration. All of it
+//! the workload, and a statement priced without a lookup — at its
+//! reference cost or an atom's — must find that very cost cached for the
+//! evaluated configuration. All of it
 //! compiles away under `--release`.
 
 use crate::invariants;
@@ -767,33 +778,96 @@ impl<'a> CostEvaluator<'a> {
     /// onto what it projected the reference onto, so its lookup would hit
     /// the entry its reference cost was read from: it takes that cost and
     /// is not looked up. Every other statement — and one without a
-    /// reference cost — is looked up. The sum is taken in workload order
-    /// with [`Self::workload_cost`]'s operations (with no reference, this
-    /// *is* `workload_cost`), so it is bit-equal to pricing `config` whole,
-    /// and only the hits skipped go uncounted.
+    /// reference cost — is looked up. The sum is [`Self::sum`]'s (with no
+    /// reference, this *is* `workload_cost`), so it is bit-equal to
+    /// pricing `config` whole, and only the hits skipped go uncounted.
     pub(crate) fn delta_cost(
         &self,
         config: &Overlay<'_>,
         delta: &[StructureHandle],
         reference: &[Option<f64>],
     ) -> Result<f64, ServerError> {
+        self.sum(config, |i, item, shard| {
+            let cost = reference.get(i).copied().flatten()?;
+            let relevant = self.relevance(item, shard);
+            (!delta.iter().any(|h| relevant.admits(h))).then_some(cost)
+        })
+    }
+
+    /// The atom of a singleton: `config` is `base ∪ {c}` and differs from
+    /// the base by `delta`. Each statement the delta reaches is listed
+    /// with its cost under `config` as the cache holds it now — read, not
+    /// looked up, so no counter moves. `None` when a statement has no
+    /// [`Relevance`] yet, so what the delta reaches is unknown.
+    pub(crate) fn atom(&self, config: &Overlay<'_>, delta: Vec<StructureHandle>) -> Option<Atom> {
+        let mut reached = Vec::new();
+        for (i, shard) in self.state.shards.iter().enumerate() {
+            let relevant = shard.relevance.get()?;
+            if delta.iter().any(|h| relevant.admits(h)) {
+                reached.push((i, Self::cached(shard, relevant, config)));
+            }
+        }
+        Some(Atom { delta, reached })
+    }
+
+    /// [`Self::delta_cost`] against the base for `base ∪ S`, given the
+    /// atoms of the members of `S`: `reference` holds the base's costs.
+    ///
+    /// When `delta` is the disjoint union of the atoms' deltas, a
+    /// statement no atom reaches takes its base cost, one that exactly
+    /// one atom reaches takes that atom's cost, and only one that two or
+    /// more reach — or whose cost the base or the atom lacks — is looked
+    /// up: the relevance scan is the atoms'. Any other `delta` is priced
+    /// by [`Self::delta_cost`]. Either way the sum is [`Self::sum`]'s.
+    pub(crate) fn atomic_cost(
+        &self,
+        config: &Overlay<'_>,
+        delta: &[StructureHandle],
+        atoms: &[&Atom],
+        reference: &[Option<f64>],
+    ) -> Result<f64, ServerError> {
+        if !Atom::split(delta, atoms) {
+            return self.delta_cost(config, delta, reference);
+        }
+        let mut reached: Vec<_> = atoms.iter().map(|a| a.reached.iter().peekable()).collect();
+        self.sum(config, |i, _, _| {
+            let (mut reaching, mut cost) = (0, None);
+            for atom in &mut reached {
+                if let Some(&(_, c)) = atom.next_if(|&&(j, _)| j == i) {
+                    reaching += 1;
+                    cost = c;
+                }
+            }
+            match reaching {
+                0 => reference.get(i).copied().flatten(),
+                1 => cost,
+                _ => None,
+            }
+        })
+    }
+
+    /// Weighted workload cost under `config`, summed in workload order:
+    /// statement `i` takes `known(i, …)` when that is a cost — one the
+    /// cache holds for `config`'s projection, which debug builds check —
+    /// and is looked up otherwise. Every pricing of a whole workload sums
+    /// here, with the same operations in the same order, so all of them
+    /// give the same bits.
+    fn sum(
+        &self,
+        config: &Overlay<'_>,
+        mut known: impl FnMut(usize, &WorkloadItem, &Shard) -> Option<f64>,
+    ) -> Result<f64, ServerError> {
         let mut total = 0.0;
         for i in 0..self.items.len() {
             let (item, shard) = self.slot(i);
-            let kept = reference.get(i).copied().flatten().filter(|&cost| {
-                let relevant = self.relevance(item, shard);
-                let unseen = !delta.iter().any(|h| relevant.admits(h));
-                if invariants::ENABLED && unseen {
-                    invariants::check_reference_cost(
-                        cost,
-                        Self::cached(shard, relevant, config),
-                        i,
-                    );
+            let cost = match known(i, item, shard) {
+                Some(cost) => {
+                    if invariants::ENABLED {
+                        let cached = Self::cached(shard, self.relevance(item, shard), config);
+                        invariants::check_reference_cost(cost, cached, i);
+                    }
+                    cost
                 }
-                unseen
-            });
-            let cost = match kept {
-                Some(cost) => cost,
                 None => self.price(i, config)?,
             };
             let next = total + item.weight * cost;
@@ -801,6 +875,40 @@ impl<'a> CostEvaluator<'a> {
             total = next;
         }
         Ok(total)
+    }
+}
+
+/// What one candidate `c` changes on its own — AutoAdmin's *atomic
+/// configuration*: the delta of `base ∪ {c}` from the base, and each
+/// statement that delta reaches with its cost under `base ∪ {c}`. Made
+/// by [`CostEvaluator::atom`] at a serial point, after the singleton was
+/// priced; [`CostEvaluator::atomic_cost`] prices sets from atoms.
+#[derive(Debug)]
+pub(crate) struct Atom {
+    delta: Vec<StructureHandle>,
+    /// Statements the delta reaches, ascending, each with its cost under
+    /// `base ∪ {c}` if the cache held one.
+    reached: Vec<(usize, Option<f64>)>,
+}
+
+impl Atom {
+    /// Whether `delta` is the disjoint union of the atoms' deltas. A delta
+    /// lists a structure once, so: the atoms' deltas share no structure,
+    /// each lies in `delta`, and together they are as long.
+    pub(crate) fn split(delta: &[StructureHandle], atoms: &[&Atom]) -> bool {
+        let parts = || atoms.iter().flat_map(|a| &a.delta);
+        let disjoint = || {
+            atoms.iter().enumerate().all(|(k, a)| {
+                atoms.iter().skip(k + 1).all(|b| !a.delta.iter().any(|h| b.delta.contains(h)))
+            })
+        };
+        parts().count() == delta.len() && disjoint() && parts().all(|h| delta.contains(h))
+    }
+
+    /// The statements the atom reaches, with their costs.
+    #[cfg(test)]
+    pub(crate) fn reached(&self) -> &[(usize, Option<f64>)] {
+        &self.reached
     }
 }
 

@@ -12,8 +12,8 @@
 
 use crate::candidates::Candidate;
 use crate::control::{SessionControl, StopReason};
-use crate::cost::CostEvaluator;
-use crate::greedy::{greedy_mk, GreedySnapshot};
+use crate::cost::{Atom, CostEvaluator};
+use crate::greedy::{greedy_mk, GreedySnapshot, SerialPoint};
 use crate::obs::SessionObserver;
 use crate::options::{AlignmentMode, TuningOptions};
 use crate::overlay::{Indexed, Overlay, Placed, Slot};
@@ -340,6 +340,16 @@ pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<Stru
     structures.into_iter().map(StructureHandle::new).collect()
 }
 
+/// What a Greedy evaluation is priced against: a reference configuration,
+/// each statement's cost under it as the cache held it, and — while Phase
+/// 1 prices sets against the base — each pool candidate's atom (`None`
+/// where it has none). Fixed at serial points only.
+struct Against<'a> {
+    reference: Overlay<'a>,
+    costs: Vec<Option<f64>>,
+    atoms: Vec<Option<Atom>>,
+}
+
 /// Run enumeration over `pool`, as [`enumeration_pool`] builds it.
 ///
 /// Greedy evaluations fan out over `options.parallel_workers` threads
@@ -350,6 +360,11 @@ pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<Stru
 /// (with the same pool and a warmed cache) continues to the
 /// byte-identical uninterrupted answer. The inner Greedy(m, k) run
 /// reports its two phases to `obs` as spans — instrumentation only.
+///
+/// Evaluations are priced against the base in Phase 1 and the incumbent
+/// in Phase 2 ([`CostEvaluator::delta_cost`]); once Phase 1 has priced
+/// every singleton, its larger sets are priced from the singletons'
+/// atoms ([`CostEvaluator::atomic_cost`]).
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate(
     eval: &CostEvaluator<'_>,
@@ -380,36 +395,72 @@ pub fn enumerate(
         crate::control::isolated(control, || eval.delta_cost(&assembler.base(), &[], &[]))
             .and_then(|r| r.ok())
             .unwrap_or(f64::INFINITY);
-    // What an evaluation is priced against, with each statement's cost
-    // under it: fixed at serial points only — the base as just priced for
-    // Phase 1, each incumbent for Phase 2 — so which lookups are skipped
-    // depends on nothing a worker does.
-    let against = RwLock::new((assembler.base(), eval.cached_costs(&assembler.base())));
-    let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
-        let guard = against.read();
-        let (reference, costs) = &*guard;
-        let Assembled { overlay, delta } = assemble(set, reference)?;
-        eval.delta_cost(&overlay, &delta, costs).ok()
+    let handles = |set: &[&usize]| -> Vec<&StructureHandle> {
+        set.iter().map(|&&c| pool.get(c).expect("greedy positions index the pool")).collect()
     };
-    // The incumbent was assembled when it was evaluated: this assembly
-    // re-derives it and is not tallied again. An incumbent that cannot be
-    // assembled (an empty one over a conflicting base) leaves the last
-    // reference in place, which prices any set exactly, if less cheaply.
-    let incumbent_changed = |set: &[&StructureHandle]| {
-        if let Some(reference) = assembler.reference(set) {
-            let costs = eval.cached_costs(&reference);
-            *against.write() = (reference, costs);
+    // What an evaluation is priced against, with each statement's cost
+    // under it, and the pool's atoms while Phase 1 prices sets from them:
+    // fixed at serial points only — the base as just priced for Phase 1,
+    // the atoms once its singletons are, each incumbent for Phase 2 — so
+    // which lookups are skipped depends on nothing a worker does.
+    let against = RwLock::new(Against {
+        costs: eval.cached_costs(&assembler.base()),
+        reference: assembler.base(),
+        atoms: Vec::new(),
+    });
+    let eval_fn = |set: &[&usize]| -> Option<f64> {
+        let against = against.read();
+        let Assembled { overlay, delta } = assemble(&handles(set), &against.reference)?;
+        let atoms: Option<Vec<&Atom>> =
+            set.iter().map(|&&c| against.atoms.get(c)?.as_ref()).collect();
+        match atoms {
+            Some(atoms) => eval.atomic_cost(&overlay, &delta, &atoms, &against.costs),
+            None => eval.delta_cost(&overlay, &delta, &against.costs),
+        }
+        .ok()
+    };
+    // Atoms re-derive each singleton's assembly, and an incumbent was
+    // assembled when it was evaluated: neither assembly is tallied again.
+    // An incumbent that cannot be assembled (an empty one over a
+    // conflicting base) leaves the last reference in place, which prices
+    // any set exactly, if less cheaply. Atoms are this run's alone: a
+    // resumed run makes them again from the cache it resumes with. An
+    // atom costs about what pricing one set from atoms saves, so a run
+    // makes them only when it is granted at least twice as many sets as
+    // there are candidates: a whole Phase 1 is, a supervisor slice of 64
+    // evaluations over a pool of 70 is not.
+    let serial = |point: SerialPoint<'_, usize>| match point {
+        SerialPoint::Singletons { granted } if granted >= 2 * pool.len() => {
+            let base = assembler.base();
+            let atoms = pool
+                .iter()
+                .map(|c| {
+                    let Assembled { overlay, delta } = assembler.assemble(&[c], &base).0?;
+                    eval.atom(&overlay, delta)
+                })
+                .collect();
+            against.write().atoms = atoms;
+        }
+        SerialPoint::Singletons { .. } => {}
+        SerialPoint::Incumbent(set) => {
+            let mut against = against.write();
+            against.atoms = Vec::new();
+            if let Some(reference) = assembler.reference(&handles(set)) {
+                against.costs = eval.cached_costs(&reference);
+                against.reference = reference;
+            }
         }
     };
+    let positions: Vec<usize> = (0..pool.len()).collect();
     let k = pool.len();
     let run = greedy_mk(
-        pool,
+        &positions,
         base_cost,
         options.greedy_m,
         k,
         options.parallel_workers,
         &eval_fn,
-        &incumbent_changed,
+        &serial,
         control,
         snapshot,
         obs,
@@ -421,8 +472,8 @@ pub fn enumerate(
     // dta-lint: allow(R6): all workers joined inside the greedy engine;
     // this read races with nothing.
     let lazy_at_cut = lazy_variants.load(Ordering::Relaxed);
-    let final_refs: Vec<&StructureHandle> = run.outcome.chosen.iter().collect();
-    let configuration = assemble(&final_refs, &assembler.base())
+    let chosen: Vec<&usize> = run.outcome.chosen.iter().collect();
+    let configuration = assemble(&handles(&chosen), &assembler.base())
         .map_or_else(|| base.clone(), |a| a.overlay.materialize());
     EnumerationRun {
         result: EnumerationResult {
@@ -861,6 +912,118 @@ mod tests {
         let skipped = hits(&twin) - hits(&eval);
         for seen in [priced, incumbents, unsettled_base, absent, skipped as usize] {
             assert!(seen > 100, "{priced} {incumbents} {unsettled_base} {absent} {skipped}");
+        }
+    }
+
+    #[test]
+    fn atomic_pricing_equals_pricing_the_assembled_configuration() {
+        use crate::cost::{Atom, CostEvaluator};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let server = differential_server();
+        let target = dta_server::TuningTarget::Single(&server);
+        let items = differential_workload();
+        // `eval` prices Phase 1 as `enumerate` does; `twin` prices whole
+        let (eval, twin) =
+            (CostEvaluator::new(&target, &items), CostEvaluator::new(&target, &items));
+        let tally = |e: &CostEvaluator<'_>| {
+            let stats = e.cache_stats();
+            (e.whatif_calls(), stats.iter().map(|st| st.misses).collect::<Vec<_>>())
+        };
+        let hits = |e: &CostEvaluator<'_>| e.cache_stats().iter().map(|st| st.hits).sum::<u64>();
+        let bits = |r: Result<f64, _>| r.map(f64::to_bits).map_err(|e| format!("{e:?}"));
+        // every subset of the five candidates with one to three members
+        let subsets: Vec<Vec<usize>> = (1u32..32)
+            .filter(|mask| mask.count_ones() <= 3)
+            .map(|mask| (0..5).filter(|c| mask >> c & 1 == 1).collect())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x0a70_3c05);
+        // outcomes seen, so the test cannot pass by never reaching a branch
+        let (mut split, mut unsplit, mut shared, mut missing) = (0, 0, 0, 0);
+        for round in 0..60 {
+            let base: Configuration =
+                (0..rng.gen_range(0..8usize)).map(|_| random_structure(&mut rng)).collect();
+            let pool: Vec<StructureHandle> =
+                (0..5).map(|_| StructureHandle::new(random_structure(&mut rng))).collect();
+            for alignment in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager] {
+                let options =
+                    TuningOptions { alignment, storage_bytes: None, ..Default::default() };
+                let assembler = Assembler::new(&base, &options, &Sizes);
+                let reference = assembler.base();
+                for e in [&eval, &twin] {
+                    e.workload_cost(&reference.materialize()).expect("costing succeeds");
+                }
+                let costs = eval.cached_costs(&reference);
+                // the singletons priced against the base, now and then one
+                // left unpriced so that its atom lacks costs, then the atoms
+                let atoms: Vec<Option<Atom>> = pool
+                    .iter()
+                    .enumerate()
+                    .map(|(c, h)| {
+                        let Assembled { overlay, delta } = assembler.assemble(&[h], &reference).0?;
+                        if (round + c) % 4 != 3 {
+                            let got = eval.delta_cost(&overlay, &delta, &costs);
+                            let want = twin.workload_cost(&overlay.materialize());
+                            assert_eq!(bits(got), bits(want), "round {round}, {alignment:?}");
+                        }
+                        eval.atom(&overlay, delta)
+                    })
+                    .collect();
+                assert_eq!(tally(&eval), tally(&twin), "round {round}, {alignment:?}");
+                for subset in &subsets {
+                    let set: Vec<&StructureHandle> = pool
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(c, h)| subset.contains(&c).then_some(h))
+                        .collect();
+                    let Some(Assembled { overlay, delta }) = assembler.assemble(&set, &reference).0
+                    else {
+                        continue;
+                    };
+                    let atom = |c: usize| atoms.get(c).and_then(Option::as_ref);
+                    let Some(members) = subset.iter().map(|&c| atom(c)).collect::<Option<Vec<_>>>()
+                    else {
+                        continue;
+                    };
+                    // genuine atoms that are not the members': mostly the
+                    // members' again, in any order, repeats included
+                    let decoys: Vec<&Atom> = (0..rng.gen_range(1..4))
+                        .filter_map(|_| match rng.gen_range(0..10) {
+                            0..=6 => {
+                                subset.get(rng.gen_range(0..subset.len())).and_then(|&c| atom(c))
+                            }
+                            _ => atom(rng.gen_range(0..pool.len())),
+                        })
+                        .collect();
+                    let whole = overlay.materialize();
+                    for atoms in [&members, &decoys] {
+                        if Atom::split(&delta, atoms) {
+                            split += 1;
+                            for i in 0..items.len() {
+                                let reaching: Vec<Option<f64>> = atoms
+                                    .iter()
+                                    .filter_map(|a| a.reached().iter().find(|r| r.0 == i))
+                                    .map(|r| r.1)
+                                    .collect();
+                                shared += usize::from(reaching.len() > 1);
+                                missing += usize::from(reaching == [None]);
+                            }
+                        } else {
+                            unsplit += 1;
+                        }
+                        let got = eval.atomic_cost(&overlay, &delta, atoms, &costs);
+                        let want = twin.workload_cost(&whole);
+                        let context = format!(
+                            "round {round}, {alignment:?}, subset {subset:?}\nbase {base}priced {whole}delta {delta:?}"
+                        );
+                        assert_eq!(bits(got), bits(want), "{context}");
+                        assert_eq!(tally(&eval), tally(&twin), "{context}");
+                    }
+                }
+            }
+        }
+        let skipped = hits(&twin) - hits(&eval);
+        for seen in [split, unsplit, shared, missing, skipped as usize] {
+            assert!(seen > 100, "{split} {unsplit} {shared} {missing} {skipped}");
         }
     }
 

@@ -35,6 +35,18 @@
 //!   from which a later call continues to the byte-identical final
 //!   answer.
 //!
+//! Between two granted batches no evaluation is in flight. At two kinds
+//! of such *serial points* [`greedy_mk`] tells its caller's hook
+//! ([`SerialPoint`]), so that what an evaluator fixes there depends on no
+//! worker:
+//!
+//! 1. **Singletons** — once per run, when Phase 1 has evaluated every
+//!    singleton and no larger subset (or resumes past that point), with
+//!    the number of larger subsets the run is granted next. Enumeration
+//!    fixes each candidate's *atom* there when that number repays it.
+//! 2. **Incumbent** — before every Phase-2 round, with the incumbent it
+//!    extends. Enumeration fixes its reference configuration there.
+//!
 //! There is one body, [`greedy_mk`], and two callers. Enumeration runs it
 //! under the session's control, so every evaluation is a budget unit and
 //! the run is resumable. Candidate Selection runs it once per statement
@@ -54,11 +66,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `Sync` because evaluations fan out across worker threads.
 pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
 
-/// Told the incumbent at a serial point, each time it changes and before
-/// Phase 2 evaluates any extension of it: an evaluator may fix what it
-/// prices extensions against there (enumeration's reference
-/// configuration). It runs while no evaluation does.
-pub type IncumbentFn<'e, S> = dyn Fn(&[&S]) + 'e;
+/// A serial point [`greedy_mk`] tells its hook about. No evaluation is in
+/// flight at any of them, so what an evaluator fixes there (enumeration's
+/// reference configuration and its atoms) depends on no worker.
+#[derive(Debug)]
+pub enum SerialPoint<'a, S> {
+    /// Phase 1 has evaluated every singleton and no larger subset yet.
+    Singletons {
+        /// Larger subsets the run has been granted to evaluate next: the
+        /// rest of its batch (0 when Phase 1 ends here).
+        granted: usize,
+    },
+    /// The incumbent the next Phase-2 round extends.
+    Incumbent(&'a [&'a S]),
+}
+
+/// Told each [`SerialPoint`] as the run reaches it.
+pub type SerialFn<'e, S> = dyn Fn(SerialPoint<'_, S>) + 'e;
 
 /// Result of a Greedy(m, k) run.
 #[derive(Debug, Clone)]
@@ -280,11 +304,21 @@ pub struct GreedyRun<S> {
 /// cancellation lands mid-batch, where the granted figure is the one
 /// that does not depend on thread interleaving.
 ///
-/// `incumbent_changed` is called before every Phase-2 round with the
-/// incumbent the round extends: at Phase 2's start — after Phase 1, or on
-/// resuming a snapshot taken in Phase 2 — and after each adoption. That
-/// is every point at which the incumbent changes, and no evaluation is
-/// in flight at any of them.
+/// `serial` hears the run's serial points, with no evaluation in flight:
+///
+/// 1. [`SerialPoint::Singletons`], once per run over a non-empty pool,
+///    when Phase 1 has evaluated every singleton and before it evaluates
+///    any larger subset — or, when `m` is 1, as Phase 1 ends. A granted
+///    batch that straddles that point is scanned in two passes, up to it
+///    and on from it, but granted once, so budgets, cut positions and
+///    `evaluations` do not move. A run resumed past the singletons hears
+///    it before it evaluates anything; a cancel raised before the point
+///    silences it. It says how many larger subsets the run has been
+///    granted to evaluate next.
+/// 2. [`SerialPoint::Incumbent`] before every Phase-2 round, with the
+///    incumbent the round extends: at Phase 2's start — after Phase 1,
+///    or on resuming a snapshot taken in Phase 2 — and after each
+///    adoption. That is every point at which the incumbent changes.
 ///
 /// The two phases are wrapped in `greedyPhase1` / `greedyPhase2` spans so
 /// a recording observer can attribute wall time and evaluation deltas to
@@ -298,7 +332,7 @@ pub fn greedy_mk<S: Clone + Sync>(
     k: usize,
     workers: usize,
     eval: &EvalFn<'_, S>,
-    incumbent_changed: &IncumbentFn<'_, S>,
+    serial: &SerialFn<'_, S>,
     control: &SessionControl,
     resume: Option<GreedySnapshot>,
     obs: &dyn SessionObserver,
@@ -306,32 +340,50 @@ pub fn greedy_mk<S: Clone + Sync>(
     let restarts = AtomicUsize::new(0);
     let mut snap = resume.unwrap_or_else(|| GreedySnapshot::fresh(base_cost));
 
-    // Scan positions `next..n` of the current round in granted batches.
-    // Returns the completed round's front, or `Err(reason)` leaving the
-    // cursor fields updated for the snapshot.
+    // Scan positions `next..n` of the current round in granted batches,
+    // telling `serial` the singletons are done when the scan first gets
+    // to position `*singletons` (then cleared). Returns the completed
+    // round's front, or `Err(reason)` leaving the cursor fields updated
+    // for the snapshot.
     let run_round = |next: &mut usize,
                      round_best: &mut Option<(usize, f64)>,
                      n: usize,
                      evaluations: &mut usize,
+                     singletons: &mut Option<usize>,
                      f: &(dyn Fn(usize) -> Option<f64> + Sync)|
      -> Result<(), StopReason> {
+        let mut scan = |from: usize, to: usize| {
+            let shifted = |p: usize| f(from + p);
+            if let Some((pos, cost)) = par_min(to - from, workers, control, &restarts, &shifted) {
+                *round_best = det::min_by_cost_position((pos + from, cost), *round_best);
+            }
+        };
         while *next < n {
             let remaining = n - *next;
             let granted = control.grant(remaining as u64) as usize;
             if granted == 0 {
                 return Err(control.stop().map_or(StopReason::BudgetExhausted, |r| r));
             }
-            let offset = *next;
-            let shifted = |p: usize| f(offset + p);
-            let batch_best = par_min(granted, workers, control, &restarts, &shifted);
-            *evaluations += granted;
-            if let Some((pos, cost)) = batch_best {
-                *round_best = det::min_by_cost_position((pos + offset, cost), *round_best);
+            let (offset, end) = (*next, *next + granted);
+            let mut from = offset;
+            if let Some(at) = singletons.filter(|&at| at < end) {
+                let at = at.max(offset);
+                scan(from, at);
+                from = at;
+                if !control.is_cancelled() {
+                    *singletons = None;
+                    serial(SerialPoint::Singletons { granted: end - at });
+                }
             }
-            *next += granted;
+            scan(from, end);
+            *evaluations += granted;
+            *next = end;
             if control.is_cancelled() {
                 return Err(StopReason::Cancelled);
             }
+        }
+        if !control.is_cancelled() && singletons.take().is_some() {
+            serial(SerialPoint::Singletons { granted: 0 });
         }
         Ok(())
     };
@@ -348,11 +400,14 @@ pub fn greedy_mk<S: Clone + Sync>(
                 subset_at(candidates.len(), m, pos).expect("positions lie in the subset order")
             };
             let eval_subset = |pos: usize| -> Option<f64> { eval(&members(&subset(pos))) };
+            // the first pair's position: one past the last singleton
+            let mut singletons = (m > 0 && !candidates.is_empty()).then_some(candidates.len());
             let round = run_round(
                 &mut next,
                 &mut round_best,
                 subset_count(candidates.len(), m),
                 &mut snap.evaluations,
+                &mut singletons,
                 &eval_subset,
             );
             if let Err(reason) = round {
@@ -385,7 +440,7 @@ pub fn greedy_mk<S: Clone + Sync>(
                 GreedyCursor::Phase1 { .. } => (0, None),
             };
             let incumbent = members(&snap.best_set);
-            incumbent_changed(&incumbent);
+            serial(SerialPoint::Incumbent(&incumbent));
             let extensions = members(&remaining);
             let eval_extension = |pos: usize| -> Option<f64> {
                 let mut set = incumbent.clone();
@@ -399,6 +454,7 @@ pub fn greedy_mk<S: Clone + Sync>(
                 &mut round_best,
                 remaining.len(),
                 &mut snap.evaluations,
+                &mut None,
                 &eval_extension,
             );
             if let Err(reason) = round {
@@ -586,8 +642,11 @@ mod tests {
             Some(500.0 - (11 * s % 53) as f64 - 60.0 * set.len() as f64)
         };
         let heard = std::sync::Mutex::new(Vec::new());
-        let hook = |set: &[&usize]| {
-            heard.lock().expect("no hook panics").push(set.iter().map(|&&i| i).collect::<Vec<_>>())
+        let hook = |point: SerialPoint<'_, usize>| {
+            if let SerialPoint::Incumbent(set) = point {
+                let set = set.iter().map(|&&i| i).collect::<Vec<_>>();
+                heard.lock().expect("no hook panics").push(set);
+            }
         };
         let take = || std::mem::take(&mut *heard.lock().expect("no hook panics"));
         let full = greedy_mk(
@@ -628,6 +687,124 @@ mod tests {
                 assert!(before.is_empty(), "cut={cut}: still in Phase 1");
             }
             assert_eq!(after.last(), Some(&chosen[..4].to_vec()), "cut={cut}");
+        }
+    }
+
+    /// What a run did, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Event {
+        /// It evaluated a subset of this size.
+        Evaluated(usize),
+        /// Its hook heard the singletons were done.
+        Singletons { granted: usize },
+    }
+
+    struct Log(std::sync::Mutex<Vec<Event>>);
+
+    impl Log {
+        fn new() -> Self {
+            Log(std::sync::Mutex::new(Vec::new()))
+        }
+
+        fn push(&self, event: Event) {
+            self.0.lock().expect("no logger panics").push(event);
+        }
+
+        fn take(&self) -> Vec<Event> {
+            std::mem::take(&mut *self.0.lock().expect("no logger panics"))
+        }
+
+        /// A run over `candidates` that logs here, under `control`.
+        fn run(
+            &self,
+            candidates: &[usize],
+            m: usize,
+            workers: usize,
+            control: &SessionControl,
+            resume: Option<GreedySnapshot>,
+        ) -> GreedyRun<usize> {
+            let eval = |set: &[&usize]| {
+                self.push(Event::Evaluated(set.len()));
+                let s: usize = set.iter().map(|&&i| i).sum();
+                Some(500.0 - (11 * s % 53) as f64 - 9.0 * set.len() as f64)
+            };
+            let hook = |point: SerialPoint<'_, usize>| {
+                if let SerialPoint::Singletons { granted } = point {
+                    self.push(Event::Singletons { granted });
+                }
+            };
+            greedy_mk(candidates, 500.0, m, 5, workers, &eval, &hook, control, resume, &NOOP)
+        }
+    }
+
+    /// Where the hook heard the singletons were done in `log`, if it did,
+    /// and what it was told was granted, after checking it heard that
+    /// once, after every singleton and before every larger subset.
+    fn singletons_point(log: &[Event]) -> Option<(usize, usize)> {
+        let at = log.iter().position(|e| matches!(e, Event::Singletons { .. }))?;
+        let (before, after) = log.split_at(at);
+        assert!(before.iter().all(|&e| e == Event::Evaluated(1)), "{log:?}");
+        assert!(after.iter().skip(1).all(|&e| matches!(e, Event::Evaluated(2..))), "{log:?}");
+        match after.first() {
+            Some(&Event::Singletons { granted }) => Some((at, granted)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_singletons_point_comes_once_between_the_last_singleton_and_the_first_pair() {
+        let candidates: Vec<usize> = (0..9).collect();
+        let log = Log::new();
+        for workers in [1, 2, 4] {
+            let run = log.run(&candidates, 2, workers, &SessionControl::unlimited(), None);
+            assert!(run.interrupted.is_none());
+            let events = log.take();
+            // granted every pair, in one batch with the singletons
+            let pairs = subset_count(9, 2) - 9;
+            assert_eq!(singletons_point(&events), Some((9, pairs)), "workers={workers}");
+        }
+        // with m = 1 it comes as Phase 1 ends; over no candidates, never
+        log.run(&candidates, 1, 2, &SessionControl::unlimited(), None);
+        let events = log.take();
+        assert_eq!(singletons_point(&events), Some((9, 0)), "m=1: {events:?}");
+        log.run(&[], 2, 2, &SessionControl::unlimited(), None);
+        assert!(log.take().is_empty());
+    }
+
+    #[test]
+    fn a_run_cut_at_any_budget_hears_the_singletons_point_where_it_gets_past_it() {
+        let candidates: Vec<usize> = (0..6).collect();
+        let log = Log::new();
+        let total = log.run(&candidates, 2, 1, &SessionControl::unlimited(), None).outcome;
+        let total = total.evaluations;
+        log.take();
+        let (singles, phase1) = (candidates.len(), subset_count(6, 2));
+        for cut in 0..total {
+            let c1 = SessionControl::with_budget(cut as u64);
+            let first = log.run(&candidates, 2, 2, &c1, None);
+            let (_, snap) = first.interrupted.expect("the budget interrupts");
+            let events = log.take();
+            // the first run hears it once it has scanned a pair, granted
+            // the pairs its budget reaches
+            let want = (cut > singles).then(|| (singles, cut.min(phase1) - singles));
+            assert_eq!(singletons_point(&events), want, "cut={cut}: {events:?}");
+            // a run resumed among the singletons hears it where they end,
+            // one resumed at or past the first pair first thing, and one
+            // resumed in Phase 2 not at all; each is granted what is left
+            let want = match snap.cursor {
+                GreedyCursor::Phase1 { next, .. } => {
+                    Some((singles.saturating_sub(next), phase1 - next.max(singles)))
+                }
+                GreedyCursor::Phase2 { .. } => None,
+            };
+            let in_pairs = (singles..phase1).contains(&cut);
+            assert_eq!(want.is_some_and(|(at, _)| at == 0), in_pairs, "cut={cut}");
+            let c2 =
+                SessionControl::resumed(c1.consumed(), None).expect("unbudgeted resume is valid");
+            let second = log.run(&candidates, 2, 4, &c2, Some(snap));
+            assert!(second.interrupted.is_none(), "cut={cut}");
+            let events = log.take();
+            assert_eq!(singletons_point(&events), want, "cut={cut}: {events:?}");
         }
     }
 

@@ -25,9 +25,10 @@
 //!   workload statement; an index permutation would cross-pollute
 //!   per-statement caches;
 //! * **reference costs** — a statement a greedy evaluation does not look
-//!   up, because no structure of its delta is relevant to it, takes its
-//!   reference cost; the cache must hold that very cost for the
-//!   evaluated configuration.
+//!   up takes a cost read earlier: its reference cost, when no structure
+//!   of the delta is relevant to it, or an atom's, when only that atom's
+//!   delta is. The cache must hold that very cost for the evaluated
+//!   configuration.
 
 /// `true` in debug builds, `false` in `--release`.
 ///
@@ -82,8 +83,9 @@ pub fn check_fingerprint(stored: u64, recomputed: u64, statement: usize) {
     }
 }
 
-/// A statement priced at its reference cost — the delta could not change
-/// its projection — must have a cache entry for the evaluated
+/// A statement priced without a lookup — at its reference cost, or at an
+/// atom's, because the delta could not change its projection from that
+/// configuration's — must have a cache entry for the evaluated
 /// configuration's projection holding exactly that cost: the entry its
 /// skipped lookup would have hit.
 #[inline(always)]
@@ -92,7 +94,7 @@ pub fn check_reference_cost(reference: f64, cached: Option<f64>, statement: usiz
         violation(
             "reference-cost",
             &format!(
-                "statement {statement}: priced at its reference cost {reference}, \
+                "statement {statement}: priced without a lookup at {reference}, \
                  but the cache holds {cached:?} for the configuration"
             ),
         );
