@@ -12,6 +12,10 @@
 //!   as a fixed user-specified configuration. The ablation shows why
 //!   integrated selection matters.
 
+// Library-code rule R1 (DESIGN.md §8); the workspace-wide
+// method and type lists are in crates/clippy.toml.
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod itw;
 pub mod staged;
 

@@ -7,6 +7,11 @@
 //! experiments. [`script::MetadataScript`] is the scripting facility that
 //! exports and re-imports this metadata.
 
+// Library-code rules R5 and R8 (DESIGN.md §8); the workspace-wide
+// method and type lists are in crates/clippy.toml.
+#![warn(clippy::unwrap_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod schema;
 pub mod script;
 pub mod types;

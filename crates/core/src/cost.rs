@@ -349,6 +349,7 @@ impl CacheState {
         if self.misses() != undo.misses {
             let slice = self.slice.load(Ordering::SeqCst);
             for shard in &self.shards {
+                #[expect(clippy::disallowed_methods, reason = "a filter: order-independent")]
                 shard.cache.write().retain(|_, e| e.slice != slice);
             }
         }
@@ -416,6 +417,7 @@ impl CacheState {
         let mut out = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
             let shard = shard.cache.read();
+            #[expect(clippy::disallowed_methods, reason = "the keys are sorted next")]
             let mut keys: Vec<u64> = shard.keys().copied().collect();
             keys.sort_unstable();
             for fp in keys {

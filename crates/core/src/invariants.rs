@@ -38,8 +38,9 @@ pub const ENABLED: bool = cfg!(debug_assertions);
 
 #[cold]
 #[inline(never)]
+#[expect(clippy::panic, reason = "the debug-build sanitizer crashes by design")]
 fn violation(what: &str, detail: &str) -> ! {
-    // dta-lint: allow(R7, R11): the debug-build sanitizer exists to crash
+    // dta-lint: allow(R11): the debug-build sanitizer exists to crash
     // loudly on corrupted internal state; release builds compile every
     // caller away, so this panic can never escape a production tune().
     panic!("dta invariant violated [{what}]: {detail}");

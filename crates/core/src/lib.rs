@@ -17,6 +17,13 @@
 //! "DTA's Cost Model"), so the recommendation is exactly what the
 //! optimizer would use if implemented.
 
+// Library-code rules R1, R5, R7 and R8 (DESIGN.md §8); the workspace-wide
+// method and type lists are in crates/clippy.toml.
+#![deny(clippy::iter_over_hash_type)]
+#![warn(clippy::unwrap_used)]
+#![deny(clippy::panic, clippy::exit)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod candidates;
 pub mod checkpoint;
 pub mod colgroups;

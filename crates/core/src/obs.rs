@@ -16,21 +16,24 @@
 //!   cache statistics, and a bounded ring buffer of events.
 //!
 //! **Determinism quarantine.** Wall-clock time exists *only* in this
-//! module (lint rule R9 bans `Instant`/`SystemTime` elsewhere in
-//! `crates/core`), and it flows *only* into report-only fields
+//! module (rule R9, clippy's `disallowed_types`, bans
+//! `Instant`/`SystemTime` elsewhere in `crates/`, the benchmark harness
+//! shim aside), and it flows *only* into report-only fields
 //! (`wall_nanos`, the event ring). Nothing the recommendation path
 //! reads ever depends on a clock: [`ObserverSummary::deterministic_digest`]
 //! is the byte-comparable projection, and the tests in
 //! `crates/core/tests/observability.rs` hold it identical across runs
 //! and `parallel_workers` counts.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "R9's sanctioned module: wall time is read here and only reported"
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-// The observability module is the sanctioned wall-clock island (R9):
-// timings recorded here are report-only and never reach the
-// recommendation path.
 use std::time::Instant;
 
 /// Deterministic session counters. The variant order is the canonical

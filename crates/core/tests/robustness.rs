@@ -309,6 +309,7 @@ fn precancelled_session_returns_the_base_configuration() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods, reason = "the canceller thread is joined below")]
 fn midrun_cancellation_is_graceful() {
     let workload = read_workload();
     let server = make_server();

@@ -9,6 +9,8 @@
 //! beyond that; the point is comparable relative timings, which is all
 //! the perf trajectory tracks.
 
+#![allow(clippy::disallowed_types, reason = "a benchmark harness measures wall time")]
+
 use std::time::{Duration, Instant};
 
 /// Prevent the optimizer from discarding a value.

@@ -6,10 +6,10 @@
 //! DTA ranks configurations by optimizer-estimated cost, so any
 //! nondeterminism in iteration order, float tie-breaking, or thread
 //! interleaving silently changes recommendations between runs. This
-//! crate encodes the discipline as machine-checked rules (see
-//! [`rules::RULES`]) in two layers:
+//! crate encodes the part of that discipline clippy cannot check as
+//! machine-checked rules (see [`rules::RULES`]) in two layers:
 //!
-//! * **token rules** R1–R9 — per-file pattern checks over a
+//! * **token rules** R2 and R6 — per-file pattern checks over a
 //!   hand-rolled lexer;
 //! * **semantic rules** R10–R12 — workspace-level analyses over an AST
 //!   ([`ast`], [`parser`]) and a call graph of per-function summaries
@@ -17,8 +17,9 @@
 //!   reachability from the public tuning surface, and determinism
 //!   taint flowing into `det::` cost comparisons.
 //!
-//! Findings can be ratcheted against a committed [`baseline`].
-//! Everything is dependency-free, offline, and fast enough to gate CI.
+//! R1, R3–R5 and R7–R9 are clippy lints and lists (`crates/clippy.toml`,
+//! DESIGN.md §8). Everything here is dependency-free, offline, and fast
+//! enough to gate CI.
 //!
 //! ```text
 //! cargo run -p dta-lint -- crates/ --deny-warnings   # gate
@@ -30,7 +31,6 @@
 //! and a pragma that suppresses nothing is itself a finding (P1).
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
@@ -55,8 +55,6 @@ pub struct LintResult {
     pub suppressed: usize,
     /// Files inspected.
     pub files: usize,
-    /// Findings filtered out by the baseline.
-    pub baselined: usize,
 }
 
 impl LintResult {
@@ -71,22 +69,11 @@ impl LintResult {
     }
 }
 
-/// Knobs for [`lint_paths_with`].
-#[derive(Debug, Default)]
-pub struct LintOptions {
-    /// Baseline file of accepted `rule|path|line` keys; matching
-    /// findings are filtered out (counted in `baselined`).
-    pub baseline_path: Option<PathBuf>,
-    /// Write the baseline from this run's findings instead of
-    /// filtering against it.
-    pub write_baseline: bool,
-}
-
 /// Lint a single source text under a (possibly synthetic) relative
-/// path, **token rules only** (R1–R9 + P0), with suppression applied.
-/// The path drives rule scoping — `"crates/core/src/x.rs"` enables the
-/// core-scoped rules even for an in-memory fixture. For the full
-/// pipeline including the semantic rules, use [`lint_sources`].
+/// path, **token rules only** (R2, R6 and P0), with suppression
+/// applied. The path drives rule scoping — `"crates/core/src/greedy.rs"`
+/// enables R2 even for an in-memory fixture. For the full pipeline
+/// including the semantic rules, use [`lint_sources`].
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     rules::check_source(rel_path, src).0
 }
@@ -109,11 +96,6 @@ pub fn lint_sources(files: &[(&str, &str)]) -> LintResult {
 
 /// Lint every in-scope `.rs` file under `paths` (files or directories).
 pub fn lint_paths(paths: &[PathBuf]) -> io::Result<LintResult> {
-    lint_paths_with(paths, &LintOptions::default())
-}
-
-/// [`lint_paths`] with baseline support.
-pub fn lint_paths_with(paths: &[PathBuf], opts: &LintOptions) -> io::Result<LintResult> {
     let mut files = Vec::new();
     for p in paths {
         collect_files(p, &mut files)?;
@@ -131,29 +113,12 @@ pub fn lint_paths_with(paths: &[PathBuf], opts: &LintOptions) -> io::Result<Lint
         records.push((rel, record));
     }
 
-    let mut result = assemble(&records);
-
-    if let Some(path) = &opts.baseline_path {
-        if opts.write_baseline {
-            baseline::Baseline::from_findings(&result.findings).save(path)?;
-        } else {
-            // a missing baseline file accepts nothing
-            let base = match baseline::Baseline::load(path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => baseline::Baseline::default(),
-                Err(e) => return Err(e),
-            };
-            let before = result.findings.len();
-            result.findings.retain(|f| !base.accepts(f));
-            result.baselined = before - result.findings.len();
-        }
-    }
-    Ok(result)
+    Ok(assemble(&records))
 }
 
 /// Normalize an absolute path to its workspace-relative form so that
-/// path-scoped rules, pragma sanctions, and baseline keys
-/// are stable regardless of where the linter was invoked from.
+/// path-scoped rules and pragma sanctions are stable regardless of
+/// where the linter was invoked from.
 fn workspace_rel(path: &str) -> String {
     match path.find("/crates/") {
         Some(i) => path[i + 1..].to_string(),

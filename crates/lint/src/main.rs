@@ -1,8 +1,7 @@
 //! CLI for `dta-lint`.
 //!
 //! ```text
-//! dta-lint [PATHS…] [--json] [--deny-warnings] [--baseline FILE]
-//!          [--write-baseline]
+//! dta-lint [PATHS…] [--json] [--deny-warnings]
 //! ```
 //!
 //! Exit codes: 0 clean (warnings allowed unless `--deny-warnings`),
@@ -20,10 +19,11 @@ fn emit(text: &str) {
 
 const USAGE: &str = "\
 dta-lint — determinism & concurrency invariant checker for the DTA workspace
+(rules R2, R6, R10–R12 and P0–P2; the other R-rules are clippy lints, run
+`cargo clippy --all-targets -- -D warnings`)
 
 USAGE:
-    dta-lint [PATHS…] [--json] [--deny-warnings] [--baseline FILE]
-             [--write-baseline]
+    dta-lint [PATHS…] [--json] [--deny-warnings]
 
 ARGS:
     PATHS…            files or directories to lint (default: crates/)
@@ -31,10 +31,6 @@ ARGS:
 OPTIONS:
     --json            machine-readable report on stdout
     --deny-warnings   non-zero exit on warnings, not just errors
-    --baseline FILE   drop findings recorded in FILE (rule|path|line keys);
-                      anything not in the baseline still fails the run
-    --write-baseline  regenerate the --baseline file from this run's
-                      findings instead of filtering by it
     --help            this text
 
 Suppression: `// dta-lint: allow(<rules>): <justification>` on or directly
@@ -44,20 +40,10 @@ fn main() -> ExitCode {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut json = false;
     let mut deny_warnings = false;
-    let mut opts = dta_lint::LintOptions::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--baseline" => match args.next() {
-                Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--baseline requires a file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => opts.write_baseline = true,
             "--help" | "-h" => {
                 emit(USAGE);
                 emit("\n");
@@ -70,14 +56,10 @@ fn main() -> ExitCode {
             p => paths.push(PathBuf::from(p)),
         }
     }
-    if opts.write_baseline && opts.baseline_path.is_none() {
-        eprintln!("--write-baseline requires --baseline FILE\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
     if paths.is_empty() {
         paths.push(PathBuf::from("crates"));
     }
-    let result = match dta_lint::lint_paths_with(&paths, &opts) {
+    let result = match dta_lint::lint_paths(&paths) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dta-lint: {e}");

@@ -6,7 +6,8 @@
 //! // dta-lint: allow(R6): counter only; never orders other memory.
 //! ```
 //!
-//! * `allow(…)` takes one or more comma-separated rule ids;
+//! * `allow(…)` takes one or more comma-separated ids from
+//!   [`RULES`]; an unknown id makes the pragma malformed;
 //! * the text after the closing `):` is the **justification** and is
 //!   mandatory — a pragma without one is itself a finding (`P0`) *and*
 //!   suppresses nothing, so the original finding still fires;
@@ -20,6 +21,7 @@
 //! one line, and carries its reviewer-facing "why".
 
 use crate::lexer::{Token, TokenKind};
+use crate::rules::RULES;
 
 /// Minimum number of characters for a justification to count as
 /// "written". Filters out `: ok` / `: fine` rubber stamps.
@@ -112,6 +114,15 @@ fn parse(comment: &str, line: u32, col: u32, covers: (u32, u32)) -> Pragma {
         rest[..close].split(',').map(|r| r.trim().to_string()).filter(|r| !r.is_empty()).collect();
     if p.rules.is_empty() {
         p.error = Some("`allow()` names no rules".into());
+        return p;
+    }
+    if let Some(unknown) = p.rules.iter().find(|r| !RULES.iter().any(|s| s.id == r.as_str())) {
+        let known: Vec<&str> = RULES.iter().map(|s| s.id).collect();
+        p.error = Some(format!(
+            "unknown rule id {unknown:?}: dta-lint checks {} (the other R-rules are \
+             clippy lints, DESIGN.md §8)",
+            known.join(", ")
+        ));
         return p;
     }
     let tail = rest[close + 1..].trim_start();

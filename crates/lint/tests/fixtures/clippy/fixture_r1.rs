@@ -1,4 +1,5 @@
-//! R1 fixture: Hash{Map,Set} iteration under a core-scoped path.
+//! R1 fixture: Hash{Map,Set} iteration (clippy::disallowed_methods and
+//! clippy::iter_over_hash_type when planted in dta-core).
 
 use std::collections::{HashMap, HashSet};
 
@@ -10,7 +11,7 @@ pub fn total(costs: &HashMap<String, f64>) -> f64 {
     sum
 }
 
-pub fn drain_all(pool: &mut HashSet<u64>) {
+pub fn visit_all(pool: &HashSet<u64>) {
     for id in pool {
         let _ = id;
     }

@@ -1,4 +1,4 @@
-//! R3 fixture: interior mutability in a thread-shared crate.
+//! R3 fixture: interior mutability (clippy::disallowed_types).
 
 use std::cell::RefCell;
 

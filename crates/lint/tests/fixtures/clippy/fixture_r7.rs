@@ -1,4 +1,5 @@
-//! R7 fixture: panics and process kills in library code.
+//! R7 fixture: panics and process kills in library code (clippy::panic,
+//! clippy::exit, clippy::disallowed_methods).
 
 pub fn explode(n: u32) -> u32 {
     if n == 0 {

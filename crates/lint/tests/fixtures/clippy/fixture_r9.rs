@@ -1,4 +1,5 @@
-//! R9 fixture: wall-clock reads on the recommendation path.
+//! R9 fixture: wall-clock reads on the recommendation path
+//! (clippy::disallowed_types).
 
 use std::time::Instant;
 

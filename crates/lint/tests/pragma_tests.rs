@@ -19,7 +19,7 @@ fn trailing_pragma_covers_its_own_line_only() {
     assert_eq!(p.covers, (1, 1));
     assert!(p.suppresses("R6", 1));
     assert!(!p.suppresses("R6", 2));
-    assert!(!p.suppresses("R5", 1), "only the named rule is allowed");
+    assert!(!p.suppresses("R2", 1), "only the named rule is allowed");
 }
 
 #[test]
@@ -73,12 +73,25 @@ fn empty_rule_list_is_an_error() {
 
 #[test]
 fn multiple_rules_in_one_pragma() {
-    let ps = pragmas("// dta-lint: allow(R5, R6): both are sound here for reasons.\nx();");
+    let ps = pragmas("// dta-lint: allow(R2, R6): both are sound here for reasons.\nx();");
     assert_eq!(ps.len(), 1);
     assert_eq!(ps[0].error, None, "{:?}", ps[0].error);
-    assert_eq!(ps[0].rules, vec!["R5", "R6"]);
-    assert!(ps[0].suppresses("R5", 2));
+    assert_eq!(ps[0].rules, vec!["R2", "R6"]);
+    assert!(ps[0].suppresses("R2", 2));
     assert!(ps[0].suppresses("R6", 2));
+}
+
+#[test]
+fn unknown_rule_id_is_an_error_and_suppresses_nothing() {
+    // R99 never existed; R5 and R7 are clippy lints, not dta-lint rules
+    for ids in ["R6, R99", "R5, R6", "R7, R11"] {
+        let ps = pragmas(&format!("// dta-lint: allow({ids}): a justification long enough\nx();"));
+        assert_eq!(ps.len(), 1);
+        let err = ps[0].error.as_deref().expect("unknown rule id rejected");
+        assert!(err.contains("unknown rule id"), "{err}");
+        assert!(!ps[0].suppresses("R6", 2));
+        assert!(!ps[0].suppresses("R11", 2));
+    }
 }
 
 #[test]
@@ -90,11 +103,11 @@ fn prose_mentioning_the_marker_is_not_a_pragma() {
 
 #[test]
 fn block_comment_pragma_works() {
-    let ps = pragmas("/* dta-lint: allow(R3): cell is private to one thread here */\ncell();");
+    let ps = pragmas("/* dta-lint: allow(R2): ties are impossible on this path */\npick();");
     assert_eq!(ps.len(), 1);
     assert_eq!(ps[0].error, None, "{:?}", ps[0].error);
-    assert_eq!(ps[0].rules, vec!["R3"]);
-    assert!(ps[0].suppresses("R3", 2));
+    assert_eq!(ps[0].rules, vec!["R2"]);
+    assert!(ps[0].suppresses("R2", 2));
 }
 
 #[test]

@@ -47,12 +47,8 @@ fn r10_consistent_order_is_clean() {
 fn r11_cross_function_panic_anchored_at_surface() {
     let result = lint_sources(&[("crates/core/src/fixture_r11.rs", R11)]);
     // the R11 error sits on `tune` (line 4), not on the unwrap three
-    // frames down; the unwrap itself still gets its R5 warning
-    assert_eq!(
-        at(&result.findings),
-        vec![("R11", Severity::Error, 4, 8), ("R5", Severity::Warning, 13, 7),],
-        "{result:#?}"
-    );
+    // frames down
+    assert_eq!(at(&result.findings), vec![("R11", Severity::Error, 4, 8)], "{result:#?}");
     let msg = &result.findings[0].message;
     assert!(msg.contains("via tune"), "witness chain missing: {msg}");
     assert!(msg.contains("-> middle"), "witness chain missing: {msg}");
@@ -133,14 +129,15 @@ fn r11_written_invariant_clears_the_path() {
 fn r11_pragma_at_source_site_justifies_and_counts() {
     let src = R11.replace(
         "    x.unwrap()",
-        "    // dta-lint: allow(R11): fixture-sanctioned deliberate panic here.\n    x.unwrap()",
+        "    // dta-lint: allow(R11): fixture-sanctioned deliberate panic here.\n    \
+         x.unwrap() + N.load(Ordering::Relaxed) as u32",
     );
     let result = lint_sources(&[("crates/core/src/fixture_r11.rs", &src)]);
-    // R11 justified at the source; R5 suppressed by the same pragma? No —
-    // the pragma names R11 only, so the R5 warning survives, and the
-    // pragma is *used* (no P1).
+    // R11 justified at the source; R6 suppressed by the same pragma? No —
+    // the pragma names R11 only, so the R6 warning on its line survives,
+    // and the pragma is *used* (no P1).
     assert!(result.findings.iter().all(|f| f.rule != "R11" && f.rule != "P1"), "{result:#?}");
-    assert!(result.findings.iter().any(|f| f.rule == "R5"), "{result:#?}");
+    assert!(result.findings.iter().any(|f| f.rule == "R6"), "{result:#?}");
 }
 
 #[test]
@@ -192,7 +189,7 @@ pub fn fine(x: u32) -> u32 {
 
 #[cfg(test)]
 mod tests {
-    // dta-lint: allow(R5): tests unwrap freely; this pragma is noise
+    // dta-lint: allow(R6): tests load freely; this pragma is noise
     // but test modules are exempt from staleness policing.
     fn helper() {}
 }

@@ -29,6 +29,11 @@
 //!   hardware parameters (CPUs, memory) can be overridden to simulate a
 //!   production server on a test server (§5.3).
 
+// Library-code rules R1 and R5 (DESIGN.md §8); the workspace-wide
+// method and type lists are in crates/clippy.toml.
+#![deny(clippy::iter_over_hash_type)]
+#![warn(clippy::unwrap_used)]
+
 pub mod access;
 pub mod dml;
 pub mod hardware;

@@ -7,6 +7,8 @@
 //! the TPC-H statements under one configuration holding clustered and
 //! non-clustered indexes, a partitioning and materialized views.
 
+#![allow(clippy::disallowed_types, reason = "the counting allocator's flags are thread-local")]
+
 use dta_optimizer::plan::{PlanNode, TableAccess};
 use dta_physical::{
     Configuration, Index, JoinPair, MaterializedView, PhysicalStructure, QualifiedColumn,

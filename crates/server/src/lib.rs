@@ -18,6 +18,11 @@
 //! pair, routing what-if calls to the test server and statistics
 //! creation to the production server, exactly as §5.3 prescribes.
 
+// Library-code rules R7 and R8 (DESIGN.md §8); the workspace-wide
+// method and type lists are in crates/clippy.toml.
+#![deny(clippy::panic, clippy::exit)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod server;
 pub mod target;
 

@@ -456,8 +456,9 @@ impl Server {
                         None => false,
                     }
                 };
+                #[expect(clippy::panic, reason = "deliberate fault injection")]
                 if should_panic {
-                    // dta-lint: allow(R7, R11): deliberate fault injection —
+                    // dta-lint: allow(R11): deliberate fault injection —
                     // the panic-isolation layer under test must catch this.
                     panic!("injected what-if panic for `{stmt_text}` on {database}");
                 }
@@ -904,6 +905,10 @@ mod tests {
     /// neither side can proceed. A watchdog bounds the test: the workers
     /// report over a channel and are joined only once both have.
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the two threads are joined before the test returns"
+    )]
     fn whatif_and_statistics_creation_do_not_deadlock() {
         use std::sync::{mpsc, Arc, Barrier};
         use std::time::Duration;

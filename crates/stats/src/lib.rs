@@ -18,6 +18,11 @@
 //!   prefix-aware lookup;
 //! * [`reduction`] — the §5.2 greedy H-List/D-List covering algorithm.
 
+// Library-code rules R7 and R8 (DESIGN.md §8); the workspace-wide
+// method and type lists are in crates/clippy.toml.
+#![deny(clippy::panic, clippy::exit)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod histogram;
 pub mod manager;
 pub mod reduction;

@@ -6,6 +6,8 @@
 //! makes (a counting global allocator) while it builds statistics on a
 //! 20,000-row table.
 
+#![allow(clippy::disallowed_types, reason = "the counting allocator's flags are thread-local")]
+
 use dta_catalog::{Column, ColumnType, Table, Value};
 use dta_stats::{build_statistic, StatKey, DEFAULT_SAMPLE_FRACTION};
 use dta_storage::{TableData, WorkCounter};
