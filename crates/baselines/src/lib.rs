@@ -15,6 +15,18 @@
 // Library-code rule R1 (DESIGN.md §8); the workspace-wide
 // method and type lists are in crates/clippy.toml.
 #![deny(clippy::iter_over_hash_type)]
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod itw;
 pub mod staged;

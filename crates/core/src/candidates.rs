@@ -560,8 +560,8 @@ fn select_item(
     options: &TuningOptions,
     control: &SessionControl,
 ) -> ItemSelection {
-    let item = &eval.items()[i];
     let mut sel = ItemSelection::default();
+    let Some(item) = eval.items().get(i) else { return sel };
     let generated = generate_for_item(eval.target(), groups, options, item);
     sel.generated = generated.len();
     if generated.is_empty() {

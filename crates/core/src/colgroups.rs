@@ -55,7 +55,7 @@ impl ColumnGroups {
         self.for_table(database, table)
             .iter()
             .filter(|g| g.len() == 1)
-            .map(|g| g.iter().next().expect("singleton").clone())
+            .filter_map(|g| g.iter().next().cloned())
             .collect()
     }
 }

@@ -120,9 +120,9 @@ use dta_physical::{table_key, ColumnUse, Configuration, PhysicalStructure, Struc
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, Rank, RwLock};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -162,6 +162,14 @@ pub struct CacheExport {
     /// Secondary fingerprint (0 when the writer had invariants off).
     pub verify: u64,
 }
+
+/// A shard's cost cache and in-flight claims, keyed by fingerprint: probed
+/// by key, filtered, and listed only through sorted keys
+/// (`CacheState::export`).
+#[expect(clippy::disallowed_types, reason = "probed by key; export sorts the keys")]
+type HashMap<K, V> = std::collections::HashMap<K, V>;
+#[expect(clippy::disallowed_types, reason = "probed by key, never iterated")]
+type HashSet<T> = std::collections::HashSet<T>;
 
 /// Cached names as a report and a checkpoint list them.
 fn names(used: &[Arc<str>]) -> Vec<String> {
@@ -235,6 +243,14 @@ impl Relevance {
     }
 }
 
+// Lock ranks (DESIGN.md §8). A shard's claims are held while its cache
+// is read, and a read cache entry while the statement's view use is
+// checked; `CacheState`'s undo is held while the slice's degraded set
+// and fallbacks are snapshotted. The other locks here are leaves.
+const CLAIMS: Rank = Rank::outer(1);
+const CACHE: Rank = Rank::outer(2);
+const UNDO: Rank = Rank::outer(1);
+
 /// Everything the evaluator keeps for one statement.
 struct Shard {
     /// The statement's [`Relevance`], fixed on the shard's first lookup.
@@ -301,8 +317,8 @@ impl CacheState {
             .iter()
             .map(|_| Shard {
                 relevance: OnceLock::new(),
-                cache: RwLock::new(HashMap::new()),
-                in_flight: Mutex::new(HashSet::new()),
+                cache: RwLock::ranked(HashMap::new(), CACHE),
+                in_flight: Mutex::ranked(HashSet::new(), CLAIMS),
                 stat: ShardStat::default(),
                 prepared: RwLock::new(None),
             })
@@ -312,7 +328,7 @@ impl CacheState {
             fallbacks: RwLock::new(Vec::new()),
             degraded: Mutex::new(BTreeSet::new()),
             slice: AtomicU32::new(0),
-            undo: Mutex::new(None),
+            undo: Mutex::ranked(None, UNDO),
         }
     }
 
@@ -322,12 +338,11 @@ impl CacheState {
     /// pricing while a slice begins or ends.
     pub(crate) fn begin(&self) {
         self.slice.fetch_add(1, Ordering::SeqCst);
-        *self.undo.lock() = Some(Undo {
-            degraded: self.degraded.lock().clone(),
-            fallbacks: self.fallbacks.read().clone(),
-            misses: self.misses(),
-            invalidated: None,
-        });
+        let mut undo = self.undo.lock();
+        // one leaf at a time: each guard drops at the end of its statement
+        let degraded = self.degraded.lock().clone();
+        let fallbacks = self.fallbacks.read().clone();
+        *undo = Some(Undo { degraded, fallbacks, misses: self.misses(), invalidated: None });
     }
 
     /// Keep what the slice wrote.

@@ -16,7 +16,10 @@
 //! `f64::min` is also NaN-silent, which would let a poisoned cost win a
 //! reduction without a trace. Search code therefore routes every cost
 //! comparison through these helpers; `dta-lint` R2 flags raw
-//! comparisons in `greedy.rs`/`enumeration.rs`.
+//! comparisons in `greedy.rs`/`enumeration.rs`. What flows into them is
+//! gated where it arises (DESIGN.md §8): wall clocks and hash containers
+//! are clippy's disallowed types (R9, R1), and every `Relaxed` load
+//! carries an R6 pragma.
 
 /// Whether `candidate` strictly improves on `incumbent`.
 ///

@@ -21,7 +21,7 @@ use dta_physical::sizing::structure_bytes;
 use dta_physical::{
     Configuration, IndexKind, PhysicalStructure, RangePartitioning, SizingInfo, StructureHandle,
 };
-use parking_lot::RwLock;
+use parking_lot::{Rank, RwLock};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -340,6 +340,11 @@ pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<Stru
     structures.into_iter().map(StructureHandle::new).collect()
 }
 
+/// Rank of the [`Against`] lock: every evaluation holds it while it
+/// prices, so every cost-cache and server lock is taken under it
+/// (DESIGN.md §8).
+const AGAINST: Rank = Rank::outer(0);
+
 /// What a Greedy evaluation is priced against: a reference configuration,
 /// each statement's cost under it as the cache held it, and — while Phase
 /// 1 prices sets against the base — each pool candidate's atom (`None`
@@ -403,11 +408,14 @@ pub fn enumerate(
     // fixed at serial points only — the base as just priced for Phase 1,
     // the atoms once its singletons are, each incumbent for Phase 2 — so
     // which lookups are skipped depends on nothing a worker does.
-    let against = RwLock::new(Against {
-        costs: eval.cached_costs(&assembler.base()),
-        reference: assembler.base(),
-        atoms: Vec::new(),
-    });
+    let against = RwLock::ranked(
+        Against {
+            costs: eval.cached_costs(&assembler.base()),
+            reference: assembler.base(),
+            atoms: Vec::new(),
+        },
+        AGAINST,
+    );
     let eval_fn = |set: &[&usize]| -> Option<f64> {
         let against = against.read();
         let Assembled { overlay, delta } = assemble(&handles(set), &against.reference)?;

@@ -641,14 +641,14 @@ mod tests {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(500.0 - (11 * s % 53) as f64 - 60.0 * set.len() as f64)
         };
-        let heard = std::sync::Mutex::new(Vec::new());
+        let heard = parking_lot::Mutex::new(Vec::new());
         let hook = |point: SerialPoint<'_, usize>| {
             if let SerialPoint::Incumbent(set) = point {
                 let set = set.iter().map(|&&i| i).collect::<Vec<_>>();
-                heard.lock().expect("no hook panics").push(set);
+                heard.lock().push(set);
             }
         };
-        let take = || std::mem::take(&mut *heard.lock().expect("no hook panics"));
+        let take = || std::mem::take(&mut *heard.lock());
         let full = greedy_mk(
             &candidates,
             500.0,
@@ -699,19 +699,19 @@ mod tests {
         Singletons { granted: usize },
     }
 
-    struct Log(std::sync::Mutex<Vec<Event>>);
+    struct Log(parking_lot::Mutex<Vec<Event>>);
 
     impl Log {
         fn new() -> Self {
-            Log(std::sync::Mutex::new(Vec::new()))
+            Log(parking_lot::Mutex::new(Vec::new()))
         }
 
         fn push(&self, event: Event) {
-            self.0.lock().expect("no logger panics").push(event);
+            self.0.lock().push(event);
         }
 
         fn take(&self) -> Vec<Event> {
-            std::mem::take(&mut *self.0.lock().expect("no logger panics"))
+            std::mem::take(&mut *self.0.lock())
         }
 
         /// A run over `candidates` that logs here, under `control`.

@@ -1,9 +1,10 @@
 //! Sanitizer-lite: debug-build invariant checks for the cost layer.
 //!
-//! `dta-lint` enforces the *static* discipline behind PR 1's
-//! byte-identical-recommendation guarantee; this module is its runtime
-//! twin. Every check is gated on [`ENABLED`] (a `debug_assertions`
-//! constant), so `cargo test` exercises them on every run while
+//! clippy and `dta-lint` enforce the *static* discipline behind PR 1's
+//! byte-identical-recommendation guarantee (DESIGN.md §8), and the
+//! `parking_lot` shim's ranked locks check lock order in debug builds;
+//! this module is the cost layer's runtime twin. Every check is gated
+//! on [`ENABLED`] (a `debug_assertions` constant), so `cargo test` exercises them on every run while
 //! `--release` folds each call to nothing — verified by the
 //! `compiles_away_in_release` test, which observes the same constant
 //! the branches fold on.
@@ -38,11 +39,13 @@ pub const ENABLED: bool = cfg!(debug_assertions);
 
 #[cold]
 #[inline(never)]
-#[expect(clippy::panic, reason = "the debug-build sanitizer crashes by design")]
+#[expect(
+    clippy::panic,
+    reason = "the debug-build sanitizer exists to crash loudly on corrupted internal state; \
+              release builds compile every caller away, so this panic can never escape a \
+              production tune()"
+)]
 fn violation(what: &str, detail: &str) -> ! {
-    // dta-lint: allow(R11): the debug-build sanitizer exists to crash
-    // loudly on corrupted internal state; release builds compile every
-    // caller away, so this panic can never escape a production tune().
     panic!("dta invariant violated [{what}]: {detail}");
 }
 

@@ -230,12 +230,14 @@ impl fmt::Display for EvaluationReport {
     }
 }
 
+/// At most `n` bytes of `s`, cut at the last char boundary at or before
+/// byte `n`.
 fn truncate(s: &str, n: usize) -> String {
     if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..n])
+        return s.to_string();
     }
+    let head = (0..=n).rev().find_map(|cut| s.get(..cut)).unwrap_or_default();
+    format!("{head}…")
 }
 
 #[cfg(test)]
@@ -348,5 +350,35 @@ mod tests {
         assert!(text.contains("-20.0%"));
         assert!(text.contains("[retried x3]"), "{text}");
         assert!(text.contains("[degraded]"), "{text}");
+    }
+
+    #[test]
+    fn truncation_cuts_multi_byte_text_at_a_char_boundary() {
+        // `é` occupies bytes 79..81, across the 80-byte cut
+        let sql = format!("SELECT name FROM cafes WHERE {}'café'", "x".repeat(79 - 33));
+        assert_eq!(sql.find('é'), Some(79));
+        let head = sql.get(..79).expect("the é starts at byte 79");
+        assert_eq!(truncate(&sql, 80), format!("{head}…"));
+        assert_eq!(truncate("café", 80), "café");
+        let statement = StatementReport {
+            database: "d".into(),
+            sql: sql.clone(),
+            weight: 1.0,
+            current_cost: 100.0,
+            proposed_cost: 40.0,
+            used_structures: Vec::new(),
+            whatif_calls: 1,
+            retries: 0,
+            degraded: false,
+        };
+        let rep = EvaluationReport {
+            statements: vec![statement],
+            current_total: 100.0,
+            proposed_total: 40.0,
+        };
+        assert!(rep.to_string().contains("'caf…"), "{rep}");
+        let mut r = result();
+        r.degraded_statements = vec![sql];
+        assert!(r.to_string().contains("'caf…"), "{r}");
     }
 }

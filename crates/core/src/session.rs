@@ -800,9 +800,9 @@ pub fn evaluate_configuration(
     // statements, so shard i's tally is statement i's retry history
     let shard_stats = eval.cache_stats();
     let degraded = eval.degraded_items();
-    for (i, report) in statements.iter_mut().enumerate() {
-        report.whatif_calls = shard_stats[i].calls as usize;
-        report.retries = shard_stats[i].retries as usize;
+    for (i, (report, shard)) in statements.iter_mut().zip(&shard_stats).enumerate() {
+        report.whatif_calls = shard.calls as usize;
+        report.retries = shard.retries as usize;
         report.degraded = degraded.binary_search(&i).is_ok();
     }
     Ok(EvaluationReport { statements, current_total, proposed_total })

@@ -61,6 +61,19 @@
 //! println!("{result}");
 //! ```
 
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub use dta_baselines as baselines;
 pub use dta_catalog as catalog;
 pub use dta_core as advisor;

@@ -4,7 +4,13 @@ use crate::relation::Relation;
 use crate::ExecError;
 use dta_catalog::Value;
 use dta_sql::{AggFunc, BinaryOp, Expr, Literal, UnaryOp};
-use std::collections::HashMap;
+
+/// Per-group aggregate values by canonical key, and the values a
+/// `COUNT(DISTINCT …)` has seen.
+#[expect(clippy::disallowed_types, reason = "probed by key, never iterated")]
+type HashMap<K, V> = std::collections::HashMap<K, V>;
+#[expect(clippy::disallowed_types, reason = "only counted, never iterated")]
+type HashSet<T> = std::collections::HashSet<T>;
 
 /// A canonical key identifying an aggregate occurrence, used to look up
 /// precomputed per-group aggregate values during final projection.
@@ -179,8 +185,11 @@ fn binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, ExecError> {
                     Value::Float(*a as f64 / *b as f64)
                 }
             }
-            // dta-lint: allow(R11): comparison operators were dispatched
-            // before this match; only arithmetic operators can reach it.
+            #[expect(
+                clippy::unreachable,
+                reason = "comparison operators were dispatched before this match; only \
+                          arithmetic operators can reach it"
+            )]
             _ => unreachable!("comparisons handled above"),
         }),
         _ => {
@@ -198,8 +207,11 @@ fn binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, ExecError> {
                         Value::Float(a / b)
                     }
                 }
-                // dta-lint: allow(R11): comparison operators were dispatched
-                // before this match; only arithmetic operators can reach it.
+                #[expect(
+                    clippy::unreachable,
+                    reason = "comparison operators were dispatched before this match; only \
+                              arithmetic operators can reach it"
+                )]
                 _ => unreachable!("comparisons handled above"),
             })
         }
@@ -238,7 +250,7 @@ pub enum Accumulator {
     Avg { sum: f64, count: u64 },
     Min(Option<Value>),
     Max(Option<Value>),
-    CountDistinct(std::collections::HashSet<Value>),
+    CountDistinct(HashSet<Value>),
 }
 
 impl Accumulator {
@@ -337,7 +349,7 @@ mod tests {
         let stmt = parse_statement(&format!("SELECT a FROM t WHERE {sql_where}")).unwrap();
         match stmt {
             dta_sql::Statement::Select(s) => s.predicate.unwrap(),
-            _ => unreachable!(),
+            other => panic!("expected a SELECT, got {other:?}"),
         }
     }
 

@@ -10,7 +10,11 @@ use dta_optimizer::query::{bind, BoundSelect, BoundStatement, JoinPred, Sarg, Sa
 use dta_physical::{Index, MaterializedView, StructureHandle};
 use dta_sql::{Expr, SelectStatement, Statement};
 use dta_storage::{pages_for, Store, TableData};
-use std::collections::HashMap;
+
+/// The hash join and group-by tables. Grouped rows come out in the
+/// table's order, which SQL leaves unspecified.
+#[expect(clippy::disallowed_types, reason = "SQL leaves the order of grouped rows unspecified")]
+type HashMap<K, V> = std::collections::HashMap<K, V>;
 
 /// Actual work metered during execution, in the optimizer's units.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -761,6 +765,7 @@ impl<'a> Exec<'a> {
         self.work.cpu_ops += rel.len() as f64 * 1.5;
         // DISTINCT applies to the *projected* values; keep one full input
         // row per distinct projection so final projection still works
+        #[expect(clippy::disallowed_types, reason = "a membership probe, never iterated")]
         let mut seen = std::collections::HashSet::new();
         let mut out = Relation::new(rel.cols.clone());
         for row in &rel.rows {

@@ -1,25 +1,21 @@
 //! `dta-lint` — in-tree static analysis enforcing the workspace's
-//! determinism and concurrency invariants.
+//! determinism invariants that clippy cannot check.
 //!
 //! PR 1 established that parallel and serial Greedy(m,k) runs produce
 //! **byte-identical recommendations**. That property is load-bearing —
 //! DTA ranks configurations by optimizer-estimated cost, so any
 //! nondeterminism in iteration order, float tie-breaking, or thread
 //! interleaving silently changes recommendations between runs. This
-//! crate encodes the part of that discipline clippy cannot check as
-//! machine-checked rules (see [`rules::RULES`]) in two layers:
+//! crate encodes the part of that discipline clippy has no lint for as
+//! token rules over a hand-rolled lexer (see [`rules::RULES`]): R2
+//! (costs compare through `det`), R6 (every `Relaxed` atomic is
+//! justified) and R11 (every library `expect` writes down its
+//! invariant).
 //!
-//! * **token rules** R2 and R6 — per-file pattern checks over a
-//!   hand-rolled lexer;
-//! * **semantic rules** R10–R12 — workspace-level analyses over an AST
-//!   ([`ast`], [`parser`]) and a call graph of per-function summaries
-//!   ([`callgraph`], [`semantic`]): lock-order cycles, panic
-//!   reachability from the public tuning surface, and determinism
-//!   taint flowing into `det::` cost comparisons.
-//!
-//! R1, R3–R5 and R7–R9 are clippy lints and lists (`crates/clippy.toml`,
-//! DESIGN.md §8). Everything here is dependency-free, offline, and fast
-//! enough to gate CI.
+//! The other rules are clippy lints and lists (`crates/clippy.toml` and
+//! the crate-level attributes), and lock order is the ranked locks of
+//! the `parking_lot` shim (DESIGN.md §8). Everything here is
+//! dependency-free, offline, and fast enough to gate CI.
 //!
 //! ```text
 //! cargo run -p dta-lint -- crates/ --deny-warnings   # gate
@@ -30,18 +26,13 @@
 //! directly above) the offending line. The justification is mandatory,
 //! and a pragma that suppresses nothing is itself a finding (P1).
 
-pub mod ast;
-pub mod callgraph;
 pub mod lexer;
-pub mod parser;
 pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod semantic;
 
 pub use rules::{Finding, Severity};
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -70,28 +61,21 @@ impl LintResult {
 }
 
 /// Lint a single source text under a (possibly synthetic) relative
-/// path, **token rules only** (R2, R6 and P0), with suppression
-/// applied. The path drives rule scoping — `"crates/core/src/greedy.rs"`
-/// enables R2 even for an in-memory fixture. For the full pipeline
-/// including the semantic rules, use [`lint_sources`].
+/// path with suppression applied, without the stale-pragma check (P1).
+/// The path drives rule scoping — `"crates/core/src/greedy.rs"` enables
+/// R2 even for an in-memory fixture.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     rules::check_source(rel_path, src).0
 }
 
-/// Run the **full pipeline** — token rules, parsing (P2), call-graph
-/// semantic rules (R10–R12), and stale-pragma detection (P1) — over a
-/// set of in-memory sources forming one synthetic workspace. Paths
-/// drive rule scoping exactly as on disk.
+/// Lint a set of in-memory sources: token rules, suppression, and
+/// stale-pragma detection (P1), exactly as [`lint_paths`] does on disk.
 pub fn lint_sources(files: &[(&str, &str)]) -> LintResult {
-    let records: Vec<(String, FileRecord)> = files
-        .iter()
-        .map(|(rel, src)| {
-            let rel = rel.replace('\\', "/");
-            let rec = analyze_file(&rel, src);
-            (rel, rec)
-        })
-        .collect();
-    assemble(&records)
+    let mut result = LintResult::default();
+    for (rel, src) in files {
+        check_file(&rel.replace('\\', "/"), src, &mut result);
+    }
+    finish(result)
 }
 
 /// Lint every in-scope `.rs` file under `paths` (files or directories).
@@ -103,17 +87,14 @@ pub fn lint_paths(paths: &[PathBuf]) -> io::Result<LintResult> {
     files.sort();
     files.dedup();
 
-    let mut records: Vec<(String, FileRecord)> = Vec::new();
+    let mut result = LintResult::default();
     for f in &files {
         let rel = workspace_rel(&f.to_string_lossy().replace('\\', "/"));
-        if !rules::in_scope(&rel) {
-            continue;
+        if rules::in_scope(&rel) {
+            check_file(&rel, &fs::read_to_string(f)?, &mut result);
         }
-        let record = analyze_file(&rel, &fs::read_to_string(f)?);
-        records.push((rel, record));
     }
-
-    Ok(assemble(&records))
+    Ok(finish(result))
 }
 
 /// Normalize an absolute path to its workspace-relative form so that
@@ -126,111 +107,45 @@ fn workspace_rel(path: &str) -> String {
     }
 }
 
-/// Everything the workspace pass needs from one file.
-struct FileRecord {
-    analysis: rules::TokenAnalysis,
-    parse_errors: Vec<ast::ParseError>,
-    facts: callgraph::FileFacts,
-}
-
-/// Analyze one file from source: token rules, parse, function
-/// summaries. Pure in `src`.
-fn analyze_file(rel: &str, src: &str) -> FileRecord {
+/// One file: apply its pragmas to the token findings, then flag the
+/// pragmas that earned their keep nowhere (P1).
+fn check_file(rel: &str, src: &str, result: &mut LintResult) {
     let analysis = rules::analyze_tokens(rel, src);
-    let parsed = parser::parse_source(src);
-    let facts = callgraph::summarize_file(rel, &parsed, &analysis.pragmas, &analysis.test_ranges);
-    FileRecord { analysis, parse_errors: parsed.errors, facts }
+    result.files += 1;
+    let mut used = vec![false; analysis.pragmas.len()];
+    for f in analysis.findings {
+        let by = analysis.pragmas.iter().position(|p| p.suppresses(f.rule, f.line));
+        match by {
+            Some(pi) if f.rule != "P0" => {
+                used[pi] = true;
+                result.suppressed += 1;
+            }
+            _ => result.findings.push(f),
+        }
+    }
+    // stale pragmas (P1): valid, outside test code, suppressed nothing
+    let in_test = |line: u32| analysis.test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
+    for (p, used) in analysis.pragmas.iter().zip(used) {
+        if p.error.is_some() || used || in_test(p.line) {
+            continue;
+        }
+        result.findings.push(Finding {
+            rule: "P1",
+            severity: Severity::Warning,
+            path: rel.to_string(),
+            line: p.line,
+            col: p.col,
+            message: format!(
+                "stale pragma: allow({}) suppresses no finding — the violation it \
+                 excused is gone; delete it",
+                p.rules.join(", ")
+            ),
+        });
+    }
 }
 
-/// The workspace pass: apply pragmas to token findings, surface parse
-/// errors (P2), run the semantic rules over the merged call graph
-/// (R10–R12, suppressible by the same pragmas), then flag pragmas that
-/// earned their keep nowhere (P1).
-fn assemble(records: &[(String, FileRecord)]) -> LintResult {
-    let mut result = LintResult { files: records.len(), ..LintResult::default() };
-    // pragma usage, per file then per pragma index
-    let mut used: Vec<Vec<bool>> =
-        records.iter().map(|(_, r)| vec![false; r.analysis.pragmas.len()]).collect();
-    let by_path: BTreeMap<&str, usize> =
-        records.iter().enumerate().map(|(i, (rel, _))| (rel.as_str(), i)).collect();
-
-    for (ri, (rel, rec)) in records.iter().enumerate() {
-        for f in &rec.analysis.findings {
-            if f.rule != "P0" {
-                if let Some(pi) =
-                    rec.analysis.pragmas.iter().position(|p| p.suppresses(f.rule, f.line))
-                {
-                    used[ri][pi] = true;
-                    result.suppressed += 1;
-                    continue;
-                }
-            }
-            result.findings.push(f.clone());
-        }
-        for e in &rec.parse_errors {
-            result.findings.push(Finding {
-                rule: "P2",
-                severity: Severity::Error,
-                path: rel.clone(),
-                line: e.line,
-                col: e.col,
-                message: format!(
-                    "file does not parse — the semantic rules cannot see past this \
-                     point: {}",
-                    e.message
-                ),
-            });
-        }
-        // pragmas justifying a panic source (R11) are used even though
-        // no finding was ever emitted for the site
-        for (pi, p) in rec.analysis.pragmas.iter().enumerate() {
-            if p.error.is_none() && rec.facts.used_pragma_lines.contains(&p.line) {
-                used[ri][pi] = true;
-            }
-        }
-    }
-
-    // workspace semantic rules over the merged call graph
-    let all_fns: Vec<callgraph::FnSummary> =
-        records.iter().flat_map(|(_, r)| r.facts.fns.iter().cloned()).collect();
-    for f in semantic::analyze(&all_fns) {
-        if let Some(&ri) = by_path.get(f.path.as_str()) {
-            let (_, rec) = &records[ri];
-            if let Some(pi) = rec.analysis.pragmas.iter().position(|p| p.suppresses(f.rule, f.line))
-            {
-                used[ri][pi] = true;
-                result.suppressed += 1;
-                continue;
-            }
-        }
-        result.findings.push(f);
-    }
-
-    // stale pragmas (P1): valid, outside test code, suppressed nothing
-    for (ri, (rel, rec)) in records.iter().enumerate() {
-        for (pi, p) in rec.analysis.pragmas.iter().enumerate() {
-            if p.error.is_some() || used[ri][pi] {
-                continue;
-            }
-            let in_test = rec.analysis.test_ranges.iter().any(|&(a, b)| p.line >= a && p.line <= b);
-            if in_test {
-                continue;
-            }
-            result.findings.push(Finding {
-                rule: "P1",
-                severity: Severity::Warning,
-                path: rel.clone(),
-                line: p.line,
-                col: p.col,
-                message: format!(
-                    "stale pragma: allow({}) suppresses no finding and justifies no \
-                     panic source — the violation it excused is gone; delete it",
-                    p.rules.join(", ")
-                ),
-            });
-        }
-    }
-
+/// Findings in (path, line, col, rule) order.
+fn finish(mut result: LintResult) -> LintResult {
     result
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));

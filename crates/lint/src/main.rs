@@ -18,9 +18,9 @@ fn emit(text: &str) {
 }
 
 const USAGE: &str = "\
-dta-lint — determinism & concurrency invariant checker for the DTA workspace
-(rules R2, R6, R10–R12 and P0–P2; the other R-rules are clippy lints, run
-`cargo clippy --all-targets -- -D warnings`)
+dta-lint — determinism invariant checker for the DTA workspace
+(rules R2, R6, R11 and P0–P1; the other R-rules are clippy lints, run
+`cargo clippy --all-targets -- -D warnings`, and ranked locks)
 
 USAGE:
     dta-lint [PATHS…] [--json] [--deny-warnings]

@@ -1,16 +1,16 @@
-//! The per-file rule engine: the token rules R2 and R6 over the
+//! The per-file rule engine: the token rules R2, R6 and R11 over the
 //! hand-rolled lexer, with per-rule severity and path scoping, plus the
-//! P0 meta-rule validating suppression pragmas. The workspace rules
-//! R10–R12 run over the parser's AST and a call graph ([`crate::semantic`]).
+//! P0 meta-rule validating suppression pragmas.
 //!
 //! Every rule defends a property the paper's cost model assumes (see
-//! DESIGN.md §8 for the rule-by-rule rationale, and for R1, R3–R5 and
-//! R7–R9, which clippy enforces):
+//! DESIGN.md §8 for the rule-by-rule rationale, and for the rules that
+//! clippy and the ranked locks enforce):
 //!
 //! | rule | defends |
 //! |------|---------|
 //! | R2 `raw-cost-compare` | the `(cost, position)` tie-break that makes parallel == serial |
 //! | R6 `relaxed-ordering` | every `Relaxed` atomic is a deliberate, justified choice |
+//! | R11 `written-invariant` | every library `expect` says which invariant makes it unreachable |
 //!
 //! The token rules know no types. Inline `#[cfg(test)]` modules are
 //! exempt from every rule: test code may assert on raw costs freely.
@@ -38,7 +38,7 @@ impl Severity {
 /// One lint finding at an exact source position.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`R2`, `R6`, `R10`–`R12`, or `P0`–`P2`).
+    /// Rule id (`R2`, `R6`, `R11`, or `P0`–`P1`).
     pub rule: &'static str,
     pub severity: Severity,
     pub path: String,
@@ -74,32 +74,12 @@ pub const RULES: &[RuleSpec] = &[
                   semantics are sound at this site",
     },
     RuleSpec {
-        id: "R10",
-        name: "lock-order",
-        severity: Severity::Error,
-        summary: "no lock-order cycles: the workspace-wide lock-acquisition graph \
-                  (built from RwLock/Mutex guard scopes and calls made while a guard \
-                  is held) must be acyclic — a cycle is a potential deadlock between \
-                  concurrent tuning sessions",
-    },
-    RuleSpec {
         id: "R11",
-        name: "panic-reachability",
+        name: "written-invariant",
         severity: Severity::Error,
-        summary: "no panic (panic!/unwrap/bare indexing) may be transitively reachable \
-                  from the public tuning surface (tune*/Server/SessionSupervisor methods) without a \
-                  written invariant (`expect(\"…\")`) or a justifying allow(R11) pragma \
-                  at the source site — the anytime guarantee promises a result, not an \
-                  unwind",
-    },
-    RuleSpec {
-        id: "R12",
-        name: "determinism-taint",
-        severity: Severity::Error,
-        summary: "no nondeterministic value (wall clock, Ordering::Relaxed load, \
-                  hash-map iteration) may flow — through any number of calls — into a \
-                  det:: cost comparison; tainted comparisons silently change \
-                  recommendations between runs",
+        summary: "a library `expect(\"…\")` must state the invariant that makes it \
+                  unreachable in at least 10 characters; clippy denies every other \
+                  panic site in the crates tune() reaches",
     },
     RuleSpec {
         id: "P0",
@@ -113,17 +93,9 @@ pub const RULES: &[RuleSpec] = &[
         id: "P1",
         name: "stale-pragma",
         severity: Severity::Warning,
-        summary: "an allow(...) pragma that suppresses no finding and justifies no \
-                  panic source is dead: the violation it excused is gone — delete the \
-                  pragma so the escape-hatch inventory stays honest",
-    },
-    RuleSpec {
-        id: "P2",
-        name: "parse-error",
-        severity: Severity::Error,
-        summary: "the file does not parse as the item/expression grammar the semantic \
-                  rules analyze — an unparsed region is an unanalyzed region, so \
-                  structural breakage fails the lint",
+        summary: "an allow(...) pragma that suppresses no finding is dead: the \
+                  violation it excused is gone — delete the pragma so the escape-hatch \
+                  inventory stays honest",
     },
 ];
 
@@ -133,6 +105,24 @@ pub(crate) fn spec(id: &str) -> &'static RuleSpec {
 
 /// Files R2 applies to: where Greedy(m,k) comparisons live.
 const R2_FILES: &[&str] = &["greedy.rs", "enumeration.rs"];
+
+/// Crates R11 applies to: the ones `tune()`, `Server` and the baselines
+/// reach, whose `lib.rs` denies clippy's panic lints.
+pub const R11_CRATES: &[&str] = &[
+    "baselines",
+    "catalog",
+    "core",
+    "dta",
+    "engine",
+    "optimizer",
+    "physical",
+    "server",
+    "sql",
+    "stats",
+    "storage",
+    "workload",
+    "xml",
+];
 
 /// Path components that mark a file as outside library code. Files
 /// under these are skipped entirely (fixtures under `tests/` contain
@@ -147,11 +137,10 @@ pub fn in_scope(rel_path: &str) -> bool {
 }
 
 /// The pre-suppression output of the token-rule pass over one file:
-/// everything the workspace pipeline needs to later apply pragmas,
-/// detect stale ones, and feed the semantic rules.
+/// everything needed to apply pragmas and detect stale ones.
 #[derive(Debug, Default, Clone)]
 pub struct TokenAnalysis {
-    /// Token-rule findings (R2, R6 and P0), **before** pragma
+    /// Token-rule findings (R2, R6, R11 and P0), **before** pragma
     /// suppression, in (line, col, rule) order.
     pub findings: Vec<Finding>,
     /// Every pragma in the file, valid or not.
@@ -187,6 +176,10 @@ pub fn analyze_tokens(rel_path: &str, src: &str) -> TokenAnalysis {
         r2_raw_cost_compare(&rel, &code, &mut findings);
     }
     r6_relaxed_ordering(&rel, &code, &mut findings);
+    let krate = rel.strip_prefix("crates/").and_then(|r| r.split('/').next());
+    if krate.is_some_and(|c| R11_CRATES.contains(&c)) {
+        r11_written_invariant(&rel, &code, &mut findings);
+    }
 
     // test modules are exempt from every rule
     findings.retain(|f| !in_test(f.line));
@@ -386,5 +379,58 @@ fn r6_relaxed_ordering(rel: &str, code: &[&Token], findings: &mut Vec<Finding>) 
                     .to_string(),
             );
         }
+    }
+}
+
+/// Minimum length of an `expect` message for it to count as a written
+/// invariant, the same bar a pragma's justification must clear.
+const MIN_INVARIANT: usize = pragma::MIN_JUSTIFICATION;
+
+/// R11: `.expect("…")` whose literal message is too short to say why
+/// the panic cannot happen.
+fn r11_written_invariant(rel: &str, code: &[&Token], findings: &mut Vec<Finding>) {
+    for w in code.windows(4) {
+        let [dot, name, open, arg] = w else { continue };
+        if dot.text == "."
+            && name.kind == TokenKind::Ident
+            && name.text == "expect"
+            && open.text == "("
+            && arg.kind == TokenKind::Str
+        {
+            let message = literal_contents(&arg.text);
+            if message.chars().count() < MIN_INVARIANT {
+                push(
+                    findings,
+                    "R11",
+                    rel,
+                    arg,
+                    format!(
+                        "`expect({})` does not write down an invariant: say in at least \
+                         {MIN_INVARIANT} characters why this cannot fail",
+                        arg.text
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// The text between a string literal's quotes (`b`/`r` prefixes and raw
+/// `#` fences stripped; escapes left as written).
+fn literal_contents(lit: &str) -> &str {
+    let body = lit.trim_start_matches(['b', 'r']).trim_matches('#');
+    body.strip_prefix('"').and_then(|b| b.strip_suffix('"')).unwrap_or(body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn literal_contents_strips_delimiters() {
+        assert_eq!(literal_contents("\"abc\""), "abc");
+        assert_eq!(literal_contents("r#\"raw body\"#"), "raw body");
+        assert_eq!(literal_contents("br\"bytes\""), "bytes");
+        assert_eq!(literal_contents("\"\""), "");
     }
 }

@@ -1,13 +1,21 @@
 //! Token-rule tests: one fixture per rule asserting exact finding
 //! positions, scoping, test-module exemption, suppression accounting,
-//! the seeded-violation gate, and a self-check over the real tree.
+//! stale pragmas, the seeded-violation gate, and a self-check over the
+//! real tree.
 
 use dta_lint::rules::{check_source, in_scope};
-use dta_lint::{lint_source, Finding, LintResult, Severity};
+use dta_lint::{lint_source, lint_sources, Finding, LintResult, Severity};
 
 const R2: &str = include_str!("fixtures/fixture_r2.rs");
 const R6: &str = include_str!("fixtures/fixture_r6.rs");
 const CLEAN: &str = include_str!("fixtures/fixture_clean.rs");
+
+/// R11 fixture: a library `expect` whose message names no invariant.
+const R11: &str = "\
+pub fn head(xs: &[u32]) -> u32 {
+    *xs.first().expect(\"nonempty\")
+}
+";
 
 /// (rule, severity, line, col) projection for position assertions.
 fn at(findings: &[Finding]) -> Vec<(&str, Severity, u32, u32)> {
@@ -33,6 +41,82 @@ fn r2_raw_cost_compare_exact_positions() {
 fn r6_relaxed_ordering_exact_position() {
     let found = lint_source("crates/core/src/fixture_r6.rs", R6);
     assert_eq!(at(&found), vec![("R6", Severity::Warning, 6, 28)], "{found:#?}");
+}
+
+#[test]
+fn r11_short_expect_exact_position() {
+    let found = lint_source("crates/core/src/fixture_r11.rs", R11);
+    assert_eq!(at(&found), vec![("R11", Severity::Error, 2, 24)], "{found:#?}");
+    assert!(found[0].message.contains("expect(\"nonempty\")"), "{found:#?}");
+}
+
+#[test]
+fn r11_written_invariant_and_non_literal_messages_are_clean() {
+    let written = R11.replace("\"nonempty\"", "\"callers pass a nonempty slice\"");
+    assert!(lint_source("crates/core/src/x.rs", &written).is_empty());
+    // ten characters is enough, counted in chars, not bytes
+    let ten = R11.replace("\"nonempty\"", "\"é123456789\"");
+    assert!(lint_source("crates/core/src/x.rs", &ten).is_empty());
+    let raw = R11.replace("\"nonempty\"", "r#\"nonempty\"#");
+    assert_eq!(lint_source("crates/core/src/x.rs", &raw).len(), 1);
+    // a message built at run time is not a literal the rule can read
+    let built = R11.replace("\"nonempty\"", "&msg");
+    assert!(lint_source("crates/core/src/x.rs", &built).is_empty());
+    // a method named `expect` is only a call after a dot
+    assert!(lint_source("crates/core/src/x.rs", "fn expect(s: &str) {}\n").is_empty());
+}
+
+#[test]
+fn r11_exempts_cfg_test_modules() {
+    let src =
+        format!("{R11}\n#[cfg(test)]\nmod tests {{\n    fn t() {{ x.expect(\"ok\"); }}\n}}\n");
+    let found = lint_source("crates/core/src/x.rs", &src);
+    // only the library expect on line 2 fires
+    assert_eq!(at(&found), vec![("R11", Severity::Error, 2, 24)], "{found:#?}");
+}
+
+#[test]
+fn r11_is_scoped_to_the_crates_tune_reaches() {
+    for krate in ["core", "optimizer", "sql", "xml", "workload", "dta"] {
+        let path = format!("crates/{krate}/src/x.rs");
+        assert!(!lint_source(&path, R11).is_empty(), "{krate}");
+    }
+    for krate in ["bench", "lint", "criterion"] {
+        let path = format!("crates/{krate}/src/x.rs");
+        assert!(lint_source(&path, R11).is_empty(), "{krate}");
+    }
+}
+
+#[test]
+fn p1_stale_pragma_is_flagged() {
+    let src = "\
+pub fn fine(x: u32) -> u32 {
+    // dta-lint: allow(R6): this load was Relaxed once, long ago.
+    x + 1
+}
+";
+    let result = lint_sources(&[("crates/core/src/x.rs", src)]);
+    assert_eq!(at(&result.findings), vec![("P1", Severity::Warning, 2, 5)], "{result:#?}");
+    assert!(result.findings[0].message.contains("stale pragma"), "{result:#?}");
+    assert!(result.fails(true) && !result.fails(false));
+}
+
+#[test]
+fn p1_exempts_test_modules() {
+    let src = "\
+pub fn fine(x: u32) -> u32 {
+    x + 1
+}
+
+#[cfg(test)]
+mod tests {
+    // dta-lint: allow(R6): tests load freely; this pragma is noise
+    // but test modules are exempt from staleness policing.
+    fn helper() {}
+}
+";
+    let result = lint_sources(&[("crates/core/src/x.rs", src)]);
+    assert!(result.findings.is_empty(), "{result:#?}");
 }
 
 #[test]
@@ -126,14 +210,17 @@ fn non_library_paths_are_out_of_scope() {
     assert!(!in_scope("crates/core/.hidden/x.rs"));
 }
 
-/// The acceptance gate: seeding an R2 or R6 violation into a core path
+/// The acceptance gate: seeding an R2, R6 or R11 violation into a core path
 /// must make `dta-lint --deny-warnings` fail (non-zero exit). Exit
 /// status is `LintResult::fails` — the binary maps it 1:1. CI's seeded
 /// clippy step is the same gate for the rules clippy enforces.
 #[test]
 fn any_seeded_violation_fails_the_gate() {
-    let seeded: &[(&str, &str, &str)] =
-        &[("R2", "crates/core/src/greedy.rs", R2), ("R6", "crates/core/src/seeded.rs", R6)];
+    let seeded: &[(&str, &str, &str)] = &[
+        ("R2", "crates/core/src/greedy.rs", R2),
+        ("R6", "crates/core/src/seeded.rs", R6),
+        ("R11", "crates/core/src/seeded.rs", R11),
+    ];
     for (rule, path, src) in seeded {
         let findings = lint_source(path, src);
         assert!(

@@ -29,10 +29,21 @@
 //!   hardware parameters (CPUs, memory) can be overridden to simulate a
 //!   production server on a test server (§5.3).
 
-// Library-code rules R1 and R5 (DESIGN.md §8); the workspace-wide
-// method and type lists are in crates/clippy.toml.
+// Library-code rule R1 (DESIGN.md §8); the workspace-wide method and
+// type lists are in crates/clippy.toml.
 #![deny(clippy::iter_over_hash_type)]
-#![warn(clippy::unwrap_used)]
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod access;
 pub mod dml;

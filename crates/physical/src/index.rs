@@ -114,6 +114,7 @@ impl Index {
         if self.key_columns.is_empty() {
             return false;
         }
+        #[expect(clippy::disallowed_types, reason = "a membership probe, never iterated")]
         let mut seen = std::collections::HashSet::new();
         for k in &self.key_columns {
             if !seen.insert(k) {

@@ -17,6 +17,19 @@
 //!   and how a statement uses a table's columns: what the cost cache
 //!   decides by whether a non-clustered index can matter to a statement.
 
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod config;
 pub mod index;
 pub mod partitioning;

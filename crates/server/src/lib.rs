@@ -20,8 +20,20 @@
 
 // Library-code rules R7 and R8 (DESIGN.md §8); the workspace-wide
 // method and type lists are in crates/clippy.toml.
-#![deny(clippy::panic, clippy::exit)]
+#![deny(clippy::exit)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod server;
 pub mod target;

@@ -13,11 +13,10 @@ use dta_stats::{
     build_statistic, RetryPolicy, StatKey, Statistic, StatisticsManager, DEFAULT_SAMPLE_FRACTION,
 };
 use dta_storage::{Store, TableData, WorkCounter};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, Rank, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,12 +98,20 @@ impl Default for FaultPolicy {
     }
 }
 
+/// Attempt counters by call-site hash: probed by key, never iterated.
+#[expect(clippy::disallowed_types, reason = "probed by key, never iterated")]
+type HashMap<K, V> = std::collections::HashMap<K, V>;
+
 /// Live fault state: the policy plus per-call-site attempt counters for
 /// transient schedules.
 struct FaultState {
     policy: FaultPolicy,
     attempts: HashMap<u64, u32>,
 }
+
+/// Rank of the sampling RNG's lock, held while a new statistic is added
+/// (DESIGN.md §8). The server's other locks are leaves.
+const RNG: Rank = Rank::outer(1);
 
 /// A database server instance.
 pub struct Server {
@@ -137,7 +144,7 @@ impl Server {
             work: WorkCounter::default(),
             whatif_invocations: AtomicU64::new(0),
             estimate_epoch: AtomicU64::new(0),
-            rng: Mutex::new(StdRng::seed_from_u64(0x5EED)),
+            rng: Mutex::ranked(StdRng::seed_from_u64(0x5EED), RNG),
             fault: Mutex::new(None),
         }
     }
@@ -359,9 +366,7 @@ impl Server {
     /// what-if call: it charges no work and counts nothing.
     pub fn prepare(&self, database: &str, stmt: &Statement) -> PreparedStatement {
         let epoch = self.estimate_epoch();
-        // path-qualified so dta-lint's name-based call graph (R11) follows
-        // the call into the optimizer instead of back to this method
-        self.with_optimizer(|opt| WhatIfOptimizer::prepare(opt, database, stmt)).stamped(epoch)
+        self.with_optimizer(|opt| opt.prepare(database, stmt)).stamped(epoch)
     }
 
     /// A what-if optimizer call: the estimated best plan for `stmt` as if
@@ -456,10 +461,12 @@ impl Server {
                         None => false,
                     }
                 };
-                #[expect(clippy::panic, reason = "deliberate fault injection")]
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate fault injection — the panic-isolation layer under \
+                              test must catch this"
+                )]
                 if should_panic {
-                    // dta-lint: allow(R11): deliberate fault injection —
-                    // the panic-isolation layer under test must catch this.
                     panic!("injected what-if panic for `{stmt_text}` on {database}");
                 }
             }

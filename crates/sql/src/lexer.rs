@@ -164,56 +164,53 @@ impl TokenKind {
 /// Tokenize `input` into a vector ending with an `Eof` token.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
+    let at = |j: usize| bytes.get(j).copied();
+    // an ASCII run starts and ends on char boundaries
+    let ascii = |from: usize, to: usize| input.get(from..to).expect("ASCII runs are whole chars");
     let mut out = Vec::with_capacity(input.len() / 4 + 4);
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
+    while let Some(c) = at(i) {
         match c {
             b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
+            b'-' if at(i + 1) == Some(b'-') => {
                 // line comment
-                while i < bytes.len() && bytes[i] != b'\n' {
+                while at(i).is_some_and(|b| b != b'\n') {
                     i += 1;
                 }
             }
             b'\'' => {
                 let start = i;
-                i += 1;
                 let mut s = String::new();
+                // `i` is at a quote: copy the text up to the next one whole,
+                // so multi-byte characters survive; '' escapes a quote
                 loop {
-                    if i >= bytes.len() {
+                    let rest = input.get(i + 1..).unwrap_or_default();
+                    let Some((run, _)) = rest.split_once('\'') else {
                         return Err(ParseError::new("unterminated string literal", start));
+                    };
+                    s.push_str(run);
+                    i += run.len() + 2;
+                    if at(i) != Some(b'\'') {
+                        break;
                     }
-                    if bytes[i] == b'\'' {
-                        // '' escapes a quote
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[i] as char);
-                        i += 1;
-                    }
+                    s.push('\'');
                 }
                 out.push(Token { kind: TokenKind::Str(s), offset: start });
             }
             b'0'..=b'9' => {
                 let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                while at(i).is_some_and(|b| b.is_ascii_digit()) {
                     i += 1;
                 }
                 let mut is_float = false;
-                if i + 1 < bytes.len() && bytes[i] == b'.' && bytes[i + 1].is_ascii_digit() {
+                if at(i) == Some(b'.') && at(i + 1).is_some_and(|b| b.is_ascii_digit()) {
                     is_float = true;
                     i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    while at(i).is_some_and(|b| b.is_ascii_digit()) {
                         i += 1;
                     }
                 }
-                let text = &input[start..i];
+                let text = ascii(start, i);
                 let kind = if is_float {
                     TokenKind::Float(text.parse().map_err(|_| {
                         ParseError::new(format!("invalid float literal '{text}'"), start)
@@ -227,10 +224,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                while at(i).is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_') {
                     i += 1;
                 }
-                let word = input[start..i].to_ascii_lowercase();
+                let word = ascii(start, i).to_ascii_lowercase();
                 let kind = match Kw::from_str(&word) {
                     Some(kw) => TokenKind::Keyword(kw),
                     None => TokenKind::Ident(word),
@@ -246,10 +243,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     }
                     b'<' => {
                         i += 1;
-                        if i < bytes.len() && bytes[i] == b'=' {
+                        if at(i) == Some(b'=') {
                             i += 1;
                             TokenKind::LtEq
-                        } else if i < bytes.len() && bytes[i] == b'>' {
+                        } else if at(i) == Some(b'>') {
                             i += 1;
                             TokenKind::NotEq
                         } else {
@@ -258,7 +255,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     }
                     b'>' => {
                         i += 1;
-                        if i < bytes.len() && bytes[i] == b'=' {
+                        if at(i) == Some(b'=') {
                             i += 1;
                             TokenKind::GtEq
                         } else {
@@ -267,7 +264,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     }
                     b'!' => {
                         i += 1;
-                        if i < bytes.len() && bytes[i] == b'=' {
+                        if at(i) == Some(b'=') {
                             i += 1;
                             TokenKind::NotEq
                         } else {
@@ -362,8 +359,20 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_string_literals_keep_their_characters() {
+        assert_eq!(kinds("'café'"), vec![TokenKind::Str("café".into()), TokenKind::Eof]);
+        assert_eq!(
+            kinds("'naïve''s 東京' 'x'"),
+            vec![TokenKind::Str("naïve's 東京".into()), TokenKind::Str("x".into()), TokenKind::Eof]
+        );
+        assert_eq!(kinds("''''"), vec![TokenKind::Str("'".into()), TokenKind::Eof]);
+    }
+
+    #[test]
     fn unterminated_string_errors() {
         assert!(tokenize("'abc").is_err());
+        assert!(tokenize("'é''").is_err());
+        assert!(tokenize("'").is_err());
     }
 
     #[test]

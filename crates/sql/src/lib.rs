@@ -21,6 +21,19 @@
 //! assert_eq!(stmt.to_string(), "SELECT a, COUNT(*) FROM t WHERE x < 10 GROUP BY a");
 //! ```
 
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -49,21 +49,25 @@ impl Parser {
         Ok(Self { tokens: tokenize(input)?, pos: 0 })
     }
 
+    /// The token at `pos`, which never moves past the closing `Eof`.
+    fn current(&self) -> &Token {
+        self.tokens.get(self.pos).expect("pos stops at the Eof that ends every stream")
+    }
+
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+        &self.current().kind
     }
 
     fn peek2(&self) -> &TokenKind {
-        let i = (self.pos + 1).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+        self.tokens.get(self.pos + 1).map_or(self.peek(), |t| &t.kind)
     }
 
     fn offset(&self) -> usize {
-        self.tokens[self.pos].offset
+        self.current().offset
     }
 
     fn advance(&mut self) -> TokenKind {
-        let k = self.tokens[self.pos].kind.clone();
+        let k = self.current().kind.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -133,12 +137,10 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String> {
         match self.peek() {
-            TokenKind::Ident(_) => {
-                if let TokenKind::Ident(s) = self.advance() {
-                    Ok(s)
-                } else {
-                    unreachable!()
-                }
+            TokenKind::Ident(s) => {
+                let s = s.clone();
+                self.advance();
+                Ok(s)
             }
             _ => Err(self.unexpected("identifier")),
         }
@@ -549,6 +551,14 @@ mod tests {
             Statement::Select(s) => s,
             other => panic!("expected select, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_ascii_literal_round_trips() {
+        let sql = "SELECT name FROM cafes WHERE city = 'Zürich' AND name <> 'café'";
+        let stmt = parse_statement(sql).unwrap();
+        assert_eq!(stmt.to_string(), sql);
+        assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt);
     }
 
     #[test]

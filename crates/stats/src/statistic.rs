@@ -211,7 +211,8 @@ mod tests {
     use dta_catalog::{Column, ColumnType, Table};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashSet;
+    #[expect(clippy::disallowed_types, reason = "the reference build probes, never iterates")]
+    type HashSet<T> = std::collections::HashSet<T>;
 
     fn data() -> TableData {
         let t = Table::new(

@@ -103,10 +103,12 @@ impl TableData {
     ///
     /// Panics if `idx` is out of range — column indices come from this
     /// table's own enumeration.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx comes from this table's own column enumeration by contract; an \
+                  out-of-range access is a caller bug worth a loud panic, not a silent default"
+    )]
     pub fn column(&self, idx: usize) -> &[Value] {
-        // dta-lint: allow(R11): idx comes from this table's own column
-        // enumeration by contract; an out-of-range access is a caller bug
-        // worth a loud panic, not a silent default.
         &self.columns[idx]
     }
 
@@ -117,14 +119,17 @@ impl TableData {
 
     /// One cell. Callers must pass a row and column obtained from this
     /// table's own dimensions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices come from this table's own enumeration by contract; an \
+                  out-of-range access is a caller bug worth a loud panic, not a silent default"
+    )]
     pub fn cell(&self, row: usize, col: usize) -> &Value {
-        // dta-lint: allow(R11): indices come from this table's own
-        // enumeration by contract; an out-of-range access is a caller
-        // bug worth a loud panic, not a silent default.
         &self.columns[col][row]
     }
 
     /// Materialize one row as a vector (allocates).
+    #[expect(clippy::indexing_slicing, reason = "row indexes come from this table's rows()")]
     pub fn row(&self, idx: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c[idx].clone()).collect()
     }
@@ -148,6 +153,10 @@ impl TableData {
     }
 
     /// Overwrite one cell; used by the DML engine.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the DML engine passes a row and column of this table, as cell() requires"
+    )]
     pub fn set_cell(&mut self, row: usize, col: usize, value: Value) {
         self.columns[col][row] = value;
     }

@@ -18,6 +18,19 @@
 //!   production/test-server overhead experiment (Figure 3) and by all
 //!   running-time comparisons.
 
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod data;
 pub mod work;
 

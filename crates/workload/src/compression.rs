@@ -187,8 +187,9 @@ pub fn uniform_sample(workload: &Workload, fraction: f64, seed: u64) -> Workload
     let scale = workload.len() as f64 / keep as f64;
     Workload::from_items(
         idx.into_iter()
-            .map(|i| {
-                let mut item = workload.items[i].clone();
+            .filter_map(|i| workload.items.get(i))
+            .map(|item| {
+                let mut item = item.clone();
                 item.weight *= scale;
                 item
             })
@@ -200,19 +201,19 @@ pub fn uniform_sample(workload: &Workload, fraction: f64, seed: u64) -> Workload
 /// of the total cost is covered. `costs[i]` must align with items.
 pub fn top_k_by_cost(workload: &Workload, costs: &[f64], cost_fraction: f64) -> Workload {
     assert_eq!(costs.len(), workload.len());
-    let total: f64 = costs.iter().zip(&workload.items).map(|(c, i)| c * i.weight).sum();
-    let mut order: Vec<usize> = (0..workload.len()).collect();
-    order.sort_by(|&a, &b| {
-        (costs[b] * workload.items[b].weight).total_cmp(&(costs[a] * workload.items[a].weight))
-    });
+    let mut weighted: Vec<(f64, &WorkloadItem)> =
+        costs.iter().zip(&workload.items).map(|(c, item)| (c * item.weight, item)).collect();
+    let total: f64 = weighted.iter().map(|&(cost, _)| cost).sum();
+    // stable: equal costs keep workload order
+    weighted.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut kept = Vec::new();
     let mut acc = 0.0;
-    for i in order {
+    for (cost, item) in weighted {
         if acc >= total * cost_fraction && !kept.is_empty() {
             break;
         }
-        acc += costs[i] * workload.items[i].weight;
-        kept.push(workload.items[i].clone());
+        acc += cost;
+        kept.push(item.clone());
     }
     Workload::from_items(kept)
 }

@@ -19,6 +19,19 @@
 //! * [`synt1`] — a SetQuery-style synthetic workload (8 000 SPJ queries
 //!   with grouping/aggregation from ~100 templates).
 
+// R11: no panic site in library code but an `expect("<invariant>")`
+// or a reasoned `#[expect]` (DESIGN.md §8). The same block stands in
+// every crate `tune()`, `Server` and the baselines reach.
+#![deny(
+    clippy::panic,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod compression;
 pub mod cust;
 pub mod gen_util;

@@ -1393,7 +1393,8 @@ mod tests {
         // Err, never panic (cutting only trailing whitespace is still a
         // complete document, so stop at the last non-whitespace byte)
         for cut in 0..xml.trim_end().len() {
-            assert!(checkpoint_from_xml(&xml[..cut]).is_err(), "prefix {cut} accepted");
+            let prefix = xml.get(..cut).expect("the document is ASCII");
+            assert!(checkpoint_from_xml(prefix).is_err(), "prefix {cut} accepted");
         }
         // well-formed XML, wrong root
         assert!(checkpoint_from_xml("<Nope/>").is_err());
@@ -1505,7 +1506,8 @@ mod tests {
     fn corrupted_manifests_are_typed_errors_not_panics() {
         let xml = manifest_to_xml(&sample_manifest());
         for cut in 0..xml.trim_end().len() {
-            assert!(manifest_from_xml(&xml[..cut]).is_err(), "prefix {cut} accepted");
+            let prefix = xml.get(..cut).expect("the document is ASCII");
+            assert!(manifest_from_xml(prefix).is_err(), "prefix {cut} accepted");
         }
         assert!(manifest_from_xml("<Nope/>").is_err());
         // unknown tenant status

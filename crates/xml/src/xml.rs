@@ -83,29 +83,22 @@ pub fn escape(s: &str) -> String {
 
 fn unescape(s: &str) -> Result<String, XmlError> {
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'&' {
-            let end = s[i..]
-                .find(';')
-                .map(|e| i + e)
-                .ok_or_else(|| XmlError::new("unterminated entity"))?;
-            match &s[i + 1..end] {
-                "amp" => out.push('&'),
-                "lt" => out.push('<'),
-                "gt" => out.push('>'),
-                "quot" => out.push('"'),
-                "apos" => out.push('\''),
-                other => return Err(XmlError::new(format!("unknown entity '&{other};'"))),
-            }
-            i = end + 1;
-        } else {
-            let c = s[i..].chars().next().expect("in bounds");
-            out.push(c);
-            i += c.len_utf8();
-        }
+    let mut rest = s;
+    while let Some((plain, entity)) = rest.split_once('&') {
+        out.push_str(plain);
+        let (entity, tail) =
+            entity.split_once(';').ok_or_else(|| XmlError::new("unterminated entity"))?;
+        out.push(match entity {
+            "amp" => '&',
+            "lt" => '<',
+            "gt" => '>',
+            "quot" => '"',
+            "apos" => '\'',
+            other => return Err(XmlError::new(format!("unknown entity '&{other};'"))),
+        });
+        rest = tail;
     }
+    out.push_str(rest);
     Ok(out)
 }
 
@@ -221,8 +214,18 @@ impl<'a> Parser<'a> {
         self.input.get(self.pos).copied()
     }
 
+    /// `src[from..to]`: the parser stops only on ASCII bytes or after
+    /// whole matches, and both are char boundaries.
+    fn slice(&self, from: usize, to: usize) -> &'a str {
+        self.src.get(from..to).expect("the parser stops only on char boundaries")
+    }
+
+    fn rest(&self) -> &'a str {
+        self.slice(self.pos, self.src.len())
+    }
+
     fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s)
+        self.rest().starts_with(s)
     }
 
     fn skip_ws(&mut self) {
@@ -235,9 +238,8 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<!--") {
-                let end = self.src[self.pos..]
-                    .find("-->")
-                    .ok_or_else(|| XmlError::new("unterminated comment"))?;
+                let end =
+                    self.rest().find("-->").ok_or_else(|| XmlError::new("unterminated comment"))?;
                 self.pos += end + 3;
             } else {
                 return Ok(());
@@ -248,7 +250,8 @@ impl<'a> Parser<'a> {
     fn skip_prolog(&mut self) -> Result<(), XmlError> {
         self.skip_ws();
         if self.starts_with("<?xml") {
-            let end = self.src[self.pos..]
+            let end = self
+                .rest()
                 .find("?>")
                 .ok_or_else(|| XmlError::new("unterminated XML declaration"))?;
             self.pos += end + 2;
@@ -268,7 +271,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(XmlError::new(format!("expected name at byte {}", self.pos)));
         }
-        Ok(self.src[start..self.pos].to_string())
+        Ok(self.slice(start, self.pos).to_string())
     }
 
     fn element(&mut self) -> Result<XmlNode, XmlError> {
@@ -305,11 +308,9 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     self.skip_ws();
-                    let quote = self.peek();
-                    if quote != Some(b'"') && quote != Some(b'\'') {
+                    let Some(quote @ (b'"' | b'\'')) = self.peek() else {
                         return Err(XmlError::new("expected quoted attribute value"));
-                    }
-                    let quote = quote.expect("checked");
+                    };
                     self.pos += 1;
                     let start = self.pos;
                     while self.peek().is_some_and(|c| c != quote) {
@@ -318,7 +319,7 @@ impl<'a> Parser<'a> {
                     if self.peek().is_none() {
                         return Err(XmlError::new("unterminated attribute value"));
                     }
-                    let value = unescape(&self.src[start..self.pos])?;
+                    let value = unescape(self.slice(start, self.pos))?;
                     self.pos += 1;
                     node.attrs.push((attr_name, value));
                 }
@@ -329,9 +330,8 @@ impl<'a> Parser<'a> {
         // content
         loop {
             if self.starts_with("<!--") {
-                let end = self.src[self.pos..]
-                    .find("-->")
-                    .ok_or_else(|| XmlError::new("unterminated comment"))?;
+                let end =
+                    self.rest().find("-->").ok_or_else(|| XmlError::new("unterminated comment"))?;
                 self.pos += end + 3;
                 continue;
             }
@@ -359,7 +359,7 @@ impl<'a> Parser<'a> {
                     while self.peek().is_some_and(|c| c != b'<') {
                         self.pos += 1;
                     }
-                    let text = unescape(self.src[start..self.pos].trim())?;
+                    let text = unescape(self.slice(start, self.pos).trim())?;
                     node.text.push_str(&text);
                 }
                 None => return Err(XmlError::new(format!("unclosed element <{name}>"))),

@@ -146,9 +146,9 @@ fn itw_vs_dta_shapes(
 }
 
 #[test]
-#[ignore = "full 640-statement pool: 249 s in release on 2 cores, 5.2 GB peak RSS, and it \
-            fails the Figure 4 work shape (DTA 3.19e8 units, 24.2M what-if calls vs ITW \
-            1.90e8, 14.6M); itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
+#[ignore = "full 640-statement pool: 79 s in release on 2 cores, 0.9 GB peak RSS, and it \
+            fails the Figure 4 work shape (DTA 1.225e8 units, 9.24M what-if calls vs ITW \
+            3.00e7, 2.29M); itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
 fn itw_vs_dta_shapes_hold() {
     itw_vs_dta_shapes(0.08, usize::MAX, 0.08, true); // 640 statements
 }
