@@ -36,6 +36,10 @@ pub struct WorkloadSnap {
     pub whatif_calls: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
+    /// Misses priced from recorded access paths, with no what-if call:
+    /// every miss is one or the other (or a degraded statement's
+    /// fallback). Absent from snapshots before derived costs.
+    pub derived_costs: u64,
     pub cache_hit_rate: f64,
     pub peak_pool_size: u64,
     pub evaluations: usize,
@@ -75,6 +79,7 @@ pub fn run_workload(name: &str) -> WorkloadSnap {
         whatif_calls: summary.counter(Counter::WhatIfCalls),
         cache_hits: summary.counter(Counter::CacheHits),
         cache_misses: summary.counter(Counter::CacheMisses),
+        derived_costs: summary.counter(Counter::DerivedCosts),
         cache_hit_rate: summary.cache_hit_rate(),
         peak_pool_size: summary.counter(Counter::PeakPoolSize),
         evaluations: result.evaluations,
@@ -176,12 +181,13 @@ pub fn snapshot_json(
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"whatif_calls\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_hit_rate\":{:.6},\"peak_pool_size\":{},\"evaluations\":{},\
+             \"derived_costs\":{},\"cache_hit_rate\":{:.6},\"peak_pool_size\":{},\"evaluations\":{},\
              \"base_cost\":{:.6},\"recommended_cost\":{:.6},\"stages\":[",
             json_escape(&w.name),
             w.whatif_calls,
             w.cache_hits,
             w.cache_misses,
+            w.derived_costs,
             w.cache_hit_rate,
             w.peak_pool_size,
             w.evaluations,
@@ -467,8 +473,16 @@ pub fn validate_snapshot(text: &str) -> Result<(), String> {
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!("cache_hit_rate out of [0,1]: {rate}"));
         }
-        if misses > calls {
-            return Err(format!("cache_misses {misses} exceed whatif_calls {calls}"));
+        // every miss is a call or a derived cost (absent before there
+        // were any)
+        let derived = match w.get("derived_costs") {
+            Some(_) => uint(w, "derived_costs")?,
+            None => 0.0,
+        };
+        if misses > calls + derived {
+            return Err(format!(
+                "cache_misses {misses} exceed whatif_calls {calls} plus derived_costs {derived}"
+            ));
         }
         let _ = hits;
         let Some(Json::Arr(stages)) = w.get("stages") else {
@@ -514,6 +528,7 @@ mod tests {
             whatif_calls: 10,
             cache_hits: 90,
             cache_misses: 10,
+            derived_costs: 0,
             cache_hit_rate: 0.9,
             peak_pool_size: 7,
             evaluations: 42,
@@ -563,6 +578,7 @@ mod tests {
             whatif_calls: 10,
             cache_hits: 90,
             cache_misses: 10,
+            derived_costs: 0,
             cache_hit_rate: 0.9,
             peak_pool_size: 7,
             evaluations: 42,
@@ -603,5 +619,11 @@ mod tests {
         assert!(validate_snapshot(&trailing).is_err(), "trailing garbage");
         let dup = r#"{"schema":"dta-bench/v1","schema":"dta-bench/v1"}"#;
         assert!(validate_snapshot(dup).is_err(), "duplicate keys");
+        // misses are calls or derived costs, and the field is optional
+        let derived = sample().replace("\"whatif_calls\":10", "\"whatif_calls\":4");
+        assert!(validate_snapshot(&derived).is_err(), "misses beyond the calls");
+        let derived = derived.replace("\"derived_costs\":0", "\"derived_costs\":6");
+        validate_snapshot(&derived).unwrap();
+        validate_snapshot(&sample().replace("\"derived_costs\":0,", "")).unwrap();
     }
 }

@@ -567,6 +567,9 @@ fn select_item(
     if generated.is_empty() {
         return sel;
     }
+    // the statement's own search starts: a derived cost reads what it
+    // priced before its latest serial point
+    eval.item_serial_point(i, 0);
     let base_cost = match crate::control::isolated(control, || eval.price(i, &Overlay::of(base))) {
         Some(Ok(c)) => c,
         _ => return sel,
@@ -589,7 +592,7 @@ fn select_item(
         options.greedy_k,
         1,
         &eval_fn,
-        &|_| {},
+        &|point| eval.item_serial_point(i, point.ordinal()),
         &control.detached(),
         None,
         &NOOP,

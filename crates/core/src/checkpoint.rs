@@ -221,6 +221,8 @@ mod tests {
             cost: f64::NAN,
             used_structures: Vec::new(),
             verify: 0,
+            access: None,
+            epoch: 0,
         }];
         assert!(cp.validate().is_err(), "NaN cached cost");
     }

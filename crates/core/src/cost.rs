@@ -2,7 +2,7 @@
 //! cache.
 //!
 //! Every configuration DTA explores is priced as the weighted sum of
-//! optimizer-estimated statement costs (§2.2). Four optimizations keep
+//! optimizer-estimated statement costs (§2.2). Five optimizations keep
 //! the what-if calls and the lookups manageable without changing any
 //! result:
 //!
@@ -52,7 +52,14 @@
 //!    only one that two atoms reach is looked up
 //!    ([`CostEvaluator::atomic_cost`]). Every skipped lookup would have
 //!    hit the singleton's entry, so again only hits go uncounted. Every
-//!    path sums in one workload-order loop.
+//!    path sums in one workload-order loop;
+//! 5. **Derived costs** — every entry records the access path its plan
+//!    read a one-table statement's table by. A miss whose projection is
+//!    the base's plus two or more plain non-clustered indexes is priced
+//!    from the records of the base and of the base plus each index alone
+//!    — the first of the cheapest recorded paths, finished by the planner
+//!    — with no what-if call ([`CostEvaluator::derive`]). Such a miss is
+//!    still a miss; only calls, and the work they charge, go uncounted.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -107,23 +114,25 @@
 //! independent fingerprint to detect primary-key collisions, every
 //! cached cost must be finite and non-negative, weighted sums must
 //! accumulate monotonically, the shard table must stay one-to-one with
-//! the workload, and a statement priced without a lookup — at its
-//! reference cost or an atom's — must find that very cost cached for the
-//! evaluated configuration. All of it
-//! compiles away under `--release`.
+//! the workload, a statement priced without a lookup — at its reference
+//! cost or an atom's — must find that very cost cached for the evaluated
+//! configuration, and a derived cost must be what planning the projection
+//! gives, bit for bit. All of it compiles away under `--release`.
 
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
 use crate::overlay::{Indexed, Overlay};
-use dta_optimizer::{PreparedStatement, ViewUse};
-use dta_physical::{table_key, ColumnUse, Configuration, PhysicalStructure, StructureHandle};
+use dta_optimizer::{AccessRecord, Plan, PreparedStatement, ViewUse};
+use dta_physical::{
+    table_key, ColumnUse, Configuration, IndexKind, PhysicalStructure, StructureHandle,
+};
 use dta_server::{FaultKind, ServerError, TuningTarget};
 use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
 use parking_lot::{Mutex, Rank, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -137,14 +146,78 @@ struct CacheEntry {
     /// the evaluation that made it.
     used_structures: Box<[Arc<str>]>,
     /// Secondary fingerprint for debug-build collision detection
-    /// ([`invariants::check_fingerprint`]); 0 in release builds. Its low
-    /// half: 32 independent bits catch a collision as surely as 64 for
-    /// every purpose a debug build has, and the other four bytes are
-    /// `slice` — the entry is no larger for carrying a stamp.
+    /// ([`invariants::check_fingerprint`]); release builds keep none.
+    /// Its low half: 32 independent bits catch a collision as surely as
+    /// 64 for every purpose a debug build has.
+    #[cfg(debug_assertions)]
     verify: u32,
     /// The slice that priced the entry ([`CacheState::begin`]): what a
     /// rollback of that slice drops.
     slice: u32,
+    /// The shard's epoch when the entry was priced ([`Shard::epoch`],
+    /// saturated at `u16::MAX`): a derived cost reads the entry only once
+    /// a later serial point has passed.
+    epoch: u16,
+    /// The access path the plan read its one table by
+    /// ([`dta_optimizer::Plan::access`]), which a derived cost is finished
+    /// from ([`CostEvaluator::derive`]): the position of its index among
+    /// `used_structures`, [`CacheEntry::SCAN`] for the heap (or clustered)
+    /// scan, [`CacheEntry::UNRECORDED`] for a plan with no such path and
+    /// for a degraded statement's fallback. With `epoch`, it fits where
+    /// release builds keep no `verify`, so a release entry is 32 bytes.
+    access: u16,
+}
+
+impl CacheEntry {
+    const SCAN: u16 = CacheExport::SCAN;
+    const UNRECORDED: u16 = u16::MAX - 1;
+
+    /// [`CacheEntry::access`] as a checkpoint lists it, and back.
+    fn exported_access(&self) -> Option<u16> {
+        (self.access != Self::UNRECORDED).then_some(self.access)
+    }
+
+    fn imported_access(access: Option<u16>, used: &[Arc<str>]) -> u16 {
+        match access {
+            Some(Self::SCAN) => Self::SCAN,
+            Some(i) if usize::from(i) < used.len() => i,
+            _ => Self::UNRECORDED,
+        }
+    }
+
+    /// The secondary fingerprint; 0 in release builds.
+    fn verify(&self) -> u32 {
+        #[cfg(debug_assertions)]
+        return self.verify;
+        #[cfg(not(debug_assertions))]
+        0
+    }
+
+    /// `access` as [`CacheEntry::access`] keeps it for a plan using `used`.
+    fn slot(access: Option<&AccessRecord>, used: &[Arc<str>]) -> u16 {
+        let Some(access) = access else { return Self::UNRECORDED };
+        let Some(name) = &access.index else { return Self::SCAN };
+        let at = used.iter().position(|u| u == name).and_then(|i| u16::try_from(i).ok());
+        at.filter(|&i| i < Self::UNRECORDED).unwrap_or(Self::UNRECORDED)
+    }
+
+    /// The access path recorded, if any.
+    fn access(&self) -> Option<AccessRecord> {
+        match self.access {
+            Self::UNRECORDED => None,
+            Self::SCAN => Some(AccessRecord { index: None }),
+            i => Some(AccessRecord {
+                index: Some(Arc::clone(self.used_structures.get(usize::from(i))?)),
+            }),
+        }
+    }
+}
+
+/// An epoch as an entry keeps it: saturated at `u16::MAX`, where every
+/// later serial point looks like the last, so that nothing priced past it
+/// is ever read.
+fn epoch16(epoch: u32) -> u16 {
+    u16::try_from(epoch).unwrap_or(u16::MAX)
 }
 
 /// One exported cache entry, for checkpointing a session's warmed cache
@@ -161,15 +234,50 @@ pub struct CacheExport {
     pub used_structures: Vec<String>,
     /// Secondary fingerprint (0 when the writer had invariants off).
     pub verify: u64,
+    /// The access path the cached plan read its one table by, if it
+    /// recorded one ([`dta_optimizer::Plan::access`]): the position in
+    /// `used_structures` of the index the path reads, or
+    /// [`CacheExport::SCAN`] for the heap (or clustered) scan.
+    pub access: Option<u16>,
+    /// The ordinal of the serial point last passed when the entry was
+    /// priced ([`crate::greedy::SerialPoint::ordinal`], saturated at
+    /// `u16::MAX`): a derived cost reads the entry only after a later one.
+    pub epoch: u16,
+}
+
+impl CacheExport {
+    /// [`CacheExport::access`] of the heap (or clustered) scan.
+    pub const SCAN: u16 = u16::MAX;
 }
 
 /// A shard's cost cache and in-flight claims, keyed by fingerprint: probed
 /// by key, filtered, and listed only through sorted keys
 /// (`CacheState::export`).
 #[expect(clippy::disallowed_types, reason = "probed by key; export sorts the keys")]
-type HashMap<K, V> = std::collections::HashMap<K, V>;
+type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FingerprintHasher>>;
 #[expect(clippy::disallowed_types, reason = "probed by key, never iterated")]
-type HashSet<T> = std::collections::HashSet<T>;
+type HashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FingerprintHasher>>;
+
+/// The hasher of the shard maps, whose keys are fingerprints — already
+/// `DefaultHasher` outputs: a key hashes to itself.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
 
 /// Cached names as a report and a checkpoint list them.
 fn names(used: &[Arc<str>]) -> Vec<String> {
@@ -216,6 +324,9 @@ impl ShardStat {
 /// tables it can use ([`PreparedStatement::view_use`]).
 pub(crate) struct Relevance {
     tables: Box<[(u64, ColumnUse)]>,
+    /// Whether the statement is a SELECT over one table binding, an
+    /// UPDATE or a DELETE ([`PreparedStatement::derivable`]).
+    derivable: bool,
     /// The views' side, from the statement's latest preparation: it
     /// depends on the binding alone, so any preparation gives the same
     /// verdicts, and holding the latest keeps no earlier one's view
@@ -263,6 +374,12 @@ struct Shard {
     in_flight: Mutex<HashSet<u64>>,
     /// Hit/miss/retry/call tallies.
     stat: ShardStat,
+    /// The ordinal of the serial point the search pricing this statement
+    /// last passed ([`crate::greedy::SerialPoint::ordinal`]; 0 before
+    /// the first). A derived cost reads only entries priced at a lower
+    /// one — present at that serial point — so whether a lookup is
+    /// derived depends on no worker's timing.
+    epoch: AtomicU32,
     /// The statement prepared for what-if calls: made on the shard's
     /// first miss that reaches the server — an evaluator that only ever
     /// hits, or lives for one supervisor slice, prepares nothing it does
@@ -317,9 +434,10 @@ impl CacheState {
             .iter()
             .map(|_| Shard {
                 relevance: OnceLock::new(),
-                cache: RwLock::ranked(HashMap::new(), CACHE),
-                in_flight: Mutex::ranked(HashSet::new(), CLAIMS),
+                cache: RwLock::ranked(HashMap::default(), CACHE),
+                in_flight: Mutex::ranked(HashSet::default(), CLAIMS),
                 stat: ShardStat::default(),
+                epoch: AtomicU32::new(0),
                 prepared: RwLock::new(None),
             })
             .collect();
@@ -399,13 +517,43 @@ impl CacheState {
         }
     }
 
-    /// A cache entry stamped with the slice in progress.
-    fn entry(&self, cost: f64, used_structures: Box<[Arc<str>]>, verify: u64) -> CacheEntry {
+    /// A cache entry of a plan that read its one table by `access`,
+    /// stamped with the slice in progress and `shard`'s epoch.
+    fn entry(
+        &self,
+        shard: &Shard,
+        cost: f64,
+        used_structures: Box<[Arc<str>]>,
+        verify: u64,
+        access: Option<&AccessRecord>,
+    ) -> CacheEntry {
+        #[cfg(not(debug_assertions))]
+        let _ = verify;
         CacheEntry {
             cost,
+            access: CacheEntry::slot(access, &used_structures),
             used_structures,
+            #[cfg(debug_assertions)]
             verify: verify as u32,
             slice: self.slice.load(Ordering::SeqCst),
+            epoch: epoch16(shard.epoch.load(Ordering::SeqCst)),
+        }
+    }
+
+    /// Every statement's search has reached a serial point with this
+    /// ordinal ([`crate::greedy::SerialPoint::ordinal`]; 0 as a search
+    /// starts).
+    pub(crate) fn serial_point(&self, ordinal: u32) {
+        for shard in &self.shards {
+            shard.epoch.store(ordinal, Ordering::SeqCst);
+        }
+    }
+
+    /// Statement `i`'s own search has reached a serial point with this
+    /// ordinal.
+    pub(crate) fn item_serial_point(&self, i: usize, ordinal: u32) {
+        if let Some(shard) = self.shards.get(i) {
+            shard.epoch.store(ordinal, Ordering::SeqCst);
         }
     }
 
@@ -442,7 +590,9 @@ impl CacheState {
                         fingerprint: fp,
                         cost: e.cost,
                         used_structures: names(&e.used_structures),
-                        verify: u64::from(e.verify),
+                        verify: u64::from(e.verify()),
+                        access: e.exported_access(),
+                        epoch: e.epoch,
                     });
                 }
             }
@@ -457,8 +607,14 @@ impl CacheState {
         for e in entries {
             if let Some(shard) = self.shards.get(e.item) {
                 invariants::check_cost(e.cost, "imported cache entry");
-                let used = e.used_structures.iter().map(|n| Arc::from(n.as_str())).collect();
-                shard.cache.write().insert(e.fingerprint, self.entry(e.cost, used, e.verify));
+                let used: Box<[Arc<str>]> =
+                    e.used_structures.iter().map(|n| Arc::from(n.as_str())).collect();
+                let entry = CacheEntry {
+                    epoch: e.epoch,
+                    access: CacheEntry::imported_access(e.access, &used),
+                    ..self.entry(shard, e.cost, used, e.verify, None)
+                };
+                shard.cache.write().insert(e.fingerprint, entry);
             }
         }
         self.degraded.lock().extend(degraded);
@@ -516,6 +672,12 @@ impl<'a> CostEvaluator<'a> {
         self.counters.get(Counter::WhatIfCalls) as usize
     }
 
+    /// Cache misses priced from recorded access paths, with no what-if
+    /// call ([`Self::derive`]).
+    pub fn derived_costs(&self) -> usize {
+        self.counters.get(Counter::DerivedCosts) as usize
+    }
+
     /// Per-shard cache statistics, in statement order. Shards map
     /// one-to-one onto workload statements, so entry `i` is statement
     /// `i`'s hit/miss/retry/call tally.
@@ -527,6 +689,18 @@ impl<'a> CostEvaluator<'a> {
     /// in deterministic ascending order.
     pub fn degraded_items(&self) -> Vec<usize> {
         self.state.degraded_items()
+    }
+
+    /// The search pricing every statement has reached a serial point
+    /// with this ordinal ([`crate::greedy::SerialPoint::ordinal`]; 0 as
+    /// it starts): a derived cost reads what was priced before it.
+    pub(crate) fn serial_point(&self, ordinal: u32) {
+        self.state.serial_point(ordinal);
+    }
+
+    /// [`Self::serial_point`] for a search pricing statement `i` alone.
+    pub(crate) fn item_serial_point(&self, i: usize, ordinal: u32) {
+        self.state.item_serial_point(i, ordinal);
     }
 
     /// Item `i` and its shard.
@@ -569,6 +743,7 @@ impl<'a> CostEvaluator<'a> {
             tables.dedup();
             Relevance {
                 tables: tables.into_iter().map(|k| (k, prepared.column_use(k))).collect(),
+                derivable: prepared.derivable(),
                 views: RwLock::new(prepared.view_use()),
             }
         })
@@ -589,18 +764,7 @@ impl<'a> CostEvaluator<'a> {
     /// keyed on the projection it priced, hits whenever a later build
     /// projects onto the same structures.
     pub(crate) fn fingerprint(relevant: &Relevance, config: &Overlay<'_>) -> u64 {
-        let mut sum = 0u64;
-        let mut xor = 0u64;
-        let mut count = 0u64;
-        config.for_each_relevant(relevant, |h| {
-            let v = h.content_hash();
-            sum = sum.wrapping_add(v);
-            xor ^= v;
-            count += 1;
-        });
-        let mut h = DefaultHasher::new();
-        (sum, xor, count).hash(&mut h);
-        h.finish()
+        Print::of(relevant, config).finish()
     }
 
     /// Second, independently-combined fingerprint of the same projection
@@ -642,9 +806,9 @@ impl<'a> CostEvaluator<'a> {
     ) -> (f64, Vec<String>) {
         // imported checkpoint entries may carry verify == 0 when the
         // writing build had invariants compiled out; skip the check
-        if invariants::ENABLED && entry.verify != 0 {
+        if invariants::ENABLED && entry.verify() != 0 {
             let recomputed = Self::verify_fingerprint(relevant, config) as u32;
-            invariants::check_fingerprint(entry.verify.into(), recomputed.into(), i);
+            invariants::check_fingerprint(entry.verify().into(), recomputed.into(), i);
         }
         shard.stat.hits.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheHits, 1);
@@ -693,21 +857,60 @@ impl<'a> CostEvaluator<'a> {
             // a permanent fault already degraded this statement: price
             // every configuration at its constant fallback, no server call
             let cost = self.state.fallback_cost(i);
-            shard.cache.write().insert(fp, self.state.entry(cost, Box::default(), verify));
+            let entry = self.state.entry(shard, cost, Box::default(), verify, None);
+            shard.cache.write().insert(fp, entry);
             return Ok((cost, Vec::new()));
         }
         // only a miss materializes the projection, and only as pointer
         // copies; the what-if call dwarfs it
         let projected = config.projection(relevant);
         let prepared = self.preparation(item, shard);
+        let plan = match Self::derive(shard, relevant, config, &prepared, &projected) {
+            Some(plan) => {
+                if invariants::ENABLED {
+                    let planned = dta_optimizer::optimize_prepared(&prepared, &projected).ok();
+                    let planned = planned.as_ref().map(|p| (p.cost, p.used_names()));
+                    let planned = planned.as_ref().map(|(cost, used)| (*cost, &used[..]));
+                    invariants::check_derived((plan.cost, &plan.used_names()), planned, i);
+                }
+                self.counters.add(Counter::DerivedCosts, 1);
+                Some(plan)
+            }
+            None => self.call(shard, &prepared, &projected)?,
+        };
+        let (cost, used_structures, access) = match plan {
+            Some(plan) => {
+                invariants::check_cost(plan.cost, "what-if estimate");
+                (plan.cost, plan.used_names(), plan.access())
+            }
+            None => {
+                self.state.degraded.lock().insert(i);
+                (self.state.fallback_cost(i), Box::default(), None)
+            }
+        };
+        let used = if want_structures { names(&used_structures) } else { Vec::new() };
+        let entry = self.state.entry(shard, cost, used_structures, verify, access.as_ref());
+        shard.cache.write().insert(fp, entry);
+        Ok((cost, used))
+    }
+
+    /// A what-if call pricing `prepared` under `projected`, retried while
+    /// a transient fault allows; `None` once a fault degrades the
+    /// statement (a permanent one, or transient retries exhausted).
+    fn call(
+        &self,
+        shard: &Shard,
+        prepared: &PreparedStatement,
+        projected: &Configuration,
+    ) -> Result<Option<Plan>, ServerError> {
         let mut attempt: u32 = 0;
-        let plan = loop {
+        loop {
             // one call per unique miss (plus deterministic retries): the
-            // in-flight claim above serialized racing lookups away
+            // in-flight claim serialized racing lookups away
             self.counters.add(Counter::WhatIfCalls, 1);
             shard.stat.calls.fetch_add(1, Ordering::SeqCst);
-            match self.target.whatif_prepared(&prepared, &projected) {
-                Ok(plan) => break Some(plan),
+            match self.target.whatif_prepared(prepared, projected) {
+                Ok(plan) => return Ok(Some(plan)),
                 Err(ServerError::Fault { kind: FaultKind::Transient, .. })
                     if self.retry.allows_retry(attempt) =>
                 {
@@ -718,25 +921,83 @@ impl<'a> CostEvaluator<'a> {
                     shard.stat.retries.fetch_add(1, Ordering::SeqCst);
                     attempt += 1;
                 }
-                // permanent fault, or transient retries exhausted: degrade
-                // this statement to its fallback instead of aborting
-                Err(ServerError::Fault { .. }) => break None,
+                // permanent fault, or transient retries exhausted: the
+                // caller degrades the statement instead of aborting
+                Err(ServerError::Fault { .. }) => return Ok(None),
                 Err(other) => return Err(other),
             }
-        };
-        let (cost, used_structures) = match plan {
-            Some(plan) => {
-                invariants::check_cost(plan.cost, "what-if estimate");
-                (plan.cost, plan.used_names())
+        }
+    }
+
+    /// The plan of a one-table statement under `config`, finished from
+    /// the access paths its cache recorded instead of by a what-if call.
+    ///
+    /// The statement must be a SELECT over one table binding, an UPDATE
+    /// or a DELETE, and its projection of `config` its projection of
+    /// `config`'s base — every structure it sees on its table there, in
+    /// the base's order, and the base's views — followed by two or more
+    /// non-clustered, unpartitioned indexes on its table and nothing
+    /// else. The base's entry and the entry of the base plus each added
+    /// index alone must have recorded their access paths, priced before
+    /// the statement's last serial point ([`Shard::epoch`]), and each of
+    /// the latter must have read either the base's path or its own index.
+    /// Then every path the planner could pick under `config` is a
+    /// recorded one: a path of the base that loses there loses here, and
+    /// an added index's path that does not win beside the base's alone
+    /// cannot win beside more. So the first of the cheapest recorded
+    /// paths, in `config`'s order, is the planner's pick
+    /// ([`dta_optimizer::derive_prepared`]), and the plan finished from it
+    /// is the planner's, bit for bit. `None` — and a what-if call — in
+    /// every other case.
+    fn derive(
+        shard: &Shard,
+        relevant: &Relevance,
+        config: &Overlay<'_>,
+        prepared: &PreparedStatement,
+        projected: &Configuration,
+    ) -> Option<Plan> {
+        let &[(key, used)] = relevant.tables() else { return None };
+        if !relevant.derivable || config.added_views().iter().any(|(_, v)| relevant.admits(v)) {
+            return None;
+        }
+        // the base's structures lead, and its fingerprint is theirs and its
+        // views'
+        let base = config.base();
+        let mut now = seen(config, key, used);
+        let mut reference = Print::default();
+        for before in seen(&base, key, used) {
+            if now.next()? != before {
+                return None;
             }
-            None => {
-                self.state.degraded.lock().insert(i);
-                (self.state.fallback_cost(i), Box::default())
-            }
+            reference = reference.with(before);
+        }
+        base.for_each_relevant_view(relevant, |v| reference = reference.with(v));
+        let plain = |h: &StructureHandle| {
+            h.as_index()
+                .is_some_and(|ix| ix.kind == IndexKind::NonClustered && ix.partitioning.is_none())
         };
-        let used = if want_structures { names(&used_structures) } else { Vec::new() };
-        shard.cache.write().insert(fp, self.state.entry(cost, used_structures, verify));
-        Ok((cost, used))
+        let added: Vec<&StructureHandle> = now.collect();
+        if added.len() < 2 || !added.iter().all(|h| plain(h)) {
+            return None;
+        }
+        let epoch = epoch16(shard.epoch.load(Ordering::SeqCst));
+        let recorded: Vec<AccessRecord> = {
+            let cache = shard.cache.read();
+            let recorded_at =
+                |print: Print| cache.get(&print.finish()).filter(|e| e.epoch < epoch)?.access();
+            let at_base = recorded_at(reference)?;
+            let mut recorded = Vec::with_capacity(added.len() + 1);
+            for h in added {
+                let alone = recorded_at(reference.with(h))?;
+                if alone != at_base && !alone.reads(Some(h)) {
+                    return None;
+                }
+                recorded.push(alone);
+            }
+            recorded.push(at_base);
+            recorded
+        };
+        dta_optimizer::derive_prepared(prepared, projected, &recorded)
     }
 
     /// Each statement's cost under `config` as the cache holds it now,
@@ -767,6 +1028,16 @@ impl<'a> CostEvaluator<'a> {
     /// [`Self::item_cost`] under a configuration indexed already.
     pub(crate) fn price(&self, i: usize, config: &Overlay<'_>) -> Result<f64, ServerError> {
         self.item_entry(i, config, false).map(|(c, _)| c)
+    }
+
+    /// [`Self::item_report`] under a configuration indexed already.
+    #[cfg(test)]
+    pub(crate) fn report(
+        &self,
+        i: usize,
+        config: &Overlay<'_>,
+    ) -> Result<(f64, Vec<String>), ServerError> {
+        self.item_entry(i, config, true)
     }
 
     /// Cost plus the structures the plan uses (§6.3 reports).
@@ -926,6 +1197,48 @@ impl Atom {
     #[cfg(test)]
     pub(crate) fn reached(&self) -> &[(usize, Option<f64>)] {
         &self.reached
+    }
+}
+
+/// The structures on the table with this key that a statement using the
+/// table as `used` says can see under `config`, in configuration order.
+fn seen<'c>(
+    config: &'c Overlay<'_>,
+    key: u64,
+    used: ColumnUse,
+) -> impl Iterator<Item = &'c StructureHandle> {
+    config.on(key).iter().map(|(_, h)| &**h).filter(move |h| h.serves(used))
+}
+
+/// The order-independent combination of the content hashes of the
+/// structures a statement sees, which [`CostEvaluator::fingerprint`]
+/// hashes: one more structure is one more term.
+#[derive(Debug, Clone, Copy, Default)]
+struct Print {
+    sum: u64,
+    xor: u64,
+    count: u64,
+}
+
+impl Print {
+    /// Over `config` projected onto what `relevant` sees.
+    fn of(relevant: &Relevance, config: &Overlay<'_>) -> Self {
+        let mut print = Self::default();
+        config.for_each_relevant(relevant, |h| print = print.with(h));
+        print
+    }
+
+    /// With `h` too.
+    fn with(self, h: &StructureHandle) -> Self {
+        let v = h.content_hash();
+        Self { sum: self.sum.wrapping_add(v), xor: self.xor ^ v, count: self.count + 1 }
+    }
+
+    /// The fingerprint.
+    fn finish(self) -> u64 {
+        let mut h = DefaultHasher::new();
+        (self.sum, self.xor, self.count).hash(&mut h);
+        h.finish()
     }
 }
 
@@ -1555,6 +1868,40 @@ mod tests {
             twin.item_cost(4, &reference).expect("cached").to_bits()
         });
         assert_ne!(eval.item_cost(4, &reference).expect("cached"), 7.0, "priced before the fault");
+    }
+
+    #[test]
+    fn a_derived_cost_reads_only_what_was_priced_before_the_last_serial_point() {
+        let (s, w) = (server(), wl());
+        let target = TuningTarget::Single(&s);
+        let empty = Configuration::new();
+        let base = Indexed::new(&empty, None);
+        // two plain indexes statement 0 seeks through, alone and together
+        let handles =
+            [index("t", &["a"], &["b"]), index("t", &["a"], &["c"])].map(StructureHandle::new);
+        let [one, other] = [&handles[0], &handles[1]];
+        let price = |eval: &CostEvaluator<'_>, set: &[&StructureHandle]| {
+            eval.price(0, &Overlay::union(&base, set)).expect("costing succeeds")
+        };
+        let tally = |eval: &CostEvaluator<'_>| (eval.whatif_calls(), eval.derived_costs());
+        let mut pairs = Vec::new();
+        for serial_point in [false, true] {
+            let eval = CostEvaluator::new(&target, &w.items);
+            eval.serial_point(0);
+            for set in [&[][..], &[one], &[other]] {
+                price(&eval, set);
+            }
+            assert_eq!(tally(&eval), (3, 0), "the base and the singletons are calls");
+            if serial_point {
+                eval.serial_point(1);
+            }
+            pairs.push(price(&eval, &[one, other]).to_bits());
+            // priced in the same batch, the records are not read; past a
+            // serial point they are, and no call is made
+            let want = if serial_point { (3, 1) } else { (4, 0) };
+            assert_eq!(tally(&eval), want);
+        }
+        assert_eq!(pairs[0], pairs[1], "derived or called, the same cost");
     }
 
     #[test]

@@ -396,6 +396,9 @@ pub fn enumerate(
         assembled
     };
 
+    // a search starts before its first serial point: what it prices
+    // before then, a derived cost reads only after it
+    eval.serial_point(0);
     let base_cost =
         crate::control::isolated(control, || eval.delta_cost(&assembler.base(), &[], &[]))
             .and_then(|r| r.ok())
@@ -437,25 +440,28 @@ pub fn enumerate(
     // makes them only when it is granted at least twice as many sets as
     // there are candidates: a whole Phase 1 is, a supervisor slice of 64
     // evaluations over a pool of 70 is not.
-    let serial = |point: SerialPoint<'_, usize>| match point {
-        SerialPoint::Singletons { granted } if granted >= 2 * pool.len() => {
-            let base = assembler.base();
-            let atoms = pool
-                .iter()
-                .map(|c| {
-                    let Assembled { overlay, delta } = assembler.assemble(&[c], &base).0?;
-                    eval.atom(&overlay, delta)
-                })
-                .collect();
-            against.write().atoms = atoms;
-        }
-        SerialPoint::Singletons { .. } => {}
-        SerialPoint::Incumbent(set) => {
-            let mut against = against.write();
-            against.atoms = Vec::new();
-            if let Some(reference) = assembler.reference(&handles(set)) {
-                against.costs = eval.cached_costs(&reference);
-                against.reference = reference;
+    let serial = |point: SerialPoint<'_, usize>| {
+        eval.serial_point(point.ordinal());
+        match point {
+            SerialPoint::Singletons { granted } if granted >= 2 * pool.len() => {
+                let base = assembler.base();
+                let atoms = pool
+                    .iter()
+                    .map(|c| {
+                        let Assembled { overlay, delta } = assembler.assemble(&[c], &base).0?;
+                        eval.atom(&overlay, delta)
+                    })
+                    .collect();
+                against.write().atoms = atoms;
+            }
+            SerialPoint::Singletons { .. } => {}
+            SerialPoint::Incumbent(set) => {
+                let mut against = against.write();
+                against.atoms = Vec::new();
+                if let Some(reference) = assembler.reference(&handles(set)) {
+                    against.costs = eval.cached_costs(&reference);
+                    against.reference = reference;
+                }
             }
         }
     };
@@ -787,6 +793,11 @@ mod tests {
     /// A server holding every table [`random_structure`] draws from, with
     /// rows that spread over its partition boundaries.
     fn differential_server() -> dta_server::Server {
+        server_with_rows(300)
+    }
+
+    /// [`differential_server`] with `rows` rows in each table.
+    fn server_with_rows(rows: i64) -> dta_server::Server {
         use dta_catalog::{Column, ColumnType, Database, Table};
         let mut server = dta_server::Server::new("s");
         for (db, tables) in [("d", &["t0", "t1", "t2", "t3", "t9"][..]), ("e", &["t0", "t9"])] {
@@ -799,7 +810,7 @@ mod tests {
             server.create_database(database).expect("fresh database");
             for t in tables {
                 let data = server.table_data_mut(db, t).expect("table exists");
-                for i in 0..300i64 {
+                for i in 0..rows {
                     let row = [i % 40, i % 13, i, (7 * i) % 300, i % 60, i];
                     data.push_row(row.map(Value::Int).to_vec());
                 }
@@ -843,9 +854,11 @@ mod tests {
         // `eval` prices by delta; `twin` prices every configuration whole
         let (eval, twin) =
             (CostEvaluator::new(&target, &items), CostEvaluator::new(&target, &items));
+        // a miss is a what-if call or a derived cost, whichever prices it
         let tally = |e: &CostEvaluator<'_>| {
             let stats = e.cache_stats();
-            (e.whatif_calls(), stats.iter().map(|st| st.misses).collect::<Vec<_>>())
+            let misses = stats.iter().map(|st| st.misses).collect::<Vec<_>>();
+            (e.whatif_calls() + e.derived_costs(), misses)
         };
         let hits = |e: &CostEvaluator<'_>| e.cache_stats().iter().map(|st| st.hits).sum::<u64>();
         let mut rng = StdRng::seed_from_u64(0x0de1_7a00);
@@ -933,9 +946,11 @@ mod tests {
         // `eval` prices Phase 1 as `enumerate` does; `twin` prices whole
         let (eval, twin) =
             (CostEvaluator::new(&target, &items), CostEvaluator::new(&target, &items));
+        // a miss is a what-if call or a derived cost, whichever prices it
         let tally = |e: &CostEvaluator<'_>| {
             let stats = e.cache_stats();
-            (e.whatif_calls(), stats.iter().map(|st| st.misses).collect::<Vec<_>>())
+            let misses = stats.iter().map(|st| st.misses).collect::<Vec<_>>();
+            (e.whatif_calls() + e.derived_costs(), misses)
         };
         let hits = |e: &CostEvaluator<'_>| e.cache_stats().iter().map(|st| st.hits).sum::<u64>();
         let bits = |r: Result<f64, _>| r.map(f64::to_bits).map_err(|e| format!("{e:?}"));
@@ -1032,6 +1047,148 @@ mod tests {
         let skipped = hits(&twin) - hits(&eval);
         for seen in [split, unsplit, shared, missing, skipped as usize] {
             assert!(seen > 100, "{split} {unsplit} {shared} {missing} {skipped}");
+        }
+    }
+
+    /// Reads and writes of one table that the cost cache derives, with
+    /// grouping, order and TOP over them, and a join and an INSERT that
+    /// it never derives.
+    fn derivable_workload() -> Vec<dta_workload::WorkloadItem> {
+        [
+            "SELECT a FROM t0 WHERE a = 5",
+            "SELECT a, b FROM t0 WHERE a < 9",
+            "SELECT TOP 5 k FROM t0 WHERE y = 7 ORDER BY k",
+            "SELECT COUNT(*) FROM t1",
+            "SELECT b, COUNT(*) FROM t1 WHERE x < 100 GROUP BY b ORDER BY b",
+            "UPDATE t0 SET y = 1 WHERE a = 3",
+            "DELETE FROM t1 WHERE b = 4",
+            "INSERT INTO t0 VALUES (1, 2, 3, 4, 5, 6)",
+            "SELECT t0.v FROM t0, t1 WHERE t0.k = t1.k AND t1.a = 3",
+        ]
+        .map(|sql| {
+            let statement = dta_sql::parse_statement(sql).expect("valid SQL");
+            dta_workload::WorkloadItem::new("d", statement)
+        })
+        .to_vec()
+    }
+
+    /// A candidate on `d.t0` or `d.t1`: mostly a non-clustered index, and
+    /// in pairs of twins — one key, included columns of equal width — whose
+    /// paths cost the same, so the planner breaks the tie by order.
+    fn derivable_candidates(rng: &mut rand::rngs::StdRng) -> Vec<PhysicalStructure> {
+        use rand::Rng;
+        let mut out = Vec::new();
+        while out.len() < 6 {
+            let t = ["t0", "t1"][rng.gen_range(0..2)];
+            let key = ["a", "b", "x", "k", "y"][rng.gen_range(0..5)];
+            match rng.gen_range(0..10) {
+                0..=5 => {
+                    for included in [["v"], ["k"]].iter().take(1 + rng.gen_range(0..2)) {
+                        let ix = Index::non_clustered("d", t, &[key], included);
+                        out.push(PhysicalStructure::Index(ix));
+                    }
+                }
+                6 | 7 => {
+                    out.push(PhysicalStructure::Index(Index::non_clustered("d", t, &[key], &[])))
+                }
+                _ => out.push(structure_on(rng, "d", t)),
+            }
+        }
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn derived_costs_equal_planning_the_assembled_configuration() {
+        use crate::cost::CostEvaluator;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // tables large enough that indexes beat their scans
+        let server = server_with_rows(4_000);
+        let target = dta_server::TuningTarget::Single(&server);
+        let items = derivable_workload();
+        let mut rng = StdRng::seed_from_u64(0x0de2_1ed0);
+        // outcomes seen, so the test cannot pass by never reaching a branch
+        let (mut derived, mut dml, mut ties, mut called) = (0, 0, 0, 0);
+        let mut per_mode = [0; 3];
+        for round in 0..40 {
+            // bases on the statements' tables and elsewhere, clusterings,
+            // partitionings and views included
+            let base: Configuration = (0..rng.gen_range(0..5usize))
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => random_structure(&mut rng),
+                    _ => {
+                        let t = ["t0", "t1"][rng.gen_range(0..2)];
+                        structure_on(&mut rng, "d", t)
+                    }
+                })
+                .collect();
+            let pool: Vec<StructureHandle> =
+                derivable_candidates(&mut rng).into_iter().map(StructureHandle::new).collect();
+            // Greedy's order: the singletons, then pairs and triples
+            let mut sets: Vec<Vec<usize>> = (0..pool.len()).map(|c| vec![c]).collect();
+            sets.extend(
+                (1u32..1 << pool.len())
+                    .filter(|m| (2..=3).contains(&m.count_ones()))
+                    .map(|mask| (0..pool.len()).filter(|c| mask >> c & 1 == 1).collect()),
+            );
+            for (m, alignment) in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager]
+                .into_iter()
+                .enumerate()
+            {
+                let options =
+                    TuningOptions { alignment, storage_bytes: None, ..Default::default() };
+                let assembler = Assembler::new(&base, &options, &Sizes);
+                let reference = assembler.base();
+                // a cold cache per mode, so that each mode derives its own
+                let eval = CostEvaluator::new(&target, &items);
+                for set in &sets {
+                    if set.len() == 2 && set[0] == 0 && set[1] == 1 {
+                        // Greedy's serial point: the singletons are priced
+                        eval.serial_point(1);
+                    }
+                    let members: Vec<&StructureHandle> = set.iter().map(|&c| &pool[c]).collect();
+                    let Some(Assembled { overlay, .. }) =
+                        assembler.assemble(&members, &reference).0
+                    else {
+                        continue;
+                    };
+                    let whole = overlay.materialize();
+                    for (i, item) in items.iter().enumerate() {
+                        let before = eval.derived_costs();
+                        let got = eval.report(i, &overlay).expect("costing succeeds");
+                        let want =
+                            server.whatif(&item.database, &item.statement, &whole).expect("binds");
+                        let context = format!(
+                            "round {round}, {alignment:?}, `{}`\nbase {base}priced {whole}",
+                            item.statement
+                        );
+                        assert_eq!(got.0.to_bits(), want.cost.to_bits(), "{context}");
+                        assert_eq!(got.1, want.used_structures(), "{context}");
+                        if eval.derived_costs() == before {
+                            called += 1;
+                            continue;
+                        }
+                        derived += 1;
+                        per_mode[m] += 1;
+                        dml +=
+                            usize::from(!matches!(item.statement, dta_sql::Statement::Select(_)));
+                        // a tie the order decided: the planner, given the
+                        // structures in reverse, reads another at one cost
+                        let reversed: Configuration =
+                            whole.handles().iter().rev().cloned().collect();
+                        let swapped = server
+                            .whatif(&item.database, &item.statement, &reversed)
+                            .expect("binds");
+                        ties += usize::from(
+                            swapped.cost.to_bits() == want.cost.to_bits()
+                                && swapped.used_structures() != want.used_structures(),
+                        );
+                    }
+                }
+            }
+        }
+        for seen in [derived, dml, ties, called, per_mode[0], per_mode[1], per_mode[2]] {
+            assert!(seen > 50, "{derived} {dml} {ties} {called} {per_mode:?}");
         }
     }
 

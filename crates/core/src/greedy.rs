@@ -81,6 +81,20 @@ pub enum SerialPoint<'a, S> {
     Incumbent(&'a [&'a S]),
 }
 
+impl<S> SerialPoint<'_, S> {
+    /// The point's place in its run: 1 for the singletons, then 2 plus
+    /// the incumbent's size before each Phase-2 round (it grows by one a
+    /// round). It rises from each point of a run to the next, and a point
+    /// a resumed run hears again has the ordinal it had the first time,
+    /// so a count kept by ordinal is the same however the run was cut.
+    pub fn ordinal(&self) -> u32 {
+        match self {
+            SerialPoint::Singletons { .. } => 1,
+            SerialPoint::Incumbent(set) => 2 + set.len() as u32,
+        }
+    }
+}
+
 /// Told each [`SerialPoint`] as the run reaches it.
 pub type SerialFn<'e, S> = dyn Fn(SerialPoint<'_, S>) + 'e;
 

@@ -29,7 +29,13 @@
 //!   up takes a cost read earlier: its reference cost, when no structure
 //!   of the delta is relevant to it, or an atom's, when only that atom's
 //!   delta is. The cache must hold that very cost for the evaluated
-//!   configuration.
+//!   configuration;
+//! * **derived costs** — a cost the evaluator finishes from recorded
+//!   access paths instead of a what-if call must be the cost, bit for
+//!   bit, and the used structures, name for name, that planning the same
+//!   projection gives.
+
+use std::sync::Arc;
 
 /// `true` in debug builds, `false` in `--release`.
 ///
@@ -105,6 +111,24 @@ pub fn check_reference_cost(reference: f64, cached: Option<f64>, statement: usiz
     }
 }
 
+/// A derived cost and the structures its plan uses must be exactly what
+/// planning the statement under the same projection gives (`planned`;
+/// `None` when planning fails).
+#[inline(always)]
+pub fn check_derived(
+    derived: (f64, &[Arc<str>]),
+    planned: Option<(f64, &[Arc<str>])>,
+    statement: usize,
+) {
+    let bits = |(cost, used): (f64, &[Arc<str>])| (cost.to_bits(), used.to_vec());
+    if ENABLED && planned.map(bits) != Some(bits(derived)) {
+        violation(
+            "derived-cost",
+            &format!("statement {statement}: derived {derived:?}, but planning gives {planned:?}"),
+        );
+    }
+}
+
 /// The cache must hold exactly one shard per workload statement, and
 /// every lookup must stay in range.
 #[inline(always)]
@@ -138,6 +162,8 @@ mod tests {
         check_monotonic_sum(1.0, 2.0, "rising");
         check_fingerprint(42, 42, 0);
         check_reference_cost(1.5, Some(1.5), 0);
+        let used: [Arc<str>; 1] = [Arc::from("ix")];
+        check_derived((2.5, &used), Some((2.5, &used)), 0);
         check_shards(3, 3, 2);
     }
 
@@ -173,6 +199,13 @@ mod tests {
         #[should_panic(expected = "reference-cost")]
         fn a_reference_cost_the_cache_lacks_trips() {
             check_reference_cost(1.5, None, 4);
+        }
+
+        #[test]
+        #[should_panic(expected = "derived-cost")]
+        fn a_derived_cost_planning_disagrees_with_trips() {
+            let (one, other): ([Arc<str>; 1], [Arc<str>; 1]) = ([Arc::from("a")], [Arc::from("b")]);
+            check_derived((2.5, &one), Some((2.5, &other)), 4);
         }
 
         #[test]

@@ -67,11 +67,14 @@ pub enum Counter {
     CandidatesPruned,
     /// Largest candidate-pool size observed (a gauge, kept via max).
     PeakPoolSize,
+    /// Cache misses priced from recorded access paths instead of a
+    /// what-if call (`CostEvaluator`'s derived costs).
+    DerivedCosts,
 }
 
 impl Counter {
     /// Every counter, in canonical export order.
-    pub const ALL: [Counter; 12] = [
+    pub const ALL: [Counter; 13] = [
         Counter::WhatIfCalls,
         Counter::CacheHits,
         Counter::CacheMisses,
@@ -84,6 +87,7 @@ impl Counter {
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::PeakPoolSize,
+        Counter::DerivedCosts,
     ];
 
     /// Number of counters (the slot-array length).
@@ -104,6 +108,7 @@ impl Counter {
             Counter::CandidatesGenerated => "candidatesGenerated",
             Counter::CandidatesPruned => "candidatesPruned",
             Counter::PeakPoolSize => "peakPoolSize",
+            Counter::DerivedCosts => "derivedCosts",
         }
     }
 

@@ -219,6 +219,11 @@ impl<'b> Overlay<'b> {
         Self::build(base, set, &keys, |_| {})
     }
 
+    /// The base it overlays.
+    pub(crate) fn base(&self) -> Overlay<'b> {
+        Self::of(self.base)
+    }
+
     /// Its structures on the table with this key, in configuration order.
     pub(crate) fn on(&self, key: u64) -> &[Placed<'b>] {
         self.own.listed(key).unwrap_or_else(|| self.base.on(key))
@@ -253,6 +258,15 @@ impl<'b> Overlay<'b> {
                 }
             }
         }
+        self.for_each_relevant_view(relevance, f);
+    }
+
+    /// The views [`Self::for_each_relevant`] walks, in its order.
+    pub(crate) fn for_each_relevant_view<'s>(
+        &'s self,
+        relevance: &Relevance,
+        mut f: impl FnMut(&'s StructureHandle),
+    ) {
         for (_, v) in self.base.views.iter().chain(&self.own.views) {
             if relevance.admits(v) {
                 f(v);

@@ -252,6 +252,40 @@ fn workspace_tree_is_clean_under_deny_warnings() {
     );
 }
 
+/// R11 is scoped in two places: the clippy block in each crate's
+/// `lib.rs` and [`dta_lint::rules::R11_CRATES`] for its short-`expect`
+/// half. The crates whose `lib.rs` denies clippy's panic lints must be
+/// exactly `R11_CRATES`, and every one of those blocks the same.
+#[test]
+fn r11_clippy_blocks_stand_in_exactly_the_r11_crates() {
+    let crates = std::fs::canonicalize(concat!(env!("CARGO_MANIFEST_DIR"), "/.."))
+        .expect("the crates directory resolves");
+    let mut blocks: Vec<(String, String)> = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("the crates directory lists") {
+        let dir = entry.expect("a directory entry").path();
+        let Ok(lib) = std::fs::read_to_string(dir.join("src/lib.rs")) else { continue };
+        // the crate-level deny block naming clippy::panic, if any
+        let block = lib.match_indices("#![deny(").find_map(|(at, _)| {
+            let rest = lib.get(at..)?;
+            let block = rest.get(..rest.find(")]")? + 2)?;
+            block.contains("clippy::panic").then(|| block.to_string())
+        });
+        if let Some(block) = block {
+            let name = dir.file_name().expect("a crate directory name");
+            blocks.push((name.to_string_lossy().into_owned(), block));
+        }
+    }
+    blocks.sort();
+    let names: Vec<&str> = blocks.iter().map(|(name, _)| name.as_str()).collect();
+    let mut scoped = dta_lint::rules::R11_CRATES.to_vec();
+    scoped.sort_unstable();
+    assert_eq!(names, scoped, "crates denying clippy::panic vs R11_CRATES");
+    let (first, block) = &blocks[0];
+    for (name, other) in &blocks {
+        assert_eq!(other, block, "{name}'s R11 block differs from {first}'s");
+    }
+}
+
 #[test]
 fn json_report_includes_findings_and_rules() {
     let findings = lint_source("crates/core/src/fixture_r6.rs", R6);

@@ -226,6 +226,136 @@ pub(crate) fn leaf_width(t: &PreparedTable, index: &Index) -> u32 {
         + dta_physical::sizing::ROW_OVERHEAD_BYTES
 }
 
+/// What a binding's table has besides its non-clustered indexes: the
+/// clustered index, if any, and the partitioning its scans see.
+struct TableLayout<'a> {
+    clustered: Option<(&'a StructureHandle, &'a Index)>,
+    partitioning: Option<&'a RangePartitioning>,
+}
+
+impl<'a> TableLayout<'a> {
+    fn of(ctx: &PlanContext<'a>, t: &PreparedTable) -> Self {
+        Self {
+            clustered: ctx
+                .config
+                .index_handles_on_key(t.facts.key)
+                .find(|(_, i)| i.kind == IndexKind::Clustered),
+            partitioning: ctx.config.effective_table_partitioning_key(t.facts.key),
+        }
+    }
+
+    /// The heap (or clustered) scan, always available.
+    fn scan(&self, ctx: &PlanContext<'a>, t: &PreparedTable) -> AccessChoice<'a> {
+        let fraction = self.partitioning.map_or(1.0, |p| elimination_fraction(p, &t.sargs));
+        let io = (t.facts.heap_pages * fraction).max(1.0);
+        let cpu = t.facts.rows * fraction / ctx.hardware.parallel_factor(io);
+        AccessChoice {
+            path: AccessPath::HeapScan,
+            partition_fraction: fraction,
+            cost: io + cpu * CPU_W,
+            // partitioned scans deliver no global order
+            ordered_by: if self.partitioning.is_none() {
+                self.clustered.map(|(_, ci)| ci)
+            } else {
+                None
+            },
+            partitioned_on: self.partitioning,
+        }
+    }
+
+    /// The clustered index seek, when a sarg leads the clustered key.
+    fn clustered_seek(&self, t: &PreparedTable) -> Option<AccessChoice<'a>> {
+        let (handle, ci) = self.clustered?;
+        let (seek_len, seek_sel) = seek_prefix(t, ci);
+        if seek_len == 0 {
+            return None;
+        }
+        let mut descent = SEEK_DESCENT_PAGES;
+        if let Some(p) = &ci.partitioning {
+            let (lo, hi) = sarg_bounds(&t.sargs, &p.column);
+            descent *= p.partitions_touched(lo, hi) as f64;
+        }
+        let io = descent + (t.facts.heap_pages * seek_sel).max(1.0);
+        let scanned = t.facts.rows * seek_sel;
+        Some(AccessChoice {
+            path: AccessPath::ClusteredSeek { index: handle, seek_len },
+            partition_fraction: 1.0,
+            cost: io + scanned * CPU_W,
+            ordered_by: if ci.partitioning.is_none() { Some(ci) } else { None },
+            partitioned_on: ci.partitioning.as_ref(),
+        })
+    }
+}
+
+/// The path through one non-clustered index: a seek when a sarg leads its
+/// key, else a scan when it covers the binding, else none.
+fn index_access<'a>(
+    ctx: &PlanContext<'a>,
+    t: &PreparedTable,
+    handle: &'a StructureHandle,
+    ix: &'a Index,
+) -> Option<AccessChoice<'a>> {
+    let rows = t.facts.rows;
+    let covering = ix.covers(&t.required);
+    let (seek_len, seek_sel) = seek_prefix(t, ix);
+    if seek_len == 0 && !covering {
+        // neither seekable nor a narrower scan (what
+        // `PreparedStatement::column_use` states for the cost cache)
+        return None;
+    }
+    let leaf_pages = t.facts.leaf_pages(leaf_width(t, ix));
+
+    // partitioned-index descent multiplier and leaf elimination
+    let mut descent = SEEK_DESCENT_PAGES;
+    let mut leaf_elim = 1.0;
+    if let Some(p) = &ix.partitioning {
+        let (lo, hi) = sarg_bounds(&t.sargs, &p.column);
+        let touched = p.partitions_touched(lo, hi) as f64;
+        descent *= touched;
+        // leaf elimination only helps when the partitioning column is
+        // not already the seek column
+        if ix.key_columns.first() != Some(&p.column) {
+            leaf_elim = touched / p.partition_count() as f64;
+        }
+    }
+
+    Some(if seek_len > 0 {
+        let matched = rows * seek_sel;
+        let after_leaf = matched * leaf_filter_sel(t, ix, seek_len);
+        let lookup_pages = if covering { 0.0 } else { after_leaf };
+        let io = descent + (leaf_pages * seek_sel * leaf_elim).max(1.0) + lookup_pages;
+        AccessChoice {
+            path: AccessPath::IndexSeek { index: handle, seek_len, covering },
+            partition_fraction: 1.0,
+            cost: io + matched * CPU_W,
+            ordered_by: if ix.partitioning.is_none() && covering { Some(ix) } else { None },
+            partitioned_on: ix.partitioning.as_ref(),
+        }
+    } else {
+        // covering scan of a narrower structure
+        let io = (leaf_pages * leaf_elim).max(1.0);
+        let cpu = rows * leaf_elim / ctx.hardware.parallel_factor(io);
+        AccessChoice {
+            path: AccessPath::CoveringScan { index: handle },
+            partition_fraction: leaf_elim,
+            cost: io + cpu * CPU_W,
+            ordered_by: if ix.partitioning.is_none() { Some(ix) } else { None },
+            partitioned_on: ix.partitioning.as_ref(),
+        }
+    })
+}
+
+/// The non-clustered indexes on the binding's table, in configuration
+/// order.
+fn non_clustered<'a>(
+    ctx: &PlanContext<'a>,
+    t: &PreparedTable,
+) -> impl Iterator<Item = (&'a StructureHandle, &'a Index)> {
+    ctx.config
+        .index_handles_on_key(t.facts.key)
+        .filter(|(_, ix)| ix.kind == IndexKind::NonClustered)
+}
+
 /// Cost every access path of one table binding, in a fixed order: the
 /// heap (or clustered) scan, the clustered seek, then each non-clustered
 /// index in configuration order.
@@ -234,101 +364,23 @@ pub(crate) fn for_each_access<'a>(
     t: &PreparedTable,
     mut visit: impl FnMut(AccessChoice<'a>),
 ) {
-    let rows = t.facts.rows;
-    let heap_pages = t.facts.heap_pages;
-    let clustered =
-        ctx.config.index_handles_on_key(t.facts.key).find(|(_, i)| i.kind == IndexKind::Clustered);
-    let table_part = ctx.config.effective_table_partitioning_key(t.facts.key);
-
-    // --- heap / clustered scan ------------------------------------------
-    {
-        let fraction = table_part.map_or(1.0, |p| elimination_fraction(p, &t.sargs));
-        let io = (heap_pages * fraction).max(1.0);
-        let cpu = rows * fraction / ctx.hardware.parallel_factor(io);
-        visit(AccessChoice {
-            path: AccessPath::HeapScan,
-            partition_fraction: fraction,
-            cost: io + cpu * CPU_W,
-            // partitioned scans deliver no global order
-            ordered_by: if table_part.is_none() { clustered.map(|(_, ci)| ci) } else { None },
-            partitioned_on: table_part,
-        });
+    let layout = TableLayout::of(ctx, t);
+    visit(layout.scan(ctx, t));
+    if let Some(seek) = layout.clustered_seek(t) {
+        visit(seek);
     }
-
-    // --- clustered index seek -------------------------------------------
-    if let Some((handle, ci)) = clustered {
-        let (seek_len, seek_sel) = seek_prefix(t, ci);
-        if seek_len > 0 {
-            let mut descent = SEEK_DESCENT_PAGES;
-            if let Some(p) = &ci.partitioning {
-                let (lo, hi) = sarg_bounds(&t.sargs, &p.column);
-                descent *= p.partitions_touched(lo, hi) as f64;
-            }
-            let io = descent + (heap_pages * seek_sel).max(1.0);
-            let scanned = rows * seek_sel;
-            visit(AccessChoice {
-                path: AccessPath::ClusteredSeek { index: handle, seek_len },
-                partition_fraction: 1.0,
-                cost: io + scanned * CPU_W,
-                ordered_by: if ci.partitioning.is_none() { Some(ci) } else { None },
-                partitioned_on: ci.partitioning.as_ref(),
-            });
+    for (handle, ix) in non_clustered(ctx, t) {
+        if let Some(choice) = index_access(ctx, t, handle, ix) {
+            visit(choice);
         }
     }
+}
 
-    // --- non-clustered indexes ------------------------------------------
-    for (handle, ix) in ctx.config.index_handles_on_key(t.facts.key) {
-        if ix.kind != IndexKind::NonClustered {
-            continue;
-        }
-        let covering = ix.covers(&t.required);
-        let (seek_len, seek_sel) = seek_prefix(t, ix);
-        if seek_len == 0 && !covering {
-            // neither seekable nor a narrower scan (what
-            // `PreparedStatement::column_use` states for the cost cache)
-            continue;
-        }
-        let leaf_pages = t.facts.leaf_pages(leaf_width(t, ix));
-
-        // partitioned-index descent multiplier and leaf elimination
-        let mut descent = SEEK_DESCENT_PAGES;
-        let mut leaf_elim = 1.0;
-        if let Some(p) = &ix.partitioning {
-            let (lo, hi) = sarg_bounds(&t.sargs, &p.column);
-            let touched = p.partitions_touched(lo, hi) as f64;
-            descent *= touched;
-            // leaf elimination only helps when the partitioning column is
-            // not already the seek column
-            if ix.key_columns.first() != Some(&p.column) {
-                leaf_elim = touched / p.partition_count() as f64;
-            }
-        }
-
-        if seek_len > 0 {
-            let matched = rows * seek_sel;
-            let after_leaf = matched * leaf_filter_sel(t, ix, seek_len);
-            let lookup_pages = if covering { 0.0 } else { after_leaf };
-            let io = descent + (leaf_pages * seek_sel * leaf_elim).max(1.0) + lookup_pages;
-            visit(AccessChoice {
-                path: AccessPath::IndexSeek { index: handle, seek_len, covering },
-                partition_fraction: 1.0,
-                cost: io + matched * CPU_W,
-                ordered_by: if ix.partitioning.is_none() && covering { Some(ix) } else { None },
-                partitioned_on: ix.partitioning.as_ref(),
-            });
-        } else {
-            // covering scan of a narrower structure
-            let io = (leaf_pages * leaf_elim).max(1.0);
-            let cpu = rows * leaf_elim / ctx.hardware.parallel_factor(io);
-            visit(AccessChoice {
-                path: AccessPath::CoveringScan { index: handle },
-                partition_fraction: leaf_elim,
-                cost: io + cpu * CPU_W,
-                ordered_by: if ix.partitioning.is_none() { Some(ix) } else { None },
-                partitioned_on: ix.partitioning.as_ref(),
-            });
-        }
-    }
+/// Whether a path costing `cost` displaces the cheapest met so far,
+/// costing `best`: only when strictly cheaper, so the first of equally
+/// cheap paths wins.
+fn displaces(best: Option<f64>, cost: f64) -> bool {
+    best.is_none_or(|b| b.total_cmp(&cost) == Ordering::Greater)
 }
 
 /// The cheapest access path of one table binding (the first of equally
@@ -336,11 +388,72 @@ pub(crate) fn for_each_access<'a>(
 pub(crate) fn best_access<'a>(ctx: &PlanContext<'a>, t: &PreparedTable) -> AccessChoice<'a> {
     let mut best: Option<AccessChoice<'a>> = None;
     for_each_access(ctx, t, |choice| {
-        if best.as_ref().is_none_or(|b| b.cost.total_cmp(&choice.cost) == Ordering::Greater) {
+        if displaces(best.map(|b| b.cost), choice.cost) {
             best = Some(choice);
         }
     });
     best.expect("the heap scan is always among the access paths")
+}
+
+/// Which access path a plan of a one-table statement reads its table by:
+/// what [`crate::derive_prepared`] finishes a plan from. Read off a plan
+/// with [`crate::Plan::access`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AccessRecord {
+    /// The name of the index the path reads; `None` for the heap (or
+    /// clustered) scan.
+    pub index: Option<Arc<str>>,
+}
+
+impl AccessRecord {
+    /// The record of a path reading by `method`.
+    pub(crate) fn of(method: &AccessMethod) -> Self {
+        Self { index: method.handle().map(|h| Arc::clone(h.name())) }
+    }
+
+    /// Whether this records the path through `index` (`None`: the scan).
+    pub fn reads(&self, index: Option<&StructureHandle>) -> bool {
+        match (&self.index, index) {
+            (None, None) => true,
+            (Some(n), Some(h)) => n == h.name(),
+            _ => false,
+        }
+    }
+}
+
+/// What [`best_access`] picks when `recorded` holds every path it could
+/// pick: the first of the cheapest recorded paths, in the order
+/// [`for_each_access`] visits them, compared as [`best_access`]
+/// compares. Only the recorded paths are costed. `None` when a recorded
+/// path is not one the configuration offers.
+pub(crate) fn recorded_access<'a>(
+    ctx: &PlanContext<'a>,
+    t: &PreparedTable,
+    recorded: &[AccessRecord],
+) -> Option<AccessChoice<'a>> {
+    let distinct = recorded
+        .iter()
+        .enumerate()
+        .filter(|&(k, r)| !recorded.iter().take(k).any(|o| o == r))
+        .count();
+    let layout = TableLayout::of(ctx, t);
+    let is_recorded = |index| recorded.iter().any(|r| r.reads(index));
+    let scan = is_recorded(None).then(|| Some(layout.scan(ctx, t)));
+    let seek =
+        layout.clustered.filter(|&(h, _)| is_recorded(Some(h))).map(|_| layout.clustered_seek(t));
+    let indexes = non_clustered(ctx, t).filter(|&(h, _)| is_recorded(Some(h)));
+    let paths =
+        scan.into_iter().chain(seek).chain(indexes.map(|(h, ix)| index_access(ctx, t, h, ix)));
+    let (mut found, mut best): (usize, Option<AccessChoice<'a>>) = (0, None);
+    for path in paths {
+        // a recorded path the configuration does not offer
+        let path = path?;
+        found += 1;
+        if displaces(best.map(|b| b.cost), path.cost) {
+            best = Some(path);
+        }
+    }
+    best.filter(|_| found == distinct)
 }
 
 #[cfg(test)]

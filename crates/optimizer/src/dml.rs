@@ -5,7 +5,7 @@
 //! has a maintenance price, which is what makes DTA correctly recommend
 //! *nothing* for the update-dominated CUST3 workload (§7.1).
 
-use crate::access::{best_access, PlanContext, CPU_W};
+use crate::access::{AccessChoice, PlanContext, CPU_W};
 use crate::plan::PlanNode;
 use crate::prepared::{PreparedDml, PreparedTable};
 use crate::query::BoundDml;
@@ -24,8 +24,13 @@ pub const VIEW_MAINT_PAGES_PER_TABLE: f64 = 2.0;
 /// DELETE maintains every non-clustered index on its table, an UPDATE
 /// only those holding a SET column (what
 /// `PreparedStatement::column_use` states). The plan lists the handles
-/// of what it maintains.
-pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
+/// of what it maintains. An UPDATE or DELETE locates its rows by the path
+/// `pick` chooses.
+pub(crate) fn plan_dml<'a>(
+    ctx: &PlanContext<'a>,
+    d: &PreparedDml,
+    pick: &mut impl FnMut(&PreparedTable) -> AccessChoice<'a>,
+) -> PlanNode {
     let key = d.target.facts.key;
     match &d.dml {
         BoundDml::Insert { table, rows, .. } => {
@@ -55,7 +60,7 @@ pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
             }
         }
         BoundDml::Update { table, set_columns, .. } => {
-            let (access, affected) = locate(ctx, &d.target);
+            let (access, affected) = locate(ctx, &d.target, pick);
             let mut cost = access.est_cost() + affected * 1.0; // base row writes
             let mut maintained = Vec::new();
             for (h, ix) in ctx.config.index_handles_on_key(key) {
@@ -83,7 +88,7 @@ pub(crate) fn plan_dml(ctx: &PlanContext<'_>, d: &PreparedDml) -> PlanNode {
             }
         }
         BoundDml::Delete { table, .. } => {
-            let (access, affected) = locate(ctx, &d.target);
+            let (access, affected) = locate(ctx, &d.target, pick);
             let mut cost = access.est_cost() + affected * 1.0;
             let mut maintained = Vec::new();
             for (h, ix) in ctx.config.index_handles_on_key(key) {
@@ -123,9 +128,14 @@ fn view_references_columns(
         || v.join_pairs.iter().any(|j| hit(&j.left) || hit(&j.right))
 }
 
-/// Best access path to locate the affected rows, and how many there are.
-fn locate(ctx: &PlanContext<'_>, target: &PreparedTable) -> (PlanNode, f64) {
-    let access = best_access(ctx, target).materialize(ctx, target);
+/// The access path `pick` chooses to locate the affected rows, and how
+/// many there are.
+fn locate<'a>(
+    ctx: &PlanContext<'a>,
+    target: &PreparedTable,
+    pick: &mut impl FnMut(&PreparedTable) -> AccessChoice<'a>,
+) -> (PlanNode, f64) {
+    let access = pick(target).materialize(ctx, target);
     let rows = access.est_rows;
     (PlanNode::Access(access), rows)
 }
@@ -163,7 +173,8 @@ mod tests {
     ) -> PlanNode {
         let sizes = FixedSizes::default().with_table("db", "t", 100_000, 16);
         let prep = prepare(cat, stats, &sizes, sql);
-        plan_dml(&prep.context(config), prep.dml())
+        let ctx = prep.context(config);
+        plan_dml(&ctx, prep.dml(), &mut |t| crate::access::best_access(&ctx, t))
     }
 
     fn cost_under(cat: &Catalog, sql: &str, config: &Configuration) -> f64 {

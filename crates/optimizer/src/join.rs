@@ -9,8 +9,7 @@
 //! statement's predicate list, which the kept join then shares.
 
 use crate::access::{
-    best_access, leaf_width, AccessChoice, KeyOrder, Partitioned, PlanContext, CPU_W,
-    SEEK_DESCENT_PAGES,
+    leaf_width, AccessChoice, KeyOrder, Partitioned, PlanContext, CPU_W, SEEK_DESCENT_PAGES,
 };
 use crate::hardware::HardwareParams;
 use crate::plan::{AccessMethod, JoinPairs, PlanNode, PredSet, TableAccess};
@@ -216,14 +215,44 @@ fn picked<'j>(
     set.iter().filter_map(|i| joins.get(i))
 }
 
-/// Plan the join of all tables of `q`.
-pub(crate) fn plan_joins<'a>(ctx: &PlanContext<'a>, q: &'a PreparedSelect) -> JoinResult<'a> {
+/// The stream a SELECT over the one table binding `t` starts from: `t`
+/// read by `access`, and what the join of one table is.
+pub(crate) fn one_table<'a>(
+    ctx: &PlanContext<'a>,
+    q: &PreparedSelect,
+    t: &'a PreparedTable,
+    access: AccessChoice<'a>,
+) -> JoinResult<'a> {
+    let mut node = PlanNode::Access(access.materialize(ctx, t));
+    if q.bound.cross_residuals > 0 {
+        scale_rows(&mut node, q.cross_residual_factor);
+    }
+    JoinResult {
+        node,
+        order: access.ordered_by.map(|ix| KeyOrder::of(&t.binding, ix)).unwrap_or_default(),
+        partitioned_on: access
+            .partitioned_on
+            .map(|scheme| Partitioned { binding: &t.binding, scheme }),
+        width: t.required_width,
+    }
+}
+
+/// Plan the join of all tables of `q`, reading each by the path `pick`
+/// chooses for it.
+pub(crate) fn plan_joins<'a>(
+    ctx: &PlanContext<'a>,
+    q: &'a PreparedSelect,
+    pick: &mut impl FnMut(&PreparedTable) -> AccessChoice<'a>,
+) -> JoinResult<'a> {
+    if let [t] = q.tables.as_slice() {
+        return one_table(ctx, q, t, pick(t));
+    }
     let mut leaves: Vec<Leaf<'a>> = q
         .tables
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let access = best_access(ctx, t);
+            let access = pick(t);
             Leaf {
                 table: t,
                 slot: q.tables.iter().position(|first| first.binding == t.binding).unwrap_or(i),
@@ -437,7 +466,8 @@ mod tests {
             .with_table("db", "lineitem", 600_000, 16)
             .with_table("db", "customer", 15_000, 33);
         let prep = prepare(&cat, &stats, &sizes, sql);
-        plan_joins(&prep.context(config), prep.select()).node
+        let ctx = prep.context(config);
+        plan_joins(&ctx, prep.select(), &mut |t| crate::access::best_access(&ctx, t)).node
     }
 
     fn accesses(node: &PlanNode) -> usize {

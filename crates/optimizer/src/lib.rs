@@ -57,9 +57,10 @@ pub mod selectivity;
 pub mod views;
 pub mod whatif;
 
+pub use access::AccessRecord;
 pub use hardware::HardwareParams;
 pub use plan::{Plan, PlanNode};
 pub use prepared::{PreparedStatement, ViewUse};
 pub use provider::TableStatsProvider;
 pub use query::{BindError, BoundSelect, Sarg, SargOp};
-pub use whatif::{optimize_prepared, WhatIfOptimizer};
+pub use whatif::{derive_prepared, optimize_prepared, WhatIfOptimizer};

@@ -11,6 +11,7 @@
 //! reference-counted strings and slices the statement's preparation
 //! owns. Building a plan allocates its nodes and little else.
 
+use crate::access::AccessRecord;
 use crate::query::{BoundColumn, JoinPred, Sarg};
 use dta_physical::{Index, StructureHandle};
 use std::fmt;
@@ -473,6 +474,31 @@ impl Plan {
     /// [`Self::used_structures`] as shared names.
     pub fn used_names(&self) -> Box<[Arc<str>]> {
         self.root.used_names()
+    }
+
+    /// The access path the plan reads its one table by: the table access
+    /// under the plan's chain of one-input operators (an UPDATE's or
+    /// DELETE's locating access included).
+    /// `None` when that chain ends in a join or a view scan, or the plan
+    /// is an INSERT. For a one-table statement this is the path the
+    /// planner picked for its base plan.
+    pub fn access(&self) -> Option<AccessRecord> {
+        let mut node = &self.root;
+        loop {
+            node = match node {
+                PlanNode::Access(a) => return Some(AccessRecord::of(&a.method)),
+                PlanNode::HashAggregate { input, .. }
+                | PlanNode::StreamAggregate { input, .. }
+                | PlanNode::Sort { input, .. }
+                | PlanNode::Top { input, .. }
+                | PlanNode::Update { access: input, .. }
+                | PlanNode::Delete { access: input, .. } => input,
+                PlanNode::ViewScan { .. }
+                | PlanNode::HashJoin { .. }
+                | PlanNode::IndexNLJoin { .. }
+                | PlanNode::Insert { .. } => return None,
+            };
+        }
     }
 }
 

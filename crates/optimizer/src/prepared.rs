@@ -576,6 +576,23 @@ pub(crate) enum Prepared {
     Dml(PreparedDml),
 }
 
+impl Prepared {
+    /// The one table binding of a SELECT over one, or of an UPDATE or
+    /// DELETE: what [`crate::derive_prepared`] plans from recorded paths.
+    pub(crate) fn one_table(&self) -> Option<&PreparedTable> {
+        match self {
+            Prepared::Select(q) => match q.tables.as_slice() {
+                [t] => Some(t),
+                _ => None,
+            },
+            Prepared::Dml(d) => match d.dml {
+                BoundDml::Update { .. } | BoundDml::Delete { .. } => Some(&d.target),
+                BoundDml::Insert { .. } => None,
+            },
+        }
+    }
+}
+
 /// One statement, bound and estimated against one state of a server's
 /// catalog, statistics and hardware: the input of
 /// [`crate::optimize_prepared`], reusable for any number of
@@ -693,6 +710,13 @@ impl PreparedStatement {
             },
             Ok(Prepared::Dml(_)) | Err(_) => ColumnUse::ALL,
         }
+    }
+
+    /// Whether the statement binds and is a SELECT over one table binding,
+    /// an UPDATE or a DELETE: whether [`crate::derive_prepared`] can plan
+    /// it.
+    pub fn derivable(&self) -> bool {
+        self.body.as_ref().is_ok_and(|b| b.one_table().is_some())
     }
 
     /// Which materialized views can change the statement's plan, of those

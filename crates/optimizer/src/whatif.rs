@@ -12,12 +12,16 @@
 //! under one configuration. A caller pricing one statement under many
 //! configurations prepares once; `optimize` does both for a single call.
 
-use crate::access::{KeyOrder, Partitioned, PlanContext, CPU_W};
+use crate::access::{
+    best_access, recorded_access, AccessRecord, KeyOrder, Partitioned, PlanContext, CPU_W,
+};
 use crate::dml::plan_dml;
 use crate::hardware::HardwareParams;
-use crate::join::plan_joins;
+use crate::join::{one_table, plan_joins, JoinResult};
 use crate::plan::{Plan, PlanNode};
-use crate::prepared::{standalone_view_rows, Prepared, PreparedSelect, PreparedStatement, Sources};
+use crate::prepared::{
+    standalone_view_rows, Prepared, PreparedSelect, PreparedStatement, PreparedTable, Sources,
+};
 use crate::provider::TableStatsProvider;
 use crate::query::{BindError, BoundSelect};
 use crate::views::view_plans;
@@ -82,18 +86,46 @@ pub fn optimize_prepared(
     config: &Configuration,
 ) -> Result<Plan, BindError> {
     let ctx = prep.context(config);
+    let mut pick = |t: &PreparedTable| best_access(&ctx, t);
     let root = match prep.body()? {
-        Prepared::Select(q) => plan_select(&ctx, q),
-        Prepared::Dml(d) => plan_dml(&ctx, d),
+        Prepared::Select(q) => plan_select(&ctx, q, plan_joins(&ctx, q, &mut pick)),
+        Prepared::Dml(d) => plan_dml(&ctx, d, &mut pick),
     };
     Ok(Plan::new(root))
 }
 
-/// Plan a SELECT end to end, considering base plans and view rewrites.
-fn plan_select(ctx: &PlanContext<'_>, q: &PreparedSelect) -> PlanNode {
+/// Plan a one-table SELECT, UPDATE or DELETE under `config` as
+/// [`optimize_prepared`] does, but read its table by the path
+/// [`best_access`] would pick when `recorded` holds every path it could:
+/// the first of the cheapest recorded paths in configuration order. Only
+/// the recorded paths are costed and no join is ordered; the rest of the
+/// plan — grouping, order, TOP and view rewrites, or the maintenance sum
+/// — is the planner's own. `None` for any other statement, or when a
+/// recorded path is not one `config` offers.
+pub fn derive_prepared(
+    prep: &PreparedStatement,
+    config: &Configuration,
+    recorded: &[AccessRecord],
+) -> Option<Plan> {
+    let ctx = prep.context(config);
+    let body = prep.body().ok()?;
+    let t = body.one_table()?;
+    let access = recorded_access(&ctx, t, recorded)?;
+    let root = match body {
+        Prepared::Select(q) => plan_select(&ctx, q, one_table(&ctx, q, t, access)),
+        Prepared::Dml(d) => plan_dml(&ctx, d, &mut |_| access),
+    };
+    Some(Plan::new(root))
+}
+
+/// Plan a SELECT end to end from its base plan — the join of its tables
+/// — considering view rewrites.
+fn plan_select<'a>(
+    ctx: &PlanContext<'a>,
+    q: &'a PreparedSelect,
+    state: JoinResult<'a>,
+) -> PlanNode {
     let bound = &q.bound;
-    // base plan: join tree over base tables
-    let state = plan_joins(ctx, q);
     let base = finish_select(ctx, q, state.node, state.order, state.partitioned_on, state.width);
 
     let mut best = base;

@@ -69,40 +69,44 @@ pub enum Kw {
     Desc,
 }
 
+/// Every keyword, as the dialect spells it.
+const KEYWORDS: [(&str, Kw); 29] = [
+    ("select", Kw::Select),
+    ("distinct", Kw::Distinct),
+    ("top", Kw::Top),
+    ("from", Kw::From),
+    ("where", Kw::Where),
+    ("group", Kw::Group),
+    ("order", Kw::Order),
+    ("by", Kw::By),
+    ("having", Kw::Having),
+    ("as", Kw::As),
+    ("and", Kw::And),
+    ("or", Kw::Or),
+    ("not", Kw::Not),
+    ("between", Kw::Between),
+    ("in", Kw::In),
+    ("like", Kw::Like),
+    ("is", Kw::Is),
+    ("null", Kw::Null),
+    ("join", Kw::Join),
+    ("inner", Kw::Inner),
+    ("on", Kw::On),
+    ("insert", Kw::Insert),
+    ("into", Kw::Into),
+    ("values", Kw::Values),
+    ("update", Kw::Update),
+    ("set", Kw::Set),
+    ("delete", Kw::Delete),
+    ("asc", Kw::Asc),
+    ("desc", Kw::Desc),
+];
+
 impl Kw {
-    fn from_str(s: &str) -> Option<Kw> {
-        Some(match s {
-            "select" => Kw::Select,
-            "distinct" => Kw::Distinct,
-            "top" => Kw::Top,
-            "from" => Kw::From,
-            "where" => Kw::Where,
-            "group" => Kw::Group,
-            "order" => Kw::Order,
-            "by" => Kw::By,
-            "having" => Kw::Having,
-            "as" => Kw::As,
-            "and" => Kw::And,
-            "or" => Kw::Or,
-            "not" => Kw::Not,
-            "between" => Kw::Between,
-            "in" => Kw::In,
-            "like" => Kw::Like,
-            "is" => Kw::Is,
-            "null" => Kw::Null,
-            "join" => Kw::Join,
-            "inner" => Kw::Inner,
-            "on" => Kw::On,
-            "insert" => Kw::Insert,
-            "into" => Kw::Into,
-            "values" => Kw::Values,
-            "update" => Kw::Update,
-            "set" => Kw::Set,
-            "delete" => Kw::Delete,
-            "asc" => Kw::Asc,
-            "desc" => Kw::Desc,
-            _ => return None,
-        })
+    /// The keyword `word` spells in any case, if any: decided without
+    /// lower-casing a copy.
+    fn from_word(word: &str) -> Option<Kw> {
+        KEYWORDS.iter().find(|(k, _)| k.eq_ignore_ascii_case(word)).map(|&(_, kw)| kw)
     }
 }
 
@@ -227,10 +231,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 while at(i).is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_') {
                     i += 1;
                 }
-                let word = ascii(start, i).to_ascii_lowercase();
-                let kind = match Kw::from_str(&word) {
+                let word = ascii(start, i);
+                let kind = match Kw::from_word(word) {
                     Some(kw) => TokenKind::Keyword(kw),
-                    None => TokenKind::Ident(word),
+                    None => TokenKind::Ident(word.to_ascii_lowercase()),
                 };
                 out.push(Token { kind, offset: start });
             }

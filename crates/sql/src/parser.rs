@@ -66,12 +66,22 @@ impl Parser {
         self.current().offset
     }
 
+    /// Step past the current token and return its kind, moved out: the
+    /// parser never looks back, so a string or name is not copied. At
+    /// the closing `Eof` it stays put.
     fn advance(&mut self) -> TokenKind {
-        let k = self.current().kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        let at_end = self.pos + 1 >= self.tokens.len();
+        let Some(token) = self.tokens.get_mut(self.pos) else { return TokenKind::Eof };
+        if at_end {
+            return token.kind.clone();
         }
-        k
+        self.pos += 1;
+        std::mem::replace(&mut token.kind, TokenKind::Eof)
+    }
+
+    /// [`Self::advance`] when `wanted` holds of the current token.
+    fn next_if(&mut self, wanted: impl FnOnce(&TokenKind) -> bool) -> Option<TokenKind> {
+        wanted(self.peek()).then(|| self.advance())
     }
 
     fn at_eof(&self) -> bool {
@@ -136,12 +146,8 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.peek() {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(s)
-            }
+        match self.next_if(|k| matches!(k, TokenKind::Ident(_))) {
+            Some(TokenKind::Ident(s)) => Ok(s),
             _ => Err(self.unexpected("identifier")),
         }
     }
@@ -476,33 +482,25 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Int(v)))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
-            TokenKind::Keyword(Kw::Null) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Null))
-            }
-            TokenKind::LParen => {
-                self.advance();
-                let inner = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(inner)
-            }
-            TokenKind::Ident(name) => {
-                self.advance();
-                if self.check(&TokenKind::LParen) {
-                    self.advance();
+        let literal = match self.peek() {
+            TokenKind::Int(v) => Some(Literal::Int(*v)),
+            TokenKind::Float(v) => Some(Literal::Float(*v)),
+            TokenKind::Keyword(Kw::Null) => Some(Literal::Null),
+            _ => None,
+        };
+        if let Some(literal) = literal {
+            self.advance();
+            return Ok(Expr::Literal(literal));
+        }
+        if self.eat(&TokenKind::LParen) {
+            let inner = self.expr()?;
+            self.expect(&TokenKind::RParen)?;
+            return Ok(inner);
+        }
+        match self.next_if(|k| matches!(k, TokenKind::Str(_) | TokenKind::Ident(_))) {
+            Some(TokenKind::Str(s)) => Ok(Expr::Literal(Literal::Str(s))),
+            Some(TokenKind::Ident(name)) => {
+                if self.eat(&TokenKind::LParen) {
                     return self.call(name);
                 }
                 if self.eat(&TokenKind::Dot) {

@@ -6,7 +6,7 @@
 //! suite).
 
 use crate::ast::*;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -37,102 +37,260 @@ fn precedence(op: BinaryOp) -> u8 {
     }
 }
 
-fn write_expr(f: &mut fmt::Formatter<'_>, expr: &Expr, parent_prec: u8) -> fmt::Result {
-    match expr {
-        Expr::Literal(l) => write!(f, "{l}"),
-        Expr::Column(c) => write!(f, "{c}"),
-        Expr::Binary { left, op, right } => {
-            let prec = precedence(*op);
-            let needs_parens = prec < parent_prec;
-            if needs_parens {
-                f.write_char('(')?;
-            }
-            write_expr(f, left, prec)?;
-            write!(f, " {} ", op.symbol())?;
-            // right side binds one tighter to preserve left-associativity
-            write_expr(f, right, prec + 1)?;
-            if needs_parens {
-                f.write_char(')')?;
-            }
-            Ok(())
+/// Writes statements and expressions as SQL: the text `Display` gives
+/// or, in template mode, the text of their signature
+/// ([`crate::signature`]), in which every literal is the placeholder
+/// `?()`, every IN list one placeholder and an INSERT its first row.
+/// One printer for both, so a template is the statement's own text but
+/// for its constants.
+pub(crate) struct Printer<'w, W> {
+    out: &'w mut W,
+    template: bool,
+}
+
+impl<'w, W: fmt::Write> Printer<'w, W> {
+    /// A printer of SQL text.
+    fn plain(out: &'w mut W) -> Self {
+        Self { out, template: false }
+    }
+
+    /// A printer of signature templates.
+    pub(crate) fn template(out: &'w mut W) -> Self {
+        Self { out, template: true }
+    }
+
+    fn literal(&mut self, l: &Literal) -> fmt::Result {
+        if self.template {
+            self.out.write_str("?()")
+        } else {
+            write!(self.out, "{l}")
         }
-        Expr::Unary { op, expr } => match op {
-            UnaryOp::Not => {
-                write!(f, "NOT ")?;
-                write_expr(f, expr, 3)
+    }
+
+    /// Expressions separated by `, `.
+    fn list(&mut self, exprs: &[Expr]) -> fmt::Result {
+        for (i, e) in exprs.iter().enumerate() {
+            if i > 0 {
+                self.out.write_str(", ")?;
             }
-            UnaryOp::Neg => {
-                write!(f, "-")?;
-                write_expr(f, expr, 6)
-            }
-        },
-        Expr::Between { expr, negated, low, high } => {
-            write_expr(f, expr, 4)?;
-            if *negated {
-                write!(f, " NOT")?;
-            }
-            write!(f, " BETWEEN ")?;
-            write_expr(f, low, 4)?;
-            write!(f, " AND ")?;
-            write_expr(f, high, 4)
+            self.expr(e, 0)?;
         }
-        Expr::InList { expr, negated, list } => {
-            write_expr(f, expr, 4)?;
-            if *negated {
-                write!(f, " NOT")?;
-            }
-            write!(f, " IN (")?;
-            for (i, e) in list.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
+        Ok(())
+    }
+
+    fn expr(&mut self, expr: &Expr, parent_prec: u8) -> fmt::Result {
+        match expr {
+            Expr::Literal(l) => self.literal(l),
+            Expr::Column(c) => write!(self.out, "{c}"),
+            Expr::Binary { left, op, right } => {
+                let prec = precedence(*op);
+                let needs_parens = prec < parent_prec;
+                if needs_parens {
+                    self.out.write_char('(')?;
                 }
-                write_expr(f, e, 0)?;
-            }
-            write!(f, ")")
-        }
-        Expr::Like { expr, negated, pattern } => {
-            write_expr(f, expr, 4)?;
-            if *negated {
-                write!(f, " NOT")?;
-            }
-            write!(f, " LIKE ")?;
-            write_expr(f, pattern, 4)
-        }
-        Expr::IsNull { expr, negated } => {
-            write_expr(f, expr, 4)?;
-            if *negated {
-                write!(f, " IS NOT NULL")
-            } else {
-                write!(f, " IS NULL")
-            }
-        }
-        Expr::Aggregate { func, distinct, arg } => {
-            write!(f, "{}(", func.name())?;
-            if *distinct {
-                write!(f, "DISTINCT ")?;
-            }
-            match arg {
-                Some(a) => write_expr(f, a, 0)?,
-                None => write!(f, "*")?,
-            }
-            write!(f, ")")
-        }
-        Expr::Function { name, args } => {
-            write!(f, "{name}(")?;
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
+                self.expr(left, prec)?;
+                write!(self.out, " {} ", op.symbol())?;
+                // right side binds one tighter to preserve left-associativity
+                self.expr(right, prec + 1)?;
+                if needs_parens {
+                    self.out.write_char(')')?;
                 }
-                write_expr(f, a, 0)?;
+                Ok(())
             }
-            write!(f, ")")
+            Expr::Unary { op, expr } => match op {
+                UnaryOp::Not => {
+                    self.out.write_str("NOT ")?;
+                    self.expr(expr, 3)
+                }
+                UnaryOp::Neg => {
+                    self.out.write_str("-")?;
+                    self.expr(expr, 6)
+                }
+            },
+            Expr::Between { expr, negated, low, high } => {
+                self.expr(expr, 4)?;
+                if *negated {
+                    self.out.write_str(" NOT")?;
+                }
+                self.out.write_str(" BETWEEN ")?;
+                self.expr(low, 4)?;
+                self.out.write_str(" AND ")?;
+                self.expr(high, 4)
+            }
+            Expr::InList { expr, negated, list } => {
+                self.expr(expr, 4)?;
+                if *negated {
+                    self.out.write_str(" NOT")?;
+                }
+                self.out.write_str(" IN (")?;
+                if self.template {
+                    // IN lists of different lengths share a template
+                    self.out.write_str("?()")?;
+                } else {
+                    self.list(list)?;
+                }
+                self.out.write_str(")")
+            }
+            Expr::Like { expr, negated, pattern } => {
+                self.expr(expr, 4)?;
+                if *negated {
+                    self.out.write_str(" NOT")?;
+                }
+                self.out.write_str(" LIKE ")?;
+                self.expr(pattern, 4)
+            }
+            Expr::IsNull { expr, negated } => {
+                self.expr(expr, 4)?;
+                if *negated {
+                    self.out.write_str(" IS NOT NULL")
+                } else {
+                    self.out.write_str(" IS NULL")
+                }
+            }
+            Expr::Aggregate { func, distinct, arg } => {
+                write!(self.out, "{}(", func.name())?;
+                if *distinct {
+                    self.out.write_str("DISTINCT ")?;
+                }
+                match arg {
+                    Some(a) => self.expr(a, 0)?,
+                    None => self.out.write_str("*")?,
+                }
+                self.out.write_str(")")
+            }
+            Expr::Function { name, args } => {
+                write!(self.out, "{name}(")?;
+                self.list(args)?;
+                self.out.write_str(")")
+            }
+        }
+    }
+
+    fn select(&mut self, s: &SelectStatement) -> fmt::Result {
+        self.out.write_str("SELECT ")?;
+        if s.distinct {
+            self.out.write_str("DISTINCT ")?;
+        }
+        if let Some(n) = s.top {
+            write!(self.out, "TOP {n} ")?;
+        }
+        if s.projections.is_empty() {
+            self.out.write_str("*")?;
+        } else {
+            for (i, p) in s.projections.iter().enumerate() {
+                if i > 0 {
+                    self.out.write_str(", ")?;
+                }
+                self.expr(&p.expr, 0)?;
+                if let Some(a) = &p.alias {
+                    write!(self.out, " AS {a}")?;
+                }
+            }
+        }
+        if !s.from.is_empty() {
+            self.out.write_str(" FROM ")?;
+            for (i, twj) in s.from.iter().enumerate() {
+                if i > 0 {
+                    self.out.write_str(", ")?;
+                }
+                write!(self.out, "{}", twj.base)?;
+                for j in &twj.joins {
+                    write!(self.out, " JOIN {} ON ", j.table)?;
+                    self.expr(&j.on, 0)?;
+                }
+            }
+        }
+        if let Some(p) = &s.predicate {
+            self.out.write_str(" WHERE ")?;
+            self.expr(p, 0)?;
+        }
+        if !s.group_by.is_empty() {
+            self.out.write_str(" GROUP BY ")?;
+            self.list(&s.group_by)?;
+        }
+        if let Some(h) = &s.having {
+            self.out.write_str(" HAVING ")?;
+            self.expr(h, 0)?;
+        }
+        if !s.order_by.is_empty() {
+            self.out.write_str(" ORDER BY ")?;
+            for (i, o) in s.order_by.iter().enumerate() {
+                if i > 0 {
+                    self.out.write_str(", ")?;
+                }
+                self.expr(&o.expr, 0)?;
+                if o.desc {
+                    self.out.write_str(" DESC")?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn insert(&mut self, s: &InsertStatement) -> fmt::Result {
+        write!(self.out, "INSERT INTO {}", s.table)?;
+        if !s.columns.is_empty() {
+            self.out.write_str(" (")?;
+            for (i, c) in s.columns.iter().enumerate() {
+                if i > 0 {
+                    self.out.write_str(", ")?;
+                }
+                self.out.write_str(c)?;
+            }
+            self.out.write_str(")")?;
+        }
+        self.out.write_str(" VALUES ")?;
+        // all VALUES tuples share a template, however many there are
+        let rows = if self.template { s.rows.len().min(1) } else { s.rows.len() };
+        for (i, row) in s.rows.iter().take(rows).enumerate() {
+            if i > 0 {
+                self.out.write_str(", ")?;
+            }
+            self.out.write_str("(")?;
+            self.list(row)?;
+            self.out.write_str(")")?;
+        }
+        Ok(())
+    }
+
+    fn update(&mut self, s: &UpdateStatement) -> fmt::Result {
+        write!(self.out, "UPDATE {} SET ", s.table)?;
+        for (i, (col, e)) in s.assignments.iter().enumerate() {
+            if i > 0 {
+                self.out.write_str(", ")?;
+            }
+            write!(self.out, "{col} = ")?;
+            self.expr(e, 0)?;
+        }
+        if let Some(p) = &s.predicate {
+            self.out.write_str(" WHERE ")?;
+            self.expr(p, 0)?;
+        }
+        Ok(())
+    }
+
+    fn delete(&mut self, s: &DeleteStatement) -> fmt::Result {
+        write!(self.out, "DELETE FROM {}", s.table)?;
+        if let Some(p) = &s.predicate {
+            self.out.write_str(" WHERE ")?;
+            self.expr(p, 0)?;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn statement(&mut self, s: &Statement) -> fmt::Result {
+        match s {
+            Statement::Select(s) => self.select(s),
+            Statement::Insert(s) => self.insert(s),
+            Statement::Update(s) => self.update(s),
+            Statement::Delete(s) => self.delete(s),
         }
     }
 }
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_expr(f, self, 0)
+        Printer::plain(f).expr(self, 0)
     }
 }
 
@@ -148,127 +306,31 @@ impl fmt::Display for TableRef {
 
 impl fmt::Display for SelectStatement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT ")?;
-        if self.distinct {
-            write!(f, "DISTINCT ")?;
-        }
-        if let Some(n) = self.top {
-            write!(f, "TOP {n} ")?;
-        }
-        if self.projections.is_empty() {
-            write!(f, "*")?;
-        } else {
-            for (i, p) in self.projections.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", p.expr)?;
-                if let Some(a) = &p.alias {
-                    write!(f, " AS {a}")?;
-                }
-            }
-        }
-        if !self.from.is_empty() {
-            write!(f, " FROM ")?;
-            for (i, twj) in self.from.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", twj.base)?;
-                for j in &twj.joins {
-                    write!(f, " JOIN {} ON {}", j.table, j.on)?;
-                }
-            }
-        }
-        if let Some(p) = &self.predicate {
-            write!(f, " WHERE {p}")?;
-        }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY ")?;
-            for (i, g) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{g}")?;
-            }
-        }
-        if let Some(h) = &self.having {
-            write!(f, " HAVING {h}")?;
-        }
-        if !self.order_by.is_empty() {
-            write!(f, " ORDER BY ")?;
-            for (i, o) in self.order_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", o.expr)?;
-                if o.desc {
-                    write!(f, " DESC")?;
-                }
-            }
-        }
-        Ok(())
+        Printer::plain(f).select(self)
     }
 }
 
 impl fmt::Display for InsertStatement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "INSERT INTO {}", self.table)?;
-        if !self.columns.is_empty() {
-            write!(f, " ({})", self.columns.join(", "))?;
-        }
-        write!(f, " VALUES ")?;
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "(")?;
-            for (j, e) in row.iter().enumerate() {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{e}")?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
+        Printer::plain(f).insert(self)
     }
 }
 
 impl fmt::Display for UpdateStatement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "UPDATE {} SET ", self.table)?;
-        for (i, (col, e)) in self.assignments.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{col} = {e}")?;
-        }
-        if let Some(p) = &self.predicate {
-            write!(f, " WHERE {p}")?;
-        }
-        Ok(())
+        Printer::plain(f).update(self)
     }
 }
 
 impl fmt::Display for DeleteStatement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DELETE FROM {}", self.table)?;
-        if let Some(p) = &self.predicate {
-            write!(f, " WHERE {p}")?;
-        }
-        Ok(())
+        Printer::plain(f).delete(self)
     }
 }
 
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Statement::Select(s) => write!(f, "{s}"),
-            Statement::Insert(s) => write!(f, "{s}"),
-            Statement::Update(s) => write!(f, "{s}"),
-            Statement::Delete(s) => write!(f, "{s}"),
-        }
+        Printer::plain(f).statement(self)
     }
 }
 

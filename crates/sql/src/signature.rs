@@ -5,8 +5,11 @@
 //! partitions a workload by signature and then tunes only representatives
 //! from each partition.
 //!
-//! The signature is computed by printing the statement with every literal
-//! replaced by `?`. Alongside the signature we extract the *parameter
+//! The signature is the statement printed in the printer's template mode:
+//! every literal as the placeholder `?()`, every IN list as one
+//! placeholder and an INSERT's rows as its first, so that statements
+//! differing only in constants share it. No copy of the statement is
+//! made. Alongside the signature we extract the *parameter
 //! vector* (the literals in occurrence order), which the compression
 //! clustering uses as a crude distance signal.
 
@@ -26,9 +29,11 @@ impl std::fmt::Display for Signature {
 
 /// Compute the signature of a statement.
 pub fn signature(stmt: &Statement) -> Signature {
-    let mut templated = stmt.clone();
-    blank_statement(&mut templated);
-    Signature(templated.to_string())
+    // room for most statements' templates, so that one allocation holds it
+    let mut text = String::with_capacity(256);
+    // writing to a String cannot fail
+    let _ = crate::printer::Printer::template(&mut text).statement(stmt);
+    Signature(text)
 }
 
 /// A 64-bit hash of the signature, for cheap grouping.
@@ -62,100 +67,6 @@ fn literal_feature(l: &Literal) -> f64 {
             (h.finish() % 100_000) as f64
         }
         Literal::Null => 0.0,
-    }
-}
-
-/// The placeholder literal used in templated statements.
-fn placeholder() -> Expr {
-    Expr::Function { name: "?".into(), args: vec![] }
-}
-
-fn blank_expr(e: &mut Expr) {
-    match e {
-        Expr::Literal(_) => *e = placeholder(),
-        Expr::Column(_) => {}
-        Expr::Binary { left, right, .. } => {
-            blank_expr(left);
-            blank_expr(right);
-        }
-        Expr::Unary { expr, .. } => blank_expr(expr),
-        Expr::Between { expr, low, high, .. } => {
-            blank_expr(expr);
-            blank_expr(low);
-            blank_expr(high);
-        }
-        Expr::InList { expr, list, .. } => {
-            blank_expr(expr);
-            // IN lists of different lengths should share a template: collapse
-            // the whole list to a single placeholder element.
-            list.clear();
-            list.push(placeholder());
-            blank_expr(expr);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            blank_expr(expr);
-            blank_expr(pattern);
-        }
-        Expr::IsNull { expr, .. } => blank_expr(expr),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                blank_expr(a);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                blank_expr(a);
-            }
-        }
-    }
-}
-
-fn blank_statement(stmt: &mut Statement) {
-    match stmt {
-        Statement::Select(s) => {
-            for p in &mut s.projections {
-                blank_expr(&mut p.expr);
-            }
-            for twj in &mut s.from {
-                for j in &mut twj.joins {
-                    blank_expr(&mut j.on);
-                }
-            }
-            if let Some(p) = &mut s.predicate {
-                blank_expr(p);
-            }
-            for g in &mut s.group_by {
-                blank_expr(g);
-            }
-            if let Some(h) = &mut s.having {
-                blank_expr(h);
-            }
-            for o in &mut s.order_by {
-                blank_expr(&mut o.expr);
-            }
-        }
-        Statement::Insert(i) => {
-            // all VALUES tuples share a template regardless of arity count
-            i.rows.truncate(1);
-            for row in &mut i.rows {
-                for e in row {
-                    blank_expr(e);
-                }
-            }
-        }
-        Statement::Update(u) => {
-            for (_, e) in &mut u.assignments {
-                blank_expr(e);
-            }
-            if let Some(p) = &mut u.predicate {
-                blank_expr(p);
-            }
-        }
-        Statement::Delete(d) => {
-            if let Some(p) = &mut d.predicate {
-                blank_expr(p);
-            }
-        }
     }
 }
 

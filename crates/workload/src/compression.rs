@@ -65,10 +65,10 @@ impl CompressionOutcome {
 /// Compress a workload by signature partitioning + clustering.
 pub fn compress(workload: &Workload, options: CompressionOptions) -> CompressionOutcome {
     // partition by (database, signature)
-    let mut partitions: BTreeMap<(String, Signature), Vec<usize>> = BTreeMap::new();
+    let mut partitions: BTreeMap<(&str, Signature), Vec<usize>> = BTreeMap::new();
     for (i, item) in workload.items.iter().enumerate() {
         let sig = dta_sql::signature(&item.statement);
-        partitions.entry((item.database.clone(), sig)).or_default().push(i);
+        partitions.entry((item.database.as_str(), sig)).or_default().push(i);
     }
     let n_partitions = partitions.len();
 

@@ -825,15 +825,26 @@ fn write_checkpoint_into(w: &mut XmlWriter, cp: &SessionCheckpoint) {
         let fp = format!("{:016x}", e.fingerprint);
         let cost = bits(e.cost);
         let verify = format!("{:016x}", e.verify);
-        w.open_with(
-            "Entry",
-            &[
-                ("item", item.as_str()),
-                ("fingerprint", fp.as_str()),
-                ("costBits", cost.as_str()),
-                ("verify", verify.as_str()),
-            ],
-        );
+        let epoch = e.epoch.to_string();
+        let mut attrs = vec![
+            ("item", item.as_str()),
+            ("fingerprint", fp.as_str()),
+            ("costBits", cost.as_str()),
+            ("verify", verify.as_str()),
+        ];
+        // the access path a derived cost reads: the table scan, or the
+        // index the entry's `Use` list names at that position
+        let access = e.access.map(|a| match a {
+            CacheExport::SCAN => "scan".to_string(),
+            i => i.to_string(),
+        });
+        if let Some(access) = &access {
+            attrs.push(("access", access.as_str()));
+        }
+        if e.epoch != 0 {
+            attrs.push(("epoch", epoch.as_str()));
+        }
+        w.open_with("Entry", &attrs);
         for name in &e.used_structures {
             w.leaf("Use", &[("name", name.as_str())]);
         }
@@ -922,6 +933,15 @@ fn checkpoint_from_node(root: &XmlNode) -> Result<SessionCheckpoint, SchemaError
                 .collect::<Result<_, _>>()?,
             verify: u64::from_str_radix(verify, 16)
                 .map_err(|_| invalid(format!("bad verify fingerprint '{verify}'")))?,
+            access: match e.attr("access") {
+                Some("scan") => Some(CacheExport::SCAN),
+                Some(_) => Some(parse_num(e, "access")?),
+                None => None,
+            },
+            epoch: match e.attr("epoch") {
+                Some(_) => parse_num(e, "epoch")?,
+                None => 0,
+            },
         });
     }
     let mut degraded = Vec::new();
@@ -1178,6 +1198,14 @@ mod tests {
     }
 
     #[test]
+    fn a_comment_inside_a_statement_separates_its_words() {
+        let xml = "<Workload><Statement database=\"d\">SELECT a <!-- note --> FROM t WHERE x = 1</Statement></Workload>";
+        let read = workload_from_xml(xml).unwrap();
+        let plain = Workload::from_sql_file("d", "SELECT a FROM t WHERE x = 1").unwrap();
+        assert_eq!(read, plain);
+    }
+
+    #[test]
     fn options_roundtrip() {
         let mut options = TuningOptions::default()
             .with_storage_mb(200)
@@ -1340,13 +1368,26 @@ mod tests {
                 },
                 lazy_variants: 3,
             }),
-            cache: vec![CacheExport {
-                item: 1,
-                fingerprint: 0xdeadbeef12345678,
-                cost: 17.375,
-                used_structures: vec!["idx_t_x".into()],
-                verify: 0xfeed,
-            }],
+            cache: vec![
+                CacheExport {
+                    item: 1,
+                    fingerprint: 0xdeadbeef12345678,
+                    cost: 17.375,
+                    used_structures: vec!["idx_t_x".into()],
+                    verify: 0xfeed,
+                    access: Some(0),
+                    epoch: 3,
+                },
+                CacheExport {
+                    item: 1,
+                    fingerprint: 0x0123_4567,
+                    cost: 2.5,
+                    used_structures: Vec::new(),
+                    verify: 0,
+                    access: Some(CacheExport::SCAN),
+                    epoch: 0,
+                },
+            ],
             whatif_calls: 40,
             worker_restarts: 1,
             whatif_retries: 3,

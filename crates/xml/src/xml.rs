@@ -348,6 +348,12 @@ impl<'a> Parser<'a> {
                     return Err(XmlError::new("expected '>' in closing tag"));
                 }
                 self.pos += 1;
+                // the text runs around comments and children, whitespace
+                // between them kept, trimmed as one
+                let text = node.text.trim();
+                if text.len() != node.text.len() {
+                    node.text = text.to_string();
+                }
                 return Ok(node);
             }
             match self.peek() {
@@ -359,7 +365,7 @@ impl<'a> Parser<'a> {
                     while self.peek().is_some_and(|c| c != b'<') {
                         self.pos += 1;
                     }
-                    let text = unescape(self.slice(start, self.pos).trim())?;
+                    let text = unescape(self.slice(start, self.pos))?;
                     node.text.push_str(&text);
                 }
                 None => return Err(XmlError::new(format!("unclosed element <{name}>"))),
@@ -405,6 +411,14 @@ mod tests {
         assert_eq!(root.children.len(), 2);
         assert_eq!(root.text, "some text");
         assert_eq!(root.child("c").unwrap().text, "inner");
+    }
+
+    #[test]
+    fn a_comment_inside_text_keeps_the_whitespace_around_it() {
+        let doc = "<s d=\"x\">  SELECT a <!-- note --> FROM t WHERE x = 1 \n</s>";
+        assert_eq!(parse_document(doc).unwrap().text, "SELECT a  FROM t WHERE x = 1");
+        let doc = "<s>a<!--1-->b <!--2--> c<i/>\td</s>";
+        assert_eq!(parse_document(doc).unwrap().text, "ab  c\td");
     }
 
     #[test]
