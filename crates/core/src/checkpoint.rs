@@ -221,7 +221,7 @@ mod tests {
             cost: f64::NAN,
             used_structures: Vec::new(),
             verify: 0,
-            access: None,
+            picks: crate::cost::Picks::NONE,
             epoch: 0,
         }];
         assert!(cp.validate().is_err(), "NaN cached cost");

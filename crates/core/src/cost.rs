@@ -54,12 +54,14 @@
 //!    hit the singleton's entry, so again only hits go uncounted. Every
 //!    path sums in one workload-order loop;
 //! 5. **Derived costs** — every entry records the access path its plan
-//!    read a one-table statement's table by. A miss whose projection is
-//!    the base's plus two or more plain non-clustered indexes is priced
-//!    from the records of the base and of the base plus each index alone
-//!    — the first of the cheapest recorded paths, finished by the planner
-//!    — with no what-if call ([`CostEvaluator::derive`]). Such a miss is
-//!    still a miss; only calls, and the work they charge, go uncounted.
+//!    picked for each table binding of a SELECT, UPDATE or DELETE. A miss
+//!    whose projection is the base's plus two or more plain non-clustered
+//!    indexes is priced from the records of the base and of the base plus
+//!    each index alone — per binding, the first of the cheapest recorded
+//!    paths, with the join order, the probes and the rest of the plan the
+//!    planner's — with no what-if call ([`CostEvaluator::derive`]). Such
+//!    a miss is still a miss; only calls, and the work they charge, go
+//!    uncounted.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -122,7 +124,8 @@
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
 use crate::overlay::{Indexed, Overlay};
-use dta_optimizer::{AccessRecord, Plan, PreparedStatement, ViewUse};
+pub use dta_optimizer::Picks;
+use dta_optimizer::{Plan, PreparedStatement, ViewUse};
 use dta_physical::{
     table_key, ColumnUse, Configuration, IndexKind, PhysicalStructure, StructureHandle,
 };
@@ -131,7 +134,7 @@ use dta_stats::RetryPolicy;
 use dta_workload::WorkloadItem;
 use parking_lot::{Mutex, Rank, RwLock};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -140,11 +143,9 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 struct CacheEntry {
     cost: f64,
-    /// Names of the structures the plan uses (for §6.3 reports): the
-    /// handles' shared names, not the handles, so an entry keeps no
-    /// structure alive — a lazily synthesized variant is dropped with
-    /// the evaluation that made it.
-    used_structures: Box<[Arc<str>]>,
+    /// The structures the plan uses (for §6.3 reports), as the position
+    /// of their names in the shard's [`UsedLists`].
+    used: u32,
     /// Secondary fingerprint for debug-build collision detection
     /// ([`invariants::check_fingerprint`]); release builds keep none.
     /// Its low half: 32 independent bits catch a collision as surely as
@@ -158,58 +159,76 @@ struct CacheEntry {
     /// saturated at `u16::MAX`): a derived cost reads the entry only once
     /// a later serial point has passed.
     epoch: u16,
-    /// The access path the plan read its one table by
-    /// ([`dta_optimizer::Plan::access`]), which a derived cost is finished
-    /// from ([`CostEvaluator::derive`]): the position of its index among
-    /// `used_structures`, [`CacheEntry::SCAN`] for the heap (or clustered)
-    /// scan, [`CacheEntry::UNRECORDED`] for a plan with no such path and
-    /// for a degraded statement's fallback. With `epoch`, it fits where
-    /// release builds keep no `verify`, so a release entry is 32 bytes.
-    access: u16,
+    /// The access path the plan picked for each table binding
+    /// ([`Plan::picks`]), which a derived cost is finished from
+    /// ([`CostEvaluator::derive`]); [`Picks::NONE`] for an INSERT and for
+    /// a degraded statement's fallback. Inline: a release entry is 32
+    /// bytes.
+    picks: Picks,
+}
+
+// what the entry's `picks` doc promises
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<CacheEntry>() == 32);
+
+/// The names of the structures a shard's cached plans use, each list once:
+/// an entry holds its list's position ([`CacheEntry::used`]), so the many
+/// entries whose plans use the same structures share one list, and an
+/// entry allocates nothing. The names are the handles' shared names, not
+/// the handles, so a list keeps no structure alive — a lazily synthesized
+/// variant is dropped with the evaluation that made it. Lists are told
+/// apart by the names' addresses: plans share their handles' names, so
+/// one set of structures gives one list, and only names made apart (a
+/// checkpoint's, a synthesized variant's) list the same text twice. A
+/// list outlives the entries that named it (a rollback or an invalidation
+/// drops entries, not lists).
+#[derive(Default)]
+struct UsedLists {
+    lists: Vec<Box<[Arc<str>]>>,
+    /// By the combined addresses of a list's names, its position.
+    positions: HashMap<u64, u32>,
+}
+
+impl UsedLists {
+    /// The combined addresses of `used`'s names.
+    fn key(used: &[Arc<str>]) -> u64 {
+        used.iter().fold(used.len() as u64, |key, name| {
+            let at = Arc::as_ptr(name).cast::<u8>() as usize as u64;
+            (key.rotate_left(17) ^ at).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        })
+    }
+
+    /// The position of `used`, listed now if it was not.
+    fn position(&mut self, used: Box<[Arc<str>]>) -> u32 {
+        let key = Self::key(&used);
+        let same = |listed: &[Arc<str>]| {
+            listed.len() == used.len() && listed.iter().zip(&*used).all(|(a, b)| Arc::ptr_eq(a, b))
+        };
+        if let Some(&at) = self.positions.get(&key) {
+            if self.lists.get(at as usize).is_some_and(|listed| same(listed)) {
+                return at;
+            }
+        }
+        // a new list, or one whose key another list holds: listed apart
+        let at = u32::try_from(self.lists.len()).expect("fewer structure sets than u32::MAX");
+        self.lists.push(used);
+        self.positions.entry(key).or_insert(at);
+        at
+    }
+
+    /// The names of the list at `at`.
+    fn names(&self, at: u32) -> Vec<String> {
+        self.lists.get(at as usize).map_or_else(Vec::new, |used| names(used))
+    }
 }
 
 impl CacheEntry {
-    const SCAN: u16 = CacheExport::SCAN;
-    const UNRECORDED: u16 = u16::MAX - 1;
-
-    /// [`CacheEntry::access`] as a checkpoint lists it, and back.
-    fn exported_access(&self) -> Option<u16> {
-        (self.access != Self::UNRECORDED).then_some(self.access)
-    }
-
-    fn imported_access(access: Option<u16>, used: &[Arc<str>]) -> u16 {
-        match access {
-            Some(Self::SCAN) => Self::SCAN,
-            Some(i) if usize::from(i) < used.len() => i,
-            _ => Self::UNRECORDED,
-        }
-    }
-
     /// The secondary fingerprint; 0 in release builds.
     fn verify(&self) -> u32 {
         #[cfg(debug_assertions)]
         return self.verify;
         #[cfg(not(debug_assertions))]
         0
-    }
-
-    /// `access` as [`CacheEntry::access`] keeps it for a plan using `used`.
-    fn slot(access: Option<&AccessRecord>, used: &[Arc<str>]) -> u16 {
-        let Some(access) = access else { return Self::UNRECORDED };
-        let Some(name) = &access.index else { return Self::SCAN };
-        let at = used.iter().position(|u| u == name).and_then(|i| u16::try_from(i).ok());
-        at.filter(|&i| i < Self::UNRECORDED).unwrap_or(Self::UNRECORDED)
-    }
-
-    /// The access path recorded, if any.
-    fn access(&self) -> Option<AccessRecord> {
-        match self.access {
-            Self::UNRECORDED => None,
-            Self::SCAN => Some(AccessRecord { index: None }),
-            i => Some(AccessRecord {
-                index: Some(Arc::clone(self.used_structures.get(usize::from(i))?)),
-            }),
-        }
     }
 }
 
@@ -232,22 +251,16 @@ pub struct CacheExport {
     pub cost: f64,
     /// Structures the cached plan uses.
     pub used_structures: Vec<String>,
-    /// Secondary fingerprint (0 when the writer had invariants off).
-    pub verify: u64,
-    /// The access path the cached plan read its one table by, if it
-    /// recorded one ([`dta_optimizer::Plan::access`]): the position in
-    /// `used_structures` of the index the path reads, or
-    /// [`CacheExport::SCAN`] for the heap (or clustered) scan.
-    pub access: Option<u16>,
+    /// Secondary fingerprint (0 when the writer had invariants off): the
+    /// low half an entry keeps.
+    pub verify: u32,
+    /// The access path the cached plan picked for each table binding;
+    /// [`Picks::NONE`] when it recorded none.
+    pub picks: Picks,
     /// The ordinal of the serial point last passed when the entry was
     /// priced ([`crate::greedy::SerialPoint::ordinal`], saturated at
     /// `u16::MAX`): a derived cost reads the entry only after a later one.
     pub epoch: u16,
-}
-
-impl CacheExport {
-    /// [`CacheExport::access`] of the heap (or clustered) scan.
-    pub const SCAN: u16 = u16::MAX;
 }
 
 /// A shard's cost cache and in-flight claims, keyed by fingerprint: probed
@@ -324,9 +337,11 @@ impl ShardStat {
 /// tables it can use ([`PreparedStatement::view_use`]).
 pub(crate) struct Relevance {
     tables: Box<[(u64, ColumnUse)]>,
-    /// Whether the statement is a SELECT over one table binding, an
-    /// UPDATE or a DELETE ([`PreparedStatement::derivable`]).
-    derivable: bool,
+    /// Per table binding the planner picks an access path for, in the
+    /// order [`Picks`] records them, the position of its table in
+    /// `tables` ([`PreparedStatement::binding_keys`]); empty for a
+    /// statement a derived cost cannot price.
+    bindings: Box<[u8]>,
     /// The views' side, from the statement's latest preparation: it
     /// depends on the binding alone, so any preparation gives the same
     /// verdicts, and holding the latest keeps no earlier one's view
@@ -380,6 +395,8 @@ struct Shard {
     /// one — present at that serial point — so whether a lookup is
     /// derived depends on no worker's timing.
     epoch: AtomicU32,
+    /// The names of the structures its entries' plans use.
+    used: Mutex<UsedLists>,
     /// The statement prepared for what-if calls: made on the shard's
     /// first miss that reaches the server — an evaluator that only ever
     /// hits, or lives for one supervisor slice, prepares nothing it does
@@ -438,6 +455,7 @@ impl CacheState {
                 in_flight: Mutex::ranked(HashSet::default(), CLAIMS),
                 stat: ShardStat::default(),
                 epoch: AtomicU32::new(0),
+                used: Mutex::new(UsedLists::default()),
                 prepared: RwLock::new(None),
             })
             .collect();
@@ -517,22 +535,22 @@ impl CacheState {
         }
     }
 
-    /// A cache entry of a plan that read its one table by `access`,
-    /// stamped with the slice in progress and `shard`'s epoch.
+    /// A cache entry of a plan that picked `picks`, stamped with the slice
+    /// in progress and `shard`'s epoch.
     fn entry(
         &self,
         shard: &Shard,
         cost: f64,
         used_structures: Box<[Arc<str>]>,
         verify: u64,
-        access: Option<&AccessRecord>,
+        picks: Picks,
     ) -> CacheEntry {
         #[cfg(not(debug_assertions))]
         let _ = verify;
         CacheEntry {
             cost,
-            access: CacheEntry::slot(access, &used_structures),
-            used_structures,
+            picks,
+            used: shard.used.lock().position(used_structures),
             #[cfg(debug_assertions)]
             verify: verify as u32,
             slice: self.slice.load(Ordering::SeqCst),
@@ -579,19 +597,19 @@ impl CacheState {
     pub(crate) fn export(&self) -> Vec<CacheExport> {
         let mut out = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.cache.read();
+            let (cache, used) = (shard.cache.read(), shard.used.lock());
             #[expect(clippy::disallowed_methods, reason = "the keys are sorted next")]
-            let mut keys: Vec<u64> = shard.keys().copied().collect();
+            let mut keys: Vec<u64> = cache.keys().copied().collect();
             keys.sort_unstable();
             for fp in keys {
-                if let Some(e) = shard.get(&fp) {
+                if let Some(e) = cache.get(&fp) {
                     out.push(CacheExport {
                         item: i,
                         fingerprint: fp,
                         cost: e.cost,
-                        used_structures: names(&e.used_structures),
-                        verify: u64::from(e.verify()),
-                        access: e.exported_access(),
+                        used_structures: used.names(e.used),
+                        verify: e.verify(),
+                        picks: e.picks,
                         epoch: e.epoch,
                     });
                 }
@@ -604,15 +622,20 @@ impl CacheState {
     /// per-shard tallies start fresh — they describe this process's cache
     /// behaviour, not the session ledger.
     pub(crate) fn import(&self, entries: &[CacheExport], degraded: &[usize]) {
+        // one shared name per structure, as plans share them, so that
+        // entries using the same structures share their list
+        let mut shared: BTreeMap<&str, Arc<str>> = BTreeMap::new();
         for e in entries {
             if let Some(shard) = self.shards.get(e.item) {
                 invariants::check_cost(e.cost, "imported cache entry");
-                let used: Box<[Arc<str>]> =
-                    e.used_structures.iter().map(|n| Arc::from(n.as_str())).collect();
+                let used: Box<[Arc<str>]> = e
+                    .used_structures
+                    .iter()
+                    .map(|n| Arc::clone(shared.entry(n).or_insert_with(|| Arc::from(n.as_str()))))
+                    .collect();
                 let entry = CacheEntry {
                     epoch: e.epoch,
-                    access: CacheEntry::imported_access(e.access, &used),
-                    ..self.entry(shard, e.cost, used, e.verify, None)
+                    ..self.entry(shard, e.cost, used, e.verify.into(), e.picks)
                 };
                 shard.cache.write().insert(e.fingerprint, entry);
             }
@@ -741,9 +764,14 @@ impl<'a> CostEvaluator<'a> {
                 .collect();
             tables.sort_unstable();
             tables.dedup();
+            let bindings: Option<Box<[u8]>> = prepared
+                .binding_keys()
+                .iter()
+                .map(|key| u8::try_from(tables.binary_search(key).ok()?).ok())
+                .collect();
             Relevance {
+                bindings: bindings.filter(|b| b.len() <= Picks::MAX).unwrap_or_default(),
                 tables: tables.into_iter().map(|k| (k, prepared.column_use(k))).collect(),
-                derivable: prepared.derivable(),
                 views: RwLock::new(prepared.view_use()),
             }
         })
@@ -812,7 +840,7 @@ impl<'a> CostEvaluator<'a> {
         }
         shard.stat.hits.fetch_add(1, Ordering::SeqCst);
         self.counters.add(Counter::CacheHits, 1);
-        let used = if want_structures { names(&entry.used_structures) } else { Vec::new() };
+        let used = if want_structures { shard.used.lock().names(entry.used) } else { Vec::new() };
         (entry.cost, used)
     }
 
@@ -825,7 +853,8 @@ impl<'a> CostEvaluator<'a> {
     ) -> Result<(f64, Vec<String>), ServerError> {
         let (item, shard) = self.slot(i);
         let relevant = self.relevance(item, shard);
-        let fp = Self::fingerprint(relevant, config);
+        let print = Print::of(relevant, config);
+        let fp = print.finish();
         if let Some(e) = shard.cache.read().get(&fp) {
             return Ok(self.record_hit(i, shard, relevant, e, config, want_structures));
         }
@@ -857,7 +886,7 @@ impl<'a> CostEvaluator<'a> {
             // a permanent fault already degraded this statement: price
             // every configuration at its constant fallback, no server call
             let cost = self.state.fallback_cost(i);
-            let entry = self.state.entry(shard, cost, Box::default(), verify, None);
+            let entry = self.state.entry(shard, cost, Box::default(), verify, Picks::NONE);
             shard.cache.write().insert(fp, entry);
             return Ok((cost, Vec::new()));
         }
@@ -865,31 +894,32 @@ impl<'a> CostEvaluator<'a> {
         // copies; the what-if call dwarfs it
         let projected = config.projection(relevant);
         let prepared = self.preparation(item, shard);
-        let plan = match Self::derive(shard, relevant, config, &prepared, &projected) {
+        let plan = match Self::derive(shard, relevant, config, print, &prepared, &projected) {
             Some(plan) => {
                 if invariants::ENABLED {
                     let planned = dta_optimizer::optimize_prepared(&prepared, &projected).ok();
-                    let planned = planned.as_ref().map(|p| (p.cost, p.used_names()));
-                    let planned = planned.as_ref().map(|(cost, used)| (*cost, &used[..]));
-                    invariants::check_derived((plan.cost, &plan.used_names()), planned, i);
+                    let planned = planned.as_ref().map(|p| (p.cost, p.used_names(), p.picks()));
+                    let planned = planned.as_ref().map(|(cost, used, p)| (*cost, &used[..], *p));
+                    let derived = (plan.cost, &plan.used_names()[..], plan.picks());
+                    invariants::check_derived(derived, planned, i);
                 }
                 self.counters.add(Counter::DerivedCosts, 1);
                 Some(plan)
             }
             None => self.call(shard, &prepared, &projected)?,
         };
-        let (cost, used_structures, access) = match plan {
+        let (cost, used_structures, picks) = match plan {
             Some(plan) => {
                 invariants::check_cost(plan.cost, "what-if estimate");
-                (plan.cost, plan.used_names(), plan.access())
+                (plan.cost, plan.used_names(), plan.picks())
             }
             None => {
                 self.state.degraded.lock().insert(i);
-                (self.state.fallback_cost(i), Box::default(), None)
+                (self.state.fallback_cost(i), Box::default(), Picks::NONE)
             }
         };
         let used = if want_structures { names(&used_structures) } else { Vec::new() };
-        let entry = self.state.entry(shard, cost, used_structures, verify, access.as_ref());
+        let entry = self.state.entry(shard, cost, used_structures, verify, picks);
         shard.cache.write().insert(fp, entry);
         Ok((cost, used))
     }
@@ -929,75 +959,104 @@ impl<'a> CostEvaluator<'a> {
         }
     }
 
-    /// The plan of a one-table statement under `config`, finished from
-    /// the access paths its cache recorded instead of by a what-if call.
+    /// The plan of a SELECT, UPDATE or DELETE under `config`, finished
+    /// from the access paths its cache recorded instead of by a what-if
+    /// call.
     ///
-    /// The statement must be a SELECT over one table binding, an UPDATE
-    /// or a DELETE, and its projection of `config` its projection of
-    /// `config`'s base — every structure it sees on its table there, in
-    /// the base's order, and the base's views — followed by two or more
-    /// non-clustered, unpartitioned indexes on its table and nothing
-    /// else. The base's entry and the entry of the base plus each added
-    /// index alone must have recorded their access paths, priced before
-    /// the statement's last serial point ([`Shard::epoch`]), and each of
-    /// the latter must have read either the base's path or its own index.
-    /// Then every path the planner could pick under `config` is a
-    /// recorded one: a path of the base that loses there loses here, and
-    /// an added index's path that does not win beside the base's alone
-    /// cannot win beside more. So the first of the cheapest recorded
-    /// paths, in `config`'s order, is the planner's pick
-    /// ([`dta_optimizer::derive_prepared`]), and the plan finished from it
-    /// is the planner's, bit for bit. `None` — and a what-if call — in
-    /// every other case.
+    /// On each table the statement references, its projection of `config`
+    /// must be its projection of `config`'s base — every structure it sees
+    /// there, in the base's order — followed by non-clustered,
+    /// unpartitioned indexes, two or more in all, and it must see no view
+    /// beyond the base's. The base's entry and the entry of the base plus
+    /// each added index alone must have recorded a path for every binding,
+    /// priced before the statement's last serial point ([`Shard::epoch`]),
+    /// and with each added index, every binding of its table must have
+    /// read either the base's path or that index, and every other binding
+    /// the base's path. Then, binding by binding, every path the planner
+    /// could pick under `config` is a recorded one: a path of the base
+    /// that loses there loses here, and an added index's path that does
+    /// not win beside the base's alone cannot win beside more. So the
+    /// first of the cheapest recorded paths, in `config`'s order, is the
+    /// planner's pick, and the planner — join order, probes, grouping and
+    /// view rewrites included — finishes the plan from it
+    /// ([`dta_optimizer::derive_prepared`]), bit for bit. `None` — and a
+    /// what-if call — in every other case.
     fn derive(
         shard: &Shard,
         relevant: &Relevance,
         config: &Overlay<'_>,
+        print: Print,
         prepared: &PreparedStatement,
         projected: &Configuration,
     ) -> Option<Plan> {
-        let &[(key, used)] = relevant.tables() else { return None };
-        if !relevant.derivable || config.added_views().iter().any(|(_, v)| relevant.admits(v)) {
+        let bindings = &relevant.bindings;
+        if bindings.is_empty() || config.added_views().iter().any(|(_, v)| relevant.admits(v)) {
             return None;
         }
-        // the base's structures lead, and its fingerprint is theirs and its
-        // views'
-        let base = config.base();
-        let mut now = seen(config, key, used);
-        let mut reference = Print::default();
-        for before in seen(&base, key, used) {
-            if now.next()? != before {
-                return None;
-            }
-            reference = reference.with(before);
-        }
-        base.for_each_relevant_view(relevant, |v| reference = reference.with(v));
         let plain = |h: &StructureHandle| {
             h.as_index()
                 .is_some_and(|ix| ix.kind == IndexKind::NonClustered && ix.partitioning.is_none())
         };
-        let added: Vec<&StructureHandle> = now.collect();
-        if added.len() < 2 || !added.iter().all(|h| plain(h)) {
+        // off the tables the overlay re-lists it holds the base's structures;
+        // on them the base's must lead. The base's fingerprint is `print`
+        // less what follows them, and each added index is listed with its
+        // table, its position among the indexes there, and the position it
+        // has in the base plus it alone.
+        let base = config.base();
+        let mut reference = print;
+        let mut added = Vec::new();
+        let mut relisted = config.keys().peekable();
+        for (table, &(key, used)) in relevant.tables().iter().enumerate() {
+            // both ascend by key
+            while relisted.next_if(|&k| k < key).is_some() {}
+            if relisted.next_if_eq(&key).is_none() {
+                continue;
+            }
+            let mut now = seen(config, key, used);
+            let mut indexes = 0usize;
+            for before in seen(&base, key, used) {
+                if now.next()? != before {
+                    return None;
+                }
+                indexes += usize::from(before.as_index().is_some());
+            }
+            let own = u8::try_from(indexes + 1).ok()?;
+            for h in now {
+                indexes += 1;
+                if !plain(h) {
+                    return None;
+                }
+                reference = reference.without(h);
+                let position = u8::try_from(indexes).ok().filter(|&p| p < u8::MAX)?;
+                added.push((table, h, position, own, 0u8));
+            }
+        }
+        if added.len() < 2 {
             return None;
         }
         let epoch = epoch16(shard.epoch.load(Ordering::SeqCst));
-        let recorded: Vec<AccessRecord> = {
-            let cache = shard.cache.read();
-            let recorded_at =
-                |print: Print| cache.get(&print.finish()).filter(|e| e.epoch < epoch)?.access();
-            let at_base = recorded_at(reference)?;
-            let mut recorded = Vec::with_capacity(added.len() + 1);
-            for h in added {
-                let alone = recorded_at(reference.with(h))?;
-                if alone != at_base && !alone.reads(Some(h)) {
+        let cache = shard.cache.read();
+        let picks_at = |print: Print| {
+            let picks = cache.get(&print.finish()).filter(|e| e.epoch < epoch)?.picks;
+            (picks.as_slice().len() == bindings.len()).then_some(picks)
+        };
+        let at_base = picks_at(reference)?;
+        // for each added index, the bindings of its table that picked it
+        // beside the base's paths alone, as a mask
+        for (table, h, _, own, won) in &mut added {
+            let alone = picks_at(reference.with(h))?;
+            let picked = bindings.iter().zip(at_base.as_slice()).zip(alone.as_slice());
+            for (b, ((&on, &was), &now)) in picked.enumerate() {
+                if usize::from(on) == *table && now == *own {
+                    *won |= 1 << b;
+                } else if now != was {
                     return None;
                 }
-                recorded.push(alone);
             }
-            recorded.push(at_base);
-            recorded
-        };
-        dta_optimizer::derive_prepared(prepared, projected, &recorded)
+        }
+        drop(cache);
+        let wins = added.iter().filter_map(|&(_, _, at, _, won)| (won != 0).then_some((at, won)));
+        dta_optimizer::derive_prepared(prepared, projected, at_base, wins)
     }
 
     /// Each statement's cost under `config` as the cache holds it now,
@@ -1232,6 +1291,12 @@ impl Print {
     fn with(self, h: &StructureHandle) -> Self {
         let v = h.content_hash();
         Self { sum: self.sum.wrapping_add(v), xor: self.xor ^ v, count: self.count + 1 }
+    }
+
+    /// Without `h`, which it holds.
+    fn without(self, h: &StructureHandle) -> Self {
+        let v = h.content_hash();
+        Self { sum: self.sum.wrapping_sub(v), xor: self.xor ^ v, count: self.count - 1 }
     }
 
     /// The fingerprint.
@@ -1902,6 +1967,51 @@ mod tests {
             assert_eq!(tally(&eval), want);
         }
         assert_eq!(pairs[0], pairs[1], "derived or called, the same cost");
+    }
+
+    #[test]
+    fn a_join_derives_alike_from_imported_records_and_unrecorded_ones_are_called() {
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let join = "SELECT t.c, u.b FROM t, u WHERE t.a = u.a AND t.b = 5";
+        let items = [WorkloadItem::new("d", parse_statement(join).expect("valid SQL"))];
+        let empty = Configuration::new();
+        let base = Indexed::new(&empty, None);
+        // a plain index on each table: one seeks `t`, one probes `u`
+        let handles = [index("t", &["b"], &["a"]), index("u", &["a"], &["b"])];
+        let [one, other] = handles.map(StructureHandle::new);
+        let price = |eval: &CostEvaluator<'_>, set: &[&StructureHandle]| {
+            eval.price(0, &Overlay::union(&base, set)).expect("costing succeeds")
+        };
+        let tally = |eval: &CostEvaluator<'_>| (eval.whatif_calls(), eval.derived_costs());
+        let live = CostEvaluator::new(&target, &items);
+        live.serial_point(0);
+        for set in [&[][..], &[&one], &[&other]] {
+            price(&live, set);
+        }
+        let exported = live.state.export();
+        assert!(exported.iter().all(|e| e.picks.as_slice().len() == 2), "{exported:?}");
+        live.serial_point(1);
+        let want = price(&live, &[&one, &other]);
+        assert_eq!(tally(&live), (3, 1), "the pair is derived");
+        // a session rebuilt from the records derives what the live one
+        // did; a list of another length than the statement's bindings, or
+        // none, reads as unrecorded, and the pair is called
+        for (picks, derived) in [(None, 1), (Some(&[0][..]), 0), (Some(&[0; 9]), 0), (Some(&[]), 0)]
+        {
+            let mut entries = exported.clone();
+            if let Some(picks) = picks {
+                entries.iter_mut().for_each(|e| e.picks = Picks::from_slice(picks));
+            }
+            let rebuilt = CostEvaluator::new(&target, &items);
+            rebuilt.state.import(&entries, &[]);
+            rebuilt.serial_point(1);
+            assert_eq!(price(&rebuilt, &[&one, &other]).to_bits(), want.to_bits(), "{picks:?}");
+            assert_eq!(tally(&rebuilt), (1 - derived, derived), "{picks:?}");
+            if picks.is_none() {
+                assert_eq!(rebuilt.state.export(), live.state.export());
+            }
+        }
     }
 
     #[test]

@@ -1050,9 +1050,12 @@ mod tests {
         }
     }
 
-    /// Reads and writes of one table that the cost cache derives, with
-    /// grouping, order and TOP over them, and a join and an INSERT that
-    /// it never derives.
+    /// Reads and writes that the cost cache derives — one table with
+    /// grouping, order and TOP over it, joins of two and three tables, a
+    /// self-join, a join an index-nested-loop probe can answer, a grouped
+    /// and ordered join, and a one-table statement and a join that a view
+    /// of [`answering_views`] answers — and an INSERT that it never
+    /// derives.
     fn derivable_workload() -> Vec<dta_workload::WorkloadItem> {
         [
             "SELECT a FROM t0 WHERE a = 5",
@@ -1064,6 +1067,12 @@ mod tests {
             "DELETE FROM t1 WHERE b = 4",
             "INSERT INTO t0 VALUES (1, 2, 3, 4, 5, 6)",
             "SELECT t0.v FROM t0, t1 WHERE t0.k = t1.k AND t1.a = 3",
+            "SELECT t0.v FROM t0, t1, t2 WHERE t0.k = t1.k AND t1.x = t2.x AND t2.b = 4 AND t0.a < 20",
+            "SELECT p.v FROM t0 p, t0 q WHERE p.k = q.y AND q.a = 2",
+            "SELECT t1.v FROM t0, t1 WHERE t0.k = t1.x AND t0.x = 7 AND t0.y = 7 AND t0.a = 7",
+            "SELECT t0.a, COUNT(*) FROM t0, t1 WHERE t0.k = t1.k AND t1.b < 6 GROUP BY t0.a ORDER BY t0.a",
+            "SELECT y, COUNT(*) FROM t1 GROUP BY y",
+            "SELECT t0.b, COUNT(*) FROM t0, t1 WHERE t0.k = t1.k GROUP BY t0.b",
         ]
         .map(|sql| {
             let statement = dta_sql::parse_statement(sql).expect("valid SQL");
@@ -1072,9 +1081,52 @@ mod tests {
         .to_vec()
     }
 
-    /// A candidate on `d.t0` or `d.t1`: mostly a non-clustered index, and
+    /// Views that answer the last two statements of [`derivable_workload`]
+    /// with far fewer rows than their tables hold, so that a plan reading
+    /// them wins and keeps every binding's access path out of its tree.
+    fn answering_views() -> [PhysicalStructure; 2] {
+        use dta_physical::{JoinPair, MaterializedView, QualifiedColumn, ViewAggregate};
+        let count = || vec![ViewAggregate::count_star()];
+        let column = QualifiedColumn::new;
+        [
+            MaterializedView::grouped("d", &["t1"], Vec::new(), vec![column("t1", "y")], count()),
+            MaterializedView::grouped(
+                "d",
+                &["t0", "t1"],
+                vec![JoinPair::new(column("t0", "k"), column("t1", "k"))],
+                vec![column("t0", "b")],
+                count(),
+            ),
+        ]
+        .map(PhysicalStructure::View)
+    }
+
+    /// The indexes the index-nested-loop joins of `node` probe.
+    fn probed(node: &dta_optimizer::PlanNode, out: &mut Vec<String>) {
+        use dta_optimizer::PlanNode as N;
+        match node {
+            N::IndexNLJoin { outer, inner, .. } => {
+                out.extend(inner.method.handle().map(|h| h.name().to_string()));
+                probed(outer, out);
+            }
+            N::HashJoin { left, right, .. } => {
+                probed(left, out);
+                probed(right, out);
+            }
+            N::HashAggregate { input, .. }
+            | N::StreamAggregate { input, .. }
+            | N::Sort { input, .. }
+            | N::Top { input, .. } => probed(input, out),
+            _ => {}
+        }
+    }
+
+    /// Candidates on `d.t0` or `d.t1`: mostly non-clustered indexes, and
     /// in pairs of twins — one key, included columns of equal width — whose
-    /// paths cost the same, so the planner breaks the tie by order.
+    /// paths cost the same, so the planner breaks the tie by order. Each
+    /// structure once, as in a candidate pool: a set then lists what a
+    /// statement sees in one order, the pool's, which is the order its
+    /// cache entry was priced in.
     fn derivable_candidates(rng: &mut rand::rngs::StdRng) -> Vec<PhysicalStructure> {
         use rand::Rng;
         let mut out = Vec::new();
@@ -1094,8 +1146,13 @@ mod tests {
                 _ => out.push(structure_on(rng, "d", t)),
             }
         }
-        out.dedup();
-        out
+        let mut pool: Vec<PhysicalStructure> = Vec::new();
+        for s in out {
+            if !pool.contains(&s) {
+                pool.push(s);
+            }
+        }
+        pool
     }
 
     #[test]
@@ -1106,14 +1163,23 @@ mod tests {
         let server = server_with_rows(4_000);
         let target = dta_server::TuningTarget::Single(&server);
         let items = derivable_workload();
+        let joins: Vec<bool> = items
+            .iter()
+            .map(
+                |item| matches!(&item.statement, dta_sql::Statement::Select(q) if q.from.len() > 1),
+            )
+            .collect();
         let mut rng = StdRng::seed_from_u64(0x0de2_1ed0);
         // outcomes seen, so the test cannot pass by never reaching a branch
         let (mut derived, mut dml, mut ties, mut called) = (0, 0, 0, 0);
+        let (mut derived_joins, mut probing_added, mut rewritten) = (0, 0, vec![0; items.len()]);
         let mut per_mode = [0; 3];
+        let mut per_item = vec![0; items.len()];
         for round in 0..40 {
             // bases on the statements' tables and elsewhere, clusterings,
-            // partitionings and views included
-            let base: Configuration = (0..rng.gen_range(0..5usize))
+            // partitionings and views included, and every other one with
+            // the views that answer the last two statements
+            let mut base: Configuration = (0..rng.gen_range(0..5usize))
                 .map(|_| match rng.gen_range(0..3) {
                     0 => random_structure(&mut rng),
                     _ => {
@@ -1122,6 +1188,9 @@ mod tests {
                     }
                 })
                 .collect();
+            if round % 2 == 0 {
+                base.extend(answering_views().map(StructureHandle::new));
+            }
             let pool: Vec<StructureHandle> =
                 derivable_candidates(&mut rng).into_iter().map(StructureHandle::new).collect();
             // Greedy's order: the singletons, then pairs and triples
@@ -1170,8 +1239,16 @@ mod tests {
                         }
                         derived += 1;
                         per_mode[m] += 1;
+                        per_item[i] += 1;
                         dml +=
                             usize::from(!matches!(item.statement, dta_sql::Statement::Select(_)));
+                        derived_joins += usize::from(joins[i]);
+                        rewritten[i] += usize::from(want.to_string().contains("ViewScan"));
+                        let mut inners = Vec::new();
+                        probed(&want.root, &mut inners);
+                        probing_added += usize::from(
+                            members.iter().any(|h| inners.iter().any(|n| **n == **h.name())),
+                        );
                         // a tie the order decided: the planner, given the
                         // structures in reverse, reads another at one cost
                         let reversed: Configuration =
@@ -1187,8 +1264,24 @@ mod tests {
                 }
             }
         }
-        for seen in [derived, dml, ties, called, per_mode[0], per_mode[1], per_mode[2]] {
-            assert!(seen > 50, "{derived} {dml} {ties} {called} {per_mode:?}");
+        let seen = format!(
+            "{derived} {dml} {ties} {called} {derived_joins} {probing_added} {per_mode:?} \
+             {per_item:?} {rewritten:?}"
+        );
+        for count in
+            [derived, dml, ties, called, derived_joins, per_mode[0], per_mode[1], per_mode[2]]
+        {
+            assert!(count > 50, "{seen}");
+        }
+        assert!(probing_added > 0, "{seen}");
+        let insert =
+            items.iter().position(|item| matches!(item.statement, dta_sql::Statement::Insert(_)));
+        for (i, &n) in per_item.iter().enumerate() {
+            assert_eq!(n > 0, Some(i) != insert, "statement {i} derived {n} times: {seen}");
+        }
+        // the last two statements' derived plans read a view
+        for &n in rewritten.iter().rev().take(2) {
+            assert!(n > 0, "{seen}");
         }
     }
 

@@ -32,9 +32,10 @@
 //!   configuration;
 //! * **derived costs** — a cost the evaluator finishes from recorded
 //!   access paths instead of a what-if call must be the cost, bit for
-//!   bit, and the used structures, name for name, that planning the same
-//!   projection gives.
+//!   bit, the used structures, name for name, and the access paths
+//!   picked, binding for binding, that planning the same projection gives.
 
+use dta_optimizer::Picks;
 use std::sync::Arc;
 
 /// `true` in debug builds, `false` in `--release`.
@@ -111,16 +112,17 @@ pub fn check_reference_cost(reference: f64, cached: Option<f64>, statement: usiz
     }
 }
 
-/// A derived cost and the structures its plan uses must be exactly what
-/// planning the statement under the same projection gives (`planned`;
-/// `None` when planning fails).
+/// A derived cost, the structures its plan uses and the access paths it
+/// picked must be exactly what planning the statement under the same
+/// projection gives (`planned`; `None` when planning fails).
 #[inline(always)]
 pub fn check_derived(
-    derived: (f64, &[Arc<str>]),
-    planned: Option<(f64, &[Arc<str>])>,
+    derived: (f64, &[Arc<str>], Picks),
+    planned: Option<(f64, &[Arc<str>], Picks)>,
     statement: usize,
 ) {
-    let bits = |(cost, used): (f64, &[Arc<str>])| (cost.to_bits(), used.to_vec());
+    let bits =
+        |(cost, used, picks): (f64, &[Arc<str>], Picks)| (cost.to_bits(), used.to_vec(), picks);
     if ENABLED && planned.map(bits) != Some(bits(derived)) {
         violation(
             "derived-cost",
@@ -163,7 +165,8 @@ mod tests {
         check_fingerprint(42, 42, 0);
         check_reference_cost(1.5, Some(1.5), 0);
         let used: [Arc<str>; 1] = [Arc::from("ix")];
-        check_derived((2.5, &used), Some((2.5, &used)), 0);
+        let picks = Picks::from_slice(&[0, 1]);
+        check_derived((2.5, &used, picks), Some((2.5, &used, picks)), 0);
         check_shards(3, 3, 2);
     }
 
@@ -205,7 +208,16 @@ mod tests {
         #[should_panic(expected = "derived-cost")]
         fn a_derived_cost_planning_disagrees_with_trips() {
             let (one, other): ([Arc<str>; 1], [Arc<str>; 1]) = ([Arc::from("a")], [Arc::from("b")]);
-            check_derived((2.5, &one), Some((2.5, &other)), 4);
+            let picks = Picks::from_slice(&[1]);
+            check_derived((2.5, &one, picks), Some((2.5, &other, picks)), 4);
+        }
+
+        #[test]
+        #[should_panic(expected = "derived-cost")]
+        fn a_derived_pick_planning_disagrees_with_trips() {
+            let used: [Arc<str>; 1] = [Arc::from("a")];
+            let (derived, planned) = (Picks::from_slice(&[0, 1]), Picks::from_slice(&[0, 2]));
+            check_derived((2.5, &used, derived), Some((2.5, &used, planned)), 4);
         }
 
         #[test]

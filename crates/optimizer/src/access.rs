@@ -121,6 +121,9 @@ pub(crate) struct AccessChoice<'a> {
     pub ordered_by: Option<&'a Index>,
     /// Partitioning the output retains, if any.
     pub partitioned_on: Option<&'a RangePartitioning>,
+    /// Where [`Picks`] records the path: [`Picks::SCAN`] for the scan, `p`
+    /// for the `p`-th index on the table (`u8::MAX` past the 254th).
+    pub position: u8,
 }
 
 impl AccessChoice<'_> {
@@ -226,20 +229,27 @@ pub(crate) fn leaf_width(t: &PreparedTable, index: &Index) -> u32 {
         + dta_physical::sizing::ROW_OVERHEAD_BYTES
 }
 
+/// The indexes on the binding's table, in configuration order, each with
+/// its position as [`Picks`] records it.
+fn indexes<'a>(
+    ctx: &PlanContext<'a>,
+    t: &PreparedTable,
+) -> impl Iterator<Item = (&'a StructureHandle, &'a Index, u8)> {
+    let positions = (1..u8::MAX).chain(std::iter::repeat(u8::MAX));
+    ctx.config.index_handles_on_key(t.facts.key).zip(positions).map(|((h, ix), p)| (h, ix, p))
+}
+
 /// What a binding's table has besides its non-clustered indexes: the
 /// clustered index, if any, and the partitioning its scans see.
 struct TableLayout<'a> {
-    clustered: Option<(&'a StructureHandle, &'a Index)>,
+    clustered: Option<(&'a StructureHandle, &'a Index, u8)>,
     partitioning: Option<&'a RangePartitioning>,
 }
 
 impl<'a> TableLayout<'a> {
     fn of(ctx: &PlanContext<'a>, t: &PreparedTable) -> Self {
         Self {
-            clustered: ctx
-                .config
-                .index_handles_on_key(t.facts.key)
-                .find(|(_, i)| i.kind == IndexKind::Clustered),
+            clustered: indexes(ctx, t).find(|(_, i, _)| i.kind == IndexKind::Clustered),
             partitioning: ctx.config.effective_table_partitioning_key(t.facts.key),
         }
     }
@@ -255,17 +265,18 @@ impl<'a> TableLayout<'a> {
             cost: io + cpu * CPU_W,
             // partitioned scans deliver no global order
             ordered_by: if self.partitioning.is_none() {
-                self.clustered.map(|(_, ci)| ci)
+                self.clustered.map(|(_, ci, _)| ci)
             } else {
                 None
             },
             partitioned_on: self.partitioning,
+            position: Picks::SCAN,
         }
     }
 
     /// The clustered index seek, when a sarg leads the clustered key.
     fn clustered_seek(&self, t: &PreparedTable) -> Option<AccessChoice<'a>> {
-        let (handle, ci) = self.clustered?;
+        let (handle, ci, position) = self.clustered?;
         let (seek_len, seek_sel) = seek_prefix(t, ci);
         if seek_len == 0 {
             return None;
@@ -283,17 +294,18 @@ impl<'a> TableLayout<'a> {
             cost: io + scanned * CPU_W,
             ordered_by: if ci.partitioning.is_none() { Some(ci) } else { None },
             partitioned_on: ci.partitioning.as_ref(),
+            position,
         })
     }
 }
 
-/// The path through one non-clustered index: a seek when a sarg leads its
-/// key, else a scan when it covers the binding, else none.
+/// The path through one non-clustered index, at `position` among the
+/// table's: a seek when a sarg leads its key, else a scan when it covers
+/// the binding, else none.
 fn index_access<'a>(
     ctx: &PlanContext<'a>,
     t: &PreparedTable,
-    handle: &'a StructureHandle,
-    ix: &'a Index,
+    (handle, ix, position): (&'a StructureHandle, &'a Index, u8),
 ) -> Option<AccessChoice<'a>> {
     let rows = t.facts.rows;
     let covering = ix.covers(&t.required);
@@ -330,6 +342,7 @@ fn index_access<'a>(
             cost: io + matched * CPU_W,
             ordered_by: if ix.partitioning.is_none() && covering { Some(ix) } else { None },
             partitioned_on: ix.partitioning.as_ref(),
+            position,
         }
     } else {
         // covering scan of a narrower structure
@@ -341,36 +354,31 @@ fn index_access<'a>(
             cost: io + cpu * CPU_W,
             ordered_by: if ix.partitioning.is_none() { Some(ix) } else { None },
             partitioned_on: ix.partitioning.as_ref(),
+            position,
         }
     })
 }
 
-/// The non-clustered indexes on the binding's table, in configuration
-/// order.
-fn non_clustered<'a>(
-    ctx: &PlanContext<'a>,
-    t: &PreparedTable,
-) -> impl Iterator<Item = (&'a StructureHandle, &'a Index)> {
-    ctx.config
-        .index_handles_on_key(t.facts.key)
-        .filter(|(_, ix)| ix.kind == IndexKind::NonClustered)
-}
-
-/// Cost every access path of one table binding, in a fixed order: the
-/// heap (or clustered) scan, the clustered seek, then each non-clustered
-/// index in configuration order.
+/// Cost every access path of one table binding at a position `wanted`
+/// holds ([`AccessChoice::position`]), in a fixed order: the heap (or
+/// clustered) scan, the clustered seek, then each non-clustered index in
+/// configuration order.
 pub(crate) fn for_each_access<'a>(
     ctx: &PlanContext<'a>,
     t: &PreparedTable,
+    wanted: impl Fn(u8) -> bool,
     mut visit: impl FnMut(AccessChoice<'a>),
 ) {
     let layout = TableLayout::of(ctx, t);
-    visit(layout.scan(ctx, t));
-    if let Some(seek) = layout.clustered_seek(t) {
+    if wanted(Picks::SCAN) {
+        visit(layout.scan(ctx, t));
+    }
+    if let Some(seek) = layout.clustered_seek(t).filter(|s| wanted(s.position)) {
         visit(seek);
     }
-    for (handle, ix) in non_clustered(ctx, t) {
-        if let Some(choice) = index_access(ctx, t, handle, ix) {
+    let non_clustered = indexes(ctx, t).filter(|(_, ix, _)| ix.kind == IndexKind::NonClustered);
+    for index in non_clustered.filter(|&(_, _, p)| wanted(p)) {
+        if let Some(choice) = index_access(ctx, t, index) {
             visit(choice);
         }
     }
@@ -387,73 +395,116 @@ fn displaces(best: Option<f64>, cost: f64) -> bool {
 /// cheap ones). The heap scan is always available.
 pub(crate) fn best_access<'a>(ctx: &PlanContext<'a>, t: &PreparedTable) -> AccessChoice<'a> {
     let mut best: Option<AccessChoice<'a>> = None;
-    for_each_access(ctx, t, |choice| {
-        if displaces(best.map(|b| b.cost), choice.cost) {
-            best = Some(choice);
-        }
-    });
+    for_each_access(
+        ctx,
+        t,
+        |_| true,
+        |choice| {
+            if displaces(best.map(|b| b.cost), choice.cost) {
+                best = Some(choice);
+            }
+        },
+    );
     best.expect("the heap scan is always among the access paths")
 }
 
-/// Which access path a plan of a one-table statement reads its table by:
-/// what [`crate::derive_prepared`] finishes a plan from. Read off a plan
-/// with [`crate::Plan::access`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessRecord {
-    /// The name of the index the path reads; `None` for the heap (or
-    /// clustered) scan.
-    pub index: Option<Arc<str>>,
-}
+/// Which access path the planner read each table binding of a statement
+/// by: per binding, in planning order — a SELECT's tables as bound, an
+/// UPDATE's or DELETE's target — one byte, [`Picks::SCAN`] for the heap
+/// (or clustered) scan and `p` for the `p`-th index the configuration
+/// holds on the binding's table. Recorded by the pick itself, so a path an
+/// index-nested-loop probe or a view rewrite keeps out of the plan tree is
+/// recorded too; [`crate::derive_prepared`] plans from such records. Held
+/// inline for up to [`Picks::MAX`] bindings; a statement with more, or a
+/// path past position 254, records nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Picks([u8; Picks::MAX]);
 
-impl AccessRecord {
-    /// The record of a path reading by `method`.
-    pub(crate) fn of(method: &AccessMethod) -> Self {
-        Self { index: method.handle().map(|h| Arc::clone(h.name())) }
+impl Picks {
+    /// The most bindings a record holds.
+    pub const MAX: usize = 8;
+    /// The position of the heap (or clustered) scan.
+    pub const SCAN: u8 = 0;
+    /// Marks the slots past the last binding recorded.
+    const UNSET: u8 = u8::MAX;
+    /// No record.
+    pub const NONE: Self = Self([Self::UNSET; Self::MAX]);
+
+    /// The record of `positions`, one per binding; [`Picks::NONE`] when
+    /// there are more than [`Picks::MAX`] or one is past position 254.
+    pub fn from_slice(positions: &[u8]) -> Self {
+        let mut record = Recording::default();
+        for &p in positions {
+            record.push(p);
+        }
+        record.finish()
     }
 
-    /// Whether this records the path through `index` (`None`: the scan).
-    pub fn reads(&self, index: Option<&StructureHandle>) -> bool {
-        match (&self.index, index) {
-            (None, None) => true,
-            (Some(n), Some(h)) => n == h.name(),
-            _ => false,
+    /// The positions recorded, one per binding; empty for no record.
+    pub fn as_slice(&self) -> &[u8] {
+        let len = self.0.iter().position(|&p| p == Self::UNSET).unwrap_or(Self::MAX);
+        self.0.get(..len).unwrap_or_default()
+    }
+}
+
+/// [`Picks`] as the planner makes them, binding by binding.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Recording {
+    picks: [u8; Picks::MAX],
+    /// Bindings recorded; past [`Picks::MAX`] once one could not be.
+    len: usize,
+}
+
+impl Default for Recording {
+    fn default() -> Self {
+        Self { picks: [Picks::UNSET; Picks::MAX], len: 0 }
+    }
+}
+
+impl Recording {
+    /// Record the next binding's position; one past 254, or a binding
+    /// past [`Picks::MAX`], loses the record.
+    pub(crate) fn push(&mut self, position: u8) {
+        match self.picks.get_mut(self.len) {
+            Some(slot) if position != Picks::UNSET => {
+                *slot = position;
+                self.len += 1;
+            }
+            _ => self.len = Picks::MAX + 1,
+        }
+    }
+
+    pub(crate) fn finish(self) -> Picks {
+        if self.len > Picks::MAX {
+            Picks::NONE
+        } else {
+            Picks(self.picks)
         }
     }
 }
 
-/// What [`best_access`] picks when `recorded` holds every path it could
-/// pick: the first of the cheapest recorded paths, in the order
-/// [`for_each_access`] visits them, compared as [`best_access`]
-/// compares. Only the recorded paths are costed. `None` when a recorded
-/// path is not one the configuration offers.
+/// What [`best_access`] picks when the recorded paths — `first` and
+/// `more`, distinct positions as [`Picks`] records them — hold every path
+/// it could pick: the first of the cheapest recorded paths, in the order
+/// [`for_each_access`] visits them, compared as [`best_access`] compares.
+/// Only the recorded paths are costed. `None` when a recorded path is not
+/// one the configuration offers.
 pub(crate) fn recorded_access<'a>(
     ctx: &PlanContext<'a>,
     t: &PreparedTable,
-    recorded: &[AccessRecord],
+    first: u8,
+    more: impl Iterator<Item = u8> + Clone,
 ) -> Option<AccessChoice<'a>> {
-    let distinct = recorded
-        .iter()
-        .enumerate()
-        .filter(|&(k, r)| !recorded.iter().take(k).any(|o| o == r))
-        .count();
-    let layout = TableLayout::of(ctx, t);
-    let is_recorded = |index| recorded.iter().any(|r| r.reads(index));
-    let scan = is_recorded(None).then(|| Some(layout.scan(ctx, t)));
-    let seek =
-        layout.clustered.filter(|&(h, _)| is_recorded(Some(h))).map(|_| layout.clustered_seek(t));
-    let indexes = non_clustered(ctx, t).filter(|&(h, _)| is_recorded(Some(h)));
-    let paths =
-        scan.into_iter().chain(seek).chain(indexes.map(|(h, ix)| index_access(ctx, t, h, ix)));
+    let recorded = |p: u8| p != u8::MAX && (p == first || more.clone().any(|q| q == p));
     let (mut found, mut best): (usize, Option<AccessChoice<'a>>) = (0, None);
-    for path in paths {
-        // a recorded path the configuration does not offer
-        let path = path?;
+    for_each_access(ctx, t, recorded, |path| {
         found += 1;
         if displaces(best.map(|b| b.cost), path.cost) {
             best = Some(path);
         }
-    }
-    best.filter(|_| found == distinct)
+    });
+    // fewer found: a recorded path the configuration does not offer
+    best.filter(|_| found == 1 + more.count())
 }
 
 #[cfg(test)]
@@ -482,10 +533,15 @@ mod tests {
         let prep = prepare(&cat, &stats, &sizes, sql);
         let (ctx, t) = (prep.context(config), &prep.select().tables[0]);
         let mut out = Vec::new();
-        for_each_access(&ctx, t, |c| {
-            let order = c.ordered_by.map_or(0, |ix| KeyOrder::of(&t.binding, ix).len());
-            out.push((c.materialize(&ctx, t), order, c.partitioned_on.is_some()));
-        });
+        for_each_access(
+            &ctx,
+            t,
+            |_| true,
+            |c| {
+                let order = c.ordered_by.map_or(0, |ix| KeyOrder::of(&t.binding, ix).len());
+                out.push((c.materialize(&ctx, t), order, c.partitioned_on.is_some()));
+            },
+        );
         // the planner's pick is the cheapest of them
         let best = best_access(&ctx, t).materialize(&ctx, t);
         assert!(out.iter().all(|(a, _, _)| best.est_cost <= a.est_cost));

@@ -217,7 +217,7 @@ fn picked<'j>(
 
 /// The stream a SELECT over the one table binding `t` starts from: `t`
 /// read by `access`, and what the join of one table is.
-pub(crate) fn one_table<'a>(
+fn one_table<'a>(
     ctx: &PlanContext<'a>,
     q: &PreparedSelect,
     t: &'a PreparedTable,

@@ -57,7 +57,7 @@ pub mod selectivity;
 pub mod views;
 pub mod whatif;
 
-pub use access::AccessRecord;
+pub use access::Picks;
 pub use hardware::HardwareParams;
 pub use plan::{Plan, PlanNode};
 pub use prepared::{PreparedStatement, ViewUse};

@@ -11,7 +11,7 @@
 //! reference-counted strings and slices the statement's preparation
 //! owns. Building a plan allocates its nodes and little else.
 
-use crate::access::AccessRecord;
+use crate::access::Picks;
 use crate::query::{BoundColumn, JoinPred, Sarg};
 use dta_physical::{Index, StructureHandle};
 use std::fmt;
@@ -449,21 +449,44 @@ impl fmt::Display for PlanNode {
 }
 
 /// A complete plan for one statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Plan {
     pub root: PlanNode,
     /// Total estimated cost in work units.
     pub cost: f64,
     /// Estimated output (or affected) rows.
     pub est_rows: f64,
+    /// The access path the planner picked for each table binding.
+    picks: Picks,
+}
+
+/// Plans are equal when their trees and estimates are: the picks record
+/// how a plan was searched for, and a plan built from a tree records none.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.root == other.root && self.cost == other.cost && self.est_rows == other.est_rows
+    }
 }
 
 impl Plan {
     /// Wrap a root node.
     pub fn new(root: PlanNode) -> Self {
+        Self::picked(root, Picks::NONE)
+    }
+
+    /// Wrap a root node the planner built reading each table binding by
+    /// the path `picks` records.
+    pub(crate) fn picked(root: PlanNode, picks: Picks) -> Self {
         let cost = root.est_cost();
         let est_rows = root.est_rows();
-        Self { root, cost, est_rows }
+        Self { root, cost, est_rows, picks }
+    }
+
+    /// The access path the planner picked for each table binding, also
+    /// where the plan tree does not show it: an index-nested-loop inner,
+    /// or a binding a view rewrite answers. [`Picks::NONE`] for an INSERT.
+    pub fn picks(&self) -> Picks {
+        self.picks
     }
 
     /// Names of structures the plan uses.
@@ -474,31 +497,6 @@ impl Plan {
     /// [`Self::used_structures`] as shared names.
     pub fn used_names(&self) -> Box<[Arc<str>]> {
         self.root.used_names()
-    }
-
-    /// The access path the plan reads its one table by: the table access
-    /// under the plan's chain of one-input operators (an UPDATE's or
-    /// DELETE's locating access included).
-    /// `None` when that chain ends in a join or a view scan, or the plan
-    /// is an INSERT. For a one-table statement this is the path the
-    /// planner picked for its base plan.
-    pub fn access(&self) -> Option<AccessRecord> {
-        let mut node = &self.root;
-        loop {
-            node = match node {
-                PlanNode::Access(a) => return Some(AccessRecord::of(&a.method)),
-                PlanNode::HashAggregate { input, .. }
-                | PlanNode::StreamAggregate { input, .. }
-                | PlanNode::Sort { input, .. }
-                | PlanNode::Top { input, .. }
-                | PlanNode::Update { access: input, .. }
-                | PlanNode::Delete { access: input, .. } => input,
-                PlanNode::ViewScan { .. }
-                | PlanNode::HashJoin { .. }
-                | PlanNode::IndexNLJoin { .. }
-                | PlanNode::Insert { .. } => return None,
-            };
-        }
     }
 }
 

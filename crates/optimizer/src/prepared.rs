@@ -577,17 +577,17 @@ pub(crate) enum Prepared {
 }
 
 impl Prepared {
-    /// The one table binding of a SELECT over one, or of an UPDATE or
-    /// DELETE: what [`crate::derive_prepared`] plans from recorded paths.
-    pub(crate) fn one_table(&self) -> Option<&PreparedTable> {
+    /// The table bindings the planner picks an access path for, in the
+    /// order it picks them ([`crate::Picks`]): a SELECT's tables as bound,
+    /// an UPDATE's or DELETE's target; none for an INSERT.
+    pub(crate) fn bindings(&self) -> &[PreparedTable] {
         match self {
-            Prepared::Select(q) => match q.tables.as_slice() {
-                [t] => Some(t),
-                _ => None,
-            },
+            Prepared::Select(q) => &q.tables,
             Prepared::Dml(d) => match d.dml {
-                BoundDml::Update { .. } | BoundDml::Delete { .. } => Some(&d.target),
-                BoundDml::Insert { .. } => None,
+                BoundDml::Update { .. } | BoundDml::Delete { .. } => {
+                    std::slice::from_ref(&d.target)
+                }
+                BoundDml::Insert { .. } => &[],
             },
         }
     }
@@ -712,11 +712,13 @@ impl PreparedStatement {
         }
     }
 
-    /// Whether the statement binds and is a SELECT over one table binding,
-    /// an UPDATE or a DELETE: whether [`crate::derive_prepared`] can plan
-    /// it.
-    pub fn derivable(&self) -> bool {
-        self.body.as_ref().is_ok_and(|b| b.one_table().is_some())
+    /// The [`table_key`] of each table binding the planner picks an access
+    /// path for, in the order [`crate::Picks`] records them: what
+    /// [`crate::derive_prepared`] plans from. Empty for an INSERT and for
+    /// a statement that does not bind.
+    pub fn binding_keys(&self) -> Vec<u64> {
+        let bindings = self.body.as_ref().map_or(&[][..], Prepared::bindings);
+        bindings.iter().map(|t| t.facts.key).collect()
     }
 
     /// Which materialized views can change the statement's plan, of those

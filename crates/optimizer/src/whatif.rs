@@ -13,11 +13,12 @@
 //! configurations prepares once; `optimize` does both for a single call.
 
 use crate::access::{
-    best_access, recorded_access, AccessRecord, KeyOrder, Partitioned, PlanContext, CPU_W,
+    best_access, recorded_access, AccessChoice, KeyOrder, Partitioned, Picks, PlanContext,
+    Recording, CPU_W,
 };
 use crate::dml::plan_dml;
 use crate::hardware::HardwareParams;
-use crate::join::{one_table, plan_joins, JoinResult};
+use crate::join::{plan_joins, JoinResult};
 use crate::plan::{Plan, PlanNode};
 use crate::prepared::{
     standalone_view_rows, Prepared, PreparedSelect, PreparedStatement, PreparedTable, Sources,
@@ -80,42 +81,74 @@ impl<'a> WhatIfOptimizer<'a> {
 }
 
 /// Plan a prepared statement under a hypothetical configuration: the
-/// estimated best plan as if the configuration were materialized.
+/// estimated best plan as if the configuration were materialized. The
+/// plan records the path it picked for each table binding
+/// ([`Plan::picks`]).
 pub fn optimize_prepared(
     prep: &PreparedStatement,
     config: &Configuration,
 ) -> Result<Plan, BindError> {
     let ctx = prep.context(config);
-    let mut pick = |t: &PreparedTable| best_access(&ctx, t);
-    let root = match prep.body()? {
-        Prepared::Select(q) => plan_select(&ctx, q, plan_joins(&ctx, q, &mut pick)),
-        Prepared::Dml(d) => plan_dml(&ctx, d, &mut pick),
-    };
-    Ok(Plan::new(root))
+    Ok(plan_body(&ctx, prep.body()?, |t| best_access(&ctx, t)))
 }
 
-/// Plan a one-table SELECT, UPDATE or DELETE under `config` as
-/// [`optimize_prepared`] does, but read its table by the path
-/// [`best_access`] would pick when `recorded` holds every path it could:
-/// the first of the cheapest recorded paths in configuration order. Only
-/// the recorded paths are costed and no join is ordered; the rest of the
-/// plan — grouping, order, TOP and view rewrites, or the maintenance sum
-/// — is the planner's own. `None` for any other statement, or when a
-/// recorded path is not one `config` offers.
+/// Plan a SELECT, UPDATE or DELETE under `config` as [`optimize_prepared`]
+/// does, but read each table binding by the path [`best_access`] would
+/// pick when the recorded paths hold every path it could: the first of the
+/// cheapest recorded paths in configuration order. A binding's recorded
+/// paths are its pick in `base` and the position under `config` of each
+/// index in `wins` whose binding mask holds it (bit `b` for the `b`-th
+/// binding, in the order [`crate::Picks`] records them). Only the recorded
+/// paths are costed; the rest of the plan — join order, hash and
+/// index-nested-loop costing with their probes, grouping, order, TOP and
+/// view rewrites, or the maintenance sum — is the planner's own. `None`
+/// for an INSERT, when `base` records another number of bindings, or when
+/// a recorded path is not one `config` offers.
 pub fn derive_prepared(
     prep: &PreparedStatement,
     config: &Configuration,
-    recorded: &[AccessRecord],
+    base: Picks,
+    wins: impl Iterator<Item = (u8, u8)> + Clone,
 ) -> Option<Plan> {
     let ctx = prep.context(config);
     let body = prep.body().ok()?;
-    let t = body.one_table()?;
-    let access = recorded_access(&ctx, t, recorded)?;
-    let root = match body {
-        Prepared::Select(q) => plan_select(&ctx, q, one_table(&ctx, q, t, access)),
-        Prepared::Dml(d) => plan_dml(&ctx, d, &mut |_| access),
+    let bindings = body.bindings();
+    if bindings.is_empty() || bindings.len() != base.as_slice().len() {
+        return None;
+    }
+    // the planner picks once per binding, in binding order
+    let mut first = base.as_slice().iter().enumerate();
+    let mut offered = true;
+    let plan = plan_body(&ctx, body, |t| {
+        let (b, &first) = first.next().expect("one recorded pick per binding");
+        let won = wins.clone().filter(move |&(_, mask)| mask >> b & 1 == 1);
+        recorded_access(&ctx, t, first, won.map(|(p, _)| p)).unwrap_or_else(|| {
+            // a recorded path the configuration does not offer
+            offered = false;
+            best_access(&ctx, t)
+        })
+    });
+    offered.then_some(plan)
+}
+
+/// Plan `body`, reading each table binding by the path `pick` chooses
+/// for it, and record what it chose.
+fn plan_body<'a>(
+    ctx: &PlanContext<'a>,
+    body: &'a Prepared,
+    mut pick: impl FnMut(&PreparedTable) -> AccessChoice<'a>,
+) -> Plan {
+    let mut picks = Recording::default();
+    let mut recorded = |t: &PreparedTable| {
+        let choice = pick(t);
+        picks.push(choice.position);
+        choice
     };
-    Some(Plan::new(root))
+    let root = match body {
+        Prepared::Select(q) => plan_select(ctx, q, plan_joins(ctx, q, &mut recorded)),
+        Prepared::Dml(d) => plan_dml(ctx, d, &mut recorded),
+    };
+    Plan::picked(root, picks.finish())
 }
 
 /// Plan a SELECT end to end from its base plan — the join of its tables
@@ -279,7 +312,8 @@ mod tests {
     use crate::provider::FixedSizes;
     use dta_catalog::{Column, ColumnType, Database, Table, Value};
     use dta_physical::{
-        Index, PhysicalStructure, QualifiedColumn, RangePartitioning, ViewAggregate,
+        Index, PhysicalStructure, QualifiedColumn, RangePartitioning, StructureHandle,
+        ViewAggregate,
     };
     use dta_sql::parse_statement;
     use dta_stats::histogram::Histogram;
@@ -528,5 +562,81 @@ mod tests {
             &Configuration::new(),
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn recorded_picks_are_each_bindings_best_access() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (cat, st, sz) = (catalog(), stats(), sizes());
+        let opt = WhatIfOptimizer::new(&cat, &st, &sz, HardwareParams::default());
+        let statements = [
+            "SELECT a FROM t WHERE x < 10",
+            "SELECT t.a, u.v FROM t, u WHERE t.x = u.k AND t.a = 5",
+            "SELECT p.a FROM t p, t q WHERE p.x = q.a AND q.x < 3",
+            "SELECT u.v FROM t, u WHERE t.a = u.k AND t.x = 7 AND t.a = 3",
+            "SELECT a, COUNT(*) FROM t WHERE x < 10 GROUP BY a",
+            "UPDATE t SET a = 1 WHERE x = 4",
+            "DELETE FROM u WHERE k = 3",
+            "INSERT INTO u VALUES (1, 2)",
+        ]
+        .map(|sql| opt.prepare("db", &parse_statement(sql).unwrap()));
+        let scheme = || RangePartitioning::new("x", (1..10).map(|i| Value::Int(i * 100)).collect());
+        let mut rng = StdRng::seed_from_u64(0x91c5);
+        // outcomes seen: index picks of a join, plans that hide a pick
+        let (mut joined_indexes, mut hidden) = (0, 0);
+        for round in 0..300 {
+            let mut config = Configuration::new();
+            for _ in 0..rng.gen_range(0..6) {
+                let (table, columns) = [("t", ["a", "x"]), ("u", ["k", "v"])][rng.gen_range(0..2)];
+                let key = [columns[rng.gen_range(0..2)]];
+                let structure = match rng.gen_range(0..10) {
+                    0..=5 => {
+                        let included = &columns[..rng.gen_range(0..2)];
+                        PhysicalStructure::Index(Index::non_clustered("db", table, &key, included))
+                    }
+                    6 => PhysicalStructure::Index(Index::clustered("db", table, &key)),
+                    7 => PhysicalStructure::TablePartitioning {
+                        database: "db".into(),
+                        table: "t".into(),
+                        scheme: scheme(),
+                    },
+                    8 => PhysicalStructure::Index(
+                        Index::non_clustered("db", "t", &["x"], &["a"]).partitioned(scheme()),
+                    ),
+                    _ => PhysicalStructure::View(MaterializedView::grouped(
+                        "db",
+                        &["t"],
+                        vec![],
+                        vec![QualifiedColumn::new("t", "a")],
+                        vec![ViewAggregate::count_star()],
+                    )),
+                };
+                config.extend([StructureHandle::new(structure)]);
+            }
+            for prep in &statements {
+                let plan = optimize_prepared(prep, &config).unwrap();
+                let ctx = prep.context(&config);
+                let bindings = prep.body().unwrap().bindings();
+                let best: Vec<u8> =
+                    bindings.iter().map(|t| best_access(&ctx, t).position).collect();
+                let context = format!("round {round}: {config}{plan}");
+                assert_eq!(plan.picks().as_slice(), &best[..], "{context}");
+                if bindings.len() > 1 {
+                    joined_indexes += best.iter().filter(|&&p| p != Picks::SCAN).count();
+                }
+                let text = plan.to_string();
+                hidden += usize::from(text.contains("ViewScan") || text.contains("IndexNLJoin"));
+                // the plan finished from the picks alone is the plan
+                match derive_prepared(prep, &config, plan.picks(), std::iter::empty()) {
+                    Some(derived) => {
+                        assert_eq!(derived.cost.to_bits(), plan.cost.to_bits(), "{context}");
+                        assert_eq!(derived.to_string(), text, "{context}");
+                        assert_eq!(derived.picks(), plan.picks(), "{context}");
+                    }
+                    None => assert!(bindings.is_empty(), "{context}"),
+                }
+            }
+        }
+        assert!(joined_indexes > 100 && hidden > 100, "{joined_indexes} {hidden}");
     }
 }

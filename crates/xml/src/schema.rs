@@ -3,7 +3,7 @@
 use crate::xml::{parse_document, XmlError, XmlNode, XmlWriter};
 use dta_catalog::Value;
 use dta_core::candidates::ItemSelection;
-use dta_core::cost::CacheExport;
+use dta_core::cost::{CacheExport, Picks};
 use dta_core::enumeration::EnumerationResume;
 use dta_core::greedy::{GreedyCursor, GreedySnapshot};
 use dta_core::supervisor::{FinishedSession, FleetManifest, TenantManifest, TenantStatus};
@@ -62,6 +62,24 @@ fn parse_bits(node: &XmlNode, attr: &str) -> Result<f64, SchemaError> {
     u64::from_str_radix(raw, 16)
         .map(f64::from_bits)
         .map_err(|_| invalid(format!("bad float bits '{raw}' in '{attr}'")))
+}
+
+/// A cache entry's `picks` list: a typed error for a token that is not a
+/// number, and unrecorded when absent (a checkpoint written before entries
+/// recorded every binding's pick, whose `access` record is not read) or
+/// malformed — a number past the 254 positions a pick can hold, or more
+/// picks than a record holds ([`Picks::from_slice`]). The evaluator reads
+/// a list of another length than its statement's bindings as unrecorded
+/// too.
+fn parse_picks(node: &XmlNode) -> Result<Picks, SchemaError> {
+    let Some(raw) = node.attr("picks") else { return Ok(Picks::NONE) };
+    let mut picks = Vec::new();
+    for token in raw.split_whitespace() {
+        let p: u64 = token.parse().map_err(|_| invalid(format!("bad pick '{token}'")))?;
+        picks.push(u8::try_from(p).ok());
+    }
+    let picks: Option<Vec<u8>> = picks.into_iter().collect();
+    Ok(picks.map_or(Picks::NONE, |p| Picks::from_slice(&p)))
 }
 
 fn parse_num<T: std::str::FromStr>(node: &XmlNode, attr: &str) -> Result<T, SchemaError> {
@@ -832,14 +850,12 @@ fn write_checkpoint_into(w: &mut XmlWriter, cp: &SessionCheckpoint) {
             ("costBits", cost.as_str()),
             ("verify", verify.as_str()),
         ];
-        // the access path a derived cost reads: the table scan, or the
-        // index the entry's `Use` list names at that position
-        let access = e.access.map(|a| match a {
-            CacheExport::SCAN => "scan".to_string(),
-            i => i.to_string(),
-        });
-        if let Some(access) = &access {
-            attrs.push(("access", access.as_str()));
+        // the access path a derived cost reads for each table binding: 0
+        // for the table scan, `p` for the `p`-th index on the binding's
+        // table that the statement sees
+        let picks = e.picks.as_slice().iter().map(u8::to_string).collect::<Vec<_>>().join(" ");
+        if !picks.is_empty() {
+            attrs.push(("picks", picks.as_str()));
         }
         if e.epoch != 0 {
             attrs.push(("epoch", epoch.as_str()));
@@ -931,13 +947,12 @@ fn checkpoint_from_node(root: &XmlNode) -> Result<SessionCheckpoint, SchemaError
                 .children_named("Use")
                 .map(|u| u.require_attr("name").map(str::to_string))
                 .collect::<Result<_, _>>()?,
+            // a checkpoint written when entries kept all 64 bits: the low
+            // half, which is what an entry keeps
             verify: u64::from_str_radix(verify, 16)
+                .map(|v| v as u32)
                 .map_err(|_| invalid(format!("bad verify fingerprint '{verify}'")))?,
-            access: match e.attr("access") {
-                Some("scan") => Some(CacheExport::SCAN),
-                Some(_) => Some(parse_num(e, "access")?),
-                None => None,
-            },
+            picks: parse_picks(e)?,
             epoch: match e.attr("epoch") {
                 Some(_) => parse_num(e, "epoch")?,
                 None => 0,
@@ -1375,7 +1390,7 @@ mod tests {
                     cost: 17.375,
                     used_structures: vec!["idx_t_x".into()],
                     verify: 0xfeed,
-                    access: Some(0),
+                    picks: Picks::from_slice(&[2, 0, 1]),
                     epoch: 3,
                 },
                 CacheExport {
@@ -1384,7 +1399,7 @@ mod tests {
                     cost: 2.5,
                     used_structures: Vec::new(),
                     verify: 0,
-                    access: Some(CacheExport::SCAN),
+                    picks: Picks::NONE,
                     epoch: 0,
                 },
             ],
@@ -1408,6 +1423,32 @@ mod tests {
         assert_eq!(back.stage, Stage::Enumeration);
         assert_eq!(back.enumeration.as_ref().unwrap().snapshot.best_set, vec![3, 0, 5]);
         assert_eq!(back.cache[0].fingerprint, 0xdeadbeef12345678);
+    }
+
+    #[test]
+    fn cache_entry_picks_read_as_recorded_unrecorded_or_a_typed_error() {
+        let xml = checkpoint_to_xml(&sample_checkpoint());
+        assert!(xml.contains("picks=\"2 0 1\""), "{xml}");
+        let picks_of = |xml: &str| checkpoint_from_xml(xml).map(|cp| cp.cache[0].picks);
+        // one pick per binding of a join, in planning order
+        assert_eq!(picks_of(&xml).unwrap().as_slice(), [2, 0, 1]);
+        // a pick past the 254 positions a record holds, more picks than
+        // it holds, or an empty list: unrecorded
+        for unrecorded in ["2 300 1", "255", "0 1 2 3 4 5 6 7 8", "", "   "] {
+            let edited = xml.replacen("picks=\"2 0 1\"", &format!("picks=\"{unrecorded}\""), 1);
+            assert_eq!(picks_of(&edited).unwrap(), Picks::NONE, "{unrecorded:?}");
+        }
+        // a token that is no number: a typed error
+        for token in ["2 x 1", "-1", "2,0"] {
+            let bad = xml.replacen("picks=\"2 0 1\"", &format!("picks=\"{token}\""), 1);
+            assert!(matches!(picks_of(&bad), Err(SchemaError::Invalid(_))), "{token:?}");
+        }
+        // a checkpoint written when an entry recorded one path by its
+        // `access` attribute loads, with the record unrecorded
+        for access in ["scan", "0", "7"] {
+            let old = xml.replacen("picks=\"2 0 1\"", &format!("access=\"{access}\""), 1);
+            assert_eq!(picks_of(&old).unwrap(), Picks::NONE, "{access:?}");
+        }
     }
 
     #[test]
