@@ -54,14 +54,17 @@
 //!    hit the singleton's entry, so again only hits go uncounted. Every
 //!    path sums in one workload-order loop;
 //! 5. **Derived costs** — every entry records the access path its plan
-//!    picked for each table binding of a SELECT, UPDATE or DELETE. A miss
-//!    whose projection is the base's plus two or more plain non-clustered
-//!    indexes is priced from the records of the base and of the base plus
-//!    each index alone — per binding, the first of the cheapest recorded
-//!    paths, with the join order, the probes and the rest of the plan the
-//!    planner's — with no what-if call ([`CostEvaluator::derive`]). Such
-//!    a miss is still a miss; only calls, and the work they charge, go
-//!    uncounted.
+//!    picked for each table binding of a SELECT, UPDATE or DELETE, and a
+//!    binding's path depends on its own table's structures alone. So a
+//!    miss is priced with no what-if call when each table it reads has
+//!    its records: the entry of the projection that differs from the base
+//!    on that table alone, less the non-clustered indexes the set added
+//!    there and every view it added, and that entry plus each such index.
+//!    Per binding the planner takes the first of the cheapest recorded
+//!    paths, and the join order, the probes, the view rewrites and the
+//!    rest of the plan are the planner's ([`CostEvaluator::derive`]).
+//!    Such a miss is still a miss; only calls, and the work they charge,
+//!    go uncounted.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -123,7 +126,7 @@
 
 use crate::invariants;
 use crate::obs::{Counter, CounterSet, ShardSnapshot};
-use crate::overlay::{Indexed, Overlay};
+use crate::overlay::{Indexed, Overlay, Slot};
 pub use dta_optimizer::Picks;
 use dta_optimizer::{Plan, PreparedStatement, ViewUse};
 use dta_physical::{
@@ -963,24 +966,31 @@ impl<'a> CostEvaluator<'a> {
     /// from the access paths its cache recorded instead of by a what-if
     /// call.
     ///
-    /// On each table the statement references, its projection of `config`
-    /// must be its projection of `config`'s base — every structure it sees
-    /// there, in the base's order — followed by non-clustered,
-    /// unpartitioned indexes, two or more in all, and it must see no view
-    /// beyond the base's. The base's entry and the entry of the base plus
-    /// each added index alone must have recorded a path for every binding,
-    /// priced before the statement's last serial point ([`Shard::epoch`]),
-    /// and with each added index, every binding of its table must have
-    /// read either the base's path or that index, and every other binding
-    /// the base's path. Then, binding by binding, every path the planner
-    /// could pick under `config` is a recorded one: a path of the base
-    /// that loses there loses here, and an added index's path that does
-    /// not win beside the base's alone cannot win beside more. So the
-    /// first of the cheapest recorded paths, in `config`'s order, is the
-    /// planner's pick, and the planner — join order, probes, grouping and
-    /// view rewrites included — finishes the plan from it
-    /// ([`dta_optimizer::derive_prepared`]), bit for bit. `None` — and a
-    /// what-if call — in every other case.
+    /// A table binding's access path depends on its own table's structures
+    /// alone: the planner prices the joins, the views and every other
+    /// table around the picks. So each table `T` a binding reads is read
+    /// from its own reference: the statement's projection of `config` on
+    /// `T` less `X_T`, the non-clustered indexes the set added there (in
+    /// whatever partitioning alignment gave them), with every other table
+    /// at the base's and no view beyond the base's. `T`'s bindings take
+    /// their paths from the reference's entry, and each index of `X_T` is
+    /// tried beside the reference alone, in the entry of the reference plus
+    /// it. Those entries must have recorded a path for every binding,
+    /// priced before the statement's last serial point ([`Shard::epoch`]);
+    /// no clustered index may be added, and on `T` the reference's indexes
+    /// must lead `X_T`'s, so that a position means one index in all of
+    /// them; and with each index of `X_T`, every binding of `T` must have
+    /// read either the reference's path or that index, and every other
+    /// binding the reference's path. Then, binding by binding, every path
+    /// the planner could pick under `config` is a recorded one: a path of
+    /// the reference that loses there loses here — the clustering and
+    /// partitioning that price the table's paths are the reference's — and
+    /// an added index's path that does not win beside the reference alone
+    /// cannot win beside more. So the first of the cheapest recorded paths,
+    /// in `config`'s order, is the planner's pick, and the planner — join
+    /// order, probes, grouping, view rewrites and maintenance included —
+    /// finishes the plan from it ([`dta_optimizer::derive_prepared`]), bit
+    /// for bit. `None` — and a what-if call — in every other case.
     fn derive(
         shard: &Shard,
         relevant: &Relevance,
@@ -990,20 +1000,28 @@ impl<'a> CostEvaluator<'a> {
         projected: &Configuration,
     ) -> Option<Plan> {
         let bindings = &relevant.bindings;
-        if bindings.is_empty() || config.added_views().iter().any(|(_, v)| relevant.admits(v)) {
+        if bindings.is_empty() {
             return None;
         }
-        let plain = |h: &StructureHandle| {
-            h.as_index()
-                .is_some_and(|ix| ix.kind == IndexKind::NonClustered && ix.partitioning.is_none())
-        };
-        // off the tables the overlay re-lists it holds the base's structures;
-        // on them the base's must lead. The base's fingerprint is `print`
-        // less what follows them, and each added index is listed with its
-        // table, its position among the indexes there, and the position it
-        // has in the base plus it alone.
+        // the tables the bindings read, each once: at most one per binding
+        let mut references = [Reference::default(); Picks::MAX];
+        let mut read = 0;
+        for &table in bindings.iter() {
+            if references.iter().take(read).all(|r| r.table != table) {
+                references.get_mut(read)?.table = table;
+                read += 1;
+            }
+        }
+        let references = references.get_mut(..read)?;
+        // the base's fingerprint is `print` less the views the set added
+        // and less what differs from the base on each re-listed table; each
+        // added index is listed with its reference, its position among the
+        // indexes there, and the position it has in the reference plus it
+        let mut base_print = print;
+        for (_, v) in config.added_views().iter().filter(|(_, v)| relevant.admits(v)) {
+            base_print = base_print.without(v);
+        }
         let base = config.base();
-        let mut reference = print;
         let mut added = Vec::new();
         let mut relisted = config.keys().peekable();
         for (table, &(key, used)) in relevant.tables().iter().enumerate() {
@@ -1012,27 +1030,68 @@ impl<'a> CostEvaluator<'a> {
             if relisted.next_if_eq(&key).is_none() {
                 continue;
             }
-            let mut now = seen(config, key, used);
-            let mut indexes = 0usize;
-            for before in seen(&base, key, used) {
-                if now.next()? != before {
-                    return None;
+            let reference = references.iter().position(|r| usize::from(r.table) == table);
+            // what it sees here less what the base sees, and the added
+            // indexes' part of that; the base's slots come first, in order
+            let (mut diff, mut extra) = (Print::default(), Print::default());
+            let mut before = base.on(key).iter().peekable();
+            let (mut indexes, mut own) = (0usize, None);
+            for (slot, h) in config.on(key) {
+                let serves = h.serves(used);
+                if let Slot::Base(_) = slot {
+                    // the base's structures alignment dropped come first
+                    while let Some((_, o)) = before.next_if(|(s, _)| s < slot) {
+                        if o.serves(used) {
+                            diff = diff.without(o);
+                        }
+                    }
+                    let (_, o) = before.next_if(|(s, _)| s == slot)?;
+                    if o != h {
+                        // rewritten by alignment
+                        if o.serves(used) {
+                            diff = diff.without(o);
+                        }
+                        if serves {
+                            diff = diff.with(h);
+                        }
+                    }
+                    if serves && h.as_index().is_some() {
+                        if own.is_some() {
+                            return None;
+                        }
+                        indexes += 1;
+                    }
+                    continue;
                 }
-                indexes += usize::from(before.as_index().is_some());
-            }
-            let own = u8::try_from(indexes + 1).ok()?;
-            for h in now {
-                indexes += 1;
-                if !plain(h) {
-                    return None;
+                if !serves {
+                    continue;
                 }
-                reference = reference.without(h);
-                let position = u8::try_from(indexes).ok().filter(|&p| p < u8::MAX)?;
-                added.push((table, h, position, own, 0u8));
+                diff = diff.with(h);
+                match (slot, h.as_index().map(|ix| ix.kind)) {
+                    (Slot::Set(_), Some(IndexKind::NonClustered)) => {
+                        indexes += 1;
+                        let position = u8::try_from(indexes).ok().filter(|&p| p < u8::MAX)?;
+                        let own = *own.get_or_insert(position);
+                        extra = extra.with(h);
+                        if let Some(r) = reference {
+                            added.push((r, &**h, position, own, 0u8));
+                        }
+                    }
+                    // an added clustered index
+                    (_, Some(_)) => return None,
+                    // a heap partitioning
+                    (_, None) => {}
+                }
             }
-        }
-        if added.len() < 2 {
-            return None;
+            for (_, o) in before {
+                if o.serves(used) {
+                    diff = diff.without(o);
+                }
+            }
+            base_print = base_print.minus(diff);
+            if let Some(r) = reference.and_then(|r| references.get_mut(r)) {
+                r.diff = diff.minus(extra);
+            }
         }
         let epoch = epoch16(shard.epoch.load(Ordering::SeqCst));
         let cache = shard.cache.read();
@@ -1040,14 +1099,24 @@ impl<'a> CostEvaluator<'a> {
             let picks = cache.get(&print.finish()).filter(|e| e.epoch < epoch)?.picks;
             (picks.as_slice().len() == bindings.len()).then_some(picks)
         };
-        let at_base = picks_at(reference)?;
+        for r in references.iter_mut() {
+            r.picks = picks_at(base_print.plus(r.diff))?;
+        }
+        // each binding reads its table's reference's path
+        let mut first = [Picks::SCAN; Picks::MAX];
+        for (b, (at, &table)) in first.iter_mut().zip(bindings.iter()).enumerate() {
+            let reference = references.iter().find(|r| r.table == table)?;
+            *at = *reference.picks.as_slice().get(b)?;
+        }
+        let first = Picks::from_slice(first.get(..bindings.len())?);
         // for each added index, the bindings of its table that picked it
-        // beside the base's paths alone, as a mask
-        for (table, h, _, own, won) in &mut added {
-            let alone = picks_at(reference.with(h))?;
-            let picked = bindings.iter().zip(at_base.as_slice()).zip(alone.as_slice());
+        // beside its reference's paths alone, as a mask
+        for (r, h, _, own, won) in &mut added {
+            let reference = references.get(*r)?;
+            let alone = picks_at(base_print.plus(reference.diff).with(h))?;
+            let picked = bindings.iter().zip(reference.picks.as_slice()).zip(alone.as_slice());
             for (b, ((&on, &was), &now)) in picked.enumerate() {
-                if usize::from(on) == *table && now == *own {
+                if on == reference.table && now == *own {
                     *won |= 1 << b;
                 } else if now != was {
                     return None;
@@ -1056,7 +1125,7 @@ impl<'a> CostEvaluator<'a> {
         }
         drop(cache);
         let wins = added.iter().filter_map(|&(_, _, at, _, won)| (won != 0).then_some((at, won)));
-        dta_optimizer::derive_prepared(prepared, projected, at_base, wins)
+        dta_optimizer::derive_prepared(prepared, projected, first, wins)
     }
 
     /// Each statement's cost under `config` as the cache holds it now,
@@ -1259,19 +1328,11 @@ impl Atom {
     }
 }
 
-/// The structures on the table with this key that a statement using the
-/// table as `used` says can see under `config`, in configuration order.
-fn seen<'c>(
-    config: &'c Overlay<'_>,
-    key: u64,
-    used: ColumnUse,
-) -> impl Iterator<Item = &'c StructureHandle> {
-    config.on(key).iter().map(|(_, h)| &**h).filter(move |h| h.serves(used))
-}
-
 /// The order-independent combination of the content hashes of the
 /// structures a statement sees, which [`CostEvaluator::fingerprint`]
-/// hashes: one more structure is one more term.
+/// hashes: one more structure is one more term. Terms add and subtract in
+/// any order, so a print may stand for a difference between two
+/// projections on the way to one.
 #[derive(Debug, Clone, Copy, Default)]
 struct Print {
     sum: u64,
@@ -1290,13 +1351,31 @@ impl Print {
     /// With `h` too.
     fn with(self, h: &StructureHandle) -> Self {
         let v = h.content_hash();
-        Self { sum: self.sum.wrapping_add(v), xor: self.xor ^ v, count: self.count + 1 }
+        self.plus(Self { sum: v, xor: v, count: 1 })
     }
 
-    /// Without `h`, which it holds.
+    /// Without `h`.
     fn without(self, h: &StructureHandle) -> Self {
         let v = h.content_hash();
-        Self { sum: self.sum.wrapping_sub(v), xor: self.xor ^ v, count: self.count - 1 }
+        self.minus(Self { sum: v, xor: v, count: 1 })
+    }
+
+    /// With the terms of `other` too.
+    fn plus(self, other: Self) -> Self {
+        Self {
+            sum: self.sum.wrapping_add(other.sum),
+            xor: self.xor ^ other.xor,
+            count: self.count.wrapping_add(other.count),
+        }
+    }
+
+    /// Without the terms of `other`.
+    fn minus(self, other: Self) -> Self {
+        Self {
+            sum: self.sum.wrapping_sub(other.sum),
+            xor: self.xor ^ other.xor,
+            count: self.count.wrapping_sub(other.count),
+        }
     }
 
     /// The fingerprint.
@@ -1304,6 +1383,22 @@ impl Print {
         let mut h = DefaultHasher::new();
         (self.sum, self.xor, self.count).hash(&mut h);
         h.finish()
+    }
+}
+
+/// A table some binding reads, as [`CostEvaluator::derive`] prices it:
+/// its position among the statement's tables, its reference's print less
+/// the base's, and the paths the reference's entry recorded.
+#[derive(Debug, Clone, Copy)]
+struct Reference {
+    table: u8,
+    diff: Print,
+    picks: Picks,
+}
+
+impl Default for Reference {
+    fn default() -> Self {
+        Self { table: u8::MAX, diff: Print::default(), picks: Picks::NONE }
     }
 }
 
@@ -2012,6 +2107,49 @@ mod tests {
                 assert_eq!(rebuilt.state.export(), live.state.export());
             }
         }
+    }
+
+    #[test]
+    fn a_pair_of_partitionings_derives_from_its_singletons_unless_one_is_as_new() {
+        let s = server();
+        let target = TuningTarget::Single(&s);
+        let join = "SELECT t.c, u.b FROM t, u WHERE t.a = u.a AND t.b < 900 AND u.b < 900";
+        let items = [WorkloadItem::new("d", parse_statement(join).expect("valid SQL"))];
+        let empty = Configuration::new();
+        let base = Indexed::new(&empty, None);
+        // a heap partitioning on each joined table: each cuts its scan
+        let scheme = dta_physical::RangePartitioning::new("b", vec![Value::Int(1000)]);
+        let [on_t, on_u] = ["t", "u"].map(|table| {
+            StructureHandle::new(PhysicalStructure::TablePartitioning {
+                database: "d".into(),
+                table: table.into(),
+                scheme: scheme.clone(),
+            })
+        });
+        let price = |eval: &CostEvaluator<'_>, set: &[&StructureHandle]| {
+            eval.price(0, &Overlay::union(&base, set)).expect("costing succeeds")
+        };
+        let planned = {
+            let whole = Overlay::union(&base, &[&on_t, &on_u]).materialize();
+            s.whatif("d", &items[0].statement, &whole).expect("binds")
+        };
+        let tally = |eval: &CostEvaluator<'_>| (eval.whatif_calls(), eval.derived_costs());
+        // both singletons priced before the serial point: the pair reads
+        // each table's path from the singleton on that table, the base
+        // unpriced
+        let eval = CostEvaluator::new(&target, &items);
+        price(&eval, &[&on_t]);
+        price(&eval, &[&on_u]);
+        eval.serial_point(1);
+        assert_eq!(price(&eval, &[&on_t, &on_u]).to_bits(), planned.cost.to_bits());
+        assert_eq!(tally(&eval), (2, 1), "the pair is derived");
+        // one singleton priced in the pair's batch: the pair is called
+        let eval = CostEvaluator::new(&target, &items);
+        price(&eval, &[&on_t]);
+        eval.serial_point(1);
+        price(&eval, &[&on_u]);
+        assert_eq!(price(&eval, &[&on_t, &on_u]).to_bits(), planned.cost.to_bits());
+        assert_eq!(tally(&eval), (3, 0), "the pair is called");
     }
 
     #[test]

@@ -1060,6 +1060,7 @@ mod tests {
         [
             "SELECT a FROM t0 WHERE a = 5",
             "SELECT a, b FROM t0 WHERE a < 9",
+            "SELECT v FROM t0 WHERE x < 90 AND b < 6",
             "SELECT TOP 5 k FROM t0 WHERE y = 7 ORDER BY k",
             "SELECT COUNT(*) FROM t1",
             "SELECT b, COUNT(*) FROM t1 WHERE x < 100 GROUP BY b ORDER BY b",
@@ -1155,13 +1156,91 @@ mod tests {
         pool
     }
 
+    /// One lookup [`price_sets`] made: the alignment mode's position, the
+    /// set priced, the statement, whether its cost was derived, and what
+    /// planning the assembled configuration (`whole`) gives.
+    struct Priced<'p> {
+        mode: usize,
+        members: &'p [&'p StructureHandle],
+        item: usize,
+        derived: bool,
+        plan: &'p dta_optimizer::Plan,
+        whole: &'p Configuration,
+    }
+
+    /// Price `items` under `base ∪ S` for the base and every set `S` of one
+    /// to three of `pool`'s members, in Greedy's order — the base and the
+    /// singletons, a serial point, the pairs, another, the triples — in each
+    /// alignment mode with a cold cache, so that each mode derives its own.
+    /// Each cost and its structures must be what planning the assembled
+    /// configuration gives; each lookup is handed to `seen`.
+    fn price_sets(
+        server: &dta_server::Server,
+        items: &[dta_workload::WorkloadItem],
+        base: &Configuration,
+        pool: &[StructureHandle],
+        label: &str,
+        mut seen: impl FnMut(Priced<'_>),
+    ) {
+        use crate::cost::CostEvaluator;
+        let target = dta_server::TuningTarget::Single(server);
+        let mut sets: Vec<Vec<usize>> = vec![Vec::new()];
+        sets.extend((0..pool.len()).map(|c| vec![c]));
+        sets.extend(
+            (1u32..1 << pool.len())
+                .filter(|m| (2..=3).contains(&m.count_ones()))
+                .map(|mask| (0..pool.len()).filter(|c| mask >> c & 1 == 1).collect()),
+        );
+        sets.sort_by_key(|set| set.len().max(1));
+        for (mode, alignment) in
+            [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager].into_iter().enumerate()
+        {
+            let options = TuningOptions { alignment, storage_bytes: None, ..Default::default() };
+            let assembler = Assembler::new(base, &options, &Sizes);
+            let reference = assembler.base();
+            let eval = CostEvaluator::new(&target, items);
+            for set in &sets {
+                if set.len() > 1 {
+                    // Greedy's serial points: the sets one smaller are priced
+                    eval.serial_point(set.len() as u32 - 1);
+                }
+                let members: Vec<&StructureHandle> = set.iter().map(|&c| &pool[c]).collect();
+                let Some(Assembled { overlay, .. }) = assembler.assemble(&members, &reference).0
+                else {
+                    continue;
+                };
+                let whole = overlay.materialize();
+                for (item, statement) in items.iter().enumerate() {
+                    let before = eval.derived_costs();
+                    let got = eval.report(item, &overlay).expect("costing succeeds");
+                    let plan = server
+                        .whatif(&statement.database, &statement.statement, &whole)
+                        .expect("binds");
+                    let context = format!(
+                        "{label}, {alignment:?}, `{}`\nbase {base}priced {whole}",
+                        statement.statement
+                    );
+                    assert_eq!(got.0.to_bits(), plan.cost.to_bits(), "{context}");
+                    assert_eq!(got.1, plan.used_structures(), "{context}");
+                    let derived = eval.derived_costs() > before;
+                    seen(Priced {
+                        mode,
+                        members: &members,
+                        item,
+                        derived,
+                        plan: &plan,
+                        whole: &whole,
+                    });
+                }
+            }
+        }
+    }
+
     #[test]
     fn derived_costs_equal_planning_the_assembled_configuration() {
-        use crate::cost::CostEvaluator;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         // tables large enough that indexes beat their scans
         let server = server_with_rows(4_000);
-        let target = dta_server::TuningTarget::Single(&server);
         let items = derivable_workload();
         let joins: Vec<bool> = items
             .iter()
@@ -1169,6 +1248,103 @@ mod tests {
                 |item| matches!(&item.statement, dta_sql::Statement::Select(q) if q.from.len() > 1),
             )
             .collect();
+        // the reference cases: each statement's tables read their paths
+        // from the records that differ from the base on that table alone
+        let on = |table: &str, key: &str| {
+            PhysicalStructure::Index(Index::non_clustered("d", table, &[key], &[]))
+        };
+        let heap = |table: &str| PhysicalStructure::TablePartitioning {
+            database: "d".into(),
+            table: table.into(),
+            scheme: part("x"),
+        };
+        let [by_y, by_b] = answering_views();
+        // a second view that answers `by_y`'s statement, re-aggregated
+        let by_y_b = PhysicalStructure::View(dta_physical::MaterializedView::grouped(
+            "d",
+            &["t1"],
+            Vec::new(),
+            ["y", "b"].map(|c| dta_physical::QualifiedColumn::new("t1", c)).to_vec(),
+            vec![dta_physical::ViewAggregate::count_star()],
+        ));
+        // it beats the scan of `x < 90 AND b < 6` until a partitioning on
+        // `x` cuts the scan to a third
+        let t0_by_b =
+            PhysicalStructure::Index(Index::non_clustered("d", "t0", &["b"], &["x", "v"]));
+        let t0_clustered = PhysicalStructure::Index(Index::clustered("d", "t0", &["a"]));
+        let cases = [
+            // (a) aligned added indexes beside a heap partitioning, and a
+            // base index that alignment rewrites
+            (
+                "a",
+                vec![t0_by_b],
+                vec![heap("t0"), on("t0", "k"), on("t0", "y"), on("t0", "x"), on("t0", "b")],
+            ),
+            // (b) partitionings on two joined tables, no index added
+            ("b", Vec::new(), vec![heap("t0"), heap("t1"), heap("t2")]),
+            // (c) added views with no added index and with one
+            (
+                "c",
+                Vec::new(),
+                vec![by_y.clone(), by_y_b, by_b.clone(), on("t1", "y"), on("t0", "b")],
+            ),
+            // (d) writes under an added view and a partitioning
+            ("d", Vec::new(), vec![by_y, by_b, heap("t0"), heap("t1")]),
+            // (e) an added clustered index
+            ("e", Vec::new(), vec![t0_clustered, on("t0", "k"), on("t0", "y")]),
+        ];
+        let answered = items.len() - 2..items.len();
+        let writes = |item: usize| {
+            matches!(items[item].statement, dta_sql::Statement::Update(_))
+                || matches!(items[item].statement, dta_sql::Statement::Delete(_))
+        };
+        // per case, lookups in the case's situation: derived, called, and
+        // the derived ones apart — (c) with one added index, (d) of the
+        // DELETE — and not
+        let mut situations = [[0usize; 4]; 5];
+        for (case, (label, base, pool)) in cases.into_iter().enumerate() {
+            let base: Configuration = base.into_iter().map(StructureHandle::new).collect();
+            let pool: Vec<StructureHandle> = pool.into_iter().map(StructureHandle::new).collect();
+            price_sets(&server, &items, &base, &pool, label, |p| {
+                let statement = &items[p.item].statement;
+                let tables = statement.referenced_tables();
+                let on_its_tables = |kind: Option<IndexKind>| {
+                    let on = |h: &&&StructureHandle| {
+                        h.structure().table().is_some_and(|t| tables.contains(&t))
+                            && h.as_index().map(|ix| ix.kind) == kind
+                    };
+                    p.members.iter().filter(on).count()
+                };
+                let indexes = on_its_tables(Some(IndexKind::NonClustered));
+                let partitionings = on_its_tables(None);
+                let viewed = p.members.iter().any(|h| {
+                    h.as_view().is_some_and(|v| v.tables.iter().any(|t| tables.contains(&&**t)))
+                });
+                let (situation, apart) = match case {
+                    0 => (p.mode > 0 && partitionings > 0 && indexes > 0, false),
+                    1 => (tables.len() == 2 && partitionings == 2, false),
+                    2 => (answered.contains(&p.item) && viewed && indexes < 2, indexes == 1),
+                    3 => (writes(p.item) && viewed && partitionings > 0, tables == ["t1"]),
+                    _ => (on_its_tables(Some(IndexKind::Clustered)) > 0, false),
+                };
+                if situation {
+                    let tally = &mut situations[case];
+                    tally[usize::from(!p.derived)] += 1;
+                    tally[2] += usize::from(p.derived && apart);
+                    tally[3] += usize::from(p.derived && !apart);
+                }
+            });
+        }
+        let seen = format!("{situations:?}");
+        for (case, &[derived, called, apart, rest]) in situations.iter().enumerate() {
+            match case {
+                0 | 1 => assert!(derived > 0, "{seen}"),
+                2 | 3 => assert!(apart > 0 && rest > 0, "{seen}"),
+                _ => assert!(derived == 0 && called > 0, "{seen}"),
+            }
+        }
+
+        // random bases and pools
         let mut rng = StdRng::seed_from_u64(0x0de2_1ed0);
         // outcomes seen, so the test cannot pass by never reaching a branch
         let (mut derived, mut dml, mut ties, mut called) = (0, 0, 0, 0);
@@ -1193,76 +1369,32 @@ mod tests {
             }
             let pool: Vec<StructureHandle> =
                 derivable_candidates(&mut rng).into_iter().map(StructureHandle::new).collect();
-            // Greedy's order: the singletons, then pairs and triples
-            let mut sets: Vec<Vec<usize>> = (0..pool.len()).map(|c| vec![c]).collect();
-            sets.extend(
-                (1u32..1 << pool.len())
-                    .filter(|m| (2..=3).contains(&m.count_ones()))
-                    .map(|mask| (0..pool.len()).filter(|c| mask >> c & 1 == 1).collect()),
-            );
-            for (m, alignment) in [AlignmentMode::None, AlignmentMode::Lazy, AlignmentMode::Eager]
-                .into_iter()
-                .enumerate()
-            {
-                let options =
-                    TuningOptions { alignment, storage_bytes: None, ..Default::default() };
-                let assembler = Assembler::new(&base, &options, &Sizes);
-                let reference = assembler.base();
-                // a cold cache per mode, so that each mode derives its own
-                let eval = CostEvaluator::new(&target, &items);
-                for set in &sets {
-                    if set.len() == 2 && set[0] == 0 && set[1] == 1 {
-                        // Greedy's serial point: the singletons are priced
-                        eval.serial_point(1);
-                    }
-                    let members: Vec<&StructureHandle> = set.iter().map(|&c| &pool[c]).collect();
-                    let Some(Assembled { overlay, .. }) =
-                        assembler.assemble(&members, &reference).0
-                    else {
-                        continue;
-                    };
-                    let whole = overlay.materialize();
-                    for (i, item) in items.iter().enumerate() {
-                        let before = eval.derived_costs();
-                        let got = eval.report(i, &overlay).expect("costing succeeds");
-                        let want =
-                            server.whatif(&item.database, &item.statement, &whole).expect("binds");
-                        let context = format!(
-                            "round {round}, {alignment:?}, `{}`\nbase {base}priced {whole}",
-                            item.statement
-                        );
-                        assert_eq!(got.0.to_bits(), want.cost.to_bits(), "{context}");
-                        assert_eq!(got.1, want.used_structures(), "{context}");
-                        if eval.derived_costs() == before {
-                            called += 1;
-                            continue;
-                        }
-                        derived += 1;
-                        per_mode[m] += 1;
-                        per_item[i] += 1;
-                        dml +=
-                            usize::from(!matches!(item.statement, dta_sql::Statement::Select(_)));
-                        derived_joins += usize::from(joins[i]);
-                        rewritten[i] += usize::from(want.to_string().contains("ViewScan"));
-                        let mut inners = Vec::new();
-                        probed(&want.root, &mut inners);
-                        probing_added += usize::from(
-                            members.iter().any(|h| inners.iter().any(|n| **n == **h.name())),
-                        );
-                        // a tie the order decided: the planner, given the
-                        // structures in reverse, reads another at one cost
-                        let reversed: Configuration =
-                            whole.handles().iter().rev().cloned().collect();
-                        let swapped = server
-                            .whatif(&item.database, &item.statement, &reversed)
-                            .expect("binds");
-                        ties += usize::from(
-                            swapped.cost.to_bits() == want.cost.to_bits()
-                                && swapped.used_structures() != want.used_structures(),
-                        );
-                    }
+            price_sets(&server, &items, &base, &pool, &format!("round {round}"), |p| {
+                if !p.derived {
+                    called += 1;
+                    return;
                 }
-            }
+                let item = &items[p.item];
+                derived += 1;
+                per_mode[p.mode] += 1;
+                per_item[p.item] += 1;
+                dml += usize::from(!matches!(item.statement, dta_sql::Statement::Select(_)));
+                derived_joins += usize::from(joins[p.item]);
+                rewritten[p.item] += usize::from(p.plan.to_string().contains("ViewScan"));
+                let mut inners = Vec::new();
+                probed(&p.plan.root, &mut inners);
+                probing_added +=
+                    usize::from(p.members.iter().any(|h| inners.iter().any(|n| **n == **h.name())));
+                // a tie the order decided: the planner, given the
+                // structures in reverse, reads another at one cost
+                let reversed: Configuration = p.whole.handles().iter().rev().cloned().collect();
+                let swapped =
+                    server.whatif(&item.database, &item.statement, &reversed).expect("binds");
+                ties += usize::from(
+                    swapped.cost.to_bits() == p.plan.cost.to_bits()
+                        && swapped.used_structures() != p.plan.used_structures(),
+                );
+            });
         }
         let seen = format!(
             "{derived} {dml} {ties} {called} {derived_joins} {probing_added} {per_mode:?} \

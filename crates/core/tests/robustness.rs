@@ -475,10 +475,12 @@ fn fault_matrix_schedules_all_converge() {
     // cost cache's relevance rule changes which structures a call sees,
     // and whenever it prices a miss without a call (a derived cost: no
     // schedule sees it; (1015, 328, 426) and (1035, 352, 452) before any
-    // was derived, (878, 283, 369) and (907, 316, 404) before joins were).
+    // was derived, (878, 283, 369) and (907, 316, 404) before joins were,
+    // (707, 226, 293) and (717, 240, 309) before statements under a heap
+    // partitioning or an added view were).
     let recorded = |seed: u64, rate: f64| match (seed, rate) {
-        (1, 0.3) => Some((707, 226, 293)),
-        (2, 0.3) => Some((717, 240, 309)),
+        (1, 0.3) => Some((473, 148, 191)),
+        (2, 0.3) => Some((471, 150, 195)),
         _ => None,
     };
 
@@ -957,13 +959,15 @@ fn chaos_cycle(seed: u64) {
         assert_eq!(report.to_string(), CHAOS_RECOVERED_LEDGER, "{label}");
         // the healthy tenants' arrivals, as recorded once the cost cache
         // projected each statement onto the indexes it can read and the
-        // views that can answer it, and priced the misses of one-table
-        // statements from recorded access paths where it could (139 each
+        // views that can answer it, and priced misses from recorded access
+        // paths where it could, reading each table's paths from the
+        // records that differ from the base on that table alone (139 each
         // before, 171 at table-level relevance, 144 before views were
-        // filtered); the panicking tenant's all fail in pre-costing,
-        // which prices the base configuration as before
+        // filtered, 104 while only sets of plain indexes were derived);
+        // the panicking tenant's all fail in pre-costing, which prices the
+        // base configuration as before
         let arrivals: Vec<u64> = servers.iter().map(Server::whatif_invocations).collect();
-        assert_eq!(arrivals, [104, 104, 195, 104], "{label}: what-if calls per server");
+        assert_eq!(arrivals, [86, 86, 195, 86], "{label}: what-if calls per server");
         assert_eq!(servers[2].overhead_units(), 0.0, "{label}: a panicking call charges nothing");
     }
     assert!(report.stopped.is_none(), "{label}: {:?}", report.stopped);

