@@ -1,5 +1,5 @@
 //! Deterministic float-comparison helpers — the one sanctioned home
-//! for raw `f64` comparisons in the search (`dta-lint` rule R2).
+//! for raw `f64` comparisons in the search (rule R2).
 //!
 //! PR 1's guarantee — parallel and serial Greedy(m,k) return
 //! byte-identical recommendations — rests on two comparison
@@ -15,11 +15,11 @@
 //! Scattering ad-hoc `<`/`min` over the search re-opens both holes —
 //! `f64::min` is also NaN-silent, which would let a poisoned cost win a
 //! reduction without a trace. Search code therefore routes every cost
-//! comparison through these helpers; `dta-lint` R2 flags raw
-//! comparisons in `greedy.rs`/`enumeration.rs`. What flows into them is
-//! gated where it arises (DESIGN.md §8): wall clocks and hash containers
-//! are clippy's disallowed types (R9, R1), and every `Relaxed` load
-//! carries an R6 pragma.
+//! comparison through these helpers; `tests/source_rules.rs` (R2) flags
+//! raw comparisons in `greedy.rs`/`enumeration.rs`. What flows into them
+//! is gated where it arises (DESIGN.md §8): wall clocks and hash
+//! containers are clippy's disallowed types (R9, R1), and R6 refuses
+//! `Relaxed` atomics outright.
 
 /// Whether `candidate` strictly improves on `incumbent`.
 ///

@@ -390,9 +390,7 @@ pub fn enumerate(
     let assembler = Assembler::new(base, options, sizing);
     let assemble = |set: &[&StructureHandle], reference: &Overlay<'_>| {
         let (assembled, rewritten) = assembler.assemble(set, reference);
-        // dta-lint: allow(R6): monotonic telemetry counter; read only
-        // after greedy_mk has joined every worker.
-        lazy_variants.fetch_add(rewritten, Ordering::Relaxed);
+        lazy_variants.fetch_add(rewritten, Ordering::SeqCst);
         assembled
     };
 
@@ -483,9 +481,7 @@ pub fn enumerate(
     // snapshot the tally at the cut BEFORE assembling the best-so-far
     // configuration below: the final assembly's rewrites must not leak
     // into the resume cursor, or a resumed run would double-count them
-    // dta-lint: allow(R6): all workers joined inside the greedy engine;
-    // this read races with nothing.
-    let lazy_at_cut = lazy_variants.load(Ordering::Relaxed);
+    let lazy_at_cut = lazy_variants.load(Ordering::SeqCst);
     let chosen: Vec<&usize> = run.outcome.chosen.iter().collect();
     let configuration = assemble(&handles(&chosen), &assembler.base())
         .map_or_else(|| base.clone(), |a| a.overlay.materialize());

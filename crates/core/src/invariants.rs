@@ -1,13 +1,13 @@
 //! Sanitizer-lite: debug-build invariant checks for the cost layer.
 //!
-//! clippy and `dta-lint` enforce the *static* discipline behind PR 1's
-//! byte-identical-recommendation guarantee (DESIGN.md §8), and the
-//! `parking_lot` shim's ranked locks check lock order in debug builds;
-//! this module is the cost layer's runtime twin. Every check is gated
-//! on [`ENABLED`] (a `debug_assertions` constant), so `cargo test` exercises them on every run while
-//! `--release` folds each call to nothing — verified by the
-//! `compiles_away_in_release` test, which observes the same constant
-//! the branches fold on.
+//! clippy and `tests/source_rules.rs` enforce the *static* discipline
+//! behind PR 1's byte-identical-recommendation guarantee (DESIGN.md §8),
+//! and the `parking_lot` shim's ranked locks check lock order in debug
+//! builds; this module is the cost layer's runtime twin. Every check is
+//! gated on [`ENABLED`] (a `debug_assertions` constant), so `cargo test`
+//! exercises them on every run while `--release` folds each call to
+//! nothing — verified by the `compiles_away_in_release` test, which
+//! observes the same constant the branches fold on.
 //!
 //! What the cost layer asserts (see `crate::cost`):
 //!

@@ -126,8 +126,8 @@ impl Counter {
 /// A fixed array of atomic counters shared by [`crate::SessionControl`],
 /// [`crate::cost::CostEvaluator`], and any attached observer. All
 /// operations are `SeqCst`: the counters are read at serial coordination
-/// points (span boundaries, the session epilogue, checkpoints), and the
-/// strongest ordering keeps those reads exact without pragmas.
+/// points (span boundaries, the session epilogue, checkpoints), and no
+/// library atomic is `Relaxed` (R6, DESIGN.md §8).
 #[derive(Debug)]
 pub struct CounterSet {
     slots: [AtomicU64; Counter::COUNT],

@@ -30,35 +30,25 @@ impl WorkCounter {
 
     /// Record `n` page reads.
     pub fn read_pages(&self, n: u64) {
-        // dta-lint: allow(R6): independent monotonic work tally; readers
-        // consume point-in-time snapshots, nothing synchronizes on it.
-        self.pages_read.fetch_add(n, Ordering::Relaxed);
+        self.pages_read.fetch_add(n, Ordering::SeqCst);
     }
 
     /// Record `n` page writes.
     pub fn write_pages(&self, n: u64) {
-        // dta-lint: allow(R6): independent monotonic work tally; readers
-        // consume point-in-time snapshots, nothing synchronizes on it.
-        self.pages_written.fetch_add(n, Ordering::Relaxed);
+        self.pages_written.fetch_add(n, Ordering::SeqCst);
     }
 
     /// Record `n` CPU row operations (comparisons, hash probes, ...).
     pub fn cpu(&self, n: u64) {
-        // dta-lint: allow(R6): independent monotonic work tally; readers
-        // consume point-in-time snapshots, nothing synchronizes on it.
-        self.cpu_ops.fetch_add(n, Ordering::Relaxed);
+        self.cpu_ops.fetch_add(n, Ordering::SeqCst);
     }
 
     /// Snapshot the current totals.
     pub fn snapshot(&self) -> WorkSnapshot {
         WorkSnapshot {
-            // dta-lint: allow(R6): the three loads need no mutual ordering;
-            // callers snapshot at quiescent points (before/after a run).
-            pages_read: self.pages_read.load(Ordering::Relaxed),
-            // dta-lint: allow(R6): same quiescent-point snapshot as above.
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-            // dta-lint: allow(R6): same quiescent-point snapshot as above.
-            cpu_ops: self.cpu_ops.load(Ordering::Relaxed),
+            pages_read: self.pages_read.load(Ordering::SeqCst),
+            pages_written: self.pages_written.load(Ordering::SeqCst),
+            cpu_ops: self.cpu_ops.load(Ordering::SeqCst),
         }
     }
 
@@ -69,13 +59,9 @@ impl WorkCounter {
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        // dta-lint: allow(R6): reset happens between experiment phases with
-        // no concurrent writers; relaxed stores suffice.
-        self.pages_read.store(0, Ordering::Relaxed);
-        // dta-lint: allow(R6): same phase-boundary reset as above.
-        self.pages_written.store(0, Ordering::Relaxed);
-        // dta-lint: allow(R6): same phase-boundary reset as above.
-        self.cpu_ops.store(0, Ordering::Relaxed);
+        self.pages_read.store(0, Ordering::SeqCst);
+        self.pages_written.store(0, Ordering::SeqCst);
+        self.cpu_ops.store(0, Ordering::SeqCst);
     }
 }
 
