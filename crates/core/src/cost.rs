@@ -2,7 +2,7 @@
 //! cache.
 //!
 //! Every configuration DTA explores is priced as the weighted sum of
-//! optimizer-estimated statement costs (§2.2). Five optimizations keep
+//! optimizer-estimated statement costs (§2.2). Four optimizations keep
 //! the what-if calls and the lookups manageable without changing any
 //! result:
 //!
@@ -34,26 +34,18 @@
 //! 2. **Memoization** — the projected configuration is fingerprinted and
 //!    the (statement, fingerprint) → cost mapping cached, so greedy steps
 //!    that add nothing a statement can see are free;
-//! 3. **Delta pricing** — a greedy evaluation prices `base ∪ S` against a
-//!    reference configuration whose per-statement costs were read from
-//!    the cache at a serial point (the base in Phase 1, the incumbent in
-//!    Phase 2), given the structures by which the two differ. A statement
-//!    none of those structures is relevant to projects both alike, so
-//!    its lookup would hit the entry its reference cost came from: it
-//!    takes that cost and is not looked up at all
-//!    ([`CostEvaluator::delta_cost`]). The sum is the same bits, and only
-//!    cache hits go uncounted;
-//! 4. **Atomic costs** — once Phase 1 has priced every singleton, each
-//!    candidate's [`Atom`] holds its delta from the base and the cost of
-//!    each statement that delta reaches, read at a serial point. A
-//!    Phase-1 set whose delta is the disjoint union of its members' is
-//!    priced from them with no relevance scan: a statement one atom
-//!    reaches takes that atom's cost, one none reaches its base cost, and
-//!    only one that two atoms reach is looked up
-//!    ([`CostEvaluator::atomic_cost`]). Every skipped lookup would have
-//!    hit the singleton's entry, so again only hits go uncounted. Every
-//!    path sums in one workload-order loop;
-//! 5. **Derived costs** — every entry records the access path its plan
+//! 3. **Atoms** — a greedy evaluation prices `base ∪ S` given its delta
+//!    from the base and some [`Atom`]s fixed at serial points: each pool
+//!    candidate's once Phase 1 has priced the singletons, and in Phase 2
+//!    the incumbent's. An atom holds a delta from the base and the cost
+//!    of each statement it reaches, read from the cache. A statement
+//!    nothing in the delta reaches takes its base cost, one that exactly
+//!    one atom inside the delta reaches, and nothing else, takes that
+//!    atom's cost, and any other is looked up
+//!    ([`CostEvaluator::priced`], which `workload_cost` is with nothing
+//!    known). Every skipped lookup would have hit the entry its cost came
+//!    from, so the sum is the same bits and only cache hits go uncounted;
+//! 4. **Derived costs** — every entry records the access path its plan
 //!    picked for each table binding of a SELECT, UPDATE or DELETE, and a
 //!    binding's path depends on its own table's structures alone. So a
 //!    miss is priced with no what-if call when each table it reads has
@@ -119,8 +111,8 @@
 //! independent fingerprint to detect primary-key collisions, every
 //! cached cost must be finite and non-negative, weighted sums must
 //! accumulate monotonically, the shard table must stay one-to-one with
-//! the workload, a statement priced without a lookup — at its reference
-//! cost or an atom's — must find that very cost cached for the evaluated
+//! the workload, a statement priced without a lookup — at its base cost
+//! or an atom's — must find that very cost cached for the evaluated
 //! configuration, and a derived cost must be what planning the projection
 //! gives, bit for bit. All of it compiles away under `--release`.
 
@@ -1177,44 +1169,17 @@ impl<'a> CostEvaluator<'a> {
         self.item_entry(i, &Overlay::of(&self.index_for(i, config)), true)
     }
 
-    /// Weighted workload cost under `config`.
-    ///
-    /// Items are summed in workload order, so the result is bitwise
-    /// identical no matter which thread asks.
+    /// Weighted workload cost under `config`: [`Self::priced`] with no
+    /// delta, atoms or base costs, so every statement is looked up.
     pub fn workload_cost(&self, config: &Configuration) -> Result<f64, ServerError> {
-        self.delta_cost(&Overlay::of(&Indexed::new(config, None)), &[], &[])
+        self.priced(&Overlay::of(&Indexed::new(config, None)), &[], &[], &[])
     }
 
-    /// Weighted workload cost under `config`, which differs from a
-    /// reference configuration by the structures in `delta` — those the
-    /// one holds and the other does not. `reference[i]` is statement `i`'s
-    /// cost under the reference, as [`Self::cached_costs`] read it.
-    ///
-    /// A statement no `delta` structure is relevant to projects `config`
-    /// onto what it projected the reference onto, so its lookup would hit
-    /// the entry its reference cost was read from: it takes that cost and
-    /// is not looked up. Every other statement — and one without a
-    /// reference cost — is looked up. The sum is [`Self::sum`]'s (with no
-    /// reference, this *is* `workload_cost`), so it is bit-equal to
-    /// pricing `config` whole, and only the hits skipped go uncounted.
-    pub(crate) fn delta_cost(
-        &self,
-        config: &Overlay<'_>,
-        delta: &[StructureHandle],
-        reference: &[Option<f64>],
-    ) -> Result<f64, ServerError> {
-        self.sum(config, |i, item, shard| {
-            let cost = reference.get(i).copied().flatten()?;
-            let relevant = self.relevance(item, shard);
-            (!delta.iter().any(|h| relevant.admits(h))).then_some(cost)
-        })
-    }
-
-    /// The atom of a singleton: `config` is `base ∪ {c}` and differs from
-    /// the base by `delta`. Each statement the delta reaches is listed
-    /// with its cost under `config` as the cache holds it now — read, not
-    /// looked up, so no counter moves. `None` when a statement has no
-    /// [`Relevance`] yet, so what the delta reaches is unknown.
+    /// The atom of `config`, which differs from the base by `delta`. Each
+    /// statement the delta reaches is listed with its cost under `config`
+    /// as the cache holds it now — read, not looked up, so no counter
+    /// moves. `None` when a statement has no [`Relevance`] yet, so what
+    /// the delta reaches is unknown.
     pub(crate) fn atom(&self, config: &Overlay<'_>, delta: Vec<StructureHandle>) -> Option<Atom> {
         let mut reached = Vec::new();
         for (i, shard) in self.state.shards.iter().enumerate() {
@@ -1226,57 +1191,53 @@ impl<'a> CostEvaluator<'a> {
         Some(Atom { delta, reached })
     }
 
-    /// [`Self::delta_cost`] against the base for `base ∪ S`, given the
-    /// atoms of the members of `S`: `reference` holds the base's costs.
+    /// Weighted workload cost under `config`, which differs from the base
+    /// by the structures in `delta` — those the one holds and the other
+    /// does not. `base_costs[i]` is statement `i`'s cost under the base, as
+    /// [`Self::cached_costs`] read it.
     ///
-    /// When `delta` is the disjoint union of the atoms' deltas, a
-    /// statement no atom reaches takes its base cost, one that exactly
-    /// one atom reaches takes that atom's cost, and only one that two or
-    /// more reach — or whose cost the base or the atom lacks — is looked
-    /// up: the relevance scan is the atoms'. Any other `delta` is priced
-    /// by [`Self::delta_cost`]. Either way the sum is [`Self::sum`]'s.
-    pub(crate) fn atomic_cost(
+    /// Each atom whose delta lies in `delta` and shares no structure with
+    /// an atom used before it is used; each statement the rest of `delta`
+    /// reaches is found by [`Relevance::admits`]. A statement nothing in
+    /// `delta` reaches takes its base cost, one that exactly one used atom
+    /// and nothing else reaches takes that atom's cost, and any other —
+    /// or one whose cost is missing — is looked up. A cost taken without a
+    /// lookup is the one the cache holds for `config`'s projection, which
+    /// debug builds check. Statements are summed in workload order with
+    /// the same operations whatever is looked up, so every pricing of a
+    /// configuration gives the same bits, and only the hits skipped go
+    /// uncounted.
+    pub(crate) fn priced(
         &self,
         config: &Overlay<'_>,
         delta: &[StructureHandle],
         atoms: &[&Atom],
-        reference: &[Option<f64>],
+        base_costs: &[Option<f64>],
     ) -> Result<f64, ServerError> {
-        if !Atom::split(delta, atoms) {
-            return self.delta_cost(config, delta, reference);
+        let mut used: Vec<&Atom> = Vec::new();
+        for &atom in atoms {
+            let inside = atom.delta.iter().all(|h| delta.contains(h));
+            if inside && !used.iter().any(|u| u.delta.iter().any(|h| atom.delta.contains(h))) {
+                used.push(atom);
+            }
         }
-        let mut reached: Vec<_> = atoms.iter().map(|a| a.reached.iter().peekable()).collect();
-        self.sum(config, |i, _, _| {
-            let (mut reaching, mut cost) = (0, None);
-            for atom in &mut reached {
-                if let Some(&(_, c)) = atom.next_if(|&&(j, _)| j == i) {
-                    reaching += 1;
-                    cost = c;
-                }
-            }
-            match reaching {
-                0 => reference.get(i).copied().flatten(),
-                1 => cost,
-                _ => None,
-            }
-        })
-    }
-
-    /// Weighted workload cost under `config`, summed in workload order:
-    /// statement `i` takes `known(i, …)` when that is a cost — one the
-    /// cache holds for `config`'s projection, which debug builds check —
-    /// and is looked up otherwise. Every pricing of a whole workload sums
-    /// here, with the same operations in the same order, so all of them
-    /// give the same bits.
-    fn sum(
-        &self,
-        config: &Overlay<'_>,
-        mut known: impl FnMut(usize, &WorkloadItem, &Shard) -> Option<f64>,
-    ) -> Result<f64, ServerError> {
+        let rest: Vec<&StructureHandle> =
+            delta.iter().filter(|h| !used.iter().any(|a| a.delta.contains(h))).collect();
+        let mut reached: Vec<_> = used.iter().map(|a| a.reached.iter().peekable()).collect();
         let mut total = 0.0;
         for i in 0..self.items.len() {
             let (item, shard) = self.slot(i);
-            let cost = match known(i, item, shard) {
+            let (mut reaching, mut known) = (0, base_costs.get(i).copied().flatten());
+            for atom in &mut reached {
+                if let Some(&(_, cost)) = atom.next_if(|&&(j, _)| j == i) {
+                    reaching += 1;
+                    known = cost;
+                }
+            }
+            if reaching > 1 || rest.iter().any(|h| self.relevance(item, shard).admits(h)) {
+                known = None;
+            }
+            let cost = match known {
                 Some(cost) => {
                     if invariants::ENABLED {
                         let cached = Self::cached(shard, self.relevance(item, shard), config);
@@ -1294,33 +1255,21 @@ impl<'a> CostEvaluator<'a> {
     }
 }
 
-/// What one candidate `c` changes on its own — AutoAdmin's *atomic
-/// configuration*: the delta of `base ∪ {c}` from the base, and each
-/// statement that delta reaches with its cost under `base ∪ {c}`. Made
-/// by [`CostEvaluator::atom`] at a serial point, after the singleton was
-/// priced; [`CostEvaluator::atomic_cost`] prices sets from atoms.
+/// What a configuration changes from the base — AutoAdmin's *atomic
+/// configuration*: its delta from the base, and each statement that
+/// delta reaches with its cost under the configuration. Made by
+/// [`CostEvaluator::atom`] at a serial point, for a singleton `base ∪ {c}`
+/// or the incumbent, after it was priced; [`CostEvaluator::priced`]
+/// prices sets from atoms.
 #[derive(Debug)]
 pub(crate) struct Atom {
     delta: Vec<StructureHandle>,
     /// Statements the delta reaches, ascending, each with its cost under
-    /// `base ∪ {c}` if the cache held one.
+    /// the configuration if the cache held one.
     reached: Vec<(usize, Option<f64>)>,
 }
 
 impl Atom {
-    /// Whether `delta` is the disjoint union of the atoms' deltas. A delta
-    /// lists a structure once, so: the atoms' deltas share no structure,
-    /// each lies in `delta`, and together they are as long.
-    pub(crate) fn split(delta: &[StructureHandle], atoms: &[&Atom]) -> bool {
-        let parts = || atoms.iter().flat_map(|a| &a.delta);
-        let disjoint = || {
-            atoms.iter().enumerate().all(|(k, a)| {
-                atoms.iter().skip(k + 1).all(|b| !a.delta.iter().any(|h| b.delta.contains(h)))
-            })
-        };
-        parts().count() == delta.len() && disjoint() && parts().all(|h| delta.contains(h))
-    }
-
     /// The statements the atom reaches, with their costs.
     #[cfg(test)]
     pub(crate) fn reached(&self) -> &[(usize, Option<f64>)] {
@@ -1912,17 +1861,17 @@ mod tests {
         PhysicalStructure::Index(Index::non_clustered("d", table, keys, included))
     }
 
-    /// Price `reference ∪ {added}` against `reference`, on `eval` by its
-    /// delta and on `twin` whole: the two must agree bit for bit and in
-    /// every miss and call. Returns which statements `eval` looked up.
+    /// Price `base ∪ {added}` from its delta from `base`, on `eval` and
+    /// on `twin` whole: the two must agree bit for bit and in every miss
+    /// and call. Returns which statements `eval` looked up.
     fn delta_lookups(
         eval: &CostEvaluator<'_>,
         twin: &CostEvaluator<'_>,
-        reference: &Configuration,
+        base: &Configuration,
         added: PhysicalStructure,
     ) -> Vec<bool> {
-        let costs = eval.cached_costs(&Overlay::of(&Indexed::new(reference, None)));
-        let mut config = reference.clone();
+        let costs = eval.cached_costs(&Overlay::of(&Indexed::new(base, None)));
+        let mut config = base.clone();
         config.add(added.clone());
         let indexed = Indexed::new(&config, None);
         let lookups = |e: &CostEvaluator<'_>| -> Vec<u64> {
@@ -1931,7 +1880,7 @@ mod tests {
         let before = lookups(eval);
         let delta = [StructureHandle::new(added)];
         let got =
-            eval.delta_cost(&Overlay::of(&indexed), &delta, &costs).expect("costing succeeds");
+            eval.priced(&Overlay::of(&indexed), &delta, &[], &costs).expect("costing succeeds");
         let want = twin.workload_cost(&config).expect("costing succeeds");
         assert_eq!(got.to_bits(), want.to_bits());
         assert_eq!(eval.whatif_calls(), twin.whatif_calls());
@@ -1948,12 +1897,12 @@ mod tests {
         let target = TuningTarget::Single(&s);
         let (eval, twin) =
             (CostEvaluator::new(&target, &w.items), CostEvaluator::new(&target, &w.items));
-        let reference = Configuration::from_structures([index("t", &["a"], &["b"])]);
+        let base = Configuration::from_structures([index("t", &["a"], &["b"])]);
         for e in [&eval, &twin] {
-            e.workload_cost(&reference).expect("costing succeeds");
+            e.workload_cost(&base).expect("costing succeeds");
         }
         let [insert, delete, update, on_u, on_t] = [0, 1, 2, 3, 4];
-        let looked_up = |added| delta_lookups(&eval, &twin, &reference, added);
+        let looked_up = |added| delta_lookups(&eval, &twin, &base, added);
 
         // INSERT and DELETE maintain every index on `t`, whatever it holds
         let seen = looked_up(index("t", &["c"], &[]));
@@ -2006,10 +1955,10 @@ mod tests {
         let (target, twin_target) = (TuningTarget::Single(&s), TuningTarget::Single(&twin_s));
         let (eval, twin) =
             (CostEvaluator::new(&target, &w.items), CostEvaluator::new(&twin_target, &w.items));
-        let reference = Configuration::from_structures([index("t", &["a"], &["b"])]);
+        let base = Configuration::from_structures([index("t", &["a"], &["b"])]);
         for e in [&eval, &twin] {
             e.state.set_fallbacks(vec![7.0; 5]);
-            e.workload_cost(&reference).expect("costing succeeds");
+            e.workload_cost(&base).expect("costing succeeds");
         }
         // the SELECT on `t` then faults for good on a configuration it sees
         for (server, e) in [(&s, &eval), (&twin_s, &twin)] {
@@ -2019,15 +1968,15 @@ mod tests {
             server.set_fault_policy(None);
             assert_eq!(e.degraded_items(), [4]);
         }
-        // priced at its reference cost — the real one, as the hit it skips
+        // priced at its base cost — the real one, as the hit it skips
         // would have returned — where the delta cannot reach it …
-        assert!(!delta_lookups(&eval, &twin, &reference, index("u", &["a"], &[]))[4]);
+        assert!(!delta_lookups(&eval, &twin, &base, index("u", &["a"], &[]))[4]);
         // … and at its fallback, through a lookup, where it can
-        assert!(delta_lookups(&eval, &twin, &reference, index("t", &["a"], &["c"]))[4]);
-        assert_eq!(eval.item_cost(4, &reference).expect("cached").to_bits(), {
-            twin.item_cost(4, &reference).expect("cached").to_bits()
+        assert!(delta_lookups(&eval, &twin, &base, index("t", &["a"], &["c"]))[4]);
+        assert_eq!(eval.item_cost(4, &base).expect("cached").to_bits(), {
+            twin.item_cost(4, &base).expect("cached").to_bits()
         });
-        assert_ne!(eval.item_cost(4, &reference).expect("cached"), 7.0, "priced before the fault");
+        assert_ne!(eval.item_cost(4, &base).expect("cached"), 7.0, "priced before the fault");
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //!    the number of larger subsets the run is granted next. Enumeration
 //!    fixes each candidate's *atom* there when that number repays it.
 //! 2. **Incumbent** — before every Phase-2 round, with the incumbent it
-//!    extends. Enumeration fixes its reference configuration there.
+//!    extends. Enumeration fixes the incumbent's atom there.
 //!
 //! There is one body, [`greedy_mk`], and two callers. Enumeration runs it
 //! under the session's control, so every evaluation is a budget unit and
@@ -68,7 +68,7 @@ pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
 
 /// A serial point [`greedy_mk`] tells its hook about. No evaluation is in
 /// flight at any of them, so what an evaluator fixes there (enumeration's
-/// reference configuration and its atoms) depends on no worker.
+/// atoms) depends on no worker.
 #[derive(Debug)]
 pub enum SerialPoint<'a, S> {
     /// Phase 1 has evaluated every singleton and no larger subset yet.

@@ -26,8 +26,8 @@
 //!   workload statement; an index permutation would cross-pollute
 //!   per-statement caches;
 //! * **reference costs** — a statement a greedy evaluation does not look
-//!   up takes a cost read earlier: its reference cost, when no structure
-//!   of the delta is relevant to it, or an atom's, when only that atom's
+//!   up takes a cost read earlier: its base cost, when no structure of
+//!   the delta is relevant to it, or an atom's, when only that atom's
 //!   delta is. The cache must hold that very cost for the evaluated
 //!   configuration;
 //! * **derived costs** — a cost the evaluator finishes from recorded
@@ -94,7 +94,7 @@ pub fn check_fingerprint(stored: u64, recomputed: u64, statement: usize) {
     }
 }
 
-/// A statement priced without a lookup — at its reference cost, or at an
+/// A statement priced without a lookup — at its base cost, or at an
 /// atom's, because the delta could not change its projection from that
 /// configuration's — must have a cache entry for the evaluated
 /// configuration's projection holding exactly that cost: the entry its

@@ -134,8 +134,9 @@ pub fn tune_with_observer(
 
 /// Run a tuning session under an externally owned [`SessionControl`] —
 /// the caller keeps the [`crate::CancelHandle`] and can cancel the
-/// session from another thread. The control's own budget is used;
-/// `options.work_budget_units` is only consulted by [`tune`].
+/// session from another thread. The control's own budget is used and
+/// `options.work_budget_units` is ignored; [`tune`] and
+/// [`tune_with_observer`] build their control from it.
 pub fn tune_with_control(
     target: &TuningTarget<'_>,
     workload: &Workload,
