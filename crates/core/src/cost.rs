@@ -54,9 +54,10 @@
 //!    there and every view it added, and that entry plus each such index.
 //!    Per binding the planner takes the first of the cheapest recorded
 //!    paths, and the join order, the probes, the view rewrites and the
-//!    rest of the plan are the planner's ([`CostEvaluator::derive`]).
-//!    Such a miss is still a miss; only calls, and the work they charge,
-//!    go uncounted.
+//!    rest of the plan are the planner's ([`CostEvaluator::derive`]). An
+//!    INSERT picks no path and reads its target's records alike; its
+//!    plan is the planner's maintenance sum. Such a miss is still a miss;
+//!    only calls, and the work they charge, go uncounted.
 //!
 //! The evaluator is `Send + Sync` so ONE instance (and therefore one
 //! cache) serves the whole tuning session — pre-cost estimation,
@@ -156,9 +157,9 @@ struct CacheEntry {
     epoch: u16,
     /// The access path the plan picked for each table binding
     /// ([`Plan::picks`]), which a derived cost is finished from
-    /// ([`CostEvaluator::derive`]); [`Picks::NONE`] for an INSERT and for
-    /// a degraded statement's fallback. Inline: a release entry is 32
-    /// bytes.
+    /// ([`CostEvaluator::derive`]); [`Picks::NONE`] for a degraded
+    /// statement's fallback and for an INSERT, which has no binding to
+    /// record. Inline: a release entry is 32 bytes.
     picks: Picks,
 }
 
@@ -334,9 +335,11 @@ pub(crate) struct Relevance {
     tables: Box<[(u64, ColumnUse)]>,
     /// Per table binding the planner picks an access path for, in the
     /// order [`Picks`] records them, the position of its table in
-    /// `tables` ([`PreparedStatement::binding_keys`]); empty for a
-    /// statement a derived cost cannot price.
-    bindings: Box<[u8]>,
+    /// `tables` ([`PreparedStatement::binding_keys`]): empty for an
+    /// INSERT, which picks none; `None` for a statement a derived cost
+    /// cannot price, one that does not bind or has more bindings than a
+    /// record holds.
+    bindings: Option<Box<[u8]>>,
     /// The views' side, from the statement's latest preparation: it
     /// depends on the binding alone, so any preparation gives the same
     /// verdicts, and holding the latest keeps no earlier one's view
@@ -685,7 +688,7 @@ impl<'a> CostEvaluator<'a> {
         self.target
     }
 
-    /// What-if calls actually issued (cache misses).
+    /// What-if calls issued: misses not derived, one per attempt.
     pub fn whatif_calls(&self) -> usize {
         self.counters.get(Counter::WhatIfCalls) as usize
     }
@@ -759,13 +762,12 @@ impl<'a> CostEvaluator<'a> {
                 .collect();
             tables.sort_unstable();
             tables.dedup();
-            let bindings: Option<Box<[u8]>> = prepared
-                .binding_keys()
-                .iter()
-                .map(|key| u8::try_from(tables.binary_search(key).ok()?).ok())
-                .collect();
+            let bindings = prepared.binding_keys().and_then(|keys| {
+                let at = |key| u8::try_from(tables.binary_search(key).ok()?).ok();
+                keys.iter().map(at).collect::<Option<Box<[u8]>>>()
+            });
             Relevance {
-                bindings: bindings.filter(|b| b.len() <= Picks::MAX).unwrap_or_default(),
+                bindings: bindings.filter(|b| b.len() <= Picks::MAX),
                 tables: tables.into_iter().map(|k| (k, prepared.column_use(k))).collect(),
                 views: RwLock::new(prepared.view_use()),
             }
@@ -954,9 +956,8 @@ impl<'a> CostEvaluator<'a> {
         }
     }
 
-    /// The plan of a SELECT, UPDATE or DELETE under `config`, finished
-    /// from the access paths its cache recorded instead of by a what-if
-    /// call.
+    /// The plan of a statement under `config`, finished from the access
+    /// paths its cache recorded instead of by a what-if call.
     ///
     /// A table binding's access path depends on its own table's structures
     /// alone: the planner prices the joins, the views and every other
@@ -982,7 +983,12 @@ impl<'a> CostEvaluator<'a> {
     /// in `config`'s order, is the planner's pick, and the planner — join
     /// order, probes, grouping, view rewrites and maintenance included —
     /// finishes the plan from it ([`dta_optimizer::derive_prepared`]), bit
-    /// for bit. `None` — and a what-if call — in every other case.
+    /// for bit. An INSERT picks no path, so its plan is the maintenance sum
+    /// under `config`; it reads its target's records as an UPDATE does,
+    /// and derives where an UPDATE would. `None` — and a what-if call — in
+    /// every other case: a statement that does not bind or has more
+    /// bindings than [`Picks::MAX`], an added clustered index, a missing
+    /// or late record.
     fn derive(
         shard: &Shard,
         relevant: &Relevance,
@@ -991,14 +997,13 @@ impl<'a> CostEvaluator<'a> {
         prepared: &PreparedStatement,
         projected: &Configuration,
     ) -> Option<Plan> {
-        let bindings = &relevant.bindings;
-        if bindings.is_empty() {
-            return None;
-        }
-        // the tables the bindings read, each once: at most one per binding
+        let bindings = relevant.bindings.as_deref()?;
+        // the tables whose records it reads, each once: at most one per
+        // binding, and an INSERT's one table, its target
+        let reads = if bindings.is_empty() { &[0][..] } else { bindings };
         let mut references = [Reference::default(); Picks::MAX];
         let mut read = 0;
-        for &table in bindings.iter() {
+        for &table in reads {
             if references.iter().take(read).all(|r| r.table != table) {
                 references.get_mut(read)?.table = table;
                 read += 1;
@@ -2011,6 +2016,38 @@ mod tests {
             assert_eq!(tally(&eval), want);
         }
         assert_eq!(pairs[0], pairs[1], "derived or called, the same cost");
+
+        // an INSERT into `t` reads `t`'s records as the SELECT does
+        let sql = "INSERT INTO t VALUES (1, 2, 3)";
+        let insert = [WorkloadItem::new("d", parse_statement(sql).expect("valid SQL"))];
+        let price = |eval: &CostEvaluator<'_>, set: &[&StructureHandle]| {
+            eval.price(0, &Overlay::union(&base, set)).expect("costing succeeds").to_bits()
+        };
+        let planned = {
+            let whole = Overlay::union(&base, &[one, other]).materialize();
+            s.whatif("d", &insert[0].statement, &whole).expect("binds").cost.to_bits()
+        };
+        for singletons_first in [false, true] {
+            let eval = CostEvaluator::new(&target, &insert);
+            eval.serial_point(0);
+            price(&eval, &[]);
+            eval.serial_point(1);
+            // the base is recorded, but `base ∪ {one}` plus `one` is not
+            price(&eval, &[one]);
+            assert_eq!(tally(&eval), (2, 0), "[derived-record] the singleton is a call");
+            if singletons_first {
+                price(&eval, &[other]);
+            }
+            eval.serial_point(2);
+            if !singletons_first {
+                price(&eval, &[other]);
+            }
+            assert_eq!(price(&eval, &[one, other]), planned);
+            // the pair reads `base ∪ {one}` and `base ∪ {other}`, and only
+            // once both are older than the last serial point
+            let want = if singletons_first { (3, 1) } else { (4, 0) };
+            assert_eq!(tally(&eval), want, "[derived-record] the pair, {singletons_first}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct TuningResult {
     pub total_statements: usize,
     /// Total events (sum of weights) in the input workload.
     pub total_events: f64,
-    /// What-if optimizer calls issued (cache misses).
+    /// What-if optimizer calls issued: misses not derived, one per attempt.
     pub whatif_calls: usize,
     /// Greedy evaluations across candidate selection and enumeration.
     pub evaluations: usize,

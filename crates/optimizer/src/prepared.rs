@@ -579,7 +579,8 @@ pub(crate) enum Prepared {
 impl Prepared {
     /// The table bindings the planner picks an access path for, in the
     /// order it picks them ([`crate::Picks`]): a SELECT's tables as bound,
-    /// an UPDATE's or DELETE's target; none for an INSERT.
+    /// an UPDATE's or DELETE's target; none for an INSERT, whose plan is
+    /// its maintenance sum alone.
     pub(crate) fn bindings(&self) -> &[PreparedTable] {
         match self {
             Prepared::Select(q) => &q.tables,
@@ -714,11 +715,11 @@ impl PreparedStatement {
 
     /// The [`table_key`] of each table binding the planner picks an access
     /// path for, in the order [`crate::Picks`] records them: what
-    /// [`crate::derive_prepared`] plans from. Empty for an INSERT and for
-    /// a statement that does not bind.
-    pub fn binding_keys(&self) -> Vec<u64> {
-        let bindings = self.body.as_ref().map_or(&[][..], Prepared::bindings);
-        bindings.iter().map(|t| t.facts.key).collect()
+    /// [`crate::derive_prepared`] plans from. Empty for an INSERT, which
+    /// picks none; `None` for a statement that does not bind.
+    pub fn binding_keys(&self) -> Option<Vec<u64>> {
+        let bindings = self.body.as_ref().ok()?.bindings();
+        Some(bindings.iter().map(|t| t.facts.key).collect())
     }
 
     /// Which materialized views can change the statement's plan, of those

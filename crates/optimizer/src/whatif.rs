@@ -92,17 +92,18 @@ pub fn optimize_prepared(
     Ok(plan_body(&ctx, prep.body()?, |t| best_access(&ctx, t)))
 }
 
-/// Plan a SELECT, UPDATE or DELETE under `config` as [`optimize_prepared`]
-/// does, but read each table binding by the path [`best_access`] would
-/// pick when the recorded paths hold every path it could: the first of the
-/// cheapest recorded paths in configuration order. A binding's recorded
-/// paths are its pick in `base` and the position under `config` of each
-/// index in `wins` whose binding mask holds it (bit `b` for the `b`-th
-/// binding, in the order [`crate::Picks`] records them). Only the recorded
-/// paths are costed; the rest of the plan — join order, hash and
-/// index-nested-loop costing with their probes, grouping, order, TOP and
-/// view rewrites, or the maintenance sum — is the planner's own. `None`
-/// for an INSERT, when `base` records another number of bindings, or when
+/// Plan a statement under `config` as [`optimize_prepared`] does, but read
+/// each table binding by the path [`best_access`] would pick when the
+/// recorded paths hold every path it could: the first of the cheapest
+/// recorded paths in configuration order. A binding's recorded paths are
+/// its pick in `base` and the position under `config` of each index in
+/// `wins` whose binding mask holds it (bit `b` for the `b`-th binding, in
+/// the order [`crate::Picks`] records them). Only the recorded paths are
+/// costed; the rest of the plan — join order, hash and index-nested-loop
+/// costing with their probes, grouping, order, TOP and view rewrites, or
+/// the maintenance sum — is the planner's own. An INSERT, which picks no
+/// path, is its maintenance sum under `config`. `None` when the statement
+/// does not bind, when `base` records another number of bindings, or when
 /// a recorded path is not one `config` offers.
 pub fn derive_prepared(
     prep: &PreparedStatement,
@@ -112,8 +113,7 @@ pub fn derive_prepared(
 ) -> Option<Plan> {
     let ctx = prep.context(config);
     let body = prep.body().ok()?;
-    let bindings = body.bindings();
-    if bindings.is_empty() || bindings.len() != base.as_slice().len() {
+    if body.bindings().len() != base.as_slice().len() {
         return None;
     }
     // the planner picks once per binding, in binding order
@@ -626,15 +626,13 @@ mod tests {
                 }
                 let text = plan.to_string();
                 hidden += usize::from(text.contains("ViewScan") || text.contains("IndexNLJoin"));
-                // the plan finished from the picks alone is the plan
-                match derive_prepared(prep, &config, plan.picks(), std::iter::empty()) {
-                    Some(derived) => {
-                        assert_eq!(derived.cost.to_bits(), plan.cost.to_bits(), "{context}");
-                        assert_eq!(derived.to_string(), text, "{context}");
-                        assert_eq!(derived.picks(), plan.picks(), "{context}");
-                    }
-                    None => assert!(bindings.is_empty(), "{context}"),
-                }
+                // the plan finished from the picks alone is the plan, the
+                // INSERT's, which picks none, included
+                let derived = derive_prepared(prep, &config, plan.picks(), std::iter::empty())
+                    .unwrap_or_else(|| panic!("not derived: {context}"));
+                assert_eq!(derived.cost.to_bits(), plan.cost.to_bits(), "{context}");
+                assert_eq!(derived.to_string(), text, "{context}");
+                assert_eq!(derived.picks(), plan.picks(), "{context}");
             }
         }
         assert!(joined_indexes > 100 && hidden > 100, "{joined_indexes} {hidden}");

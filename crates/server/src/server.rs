@@ -272,7 +272,8 @@ impl Server {
     /// What-if optimizer invocations observed at the server, including
     /// attempts rejected by an injected fault before any work was
     /// charged. This is the server's own ground-truth tally; the tuning
-    /// layer's counter only sees its cost-cache misses.
+    /// layer counts the what-if calls it issues: misses not derived, one
+    /// per attempt.
     pub fn whatif_invocations(&self) -> u64 {
         self.whatif_invocations.load(Ordering::SeqCst)
     }
@@ -402,7 +403,8 @@ impl Server {
     fn price(&self, prep: &PreparedStatement, config: &Configuration) -> Result<Plan, ServerError> {
         // server-side invocation tally: every arrival counts, including
         // attempts an injected fault rejects before any work is charged
-        // (the client-side what-if counter only sees cache misses)
+        // (the client-side counter counts the what-if calls it issues:
+        // misses not derived, one per attempt)
         self.whatif_invocations.fetch_add(1, Ordering::SeqCst);
         // injected faults are decided before work is charged: a failed
         // attempt spends no server work, so a transient schedule that
