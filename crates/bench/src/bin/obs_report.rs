@@ -8,7 +8,7 @@
 //! dta-obs-report --json           # stable-schema JSON (dta-obs/v1)
 //! ```
 
-use dta::advisor::{tune_with_observer, RecordingObserver, TuningOptions};
+use dta::advisor::{tune_with_observer, Counter, RecordingObserver, TuningOptions};
 use dta::prelude::*;
 use dta::workload::{psoft, synt1, tpch};
 use dta_bench::snapshot::SNAP_WORKLOADS;
@@ -67,6 +67,11 @@ fn main() {
             result.whatif_retries,
             result.retry_backoff_units,
             result.degraded_statements.len(),
+        );
+        println!(
+            "enumeration: {} evaluations · {} Phase-1 sets pruned by bound",
+            result.evaluations,
+            summary.counter(Counter::PrunedSets),
         );
         println!(
             "recommendation: cost {:.1} -> {:.1} ({:.1}% improvement)",

@@ -40,6 +40,10 @@ pub struct WorkloadSnap {
     /// every miss is one or the other (or a degraded statement's
     /// fallback). Absent from snapshots before derived costs.
     pub derived_costs: u64,
+    /// Phase-1 sets enumeration counted but did not price, their bound
+    /// showing they could not undercut the round's front. Absent from
+    /// snapshots before pruning.
+    pub pruned_sets: u64,
     pub cache_hit_rate: f64,
     pub peak_pool_size: u64,
     pub evaluations: usize,
@@ -80,6 +84,7 @@ pub fn run_workload(name: &str) -> WorkloadSnap {
         cache_hits: summary.counter(Counter::CacheHits),
         cache_misses: summary.counter(Counter::CacheMisses),
         derived_costs: summary.counter(Counter::DerivedCosts),
+        pruned_sets: summary.counter(Counter::PrunedSets),
         cache_hit_rate: summary.cache_hit_rate(),
         peak_pool_size: summary.counter(Counter::PeakPoolSize),
         evaluations: result.evaluations,
@@ -181,13 +186,14 @@ pub fn snapshot_json(
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"whatif_calls\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"derived_costs\":{},\"cache_hit_rate\":{:.6},\"peak_pool_size\":{},\"evaluations\":{},\
-             \"base_cost\":{:.6},\"recommended_cost\":{:.6},\"stages\":[",
+             \"derived_costs\":{},\"pruned_sets\":{},\"cache_hit_rate\":{:.6},\"peak_pool_size\":{},\
+             \"evaluations\":{},\"base_cost\":{:.6},\"recommended_cost\":{:.6},\"stages\":[",
             json_escape(&w.name),
             w.whatif_calls,
             w.cache_hits,
             w.cache_misses,
             w.derived_costs,
+            w.pruned_sets,
             w.cache_hit_rate,
             w.peak_pool_size,
             w.evaluations,
@@ -466,7 +472,12 @@ pub fn validate_snapshot(text: &str) -> Result<(), String> {
         let hits = uint(w, "cache_hits")?;
         let misses = uint(w, "cache_misses")?;
         uint(w, "peak_pool_size")?;
-        uint(w, "evaluations")?;
+        let evaluations = uint(w, "evaluations")?;
+        // a pruned set is an evaluation, counted and not priced (absent
+        // before there were any)
+        if w.get("pruned_sets").is_some() && uint(w, "pruned_sets")? > evaluations {
+            return Err(format!("pruned_sets exceed evaluations {evaluations}"));
+        }
         num(w, "base_cost")?;
         num(w, "recommended_cost")?;
         let rate = num(w, "cache_hit_rate")?;
@@ -529,6 +540,7 @@ mod tests {
             cache_hits: 90,
             cache_misses: 10,
             derived_costs: 0,
+            pruned_sets: 5,
             cache_hit_rate: 0.9,
             peak_pool_size: 7,
             evaluations: 42,
@@ -579,6 +591,7 @@ mod tests {
             cache_hits: 90,
             cache_misses: 10,
             derived_costs: 0,
+            pruned_sets: 5,
             cache_hit_rate: 0.9,
             peak_pool_size: 7,
             evaluations: 42,
@@ -625,5 +638,9 @@ mod tests {
         let derived = derived.replace("\"derived_costs\":0", "\"derived_costs\":6");
         validate_snapshot(&derived).unwrap();
         validate_snapshot(&sample().replace("\"derived_costs\":0,", "")).unwrap();
+        // pruned sets are evaluations, and the field is optional
+        let pruned = sample().replace("\"pruned_sets\":5", "\"pruned_sets\":43");
+        assert!(validate_snapshot(&pruned).is_err(), "more pruned sets than evaluations");
+        validate_snapshot(&sample().replace("\"pruned_sets\":5,", "")).unwrap();
     }
 }

@@ -577,7 +577,8 @@ fn select_item(
     // wrapped once: every evaluation below shares these, and overlays the
     // indexed base instead of copying it
     let pool: Vec<StructureHandle> = generated.into_iter().map(StructureHandle::new).collect();
-    let eval_fn = |set: &[&StructureHandle]| -> Option<f64> {
+    // it prices every set, whatever the ceiling
+    let eval_fn = |set: &[&StructureHandle], _: Option<f64>| -> Option<f64> {
         eval.price(i, &Overlay::union(base, set)).ok()
     };
     // each item's greedy search runs serially (workers = 1); the

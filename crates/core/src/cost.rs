@@ -1219,6 +1219,19 @@ impl<'a> CostEvaluator<'a> {
         atoms: &[&Atom],
         base_costs: &[Option<f64>],
     ) -> Result<f64, ServerError> {
+        self.summed(config, delta, atoms, base_costs, |i| self.price(i, config))
+    }
+
+    /// [`Self::priced`]'s sum, with each statement it looks up priced by
+    /// `look_up`.
+    fn summed<E>(
+        &self,
+        config: &Overlay<'_>,
+        delta: &[StructureHandle],
+        atoms: &[&Atom],
+        base_costs: &[Option<f64>],
+        mut look_up: impl FnMut(usize) -> Result<f64, E>,
+    ) -> Result<f64, E> {
         let mut used: Vec<&Atom> = Vec::new();
         for &atom in atoms {
             let inside = atom.delta.iter().all(|h| delta.contains(h));
@@ -1250,13 +1263,63 @@ impl<'a> CostEvaluator<'a> {
                     }
                     cost
                 }
-                None => self.price(i, config)?,
+                None => look_up(i)?,
             };
             let next = total + item.weight * cost;
             invariants::check_monotonic_sum(total, next, "workload_cost");
             total = next;
         }
         Ok(total)
+    }
+
+    /// Per statement, whether a set of added non-clustered indexes that
+    /// leave its tables laid out as in the base prices it through one
+    /// access path: it binds one table (a SELECT, UPDATE or DELETE) or
+    /// none (an INSERT). Its plan then reads one path, the base's or one
+    /// index's, and maintenance adds per index, so the set cannot cost it
+    /// less than `base − Σ max(0, base − cₓ)` over the indexes' singleton
+    /// costs `cₓ`. `false` for a statement not looked up yet.
+    pub(crate) fn one_path(&self) -> Vec<bool> {
+        let shards = &self.state.shards;
+        shards
+            .iter()
+            .map(|s| {
+                s.relevance.get().and_then(|r| r.bindings.as_ref()).is_some_and(|b| b.len() <= 1)
+            })
+            .collect()
+    }
+
+    /// Debug builds: a Phase-1 set skipped against `ceiling` — priced as
+    /// [`Self::priced`] would, but with each statement it would look up
+    /// planned on its projection, so the cache, the counters and the server
+    /// stay untouched — must cost no less than its `floor` and than the
+    /// ceiling, so that it could not have displaced the front. Skipped when
+    /// a statement to plan is degraded, as its cost would then be the
+    /// cache's, not the plan's.
+    pub(crate) fn check_pruned(
+        &self,
+        config: &Overlay<'_>,
+        delta: &[StructureHandle],
+        atoms: &[&Atom],
+        base_costs: &[Option<f64>],
+        floor: f64,
+        ceiling: f64,
+    ) {
+        if !invariants::ENABLED {
+            return;
+        }
+        let planned = self.summed(config, delta, atoms, base_costs, |i| {
+            let (item, shard) = self.slot(i);
+            if self.state.degraded.lock().contains(&i) {
+                return Err(());
+            }
+            let projected = config.projection(self.relevance(item, shard));
+            let prepared = self.preparation(item, shard);
+            dta_optimizer::optimize_prepared(&prepared, &projected).map(|p| p.cost).map_err(|_| ())
+        });
+        if let Ok(planned) = planned {
+            invariants::check_pruned(planned, floor, ceiling);
+        }
     }
 }
 
@@ -1275,8 +1338,7 @@ pub(crate) struct Atom {
 }
 
 impl Atom {
-    /// The statements the atom reaches, with their costs.
-    #[cfg(test)]
+    /// The statements the atom reaches, ascending, with their costs.
     pub(crate) fn reached(&self) -> &[(usize, Option<f64>)] {
         &self.reached
     }

@@ -31,6 +31,15 @@ pub fn improves(candidate: f64, incumbent: f64) -> bool {
     candidate < incumbent
 }
 
+/// Whether a set whose cost is at least `floor` cannot undercut
+/// `ceiling`, the cost of a front found at an earlier position: an equal
+/// cost at a later position never displaces a front. NaN never qualifies,
+/// so a poisoned floor leaves the set to be priced.
+#[inline]
+pub fn cannot_undercut(floor: f64, ceiling: f64) -> bool {
+    floor >= ceiling
+}
+
 /// Minimum of an entrant and an incumbent by `(cost, position)`.
 ///
 /// The entrant wins only with a strictly lower cost, or an equal cost
@@ -70,6 +79,15 @@ mod tests {
         assert!(!improves(f64::NAN, 1.0));
         assert!(improves(1.0, f64::INFINITY));
         assert!(!improves(f64::NAN, f64::NAN));
+    }
+
+    #[test]
+    fn only_a_floor_at_or_above_the_ceiling_cannot_undercut_it() {
+        assert!(cannot_undercut(2.0, 2.0), "an equal cost never displaces the front");
+        assert!(cannot_undercut(3.0, 2.0));
+        assert!(!cannot_undercut(1.0, 2.0));
+        assert!(!cannot_undercut(f64::NAN, 2.0));
+        assert!(!cannot_undercut(1.0, f64::NAN));
     }
 
     #[test]

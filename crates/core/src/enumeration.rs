@@ -14,9 +14,10 @@ use crate::candidates::Candidate;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::{Atom, CostEvaluator};
 use crate::greedy::{greedy_mk, GreedySnapshot, SerialPoint};
-use crate::obs::SessionObserver;
+use crate::obs::{Counter, SessionObserver};
 use crate::options::{AlignmentMode, TuningOptions};
 use crate::overlay::{Indexed, Overlay, Placed, Slot};
+use crate::{det, invariants};
 use dta_physical::sizing::structure_bytes;
 use dta_physical::{
     Configuration, IndexKind, PhysicalStructure, RangePartitioning, SizingInfo, StructureHandle,
@@ -25,6 +26,7 @@ use parking_lot::{Rank, RwLock};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The outcome of enumeration.
 #[derive(Debug, Clone)]
@@ -217,6 +219,21 @@ impl<'a> Assembler<'a> {
         Overlay::of(&self.base)
     }
 
+    /// Whether `h` is a non-clustered index with no partitioning on a table
+    /// the base holds no partitioning on: no heap partitioning and no
+    /// partitioned index.
+    fn unpartitioned_index(&self, h: &StructureHandle) -> bool {
+        let unpartitioned = |h: &StructureHandle| match h.structure() {
+            PhysicalStructure::Index(ix) => ix.partitioning.is_none(),
+            PhysicalStructure::TablePartitioning { .. } => false,
+            PhysicalStructure::View(_) => true,
+        };
+        h.as_index().is_some_and(|ix| ix.kind == IndexKind::NonClustered)
+            && unpartitioned(h)
+            && h.table_key()
+                .is_some_and(|key| self.base.on(key).iter().all(|(_, o)| unpartitioned(o)))
+    }
+
     /// The configuration for `base ∪ set` with its delta from the base —
     /// `None` when it is infeasible or over the storage bound — and the
     /// number of structures alignment rewrote to build it.
@@ -312,12 +329,22 @@ pub fn eager_alignment_expansion(pool: &[PhysicalStructure]) -> Vec<PhysicalStru
 
 /// The pool enumeration walks: the candidates ordered by observed
 /// benefit (which helps greedy find good seeds early when the budget cuts
-/// the search short), expanded eagerly when `options` say so, each
-/// wrapped once. A session builds it when it merges its pool and hands
+/// the search short), expanded eagerly when options say so, each wrapped
+/// once, and — from the first singletons point a run over it hears — each
+/// candidate's atom. A session builds it when it merges its pool and hands
 /// it to every [`enumerate`] run, so a run parked and resumed by a
-/// supervisor re-sorts and re-wraps nothing. It is a function of the
-/// candidates and options alone: a resumed session derives it again.
-pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<StructureHandle> {
+/// supervisor re-sorts, re-wraps and re-makes nothing; a failed run drops
+/// it with the merged pool. The candidates are a function of the pool and
+/// options alone, and the atoms of the cache the singletons were priced
+/// into: a resumed session derives both again. A pool is handed only to
+/// runs over one workload, base and set of options.
+pub struct EnumerationPool {
+    handles: Vec<StructureHandle>,
+    members: OnceLock<Vec<Option<Member>>>,
+}
+
+/// Build the [`EnumerationPool`] of `pool` under `options`.
+pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> EnumerationPool {
     let mut ordered: Vec<&Candidate> = pool.iter().collect();
     ordered.sort_by(|a, b| b.benefit.total_cmp(&a.benefit));
     let mut structures: Vec<PhysicalStructure> =
@@ -325,7 +352,19 @@ pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<Stru
     if options.alignment == AlignmentMode::Eager {
         structures = eager_alignment_expansion(&structures);
     }
-    structures.into_iter().map(StructureHandle::new).collect()
+    let handles = structures.into_iter().map(StructureHandle::new).collect();
+    EnumerationPool { handles, members: OnceLock::new() }
+}
+
+/// A pool candidate `c` as Phase 1's bound reads it: the atom of
+/// `base ∪ {c}`, and whether `c` is *plain* — a non-clustered index with
+/// no partitioning, on a table the base holds no partitioning on, that
+/// assembly adds as it is: `base ∪ {c}` differs from the base by `c` alone
+/// and rewrites nothing. A set of plain members differs from the base by
+/// its members alone, so assembling it would rewrite nothing either.
+struct Member {
+    atom: Atom,
+    plain: bool,
 }
 
 /// Rank of the [`Against`] lock: every evaluation holds it while it
@@ -334,13 +373,91 @@ pub fn enumeration_pool(pool: &[Candidate], options: &TuningOptions) -> Vec<Stru
 const AGAINST: Rank = Rank::outer(0);
 
 /// What a Greedy evaluation is priced against: each statement's cost
-/// under the base as the cache held it, each pool candidate's atom
-/// (`None` where it has none), and in Phase 2 the incumbent's length and
-/// atom. Fixed at serial points only.
-struct Against {
+/// under the base as the cache held it, the pool's members (once the
+/// run's singletons point has installed them), what Phase 1's bound reads,
+/// and in Phase 2 the incumbent's length and atom. Fixed at serial points
+/// only.
+struct Against<'p> {
     costs: Vec<Option<f64>>,
-    atoms: Vec<Option<Atom>>,
+    members: &'p [Option<Member>],
+    bound: Option<Bound>,
     incumbent: Option<(usize, Atom)>,
+}
+
+/// One statement as Phase 1's bound reads it: its weight, its cost under
+/// the base, and whether a set of plain members is read through one
+/// access path ([`CostEvaluator::one_path`]).
+struct Fact {
+    weight: f64,
+    base: f64,
+    one_path: bool,
+}
+
+/// What Phase 1's bound reads beside the members' atoms: every statement's
+/// [`Fact`], their weighted base total, and the margin that covers the
+/// rounding between the bound's sum and a priced one
+/// ([`PRUNING_MARGIN`] of the total).
+struct Bound {
+    facts: Vec<Fact>,
+    total: f64,
+    margin: f64,
+}
+
+/// The margin a Phase-1 bound is taken less, relative to the workload's
+/// weighted base cost: far above the rounding of two sums over a few
+/// thousand statements (about 1e-13 of it), far below any cost two sets
+/// differ by.
+const PRUNING_MARGIN: f64 = 1e-9;
+
+impl Bound {
+    /// The bound over `facts`: `None` when a statement has no base cost.
+    fn new(eval: &CostEvaluator<'_>, base_costs: &[Option<f64>]) -> Option<Self> {
+        let facts = eval
+            .one_path()
+            .into_iter()
+            .zip(base_costs)
+            .zip(eval.items())
+            .map(|((one_path, &base), item)| {
+                Some(Fact { weight: item.weight, base: base?, one_path })
+            })
+            .collect::<Option<Vec<Fact>>>()?;
+        let total = facts.iter().fold(0.0, |sum, f| sum + f.weight * f.base);
+        Some(Self { facts, total, margin: PRUNING_MARGIN * total })
+    }
+
+    /// The least the set of `members` can cost, less the margin: the
+    /// weighted sum of each statement's floor. A statement no member reaches
+    /// costs its base cost, one that one member reaches that member's atom
+    /// cost, and one that several reach, `base − Σ max(0, base − cₓ)` when
+    /// one access path serves it, else 0. `None` — and the set is priced —
+    /// when a member is not plain or lacks a cost.
+    fn floor(&self, members: &[&Member]) -> Option<f64> {
+        if !members.iter().all(|m| m.plain) {
+            return None;
+        }
+        let mut reached: Vec<_> =
+            members.iter().map(|m| m.atom.reached().iter().peekable()).collect();
+        let mut floor = self.total;
+        while let Some(q) = reached.iter_mut().filter_map(|r| r.peek().map(|&&(q, _)| q)).min() {
+            let fact = self.facts.get(q)?;
+            let (mut reaching, mut gained, mut alone) = (0, 0.0, 0.0);
+            for r in &mut reached {
+                if let Some(&(_, priced)) = r.next_if(|&&(j, _)| j == q) {
+                    let gain = fact.base - priced?;
+                    reaching += 1;
+                    gained += gain.max(0.0);
+                    alone = gain;
+                }
+            }
+            let drop = match reaching {
+                1 => alone,
+                _ if fact.one_path => gained,
+                _ => fact.base,
+            };
+            floor -= fact.weight * drop;
+        }
+        Some(floor - self.margin)
+    }
 }
 
 /// Run enumeration over `pool`, as [`enumeration_pool`] builds it.
@@ -355,14 +472,24 @@ struct Against {
 /// reports its two phases to `obs` as spans — instrumentation only.
 ///
 /// Every evaluation is priced from its delta from the base
-/// ([`CostEvaluator::priced`]), given the atoms of its members once Phase
-/// 1 has priced every singleton, and in Phase 2 the incumbent's atom in
-/// place of the incumbent's members'.
+/// ([`CostEvaluator::priced`]), given the atoms of its members once the
+/// run's singletons point has installed them, and in Phase 2 the
+/// incumbent's atom in place of the incumbent's members'.
+///
+/// A Phase-1 set of plain members (see [`Member`]) whose floor — the
+/// least it can cost, less a margin ([`Bound::floor`]) — is no lower than
+/// its ceiling ([`crate::greedy`]) is not assembled and not priced: it is
+/// counted as [`Counter::PrunedSets`] and returned infeasible, since at
+/// its position it could not displace the front. It is still granted and
+/// charged, so budgets, cuts, `evaluations` and checkpoints do not move,
+/// and as assembling it would rewrite nothing, neither do
+/// `lazy_variants`. Debug builds price each pruned set exactly and check
+/// that (`invariants::check_pruned`).
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate(
     eval: &CostEvaluator<'_>,
     base: &Configuration,
-    pool: &[StructureHandle],
+    pool: &EnumerationPool,
     sizing: &dyn SizingInfo,
     options: &TuningOptions,
     control: &SessionControl,
@@ -374,6 +501,7 @@ pub fn enumerate(
         None => (0, None),
     };
     let lazy_variants = AtomicUsize::new(lazy_seed);
+    let candidates = &pool.handles;
 
     let assembler = Assembler::new(base, options, sizing);
     let assemble = |set: &[&StructureHandle]| {
@@ -390,25 +518,44 @@ pub fn enumerate(
             .and_then(|r| r.ok())
             .unwrap_or(f64::INFINITY);
     let handles = |set: &[&usize]| -> Vec<&StructureHandle> {
-        set.iter().map(|&&c| pool.get(c).expect("greedy positions index the pool")).collect()
+        set.iter().map(|&&c| candidates.get(c).expect("greedy positions index the pool")).collect()
     };
-    // The base's costs as just priced, the pool's atoms once its
-    // singletons are, each incumbent's atom for Phase 2: fixed at serial
-    // points only, so which lookups are skipped depends on nothing a
-    // worker does.
+    // The base's costs as just priced, the pool's members and the bound
+    // once its singletons are, each incumbent's atom for Phase 2: fixed at
+    // serial points only, so which lookups are skipped and which sets are
+    // pruned depends on nothing a worker does.
     let against = RwLock::ranked(
-        Against { costs: eval.cached_costs(&assembler.base()), atoms: Vec::new(), incumbent: None },
+        Against {
+            costs: eval.cached_costs(&assembler.base()),
+            members: &[],
+            bound: None,
+            incumbent: None,
+        },
         AGAINST,
     );
-    let eval_fn = |set: &[&usize]| -> Option<f64> {
+    let eval_fn = |set: &[&usize], ceiling: Option<f64>| -> Option<f64> {
         let against = against.read();
+        if let (Some(ceiling), Some(bound)) = (ceiling, &against.bound) {
+            let members: Option<Vec<&Member>> =
+                set.iter().map(|&&c| against.members.get(c)?.as_ref()).collect();
+            let floor = members.as_deref().and_then(|members| bound.floor(members));
+            if let Some(floor) = floor.filter(|&floor| det::cannot_undercut(floor, ceiling)) {
+                control.counters().add(Counter::PrunedSets, 1);
+                if invariants::ENABLED {
+                    let Assembled { overlay, delta } = assembler.assemble(&handles(set)).0?;
+                    let atoms: Vec<&Atom> = members.iter().flatten().map(|m| &m.atom).collect();
+                    eval.check_pruned(&overlay, &delta, &atoms, &against.costs, floor, ceiling);
+                }
+                return None;
+            }
+        }
         let Assembled { overlay, delta } = assemble(&handles(set))?;
         let (len, incumbent) =
             against.incumbent.as_ref().map_or((0, None), |(len, atom)| (*len, Some(atom)));
         let members = set.get(len..).unwrap_or_default();
         let atoms: Vec<&Atom> = incumbent
             .into_iter()
-            .chain(members.iter().filter_map(|&&c| against.atoms.get(c)?.as_ref()))
+            .chain(members.iter().filter_map(|&&c| Some(&against.members.get(c)?.as_ref()?.atom)))
             .collect();
         eval.priced(&overlay, &delta, &atoms, &against.costs).ok()
     };
@@ -416,32 +563,36 @@ pub fn enumerate(
     // incumbent's, assembled when it was evaluated — which is not tallied
     // again. One that cannot be made leaves its statements to the
     // relevance scan, which prices any set exactly, if less cheaply.
-    // Atoms are this run's alone: a resumed run makes them again from the
-    // cache it resumes with. A candidate's atom costs about what pricing
-    // one set from atoms saves, so a run makes them only when it is
-    // granted at least twice as many sets as there are candidates: a
-    // whole Phase 1 is, a supervisor slice of 64 evaluations over a pool
-    // of 70 is not.
-    let atom = |set: &[&StructureHandle]| {
-        let Assembled { overlay, delta } = assembler.assemble(set).0?;
-        eval.atom(&overlay, delta)
+    // The pool's members are made once, at the first singletons point a
+    // run over it hears, and installed at every one a run hears; a run
+    // resumed in Phase 2 hears none and prices from the incumbent's atom.
+    let member = |c: &StructureHandle| {
+        let (assembled, rewritten) = assembler.assemble(&[c]);
+        let Assembled { overlay, delta } = assembled?;
+        let plain = rewritten == 0 && delta == [c.clone()] && assembler.unpartitioned_index(c);
+        Some(Member { atom: eval.atom(&overlay, delta)?, plain })
     };
     let serial = |point: SerialPoint<'_, usize>| {
         eval.serial_point(point.ordinal());
         match point {
-            SerialPoint::Singletons { granted } if granted >= 2 * pool.len() => {
-                let atoms = pool.iter().map(|c| atom(&[c])).collect();
-                against.write().atoms = atoms;
+            SerialPoint::Singletons => {
+                let members = pool.members.get_or_init(|| candidates.iter().map(member).collect());
+                let mut against = against.write();
+                against.bound = Bound::new(eval, &against.costs);
+                against.members = members;
             }
-            SerialPoint::Singletons { .. } => {}
             SerialPoint::Incumbent(set) => {
-                let incumbent = atom(&handles(set)).map(|a| (set.len(), a));
+                let incumbent = assembler
+                    .assemble(&handles(set))
+                    .0
+                    .and_then(|Assembled { overlay, delta }| eval.atom(&overlay, delta))
+                    .map(|a| (set.len(), a));
                 against.write().incumbent = incumbent;
             }
         }
     };
-    let positions: Vec<usize> = (0..pool.len()).collect();
-    let k = pool.len();
+    let positions: Vec<usize> = (0..candidates.len()).collect();
+    let k = candidates.len();
     let run = greedy_mk(
         &positions,
         base_cost,
@@ -467,7 +618,7 @@ pub fn enumerate(
             configuration,
             cost: run.outcome.cost,
             evaluations: run.outcome.evaluations,
-            pool_size: pool.len(),
+            pool_size: candidates.len(),
             lazy_variants: lazy_at_cut,
         },
         interrupted: run.interrupted.map(|(reason, snapshot)| {
@@ -1407,6 +1558,231 @@ mod tests {
         for &n in &rewritten[answered] {
             assert!(n > 0, "{seen}");
         }
+    }
+
+    /// Three tables of the synthetic generators' shape — `k` unique, `a`
+    /// to `d` skewed, a wide `pad` — with statistics on every column, large
+    /// enough that seeks and index nested-loop joins beat scans.
+    fn star_server() -> dta_server::Server {
+        use dta_workload::gen_util::{build_database, TableSpec};
+        use rand::SeedableRng;
+        let mut server = dta_server::Server::new("s");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let specs = [
+            TableSpec::new("t0", 2_000).distincts(500, 20).scale(50.0),
+            TableSpec::new("t1", 2_000).distincts(400, 10).scale(50.0),
+            TableSpec::new("t2", 2_000).distincts(300, 30).scale(50.0),
+        ];
+        build_database(&mut server, "d", &specs, &mut rng);
+        let target = dta_server::TuningTarget::Single(&server);
+        let keys: Vec<dta_stats::StatKey> = ["t0", "t1", "t2"]
+            .iter()
+            .flat_map(|t| ["k", "a", "b", "c", "d"].map(|c| dta_stats::StatKey::new("d", t, &[c])))
+            .collect();
+        target.ensure_statistics(&keys, false);
+        server
+    }
+
+    /// `sql` on `d`, weighted.
+    fn item(sql: &str, weight: f64) -> dta_workload::WorkloadItem {
+        let statement = dta_sql::parse_statement(sql).expect("valid SQL");
+        dta_workload::WorkloadItem::weighted("d", statement, weight)
+    }
+
+    fn index(table: &str, key: &str) -> StructureHandle {
+        StructureHandle::new(PhysicalStructure::Index(Index::non_clustered(
+            "d",
+            table,
+            &[key],
+            &[],
+        )))
+    }
+
+    /// Phase 1 as [`enumerate`] runs it over `pool` on `eval` — pruning by
+    /// bound — and as Greedy runs it pricing every set whole on `twin`:
+    /// each run cut where Phase 1 ends, then resumed to the end. Returns
+    /// the two fronts (best set and cost bits) and the two final answers,
+    /// and the sets the pruned runs counted as pruned.
+    #[allow(clippy::type_complexity)]
+    fn phase_one_both_ways(
+        eval: &CostEvaluator<'_>,
+        twin: &CostEvaluator<'_>,
+        base: &Configuration,
+        pool: &[StructureHandle],
+        options: &TuningOptions,
+    ) -> ([((Vec<usize>, u64), (Configuration, u64, usize)); 2], u64) {
+        use crate::greedy::GreedyCursor;
+        let n = pool.len();
+        let phase1 = (n + n * n.saturating_sub(1) / 2) as u64;
+        let front = |snapshot: &GreedySnapshot| {
+            assert!(matches!(snapshot.cursor, GreedyCursor::Phase2 { next: 0, .. }));
+            (snapshot.best_set.clone(), snapshot.best_cost.to_bits())
+        };
+        // pruned: the pool's members live across both runs, as in a session
+        let enumeration = EnumerationPool { handles: pool.to_vec(), members: OnceLock::new() };
+        let run = |control: &SessionControl, resume| {
+            enumerate(eval, base, &enumeration, &Sizes, options, control, resume, &crate::obs::NOOP)
+        };
+        let cut = SessionControl::with_budget(phase1);
+        let (_, resume) = run(&cut, None).interrupted.expect("Phase 2 is left");
+        let pruned_front = front(&resume.snapshot);
+        let rest = SessionControl::resumed(cut.consumed(), None).expect("valid resume");
+        let done = run(&rest, Some(resume)).result;
+        let pruned = (done.configuration, done.cost.to_bits(), done.evaluations);
+        let pruned_sets =
+            [&cut, &rest].iter().map(|c| c.counters().get(Counter::PrunedSets)).sum::<u64>();
+        // whole: every set assembled and priced on the twin
+        let assembler = Assembler::new(base, options, &Sizes);
+        let whole = |set: &[&usize], _: Option<f64>| -> Option<f64> {
+            let members: Vec<&StructureHandle> = set.iter().map(|&&c| &pool[c]).collect();
+            let assembled = assembler.assemble(&members).0?;
+            twin.workload_cost(&assembled.overlay.materialize()).ok()
+        };
+        let base_cost = twin.workload_cost(base).expect("costing succeeds");
+        let positions: Vec<usize> = (0..n).collect();
+        let greedy = |control: &SessionControl, resume| {
+            let (m, k, w) = (options.greedy_m, n, options.parallel_workers);
+            greedy_mk(
+                &positions,
+                base_cost,
+                m,
+                k,
+                w,
+                &whole,
+                &|_| {},
+                control,
+                resume,
+                &crate::obs::NOOP,
+            )
+        };
+        let cut = SessionControl::with_budget(phase1);
+        let (_, resume) = greedy(&cut, None).interrupted.expect("Phase 2 is left");
+        let whole_front = front(&resume);
+        let rest = SessionControl::resumed(cut.consumed(), None).expect("valid resume");
+        let done = greedy(&rest, Some(resume)).outcome;
+        let chosen: Vec<&StructureHandle> = done.chosen.iter().map(|&c| &pool[c]).collect();
+        let configuration =
+            assembler.assemble(&chosen).0.map_or_else(|| base.clone(), |a| a.overlay.materialize());
+        let whole = (configuration, done.cost.to_bits(), done.evaluations);
+        ([(pruned_front, pruned), (whole_front, whole)], pruned_sets)
+    }
+
+    #[test]
+    fn a_superadditive_join_pair_wins_phase_one_unpruned() {
+        let server = star_server();
+        let target = dta_server::TuningTarget::Single(&server);
+        // t0 is read through its join columns: an index on t0.c lets the
+        // join start from t1's three rows and probe t0, and one on t2.k
+        // then lets it probe t2 instead of scanning it — which without the
+        // first, from t0 scanned whole, gains nothing
+        let join = "SELECT t0.pad FROM t0, t1, t2 WHERE t0.c = t1.k AND t0.d = t2.k \
+                    AND t1.a = 3 AND t2.b = 5";
+        let update = "UPDATE t2 SET k = 0 WHERE c = 7";
+        let (x, y, z) = (index("t0", "c"), index("t2", "k"), index("t1", "b"));
+        let base = Configuration::new();
+        let alone = |sql: &str, set: &[&StructureHandle]| {
+            let items = [item(sql, 1.0)];
+            let e = CostEvaluator::new(&target, &items);
+            let config: Configuration = set.iter().map(|&h| h.clone()).collect();
+            e.workload_cost(&config).expect("costing succeeds")
+        };
+        let b = alone(join, &[]);
+        let (gx, gy, gxy) =
+            (b - alone(join, &[&x]), b - alone(join, &[&y]), b - alone(join, &[&x, &y]));
+        let superadditive = gxy - gx - gy;
+        assert!(superadditive > 0.2 * b, "{b} {gx} {gy} {gxy}");
+        // the UPDATE maintains y: weighted so that y alone costs more than
+        // it gains, by half of what it gains beside x
+        let maintenance = alone(update, &[&y]) - alone(update, &[]);
+        assert!(maintenance > 0.0, "{maintenance}");
+        let weight = (gy + superadditive / 2.0) / maintenance;
+        let items = [item(join, 1.0), item(update, weight)];
+        let (eval, twin) =
+            (CostEvaluator::new(&target, &items), CostEvaluator::new(&target, &items));
+        let options = TuningOptions { parallel_workers: 1, ..Default::default() };
+        let pool = [x, y, z];
+        let ([(pruned_front, pruned), (whole_front, whole)], _) =
+            phase_one_both_ways(&eval, &twin, &base, &pool, &options);
+        assert_eq!(whole_front.0, vec![0, 1], "the pair is Phase 1's winner");
+        assert_eq!(pruned_front, whole_front, "[pruned-set] Phase 1's front");
+        assert_eq!(pruned, whole, "[pruned-set] the answer");
+    }
+
+    #[test]
+    fn pruned_enumeration_equals_pricing_every_phase_one_set_whole() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let server = star_server();
+        let target = dta_server::TuningTarget::Single(&server);
+        let mut rng = StdRng::seed_from_u64(0x9e7a_11ed);
+        let column = |rng: &mut StdRng| ["k", "a", "b", "c", "d"][rng.gen_range(0..5)];
+        let table = |rng: &mut StdRng| ["t0", "t1", "t2"][rng.gen_range(0..3)];
+        // outcomes seen, so the test cannot pass by never reaching a branch
+        let (mut pruned_sets, mut rounds) = (0, 0);
+        for round in 0..6 {
+            // reads of one, two and three tables, and writes of each kind
+            let mut sqls = vec![
+                "SELECT t0.pad FROM t0, t1, t2 WHERE t0.c = t1.k AND t0.d = t2.k AND t1.a = 3 \
+                 AND t2.b = 5"
+                    .to_string(),
+                "INSERT INTO t1 VALUES (1, 2, 3, 4, 5, 'x')".to_string(),
+            ];
+            for _ in 0..6 {
+                let (t, c) = (table(&mut rng), column(&mut rng));
+                sqls.push(match rng.gen_range(0..6) {
+                    0 => format!("SELECT pad FROM {t} WHERE {c} = {}", rng.gen_range(0..20)),
+                    1 => format!("SELECT {c}, COUNT(*) FROM {t} WHERE b < 4 GROUP BY {c}"),
+                    2 => format!(
+                        "SELECT t0.pad FROM t0, t1 WHERE t0.{c} = t1.k AND t1.{} = 2",
+                        column(&mut rng)
+                    ),
+                    3 => format!("UPDATE {t} SET {c} = 1 WHERE a = {}", rng.gen_range(0..20)),
+                    4 => format!("DELETE FROM {t} WHERE {c} = 3"),
+                    _ => format!("SELECT k FROM {t} WHERE {c} < 30 AND b = 1"),
+                });
+            }
+            let items: Vec<_> =
+                sqls.iter().map(|sql| item(sql, rng.gen_range(1..4) as f64)).collect();
+            // a base on some tables; a pool of mostly plain indexes
+            let base: Configuration = (0..rng.gen_range(0..3usize))
+                .map(|_| {
+                    let t = table(&mut rng);
+                    StructureHandle::new(structure_on(&mut rng, "d", t))
+                })
+                .collect();
+            let mut pool: Vec<StructureHandle> = Vec::new();
+            while pool.len() < 25 {
+                let (t, c) = (table(&mut rng), column(&mut rng));
+                let h =
+                    match rng.gen_range(0..10) {
+                        0 => StructureHandle::new(structure_on(&mut rng, "d", t)),
+                        1 | 2 => StructureHandle::new(PhysicalStructure::Index(
+                            Index::non_clustered("d", t, &[c, column(&mut rng)], &["pad"]),
+                        )),
+                        _ => index(t, c),
+                    };
+                if !pool.contains(&h) {
+                    pool.push(h);
+                }
+            }
+            let alignment = [AlignmentMode::None, AlignmentMode::Lazy][round % 2];
+            let storage_bytes = (round % 3 == 2).then_some(4_000_000);
+            let options = TuningOptions {
+                alignment,
+                storage_bytes,
+                parallel_workers: 1 + round % 2,
+                ..Default::default()
+            };
+            let (eval, twin) =
+                (CostEvaluator::new(&target, &items), CostEvaluator::new(&target, &items));
+            let ([(pruned_front, pruned), (whole_front, whole)], counted) =
+                phase_one_both_ways(&eval, &twin, &base, &pool, &options);
+            let context = format!("round {round}\nbase {base}pool {pool:?}");
+            assert_eq!(pruned_front, whole_front, "{context}");
+            assert_eq!(pruned, whole, "{context}");
+            pruned_sets += counted;
+            rounds += usize::from(counted > 0);
+        }
+        assert!(pruned_sets > 500 && rounds > 3, "{pruned_sets} {rounds}");
     }
 
     #[test]

@@ -41,11 +41,19 @@
 //! worker:
 //!
 //! 1. **Singletons** — once per run, when Phase 1 has evaluated every
-//!    singleton and no larger subset (or resumes past that point), with
-//!    the number of larger subsets the run is granted next. Enumeration
-//!    fixes each candidate's *atom* there when that number repays it.
+//!    singleton and no larger subset (or resumes past that point).
+//!    Enumeration installs each candidate's *atom* there.
 //! 2. **Incumbent** — before every Phase-2 round, with the incumbent it
 //!    extends. Enumeration fixes the incumbent's atom there.
+//!
+//! Phase 1 also has *ceiling points*: the singletons' position and every
+//! [`CEILING_STRIDE`]-th position after it. At each one the scan reduces
+//! the round's front, and every later position up to the next one is
+//! evaluated against that front's cost, its *ceiling*: a set that provably
+//! cannot cost less may be skipped as infeasible, since at a later
+//! position it could not displace the front. The ceiling of a position is
+//! a function of the positions before its ceiling point alone, so it does
+//! not depend on the worker count, the grant size, a cut or a resume.
 //!
 //! There is one body, [`greedy_mk`], and two callers. Enumeration runs it
 //! under the session's control, so every evaluation is a budget unit and
@@ -60,11 +68,27 @@ use crate::obs::{SessionObserver, Span, SpanName};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Evaluate a subset. `None` means the subset is infeasible (e.g. over
-/// the storage bound); otherwise the value is a cost (lower = better).
+/// Evaluate a subset against a ceiling. `None` means the subset is
+/// infeasible (e.g. over the storage bound), or that it provably costs no
+/// less than the ceiling, when there is one; otherwise the value is a cost
+/// (lower = better).
 ///
 /// `Sync` because evaluations fan out across worker threads.
-pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
+pub type EvalFn<'e, S> = dyn Fn(&[&S], Option<f64>) -> Option<f64> + Sync + 'e;
+
+/// Phase-1 positions from one ceiling point to the next after the first,
+/// which is the singletons' position: how often the scan reduces its front
+/// to tighten the ceiling. A constant, so that a position's ceiling is
+/// the same in every run.
+pub const CEILING_STRIDE: usize = 256;
+
+/// The first ceiling point after `pos`, given the first one, `first`.
+fn next_ceiling_point(first: usize, pos: usize) -> usize {
+    match pos.checked_sub(first) {
+        None => first,
+        Some(past) => first + (past / CEILING_STRIDE + 1) * CEILING_STRIDE,
+    }
+}
 
 /// A serial point [`greedy_mk`] tells its hook about. No evaluation is in
 /// flight at any of them, so what an evaluator fixes there (enumeration's
@@ -72,11 +96,7 @@ pub type EvalFn<'e, S> = dyn Fn(&[&S]) -> Option<f64> + Sync + 'e;
 #[derive(Debug)]
 pub enum SerialPoint<'a, S> {
     /// Phase 1 has evaluated every singleton and no larger subset yet.
-    Singletons {
-        /// Larger subsets the run has been granted to evaluate next: the
-        /// rest of its batch (0 when Phase 1 ends here).
-        granted: usize,
-    },
+    Singletons,
     /// The incumbent the next Phase-2 round extends.
     Incumbent(&'a [&'a S]),
 }
@@ -89,7 +109,7 @@ impl<S> SerialPoint<'_, S> {
     /// so a count kept by ordinal is the same however the run was cut.
     pub fn ordinal(&self) -> u32 {
         match self {
-            SerialPoint::Singletons { .. } => 1,
+            SerialPoint::Singletons => 1,
             SerialPoint::Incumbent(set) => 2 + set.len() as u32,
         }
     }
@@ -187,15 +207,25 @@ fn par_min(
     })
 }
 
-/// `n` choose `k`, saturating at `usize::MAX`.
+/// `n` choose `k`, saturating at `usize::MAX`: in `u64` while the
+/// partial products fit, then in `u128`.
 fn binomial(n: usize, k: usize) -> usize {
     if k > n {
         return 0;
     }
+    let k = k.min(n - k);
     // each partial product is itself a binomial, so every division is exact
-    let mut c: u128 = 1;
-    for i in 0..k.min(n - k) {
-        c = c.saturating_mul((n - i) as u128) / (i as u128 + 1);
+    let mut c: u64 = 1;
+    for i in 0..k {
+        match c.checked_mul((n - i) as u64) {
+            Some(product) => c = product / (i as u64 + 1),
+            None => {
+                let wide = (i..k).fold(u128::from(c), |c, j| {
+                    c.saturating_mul((n - j) as u128) / (j as u128 + 1)
+                });
+                return usize::try_from(wide).unwrap_or(usize::MAX);
+            }
+        }
     }
     usize::try_from(c).unwrap_or(usize::MAX)
 }
@@ -209,7 +239,8 @@ fn subset_count(n: usize, m: usize) -> usize {
 /// The subset at `pos` in the canonical evaluation order — index subsets
 /// of `0..n` with size 1..=m, size-ascending and lexicographic within
 /// each size — worked out from `pos` alone, so no run lists the order.
-/// `None` past its end.
+/// `None` past its end. Each slot's element is found by a binary search,
+/// so a position costs O(m² log n) multiplications, not O(n) divisions.
 fn subset_at(n: usize, m: usize, mut pos: usize) -> Option<Vec<usize>> {
     for size in 1..=m.min(n) {
         let count = binomial(n, size);
@@ -218,17 +249,29 @@ fn subset_at(n: usize, m: usize, mut pos: usize) -> Option<Vec<usize>> {
             continue;
         }
         // the `pos`-th `size`-subset: at each slot, skip every smallest
-        // element whose subsets all come before `pos`
+        // element whose subsets all come before `pos`. The subsets whose
+        // slot holds an element in `start..e` number C(n − start, after + 1)
+        // − C(n − e, after + 1), so the slot holds the largest `e` with
+        // fewer than `pos + 1` of them before it
         let mut subset = Vec::with_capacity(size);
-        let mut next = 0;
+        let mut start = 0;
         for slot in 0..size {
             let after = size - slot - 1;
-            while pos >= binomial(n - next - 1, after) {
-                pos -= binomial(n - next - 1, after);
-                next += 1;
+            let all = binomial(n - start, after + 1);
+            let before = |e: usize| all - binomial(n - e, after + 1);
+            // `before(start)` is 0 ≤ pos; `before(n − after)` is `all` > pos
+            let (mut lo, mut hi) = (start, n - after);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if before(mid) <= pos {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
             }
-            subset.push(next);
-            next += 1;
+            pos -= before(lo);
+            subset.push(lo);
+            start = lo + 1;
         }
         return Some(subset);
     }
@@ -248,6 +291,11 @@ pub enum GreedyCursor {
         next: usize,
         /// Best `(position, cost)` seen so far in the phase.
         round_best: Option<(usize, f64)>,
+        /// The front's cost at the last ceiling point at or before `next`,
+        /// which positions up to the next ceiling point are evaluated against;
+        /// `None` before the first, or when the cursor did not carry it
+        /// (the run resumed then evaluates every set until the next one).
+        ceiling: Option<f64>,
     },
     /// Mid a Phase-2 round: `next` indexes the round's `remaining` list
     /// (recomputed deterministically from the adopted set on resume).
@@ -282,7 +330,7 @@ impl GreedySnapshot {
             best_set: Vec::new(),
             best_cost: base_cost,
             evaluations: 0,
-            cursor: GreedyCursor::Phase1 { next: 0, round_best: None },
+            cursor: GreedyCursor::Phase1 { next: 0, round_best: None, ceiling: None },
         }
     }
 }
@@ -327,12 +375,17 @@ pub struct GreedyRun<S> {
 ///    and on from it, but granted once, so budgets, cut positions and
 ///    `evaluations` do not move. A run resumed past the singletons hears
 ///    it before it evaluates anything; a cancel raised before the point
-///    silences it. It says how many larger subsets the run has been
-///    granted to evaluate next.
+///    silences it.
 /// 2. [`SerialPoint::Incumbent`] before every Phase-2 round, with the
 ///    incumbent the round extends: at Phase 2's start — after Phase 1,
 ///    or on resuming a snapshot taken in Phase 2 — and after each
 ///    adoption. That is every point at which the incumbent changes.
+///
+/// Phase 1 is scanned in passes that end at its ceiling points (see the
+/// module docs) and at the batches' ends, and each position past the
+/// first ceiling point is evaluated against its ceiling; Phase 2 has none.
+/// A set skipped against its ceiling is granted and counted like any
+/// other.
 ///
 /// The two phases are wrapped in `greedyPhase1` / `greedyPhase2` spans so
 /// a recording observer can attribute wall time and evaluation deltas to
@@ -356,40 +409,45 @@ pub fn greedy_mk<S: Clone + Sync>(
 
     // Scan positions `next..n` of the current round in granted batches,
     // telling `serial` the singletons are done when the scan first gets
-    // to position `*singletons` (then cleared). Returns the completed
-    // round's front, or `Err(reason)` leaving the cursor fields updated
-    // for the snapshot.
+    // to position `*singletons` (then cleared), and reducing the front at
+    // each ceiling point from `ceilings` on (Phase 1's, starting at the
+    // singletons) into `*ceiling`. Returns the completed round's front, or
+    // `Err(reason)` leaving the cursor fields updated for the snapshot.
     let run_round = |next: &mut usize,
                      round_best: &mut Option<(usize, f64)>,
+                     ceiling: &mut Option<f64>,
                      n: usize,
                      evaluations: &mut usize,
                      singletons: &mut Option<usize>,
-                     f: &(dyn Fn(usize) -> Option<f64> + Sync)|
+                     ceilings: Option<usize>,
+                     f: &(dyn Fn(usize, Option<f64>) -> Option<f64> + Sync)|
      -> Result<(), StopReason> {
-        let mut scan = |from: usize, to: usize| {
-            let shifted = |p: usize| f(from + p);
-            if let Some((pos, cost)) = par_min(to - from, workers, control, &restarts, &shifted) {
-                *round_best = det::min_by_cost_position((pos + from, cost), *round_best);
-            }
-        };
         while *next < n {
             let remaining = n - *next;
             let granted = control.grant(remaining as u64) as usize;
             if granted == 0 {
                 return Err(control.stop().map_or(StopReason::BudgetExhausted, |r| r));
             }
-            let (offset, end) = (*next, *next + granted);
-            let mut from = offset;
-            if let Some(at) = singletons.filter(|&at| at < end) {
-                let at = at.max(offset);
-                scan(from, at);
-                from = at;
-                if !control.is_cancelled() {
+            let end = *next + granted;
+            let mut from = *next;
+            while from < end {
+                if singletons.is_some_and(|at| at <= from) && !control.is_cancelled() {
                     *singletons = None;
-                    serial(SerialPoint::Singletons { granted: end - at });
+                    serial(SerialPoint::Singletons);
                 }
+                let point = ceilings.map(|first| next_ceiling_point(first, from));
+                let to = point.map_or(end, |p| p.min(end));
+                let against = *ceiling;
+                let shifted = |p: usize| f(from + p, against);
+                if let Some((pos, cost)) = par_min(to - from, workers, control, &restarts, &shifted)
+                {
+                    *round_best = det::min_by_cost_position((pos + from, cost), *round_best);
+                }
+                if point == Some(to) {
+                    *ceiling = round_best.map(|(_, cost)| cost);
+                }
+                from = to;
             }
-            scan(from, end);
             *evaluations += granted;
             *next = end;
             if control.is_cancelled() {
@@ -397,7 +455,7 @@ pub fn greedy_mk<S: Clone + Sync>(
             }
         }
         if !control.is_cancelled() && singletons.take().is_some() {
-            serial(SerialPoint::Singletons { granted: 0 });
+            serial(SerialPoint::Singletons);
         }
         Ok(())
     };
@@ -408,24 +466,30 @@ pub fn greedy_mk<S: Clone + Sync>(
 
     let interrupted = 'search: {
         // Phase 1: exhaustive over subsets of size 1..=m.
-        if let GreedyCursor::Phase1 { mut next, mut round_best } = snap.cursor.clone() {
+        if let GreedyCursor::Phase1 { mut next, mut round_best, mut ceiling } = snap.cursor.clone()
+        {
             let _p1_span = Span::enter(obs, SpanName::GreedyPhase1);
             let subset = |pos| {
                 subset_at(candidates.len(), m, pos).expect("positions lie in the subset order")
             };
-            let eval_subset = |pos: usize| -> Option<f64> { eval(&members(&subset(pos))) };
-            // the first pair's position: one past the last singleton
+            let eval_subset = |pos: usize, ceiling: Option<f64>| -> Option<f64> {
+                eval(&members(&subset(pos)), ceiling)
+            };
+            // the first pair's position: one past the last singleton, and
+            // the first ceiling point
             let mut singletons = (m > 0 && !candidates.is_empty()).then_some(candidates.len());
             let round = run_round(
                 &mut next,
                 &mut round_best,
+                &mut ceiling,
                 subset_count(candidates.len(), m),
                 &mut snap.evaluations,
                 &mut singletons,
+                Some(candidates.len()),
                 &eval_subset,
             );
             if let Err(reason) = round {
-                snap.cursor = GreedyCursor::Phase1 { next, round_best };
+                snap.cursor = GreedyCursor::Phase1 { next, round_best, ceiling };
                 break 'search Some(reason);
             }
             if let Some((pos, cost)) = round_best {
@@ -456,19 +520,21 @@ pub fn greedy_mk<S: Clone + Sync>(
             let incumbent = members(&snap.best_set);
             serial(SerialPoint::Incumbent(&incumbent));
             let extensions = members(&remaining);
-            let eval_extension = |pos: usize| -> Option<f64> {
+            let eval_extension = |pos: usize, _: Option<f64>| -> Option<f64> {
                 let mut set = incumbent.clone();
                 set.push(
                     extensions.get(pos).expect("run_round positions index the remaining list"),
                 );
-                eval(&set)
+                eval(&set, None)
             };
             let round = run_round(
                 &mut next,
                 &mut round_best,
+                &mut None,
                 remaining.len(),
                 &mut snap.evaluations,
                 &mut None,
+                None,
                 &eval_extension,
             );
             if let Err(reason) = round {
@@ -610,13 +676,174 @@ mod tests {
         assert_eq!(binomial(200, 3), 1_313_400);
     }
 
+    /// The unranking before the binary search: each slot walked one
+    /// element at a time. Kept as the oracle of [`subset_at`].
+    fn walked_subset_at(n: usize, m: usize, mut pos: usize) -> Option<Vec<usize>> {
+        for size in 1..=m.min(n) {
+            let count = binomial(n, size);
+            if pos >= count {
+                pos -= count;
+                continue;
+            }
+            let mut subset = Vec::with_capacity(size);
+            let mut next = 0;
+            for slot in 0..size {
+                let after = size - slot - 1;
+                while pos >= binomial(n - next - 1, after) {
+                    pos -= binomial(n - next - 1, after);
+                    next += 1;
+                }
+                subset.push(next);
+                next += 1;
+            }
+            return Some(subset);
+        }
+        None
+    }
+
+    #[test]
+    fn the_searched_unranking_equals_the_walked_one() {
+        for n in 0..=64 {
+            for m in 0..=3 {
+                let count = subset_count(n, m);
+                for pos in 0..=count {
+                    assert_eq!(subset_at(n, m, pos), walked_subset_at(n, m, pos), "{n} {m} {pos}");
+                }
+            }
+        }
+        // far into a wide pool's pairs and triples
+        for (n, m) in [(5_000, 2), (700, 3)] {
+            let count = subset_count(n, m);
+            for pos in (0..count).step_by(count / 997).chain([count - 1, count]) {
+                assert_eq!(subset_at(n, m, pos), walked_subset_at(n, m, pos), "{n} {m} {pos}");
+            }
+        }
+        assert_eq!(binomial(100_000, 3), 166_661_666_700_000);
+        // its last partial product passes u64; the binomial does not
+        let n = 1u128 << 22;
+        let wide = n * (n - 1) / 2 * (n - 2) / 3;
+        assert_eq!(binomial(1 << 22, 3) as u128, wide, "finished in u128");
+    }
+
+    /// The Phase-1 ceilings of a 40-candidate pool, by subset: the cost of
+    /// the front over every position before the position's ceiling point,
+    /// from an unpruned run's costs; `None` before the first point.
+    fn expected_ceilings(
+        n: usize,
+        cost: &dyn Fn(&[&usize]) -> f64,
+    ) -> std::collections::BTreeMap<Vec<usize>, Option<u64>> {
+        let order = subsets_up_to(n, 2);
+        let costs: Vec<f64> =
+            order.iter().map(|set| cost(&set.iter().collect::<Vec<_>>())).collect();
+        let front_before = |point: usize| {
+            costs[..point]
+                .iter()
+                .enumerate()
+                .fold(None, |best, (p, &c)| det::min_by_cost_position((p, c), best))
+        };
+        order
+            .iter()
+            .enumerate()
+            .map(|(pos, set)| {
+                let ceiling = (pos >= n).then(|| {
+                    let point = n + (pos - n) / CEILING_STRIDE * CEILING_STRIDE;
+                    front_before(point).map(|(_, c)| c.to_bits())
+                });
+                (set.clone(), ceiling.flatten())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_position_is_evaluated_against_the_front_at_its_ceiling_point() {
+        let candidates: Vec<usize> = (0..40).collect();
+        let cost = |set: &[&usize]| {
+            let s: usize = set.iter().map(|&&i| i * i).sum();
+            2000.0 - (37 * s % 311) as f64 - 40.0 * set.len() as f64
+        };
+        let want = expected_ceilings(candidates.len(), &cost);
+        assert!(want.values().filter(|c| c.is_some()).count() > 700);
+        // the ceiling each Phase-1 subset was evaluated against; a subset
+        // that cannot undercut it is skipped
+        let heard = parking_lot::Mutex::new(std::collections::BTreeMap::new());
+        let skipped = AtomicUsize::new(0);
+        let eval = |set: &[&usize], ceiling: Option<f64>| {
+            let c = cost(set);
+            let key: Vec<usize> = set.iter().map(|&&i| i).collect();
+            if key.windows(2).all(|w| w[0] < w[1]) && key.len() <= 2 {
+                heard.lock().insert(key, ceiling.map(f64::to_bits));
+            }
+            if ceiling.is_some_and(|ceiling| c >= ceiling) {
+                skipped.fetch_add(1, Ordering::SeqCst);
+                return None;
+            }
+            Some(c)
+        };
+        let unpruned = run(&candidates, 2000.0, 2, 6, 1, &|set, _| Some(cost(set)));
+        let same = |got: &GreedyOutcome<usize>, context: &str| {
+            assert_eq!(got.chosen, unpruned.chosen, "{context}");
+            assert_eq!(got.cost.to_bits(), unpruned.cost.to_bits(), "{context}");
+            assert_eq!(got.evaluations, unpruned.evaluations, "{context}");
+        };
+        let take = || std::mem::take(&mut *heard.lock());
+        for workers in [1, 2, 4] {
+            same(&run(&candidates, 2000.0, 2, 6, workers, &eval), &format!("workers={workers}"));
+            // Phase 2 extends sorted pairs too, against no ceiling
+            let got: std::collections::BTreeMap<_, _> =
+                take().into_iter().filter(|(set, _)| want.contains_key(set)).collect();
+            assert_eq!(got.len(), want.len(), "workers={workers}");
+            for (set, ceiling) in &got {
+                assert!(*ceiling == want[set] || set.len() > 1 && ceiling.is_none(), "{set:?}");
+            }
+        }
+        assert!(skipped.load(Ordering::SeqCst) > 300, "{skipped:?}");
+        // cut anywhere, resumed with the cursor's ceiling or without it
+        let total = unpruned.evaluations as u64;
+        for cut in (0..total).step_by(23) {
+            for carried in [true, false] {
+                let c1 = SessionControl::with_budget(cut);
+                let first =
+                    greedy_mk(&candidates, 2000.0, 2, 6, 1, &eval, &|_| {}, &c1, None, &NOOP);
+                let (_, mut snap) = first.interrupted.expect("the budget interrupts");
+                let resumed_at = match &mut snap.cursor {
+                    GreedyCursor::Phase1 { next, ceiling, .. } => {
+                        if !carried {
+                            *ceiling = None;
+                        }
+                        Some(*next)
+                    }
+                    GreedyCursor::Phase2 { .. } => None,
+                };
+                let c2 = SessionControl::resumed(c1.consumed(), None).expect("valid resume");
+                let second =
+                    greedy_mk(&candidates, 2000.0, 2, 6, 3, &eval, &|_| {}, &c2, Some(snap), &NOOP);
+                let context = format!("cut={cut} carried={carried}");
+                same(&second.outcome, &context);
+                // a set heard a ceiling other than its own only when the
+                // cursor dropped it, and then none, until the next point
+                let unheard_until = match resumed_at {
+                    Some(next) if !carried && next >= candidates.len() => {
+                        next_ceiling_point(candidates.len(), next)
+                    }
+                    _ => 0,
+                };
+                let order = subsets_up_to(candidates.len(), 2);
+                for (set, ceiling) in take().into_iter().filter(|(set, _)| want.contains_key(set)) {
+                    let pos = order.iter().position(|s| *s == set).expect("a Phase-1 subset");
+                    let dropped = ceiling.is_none() && pos < unheard_until;
+                    assert!(ceiling == want[&set] || dropped, "{context}: {set:?} at {pos}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn finds_optimal_pair_that_greedy_misses() {
         // classic trap: {a} is the best singleton, but {b, c} together are
         // far better and exclude a. Greedy(1, k) would seed with `a`;
         // Greedy(2, k) finds {b, c} exhaustively.
         let candidates = ["a", "b", "c"];
-        let cost = |set: &[&&str]| {
+        let cost = |set: &[&&str], _: Option<f64>| {
             let mut names: Vec<&str> = set.iter().map(|s| **s).collect();
             names.sort_unstable();
             Some(match names.as_slice() {
@@ -642,7 +869,7 @@ mod tests {
     fn greedy_extension_beyond_m() {
         // additive benefits: every item shaves 10 off
         let candidates: Vec<usize> = (0..6).collect();
-        let eval = |set: &[&usize]| Some(100.0 - 10.0 * set.len() as f64);
+        let eval = |set: &[&usize], _: Option<f64>| Some(100.0 - 10.0 * set.len() as f64);
         let g = run(&candidates, 100.0, 2, 4, 1, &eval);
         assert_eq!(g.chosen.len(), 4);
         assert_eq!(g.cost, 60.0);
@@ -651,7 +878,7 @@ mod tests {
     #[test]
     fn the_incumbent_hook_hears_every_incumbent_phase_two_extends() {
         let candidates: Vec<usize> = (0..7).collect();
-        let eval = |set: &[&usize]| {
+        let eval = |set: &[&usize], _: Option<f64>| {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(500.0 - (11 * s % 53) as f64 - 60.0 * set.len() as f64)
         };
@@ -710,7 +937,7 @@ mod tests {
         /// It evaluated a subset of this size.
         Evaluated(usize),
         /// Its hook heard the singletons were done.
-        Singletons { granted: usize },
+        Singletons,
     }
 
     struct Log(parking_lot::Mutex<Vec<Event>>);
@@ -737,14 +964,14 @@ mod tests {
             control: &SessionControl,
             resume: Option<GreedySnapshot>,
         ) -> GreedyRun<usize> {
-            let eval = |set: &[&usize]| {
+            let eval = |set: &[&usize], _: Option<f64>| {
                 self.push(Event::Evaluated(set.len()));
                 let s: usize = set.iter().map(|&&i| i).sum();
                 Some(500.0 - (11 * s % 53) as f64 - 9.0 * set.len() as f64)
             };
             let hook = |point: SerialPoint<'_, usize>| {
-                if let SerialPoint::Singletons { granted } = point {
-                    self.push(Event::Singletons { granted });
+                if let SerialPoint::Singletons = point {
+                    self.push(Event::Singletons);
                 }
             };
             greedy_mk(candidates, 500.0, m, 5, workers, &eval, &hook, control, resume, &NOOP)
@@ -752,17 +979,14 @@ mod tests {
     }
 
     /// Where the hook heard the singletons were done in `log`, if it did,
-    /// and what it was told was granted, after checking it heard that
-    /// once, after every singleton and before every larger subset.
-    fn singletons_point(log: &[Event]) -> Option<(usize, usize)> {
-        let at = log.iter().position(|e| matches!(e, Event::Singletons { .. }))?;
+    /// after checking it heard that once, after every singleton and before
+    /// every larger subset.
+    fn singletons_point(log: &[Event]) -> Option<usize> {
+        let at = log.iter().position(|&e| e == Event::Singletons)?;
         let (before, after) = log.split_at(at);
         assert!(before.iter().all(|&e| e == Event::Evaluated(1)), "{log:?}");
         assert!(after.iter().skip(1).all(|&e| matches!(e, Event::Evaluated(2..))), "{log:?}");
-        match after.first() {
-            Some(&Event::Singletons { granted }) => Some((at, granted)),
-            _ => None,
-        }
+        Some(at)
     }
 
     #[test]
@@ -774,13 +998,12 @@ mod tests {
             assert!(run.interrupted.is_none());
             let events = log.take();
             // granted every pair, in one batch with the singletons
-            let pairs = subset_count(9, 2) - 9;
-            assert_eq!(singletons_point(&events), Some((9, pairs)), "workers={workers}");
+            assert_eq!(singletons_point(&events), Some(9), "workers={workers}");
         }
         // with m = 1 it comes as Phase 1 ends; over no candidates, never
         log.run(&candidates, 1, 2, &SessionControl::unlimited(), None);
         let events = log.take();
-        assert_eq!(singletons_point(&events), Some((9, 0)), "m=1: {events:?}");
+        assert_eq!(singletons_point(&events), Some(9), "m=1: {events:?}");
         log.run(&[], 2, 2, &SessionControl::unlimited(), None);
         assert!(log.take().is_empty());
     }
@@ -798,21 +1021,18 @@ mod tests {
             let first = log.run(&candidates, 2, 2, &c1, None);
             let (_, snap) = first.interrupted.expect("the budget interrupts");
             let events = log.take();
-            // the first run hears it once it has scanned a pair, granted
-            // the pairs its budget reaches
-            let want = (cut > singles).then(|| (singles, cut.min(phase1) - singles));
+            // the first run hears it once it has scanned a pair
+            let want = (cut > singles).then_some(singles);
             assert_eq!(singletons_point(&events), want, "cut={cut}: {events:?}");
             // a run resumed among the singletons hears it where they end,
             // one resumed at or past the first pair first thing, and one
-            // resumed in Phase 2 not at all; each is granted what is left
+            // resumed in Phase 2 not at all
             let want = match snap.cursor {
-                GreedyCursor::Phase1 { next, .. } => {
-                    Some((singles.saturating_sub(next), phase1 - next.max(singles)))
-                }
+                GreedyCursor::Phase1 { next, .. } => Some(singles.saturating_sub(next)),
                 GreedyCursor::Phase2 { .. } => None,
             };
             let in_pairs = (singles..phase1).contains(&cut);
-            assert_eq!(want.is_some_and(|(at, _)| at == 0), in_pairs, "cut={cut}");
+            assert_eq!(want == Some(0), in_pairs, "cut={cut}");
             let c2 =
                 SessionControl::resumed(c1.consumed(), None).expect("unbudgeted resume is valid");
             let second = log.run(&candidates, 2, 4, &c2, Some(snap));
@@ -825,7 +1045,7 @@ mod tests {
     #[test]
     fn stops_when_no_improvement() {
         let candidates = ["x", "y"];
-        let eval = |set: &[&&str]| {
+        let eval = |set: &[&&str], _: Option<f64>| {
             if set.len() == 1 && **set[0] == *"x" {
                 Some(90.0)
             } else {
@@ -841,7 +1061,7 @@ mod tests {
     fn infeasible_subsets_skipped() {
         // "y" is infeasible (over storage); the best feasible is "x"
         let candidates = ["x", "y"];
-        let eval = |set: &[&&str]| {
+        let eval = |set: &[&&str], _: Option<f64>| {
             if set.iter().any(|s| ***s == *"y") {
                 None
             } else {
@@ -855,7 +1075,7 @@ mod tests {
     #[test]
     fn empty_candidates() {
         let candidates: Vec<&str> = vec![];
-        let eval = |_: &[&&str]| Some(1.0);
+        let eval = |_: &[&&str], _: Option<f64>| Some(1.0);
         let g = run(&candidates, 100.0, 2, 4, 1, &eval);
         assert!(g.chosen.is_empty());
         assert_eq!(g.cost, 100.0);
@@ -871,7 +1091,7 @@ mod tests {
         let session = SessionControl::unlimited();
         let cancel = session.cancel_handle();
         let calls = AtomicUsize::new(0);
-        let eval = |_: &[&usize]| {
+        let eval = |_: &[&usize], _: Option<f64>| {
             if calls.fetch_add(1, Ordering::SeqCst) + 1 == 5 {
                 cancel.cancel();
             }
@@ -900,7 +1120,7 @@ mod tests {
     #[test]
     fn never_adopts_non_improving_set() {
         let candidates = ["a"];
-        let eval = |_: &[&&str]| Some(100.0); // equal, not better
+        let eval = |_: &[&&str], _: Option<f64>| Some(100.0); // equal, not better
         let g = run(&candidates, 100.0, 1, 1, 1, &eval);
         assert!(g.chosen.is_empty());
     }
@@ -911,7 +1131,7 @@ mod tests {
         // {1} and {2} tie, and several pairs tie — position tie-breaking
         // must pick the same winner at any worker count
         let candidates: Vec<usize> = (0..12).collect();
-        let eval = |set: &[&usize]| {
+        let eval = |set: &[&usize], _: Option<f64>| {
             let s: usize = set.iter().map(|&&i| i).sum();
             let n = set.len();
             Some(1000.0 - (17 * s % 101) as f64 - 31.0 * n as f64)
@@ -931,14 +1151,14 @@ mod tests {
         // candidate 5 blows up. With panic isolation the result must be
         // byte-identical to the same surface with 5 marked infeasible.
         let candidates: Vec<usize> = (0..12).collect();
-        let poisoned = |set: &[&usize]| {
+        let poisoned = |set: &[&usize], _: Option<f64>| {
             if set.iter().any(|&&i| i == 5) {
                 panic!("deterministic poison");
             }
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(1000.0 - (13 * s % 97) as f64 - 20.0 * set.len() as f64)
         };
-        let infeasible = |set: &[&usize]| {
+        let infeasible = |set: &[&usize], _: Option<f64>| {
             if set.iter().any(|&&i| i == 5) {
                 return None;
             }
@@ -961,7 +1181,7 @@ mod tests {
     #[test]
     fn budget_interrupt_then_resume_is_byte_identical() {
         let candidates: Vec<usize> = (0..10).collect();
-        let eval = |set: &[&usize]| {
+        let eval = |set: &[&usize], _: Option<f64>| {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(500.0 - (11 * s % 53) as f64 - 9.0 * set.len() as f64)
         };
@@ -998,7 +1218,7 @@ mod tests {
     #[test]
     fn interrupted_outcome_is_best_so_far_and_never_worse_than_base() {
         let candidates: Vec<usize> = (0..8).collect();
-        let eval = |set: &[&usize]| {
+        let eval = |set: &[&usize], _: Option<f64>| {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(300.0 - (7 * s % 31) as f64 - 5.0 * set.len() as f64)
         };
@@ -1026,7 +1246,7 @@ mod tests {
     #[test]
     fn cancellation_interrupts_with_reason() {
         let candidates: Vec<usize> = (0..6).collect();
-        let eval = |set: &[&usize]| Some(100.0 - set.len() as f64);
+        let eval = |set: &[&usize], _: Option<f64>| Some(100.0 - set.len() as f64);
         let control = SessionControl::unlimited();
         control.cancel_handle().cancel();
         let run = greedy_mk(&candidates, 100.0, 2, 4, 1, &eval, &|_| {}, &control, None, &NOOP);

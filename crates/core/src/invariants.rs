@@ -33,7 +33,10 @@
 //! * **derived costs** — a cost the evaluator finishes from recorded
 //!   access paths instead of a what-if call must be the cost, bit for
 //!   bit, the used structures, name for name, and the access paths
-//!   picked, binding for binding, that planning the same projection gives.
+//!   picked, binding for binding, that planning the same projection gives;
+//! * **pruned sets** — a Phase-1 set enumeration skips against its
+//!   ceiling must, priced exactly, cost no less than the floor its bound
+//!   gave and than the ceiling, so that it could not displace the front.
 
 use dta_optimizer::Picks;
 use std::sync::Arc;
@@ -131,6 +134,24 @@ pub fn check_derived(
     }
 }
 
+/// A set pruned by its bound must cost, as planned (`planned`), at least
+/// its `floor` — the bound is sound — and at least `ceiling`, the front's
+/// cost it was skipped against — it could not have displaced the front.
+#[inline(always)]
+pub fn check_pruned(planned: f64, floor: f64, ceiling: f64) {
+    // `!(a >= b)`: a NaN must trip the check
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if ENABLED && !(planned >= floor && planned >= ceiling) {
+        violation(
+            "pruned-set",
+            &format!(
+                "a set pruned with floor {floor} against ceiling {ceiling} costs {planned} \
+                 when planned"
+            ),
+        );
+    }
+}
+
 /// The cache must hold exactly one shard per workload statement, and
 /// every lookup must stay in range.
 #[inline(always)]
@@ -168,6 +189,7 @@ mod tests {
         let picks = Picks::from_slice(&[0, 1]);
         check_derived((2.5, &used, picks), Some((2.5, &used, picks)), 0);
         check_shards(3, 3, 2);
+        check_pruned(5.0, 4.0, 5.0);
     }
 
     #[cfg(debug_assertions)]
@@ -218,6 +240,18 @@ mod tests {
             let used: [Arc<str>; 1] = [Arc::from("a")];
             let (derived, planned) = (Picks::from_slice(&[0, 1]), Picks::from_slice(&[0, 2]));
             check_derived((2.5, &used, derived), Some((2.5, &used, planned)), 4);
+        }
+
+        #[test]
+        #[should_panic(expected = "pruned-set")]
+        fn a_pruned_set_below_its_floor_trips() {
+            check_pruned(3.0, 4.0, 2.0);
+        }
+
+        #[test]
+        #[should_panic(expected = "pruned-set")]
+        fn a_pruned_set_below_its_ceiling_trips() {
+            check_pruned(3.0, 2.0, 4.0);
         }
 
         #[test]

@@ -70,11 +70,14 @@ pub enum Counter {
     /// Cache misses priced from recorded access paths instead of a
     /// what-if call (`CostEvaluator`'s derived costs).
     DerivedCosts,
+    /// Phase-1 sets enumeration counted but did not price: their bound
+    /// showed they could not undercut the round's front.
+    PrunedSets,
 }
 
 impl Counter {
     /// Every counter, in canonical export order.
-    pub const ALL: [Counter; 13] = [
+    pub const ALL: [Counter; 14] = [
         Counter::WhatIfCalls,
         Counter::CacheHits,
         Counter::CacheMisses,
@@ -88,6 +91,7 @@ impl Counter {
         Counter::CandidatesPruned,
         Counter::PeakPoolSize,
         Counter::DerivedCosts,
+        Counter::PrunedSets,
     ];
 
     /// Number of counters (the slot-array length).
@@ -109,6 +113,7 @@ impl Counter {
             Counter::CandidatesPruned => "candidatesPruned",
             Counter::PeakPoolSize => "peakPoolSize",
             Counter::DerivedCosts => "derivedCosts",
+            Counter::PrunedSets => "prunedSets",
         }
     }
 

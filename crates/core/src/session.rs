@@ -18,12 +18,14 @@ use crate::checkpoint::{SessionCheckpoint, StatsProgress};
 use crate::colgroups::{interesting_column_groups, ColumnGroups};
 use crate::control::{Completion, ControlError, SessionControl, Stage, StopReason};
 use crate::cost::{CacheState, CostEvaluator};
-use crate::enumeration::{enumerate, enumeration_pool, EnumerationResult, EnumerationResume};
+use crate::enumeration::{
+    enumerate, enumeration_pool, EnumerationPool, EnumerationResult, EnumerationResume,
+};
 use crate::merging::merge_candidates;
 use crate::obs::{Counter, CounterSet, SessionObserver, Span, SpanName, NOOP};
 use crate::options::TuningOptions;
 use crate::report::{EvaluationReport, StatementReport, TuningResult};
-use dta_physical::{Configuration, StructureHandle};
+use dta_physical::Configuration;
 use dta_server::{ServerError, TuningTarget};
 use dta_stats::StatKey;
 use dta_workload::{compress, Workload};
@@ -279,10 +281,12 @@ pub(crate) struct Session {
 }
 
 /// A merged candidate pool, and its candidates as enumeration walks them
-/// ([`enumeration_pool`]): built together, dropped together.
+/// with their atoms once made ([`enumeration_pool`]): built together,
+/// dropped together — on a rollback too, so that no atom outlives the
+/// cache entries it was read from.
 struct MergedPool {
     merged: CandidatePool,
-    ordered: Vec<StructureHandle>,
+    ordered: EnumerationPool,
 }
 
 impl Session {
@@ -583,7 +587,7 @@ impl Session {
             } else if let Some(reason) = control.stop() {
                 break 'pipeline Some((reason, Stage::Merging));
             }
-            let pool = self.pool.as_ref().map_or(&[][..], |p| &p.ordered);
+            let pool = &self.pool.as_ref().expect("merging leaves its pool in place").ordered;
 
             // §2.2/§4 enumeration — shares the selection phase's cache and
             // charges one budget unit per configuration evaluation

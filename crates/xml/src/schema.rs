@@ -712,9 +712,9 @@ fn write_enumeration(w: &mut XmlWriter, resume: &EnumerationResume) {
     let lazy = resume.lazy_variants.to_string();
     let best_cost = bits(resume.snapshot.best_cost);
     let evaluations = resume.snapshot.evaluations.to_string();
-    let (phase, next, round_best) = match resume.snapshot.cursor {
-        GreedyCursor::Phase1 { next, round_best } => ("phase1", next, round_best),
-        GreedyCursor::Phase2 { next, round_best } => ("phase2", next, round_best),
+    let (phase, next, round_best, ceiling) = match resume.snapshot.cursor {
+        GreedyCursor::Phase1 { next, round_best, ceiling } => ("phase1", next, round_best, ceiling),
+        GreedyCursor::Phase2 { next, round_best } => ("phase2", next, round_best, None),
     };
     let next = next.to_string();
     let mut attrs: Vec<(&str, &str)> = vec![
@@ -732,6 +732,10 @@ fn write_enumeration(w: &mut XmlWriter, resume: &EnumerationResume) {
         attrs.push(("roundBestPos", pos.as_str()));
         attrs.push(("roundBestCostBits", cost.as_str()));
     }
+    let ceiling = ceiling.map(bits);
+    if let Some(c) = &ceiling {
+        attrs.push(("ceilingBits", c.as_str()));
+    }
     w.open_with("Enumeration", &attrs);
     for &i in &resume.snapshot.best_set {
         let idx = i.to_string();
@@ -747,7 +751,14 @@ fn read_enumeration(node: &XmlNode) -> Result<EnumerationResume, SchemaError> {
     };
     let next = parse_num(node, "next")?;
     let cursor = match node.require_attr("phase")? {
-        "phase1" => GreedyCursor::Phase1 { next, round_best },
+        "phase1" => {
+            // a checkpoint written before ceilings resumes with none
+            let ceiling = match node.attr("ceilingBits") {
+                Some(_) => Some(parse_bits(node, "ceilingBits")?),
+                None => None,
+            };
+            GreedyCursor::Phase1 { next, round_best, ceiling }
+        }
         "phase2" => GreedyCursor::Phase2 { next, round_best },
         other => return Err(invalid(format!("unknown greedy phase '{other}'"))),
     };

@@ -146,7 +146,7 @@ fn itw_vs_dta_shapes(
 }
 
 #[test]
-#[ignore = "run time: the full 640-statement pool takes 76 s in release on 2 cores at 0.71 GB \
+#[ignore = "run time: the full 640-statement pool takes 43 s in release on 2 cores at 0.21 GB \
             peak RSS (DTA 7.80e5 units, 58,696 what-if calls; ITW 1.86e6, 143,546); \
             itw_vs_dta_shapes_smoke covers the quality shape in CI time"]
 fn itw_vs_dta_shapes_hold() {
