@@ -9,7 +9,7 @@
 use crate::colgroups::ColumnGroups;
 use crate::control::{SessionControl, StopReason};
 use crate::cost::CostEvaluator;
-use crate::greedy::greedy_mk;
+use crate::greedy::{greedy_mk, strided};
 use crate::obs::NOOP;
 use crate::options::TuningOptions;
 use crate::overlay::{Indexed, Overlay};
@@ -22,6 +22,8 @@ use dta_physical::{
 use dta_server::{Server, TuningTarget};
 use dta_workload::WorkloadItem;
 use std::collections::{BTreeMap, BTreeSet};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Default number of range partitions for generated partitioning schemes.
 pub const DEFAULT_PARTITIONS: usize = 12;
@@ -416,12 +418,9 @@ pub const SELECTION_BLOCK: usize = 8;
 /// evaluations, all deterministic — is charged against `control`'s
 /// budget serially. Interruption therefore only happens between blocks,
 /// and the same budget cuts at the same item regardless of thread count.
-///
-/// A worker that panics on an item is isolated: the panic is caught, the
-/// item degrades to an empty selection (as if it generated no
-/// candidates), the restart is recorded on `control`, and the session
-/// continues. Serial and parallel runs treat a panicking item
-/// identically, so recommendations stay byte-identical.
+/// Nothing here catches a panic: a what-if call that panics is re-issued
+/// where it is made (`CostEvaluator::call`), and any other reaches the
+/// caller.
 ///
 /// `done` is the completed prefix — empty for a fresh run, a resumed
 /// session's otherwise — and is extended in place, a block at a time, so
@@ -449,65 +448,18 @@ pub fn select_candidates(
         }
         let start = done.len();
         let end = (start + SELECTION_BLOCK).min(items.len());
-        let n = end - start;
-        let block: Vec<ItemSelection> = if workers <= 1 || n < 2 {
-            (start..end)
-                .map(|i| select_item_guarded(eval, i, base, groups, options, control))
-                .collect()
-        } else {
-            let w = workers.min(n);
-            let mut slots: Vec<Option<ItemSelection>> = vec![None; n];
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..w)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let mut part = Vec::new();
-                            for j in (t..n).step_by(w) {
-                                part.push((
-                                    j,
-                                    select_item_guarded(
-                                        eval,
-                                        start + j,
-                                        base,
-                                        groups,
-                                        options,
-                                        control,
-                                    ),
-                                ));
-                            }
-                            part
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // per-item panics are caught inside the worker, so a
-                    // thread-level Err is out-of-band; its items are
-                    // rescued serially below
-                    if let Ok(part) = h.join() {
-                        for (j, sel) in part {
-                            if let Some(slot) = slots.get_mut(j) {
-                                *slot = Some(sel);
-                            }
-                        }
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(j, slot)| {
-                    slot.unwrap_or_else(|| {
-                        control.note_worker_restarts(1);
-                        select_item_guarded(eval, start + j, base, groups, options, control)
-                    })
-                })
-                .collect()
+        let select = |js: StepBy<Range<usize>>| -> Vec<(usize, ItemSelection)> {
+            js.map(|j| (j, select_item(eval, start + j, base, groups, options, control))).collect()
         };
+        let mut block: Vec<_> =
+            strided(end - start, workers, &select).into_iter().flatten().collect();
+        // back in workload order, whichever worker took each item
+        block.sort_by_key(|&(j, _)| j);
         // serial coordination point: charge the block's (deterministic)
         // work — one unit per item plus its greedy evaluations
-        let units: u64 = block.iter().map(|s| 1 + s.evaluations as u64).sum();
+        let units: u64 = block.iter().map(|(_, s)| 1 + s.evaluations as u64).sum();
         control.charge(units);
-        done.extend(block);
+        done.extend(block.into_iter().map(|(_, sel)| sel));
     }
     None
 }
@@ -524,32 +476,6 @@ pub fn assemble_pool(selections: &[ItemSelection]) -> CandidatePool {
         }
     }
     pool
-}
-
-/// One item's selection with panic isolation. The evaluations inside
-/// [`select_item`] are already individually guarded (base cost here,
-/// greedy evaluations in `par_min`), so this outer net only catches
-/// panics in the glue around them: the whole item is re-run once (the
-/// cache keeps the rerun cheap) and a second panic degrades the item to
-/// an empty selection instead of tearing the session down.
-fn select_item_guarded(
-    eval: &CostEvaluator<'_>,
-    i: usize,
-    base: &Indexed,
-    groups: &ColumnGroups,
-    options: &TuningOptions,
-    control: &SessionControl,
-) -> ItemSelection {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let attempt =
-        || catch_unwind(AssertUnwindSafe(|| select_item(eval, i, base, groups, options, control)));
-    match attempt() {
-        Ok(sel) => sel,
-        Err(_) => {
-            control.note_worker_restarts(1);
-            attempt().unwrap_or_default()
-        }
-    }
 }
 
 fn select_item(
@@ -570,10 +496,7 @@ fn select_item(
     // the statement's own search starts: a derived cost reads what it
     // priced before its latest serial point
     eval.item_serial_point(i, 0);
-    let base_cost = match crate::control::isolated(control, || eval.price(i, &Overlay::of(base))) {
-        Some(Ok(c)) => c,
-        _ => return sel,
-    };
+    let Ok(base_cost) = eval.price(i, &Overlay::of(base)) else { return sel };
     // wrapped once: every evaluation below shares these, and overlays the
     // indexed base instead of copying it
     let pool: Vec<StructureHandle> = generated.into_iter().map(StructureHandle::new).collect();
@@ -599,7 +522,6 @@ fn select_item(
         &NOOP,
     )
     .outcome;
-    control.note_worker_restarts(outcome.worker_restarts);
     sel.evaluations = outcome.evaluations;
     if !outcome.chosen.is_empty() {
         sel.benefit =

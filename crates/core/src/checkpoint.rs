@@ -77,7 +77,7 @@ pub struct SessionCheckpoint {
     pub cache: Vec<CacheExport>,
     /// What-if calls issued before the cut.
     pub whatif_calls: usize,
-    /// Worker panics isolated before the cut.
+    /// What-if calls that panicked and were re-issued before the cut.
     pub worker_restarts: usize,
     /// Transient faults absorbed by retry before the cut.
     pub whatif_retries: usize,

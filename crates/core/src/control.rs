@@ -339,49 +339,12 @@ impl SessionControl {
             _ => None,
         }
     }
-
-    /// Record `n` panics that were caught and rescued by re-running the
-    /// work (panic-isolation telemetry, the `PanicRescues` counter).
-    pub fn note_worker_restarts(&self, n: usize) {
-        self.counters.add(Counter::PanicRescues, n as u64);
-    }
 }
 
 impl Default for SessionControl {
     fn default() -> Self {
         SessionControl::unlimited()
     }
-}
-
-/// Upper bound on panic retries for a single evaluation. Transient
-/// panics (e.g. injected what-if faults) fire once per call site, and a
-/// workload-level evaluation touches one site per statement, so each
-/// retry clears at least one site and any evaluation over at most this
-/// many statements converges to its no-fault result. An evaluation that
-/// still panics after the bound is treated as infeasible — degradation,
-/// never a hang and never an escaped panic.
-pub(crate) const MAX_PANIC_RETRIES: usize = 64;
-
-/// Run one evaluation under panic isolation: each panic is caught,
-/// reported through `note_restart`, and the evaluation re-issued, up to
-/// [`MAX_PANIC_RETRIES`] times. `None` means the evaluation never came
-/// back clean and the caller should degrade gracefully instead of
-/// tearing the session down.
-pub(crate) fn isolated_with<R>(note_restart: &dyn Fn(), f: impl Fn() -> R) -> Option<R> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    for _ in 0..=MAX_PANIC_RETRIES {
-        if let Ok(r) = catch_unwind(AssertUnwindSafe(&f)) {
-            return Some(r);
-        }
-        note_restart();
-    }
-    None
-}
-
-/// [`isolated_with`] reporting restarts straight into the session's
-/// panic-isolation telemetry.
-pub(crate) fn isolated<R>(control: &SessionControl, f: impl Fn() -> R) -> Option<R> {
-    isolated_with(&|| control.note_worker_restarts(1), f)
 }
 
 #[cfg(test)]
@@ -488,14 +451,6 @@ mod tests {
         // refunds never underflow the ledger
         c.refund(1_000);
         assert_eq!(c.consumed(), 0);
-    }
-
-    #[test]
-    fn worker_restart_telemetry() {
-        let c = SessionControl::unlimited();
-        c.note_worker_restarts(1);
-        c.note_worker_restarts(2);
-        assert_eq!(c.counters().get(Counter::PanicRescues), 3);
     }
 
     #[test]

@@ -132,6 +132,7 @@ use parking_lot::{Mutex, Rank, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -921,22 +922,49 @@ impl<'a> CostEvaluator<'a> {
         Ok((cost, used))
     }
 
+    /// Re-issues of one what-if call that panicked before [`Self::call`]
+    /// gives up on it. Injected panics fire a bounded number of times per
+    /// call site (once by default), so a call that panics this often is
+    /// poisoned: it fails instead of hanging the session.
+    pub(crate) const MAX_PANIC_RETRIES: usize = 64;
+
     /// A what-if call pricing `prepared` under `projected`, retried while
     /// a transient fault allows; `None` once a fault degrades the
     /// statement (a permanent one, or transient retries exhausted).
+    ///
+    /// The one panic guard of a session's pricing: a call that panics (an
+    /// injected fault, a poisoned optimizer) is counted as a
+    /// [`Counter::PanicRescues`] and re-issued. Injected panics fire a
+    /// bounded number of times per call site, so the re-issued call
+    /// answers what the clean schedule would have; past
+    /// [`Self::MAX_PANIC_RETRIES`] re-issues the call fails permanently,
+    /// and its caller fails or degrades as for any server error.
     fn call(
         &self,
         shard: &Shard,
         prepared: &PreparedStatement,
         projected: &Configuration,
     ) -> Result<Option<Plan>, ServerError> {
-        let mut attempt: u32 = 0;
+        let (mut attempt, mut panics): (u32, usize) = (0, 0);
         loop {
             // one call per unique miss (plus deterministic retries): the
             // in-flight claim serialized racing lookups away
             self.counters.add(Counter::WhatIfCalls, 1);
             shard.stat.calls.fetch_add(1, Ordering::SeqCst);
-            match self.target.whatif_prepared(prepared, projected) {
+            let answer =
+                catch_unwind(AssertUnwindSafe(|| self.target.whatif_prepared(prepared, projected)));
+            let Ok(answer) = answer else {
+                self.counters.add(Counter::PanicRescues, 1);
+                panics += 1;
+                if panics > Self::MAX_PANIC_RETRIES {
+                    return Err(ServerError::Fault {
+                        kind: FaultKind::Permanent,
+                        what: "what-if panicked past the retry bound".into(),
+                    });
+                }
+                continue;
+            };
+            match answer {
                 Ok(plan) => return Ok(Some(plan)),
                 Err(ServerError::Fault { kind: FaultKind::Transient, .. })
                     if self.retry.allows_retry(attempt) =>
@@ -1423,7 +1451,7 @@ mod tests {
     use super::*;
     use dta_catalog::{Column, ColumnType, Database, Table, Value};
     use dta_physical::{Index, PhysicalStructure};
-    use dta_server::Server;
+    use dta_server::{FaultPolicy, Server};
     use dta_sql::parse_statement;
     use dta_workload::Workload;
 
@@ -1471,6 +1499,58 @@ mod tests {
         let c2 = eval.workload_cost(&empty).expect("costing succeeds");
         assert_eq!(eval.whatif_calls(), 2, "second evaluation fully cached");
         assert_eq!(c1, c2);
+    }
+
+    #[test]
+    fn a_panicking_call_is_reissued_until_it_answers_or_past_the_bound_fails() {
+        let clean = {
+            let s = server();
+            let target = TuningTarget::Single(&s);
+            let w = wl();
+            CostEvaluator::new(&target, &w.items).item_cost(0, &Configuration::new())
+        };
+        let clean = clean.expect("costing succeeds");
+        // every call site panics `repeats` times, then answers
+        let panicking = |repeats: usize| {
+            let s = server();
+            s.set_fault_policy(Some(FaultPolicy {
+                seed: 7,
+                whatif_panic_rate: 1.0,
+                whatif_panic_repeats: repeats as u32,
+                ..FaultPolicy::default()
+            }));
+            s
+        };
+        for r in [1, 3, CostEvaluator::MAX_PANIC_RETRIES] {
+            let s = panicking(r);
+            let target = TuningTarget::Single(&s);
+            let w = wl();
+            let eval = CostEvaluator::new(&target, &w.items);
+            let cost = eval.item_cost(0, &Configuration::new()).expect("rescued at the call");
+            assert_eq!(cost.to_bits(), clean.to_bits(), "r={r}");
+            assert_eq!(eval.counters.get(Counter::PanicRescues), r as u64, "r={r}");
+            assert_eq!(eval.whatif_calls(), 1 + r, "r={r}");
+            assert!(eval.degraded_items().is_empty(), "r={r}");
+        }
+        // one panic more than the bound re-issues: the call fails for good
+        let past = CostEvaluator::MAX_PANIC_RETRIES + 1;
+        let s = panicking(past);
+        let target = TuningTarget::Single(&s);
+        let w = wl();
+        let eval = CostEvaluator::new(&target, &w.items);
+        let failed = eval.item_cost(0, &Configuration::new());
+        assert!(
+            matches!(failed, Err(ServerError::Fault { kind: FaultKind::Permanent, .. })),
+            "{failed:?}"
+        );
+        assert_eq!(eval.counters.get(Counter::PanicRescues), past as u64);
+        assert_eq!(eval.whatif_calls(), past);
+        assert!(eval.degraded_items().is_empty(), "an error is not a degradation");
+        // the claim was released and nothing was cached: the next lookup
+        // calls again, and the site has stopped panicking
+        let cost = eval.item_cost(0, &Configuration::new()).expect("the site answers now");
+        assert_eq!(cost.to_bits(), clean.to_bits());
+        assert_eq!(eval.whatif_calls(), past + 1);
     }
 
     #[test]

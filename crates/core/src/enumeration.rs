@@ -513,10 +513,7 @@ pub fn enumerate(
     // a search starts before its first serial point: what it prices
     // before then, a derived cost reads only after it
     eval.serial_point(0);
-    let base_cost =
-        crate::control::isolated(control, || eval.priced(&assembler.base(), &[], &[], &[]))
-            .and_then(|r| r.ok())
-            .unwrap_or(f64::INFINITY);
+    let base_cost = eval.priced(&assembler.base(), &[], &[], &[]).unwrap_or(f64::INFINITY);
     let handles = |set: &[&usize]| -> Vec<&StructureHandle> {
         set.iter().map(|&&c| candidates.get(c).expect("greedy positions index the pool")).collect()
     };

@@ -17,23 +17,12 @@
 //! cost ties exactly as a serial left-to-right scan would. Parallel and
 //! serial runs therefore return bit-identical outcomes.
 //!
-//! Two robustness layers sit on top (anytime tuning):
-//!
-//! * **Panic isolation** — every evaluation runs under `catch_unwind`
-//!   (on the serial path too) and is retried until it comes back clean,
-//!   up to a fixed bound; transient panics fire once per call site, and
-//!   a workload-level evaluation crosses one site per statement, so each
-//!   retry clears at least one site and the evaluation converges to the
-//!   cost the clean schedule would have seen — the recommendation is
-//!   byte-identical with and without the mid-run rescue. A permanently
-//!   poisonous evaluation exhausts the bound and is skipped as
-//!   infeasible instead of killing the session.
-//! * **Deterministic budgets** — [`greedy_mk`] charges its
-//!   [`SessionControl`] one unit per evaluation, granted in
-//!   canonical-prefix batches at serial coordination points. Exhaustion
-//!   returns the best-so-far outcome plus a [`GreedySnapshot`] cursor
-//!   from which a later call continues to the byte-identical final
-//!   answer.
+//! Budgets are deterministic (anytime tuning): [`greedy_mk`] charges its
+//! [`SessionControl`] one unit per evaluation, granted in canonical-prefix
+//! batches at serial coordination points. Exhaustion returns the
+//! best-so-far outcome plus a [`GreedySnapshot`] cursor from which a later
+//! call continues to the byte-identical final answer. A panic in an
+//! evaluation is not caught here: it reaches the caller.
 //!
 //! Between two granted batches no evaluation is in flight. At two kinds
 //! of such *serial points* [`greedy_mk`] tells its caller's hook
@@ -65,8 +54,8 @@
 use crate::control::{SessionControl, StopReason};
 use crate::det;
 use crate::obs::{SessionObserver, Span, SpanName};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Evaluate a subset against a ceiling. `None` means the subset is
 /// infeasible (e.g. over the storage bound), or that it provably costs no
@@ -127,9 +116,29 @@ pub struct GreedyOutcome<S> {
     pub cost: f64,
     /// Evaluations granted (see [`greedy_mk`] for the counting rule).
     pub evaluations: usize,
-    /// Panics caught and rescued by re-running the evaluation (0 in a
-    /// healthy run).
-    pub worker_restarts: usize,
+}
+
+/// Run `work` over `0..n` in `workers` strided slices — worker `w` takes
+/// positions `w`, `w + workers`, … — on scoped threads (inline when one
+/// worker is enough), and return each slice's result in worker order. A
+/// worker's panic is resumed on the caller.
+pub(crate) fn strided<R: Send>(
+    n: usize,
+    workers: usize,
+    work: &(dyn Fn(StepBy<Range<usize>>) -> R + Sync),
+) -> Vec<R> {
+    let workers = workers.max(1).min(n);
+    if workers <= 1 {
+        return vec![work((0..n).step_by(1))];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..workers).map(|w| scope.spawn(move || work((w..n).step_by(workers)))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// Find the minimum of `f` over `0..n` by `(cost, position)`.
@@ -140,71 +149,28 @@ pub struct GreedyOutcome<S> {
 /// tie-breaking makes the reduction independent of thread count and
 /// interleaving: the result for a completed run is identical for any
 /// `workers`.
-///
-/// Every evaluation is individually isolated: each panic at a position
-/// is noted in `restarts` and the position retried, up to
-/// [`crate::control::MAX_PANIC_RETRIES`] times. A *transient* panic
-/// (fault injection, a recovering server — once per call site) then
-/// yields the cost the clean schedule would have seen, so the reduction
-/// — and hence the recommendation — is byte-identical with and without
-/// the mid-run rescue; only a position that never comes back clean
-/// degrades to "infeasible". The guard is identical on the serial and
-/// parallel paths, so no panic escapes at any worker count.
 fn par_min(
     n: usize,
     workers: usize,
     control: &SessionControl,
-    restarts: &AtomicUsize,
     f: &(dyn Fn(usize) -> Option<f64> + Sync),
 ) -> Option<(usize, f64)> {
-    let scan = |positions: &mut dyn Iterator<Item = usize>| -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
+    let scan = |positions: StepBy<Range<usize>>| {
+        let mut best = None;
         for pos in positions {
             if control.is_cancelled() {
                 break;
             }
-            let outcome = crate::control::isolated_with(
-                &|| {
-                    restarts.fetch_add(1, Ordering::SeqCst);
-                },
-                || f(pos),
-            );
-            if let Some(Some(cost)) = outcome {
+            if let Some(cost) = f(pos) {
                 best = det::min_by_cost_position((pos, cost), best);
             }
         }
         best
     };
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return scan(&mut (0..n));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| scan(&mut ((w..n).step_by(workers)))))
-                })
-            })
-            .collect();
-        let mut best: Option<(usize, f64)> = None;
-        for (w, h) in handles.into_iter().enumerate() {
-            let local = match h.join() {
-                Ok(Ok(result)) => result,
-                // out-of-band: per-position guards make a worker-level
-                // panic (iterator machinery, thread spawn) vanishingly
-                // rare, but if it happens the slice is redone serially
-                _ => {
-                    restarts.fetch_add(1, Ordering::SeqCst);
-                    scan(&mut ((w..n).step_by(workers)))
-                }
-            };
-            if let Some(local) = local {
-                best = det::min_by_cost_position(local, best);
-            }
-        }
-        best
-    })
+    strided(n, workers, &scan)
+        .into_iter()
+        .flatten()
+        .fold(None, |best, local| det::min_by_cost_position(local, best))
 }
 
 /// `n` choose `k`, saturating at `usize::MAX`: in `u64` while the
@@ -404,7 +370,6 @@ pub fn greedy_mk<S: Clone + Sync>(
     resume: Option<GreedySnapshot>,
     obs: &dyn SessionObserver,
 ) -> GreedyRun<S> {
-    let restarts = AtomicUsize::new(0);
     let mut snap = resume.unwrap_or_else(|| GreedySnapshot::fresh(base_cost));
 
     // Scan positions `next..n` of the current round in granted batches,
@@ -439,8 +404,7 @@ pub fn greedy_mk<S: Clone + Sync>(
                 let to = point.map_or(end, |p| p.min(end));
                 let against = *ceiling;
                 let shifted = |p: usize| f(from + p, against);
-                if let Some((pos, cost)) = par_min(to - from, workers, control, &restarts, &shifted)
-                {
+                if let Some((pos, cost)) = par_min(to - from, workers, control, &shifted) {
                     *round_best = det::min_by_cost_position((pos + from, cost), *round_best);
                 }
                 if point == Some(to) {
@@ -582,8 +546,6 @@ pub fn greedy_mk<S: Clone + Sync>(
         }
     }
 
-    let worker_restarts = restarts.load(Ordering::SeqCst);
-    control.note_worker_restarts(worker_restarts);
     GreedyRun {
         outcome: GreedyOutcome {
             chosen: out_set
@@ -594,7 +556,6 @@ pub fn greedy_mk<S: Clone + Sync>(
                 .collect(),
             cost: out_cost,
             evaluations: snap.evaluations,
-            worker_restarts,
         },
         interrupted: interrupted.map(|reason| (reason, snap)),
     }
@@ -604,6 +565,7 @@ pub fn greedy_mk<S: Clone + Sync>(
 mod tests {
     use super::*;
     use crate::obs::NOOP;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// An unbudgeted, uncancelled run: it must complete.
     fn run<S: Clone + Sync>(
@@ -1146,10 +1108,10 @@ mod tests {
     }
 
     #[test]
-    fn panicking_position_degrades_to_infeasible() {
-        // position-dependent deterministic panic: the set containing
-        // candidate 5 blows up. With panic isolation the result must be
-        // byte-identical to the same surface with 5 marked infeasible.
+    fn a_panicking_evaluation_escapes_greedy() {
+        // the set containing candidate 5 blows up: Greedy guards nothing
+        // (what-if panics are rescued at the call), so at every worker
+        // count the panic reaches the caller with its own payload
         let candidates: Vec<usize> = (0..12).collect();
         let poisoned = |set: &[&usize], _: Option<f64>| {
             if set.iter().any(|&&i| i == 5) {
@@ -1158,23 +1120,16 @@ mod tests {
             let s: usize = set.iter().map(|&&i| i).sum();
             Some(1000.0 - (13 * s % 97) as f64 - 20.0 * set.len() as f64)
         };
-        let infeasible = |set: &[&usize], _: Option<f64>| {
-            if set.iter().any(|&&i| i == 5) {
-                return None;
-            }
-            let s: usize = set.iter().map(|&&i| i).sum();
-            Some(1000.0 - (13 * s % 97) as f64 - 20.0 * set.len() as f64)
-        };
-        let clean = run(&candidates, 1000.0, 2, 5, 1, &infeasible);
-        for workers in [2, 4] {
+        for workers in [1, 2, 4] {
             // silence the default panic hook for the deliberate panics
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
-            let g = run(&candidates, 1000.0, 2, 5, workers, &poisoned);
+            let outcome =
+                std::panic::catch_unwind(|| run(&candidates, 1000.0, 2, 5, workers, &poisoned));
             std::panic::set_hook(prev);
-            assert!(g.worker_restarts > 0, "workers={workers}: no restart recorded");
-            assert_eq!(clean.chosen, g.chosen, "workers={workers}");
-            assert_eq!(clean.cost.to_bits(), g.cost.to_bits(), "workers={workers}");
+            let payload = outcome.expect_err("the poisoned evaluation must escape");
+            let message = payload.downcast_ref::<&str>().copied();
+            assert_eq!(message, Some("deterministic poison"), "workers={workers}");
         }
     }
 

@@ -47,8 +47,8 @@ pub struct TuningResult {
     /// cancelled. Even the early endings return a valid, storage-bound,
     /// never-worse-than-raw configuration (anytime tuning).
     pub completion: Completion,
-    /// Parallel workers that panicked and had their slice re-run
-    /// serially (panic isolation; 0 in a healthy session).
+    /// What-if calls that panicked and were re-issued (0 in a healthy
+    /// session; the name is the report's and the ledger's).
     pub worker_restarts: usize,
     /// Transient server faults absorbed by bounded retry.
     pub whatif_retries: usize,

@@ -391,9 +391,8 @@ impl Session {
     }
 
     /// Advance the pipeline, in place, until it completes or `control`
-    /// stops it. All or nothing: on `Err`, and on a panic that escapes
-    /// the stages' own isolation (it is passed on), the session is left
-    /// exactly as the run found it.
+    /// stops it. All or nothing: on `Err`, and on a panic (it is passed
+    /// on), the session is left exactly as the run found it.
     pub(crate) fn run(
         &mut self,
         target: &TuningTarget<'_>,
@@ -475,18 +474,7 @@ impl Session {
                     break 'pipeline Some((reason, Stage::PreCosting));
                 }
                 let i = pre_costs.len();
-                // panic isolation, pre-costing edition: a panicking what-if
-                // call (fault injection, a poisoned optimizer) is caught,
-                // reported as a worker restart, and re-issued until it comes
-                // back clean — the same rescue the parallel stages get
-                let cost = crate::control::isolated(control, || eval.item_cost(i, base))
-                    .unwrap_or_else(|| {
-                        Err(ServerError::Fault {
-                            kind: dta_server::FaultKind::Permanent,
-                            what: "pre-costing what-if panicked past the retry bound".into(),
-                        })
-                    });
-                pre_costs.push(cost.map_err(TuneError::Server)?);
+                pre_costs.push(eval.item_cost(i, base)?);
                 control.charge(1);
             }
             // the pre-statistics base costs double as the per-item fallbacks
@@ -676,18 +664,11 @@ impl Session {
             CostEvaluator::over(target, items, Arc::clone(&self.cache), Arc::clone(counters));
 
         let epilogue_span = Span::enter(obs, SpanName::Epilogue);
-        self.cache.begin();
-        let priced = crate::control::isolated(control, || eval.workload_cost(base));
+        let slice = ReportSlice::begin(&self.cache);
+        let priced = eval.workload_cost(base);
         let degraded = self.cache.degraded_items();
-        self.cache.rollback();
-        let base_cost = priced
-            .unwrap_or_else(|| {
-                Err(ServerError::Fault {
-                    kind: dta_server::FaultKind::Permanent,
-                    what: "base-configuration pricing panicked past the retry bound".into(),
-                })
-            })
-            .map_err(TuneError::Server)?;
+        drop(slice);
+        let base_cost = priced?;
         let (recommendation, recommended_cost, pool_size, lazy_variants, enum_evaluations) =
             match &self.best {
                 Some(r) => {
@@ -764,6 +745,24 @@ impl Session {
             checkpoint,
             observer: obs.summary(),
         })
+    }
+}
+
+/// A cache slice that [`Session::finish`] prices its report in, taken
+/// back when dropped: however the pricing ends, unwinding included, the
+/// session is left as it was.
+struct ReportSlice<'c>(&'c CacheState);
+
+impl<'c> ReportSlice<'c> {
+    fn begin(cache: &'c CacheState) -> Self {
+        cache.begin();
+        ReportSlice(cache)
+    }
+}
+
+impl Drop for ReportSlice<'_> {
+    fn drop(&mut self) {
+        self.0.rollback();
     }
 }
 

@@ -15,8 +15,8 @@
 //!   order, and every per-tenant ledger are fixed by tenant id, so a
 //!   fleet run is byte-identical across repetitions and worker counts
 //!   (the PR 1/PR 5 invariant, extended to fleets).
-//! * **Containment** — every slice runs under `catch_unwind` on top of
-//!   the session layer's own panic isolation. A tenant whose `Server`
+//! * **Containment** — every slice runs under `catch_unwind`, on top of
+//!   the what-if call's own panic guard. A tenant whose `Server`
 //!   keeps failing is retried from its last good checkpoint after a
 //!   deterministic exponential backoff (counted in scheduling turns,
 //!   never wall clock) and quarantined after bounded retries; siblings
@@ -448,7 +448,8 @@ pub struct TenantOutcome {
 }
 
 impl TenantOutcome {
-    /// Worker panics isolated on this tenant's behalf.
+    /// What-if calls that panicked and were re-issued on this tenant's
+    /// behalf.
     pub fn panic_rescues(&self) -> u64 {
         self.counters.get(Counter::PanicRescues)
     }

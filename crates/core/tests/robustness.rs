@@ -1,6 +1,6 @@
 //! Acceptance tests for the anytime-tuning robustness layer: work-budget
 //! deadlines, cooperative cancellation, fault-injected what-if calls,
-//! panic isolation, and checkpoint/resume.
+//! the what-if call's panic guard, and checkpoint/resume.
 //!
 //! The properties under test (DESIGN.md §9):
 //!
@@ -14,16 +14,18 @@
 //! * **faults** — transient server faults are absorbed by retry and the
 //!   session converges to the no-fault recommendation; permanent faults
 //!   degrade the affected statements instead of aborting; injected
-//!   worker panics are isolated and do not change the recommendation.
+//!   what-if panics are re-issued at the call and do not change the
+//!   recommendation.
 
 use std::sync::Arc;
 
 use dta_catalog::{Column, ColumnType, Database, Table, Value};
 use dta_core::{
-    tune, tune_resume, tune_with_control, Completion, Counter, SessionCheckpoint, SessionControl,
-    SessionSupervisor, SliceContext, Stage, StopReason, SupervisorPolicy, TenantSpec, TenantStatus,
-    TuningOptions, TuningResult,
+    evaluate_configuration, tune, tune_resume, tune_with_control, Completion, Counter,
+    EvaluationReport, SessionCheckpoint, SessionControl, SessionSupervisor, SliceContext, Stage,
+    StopReason, SupervisorPolicy, TenantSpec, TenantStatus, TuningOptions, TuningResult,
 };
+use dta_physical::{Configuration, Index, PhysicalStructure};
 use dta_server::{FaultPolicy, Server, TuningTarget};
 use dta_sql::parse_statement;
 use dta_workload::{Workload, WorkloadItem};
@@ -455,6 +457,47 @@ fn injected_worker_panics_are_isolated_and_do_not_change_the_answer() {
     }
 }
 
+#[test]
+fn exploratory_analysis_prices_through_injected_panics() {
+    // §6.3's evaluate mode runs no search: the only panic guard on its
+    // path is the one around the what-if call itself
+    let workload = read_workload();
+    let evaluate = |policy: Option<FaultPolicy>| {
+        let server = make_server();
+        server.set_fault_policy(policy);
+        let current = server.raw_configuration();
+        let proposed = current.union(&Configuration::from_structures([
+            PhysicalStructure::Index(Index::non_clustered("d", "fact", &["a"], &["pad"])),
+            PhysicalStructure::Index(Index::non_clustered("d", "fact", &["m", "g"], &["val"])),
+        ]));
+        let target = TuningTarget::Single(&server);
+        evaluate_configuration(&target, &workload, &current, &proposed).unwrap()
+    };
+    let (seed, rate) = (11, 0.3);
+    let clean = evaluate(None);
+    let report =
+        evaluate(Some(FaultPolicy { seed, whatif_panic_rate: rate, ..FaultPolicy::default() }));
+    // a statement the schedule rolls under the rate panics once at every
+    // call site it reaches, and each of its calls is a site of its own
+    let mut injected = 0;
+    for ((item, got), want) in workload.items.iter().zip(&report.statements).zip(&clean.statements)
+    {
+        assert_eq!(got.current_cost.to_bits(), want.current_cost.to_bits(), "{}", want.sql);
+        assert_eq!(got.proposed_cost.to_bits(), want.proposed_cost.to_bits(), "{}", want.sql);
+        assert!(!got.degraded, "{}", want.sql);
+        let panics = if whatif_fault_roll(seed, "whatif-panic", item) < rate {
+            want.whatif_calls
+        } else {
+            0
+        };
+        assert_eq!(got.whatif_calls, want.whatif_calls + panics, "{}", want.sql);
+        injected += panics;
+    }
+    assert!(injected > 0, "schedule injected no panics");
+    let calls = |r: &EvaluationReport| r.statements.iter().map(|s| s.whatif_calls).sum::<usize>();
+    assert_eq!(calls(&report), calls(&clean) + injected);
+}
+
 /// CI's `fault-matrix` job sweeps this test over a grid of seeds and
 /// failure rates via `DTA_FAULT_SEEDS` / `DTA_FAULT_RATES` (comma-
 /// separated); the in-repo defaults keep a plain `cargo test` fast.
@@ -729,8 +772,8 @@ fn faulty_tenant_is_quarantined_without_disturbing_siblings() {
     let run_fleet = || {
         let healthy = make_server();
         let sick = make_server();
-        // panic on every what-if, for longer than the session layer's
-        // own isolation retries: the tenant can never make progress
+        // panic on every what-if, for longer than the call re-issues
+        // it: the tenant can never make progress
         sick.set_fault_policy(Some(FaultPolicy {
             seed: 5,
             whatif_panic_rate: 1.0,
@@ -861,7 +904,7 @@ budget: 784 units consumed (unbounded)
   t-alpha      completed        199 units · 2 slices · 0 rescues · 38.0% improvement
   t-bravo      completed        386 units · 4 slices · 0 rescues · 38.0% improvement
   t-chaos      quarantined        0 units · 3 slices · 195 rescues · session failed: server error: \
-permanent fault: pre-costing what-if panicked past the retry bound
+permanent fault: what-if panicked past the retry bound
   t-delta      completed        199 units · 2 slices · 0 rescues · 38.0% improvement
 ";
 
@@ -998,7 +1041,7 @@ fn chaos_cycle(seed: u64) {
 /// A failed slice is a transaction: what it priced, degraded and
 /// progressed is discarded, and the retry starts from the tenant's last
 /// good state. One statement's what-if call panics once more than the
-/// isolation layer absorbs, *after* earlier statements of the same slice
+/// call's guard absorbs, *after* earlier statements of the same slice
 /// were priced; the tenant must end exactly where the same schedule ends
 /// when the slices are run by hand, each a budgeted session of its own
 /// chained through checkpoints, and the failed one is thrown away whole.
@@ -1023,7 +1066,7 @@ fn supervised_failed_slice_leaves_no_trace() {
             })
         })
         .expect("some seed singles out the victim");
-    // the isolation layer tries a call 65 times; a site that panics 66
+    // the what-if call is tried 65 times; a site that panics 66
     // times fails the slice that first meets it and costs the next one a
     // single rescue
     let policy = FaultPolicy {

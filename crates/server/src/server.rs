@@ -69,12 +69,12 @@ pub struct FaultPolicy {
     pub stats_permanent_rate: f64,
     /// Fraction of statements whose what-if calls *panic*
     /// (`whatif_panic_repeats` times per call site, then succeed) —
-    /// exercises the panic-isolation layer: a worker that hits the
-    /// panic is restarted and the re-run succeeds, so the session
-    /// converges to the no-panic recommendation.
+    /// exercises the caller's panic guard: the call that panics is
+    /// re-issued and answers, so the session converges to the no-panic
+    /// recommendation.
     pub whatif_panic_rate: f64,
     /// How many times a panicking call site panics before succeeding
-    /// (default 1). Set past the isolation layer's retry bound (64) to
+    /// (default 1). Set past the caller's re-issue bound (64) to
     /// make the site *permanently* panic — the quarantine path of the
     /// session supervisor.
     pub whatif_panic_repeats: u32,
@@ -465,7 +465,7 @@ impl Server {
                 };
                 #[expect(
                     clippy::panic,
-                    reason = "deliberate fault injection — the panic-isolation layer under \
+                    reason = "deliberate fault injection — the caller's panic guard under \
                               test must catch this"
                 )]
                 if should_panic {
